@@ -1,6 +1,6 @@
 """Record the execution-engine performance trajectory to ``BENCH_exec.json``.
 
-Runs the paper's harness under all three execution modes and appends a
+Runs the paper's harness under both execution modes and appends a
 timestamped entry to the artifact's ``trajectory`` list, so the perf
 history across PRs is preserved (a legacy single-snapshot artifact is
 wrapped as the list's first entry).  Each entry holds the numbers a
@@ -8,14 +8,15 @@ future session (or CI artifact reader) needs to judge a perf regression
 at a glance:
 
 * **fig6** — the single-table §V-B methodology, identical workload in
-  row, batch and columnar mode: wall-clock seconds per mode and the
-  per-mode/row wall-clock speedups (simulated results are
-  mode-invariant, so only the harness cost differs);
+  row and batch mode: wall-clock seconds per mode and the batch/row
+  wall-clock speedup (simulated results are mode-invariant, so only
+  the harness cost differs);
 * **fig7** — the monitoring-overhead distribution ``(T_mon - T) / T``
   from the same run (simulated; identical across modes up to float
   accumulation order);
-* **scan throughput** — a full-table-scan query repeated per mode,
-  reported as rows/second of harness throughput;
+* **scan throughput** — an unmonitored full-table count scan repeated
+  per mode, reported as rows/second of harness throughput (batch mode
+  takes the plan-derived column-chunk scan here);
 * **plancache** — the plan-cache smoke gate's violation list, so the
   artifact also witnesses that caching still behaves;
 * **service throughput** — the closed-loop service sweep (cold vs. warm
@@ -53,6 +54,7 @@ except ModuleNotFoundError:
     import smoke_reopt  # type: ignore[no-redef]
     import smoke_shard  # type: ignore[no-redef]
 
+from repro.exec.executor import EXEC_MODES
 from repro.harness.figures import run_fig6_fig7
 from repro.harness.timing import Stopwatch, utc_now_iso
 from repro.optimizer import SingleTableQuery
@@ -72,7 +74,7 @@ SCAN_ROWS = 60_000
 SCAN_REPEATS = 5
 
 #: Execution modes measured per trajectory entry (row is the baseline).
-MODES = ("row", "batch", "columnar")
+MODES = EXEC_MODES
 
 
 def _fig6_all_modes() -> dict:
@@ -104,9 +106,6 @@ def _fig6_all_modes() -> dict:
         "batch_wall_speedup": round(
             row_seconds / per_mode["batch"]["wall_seconds"], 2
         ),
-        "columnar_wall_speedup": round(
-            row_seconds / per_mode["columnar"]["wall_seconds"], 2
-        ),
         "fig7_monitor_overhead_pct": {
             "max": round(100 * max(overheads), 3),
             "mean": round(100 * sum(overheads) / len(overheads), 3),
@@ -130,16 +129,14 @@ def _scan_throughput() -> dict:
             "wall_seconds": round(seconds, 3),
             "rows_per_sec": int(SCAN_ROWS * SCAN_REPEATS / seconds),
         }
-    speedups = {
-        f"{mode}_wall_speedup": round(
-            out["row"]["wall_seconds"] / out[mode]["wall_seconds"], 2
-        )
-        for mode in MODES[1:]
+    return {
+        "num_rows": SCAN_ROWS,
+        "repeats": SCAN_REPEATS,
+        **out,
+        "batch_wall_speedup": round(
+            out["row"]["wall_seconds"] / out["batch"]["wall_seconds"], 2
+        ),
     }
-    speedups["columnar_vs_batch_speedup"] = round(
-        out["batch"]["wall_seconds"] / out["columnar"]["wall_seconds"], 2
-    )
-    return {"num_rows": SCAN_ROWS, "repeats": SCAN_REPEATS, **out, **speedups}
 
 
 def _sharded_throughput() -> dict:
@@ -204,9 +201,7 @@ def build_trajectory(output: Path = DEFAULT_OUTPUT) -> dict:
     entries = _load_trajectory(output)
     entries.append(build_entry())
     return {
-        "benchmark": (
-            "execution-mode trajectory (row vs. batch vs. columnar)"
-        ),
+        "benchmark": "execution-mode trajectory (row vs. batch)",
         "trajectory": entries,
     }
 

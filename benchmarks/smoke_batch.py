@@ -1,24 +1,25 @@
-"""CI smoke gate: batch *and* columnar execution must actually be faster.
+"""CI smoke gate: batch execution must actually be faster, and the
+plan-derived column-chunk scan must be live.
 
-Runs the Fig. 6 single-table methodology at reduced scale under all
-three execution modes — the row-at-a-time iterator, page-at-a-time
-batch mode, and column-vector columnar mode — and gates on three
-families of bounds:
+Runs the Fig. 6 single-table methodology at reduced scale under both
+execution modes — the row-at-a-time iterator and page-at-a-time batch
+mode — and gates on three families of bounds:
 
-* **wall-clock speedup**: each accelerated mode must finish the
-  identical workload at least :data:`SPEEDUP_BOUND` times faster than
+* **wall-clock speedup**: batch mode must finish the identical
+  (monitored) workload at least :data:`SPEEDUP_BOUND` times faster than
   row mode (the full-scale target is 2x or better, the gate uses 1.5x
   to absorb CI-runner noise at smoke scale);
 * **monitoring overhead**: the *simulated* monitoring overhead
-  ``(T_monitored - T) / T`` under each accelerated mode must respect
-  the paper's 2% bound, exactly as ``smoke_overhead.py`` checks for row
-  mode — neither batching nor vectorization may change what the
-  monitors charge;
-* **columnar scan throughput**: a repeated full-table-scan query must
-  run at least :data:`COLUMNAR_SCAN_BOUND` times faster columnar than
-  list-batch (full-scale target 2x — the recorded baseline in
-  ``BENCH_exec.json``'s trajectory; the gate again leaves noise
-  headroom).
+  ``(T_monitored - T) / T`` under batch mode must respect the paper's
+  2% bound, exactly as ``smoke_overhead.py`` checks for row mode —
+  batching may not change what the monitors charge;
+* **chunk-scan fast path**: an *unmonitored* ``SELECT count(padding)
+  FROM t WHERE c5 < N`` full scan in batch mode must run at least
+  :data:`CHUNK_SCAN_BOUND` times faster than row mode.  Row-list batches
+  alone measure ~6.5x here and the column-chunk scan ~20x, so the bound
+  sits between the two: it fails if the planner stops marking the scan
+  (the fast path silently reverting to row lists), with 2x headroom for
+  runner noise.
 
 Wall-clock is measured with :class:`repro.harness.timing.Stopwatch`,
 the only sanctioned host-clock reader (codelint R005).  Exit status 0/1
@@ -31,24 +32,27 @@ via pytest (the ``test_*`` wrapper below).
 from __future__ import annotations
 
 import math
+import statistics
 import sys
 
+from repro.exec.executor import EXEC_MODES
 from repro.harness.figures import run_fig6_fig7
 from repro.harness.timing import Stopwatch
-from repro.optimizer import SingleTableQuery
+from repro.optimizer import PlanHint, SingleTableQuery
 from repro.session import Session
 from repro.sql import Comparison, conjunction_of
 from repro.workloads import build_synthetic_database
 
-#: Accelerated modes must beat row mode by at least this wall-clock factor.
+#: Batch mode must beat row mode by at least this wall-clock factor.
 SPEEDUP_BOUND = 1.5
 
 #: The paper's bound on acceptable (simulated) monitoring overhead.
 OVERHEAD_BOUND = 0.02
 
-#: Columnar full scans must beat list-batch scans by at least this factor
-#: (smoke-scale gate for the 2x full-scale target).
-COLUMNAR_SCAN_BOUND = 1.5
+#: An unmonitored count scan in batch mode must beat row mode by at least
+#: this factor — above what row-list batches reach (~6.5x), below the
+#: column-chunk scan (~20x).
+CHUNK_SCAN_BOUND = 10.0
 
 #: Reduced Fig. 6 scale — big enough for the per-row interpreter cost to
 #: dominate, small enough for a CI smoke job.
@@ -58,10 +62,10 @@ SEED = 0
 
 #: Full-table-scan throughput probe scale.
 SCAN_ROWS = 20_000
-SCAN_REPEATS = 5
+SCAN_REPEATS = 7
 
 #: All execution modes, row first (it is the reference the others must match).
-MODES = ("row", "batch", "columnar")
+MODES = EXEC_MODES
 
 
 def _timed_run(exec_mode: str):
@@ -75,19 +79,35 @@ def _timed_run(exec_mode: str):
     return result, watch.elapsed_seconds
 
 
-def _scan_seconds(database, exec_mode: str) -> float:
+def scan_seconds(database, num_rows: int = SCAN_ROWS) -> dict[str, float]:
+    """Median wall seconds of one unmonitored full count scan, per mode.
+
+    The plan is optimized once and run through the planner each time, so
+    the probe measures execution, not optimization.  The modes alternate
+    per repetition (so drift hits both alike) after one untimed pass
+    each, which also pays the one-off file-column materialization the
+    chunk scan caches.
+    """
     query = SingleTableQuery(
-        "t", conjunction_of(Comparison("c5", ">=", 0)), "padding"
+        "t", conjunction_of(Comparison("c5", "<", num_rows)), "padding"
     )
     session = Session(database)
-    watch = Stopwatch()
-    for _ in range(SCAN_REPEATS):
-        session.run(query, exec_mode=exec_mode)
-    return watch.elapsed_seconds
+    plan = session.optimize(query, hint=PlanHint("table_scan"))
+    samples: dict[str, list[float]] = {mode: [] for mode in MODES}
+    for repetition in range(SCAN_REPEATS + 1):
+        for mode in MODES:
+            watch = Stopwatch()
+            executed = session.run_plan(query, plan, exec_mode=mode)
+            elapsed = watch.elapsed_seconds
+            if executed.result.rows != [(num_rows,)]:
+                raise AssertionError(f"full scan in {mode} mode miscounted")
+            if repetition:
+                samples[mode].append(elapsed)
+    return {mode: statistics.median(samples[mode]) for mode in MODES}
 
 
 def run_smoke() -> list[str]:
-    """Run fig6 in all three modes; returns a list of bound violations."""
+    """Run fig6 in both modes; returns a list of bound violations."""
     violations: list[str] = []
     results: dict[str, object] = {}
     seconds: dict[str, float] = {}
@@ -137,20 +157,18 @@ def run_smoke() -> list[str]:
                 )
 
     database = build_synthetic_database(num_rows=SCAN_ROWS, seed=SEED)
-    batch_scan = _scan_seconds(database, "batch")
-    columnar_scan = _scan_seconds(database, "columnar")
-    scan_speedup = (
-        batch_scan / columnar_scan if columnar_scan > 0 else float("inf")
-    )
+    scan = scan_seconds(database)
+    scan_speedup = scan["row"] / scan["batch"] if scan["batch"] > 0 else float("inf")
     print(
-        f"full scan x{SCAN_REPEATS}: batch {batch_scan:.3f}s, "
-        f"columnar {columnar_scan:.3f}s -> {scan_speedup:.2f}x "
-        f"(bound {COLUMNAR_SCAN_BOUND:.1f}x)"
+        f"unmonitored count scan: row {scan['row'] * 1e3:.2f}ms, "
+        f"batch {scan['batch'] * 1e3:.2f}ms -> {scan_speedup:.1f}x "
+        f"(bound {CHUNK_SCAN_BOUND:.0f}x)"
     )
-    if scan_speedup < COLUMNAR_SCAN_BOUND:
+    if scan_speedup < CHUNK_SCAN_BOUND:
         violations.append(
-            f"columnar full scan only {scan_speedup:.2f}x faster than "
-            f"list-batch (bound {COLUMNAR_SCAN_BOUND:.1f}x)"
+            f"unmonitored batch count scan only {scan_speedup:.1f}x faster "
+            f"than row mode (bound {CHUNK_SCAN_BOUND:.0f}x): is the "
+            "column-chunk fast path still selected?"
         )
     return violations
 

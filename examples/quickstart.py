@@ -9,13 +9,12 @@ whole loop on one query:
 3. compare the optimizer's estimated DPC with the monitored actual;
 4. inject the actual, re-optimize, and measure the speedup.
 
-Run:  python examples/quickstart.py [--exec-mode {row,batch,columnar}]
-                                    [--shards N]
+Run:  python examples/quickstart.py [--exec-mode {row,batch}] [--shards N]
 
 ``--exec-mode batch`` drives the same plans through the page-at-a-time
-batch engine (compiled predicate kernels) and ``--exec-mode columnar``
-through whole-column vector kernels; every printed number is identical,
-the walk just completes faster.  ``--shards 4`` runs the same loop over
+batch engine (compiled predicate kernels; unmonitored count scans read
+multi-page column chunks); every printed number is identical, the walk
+just completes faster.  ``--shards 4`` runs the same loop over
 a scatter-gather deployment: the table range-partitions across 4 shard
 engines, the monitored DPC actual arrives as the *sum* of disjoint
 per-shard page counts (still exact — same printed value), and the
@@ -32,6 +31,7 @@ from repro import (
     conjunction_of,
 )
 from repro.core.dpc import exact_dpc
+from repro.exec.executor import EXEC_MODES
 from repro.optimizer import Optimizer
 from repro.workloads import build_synthetic_database
 
@@ -40,10 +40,9 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--exec-mode",
-        choices=["row", "batch", "columnar"],
+        choices=EXEC_MODES,
         default="row",
-        help="row-at-a-time iterator (default), page-at-a-time batches, "
-        "or column-vector execution",
+        help="row-at-a-time iterator (default) or page-at-a-time batches",
     )
     parser.add_argument(
         "--shards",

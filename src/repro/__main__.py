@@ -33,6 +33,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.exec.executor import EXEC_MODES
+
 
 def _add_figures(subparsers) -> None:
     parser = subparsers.add_parser(
@@ -44,7 +46,7 @@ def _add_figures(subparsers) -> None:
     parser.add_argument("--seed", type=int, default=3)
     parser.add_argument(
         "--exec-mode",
-        choices=["row", "batch", "columnar"],
+        choices=EXEC_MODES,
         default="row",
         help="execution drive for fig6/fig8 (results identical, batch is "
         "faster); the other figure drivers are mode-agnostic",
@@ -71,7 +73,7 @@ def _add_query_command(subparsers, name: str, help_text: str) -> None:
         )
         parser.add_argument(
             "--exec-mode",
-            choices=["row", "batch", "columnar"],
+            choices=EXEC_MODES,
             default="row",
             help="row-at-a-time iterator (default) or page-at-a-time batches",
         )
@@ -369,7 +371,7 @@ def _add_loadgen(subparsers) -> None:
         action="store_true",
         help="pre-harvest feedback and optimize with it (in-process only)",
     )
-    parser.add_argument("--exec-mode", choices=["row", "batch", "columnar"], default="row")
+    parser.add_argument("--exec-mode", choices=EXEC_MODES, default="row")
     parser.add_argument("--deadline-ms", type=float, default=None)
     parser.add_argument("--max-in-flight", type=int, default=8)
     parser.add_argument(

@@ -34,10 +34,9 @@ This module enforces them statically:
           bypassed
 ``R008``  no per-row ``charge_rows()`` / ``charge_rows(1)`` inside
           batch-mode operators (any function whose enclosing-function
-          stack contains ``batch`` or ``columnar`` — nested ``flush()``
-          closures included): batch/columnar mode exists to amortize
-          accounting, so charge once per batch with
-          ``charge_rows(len(rows))``
+          stack contains ``batch`` — nested ``flush()`` closures
+          included): batch mode exists to amortize accounting, so charge
+          once per batch with ``charge_rows(len(rows))``
 ``R009``  no ``asyncio.get_event_loop()`` and no bare
           ``threading.Thread`` outside the sanctioned concurrency sites
           (``service/``, ``engine/engine.py``, ``harness/timing.py``) —
@@ -46,7 +45,7 @@ This module enforces them statically:
           outside a running loop (use ``asyncio.get_running_loop()``)
 ``R011``  no per-row Python loops over column values inside vector
           kernel bodies (``matches_vector`` / ``evaluate_columns``):
-          columnar kernels must stay whole-vector operations through
+          the chunk scan's kernels must stay whole-vector operations through
           :mod:`repro.exec.vector` (whose pure-Python fallback is the
           one sanctioned per-row site, waived by path); index loops via
           ``range(...)`` — e.g. over conjunction *terms* — are fine
@@ -459,8 +458,7 @@ class _FileChecker(ast.NodeVisitor):
                 "service's thread pool so drain/shutdown accounting holds",
             )
         elif leaf == "charge_rows" and any(
-            "batch" in name or "columnar" in name
-            for name in self._function_stack
+            "batch" in name for name in self._function_stack
         ):
             self._check_charge_rows(node, chain)
         elif leaf == "snapshot" and len(chain) >= 2 and "clock" in chain[-2]:

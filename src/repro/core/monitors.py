@@ -43,21 +43,9 @@ from repro.core.requests import (
     PageCountObservation,
     PageCountRequest,
 )
-from repro.sql.evaluator import BatchOutcome, TermOutcome, VectorOutcome
+from repro.sql.evaluator import BatchOutcome, TermOutcome
 from repro.sql.predicates import AtomicPredicate, Conjunction
 from repro.storage.accounting import IOContext
-
-_vector_module = None
-
-
-def _vec():
-    """Lazily bind :mod:`repro.exec.vector` (avoids the core <-> exec cycle)."""
-    global _vector_module
-    if _vector_module is None:
-        from repro.exec import vector
-
-        _vector_module = vector
-    return _vector_module
 
 
 @dataclass(frozen=True)
@@ -136,32 +124,6 @@ class _ScanExpressionEntry:
                 self.page_satisfied = True
                 return
 
-    def observe_masks(self, truth_masks: Sequence, num_rows: int) -> None:
-        """Columnar form of :meth:`observe_batch`: fold witness masks.
-
-        ``truth_masks[i]`` is term *i*'s witness mask (true on rows where
-        the term was evaluated and held; see
-        :class:`~repro.sql.evaluator.VectorOutcome`), or ``None`` when the
-        term was evaluated on no row — which can witness nothing.  The
-        flag ends up set iff some row witnesses every request term,
-        identical to the row and batch paths.
-        """
-        if self.page_satisfied or num_rows == 0:
-            return
-        if not self.term_indexes:
-            self.page_satisfied = True
-            return
-        vec = _vec()
-        witness = None
-        for index in self.term_indexes:
-            mask = truth_masks[index]
-            if mask is None:
-                return
-            witness = mask if witness is None else vec.mask_and(witness, mask)
-            if not vec.mask_any(witness):
-                return
-        self.page_satisfied = True
-
     def fold_page(self, counted: bool) -> None:
         """End-of-page: fold the flag into the counter if the page counts
         toward this entry (always for exact mode, sampled pages otherwise).
@@ -204,28 +166,6 @@ class _BitVectorEntry:
         for row in rows:
             probes += 1
             value = row[position]
-            if value is not None and may_contain(value):
-                self.page_satisfied = True
-                break
-        if probes:
-            io.charge_bitvector_probes(probes)
-
-    def observe_column(self, column, io: IOContext) -> None:
-        """Columnar form of :meth:`observe_batch`: probe one column vector.
-
-        The bit-vector filter hashes one value at a time, so probing stays
-        a per-value loop even in columnar mode (this is the sanctioned
-        scalar fallback: probes happen on sampled pages only, and charging
-        is order-dependent — rows after the first hit are free).  Values
-        are materialized as Python scalars so the filter hashes exactly
-        what the row path would.
-        """
-        if self.page_satisfied:
-            return
-        may_contain = self.filter.may_contain
-        probes = 0
-        for value in _vec().column_values(column):
-            probes += 1
             if value is not None and may_contain(value):
                 self.page_satisfied = True
                 break
@@ -385,30 +325,6 @@ class ScanMonitorBundle:
             for bv_entry in self._bitvector_entries:
                 bv_entry.observe_batch(rows, io)
 
-    def observe_columns(
-        self, outcome: VectorOutcome, columns: Sequence, io: IOContext
-    ) -> None:
-        """Columnar form of :meth:`observe_batch`: consume witness masks.
-
-        ``columns`` is the page's column vectors (for bit-vector probing);
-        the expression entries fold the outcome's witness masks directly.
-        Charges, flags and fold decisions are identical to the row path.
-        """
-        if not self._in_page:
-            raise MonitorError("observe_columns called outside a page")
-        num_rows = outcome.num_rows
-        if num_rows == 0:
-            return
-        io.charge_monitor_checks(num_rows)
-        truth = outcome.truth
-        for entry in self._exact_expression_entries:
-            entry.observe_masks(truth, num_rows)
-        if self._current_page_sampled:
-            for entry in self._sampled_expression_entries:
-                entry.observe_masks(truth, num_rows)
-            for bv_entry in self._bitvector_entries:
-                bv_entry.observe_column(columns[bv_entry.column_position], io)
-
     def end_page(self) -> None:
         if not self._in_page:
             raise MonitorError("end_page called outside a page")
@@ -566,34 +482,6 @@ class _FetchEntry:
         if hashes:
             io.charge_hashes(hashes)
 
-    def observe_masks(
-        self, page_ids: Sequence[PageId], truth_masks: Sequence, io: IOContext
-    ) -> None:
-        """Columnar form of :meth:`observe_batch`: AND witness masks.
-
-        Hashes the page ids of rows whose witness masks are all true —
-        the same set, in the same order, as the row loop — charging the
-        exact hash count.
-        """
-        vec = _vec()
-        observe = self.counter.observe
-        if not self.term_indexes:
-            io.charge_hashes(len(page_ids))
-            for page_id in page_ids:
-                observe(int(page_id))
-            return
-        witness = None
-        for index in self.term_indexes:
-            mask = truth_masks[index]
-            if mask is None:
-                return
-            witness = mask if witness is None else vec.mask_and(witness, mask)
-        hashes = vec.mask_count(witness)
-        if hashes:
-            io.charge_hashes(hashes)
-            for page_id in vec.compress_values(page_ids, witness):
-                observe(int(page_id))
-
 
 class FetchMonitorBundle:
     """Linear counters attached to a Fetch stream (Fig. 3).
@@ -651,19 +539,6 @@ class FetchMonitorBundle:
         )
         for entry in self._entries:
             entry.observe_batch(page_ids, truth_columns, io)
-
-    def observe_fetch_columns(
-        self,
-        page_ids: Sequence[PageId],
-        outcome: Optional[VectorOutcome],
-        io: IOContext,
-    ) -> None:
-        """Columnar form of :meth:`observe_fetch_batch` (witness masks)."""
-        if not self._entries or not page_ids:
-            return
-        truth_masks: Sequence = outcome.truth if outcome is not None else ()
-        for entry in self._entries:
-            entry.observe_masks(page_ids, truth_masks, io)
 
     def progress(self) -> list[MonitorProgress]:
         """Streaming counter estimates so far (honest lower bounds)."""

@@ -404,6 +404,11 @@ def _plan_fetch_monitoring(
 def _build(plan: PlanNode, state: _Instrumentation) -> Operator:
     if isinstance(plan, CountPlan):
         child = _build(plan.child, state)
+        if isinstance(child, SeqScan):
+            # The aggregate reads column vectors, so an unmonitored scan
+            # under it may emit multi-page column chunks (the scan itself
+            # falls back to row lists whenever it carries a bundle).
+            child.parent_consumes_columns = True
         operator: Operator = CountAggregate(child, plan.column)
     elif isinstance(plan, SeqScanPlan):
         bundle, monitor_conjunction = _plan_scan_monitoring(

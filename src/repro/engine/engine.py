@@ -62,8 +62,7 @@ class WorkloadItem:
     #: store (serialized).  Off by default: remembering changes what later
     #: optimizations see, which a pure measurement workload rarely wants.
     remember: bool = False
-    #: Drive style for the execution: ``"row"``, ``"batch"`` or
-    #: ``"columnar"`` (results
+    #: Drive style for the execution: ``"row"`` or ``"batch"`` (results
     #: are mode-invariant; see :func:`repro.exec.executor.execute`).
     exec_mode: str = "row"
     #: Run under the mid-query re-optimization watchdog (the engine's

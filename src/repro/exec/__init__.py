@@ -12,14 +12,13 @@ from repro.exec.seeks import (
     IndexSeekFetch,
     SeekSpec,
 )
-from repro.exec.sorts import Filter, Sort
+from repro.exec.sorts import Sort
 
 __all__ = [
     "ClusteredRangeScan",
     "CountAggregate",
     "CoveringIndexScan",
     "ExecutionContext",
-    "Filter",
     "GroupByCountAggregate",
     "HashJoin",
     "INLJoin",

@@ -46,10 +46,8 @@ class ExecutionContext:
     storage call and monitor charges it, so the run's timings and read
     counts are exact attributions (no global clock, no snapshot deltas).
     ``batch_rows`` is the chunk size relational-engine operators use in
-    batch mode (storage-engine scans batch per page regardless).
-    ``vectorized`` is set by the executor in columnar mode: operators
-    with a columnar drive emit column-backed batches, everything else
-    falls back to the batch path via the ``RowBatch.rows`` shim.
+    batch mode (monitored storage-engine scans batch per page regardless;
+    the unmonitored chunk scan uses it as its chunk width).
     ``cancellation`` is the run's cooperative-cancellation token (``None``
     for the overwhelmingly common uncancellable run); operators call
     :meth:`checkpoint` at page/probe boundaries.  ``watchdog`` is an
@@ -62,7 +60,6 @@ class ExecutionContext:
     io: IOContext
     observations: list[PageCountObservation] = field(default_factory=list)
     batch_rows: int = DEFAULT_BATCH_ROWS
-    vectorized: bool = False
     cancellation: Optional[CancellationToken] = None
     watchdog: Optional[ExecutionWatchdog] = None
 

@@ -11,26 +11,29 @@ chunks (:data:`DEFAULT_BATCH_ROWS`).
 A batch carries one of two physical representations behind one logical
 interface:
 
-* **row-backed** — a list of row tuples, exactly as before;
+* **row-backed** — a list of row tuples: what every operator emits, with
+  one exception;
 * **column-backed** — a tuple of column vectors (one per output column,
-  see :mod:`repro.exec.vector`) plus a row count.  Columnar scans build
-  these straight from page column caches with zero copying on all-pass
-  pages.
+  see :mod:`repro.exec.vector`) plus a row count.  Only the unmonitored
+  chunk scan (:meth:`repro.exec.scans.SeqScan.batches`) builds these,
+  straight from the file-level column cache with zero copying on
+  all-pass chunks, and only when its parent consumes columns
+  (``CountAggregate``/``GroupByCountAggregate``) — so a column batch is
+  never transposed back into rows on a production path.
 
 Either way the logical content is the same ordered run of rows the row
-iterator would have yielded, which is what makes row ≡ batch ≡ columnar
+iterator would have yielded, which is what makes row ≡ batch
 equivalence checkable row-for-row.  ``batch.rows`` is the ``to_rows()``
-shim: operators that have not been converted to columnar consumption
-(joins, sorts, group-by) read it and transparently materialize Python
-row tuples from the columns, caching the result.  All per-term truth
-bookkeeping lives in the evaluator outcomes
-(:class:`~repro.sql.evaluator.BatchOutcome`,
-:class:`~repro.sql.evaluator.VectorOutcome`), so batches themselves
+shim: a consumer that reads it off a column-backed batch (only the
+executor's root drain, when a chunk scan is driven standalone) gets
+Python row tuples materialized from the columns, cached.  All per-term
+truth bookkeeping lives in the evaluator outcomes
+(:class:`~repro.sql.evaluator.BatchOutcome`), so batches themselves
 carry no selection vectors — operators emit batches of *surviving* rows
 only.
 
-Column vectors held by a batch are read-only by contract: all-pass pages
-hand out the page's cached column tuple without copying.
+Column vectors held by a batch are read-only by contract: all-pass
+chunks hand out views of the file's cached columns without copying.
 """
 
 from __future__ import annotations
@@ -129,7 +132,7 @@ class RowBatch:
 
     def __repr__(self) -> str:
         origin = f" page={int(self.page_id)}" if self.page_id is not None else ""
-        kind = "columnar" if self.is_columnar else "rows"
+        kind = "columns" if self.is_columnar else "rows"
         return f"RowBatch({self._num_rows} {kind}{origin})"
 
 

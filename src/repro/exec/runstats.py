@@ -76,9 +76,8 @@ class RunStats:
     #: attributed to the run's own IOContext — not a global-pool delta.
     logical_reads: int = 0
     pool_hits: int = 0
-    #: How the plan was driven: ``"row"`` (Volcano iterator), ``"batch"``
-    #: (page-at-a-time RowBatch exchange with compiled predicate kernels)
-    #: or ``"columnar"`` (column-vector batches with whole-vector kernels).
+    #: How the plan was driven: ``"row"`` (Volcano iterator) or ``"batch"``
+    #: (page-at-a-time RowBatch exchange with compiled predicate kernels).
     execution_mode: str = "row"
     observations: list[PageCountObservation] = field(default_factory=list)
     #: Lifecycle observability, set by the staged query lifecycle: the

@@ -39,14 +39,14 @@ class _MonitoredScanMixin:
     bundle: Optional[ScanMonitorBundle]
 
     #: Resume tracking (armed by the reopt watchdog, off by default): the
-    #: batch/columnar drives record the clustering-key value of the last
+    #: batch drive records the clustering-key value of the last
     #: row of each *fully processed* page.  Cancellation raises at the
     #: checkpoint that precedes the next page, and the downstream
     #: consumer has synchronously drained every yielded batch, so after a
     #: mid-query stop ``resume_key`` is an exact replay boundary: every
     #: row with key <= resume_key was scanned, none beyond it were.  The
     #: row drive does not track (its root-level cancellation check can
-    #: fire mid-page), which is why resume is a batch/columnar-only path.
+    #: fire mid-page), which is why resume is a batch-only path.
     resume_tracking = False
     resume_key_position: Optional[int] = None
     resume_key: Any = None
@@ -161,108 +161,6 @@ class _MonitoredScanMixin:
             if out:
                 yield RowBatch(out, page_id)
 
-    def _scan_pages_columnar(
-        self, ctx: ExecutionContext, page_iter: Iterator[tuple[Any, tuple, int]]
-    ) -> Iterator[RowBatch]:
-        """Columnar drive over ``(page_id, column_vectors, num_rows)`` pages.
-
-        One whole-vector kernel evaluation per page; monitors consume the
-        witness masks directly.  Charges, observations and surviving rows
-        are identical to the row and batch drives.  Pages where every row
-        passes hand their file-level column views downstream with no copy;
-        unmonitored scans use the wider-chunked
-        :meth:`_scan_chunks_columnar` drive instead.
-        """
-        compiled = self._bind().compile()
-        num_query_terms = len(self.query_conjunction)
-        io = ctx.io
-        bundle = self.bundle
-        stats = self.stats
-        track_resume = self.resume_tracking
-        key_position = self.resume_key_position
-        for page_id, columns, num_rows in page_iter:
-            ctx.checkpoint()
-            stats.pages_touched += 1
-            io.charge_rows(num_rows)
-            if track_resume and num_rows and key_position is not None:
-                self.resume_key = vector.column_values(
-                    columns[key_position]
-                )[-1]
-            if bundle is not None:
-                bundle.start_page(page_id)
-                if bundle.needs_full_evaluation():
-                    outcome = compiled.evaluate_columns(
-                        columns, num_rows, short_circuit=False
-                    )
-                    passed = outcome.prefix_passed(num_query_terms)
-                else:
-                    outcome = compiled.evaluate_columns(
-                        columns, num_rows, num_query_terms, short_circuit=True
-                    )
-                    passed = outcome.passed
-                io.charge_predicates(outcome.evaluations)
-                stats.predicate_evaluations += outcome.evaluations
-                bundle.observe_columns(outcome, columns, io)
-                bundle.end_page()
-            else:
-                outcome = compiled.evaluate_columns(
-                    columns, num_rows, num_query_terms, short_circuit=True
-                )
-                passed = outcome.passed
-                io.charge_predicates(outcome.evaluations)
-                stats.predicate_evaluations += outcome.evaluations
-            selected = vector.mask_count(passed)
-            stats.actual_rows += selected
-            if not selected:
-                continue
-            if selected == num_rows:
-                yield RowBatch.from_columns(columns, page_id, num_rows=num_rows)
-            else:
-                filtered = tuple(vector.take(column, passed) for column in columns)
-                yield RowBatch.from_columns(filtered, page_id, num_rows=selected)
-
-    def _scan_chunks_columnar(
-        self,
-        ctx: ExecutionContext,
-        chunk_iter: Iterator[tuple[Any, int, Any, int]],
-    ) -> Iterator[RowBatch]:
-        """Unmonitored columnar drive over multi-page column chunks.
-
-        Consumes ``(first_page_id, page_count, columns_view, num_rows)``
-        tuples (:meth:`~repro.storage.heap.DataFile.scan_column_chunks`),
-        evaluating one whole-vector kernel per ~``ctx.batch_rows`` rows —
-        wide enough to amortize NumPy dispatch, which 73-row pages cannot.
-        Only legal without a monitor bundle: monitors are page-granular
-        (Bernoulli page sampling, per-page counter feeds), while every
-        observable this path touches — row/predicate charges, evaluation
-        counts, pages_touched, surviving rows — is additive across pages,
-        so chunk boundaries cannot change it.
-        """
-        assert self.bundle is None
-        compiled = self._bind().compile()
-        num_query_terms = len(self.query_conjunction)
-        io = ctx.io
-        stats = self.stats
-        for first_page_id, page_count, columns, num_rows in chunk_iter:
-            ctx.checkpoint()
-            stats.pages_touched += page_count
-            io.charge_rows(num_rows)
-            outcome = compiled.evaluate_columns(
-                columns, num_rows, num_query_terms, short_circuit=True
-            )
-            passed = outcome.passed
-            io.charge_predicates(outcome.evaluations)
-            stats.predicate_evaluations += outcome.evaluations
-            selected = vector.mask_count(passed)
-            stats.actual_rows += selected
-            if not selected:
-                continue
-            if selected == num_rows:
-                yield RowBatch.from_columns(columns, first_page_id, num_rows=num_rows)
-            else:
-                filtered = tuple(vector.take(column, passed) for column in columns)
-                yield RowBatch.from_columns(filtered, first_page_id, num_rows=selected)
-
     def finalize(self, ctx: ExecutionContext) -> None:
         if self.bundle is not None:
             ctx.observations.extend(self.bundle.finish())
@@ -272,6 +170,14 @@ class SeqScan(_MonitoredScanMixin, Operator):
     """Full scan of a heap or clustered table (the paper's "Table Scan")."""
 
     engine_layer = "SE"
+
+    #: Whether the operator consuming this scan reads column vectors
+    #: (``CountAggregate``, ``GroupByCountAggregate``).  Derived from the
+    #: plan shape by :func:`repro.core.planner.build_executable`; together
+    #: with "no monitor bundle" it selects the chunk scan in
+    #: :meth:`batches`.  Scans feeding a join, sort or merge leave it off
+    #: and keep yielding row lists, so nothing is ever transposed.
+    parent_consumes_columns = False
 
     def __init__(
         self,
@@ -301,18 +207,8 @@ class SeqScan(_MonitoredScanMixin, Operator):
         yield from self._scan_pages(ctx, pages())
 
     def batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
-        if ctx.vectorized:
-            if self.bundle is None:
-                # No monitors → no page-granular observables: chunk many
-                # pages per kernel call (see _scan_chunks_columnar).
-                yield from self._scan_chunks_columnar(
-                    ctx,
-                    self.table.data_file.scan_column_chunks(ctx.io, ctx.batch_rows),
-                )
-            else:
-                yield from self._scan_pages_columnar(
-                    ctx, self.table.data_file.scan_page_columns(ctx.io)
-                )
+        if self.parent_consumes_columns and self.bundle is None:
+            yield from self._scan_chunks_columnar(ctx)
             return
 
         def pages():
@@ -320,6 +216,45 @@ class SeqScan(_MonitoredScanMixin, Operator):
                 yield page_id, page.rows_list()
 
         yield from self._scan_pages_batched(ctx, pages())
+
+    def _scan_chunks_columnar(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
+        """Unmonitored batch drive over multi-page column chunks.
+
+        The one place a batch's payload is column vectors.  Consumes
+        ``(first_page_id, page_count, columns_view, num_rows)`` tuples
+        (:meth:`~repro.storage.heap.DataFile.scan_column_chunks`),
+        evaluating one whole-vector kernel per ~``ctx.batch_rows`` rows —
+        wide enough to amortize NumPy dispatch, which 73-row pages cannot
+        (and one chunk is also the checkpoint granularity here).
+        Only legal without a monitor bundle: monitors are page-granular
+        (Bernoulli page sampling, per-page counter feeds), while every
+        observable this path touches — row/predicate charges, evaluation
+        counts, pages_touched, surviving rows — is additive across pages,
+        so chunk boundaries cannot change it.
+        """
+        compiled = self._bind().compile()
+        num_query_terms = len(self.query_conjunction)
+        io = ctx.io
+        stats = self.stats
+        for first_page_id, page_count, columns, num_rows in (
+            self.table.data_file.scan_column_chunks(io, ctx.batch_rows)
+        ):
+            ctx.checkpoint()
+            stats.pages_touched += page_count
+            io.charge_rows(num_rows)
+            outcome = compiled.evaluate_columns(columns, num_rows, num_query_terms)
+            passed = outcome.passed
+            io.charge_predicates(outcome.evaluations)
+            stats.predicate_evaluations += outcome.evaluations
+            selected = vector.mask_count(passed)
+            stats.actual_rows += selected
+            if not selected:
+                continue
+            if selected == num_rows:
+                yield RowBatch.from_columns(columns, first_page_id, num_rows=num_rows)
+            else:
+                filtered = tuple(vector.take(column, passed) for column in columns)
+                yield RowBatch.from_columns(filtered, first_page_id, num_rows=selected)
 
 
 class ClusteredRangeScan(_MonitoredScanMixin, Operator):
@@ -384,18 +319,9 @@ class ClusteredRangeScan(_MonitoredScanMixin, Operator):
         yield from self._scan_pages(ctx, pages())
 
     def batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
-        clustered = self.table.clustered_file()
-        if ctx.vectorized:
-            yield from self._scan_pages_columnar(
-                ctx,
-                clustered.seek_range_columns(
-                    ctx.io, self.low, self.high, self.low_inclusive, self.high_inclusive
-                ),
-            )
-            return
         yield from self._scan_pages_batched(
             ctx,
-            clustered.seek_range_pages(
+            self.table.clustered_file().seek_range_pages(
                 ctx.io, self.low, self.high, self.low_inclusive, self.high_inclusive
             ),
         )
@@ -476,9 +402,6 @@ class CoveringIndexScan(Operator):
         self.stats.pages_touched = io.logical_reads - leaf_pages_before
 
     def batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
-        if ctx.vectorized:
-            yield from self._columnar_batches(ctx)
-            return
         columns = self.output_columns
         compiled = BoundConjunction(self.monitor_conjunction, columns).compile()
         num_query_terms = len(self.query_conjunction)
@@ -522,71 +445,6 @@ class CoveringIndexScan(Operator):
             out = flush()
             if out:
                 yield RowBatch(out)
-        stats.pages_touched = io.logical_reads - leaf_pages_before
-
-    def _columnar_batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
-        """Columnar drive: chunks of leaf entries transposed into vectors.
-
-        The leaf stream yields Python tuples, so chunks are transposed
-        once (``columns_from_rows``) and then evaluated with whole-vector
-        kernels; the fetch bundle consumes witness masks.  Accounting and
-        counter feeds match the batch drive chunk for chunk.
-        """
-        column_names = self.output_columns
-        width = len(column_names)
-        compiled = BoundConjunction(self.monitor_conjunction, column_names).compile()
-        num_query_terms = len(self.query_conjunction)
-        io = ctx.io
-        bundle = self.bundle
-        stats = self.stats
-        full_eval = self.monitor_full_eval and bundle is not None
-        leaf_pages_before = io.logical_reads
-        chunk_size = ctx.batch_rows
-        entries: list[tuple] = []
-        page_ids: list[Any] = []
-
-        def flush() -> Optional[RowBatch]:
-            num_rows = len(entries)
-            io.charge_rows(num_rows)
-            chunk_columns = vector.columns_from_rows(entries, width)
-            if full_eval:
-                outcome = compiled.evaluate_columns(
-                    chunk_columns, num_rows, short_circuit=False
-                )
-                passed = outcome.prefix_passed(num_query_terms)
-            else:
-                outcome = compiled.evaluate_columns(
-                    chunk_columns, num_rows, num_query_terms, short_circuit=True
-                )
-                passed = outcome.passed
-            io.charge_predicates(outcome.evaluations)
-            stats.predicate_evaluations += outcome.evaluations
-            if bundle is not None:
-                bundle.observe_fetch_columns(page_ids, outcome, io)
-            selected = vector.mask_count(passed)
-            stats.actual_rows += selected
-            if not selected:
-                return None
-            if selected == num_rows:
-                return RowBatch.from_columns(chunk_columns, num_rows=num_rows)
-            filtered = tuple(
-                vector.take(column, passed) for column in chunk_columns
-            )
-            return RowBatch.from_columns(filtered, num_rows=selected)
-
-        for key, rid, payload in self.index.scan_all(io):
-            entries.append(key + payload)
-            page_ids.append(rid.page_id)
-            if len(entries) >= chunk_size:
-                ctx.checkpoint()
-                batch = flush()
-                if batch is not None:
-                    yield batch
-                entries, page_ids = [], []
-        if entries:
-            batch = flush()
-            if batch is not None:
-                yield batch
         stats.pages_touched = io.logical_reads - leaf_pages_before
 
     def finalize(self, ctx: ExecutionContext) -> None:

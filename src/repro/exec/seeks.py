@@ -18,7 +18,6 @@ from __future__ import annotations
 from typing import Any, Iterator, Optional
 
 from repro.core.monitors import FetchMonitorBundle
-from repro.exec import vector
 from repro.exec.base import ExecutionContext, Operator
 from repro.exec.batch import RowBatch
 from repro.sql.evaluator import BoundConjunction
@@ -42,13 +41,8 @@ class _FetchResidualMixin:
         Accounting and monitor feeds are totals-identical to the row loop:
         one ``charge_rows(n)`` per chunk, the residual evaluated with the
         same short-circuit setting, and the fetch bundle observing the
-        same (page id, truth) pairs.  In columnar mode the chunks are
-        transposed into column vectors and run through whole-vector
-        kernels instead.
+        same (page id, truth) pairs.
         """
-        if ctx.vectorized:
-            yield from self._fetch_batches_columnar(ctx, fetch_iter)
-            return
         io = ctx.io
         compiled = BoundConjunction(
             self.residual, self.table.schema.column_names
@@ -86,61 +80,6 @@ class _FetchResidualMixin:
             out = flush()
             if out:
                 yield RowBatch(out)
-        stats.pages_touched = len(pages_seen)
-
-    def _fetch_batches_columnar(
-        self, ctx: ExecutionContext, fetch_iter: Iterator[tuple[Any, tuple]]
-    ) -> Iterator[RowBatch]:
-        """Columnar chunk drive for a ``(page_id, row)`` fetch stream."""
-        io = ctx.io
-        width = len(self.table.schema.column_names)
-        compiled = BoundConjunction(
-            self.residual, self.table.schema.column_names
-        ).compile()
-        short_circuit = not self.monitor_full_eval
-        bundle = self.bundle
-        stats = self.stats
-        chunk_size = ctx.batch_rows
-        pages_seen: set[int] = set()
-        rows_buf: list[tuple] = []
-        page_ids: list[Any] = []
-
-        def flush() -> Optional[RowBatch]:
-            num_rows = len(rows_buf)
-            io.charge_rows(num_rows)
-            chunk_columns = vector.columns_from_rows(rows_buf, width)
-            outcome = compiled.evaluate_columns(
-                chunk_columns, num_rows, short_circuit=short_circuit
-            )
-            io.charge_predicates(outcome.evaluations)
-            stats.predicate_evaluations += outcome.evaluations
-            if bundle is not None:
-                bundle.observe_fetch_columns(page_ids, outcome, io)
-            selected = vector.mask_count(outcome.passed)
-            stats.actual_rows += selected
-            if not selected:
-                return None
-            if selected == num_rows:
-                return RowBatch.from_columns(chunk_columns, num_rows=num_rows)
-            filtered = tuple(
-                vector.take(column, outcome.passed) for column in chunk_columns
-            )
-            return RowBatch.from_columns(filtered, num_rows=selected)
-
-        for page_id, row in fetch_iter:
-            pages_seen.add(int(page_id))
-            rows_buf.append(row)
-            page_ids.append(page_id)
-            if len(rows_buf) >= chunk_size:
-                ctx.checkpoint()
-                batch = flush()
-                if batch is not None:
-                    yield batch
-                rows_buf, page_ids = [], []
-        if rows_buf:
-            batch = flush()
-            if batch is not None:
-                yield batch
         stats.pages_touched = len(pages_seen)
 
 

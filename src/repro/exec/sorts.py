@@ -1,16 +1,13 @@
-"""Sort and RE-side Filter operators."""
+"""The blocking Sort operator."""
 
 from __future__ import annotations
 
 import math
 from typing import Iterator
 
-from repro.exec import vector
 from repro.exec.base import ExecutionContext, Operator
 from repro.exec.batch import RowBatch
 from repro.exec.joins import _position_of
-from repro.sql.evaluator import BoundConjunction
-from repro.sql.predicates import Conjunction
 
 
 class Sort(Operator):
@@ -62,76 +59,6 @@ class Sort(Operator):
         chunk_size = ctx.batch_rows
         for start in range(0, n, chunk_size):
             yield RowBatch(materialized[start : start + chunk_size])
-
-    def finalize(self, ctx: ExecutionContext) -> None:
-        self.child.finalize(ctx)
-
-
-class Filter(Operator):
-    """Relational-engine filter (predicates not pushed into the SE)."""
-
-    engine_layer = "RE"
-
-    def __init__(self, child: Operator, conjunction: Conjunction) -> None:
-        super().__init__()
-        self.child = child
-        self.conjunction = conjunction
-        self.stats.detail = conjunction.key()
-
-    @property
-    def output_columns(self) -> tuple[str, ...]:
-        return self.child.output_columns
-
-    def children(self) -> list[Operator]:
-        return [self.child]
-
-    def rows(self, ctx: ExecutionContext) -> Iterator[tuple]:
-        bound = BoundConjunction(self.conjunction, self.child.output_columns)
-        for row in self.child.rows(ctx):
-            outcome = bound.evaluate(row, short_circuit=True)
-            ctx.io.charge_predicates(outcome.evaluations)
-            self.stats.predicate_evaluations += outcome.evaluations
-            if outcome.passed:
-                self.stats.actual_rows += 1
-                yield row
-
-    def batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
-        compiled = BoundConjunction(
-            self.conjunction, self.child.output_columns
-        ).compile()
-        io = ctx.io
-        stats = self.stats
-        for batch in self.child.batches(ctx):
-            if batch.is_columnar:
-                columns = batch.columns
-                num_rows = len(batch)
-                outcome = compiled.evaluate_columns(
-                    columns, num_rows, short_circuit=True
-                )
-                io.charge_predicates(outcome.evaluations)
-                stats.predicate_evaluations += outcome.evaluations
-                selected = vector.mask_count(outcome.passed)
-                stats.actual_rows += selected
-                if not selected:
-                    continue
-                if selected == num_rows:
-                    yield batch
-                else:
-                    filtered = tuple(
-                        vector.take(column, outcome.passed) for column in columns
-                    )
-                    yield RowBatch.from_columns(
-                        filtered, batch.page_id, num_rows=selected
-                    )
-                continue
-            rows = batch.rows
-            outcome = compiled.evaluate_batch(rows, short_circuit=True)
-            io.charge_predicates(outcome.evaluations)
-            stats.predicate_evaluations += outcome.evaluations
-            out = [row for row, ok in zip(rows, outcome.passed) if ok]
-            stats.actual_rows += len(out)
-            if out:
-                yield RowBatch(out, batch.page_id)
 
     def finalize(self, ctx: ExecutionContext) -> None:
         self.child.finalize(ctx)

@@ -1,11 +1,13 @@
 """Column-vector backend: NumPy-accelerated with a pure-Python fallback.
 
-This is the single seam between the columnar execution mode and NumPy.
-Everything above it (predicates, compiled kernels, monitors, operators)
-manipulates *columns* and *masks* as opaque values through the functions
-here, so the simulator remains runnable on a bare Python install: when
-NumPy is absent (or the Python backend is forced for testing), columns
-are plain lists and masks are lists of bools.
+This is the single seam between the unmonitored chunk scan (the batch
+drive's one column-vector path) and NumPy.  Everything above it
+(predicates, the compiled vector kernel, the chunk scan, the two
+column-consuming aggregates) manipulates *columns* and *masks* as opaque
+values through the functions here, so the simulator remains runnable on
+a bare Python install: when NumPy is absent (or the Python backend is
+forced for testing), columns are plain lists and masks are lists of
+bools.
 
 Representation contract:
 
@@ -34,7 +36,6 @@ from __future__ import annotations
 
 import operator
 from contextlib import contextmanager
-from itertools import compress
 from typing import Any, Callable, Iterator, Sequence, Union
 
 try:  # NumPy is an optional accelerator, never a requirement.
@@ -125,7 +126,7 @@ def make_scan_column(values: list) -> Column:
 class SlicedColumns:
     """Zero-copy view of a contiguous row range of file-level columns.
 
-    Behaves like the tuple-of-columns the columnar drives consume
+    Behaves like the tuple-of-columns the chunk scan consumes
     (``len`` is the column count, ``[i]``/iteration yield per-column
     vectors), but materializes each column slice on access — ndarray
     slices are views, so handing a 73-row page or a 1024-row chunk out
@@ -179,11 +180,6 @@ def column_values(column: Column) -> list:
     return column
 
 
-def slice_column(column: Column, start: int, stop: int) -> Column:
-    """Contiguous sub-column (ndarray slices are zero-copy views)."""
-    return column[start:stop]
-
-
 def take(column: Column, mask: Mask) -> Column:
     """Rows of ``column`` where ``mask`` is true, preserving order."""
     if _is_array(column):
@@ -193,11 +189,6 @@ def take(column: Column, mask: Mask) -> Column:
     if _is_array(mask):
         mask = mask.tolist()
     return [value for value, keep in zip(column, mask) if keep]
-
-
-def compress_values(values: Sequence, mask: Mask) -> Iterator:
-    """Iterate items of a plain sequence selected by a mask."""
-    return compress(values, mask)
 
 
 def count_notnull(column: Column) -> int:
@@ -257,12 +248,6 @@ def ones_mask(num_rows: int) -> Mask:
     return [True] * num_rows
 
 
-def zeros_mask(num_rows: int) -> Mask:
-    if _np is not None and not _force_python:
-        return _np.zeros(num_rows, dtype=bool)
-    return [False] * num_rows
-
-
 def mask_and(left: Mask, right: Mask) -> Mask:
     if _is_array(left):
         if not _is_array(right):
@@ -271,12 +256,6 @@ def mask_and(left: Mask, right: Mask) -> Mask:
     if _is_array(right):
         return _np.asarray(left, dtype=bool) & right
     return [a and b for a, b in zip(left, right)]
-
-
-def mask_any(mask: Mask) -> bool:
-    if _is_array(mask):
-        return bool(mask.any())
-    return any(mask)
 
 
 def mask_all(mask: Mask) -> bool:

@@ -1,11 +1,12 @@
-"""Row ≡ batch ≡ columnar equivalence harness.
+"""Row ≡ batch equivalence harness.
 
 The batch execution path (page-at-a-time :class:`~repro.exec.batch.RowBatch`
-exchange + compiled predicate kernels) and the columnar path (column-vector
-batches + whole-vector kernels, :mod:`repro.exec.vector`) are pure
-performance optimizations: each must be observationally identical to the
+exchange + compiled predicate kernels, plus the plan-derived column-chunk
+scan under unmonitored counts, :mod:`repro.exec.vector`) is a pure
+performance optimization: it must be observationally identical to the
 Volcano row iterator.  This module proves it per query, by running the
-same physical plan under all three modes and diffing everything the
+same physical plan under every mode of
+:data:`~repro.exec.executor.EXEC_MODES` and diffing everything the
 paper's machinery depends on:
 
 * result rows (values *and* order) and output columns,
@@ -18,8 +19,9 @@ paper's machinery depends on:
 
 then absorbs the monitored run's observations, re-optimizes, and checks
 the improved plan's unmonitored run the same way — i.e. the *entire*
-§V-B methodology pipeline is mode-invariant.  Row mode is the reference:
-batch and columnar are each diffed against it.  Simulated ``cpu_ms`` is
+§V-B methodology pipeline is mode-invariant, and the unmonitored P' run
+is what exercises the chunk scan.  Row mode is the reference: every
+other mode is diffed against it.  Simulated ``cpu_ms`` is
 deliberately excluded: batched charging accumulates the same totals in
 fewer float additions, so the float may differ in the last ulp while
 every integer counter is identical.
@@ -34,7 +36,7 @@ from repro.catalog.catalog import Database
 from repro.core.feedback import FeedbackStore
 from repro.core.planner import MonitorConfig, build_executable
 from repro.core.requests import PageCountObservation, PageCountRequest
-from repro.exec.executor import QueryResult, execute
+from repro.exec.executor import EXEC_MODES, QueryResult, execute
 from repro.exec.runstats import OperatorStats, RunStats
 from repro.harness.methodology import default_requests
 from repro.lifecycle.plan import build_optimizer
@@ -99,7 +101,7 @@ def diff_results(
     mode: str = "batch",
 ) -> list[str]:
     """Every observable difference between a row-mode run and a run in
-    ``mode`` (batch or columnar)."""
+    ``mode``."""
     prefix = f"{context}: " if context else ""
     mismatches: list[str] = []
     if row_result.columns != batch_result.columns:
@@ -142,13 +144,9 @@ def diff_results(
     return mismatches
 
 
-#: The execution modes the harness proves equivalent (row is the reference).
-EQUIVALENCE_MODES = ("row", "batch", "columnar")
-
-
 @dataclass
 class QueryEquivalence:
-    """One query's row-vs-batch-vs-columnar comparison."""
+    """One query's row-vs-batch comparison."""
 
     label: str
     mismatches: list[str] = field(default_factory=list)
@@ -163,7 +161,7 @@ class EquivalenceReport:
     """Workload-level equivalence verdict (mode- or deployment-level)."""
 
     queries: list[QueryEquivalence] = field(default_factory=list)
-    title: str = "row≡batch≡columnar equivalence"
+    title: str = "row≡batch equivalence"
 
     @property
     def ok(self) -> bool:
@@ -193,7 +191,7 @@ def compare_query(
     monitor_config: Optional[MonitorConfig] = None,
     base_injections: Optional[InjectionSet] = None,
 ) -> QueryEquivalence:
-    """Run one generated query through §V-B in all three modes and diff.
+    """Run one generated query through §V-B in every mode and diff.
 
     Covers the monitored run of the accurate-cardinality plan P *and* the
     unmonitored run of the feedback-improved plan P' (built from the
@@ -216,14 +214,14 @@ def compare_query(
     plan = build_optimizer(database, injections=injections).optimize(query)
 
     monitored_results = {}
-    for mode in EQUIVALENCE_MODES:
+    for mode in EXEC_MODES:
         build = build_executable(
             plan, database, list(request_list), monitor_config
         )
         monitored_results[mode] = execute(
             build.root, database, cold_cache=True, mode=mode
         )
-    for mode in EQUIVALENCE_MODES[1:]:
+    for mode in EXEC_MODES[1:]:
         entry.mismatches.extend(
             diff_results(
                 monitored_results["row"],
@@ -239,12 +237,12 @@ def compare_query(
     )
     improved_plan = build_optimizer(database, injections=corrected).optimize(query)
     improved_results = {}
-    for mode in EQUIVALENCE_MODES:
+    for mode in EXEC_MODES:
         build = build_executable(improved_plan, database)
         improved_results[mode] = execute(
             build.root, database, cold_cache=True, mode=mode
         )
-    for mode in EQUIVALENCE_MODES[1:]:
+    for mode in EXEC_MODES[1:]:
         entry.mismatches.extend(
             diff_results(
                 improved_results["row"],
@@ -262,7 +260,7 @@ def compare_workload(
     monitor_config: Optional[MonitorConfig] = None,
     base_injections: Optional[InjectionSet] = None,
 ) -> EquivalenceReport:
-    """Prove row≡batch≡columnar for every query of a workload."""
+    """Prove row≡batch for every query of a workload."""
     return EquivalenceReport(
         queries=[
             compare_query(

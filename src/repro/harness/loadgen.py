@@ -26,6 +26,7 @@ from typing import Any, Optional, Sequence
 
 from repro.catalog.catalog import Database
 from repro.engine import Engine, WorkloadItem
+from repro.exec.executor import EXEC_MODES
 from repro.harness.methodology import default_requests
 from repro.harness.reporting import format_table, latency_summary, reopt_summary
 from repro.harness.timing import Stopwatch
@@ -72,9 +73,9 @@ class LoadSpec:
         if self.passes <= 0:
             raise ValueError(f"passes must be positive, got {self.passes}")
         # Fail fast at spec time rather than per-request inside the loop.
-        if self.exec_mode not in ("row", "batch", "columnar"):
+        if self.exec_mode not in EXEC_MODES:
             raise ValueError(
-                f"exec_mode must be 'row', 'batch' or 'columnar', "
+                f"exec_mode must be one of {'|'.join(EXEC_MODES)}, "
                 f"got {self.exec_mode!r}"
             )
         if self.deadline_ms is not None and self.deadline_ms <= 0:

@@ -99,7 +99,7 @@ def _resume_remainder(
     Resume is legal only for the shape whose partial work is a pure
     prefix count: ``COUNT(*)`` over a full scan of a table clustered on
     a unique single-column key, stopped at a page boundary by the
-    batch/columnar drive.  Then the scan's emitted-row counter *is* the
+    batch drive.  Then the scan's emitted-row counter *is* the
     count over ``key <= resume_key``, and the remainder is the original
     predicate AND ``key > resume_key`` — no row can be missed or counted
     twice.  ``COUNT(column)`` shapes are excluded (the scan counter

@@ -25,6 +25,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Any, Mapping, Optional
 
 from repro.common.errors import ServiceError
+from repro.exec.executor import EXEC_MODES
 from repro.optimizer.hints import PlanHint
 
 #: Machine-readable error codes a response may carry.
@@ -46,9 +47,6 @@ ERROR_CODES = (
     INTERNAL_ERROR,
     WORKER_CRASHED,
 )
-
-_EXEC_MODES = ("row", "batch", "columnar")
-
 
 @dataclass(frozen=True)
 class QueryRequest:
@@ -81,10 +79,10 @@ class QueryRequest:
     def __post_init__(self) -> None:
         if not isinstance(self.sql, str) or not self.sql.strip():
             raise ServiceError("query request needs a non-empty 'sql' string")
-        if self.exec_mode not in _EXEC_MODES:
+        if self.exec_mode not in EXEC_MODES:
             raise ServiceError(
                 f"unknown exec_mode {self.exec_mode!r}; expected "
-                f"{'|'.join(_EXEC_MODES)}"
+                f"{'|'.join(EXEC_MODES)}"
             )
         if self.deadline_ms is not None and self.deadline_ms <= 0:
             raise ServiceError(

@@ -347,7 +347,7 @@ class ShardCoordinator:
             sequential_reads=sum(s.sequential_reads for s in shard_stats),
             logical_reads=sum(s.logical_reads for s in shard_stats),
             pool_hits=sum(s.pool_hits for s in shard_stats),
-            execution_mode=item.exec_mode,
+            execution_mode=merged.runstats.execution_mode,
             observations=merged_observations,
         )
         return QueryResult(

@@ -21,16 +21,17 @@ earlier term passed, so the per-term truth vectors and the total number of
 term evaluations are exactly what the row-at-a-time loop would have
 produced.  The column-oriented result is a :class:`BatchOutcome`.
 
-Columnar mode adds the third: :meth:`CompiledConjunction.evaluate_columns`
-runs each term's :meth:`~repro.sql.predicates.AtomicPredicate.matches_vector`
-over a whole column vector, producing selection *bitmasks*
-(:class:`VectorOutcome`).  Masks are computed full-width (that is what
-makes them fast), but short-circuit semantics are preserved by masking:
-term *i*'s witness mask is ANDed with the rows alive after terms
-``0..i-1``, a term reached by no alive row is not evaluated at all, and
-``evaluations`` charges each term only for the rows the row-at-a-time
-loop would have evaluated it on — so monitor observations and Fig. 7/9
-overhead accounting stay bit-identical across all three modes.
+The unmonitored chunk scan adds the third:
+:meth:`CompiledConjunction.evaluate_columns` runs each term's
+:meth:`~repro.sql.predicates.AtomicPredicate.matches_vector` over a whole
+column vector, producing a selection *bitmask* (:class:`VectorOutcome`).
+Masks are computed full-width (that is what makes them fast), but
+short-circuit semantics are preserved by masking: term *i*'s mask is
+ANDed with the rows alive after terms ``0..i-1``, a term reached by no
+alive row is not evaluated at all, and ``evaluations`` charges each term
+only for the rows the row-at-a-time loop would have evaluated it on — so
+Fig. 7/9 overhead accounting stays bit-identical.  It reports no per-term
+truth: monitors are page-granular and never see this path.
 """
 
 from __future__ import annotations
@@ -126,45 +127,19 @@ class BatchOutcome:
 
 
 class VectorOutcome:
-    """Result of evaluating a conjunction over one page of column vectors.
+    """Result of evaluating a conjunction over one chunk of column vectors.
 
-    Mask-oriented mirror of :class:`BatchOutcome`: ``truth[i]`` is term
-    *i*'s **witness mask** — true exactly on the rows where the term was
-    evaluated *and* held — or ``None`` when the term was evaluated on no
-    row at all (whole-batch short-circuit).  A mask cannot distinguish
-    "evaluated false" from "skipped" per row, but no consumer needs to:
-    monitors only ask which rows *witness* a term (``is True`` in the
-    batch path), and row output only needs ``passed``.  ``passed`` is the
-    evaluated prefix's truth per row and ``evaluations`` counts term
-    evaluations exactly as the row-at-a-time loop would have.
+    ``passed`` is the evaluated prefix's truth per row, as a mask (see
+    :mod:`repro.exec.vector`), and ``evaluations`` counts term evaluations
+    exactly as the short-circuiting row-at-a-time loop would have.
     """
 
-    __slots__ = ("passed", "truth", "evaluations", "num_rows")
+    __slots__ = ("passed", "evaluations", "num_rows")
 
-    def __init__(
-        self,
-        passed,
-        truth: list,
-        evaluations: int,
-        num_rows: int,
-    ) -> None:
+    def __init__(self, passed, evaluations: int, num_rows: int) -> None:
         self.passed = passed
-        self.truth = truth
         self.evaluations = evaluations
         self.num_rows = num_rows
-
-    def prefix_passed(self, num_terms: int):
-        """Witness mask of the first ``num_terms`` terms (full-eval mode)."""
-        vec = _vec()
-        if num_terms == 0:
-            return vec.ones_mask(self.num_rows)
-        masks = self.truth[:num_terms]
-        if any(mask is None for mask in masks):
-            return vec.zeros_mask(self.num_rows)
-        result = masks[0]
-        for mask in masks[1:]:
-            result = vec.mask_and(result, mask)
-        return result
 
 
 class CompiledConjunction:
@@ -296,16 +271,13 @@ class CompiledConjunction:
         columns: Sequence,
         num_rows: int,
         num_terms: Optional[int] = None,
-        short_circuit: bool = True,
     ) -> VectorOutcome:
         """Evaluate the first ``num_terms`` terms over column vectors.
 
-        The columnar mirror of :meth:`evaluate_batch`: each term becomes
-        one whole-vector compare producing a bitmask.  Witness masks,
-        whole-batch short-circuit skips (``truth[i] is None``) and the
-        evaluation count match the row-at-a-time loop exactly; see
-        :class:`VectorOutcome` for why per-row skip positions need not be
-        represented.
+        The columnar mirror of short-circuiting :meth:`evaluate_batch`:
+        each term becomes one whole-vector compare producing a bitmask.
+        ``passed`` and the evaluation count match the row-at-a-time loop
+        exactly.
         """
         vec = _vec()
         total = len(self._kernels)
@@ -316,20 +288,7 @@ class CompiledConjunction:
                 f"prefix of {num_terms} terms out of range for "
                 f"{total}-term conjunction"
             )
-        truth: list = [None] * total
         evaluations = 0
-
-        if not short_circuit:
-            passed = None
-            for i in range(num_terms):
-                mask = self._vector_kernels[i](columns)
-                truth[i] = mask
-                evaluations += num_rows
-                passed = mask if passed is None else vec.mask_and(passed, mask)
-            if passed is None:
-                passed = vec.ones_mask(num_rows)
-            return VectorOutcome(passed, truth, evaluations, num_rows)
-
         # Masked short-circuit: ``alive`` is the mask of rows every term so
         # far passed; ``None`` means "all rows" (fast common case).  A term
         # is charged only for the rows alive when it ran, and a term with
@@ -341,20 +300,16 @@ class CompiledConjunction:
             if alive is not None and alive_count == 0:
                 break  # every row short-circuited: later terms unevaluated
             mask = self._vector_kernels[i](columns)
+            evaluations += alive_count
             if alive is None:
-                evaluations += num_rows
-                truth[i] = mask
                 if not vec.mask_all(mask):
                     alive = mask
                     alive_count = vec.mask_count(mask)
             else:
-                evaluations += alive_count
-                witness = vec.mask_and(alive, mask)
-                truth[i] = witness
-                alive = witness
-                alive_count = vec.mask_count(witness)
+                alive = vec.mask_and(alive, mask)
+                alive_count = vec.mask_count(alive)
         passed = alive if alive is not None else vec.ones_mask(num_rows)
-        return VectorOutcome(passed, truth, evaluations, num_rows)
+        return VectorOutcome(passed, evaluations, num_rows)
 
 
 class BoundConjunction:

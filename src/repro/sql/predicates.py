@@ -82,7 +82,7 @@ class AtomicPredicate(ABC):
         ``column`` is a column vector (see :mod:`repro.exec.vector`);
         the result is a mask aligned with it.  Subclasses map onto a
         single backend kernel; this default routes through
-        :meth:`matches_batch` so any atomic predicate is columnar-safe.
+        :meth:`matches_batch` so any atomic predicate is vector-safe.
         Like the batch path, overrides must preserve the
         NULL-never-matches collapse exactly.
         """

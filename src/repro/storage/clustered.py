@@ -185,74 +185,6 @@ class ClusteredFile(DataFile):
             if matched:
                 yield page_id, matched
 
-    def seek_range_columns(
-        self,
-        io: IOContext,
-        low: Optional[tuple],
-        high: Optional[tuple],
-        low_inclusive: bool = True,
-        high_inclusive: bool = True,
-    ) -> Iterator[tuple[PageId, Any, int]]:
-        """Columnar form of :meth:`seek_range_pages`: ``(page_id, columns, n)``.
-
-        Page charging, page order, and the stop-at-first-row-past-high
-        behaviour are identical to :meth:`seek_range_pages`.  Interior
-        pages (fence keys entirely inside the range — the common case)
-        hand out zero-copy views of the file-level column cache; only the
-        at-most-two boundary pages inspect row keys to find the in-range
-        slice, which is contiguous because rows are packed in key order.
-        """
-        self._require_loaded()
-
-        def below_low(key: tuple) -> bool:
-            if low is None:
-                return False
-            return key < low if low_inclusive else key <= low
-
-        def past_high(key: tuple) -> bool:
-            if high is None:
-                return False
-            return key > high if high_inclusive else key >= high
-
-        start = 0
-        if low is not None:
-            start = (
-                self.first_page_with_key_ge(low)
-                if low_inclusive
-                else self.first_page_with_key_gt(low)
-            )
-        columns = self.file_columns()
-        key_of = self.key_of
-        for page_id, page in self.scan_pages(io, start_page=start):
-            num_rows = page.num_rows
-            if not past_high(self._page_high_keys[page_id]):
-                if not below_low(self._page_low_keys[page_id]):
-                    # Whole page in range: zero-copy hand-off.
-                    yield page_id, columns.page_slice(page_id), num_rows
-                    continue
-                stop_slot = num_rows
-                hit_high = False
-            else:
-                stop_slot = None  # type: ignore[assignment]
-                hit_high = True
-            rows = page.rows_list()
-            start_slot = 0
-            while start_slot < num_rows and below_low(key_of(rows[start_slot])):
-                start_slot += 1
-            if stop_slot is None:
-                stop_slot = start_slot
-                while stop_slot < num_rows and not past_high(key_of(rows[stop_slot])):
-                    stop_slot += 1
-            if stop_slot > start_slot:
-                offset = columns.page_offset(page_id)
-                yield (
-                    page_id,
-                    columns.slice_rows(offset + start_slot, offset + stop_slot),
-                    stop_slot - start_slot,
-                )
-            if hit_high:
-                return
-
     def fetch_by_key(self, io: IOContext, key: tuple) -> Iterator[tuple[PageId, tuple]]:
         """Random-access fetch of all rows with the exact clustering key.
 

@@ -68,10 +68,6 @@ class FileColumns:
         """Row offset of ``page_id``'s first row within the file."""
         return self._offsets[page_id]
 
-    def page_slice(self, page_id: int) -> "Any":
-        """One page's rows as a zero-copy columns view."""
-        return self.slice_rows(self._offsets[page_id], self._offsets[page_id + 1])
-
     def slice_rows(self, start: int, stop: int) -> "Any":
         """An arbitrary contiguous row range as a zero-copy columns view."""
         from repro.exec import vector
@@ -184,20 +180,6 @@ class DataFile:
         cached = FileColumns(self._pages, backend)
         self._file_columns = cached
         return cached
-
-    def scan_page_columns(
-        self, io: IOContext, start_page: int = 0, end_page: Optional[int] = None
-    ) -> Iterator[tuple[PageId, Any, int]]:
-        """Columnar scan: ``(page_id, columns_view, num_rows)`` per page.
-
-        Same page order and sequential I/O charging as :meth:`scan_pages`;
-        the columns are zero-copy per-page views of the file-level cache
-        (:meth:`file_columns`), so repeated scans of an immutable table
-        pay the row->column conversion once per touched column.
-        """
-        columns = self.file_columns()
-        for page_id, page in self.scan_pages(io, start_page, end_page):
-            yield page_id, columns.page_slice(page_id), page.num_rows
 
     def scan_column_chunks(
         self,

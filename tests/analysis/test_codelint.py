@@ -278,12 +278,6 @@ class TestR008:
     def test_silent_at_module_level(self):
         assert "R008" not in rules_fired("io.charge_rows(1)\n")
 
-    def test_fires_in_columnar_functions(self):
-        assert "R008" in rules_fired(
-            "def _scan_pages_columnar(self, ctx):\n"
-            "    ctx.io.charge_rows(1)\n"
-        )
-
 
 # ----------------------------------------------------------------------
 # R009 — concurrency primitives stay in sanctioned sites

@@ -11,6 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.catalog import ColumnDef, Database, IndexDef, TableSchema
+from repro.exec import vector
 from repro.sql.types import SqlType
 from repro.workloads import build_synthetic_database
 
@@ -34,6 +35,18 @@ def _reset_measurements(request):
     for name in ("synthetic_db", "join_db"):
         if name in request.fixturenames:
             request.getfixturevalue(name).reset_measurements()
+
+
+@pytest.fixture(params=["numpy", "python"] if vector.HAVE_NUMPY else ["python"])
+def backend(request):
+    """Run the test under each available vector backend."""
+    if request.param == "python":
+        with vector.use_python_backend():
+            assert vector.backend_name() == "python"
+            yield "python"
+    else:
+        assert vector.backend_name() == "numpy"
+        yield "numpy"
 
 
 def make_tiny_table(

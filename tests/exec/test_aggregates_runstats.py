@@ -1,10 +1,9 @@
-"""Tests for aggregates, Sort, Filter and run statistics output."""
+"""Tests for aggregates, Sort and run statistics output."""
 
 import pytest
 
 from repro.exec import (
     CountAggregate,
-    Filter,
     GroupByCountAggregate,
     SeqScan,
     Sort,
@@ -77,14 +76,6 @@ class TestSortAndFilter:
         )
         values = [r[1] for r in result.rows]
         assert values == sorted(values, reverse=True)
-
-    def test_filter_in_re_layer(self, tiny):
-        database, table, rows = tiny
-        operator = Filter(
-            SeqScan(table, Conjunction()), conjunction_of(Comparison("v", "<", 50))
-        )
-        result = execute(operator, database)
-        assert len(result.rows) == 50
 
 
 class TestRunStats:

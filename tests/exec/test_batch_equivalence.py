@@ -1,11 +1,11 @@
-"""Row ≡ batch ≡ columnar equivalence on real workload queries.
+"""Row ≡ batch equivalence on real workload queries.
 
-The batch and columnar execution paths are performance optimizations
-only: these tests drive the full §V-B pipeline (monitored P, feedback,
-unmonitored P') through :func:`repro.harness.compare_workload` and
-require that every observable — result rows, observations, read
-counters, and the per-operator stats tree — is identical across all
-three modes.
+The batch execution path is a performance optimization only: these tests
+drive the full §V-B pipeline (monitored P, feedback, unmonitored P' —
+the latter takes the column-chunk scan whenever P' is a table scan)
+through :func:`repro.harness.compare_workload` and require that every
+observable — result rows, observations, read counters, and the
+per-operator stats tree — is identical across the modes.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.planner import MonitorConfig
+from repro.exec.scans import SeqScan
 from repro.workloads import (
     build_synthetic_database,
     join_workload,
@@ -27,7 +28,7 @@ def equivalence_db():
     return build_synthetic_database(num_rows=8_000, seed=0, with_copy=True)
 
 
-def test_single_table_workload_row_batch_equivalent(equivalence_db):
+def test_single_table_workload_row_batch_equivalent(equivalence_db, monkeypatch):
     workload = single_table_workload(
         equivalence_db,
         "t",
@@ -36,8 +37,19 @@ def test_single_table_workload_row_batch_equivalent(equivalence_db):
         selectivity_range=(0.01, 0.10),
         seed=0,
     )
+    chunk_scans = []
+    chunk_drive = SeqScan._scan_chunks_columnar
+
+    def counting(self, ctx):
+        chunk_scans.append(self)
+        return chunk_drive(self, ctx)
+
+    monkeypatch.setattr(SeqScan, "_scan_chunks_columnar", counting)
     report = compare_workload(equivalence_db, workload)
     assert report.ok, report.render()
+    # The proof covers the column-chunk path: several unmonitored P' runs
+    # are table scans under the count.
+    assert chunk_scans
 
 
 def test_join_workload_row_batch_equivalent(equivalence_db):
@@ -58,8 +70,8 @@ def test_join_workload_row_batch_equivalent(equivalence_db):
 
 
 def test_single_table_workload_equivalent_python_backend(equivalence_db):
-    """The three-way proof must also hold on the pure-Python vector
-    backend (list columns / list masks, no NumPy kernels)."""
+    """The proof must also hold on the pure-Python vector backend (list
+    columns / list masks, no NumPy kernels)."""
     from repro.exec import vector
 
     workload = single_table_workload(
@@ -85,6 +97,6 @@ def test_equivalence_report_renders_per_query(equivalence_db):
     )
     report = compare_workload(equivalence_db, workload)
     rendered = report.render()
-    assert "row≡batch≡columnar equivalence: 1 queries, 0 mismatched" in rendered
+    assert "row≡batch equivalence: 1 queries, 0 mismatched" in rendered
     assert "OK" in rendered
     assert not report.failures()

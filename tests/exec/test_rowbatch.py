@@ -1,10 +1,11 @@
 """RowBatch representation edge cases and vector backend fallbacks.
 
-Covers the columnar batch contract directly: empty batches, the final
-partial page of a scan, all-rows-filtered batches, row↔column
-round-trips, and the pure-Python backend (both forced via
+Covers the column-backed batch contract directly: empty batches, the
+final partial page of a chunk scan, all-rows-filtered batches,
+row↔column round-trips, and the pure-Python backend (both forced via
 ``use_python_backend`` and with the NumPy import genuinely blocked in a
-subprocess).
+subprocess).  "Columnar scan" below means the batch drive's unmonitored
+chunk scan (``SeqScan.parent_consumes_columns``), not an execution mode.
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ from __future__ import annotations
 import subprocess
 import sys
 from pathlib import Path
-
-import pytest
 
 from repro.exec import vector
 from repro.exec.batch import DEFAULT_BATCH_ROWS, RowBatch
@@ -23,21 +22,6 @@ from repro.sql.evaluator import BoundConjunction
 from repro.sql.predicates import Comparison, conjunction_of
 
 from tests.conftest import make_tiny_table
-
-
-BACKENDS = ["numpy", "python"] if vector.HAVE_NUMPY else ["python"]
-
-
-@pytest.fixture(params=BACKENDS)
-def backend(request):
-    """Run the test under each available vector backend."""
-    if request.param == "python":
-        with vector.use_python_backend():
-            assert vector.backend_name() == "python"
-            yield "python"
-    else:
-        assert vector.backend_name() == "numpy"
-        yield "numpy"
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +98,6 @@ def test_all_rows_filtered_batch(backend):
     columns = vector.columns_from_rows(rows, 1)
     mask = vector.compare_mask(columns[0], ">", 100)
     assert vector.mask_count(mask) == 0
-    assert not vector.mask_any(mask)
     filtered = vector.take(columns[0], mask)
     assert vector.column_length(filtered) == 0
     empty = RowBatch.from_columns((filtered,), num_rows=0)
@@ -148,20 +131,11 @@ def test_evaluate_columns_matches_evaluate_batch(backend):
         conjunction_of(Comparison("k", "<", 120), Comparison("v", ">=", 10)),
         ("k", "v"),
     ).compile()
-    for short_circuit in (True, False):
-        row_outcome = compiled.evaluate_batch(rows, short_circuit=short_circuit)
-        col_outcome = compiled.evaluate_columns(
-            columns, len(rows), short_circuit=short_circuit
-        )
-        assert vector.mask_values(col_outcome.passed) == row_outcome.passed
-        assert col_outcome.evaluations == row_outcome.evaluations
-        for row_truth, col_truth in zip(row_outcome.truth, col_outcome.truth):
-            if col_truth is None:
-                assert all(t is not True for t in row_truth)
-            else:
-                witnesses = vector.mask_values(col_truth)
-                for row_value, witness in zip(row_truth, witnesses):
-                    assert witness == (row_value is True)
+    row_outcome = compiled.evaluate_batch(rows)
+    col_outcome = compiled.evaluate_columns(columns, len(rows))
+    assert vector.mask_values(col_outcome.passed) == row_outcome.passed
+    assert col_outcome.evaluations == row_outcome.evaluations
+    assert col_outcome.num_rows == row_outcome.num_rows
 
 
 # ---------------------------------------------------------------------------
@@ -169,14 +143,22 @@ def test_evaluate_columns_matches_evaluate_batch(backend):
 # ---------------------------------------------------------------------------
 
 
+def chunk_scan(table, conjunction) -> SeqScan:
+    """An unmonitored scan marked the way the planner marks one under a
+    column-consuming aggregate, so ``batches()`` emits column chunks."""
+    scan = SeqScan(table, conjunction)
+    scan.parent_consumes_columns = True
+    return scan
+
+
 def test_columnar_scan_final_partial_page(backend):
     database, table, rows = make_tiny_table(num_rows=500)
     per_page = table.data_file.page_capacity
     assert len(rows) % per_page != 0, "need a final partial page"
     result = execute(
-        SeqScan(table, conjunction_of(Comparison("k", ">=", 0))),
+        chunk_scan(table, conjunction_of(Comparison("k", ">=", 0))),
         database,
-        mode="columnar",
+        mode="batch",
     )
     assert len(result.rows) == len(rows)
     assert result.rows[-1] == rows[-1]
@@ -186,7 +168,7 @@ def test_columnar_scan_matches_row_scan(backend):
     database, table, rows = make_tiny_table(num_rows=500)
     conj = conjunction_of(Comparison("v", "<", 100), Comparison("k", ">=", 37))
     expected = execute(SeqScan(table, conj), database, mode="row")
-    actual = execute(SeqScan(table, conj), database, mode="columnar")
+    actual = execute(chunk_scan(table, conj), database, mode="batch")
     assert actual.rows == expected.rows
     assert actual.runstats.logical_reads == expected.runstats.logical_reads
     assert (
@@ -221,23 +203,24 @@ from repro.sql.predicates import Comparison, conjunction_of
 
 database, table, rows = make_tiny_table(num_rows=500)
 conj = conjunction_of(Comparison("v", "<", 100), Comparison("k", ">=", 37))
-results = {
-    mode: execute(SeqScan(table, conj), database, mode=mode)
-    for mode in ("row", "batch", "columnar")
-}
-reference = results["row"]
-for mode in ("batch", "columnar"):
-    assert results[mode].rows == reference.rows, mode
+def scan(columns):
+    operator = SeqScan(table, conj)
+    operator.parent_consumes_columns = columns
+    return operator
+
+reference = execute(scan(False), database, mode="row")
+for columns in (False, True):
+    result = execute(scan(columns), database, mode="batch")
+    assert result.rows == reference.rows, columns
     assert (
-        results[mode].runstats.logical_reads
-        == reference.runstats.logical_reads
-    ), mode
+        result.runstats.logical_reads == reference.runstats.logical_reads
+    ), columns
 print("NO_NUMPY_OK")
 """
 
 
 def test_columnar_without_numpy_installed():
-    """Run the columnar path in a subprocess where numpy cannot import."""
+    """Run the chunk scan in a subprocess where numpy cannot import."""
     repo_root = Path(__file__).resolve().parents[2]
     result = subprocess.run(
         [sys.executable, "-c", _NO_NUMPY_SCRIPT],

@@ -119,13 +119,6 @@ class TestRestartVsResume:
         assert episode.resumed
         assert episode.executed.result.rows == truth_rows
 
-    def test_resume_works_under_the_columnar_drive(self, synthetic_db):
-        _, episode, truth_rows = self.run_mode(
-            synthetic_db, "resume", exec_mode="columnar"
-        )
-        assert episode.resumed
-        assert episode.executed.result.rows == truth_rows
-
     def test_row_drive_never_resumes(self, synthetic_db):
         # The row drive's cancellation check can fire mid-page, so the
         # consumed prefix is not replayable; auto must fall back.

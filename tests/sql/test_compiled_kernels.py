@@ -93,37 +93,16 @@ def _assert_columns_match_batch(
     compiled: CompiledConjunction,
     rows: list[tuple],
     num_terms: int,
-    short_circuit: bool,
 ) -> None:
+    """The chunk scan's vector kernel vs the short-circuiting batch kernel."""
     from repro.exec import vector
 
     columns = vector.columns_from_rows(rows, len(COLUMNS))
-    batch = compiled.evaluate_batch(
-        rows, num_terms=num_terms, short_circuit=short_circuit
-    )
-    outcome = compiled.evaluate_columns(
-        columns, len(rows), num_terms=num_terms, short_circuit=short_circuit
-    )
+    batch = compiled.evaluate_batch(rows, num_terms=num_terms)
+    outcome = compiled.evaluate_columns(columns, len(rows), num_terms=num_terms)
     assert outcome.num_rows == batch.num_rows
     assert vector.mask_values(outcome.passed) == batch.passed
     assert outcome.evaluations == batch.evaluations
-    # Per-term witness masks: True exactly where the row path recorded an
-    # evaluated-and-held term; a None mask means no row evaluated it.
-    for term, mask in enumerate(outcome.truth):
-        row_truth = [batch.truth_row(r)[term] for r in range(len(rows))]
-        if mask is None:
-            assert all(t is not True for t in row_truth)
-        else:
-            witnesses = vector.mask_values(mask)
-            assert witnesses == [t is True for t in row_truth]
-    # Derived pass masks agree for every prefix length.
-    for prefix in range(num_terms + 1):
-        prefix_mask = outcome.prefix_passed(prefix)
-        expected = [
-            all(batch.truth_row(r)[t] is True for t in range(prefix))
-            for r in range(len(rows))
-        ]
-        assert vector.mask_values(prefix_mask) == expected
 
 
 @pytest.mark.parametrize("trial", range(25))
@@ -143,11 +122,8 @@ def test_randomized_conjunctions_columnar_matches_batch(trial, backend):
         else contextlib.nullcontext()
     )
     with forced:
-        for short_circuit in (True, False):
-            for num_terms in range(len(conjunction.terms) + 1):
-                _assert_columns_match_batch(
-                    compiled, rows, num_terms, short_circuit
-                )
+        for num_terms in range(len(conjunction.terms) + 1):
+            _assert_columns_match_batch(compiled, rows, num_terms)
 
 
 def test_compile_is_cached():
@@ -190,6 +166,8 @@ def test_prefix_out_of_range_matches_interpreted_error():
         bound.evaluate_prefix((1, 2, 3, 4), 2)
     with pytest.raises(ExpressionError):
         bound.compile().evaluate_batch([(1, 2, 3, 4)], num_terms=2)
+    with pytest.raises(ExpressionError):
+        bound.compile().evaluate_columns(((1,), (2,), (3,), (4,)), 1, num_terms=2)
 
 
 def test_unknown_column_rejected_at_bind_time():
