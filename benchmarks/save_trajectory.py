@@ -17,6 +17,10 @@ at a glance:
 * **scan throughput** — an unmonitored full-table count scan repeated
   per mode, reported as rows/second of harness throughput (batch mode
   takes the plan-derived column-chunk scan here);
+* **monitored scan** — the same count scan in batch mode with an exact
+  and a DPSample request attached, beside its unmonitored twin: rows/second
+  each and the monitored/unmonitored wall ratio (the wall-clock price of
+  switching the monitors on; ``benchmarks/smoke_batch.py`` gates it);
 * **plancache** — the plan-cache smoke gate's violation list, so the
   artifact also witnesses that caching still behaves;
 * **service throughput** — the closed-loop service sweep (cold vs. warm
@@ -44,12 +48,14 @@ try:  # repo-root import (pytest); falls back for direct script runs,
     # where sys.path[0] is benchmarks/ itself.
     from benchmarks import (
         bench_service_throughput,
+        smoke_batch,
         smoke_plancache,
         smoke_reopt,
         smoke_shard,
     )
 except ModuleNotFoundError:
     import bench_service_throughput  # type: ignore[no-redef]
+    import smoke_batch  # type: ignore[no-redef]
     import smoke_plancache  # type: ignore[no-redef]
     import smoke_reopt  # type: ignore[no-redef]
     import smoke_shard  # type: ignore[no-redef]
@@ -139,6 +145,24 @@ def _scan_throughput() -> dict:
     }
 
 
+def _monitored_scan() -> dict:
+    """Wall price of monitoring one batch-mode count scan (smoke_batch's probe)."""
+    seconds = smoke_batch.monitored_scan_seconds(
+        build_synthetic_database(num_rows=SCAN_ROWS, seed=7), SCAN_ROWS
+    )
+    return {
+        "num_rows": SCAN_ROWS,
+        "requests": "1 exact + 1 dpsample",
+        **{
+            f"{name}_rows_per_sec": int(SCAN_ROWS / seconds[name])
+            for name in ("monitored", "unmonitored")
+        },
+        "monitored_wall_ratio": round(
+            seconds["monitored"] / seconds["unmonitored"], 2
+        ),
+    }
+
+
 def _sharded_throughput() -> dict:
     """Simulated scatter-gather scan speedup at the smoke's shard count."""
     serial_ms, sharded_ms, speedup = smoke_shard.scan_speedup()
@@ -170,6 +194,7 @@ def build_entry() -> dict:
         "recorded_at": utc_now_iso(),
         "fig6": _fig6_all_modes(),
         "scan_throughput": _scan_throughput(),
+        "monitored_scan": _monitored_scan(),
         "sharded": _sharded_throughput(),
         "plancache_smoke_violations": smoke_plancache.run_smoke(),
         "service_throughput": bench_service_throughput.run_bench(),

@@ -31,6 +31,7 @@ the measured monitoring overhead decomposes exactly as in Figs. 7 and 9.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import and_
 from typing import Any, Optional, Sequence
 
 from repro.common.errors import MonitorError
@@ -181,11 +182,24 @@ class _BitVectorEntry:
 class ScanMonitorBundle:
     """Counters attached to one scan operator.
 
-    The scan calls, in order: :meth:`start_page` once per page,
-    :meth:`observe_row` once per row (passing the term outcome it computed
-    and the raw row), and :meth:`end_page` when the page is exhausted.
-    :meth:`needs_full_evaluation_on` tells the scan whether the current
-    page requires short-circuiting to be off (Fig. 4 step 4).
+    Every counter here is page-granular: a request counts *pages* holding
+    at least one witness row, and the Bernoulli sampler flips one coin
+    per page, in page order.  How the scan produces a page's verdict is
+    its own business, so there are two feeds:
+
+    * **per page** — :meth:`start_page`, then :meth:`observe_row` per row
+      or :meth:`observe_batch` per page (passing the term outcome the
+      scan computed and the raw rows), then :meth:`end_page`;
+      :meth:`needs_full_evaluation` tells the scan whether the current
+      page requires short-circuiting to be off (Fig. 4 step 4).
+    * **per chunk of pages** — :meth:`sample_pages` for the chunk's coin
+      flips, then :meth:`observe_pages` with one flag per page per
+      expression entry.  The scan reduces its chunk-wide witness masks
+      to those flags itself; no row or row mask crosses this seam.
+      Bit-vector entries cannot be fed this way (their probe charging
+      stops at the first hit in *row* order): see
+      :attr:`supports_page_flags`.
+
     :meth:`finish` yields the observations.
     """
 
@@ -205,6 +219,9 @@ class ScanMonitorBundle:
         self._current_page_sampled = False
         self._in_page = False
         self._any_nonprefix = False
+        #: pages :meth:`sample_pages` decided and :meth:`observe_pages`
+        #: has yet to be told about.
+        self._pages_pending = 0
 
     # ------------------------------------------------------------------
     # Planner-side construction
@@ -252,6 +269,8 @@ class ScanMonitorBundle:
     def start_page(self, page_id: PageId) -> None:
         if self._in_page:
             raise MonitorError("start_page called twice without end_page")
+        if self._pages_pending:
+            raise MonitorError("start_page called with a chunk still open")
         self._in_page = True
         if self.needs_sampler:
             if self.sampler is None:
@@ -336,6 +355,96 @@ class ScanMonitorBundle:
         for bv_entry in self._bitvector_entries:
             bv_entry.fold_page(counted=self._current_page_sampled)
         self._current_page_sampled = False
+
+    # ------------------------------------------------------------------
+    # Scan-side protocol, a chunk of pages at a time
+    # ------------------------------------------------------------------
+    @property
+    def supports_page_flags(self) -> bool:
+        """Whether every entry can be fed per-page flags."""
+        return not self._bitvector_entries
+
+    @property
+    def evaluates_sampled_pages_in_full(self) -> bool:
+        """Whether rows of sampled pages need short-circuiting off."""
+        return self._any_nonprefix
+
+    def page_flag_witnesses(self) -> list[tuple[tuple[int, ...], bool]]:
+        """``(term_indexes, exact)`` per expression entry, in the order
+        :meth:`observe_pages` takes its flag lists.
+
+        A page's flag says whether some row of it has every listed term
+        TRUE — short-circuited truth for exact entries (their terms are a
+        prefix of the query's), full truth for sampled ones.
+        """
+        return [
+            (entry.term_indexes, entry.exact) for entry in self._expression_entries
+        ]
+
+    def sample_pages(self, first_page_id: PageId, page_count: int) -> list[bool]:
+        """The Bernoulli decisions for ``page_count`` consecutive pages.
+
+        One :meth:`~repro.core.dpsample.BernoulliPageSampler.sample_page`
+        draw per page, in page order — the same RNG sequence the
+        page-at-a-time feed consumes.
+        """
+        if self._in_page or self._pages_pending:
+            raise MonitorError("sample_pages called with a page or chunk still open")
+        if not self.supports_page_flags:
+            raise MonitorError(
+                f"scan of {self.table_name} has bit-vector requests, which "
+                "must be fed rows in page order"
+            )
+        self._pages_pending = page_count
+        if not self.needs_sampler:
+            return [False] * page_count
+        if self.sampler is None:
+            raise MonitorError(
+                f"scan of {self.table_name} has sampled requests but no sampler"
+            )
+        sample_page = self.sampler.sample_page
+        return [
+            sample_page(page_id)
+            for page_id in range(first_page_id, first_page_id + page_count)
+        ]
+
+    def observe_pages(
+        self,
+        flags_per_entry: Sequence[Sequence[bool]],
+        sampled_pages: Sequence[bool],
+        num_rows: int,
+        io: IOContext,
+    ) -> None:
+        """Fold one chunk's per-page flags into the counters.
+
+        ``flags_per_entry[k][p]`` is entry *k*'s flag for the chunk's
+        page *p* (entries as in :meth:`page_flag_witnesses`);
+        ``sampled_pages`` is what :meth:`sample_pages` returned.  Exact
+        entries count every flagged page, sampled entries the flagged
+        pages of the sample.  The per-row monitor check of §III-B is
+        charged for the chunk's ``num_rows`` rows, as the per-page feed
+        charges it.
+        """
+        page_count = len(sampled_pages)
+        if not self._pages_pending or page_count != self._pages_pending:
+            raise MonitorError("observe_pages called without matching sample_pages")
+        entries = self._expression_entries
+        if len(flags_per_entry) != len(entries):
+            raise MonitorError(
+                f"observe_pages got {len(flags_per_entry)} flag lists for "
+                f"{len(entries)} entries"
+            )
+        self._pages_pending = 0
+        io.charge_monitor_checks(num_rows)
+        for entry, flags in zip(entries, flags_per_entry):
+            if len(flags) != page_count:
+                raise MonitorError(
+                    f"observe_pages got {len(flags)} flags for {page_count} pages"
+                )
+            if entry.exact:
+                entry.satisfied_pages += sum(flags)
+            else:
+                entry.satisfied_pages += sum(map(and_, flags, sampled_pages))
 
     # ------------------------------------------------------------------
     # Results

@@ -405,9 +405,9 @@ def _build(plan: PlanNode, state: _Instrumentation) -> Operator:
     if isinstance(plan, CountPlan):
         child = _build(plan.child, state)
         if isinstance(child, SeqScan):
-            # The aggregate reads column vectors, so an unmonitored scan
-            # under it may emit multi-page column chunks (the scan itself
-            # falls back to row lists whenever it carries a bundle).
+            # The aggregate reads column vectors, so the scan under it may
+            # emit multi-page column chunks (the scan itself keeps the
+            # page loop for runs that are row- or page-ordered).
             child.parent_consumes_columns = True
         operator: Operator = CountAggregate(child, plan.column)
     elif isinstance(plan, SeqScanPlan):

@@ -204,7 +204,9 @@ class Engine:
     def _end_execution(self) -> None:
         with self._state:
             self._active -= 1
-            self._state.notify_all()
+            # Only a draining shutdown() ever waits, and it closes first.
+            if self._closed:
+                self._state.notify_all()
 
     # ------------------------------------------------------------------
     def session(self, injections: Optional[InjectionSet] = None) -> Session:

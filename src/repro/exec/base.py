@@ -46,8 +46,8 @@ class ExecutionContext:
     storage call and monitor charges it, so the run's timings and read
     counts are exact attributions (no global clock, no snapshot deltas).
     ``batch_rows`` is the chunk size relational-engine operators use in
-    batch mode (monitored storage-engine scans batch per page regardless;
-    the unmonitored chunk scan uses it as its chunk width).
+    batch mode (the page loop of storage-engine scans batches per page
+    regardless; the chunk scan uses it as its chunk width).
     ``cancellation`` is the run's cooperative-cancellation token (``None``
     for the overwhelmingly common uncancellable run); operators call
     :meth:`checkpoint` at page/probe boundaries.  ``watchdog`` is an

@@ -14,8 +14,8 @@ interface:
 * **row-backed** — a list of row tuples: what every operator emits, with
   one exception;
 * **column-backed** — a tuple of column vectors (one per output column,
-  see :mod:`repro.exec.vector`) plus a row count.  Only the unmonitored
-  chunk scan (:meth:`repro.exec.scans.SeqScan.batches`) builds these,
+  see :mod:`repro.exec.vector`) plus a row count.  Only the chunk
+  scan (:meth:`repro.exec.scans.SeqScan.batches`) builds these,
   straight from the file-level column cache with zero copying on
   all-pass chunks, and only when its parent consumes columns
   (``CountAggregate``/``GroupByCountAggregate``) — so a column batch is

@@ -110,10 +110,10 @@ def execute(
     iterator (the reference oracle), ``"batch"`` pulls page-at-a-time
     :class:`~repro.exec.batch.RowBatch` exchange with compiled predicate
     kernels (:data:`EXEC_MODES` is the whole set).  Batch payloads are row
-    lists, except that an unmonitored scan feeding a column-consuming
-    aggregate emits multi-page column chunks — a property of the plan
-    shape (:func:`repro.core.planner.build_executable` marks the scan),
-    never of the mode.  Both modes produce identical rows, observations
+    lists, except that a table scan feeding a column-consuming aggregate
+    emits multi-page column chunks, monitored or not — a property of the
+    plan shape (:func:`repro.core.planner.build_executable` marks the
+    scan), never of the mode.  Both modes produce identical rows, observations
     and read counts (the equivalence harness in
     :mod:`repro.harness.equivalence` checks).
 

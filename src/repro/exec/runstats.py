@@ -12,7 +12,7 @@ as an indented text report (:meth:`RunStats.render`) or a nested dict
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Callable, Optional, Union
 
 from repro.core.requests import PageCountObservation
 
@@ -80,12 +80,31 @@ class RunStats:
     #: (page-at-a-time RowBatch exchange with compiled predicate kernels).
     execution_mode: str = "row"
     observations: list[PageCountObservation] = field(default_factory=list)
-    #: Lifecycle observability, set by the staged query lifecycle: the
-    #: per-stage trace (``stages``), the plan-cache outcome for this run
-    #: (``cache_event``: hit/miss/coalesced/bypassed) and, when a shared
-    #: cache is configured, its cumulative counters (``plan_cache``).
-    #: Stored as plain data so the exec layer needs no lifecycle import.
-    lifecycle: Optional[dict[str, Any]] = None
+    _lifecycle: Union[None, dict[str, Any], Callable[[], dict[str, Any]]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @property
+    def lifecycle(self) -> Optional[dict[str, Any]]:
+        """Lifecycle observability, set by the staged query lifecycle: the
+        per-stage trace (``stages``), the plan-cache outcome for this run
+        (``cache_event``: hit/miss/coalesced/bypassed) and, when a shared
+        cache is configured, its cumulative counters (``plan_cache``).
+
+        Plain data, so the exec layer needs no lifecycle import.  The
+        lifecycle may assign a zero-argument callable instead of the dict;
+        it is called on the first read and its result kept, so a run
+        nobody inspects never formats its stage details.
+        """
+        if callable(self._lifecycle):
+            self._lifecycle = self._lifecycle()
+        return self._lifecycle
+
+    @lifecycle.setter
+    def lifecycle(
+        self, value: Union[None, dict[str, Any], Callable[[], dict[str, Any]]]
+    ) -> None:
+        self._lifecycle = value
 
     @property
     def physical_reads(self) -> int:

@@ -19,13 +19,14 @@ measurements of Figs. 7 and 9 arise.
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import Any, Iterator, Optional
 
 from repro.core.monitors import FetchMonitorBundle, ScanMonitorBundle
 from repro.exec import vector
 from repro.exec.base import ExecutionContext, Operator
 from repro.exec.batch import RowBatch
-from repro.sql.evaluator import BoundConjunction
+from repro.sql.evaluator import BoundConjunction, VectorOutcome
 from repro.sql.predicates import Conjunction
 from repro.storage.table import Table
 
@@ -173,10 +174,10 @@ class SeqScan(_MonitoredScanMixin, Operator):
 
     #: Whether the operator consuming this scan reads column vectors
     #: (``CountAggregate``, ``GroupByCountAggregate``).  Derived from the
-    #: plan shape by :func:`repro.core.planner.build_executable`; together
-    #: with "no monitor bundle" it selects the chunk scan in
-    #: :meth:`batches`.  Scans feeding a join, sort or merge leave it off
-    #: and keep yielding row lists, so nothing is ever transposed.
+    #: plan shape by :func:`repro.core.planner.build_executable`; it
+    #: selects the chunk scan in :meth:`batches`.  Scans feeding a join,
+    #: sort or merge leave it off and keep yielding row lists, so nothing
+    #: is ever transposed.
     parent_consumes_columns = False
 
     def __init__(
@@ -207,7 +208,7 @@ class SeqScan(_MonitoredScanMixin, Operator):
         yield from self._scan_pages(ctx, pages())
 
     def batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
-        if self.parent_consumes_columns and self.bundle is None:
+        if self._emits_column_chunks(ctx):
             yield from self._scan_chunks_columnar(ctx)
             return
 
@@ -217,35 +218,82 @@ class SeqScan(_MonitoredScanMixin, Operator):
 
         yield from self._scan_pages_batched(ctx, pages())
 
+    def _emits_column_chunks(self, ctx: ExecutionContext) -> bool:
+        """Whether this run takes the chunk scan rather than the page loop.
+
+        The page loop stays the drive for what is genuinely row- or
+        page-ordered: row-list consumers (joins, sorts, merges), bundles
+        with bit-vector entries (probe charging stops at the first hit in
+        row order), and monitored runs under the reopt watchdog or with
+        resume tracking armed (the watchdog projects from ``progress()``
+        page by page, and a resume boundary is a page boundary).
+        """
+        if not self.parent_consumes_columns:
+            return False
+        if self.bundle is None:
+            return True
+        return (
+            self.bundle.supports_page_flags
+            and ctx.watchdog is None
+            and not self.resume_tracking
+        )
+
     def _scan_chunks_columnar(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
-        """Unmonitored batch drive over multi-page column chunks.
+        """Batch drive over multi-page column chunks, monitored or not.
 
         The one place a batch's payload is column vectors.  Consumes
-        ``(first_page_id, page_count, columns_view, num_rows)`` tuples
-        (:meth:`~repro.storage.heap.DataFile.scan_column_chunks`),
-        evaluating one whole-vector kernel per ~``ctx.batch_rows`` rows —
-        wide enough to amortize NumPy dispatch, which 73-row pages cannot
-        (and one chunk is also the checkpoint granularity here).
-        Only legal without a monitor bundle: monitors are page-granular
-        (Bernoulli page sampling, per-page counter feeds), while every
-        observable this path touches — row/predicate charges, evaluation
-        counts, pages_touched, surviving rows — is additive across pages,
-        so chunk boundaries cannot change it.
+        ``(first_page_id, page_count, columns_view, num_rows, page_starts)``
+        tuples (:meth:`~repro.storage.heap.DataFile.scan_column_chunks`),
+        evaluating one whole-vector kernel per term per ~``ctx.batch_rows``
+        rows — wide enough to amortize NumPy dispatch, which 73-row pages
+        cannot (one chunk is also the checkpoint granularity here).
+
+        Monitors stay page-granular in what they *count*, not in how wide
+        the kernel is: per chunk the bundle flips its per-page coins in
+        page order, each entry's witness mask is reduced to one flag per
+        page (``vector.segment_any`` — exactly the per-page flags of
+        Fig. 4), and the bundle folds flag lists; no row mask crosses
+        into :mod:`repro.core.monitors`.  Rows of sampled pages are
+        evaluated (and charged) in full when some request is non-prefix,
+        every other row short-circuited, so each simulated charge is the
+        row drive's.
         """
         compiled = self._bind().compile()
         num_query_terms = len(self.query_conjunction)
         io = ctx.io
         stats = self.stats
-        for first_page_id, page_count, columns, num_rows in (
+        bundle = self.bundle
+        witnesses = bundle.page_flag_witnesses() if bundle is not None else ()
+        full_evaluation = (
+            bundle is not None and bundle.evaluates_sampled_pages_in_full
+        )
+        for first_page_id, page_count, columns, num_rows, page_starts in (
             self.table.data_file.scan_column_chunks(io, ctx.batch_rows)
         ):
             ctx.checkpoint()
             stats.pages_touched += page_count
             io.charge_rows(num_rows)
-            outcome = compiled.evaluate_columns(columns, num_rows, num_query_terms)
+            full_rows = None
+            if bundle is not None:
+                sampled = bundle.sample_pages(first_page_id, page_count)
+                if full_evaluation and True in sampled:
+                    full_rows = vector.segment_expand(sampled, page_starts, num_rows)
+            outcome = compiled.evaluate_columns(
+                columns, num_rows, num_query_terms, full_rows
+            )
             passed = outcome.passed
             io.charge_predicates(outcome.evaluations)
             stats.predicate_evaluations += outcome.evaluations
+            if bundle is not None:
+                bundle.observe_pages(
+                    [
+                        _page_flags(outcome, terms, exact, page_starts)
+                        for terms, exact in witnesses
+                    ],
+                    sampled,
+                    num_rows,
+                    io,
+                )
             selected = vector.mask_count(passed)
             stats.actual_rows += selected
             if not selected:
@@ -255,6 +303,36 @@ class SeqScan(_MonitoredScanMixin, Operator):
             else:
                 filtered = tuple(vector.take(column, passed) for column in columns)
                 yield RowBatch.from_columns(filtered, first_page_id, num_rows=selected)
+
+
+def _page_flags(
+    outcome: VectorOutcome,
+    term_indexes: tuple[int, ...],
+    exact: bool,
+    page_starts: list[int],
+) -> list[bool]:
+    """One monitor entry's per-page flags for a chunk.
+
+    A page is flagged when some row of it has every listed term TRUE.
+    Exact entries read short-circuited truth, where "term *i* TRUE" is
+    "alive after term *i*", so their witness is the last listed term's
+    ``alive`` mask.  Sampled entries read full truth — the AND of the raw
+    term masks — which exists only when the chunk holds a sampled page;
+    without one they have nothing to count.
+    """
+    if exact:
+        witness = (
+            outcome.alive[max(term_indexes)]
+            if term_indexes
+            else vector.ones_mask(outcome.num_rows)
+        )
+    elif outcome.raw is None:
+        return [False] * len(page_starts)
+    else:
+        witness = reduce(
+            vector.mask_and, [outcome.raw[index] for index in term_indexes]
+        )
+    return vector.segment_any(witness, page_starts)
 
 
 class ClusteredRangeScan(_MonitoredScanMixin, Operator):

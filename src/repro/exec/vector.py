@@ -1,7 +1,7 @@
 """Column-vector backend: NumPy-accelerated with a pure-Python fallback.
 
-This is the single seam between the unmonitored chunk scan (the batch
-drive's one column-vector path) and NumPy.  Everything above it
+This is the single seam between the chunk scan (the batch drive's one
+column-vector path, monitored or not) and NumPy.  Everything above it
 (predicates, the compiled vector kernel, the chunk scan, the two
 column-consuming aggregates) manipulates *columns* and *masks* as opaque
 values through the functions here, so the simulator remains runnable on
@@ -266,11 +266,41 @@ def mask_all(mask: Mask) -> bool:
 
 def mask_count(mask: Mask) -> int:
     if _is_array(mask):
-        return int(mask.sum())
+        return int(_np.count_nonzero(mask))
     return sum(mask)
 
 
 def mask_values(mask: Mask) -> list[bool]:
     if _is_array(mask):
         return mask.tolist()
+    return mask
+
+
+# --- page segments of a chunk ---------------------------------------------
+#
+# A chunk covers several whole pages; ``starts`` lists each page's first
+# row within the chunk (ascending, ``starts[0] == 0``), the last page
+# running to the end of the chunk.  Pages are never empty.
+
+def segment_any(mask: Mask, starts: Sequence[int]) -> list[bool]:
+    """One flag per page: whether any of the page's rows is set in ``mask``.
+
+    This is what turns a chunk-wide witness mask into the per-page flags
+    of Fig. 4 — the monitors count pages, however wide the kernel was.
+    """
+    if _is_array(mask):
+        return _np.logical_or.reduceat(mask, starts).tolist()
+    stops = [*starts[1:], len(mask)]
+    return [True in mask[start:stop] for start, stop in zip(starts, stops)]
+
+
+def segment_expand(flags: Sequence[bool], starts: Sequence[int], num_rows: int) -> Mask:
+    """The row mask in which every row carries its page's flag."""
+    stops = [*starts[1:], num_rows]
+    if _np is not None and not _force_python:
+        lengths = [stop - start for start, stop in zip(starts, stops)]
+        return _np.repeat(_np.asarray(flags, dtype=bool), lengths)
+    mask: list[bool] = []
+    for flag, start, stop in zip(flags, starts, stops):
+        mask.extend([flag] * (stop - start))
     return mask

@@ -81,14 +81,15 @@ def freshness_vector(
     their entries carry a constant feedback tag (-1) and survive
     ``remember()`` calls; statistics versions always participate.
     """
-    stats_versions = dict(database.statistics_versions(tables))
-    if use_feedback:
-        epochs = dict(feedback.table_epochs(tables))
-    else:
-        epochs = {}
+    stats_versions = database.statistics_versions(tables)
+    if not use_feedback:
+        return tuple((table, -1, version) for table, version in stats_versions)
+    # Both vectors list the same sorted, de-duplicated tables.
     return tuple(
-        (table, epochs.get(table, -1), stats_versions[table])
-        for table in sorted(set(tables))
+        (table, epoch, version)
+        for (table, epoch), (_, version) in zip(
+            feedback.table_epochs(tables), stats_versions
+        )
     )
 
 

@@ -28,7 +28,7 @@ repeated-query benchmarks and the CI plan-cache smoke assert against.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence, Union
 
 from repro.common.cancellation import CancellationToken
 from repro.core.planner import build_executable
@@ -62,13 +62,36 @@ STAGES: tuple[str, ...] = (
 )
 
 
-@dataclass
 class StageRecord:
-    """One lifecycle stage's outcome."""
+    """One lifecycle stage's outcome.
 
-    stage: str
-    status: str  # "ok" | "hit" | "miss" | "coalesced" | "bypassed" | "skipped"
-    detail: str = ""
+    ``detail`` may be given as a zero-argument callable; it is formatted
+    on the first read, so the warm path never pays for details nobody
+    looks at.  The callable must close over values only (never over state
+    that changes after the stage ended).
+    """
+
+    __slots__ = ("stage", "status", "_detail")
+
+    def __init__(
+        self, stage: str, status: str, detail: Union[str, Callable[[], str]] = ""
+    ) -> None:
+        self.stage = stage
+        #: "ok" | "hit" | "miss" | "coalesced" | "bypassed" | "skipped"
+        self.status = status
+        self._detail = detail
+
+    @property
+    def detail(self) -> str:
+        if not isinstance(self._detail, str):
+            self._detail = self._detail()
+        return self._detail
+
+    def __repr__(self) -> str:
+        return (
+            f"StageRecord(stage={self.stage!r}, status={self.status!r}, "
+            f"detail={self.detail!r})"
+        )
 
     def render(self) -> str:
         return f"{self.stage}:{self.status}" + (
@@ -84,8 +107,10 @@ class LifecycleTrace:
     #: Plan-cache outcome: "hit", "miss", "coalesced", or "bypassed".
     cache_event: str = "bypassed"
 
-    def record(self, stage: str, status: str, detail: str = "") -> None:
-        self.records.append(StageRecord(stage=stage, status=status, detail=detail))
+    def record(
+        self, stage: str, status: str, detail: Union[str, Callable[[], str]] = ""
+    ) -> None:
+        self.records.append(StageRecord(stage, status, detail))
 
     def stage(self, name: str) -> Optional[StageRecord]:
         for entry in self.records:
@@ -166,17 +191,19 @@ class QueryLifecycle:
         trace.record(
             "canonicalize",
             "ok",
-            f"key={canonical.key!r} tables={list(canonical.tables)}",
+            lambda: f"key={canonical.key!r} tables={list(canonical.tables)}",
         )
 
         # Injections and the freshness vector must describe the same
-        # feedback-store state, so they are snapshotted atomically.
+        # feedback-store state, so they are snapshotted atomically.  The
+        # session's own set is passed as it is: the key, the optimizer and
+        # the linter only look entries up.
         if use_feedback:
             injections, _ = session.feedback.snapshot_injections(
                 session.injections.copy(), canonical.tables
             )
         else:
-            injections = session.injections.copy()
+            injections = session.injections
 
         cache = session.plan_cache
         if cache is None:
@@ -204,11 +231,7 @@ class QueryLifecycle:
 
         plan_node, event = cache.get_or_build(key, freshness, builder)
         trace.cache_event = event
-        trace.record(
-            "plan-cache",
-            event,
-            f"epochs={[(t, e, s) for t, e, s in freshness]}",
-        )
+        trace.record("plan-cache", event, lambda: f"epochs={list(freshness)}")
         if built:
             trace.records.extend(built)
         else:
@@ -305,11 +328,12 @@ class QueryLifecycle:
         build = build_executable(
             plan_node, session.database, list(requests), session.monitor_config
         )
+        # Formatted here, not on first read: a deferred detail would keep
+        # the whole operator tree alive for as long as the trace is.
         summary = build.summary()
-        if watchdog is not None:
-            attach = getattr(watchdog, "attach", None)
-            if attach is not None:
-                summary += f", watchdog on {attach(build.root)} scan(s)"
+        attach = getattr(watchdog, "attach", None)
+        if attach is not None:
+            summary += f", watchdog on {attach(build.root)} scan(s)"
         trace.record("monitor-plan", "ok", summary)
         result = execute(
             build.root,
@@ -321,11 +345,13 @@ class QueryLifecycle:
             watchdog=watchdog,
         )
         result.runstats.observations.extend(build.unanswerable)
+        num_rows = len(result.rows)
+        physical_reads = result.runstats.physical_reads
         trace.record(
             "execute",
             "ok",
-            f"mode={exec_mode} rows={result.rows} "
-            f"physical_reads={result.runstats.physical_reads}",
+            lambda: f"mode={exec_mode} rows={num_rows} "
+            f"physical_reads={physical_reads}",
         )
         executed = ExecutedQuery(
             query=query, plan=plan_node, result=result, trace=trace
@@ -335,9 +361,20 @@ class QueryLifecycle:
             trace.record("harvest", "ok", f"{stored} observation(s) remembered")
         else:
             trace.record("harvest", "skipped", "remember not requested")
-        result.runstats.lifecycle = trace.to_dict()
-        if session.plan_cache is not None:
-            result.runstats.lifecycle["plan_cache"] = (
-                session.plan_cache.stats.snapshot()
-            )
+        # What the run reports is fixed here; only its formatting waits
+        # for a reader (RunStats.lifecycle resolves the callable once).
+        reported = LifecycleTrace(list(trace.records), trace.cache_event)
+        counters = (
+            session.plan_cache.stats.snapshot()
+            if session.plan_cache is not None
+            else None
+        )
+
+        def lifecycle() -> dict[str, Any]:
+            payload = reported.to_dict()
+            if counters is not None:
+                payload["plan_cache"] = counters
+            return payload
+
+        result.runstats.lifecycle = lifecycle
         return executed

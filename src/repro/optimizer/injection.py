@@ -40,6 +40,10 @@ def join_dpc_key(inner_table: str, join_predicate: JoinEquality) -> str:
     return JoinMethodRequest(inner_table, join_predicate).key()
 
 
+#: Fingerprint of a set with no entries (the warm path's usual case).
+_EMPTY_FINGERPRINT = hashlib.sha256().hexdigest()[:16]
+
+
 class InjectionSet:
     """Externally supplied estimates that override the optimizer's own."""
 
@@ -116,6 +120,8 @@ class InjectionSet:
         the same fingerprint regardless of insertion order; any differing
         entry changes it.
         """
+        if not self._cardinalities and not self._page_counts:
+            return _EMPTY_FINGERPRINT
         digest = hashlib.sha256()
         for prefix, entries in (
             ("C", self._cardinalities),

@@ -21,17 +21,19 @@ earlier term passed, so the per-term truth vectors and the total number of
 term evaluations are exactly what the row-at-a-time loop would have
 produced.  The column-oriented result is a :class:`BatchOutcome`.
 
-The unmonitored chunk scan adds the third:
+The chunk scan adds the third:
 :meth:`CompiledConjunction.evaluate_columns` runs each term's
 :meth:`~repro.sql.predicates.AtomicPredicate.matches_vector` over a whole
 column vector, producing a selection *bitmask* (:class:`VectorOutcome`).
 Masks are computed full-width (that is what makes them fast), but
 short-circuit semantics are preserved by masking: term *i*'s mask is
-ANDed with the rows alive after terms ``0..i-1``, a term reached by no
-alive row is not evaluated at all, and ``evaluations`` charges each term
-only for the rows the row-at-a-time loop would have evaluated it on — so
-Fig. 7/9 overhead accounting stays bit-identical.  It reports no per-term
-truth: monitors are page-granular and never see this path.
+ANDed with the rows alive after terms ``0..i-1``, and ``evaluations``
+charges each term only for the rows the row-at-a-time loop would have
+evaluated it on — so Fig. 7/9 overhead accounting stays bit-identical.
+Per-term truth is reported as masks too: the cumulative ``alive`` masks
+(under short-circuiting, "term *i* came out TRUE" is "alive after term
+*i*") and, for rows of DPSample-selected pages, the raw un-short-circuited
+term masks — the scan folds those into per-page flags for its monitors.
 """
 
 from __future__ import annotations
@@ -131,15 +133,29 @@ class VectorOutcome:
 
     ``passed`` is the evaluated prefix's truth per row, as a mask (see
     :mod:`repro.exec.vector`), and ``evaluations`` counts term evaluations
-    exactly as the short-circuiting row-at-a-time loop would have.
+    exactly as the row-at-a-time loop would have.  ``alive[i]`` is the
+    mask of rows that passed terms ``0..i`` of the prefix — the rows on
+    which short-circuited evaluation reports term *i* TRUE.  ``raw[i]``
+    is term *i*'s own mask over the whole conjunction, present only when
+    some rows were evaluated in full (``full_rows``); it is meaningful on
+    those rows alone.
     """
 
-    __slots__ = ("passed", "evaluations", "num_rows")
+    __slots__ = ("passed", "evaluations", "num_rows", "alive", "raw")
 
-    def __init__(self, passed, evaluations: int, num_rows: int) -> None:
+    def __init__(
+        self,
+        passed,
+        evaluations: int,
+        num_rows: int,
+        alive: list,
+        raw: Optional[list] = None,
+    ) -> None:
         self.passed = passed
         self.evaluations = evaluations
         self.num_rows = num_rows
+        self.alive = alive
+        self.raw = raw
 
 
 class CompiledConjunction:
@@ -271,13 +287,19 @@ class CompiledConjunction:
         columns: Sequence,
         num_rows: int,
         num_terms: Optional[int] = None,
+        full_rows=None,
     ) -> VectorOutcome:
         """Evaluate the first ``num_terms`` terms over column vectors.
 
-        The columnar mirror of short-circuiting :meth:`evaluate_batch`:
-        each term becomes one whole-vector compare producing a bitmask.
-        ``passed`` and the evaluation count match the row-at-a-time loop
-        exactly.
+        The columnar mirror of :meth:`evaluate_batch`: each term becomes
+        one whole-vector compare producing a bitmask.  ``full_rows`` is
+        the mask of rows on which the *whole* conjunction is evaluated
+        with short-circuiting off (rows of DPSample-selected pages,
+        Fig. 4 step 4); every other row gets the short-circuited prefix.
+        ``passed``, ``alive`` and the evaluation count match the
+        row-at-a-time loop exactly: a kernel may physically run on rows
+        that loop would have skipped, but only the rows it would have
+        evaluated are charged.
         """
         vec = _vec()
         total = len(self._kernels)
@@ -288,28 +310,43 @@ class CompiledConjunction:
                 f"prefix of {num_terms} terms out of range for "
                 f"{total}-term conjunction"
             )
-        evaluations = 0
-        # Masked short-circuit: ``alive`` is the mask of rows every term so
-        # far passed; ``None`` means "all rows" (fast common case).  A term
-        # is charged only for the rows alive when it ran, and a term with
-        # no alive rows left is not evaluated at all — exactly mirroring
-        # the selection-vector path above.
-        alive = None
+        kernels = self._vector_kernels
+        raw = None
+        full_count = 0
+        if full_rows is not None:
+            raw = [kernels[i](columns) for i in range(total)]
+            full_count = vec.mask_count(full_rows)
+        evaluations = total * full_count
+        # Masked short-circuit: ``current`` is the mask of rows every term
+        # so far passed, starting from all rows.  A term is charged only
+        # for the short-circuited rows alive when it ran, and once no row
+        # is alive the later terms are not evaluated at all — exactly
+        # mirroring the selection-vector path above.
+        current = vec.ones_mask(num_rows)
         alive_count = num_rows
+        alive: list = []
         for i in range(num_terms):
-            if alive is not None and alive_count == 0:
-                break  # every row short-circuited: later terms unevaluated
-            mask = self._vector_kernels[i](columns)
-            evaluations += alive_count
-            if alive is None:
-                if not vec.mask_all(mask):
-                    alive = mask
-                    alive_count = vec.mask_count(mask)
+            if alive_count == 0 and raw is None:
+                alive.append(current)
+                continue  # every row short-circuited: term unevaluated
+            if full_count == 0:
+                evaluations += alive_count
+            elif alive_count == num_rows:
+                evaluations += num_rows - full_count
+            elif full_count < num_rows:
+                evaluations += alive_count - vec.mask_count(
+                    vec.mask_and(current, full_rows)
+                )
+            mask = raw[i] if raw is not None else kernels[i](columns)
+            if alive_count < num_rows:
+                current = vec.mask_and(current, mask)
+                alive_count = vec.mask_count(current)
             else:
-                alive = vec.mask_and(alive, mask)
-                alive_count = vec.mask_count(alive)
-        passed = alive if alive is not None else vec.ones_mask(num_rows)
-        return VectorOutcome(passed, evaluations, num_rows)
+                alive_count = vec.mask_count(mask)
+                if alive_count < num_rows:
+                    current = mask
+            alive.append(current)
+        return VectorOutcome(current, evaluations, num_rows, alive, raw)
 
 
 class BoundConjunction:

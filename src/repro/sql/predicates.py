@@ -21,6 +21,7 @@ from __future__ import annotations
 import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.common.errors import ExpressionError
@@ -99,11 +100,17 @@ class AtomicPredicate(ABC):
     def __repr__(self) -> str:
         return self.key()
 
+    @cached_property
+    def _identity(self) -> str:
+        """:meth:`key`, rendered once: predicates are immutable, and the
+        monitor planner compares and hashes terms on every request."""
+        return self.key()
+
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, AtomicPredicate) and self.key() == other.key()
+        return isinstance(other, AtomicPredicate) and self._identity == other._identity
 
     def __hash__(self) -> int:
-        return hash(self.key())
+        return hash(self._identity)
 
 
 @dataclass(frozen=True, eq=False)

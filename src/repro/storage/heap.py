@@ -64,9 +64,9 @@ class FileColumns:
             self._columns[position] = column
         return column
 
-    def page_offset(self, page_id: int) -> int:
-        """Row offset of ``page_id``'s first row within the file."""
-        return self._offsets[page_id]
+    def page_starts(self, first_page: int, page_count: int) -> list[int]:
+        """File-level row offset of each page of a contiguous page run."""
+        return self._offsets[first_page : first_page + page_count]
 
     def slice_rows(self, start: int, stop: int) -> "Any":
         """An arbitrary contiguous row range as a zero-copy columns view."""
@@ -187,44 +187,48 @@ class DataFile:
         rows_per_chunk: int,
         start_page: int = 0,
         end_page: Optional[int] = None,
-    ) -> Iterator[tuple[PageId, int, Any, int]]:
+    ) -> Iterator[tuple[PageId, int, Any, int, list[int]]]:
         """Columnar scan in multi-page chunks:
-        ``(first_page_id, page_count, columns_view, num_rows)``.
+        ``(first_page_id, page_count, columns_view, num_rows, page_starts)``.
 
-        Groups contiguous pages until a chunk reaches ``rows_per_chunk``
-        rows, so one whole-vector kernel evaluation covers many simulated
-        pages — the granularity at which NumPy dispatch overhead
-        amortizes.  Page order and per-page sequential I/O charging are
-        exactly those of :meth:`scan_pages`; only callers whose other
-        accounting is additive across pages (unmonitored scans) may use
-        chunks, since monitors are page-granular.
+        Groups contiguous whole pages until a chunk reaches
+        ``rows_per_chunk`` rows, so one whole-vector kernel evaluation
+        covers many simulated pages — the granularity at which NumPy
+        dispatch overhead amortizes.  Page order and per-page sequential
+        I/O charging are exactly those of :meth:`scan_pages`.
+        ``page_starts`` lists each page's first row within the chunk
+        (``page_starts[0] == 0``): a caller whose accounting is per page
+        rather than additive across pages (scan monitors count *pages*
+        with a witness row) reduces its chunk-wide masks over those
+        segments, so the kernel can be wider than a page while the
+        counters stay page-granular.
         """
         columns = self.file_columns()
         chunk_start: Optional[PageId] = None
         chunk_rows = 0
         chunk_pages = 0
+
+        def chunk() -> tuple[PageId, int, Any, int, list[int]]:
+            starts = columns.page_starts(chunk_start, chunk_pages)
+            offset = starts[0]
+            return (
+                chunk_start,
+                chunk_pages,
+                columns.slice_rows(offset, offset + chunk_rows),
+                chunk_rows,
+                [start - offset for start in starts],
+            )
+
         for page_id, page in self.scan_pages(io, start_page, end_page):
             if chunk_start is None:
                 chunk_start = page_id
             chunk_rows += page.num_rows
             chunk_pages += 1
             if chunk_rows >= rows_per_chunk:
-                offset = columns.page_offset(chunk_start)
-                yield (
-                    chunk_start,
-                    chunk_pages,
-                    columns.slice_rows(offset, offset + chunk_rows),
-                    chunk_rows,
-                )
+                yield chunk()
                 chunk_start, chunk_rows, chunk_pages = None, 0, 0
         if chunk_start is not None:
-            offset = columns.page_offset(chunk_start)
-            yield (
-                chunk_start,
-                chunk_pages,
-                columns.slice_rows(offset, offset + chunk_rows),
-                chunk_rows,
-            )
+            yield chunk()
 
     def scan_rows(self, io: IOContext) -> Iterator[tuple[PageId, int, tuple]]:
         """Full scan yielding ``(page_id, slot, row)`` in grouped page order.

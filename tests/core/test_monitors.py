@@ -123,6 +123,93 @@ class TestSampledCounting:
         assert 20 < sum(flags) < 80  # only sampled pages
 
 
+class TestPageFlagFeed:
+    """The chunk feed: coins per page in page order, flags per page in."""
+
+    def mixed_bundle(self, fraction=0.5, seed=3):
+        bundle = ScanMonitorBundle(
+            "t", 1, sampler=BernoulliPageSampler(fraction, seed=seed)
+        )
+        bundle.add_expression_request(request(), (0,), exact=True)
+        bundle.add_expression_request(request(), (1,), exact=False)
+        return bundle
+
+    def test_same_coins_and_counts_as_the_page_feed(self):
+        flags = [page % 3 != 0 for page in range(40)]
+        io_pages, io_chunks = IOContext(), IOContext()
+        by_page = self.mixed_bundle()
+        for page, flag in enumerate(flags):
+            by_page.start_page(PageId(page))
+            full = by_page.needs_full_evaluation()
+            by_page.observe_row(outcome(flag, flag if full else None), (), io_pages)
+            by_page.observe_row(outcome(False, False if full else None), (), io_pages)
+            by_page.end_page()
+        by_chunk = self.mixed_bundle()
+        for first in range(0, 40, 16):  # chunks of 16, 16 and 8 pages
+            chunk = flags[first : first + 16]
+            sampled = by_chunk.sample_pages(PageId(first), len(chunk))
+            by_chunk.observe_pages([chunk, chunk], sampled, 2 * len(chunk), io_chunks)
+        assert by_chunk.sampler.pages_seen == by_page.sampler.pages_seen == 40
+        assert by_chunk.sampler.pages_sampled == by_page.sampler.pages_sampled
+        assert [
+            (o.key, o.mechanism, o.estimate, o.exact, o.details)
+            for o in by_chunk.finish()
+        ] == [
+            (o.key, o.mechanism, o.estimate, o.exact, o.details)
+            for o in by_page.finish()
+        ]
+        assert io_chunks.cpu_ms == pytest.approx(io_pages.cpu_ms)
+        assert by_chunk.progress() == by_page.progress()
+
+    def test_exact_only_bundle_draws_no_coins(self):
+        bundle = ScanMonitorBundle("t", 1)
+        bundle.add_expression_request(request(), (0,), exact=True)
+        assert bundle.sample_pages(PageId(0), 3) == [False, False, False]
+        bundle.observe_pages([[True, False, True]], [False] * 3, 30, IOContext())
+        (observation,) = bundle.finish()
+        assert observation.estimate == 2.0 and observation.exact
+
+    def test_sampler_required_for_nonprefix(self):
+        bundle = ScanMonitorBundle("t", 1)
+        bundle.add_expression_request(request(), (0,), exact=False)
+        with pytest.raises(MonitorError):
+            bundle.sample_pages(PageId(0), 2)
+
+    def test_observe_without_sample_rejected(self):
+        bundle = self.mixed_bundle()
+        with pytest.raises(MonitorError):
+            bundle.observe_pages([[True], [True]], [True], 1, IOContext())
+
+    def test_page_count_mismatch_rejected(self):
+        bundle = self.mixed_bundle()
+        sampled = bundle.sample_pages(PageId(0), 2)
+        with pytest.raises(MonitorError):
+            bundle.observe_pages([[True], [True]], sampled[:1], 1, IOContext())
+        with pytest.raises(MonitorError):
+            bundle.observe_pages([[True, True], [True]], sampled, 1, IOContext())
+        with pytest.raises(MonitorError):
+            bundle.observe_pages([[True, True]], sampled, 1, IOContext())
+
+    def test_feeds_do_not_interleave(self):
+        bundle = self.mixed_bundle()
+        bundle.sample_pages(PageId(0), 2)
+        with pytest.raises(MonitorError):
+            bundle.start_page(PageId(2))
+        with pytest.raises(MonitorError):
+            bundle.sample_pages(PageId(2), 2)
+        other = self.mixed_bundle()
+        other.start_page(PageId(0))
+        with pytest.raises(MonitorError):
+            other.sample_pages(PageId(1), 1)
+
+    def test_bitvector_entries_need_rows(self):
+        bundle = self.mixed_bundle()
+        bundle.add_bitvector_request(request(), 0, BitVectorFilter(64))
+        assert not bundle.supports_page_flags
+        with pytest.raises(MonitorError):
+            bundle.sample_pages(PageId(0), 1)
+
+
 class TestBitVectorEntries:
     def test_semijoin_page_counting(self):
         io = IOContext()

@@ -124,6 +124,69 @@ def test_mask_and_mixes_representations(backend):
     assert vector.mask_values(combined) == [False, True, False, True]
 
 
+def test_segment_any_flags_pages_with_a_set_row(backend):
+    mask = vector.compare_mask(vector.make_column([0, 0, 1, 0, 0, 0, 1, 1]), ">", 0)
+    # Pages of 3, 3 and a final partial page of 2 rows.
+    assert vector.segment_any(mask, [0, 3, 6]) == [True, False, True]
+    assert vector.segment_any(mask, [0, 2, 6]) == [False, True, True]
+    # A one-page chunk, and the list representation of the same mask.
+    assert vector.segment_any(mask, [0]) == [True]
+    assert vector.segment_any(vector.mask_values(mask), [0, 3, 6]) == [
+        True, False, True,
+    ]
+    nothing = vector.compare_mask(vector.make_column([0, 0, 0]), ">", 0)
+    assert vector.segment_any(nothing, [0, 1]) == [False, False]
+    flags = vector.segment_any(mask, [0, 3, 6])
+    assert all(type(flag) is bool for flag in flags)
+
+
+def test_segment_expand_spreads_page_flags_over_rows(backend):
+    rows = vector.segment_expand([True, False, True], [0, 3, 6], 8)
+    assert vector.mask_values(rows) == [
+        True, True, True, False, False, False, True, True,
+    ]
+    assert vector.mask_values(vector.segment_expand([False], [0], 2)) == [
+        False, False,
+    ]
+    flags = [True, False, True]
+    assert vector.segment_any(vector.segment_expand(flags, [0, 3, 6], 8), [0, 3, 6]) == flags
+
+
+def test_evaluate_columns_full_rows_match_the_row_loop(backend):
+    """Rows of sampled pages get the whole conjunction, un-short-circuited;
+    the rest the short-circuited prefix — truth and charges as per row."""
+    rows = [(i, (i * 37) % 50, i % 7) for i in range(60)]
+    bound = BoundConjunction(
+        conjunction_of(
+            Comparison("k", "<", 40), Comparison("v", ">=", 10), Comparison("w", "<", 3)
+        ),
+        ("k", "v", "w"),
+    )
+    starts = [0, 20, 40]
+    full = vector.segment_expand([False, True, False], starts, len(rows))
+    outcome = bound.compile().evaluate_columns(
+        vector.columns_from_rows(rows, 3), len(rows), 2, full
+    )
+    per_row = [
+        bound.evaluate(row, short_circuit=False)
+        if 20 <= index < 40
+        else bound.evaluate_prefix(row, 2)
+        for index, row in enumerate(rows)
+    ]
+    assert outcome.evaluations == sum(o.evaluations for o in per_row)
+    assert vector.mask_values(outcome.passed) == [
+        all(o.truth[:2]) for o in per_row
+    ]
+    for term in range(2):
+        assert vector.mask_values(outcome.alive[term]) == [
+            all(value is True for value in o.truth[: term + 1]) for o in per_row
+        ]
+    for term in range(3):
+        assert vector.mask_values(outcome.raw[term])[20:40] == [
+            o.truth[term] for o in per_row[20:40]
+        ]
+
+
 def test_evaluate_columns_matches_evaluate_batch(backend):
     rows = [(i, (i * 37) % 50) for i in range(200)]
     columns = vector.columns_from_rows(rows, 2)

@@ -57,6 +57,32 @@ class TestTraceWithoutCache:
         assert len(payload["lifecycle"]["stages"]) == len(STAGES)
 
 
+    def test_execute_stage_reports_a_row_count_not_the_rows(self, synthetic_db):
+        # A rowset plan (the scan under the count, run on its own): the
+        # stage detail ships in runstats.lifecycle over the wire, so it
+        # must stay O(1) however many rows come back.
+        session = Session(synthetic_db)
+        query = query_on(cut=40)
+        scan_plan = session.optimize(query).child
+        executed = session.run_plan(query, scan_plan)
+        assert len(executed.result.rows) == 40
+        detail = executed.trace.stage("execute").detail
+        assert detail.startswith("mode=row rows=40 physical_reads=")
+        stages = executed.result.runstats.to_dict()["lifecycle"]["stages"]
+        assert stages[-2]["detail"] == detail
+
+    def test_stage_details_are_fixed_when_the_run_returns(self, synthetic_db):
+        # Details are formatted on first read; what they say is not.
+        session = Session(synthetic_db)
+        executed = session.run(query_on())
+        executed.trace.record("late", "ok", "not part of the run's report")
+        executed.result.rows.append(("late",))
+        lifecycle = executed.result.runstats.lifecycle
+        assert [s["stage"] for s in lifecycle["stages"]] == list(STAGES)
+        assert lifecycle["stages"][5]["detail"].startswith("mode=row rows=1 ")
+        assert executed.result.runstats.lifecycle is lifecycle
+
+
 class TestTraceWithCache:
     def test_second_run_hits_and_skips_optimize(self, synthetic_db):
         engine = Engine(synthetic_db)
