@@ -21,6 +21,11 @@ at a glance:
   and a DPSample request attached, beside its unmonitored twin: rows/second
   each and the monitored/unmonitored wall ratio (the wall-clock price of
   switching the monitors on; ``benchmarks/smoke_batch.py`` gates it);
+* **hash join** — one monitored Fig. 8 hash join (``t1.c1 < N AND t1.c3
+  = t.c3`` with its bit-vector request): milliseconds per statement in
+  batch mode, monitored and unmonitored, and the batch-over-row ratio
+  (the probe-side scan rides the chunk scan; ``smoke_batch.py`` gates
+  the ratio);
 * **plancache** — the plan-cache smoke gate's violation list, so the
   artifact also witnesses that caching still behaves;
 * **service throughput** — the closed-loop service sweep (cold vs. warm
@@ -163,6 +168,26 @@ def _monitored_scan() -> dict:
     }
 
 
+def _hash_join() -> dict:
+    """Wall cost of one monitored Fig. 8 hash join (smoke_batch's probe)."""
+    seconds = smoke_batch.hash_join_seconds(
+        build_synthetic_database(
+            num_rows=smoke_batch.SCAN_ROWS, seed=smoke_batch.SEED, with_copy=True
+        )
+    )
+    return {
+        "num_rows": smoke_batch.SCAN_ROWS,
+        "statement": (
+            f"t1.c1 < {smoke_batch.HASH_JOIN_OUTER_ROWS} AND t1.c3 = t.c3, "
+            "bit-vector request"
+        ),
+        "batch_monitored_ms": round(seconds["batch"] * 1e3, 2),
+        "batch_unmonitored_ms": round(seconds["batch_unmonitored"] * 1e3, 2),
+        "row_monitored_ms": round(seconds["row"] * 1e3, 2),
+        "batch_over_row": round(seconds["row"] / seconds["batch"], 1),
+    }
+
+
 def _sharded_throughput() -> dict:
     """Simulated scatter-gather scan speedup at the smoke's shard count."""
     serial_ms, sharded_ms, speedup = smoke_shard.scan_speedup()
@@ -195,6 +220,7 @@ def build_entry() -> dict:
         "fig6": _fig6_all_modes(),
         "scan_throughput": _scan_throughput(),
         "monitored_scan": _monitored_scan(),
+        "hash_join": _hash_join(),
         "sharded": _sharded_throughput(),
         "plancache_smoke_violations": smoke_plancache.run_smoke(),
         "service_throughput": bench_service_throughput.run_bench(),

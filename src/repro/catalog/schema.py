@@ -98,6 +98,28 @@ class TableSchema:
             col.sql_type.validate(value) for col, value in zip(self.columns, row)
         )
 
+    def validate_rows(self, rows: Sequence[Sequence[Any]]) -> list[tuple]:
+        """Type-check many rows (bulk load); returns them as tuples.
+
+        Checked a column at a time: when every row is a tuple of the
+        right arity and every value of a column has exactly the column's
+        Python type, nothing needs converting and the tuples are returned
+        as they are.  Anything else — NULLs, bools, ints to widen in a
+        FLOAT column, lists, wrong arity — takes :meth:`validate_row` row
+        by row, so the first offender raises the same :class:`SchemaError`.
+        """
+        rows = rows if isinstance(rows, list) else list(rows)
+        if (
+            set(map(type, rows)) == {tuple}
+            and set(map(len, rows)) == {len(self.columns)}
+            and all(
+                set(map(type, values)) == {column.sql_type.python_type}
+                for column, values in zip(self.columns, zip(*rows))
+            )
+        ):
+            return rows
+        return [self.validate_row(row) for row in rows]
+
     def __len__(self) -> int:
         return len(self.columns)
 

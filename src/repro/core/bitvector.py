@@ -23,7 +23,7 @@ keys (§IV, Merge Join).
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from typing import Any, Iterable, Sequence
 
 from repro.common.errors import MonitorError
 from repro.common.hashing import hash_value
@@ -65,6 +65,19 @@ class BitVectorFilter:
             bucket = hash_value(value, self.seed) % self.num_bits
         return bucket >> 3, 1 << (bucket & 7)
 
+    def int_positions(self, values: Any) -> tuple[Any, Any]:
+        """:meth:`_position` of a whole integer array: ``(byte indexes,
+        bit masks)`` by the same identity-mod rule.
+
+        Element-wise operator arithmetic, so this module imports no
+        NumPy; the chunk scan's prober places a key column through it.
+        The per-value paths stay on :meth:`_position` (a nested call per
+        value costs more than this second line), and
+        ``tests/core/test_bitvector.py`` pins the two together.
+        """
+        bucket = values % self.num_bits
+        return bucket >> 3, 1 << (bucket & 7)
+
     def insert(self, value: Any) -> None:
         """Set the bit for a build-side join value (build phase)."""
         byte_index, bit_mask = self._position(value)
@@ -74,8 +87,19 @@ class BitVectorFilter:
         self.inserts += 1
 
     def insert_all(self, values: Iterable[Any]) -> None:
+        """:meth:`insert` each value, as one tight loop (a build batch)."""
+        bits = self._bits
+        position = self._position
+        newly_set = 0
+        inserted = 0
         for value in values:
-            self.insert(value)
+            byte_index, bit_mask = position(value)
+            if not bits[byte_index] & bit_mask:
+                bits[byte_index] |= bit_mask
+                newly_set += 1
+            inserted += 1
+        self._bits_set += newly_set
+        self.inserts += inserted
 
     def may_contain(self, value: Any) -> bool:
         """Probe for a probe-side join value (probe phase).
@@ -86,6 +110,27 @@ class BitVectorFilter:
         byte_index, bit_mask = self._position(value)
         self.probes += 1
         return bool(self._bits[byte_index] & bit_mask)
+
+    def first_hit(self, values: Sequence[Any]) -> int:
+        """Index of the first value :meth:`may_contain` would accept, or
+        ``len(values)`` when none would; NULL is never accepted.
+
+        Counts no probes: the caller knows how many of the values it
+        really probed and adds them to :attr:`probes` itself.
+        """
+        bits = self._bits
+        position = self._position
+        for index, value in enumerate(values):
+            if value is not None:
+                byte_index, bit_mask = position(value)
+                if bits[byte_index] & bit_mask:
+                    return index
+        return len(values)
+
+    @property
+    def bits(self) -> bytearray:
+        """The bit array itself, for zero-copy views — read-only."""
+        return self._bits
 
     @property
     def bits_set(self) -> int:
@@ -122,6 +167,10 @@ class PartialBitVectorFilter(BitVectorFilter):
         super().insert(value)
         if self.high_key is None or value > self.high_key:
             self.high_key = value
+
+    def insert_all(self, values: Iterable[Any]) -> None:
+        for value in values:
+            self.insert(value)
 
 
 def recommended_bitvector_bits(

@@ -31,6 +31,7 @@ the measured monitoring overhead decomposes exactly as in Figs. 7 and 9.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from operator import and_
 from typing import Any, Optional, Sequence
 
@@ -47,6 +48,12 @@ from repro.core.requests import (
 from repro.sql.evaluator import BatchOutcome, TermOutcome
 from repro.sql.predicates import AtomicPredicate, Conjunction
 from repro.storage.accounting import IOContext
+
+
+#: One bit-vector entry's per-page verdicts for a chunk: ``(flags, probes,
+#: lookups)``, each one value per page (see
+#: :meth:`ScanMonitorBundle.observe_pages`).
+ProbeVerdicts = tuple[Sequence[bool], Sequence[int], Sequence[int]]
 
 
 @dataclass(frozen=True)
@@ -193,12 +200,13 @@ class ScanMonitorBundle:
       :meth:`needs_full_evaluation` tells the scan whether the current
       page requires short-circuiting to be off (Fig. 4 step 4).
     * **per chunk of pages** — :meth:`sample_pages` for the chunk's coin
-      flips, then :meth:`observe_pages` with one flag per page per
-      expression entry.  The scan reduces its chunk-wide witness masks
-      to those flags itself; no row or row mask crosses this seam.
-      Bit-vector entries cannot be fed this way (their probe charging
-      stops at the first hit in *row* order): see
-      :attr:`supports_page_flags`.
+      flips, then :meth:`observe_pages` with one verdict per page per
+      entry: a flag for an expression entry, and for a bit-vector entry
+      the flag plus how many rows the prober got through — probing
+      stops at a page's first hit, so that is the first hit's offset
+      plus one, or the page's row count.  The scan reduces its
+      chunk-wide witness and filter-hit masks to those verdicts itself;
+      no row or row mask crosses this seam.
 
     :meth:`finish` yields the observations.
     """
@@ -360,11 +368,6 @@ class ScanMonitorBundle:
     # Scan-side protocol, a chunk of pages at a time
     # ------------------------------------------------------------------
     @property
-    def supports_page_flags(self) -> bool:
-        """Whether every entry can be fed per-page flags."""
-        return not self._bitvector_entries
-
-    @property
     def evaluates_sampled_pages_in_full(self) -> bool:
         """Whether rows of sampled pages need short-circuiting off."""
         return self._any_nonprefix
@@ -381,6 +384,13 @@ class ScanMonitorBundle:
             (entry.term_indexes, entry.exact) for entry in self._expression_entries
         ]
 
+    def bitvector_probes(self) -> list[tuple[int, BitVectorFilter]]:
+        """``(column_position, filter)`` per bit-vector entry, in the order
+        :meth:`observe_pages` takes its probe verdicts."""
+        return [
+            (entry.column_position, entry.filter) for entry in self._bitvector_entries
+        ]
+
     def sample_pages(self, first_page_id: PageId, page_count: int) -> list[bool]:
         """The Bernoulli decisions for ``page_count`` consecutive pages.
 
@@ -390,11 +400,6 @@ class ScanMonitorBundle:
         """
         if self._in_page or self._pages_pending:
             raise MonitorError("sample_pages called with a page or chunk still open")
-        if not self.supports_page_flags:
-            raise MonitorError(
-                f"scan of {self.table_name} has bit-vector requests, which "
-                "must be fed rows in page order"
-            )
         self._pages_pending = page_count
         if not self.needs_sampler:
             return [False] * page_count
@@ -414,8 +419,9 @@ class ScanMonitorBundle:
         sampled_pages: Sequence[bool],
         num_rows: int,
         io: IOContext,
+        probes_per_entry: Sequence[ProbeVerdicts] = (),
     ) -> None:
-        """Fold one chunk's per-page flags into the counters.
+        """Fold one chunk's per-page verdicts into the counters.
 
         ``flags_per_entry[k][p]`` is entry *k*'s flag for the chunk's
         page *p* (entries as in :meth:`page_flag_witnesses`);
@@ -424,6 +430,16 @@ class ScanMonitorBundle:
         pages of the sample.  The per-row monitor check of §III-B is
         charged for the chunk's ``num_rows`` rows, as the per-page feed
         charges it.
+
+        ``probes_per_entry[k]`` is bit-vector entry *k*'s ``(flags,
+        probes, lookups)`` (entries as in :meth:`bitvector_probes`): per
+        page, whether some row hit the filter, how many rows were probed
+        before probing stopped, and how many of those carried a value
+        (a NULL is probed and charged but never reaches the filter).
+        Only sampled pages are probed, so only theirs are folded: flagged
+        ones are counted, their probes charged, their lookups added to
+        the filter's own ``probes`` counter — the totals the per-page
+        feed reaches one ``may_contain`` at a time.
         """
         page_count = len(sampled_pages)
         if not self._pages_pending or page_count != self._pages_pending:
@@ -434,6 +450,17 @@ class ScanMonitorBundle:
                 f"observe_pages got {len(flags_per_entry)} flag lists for "
                 f"{len(entries)} entries"
             )
+        if len(probes_per_entry) != len(self._bitvector_entries):
+            raise MonitorError(
+                f"observe_pages got {len(probes_per_entry)} probe verdicts for "
+                f"{len(self._bitvector_entries)} bit-vector entries"
+            )
+        for verdicts in probes_per_entry:
+            if [len(per_page) for per_page in verdicts] != [page_count] * 3:
+                raise MonitorError(
+                    "observe_pages needs (flags, probes, lookups) for each of "
+                    f"the {page_count} pages per bit-vector entry"
+                )
         self._pages_pending = 0
         io.charge_monitor_checks(num_rows)
         for entry, flags in zip(entries, flags_per_entry):
@@ -445,6 +472,14 @@ class ScanMonitorBundle:
                 entry.satisfied_pages += sum(flags)
             else:
                 entry.satisfied_pages += sum(map(and_, flags, sampled_pages))
+        for bv_entry, (flags, probes, lookups) in zip(
+            self._bitvector_entries, probes_per_entry
+        ):
+            bv_entry.satisfied_pages += sum(map(and_, flags, sampled_pages))
+            probed = sum(compress(probes, sampled_pages))
+            if probed:
+                io.charge_bitvector_probes(probed)
+            bv_entry.filter.probes += sum(compress(lookups, sampled_pages))
 
     # ------------------------------------------------------------------
     # Results

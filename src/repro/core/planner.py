@@ -619,6 +619,12 @@ def _build_hash(plan: HashJoinPlan, state: _Instrumentation) -> Operator:
             )
     build_operator = _build(plan.build, state)
     probe_operator = _build(plan.probe, state)
+    if isinstance(probe_operator, SeqScan):
+        # The probe reads the key column and materialises only the rows
+        # that join, so the scan may emit column chunks; the filter it
+        # probes is complete before the first one is pulled.  (The build
+        # side wants every row as a tuple and keeps the page loop.)
+        probe_operator.parent_consumes_columns = True
     if matches and probe_conjunction is not None:
         bitvector = BitVectorFilter(
             state.bitvector_bits(plan.build_table, plan.probe_table),

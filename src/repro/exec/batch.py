@@ -17,9 +17,12 @@ interface:
   see :mod:`repro.exec.vector`) plus a row count.  Only the chunk
   scan (:meth:`repro.exec.scans.SeqScan.batches`) builds these,
   straight from the file-level column cache with zero copying on
-  all-pass chunks, and only when its parent consumes columns
-  (``CountAggregate``/``GroupByCountAggregate``) — so a column batch is
-  never transposed back into rows on a production path.
+  all-pass chunks, and only when its parent consumes columns:
+  ``CountAggregate``/``GroupByCountAggregate``, which read one column,
+  and ``HashJoin`` on its probe side, which reads the key column and
+  gathers row tuples for the matching positions only — so a column
+  batch is never transposed back into rows wholesale on a production
+  path.
 
 Either way the logical content is the same ordered run of rows the row
 iterator would have yielded, which is what makes row ≡ batch

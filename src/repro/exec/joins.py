@@ -12,7 +12,11 @@ The monitoring story differs per method, mirroring the paper:
   planner hands the operator a :class:`~repro.core.bitvector.BitVectorFilter`;
   the build phase inserts every build-side join value (the SE→RE callback
   of §V-A), and the probe-side *scan* probes the filter on sampled pages
-  as a derived semi-join predicate (Fig. 5).
+  as a derived semi-join predicate (Fig. 5).  In batch mode the probe is
+  a column consumer: a probe-side table scan hands it multi-page column
+  chunks, it tests each chunk's key column against the build keys in one
+  pass and builds row tuples only for the positions that join (the build
+  side, whose every row goes into the hash table, stays row lists).
 
 * **Merge Join** — same bit-vector idea; with a blocking Sort on the outer
   the vector is complete before the inner is pulled ("blocking" mode), and
@@ -29,6 +33,7 @@ from typing import Any, Iterator, Optional
 from repro.common.errors import ExecutionError
 from repro.core.bitvector import BitVectorFilter, PartialBitVectorFilter
 from repro.core.monitors import FetchMonitorBundle
+from repro.exec import vector
 from repro.exec.base import ExecutionContext, Operator
 from repro.exec.batch import RowBatch
 from repro.sql.evaluator import BoundConjunction
@@ -201,7 +206,17 @@ class INLJoin(Operator):
 
 
 class HashJoin(Operator):
-    """Classic build/probe in-memory hash join (equality predicate)."""
+    """Classic build/probe in-memory hash join (equality predicate).
+
+    :meth:`batches` probes a batch the way it is stored.  A column-backed
+    probe batch (a table scan the planner marked, see
+    :attr:`repro.exec.scans.SeqScan.parent_consumes_columns`) costs one
+    :class:`~repro.exec.vector.KeyLookup` membership test of its key
+    column and a gather of the matching rows; a row-backed one (any other
+    probe child) takes the per-row loop.  Either way the output is the
+    row loop's: ``build_row + probe_row`` in probe order, then build
+    insertion order.
+    """
 
     engine_layer = "RE"
 
@@ -283,22 +298,44 @@ class HashJoin(Operator):
         hash_table: dict[Any, list[tuple]] = {}
         setdefault = hash_table.setdefault
         for build_batch in self.build.batches(ctx):
-            hashes = 0
-            for build_row in build_batch.rows:
-                value = build_row[build_pos]
-                if value is None:
-                    continue
-                hashes += 1
-                setdefault(value, []).append(build_row)
-                if bitvector is not None:
-                    hashes += 1
-                    bitvector.insert(value)
+            build_rows = build_batch.rows
+            keys = [build_row[build_pos] for build_row in build_rows]
+            if None in keys:  # NULL never joins
+                build_rows = [row for row in build_rows if row[build_pos] is not None]
+                keys = [row[build_pos] for row in build_rows]
+            for key, build_row in zip(keys, build_rows):
+                setdefault(key, []).append(build_row)
+            hashes = len(keys)
+            if bitvector is not None:
+                hashes *= 2
+                bitvector.insert_all(keys)
             if hashes:
                 io.charge_hashes(hashes)
 
         get = hash_table.get
+        lookup: Optional[vector.KeyLookup] = None
         out: list[tuple] = []
         for probe_batch in self.probe.batches(ctx):
+            if probe_batch.is_columnar:
+                # A column batch is probed the way it is stored: one
+                # membership test of the key column, and row tuples only
+                # for the positions that join.
+                if lookup is None:
+                    lookup = vector.KeyLookup(hash_table)
+                key_column = probe_batch.column(probe_pos)
+                hashes = vector.count_notnull(key_column)
+                matched = lookup.matching_indexes(key_column)
+                if matched:
+                    for probe_row in vector.rows_at(probe_batch.columns, matched):
+                        for build_row in hash_table[probe_row[probe_pos]]:
+                            out.append(build_row + probe_row)
+                    if len(out) >= chunk_size:
+                        stats.actual_rows += len(out)
+                        yield RowBatch(out)
+                        out = []
+                if hashes:
+                    io.charge_hashes(hashes)
+                continue
             hashes = 0
             for probe_row in probe_batch.rows:
                 value = probe_row[probe_pos]

@@ -172,12 +172,15 @@ class SeqScan(_MonitoredScanMixin, Operator):
 
     engine_layer = "SE"
 
-    #: Whether the operator consuming this scan reads column vectors
-    #: (``CountAggregate``, ``GroupByCountAggregate``).  Derived from the
-    #: plan shape by :func:`repro.core.planner.build_executable`; it
-    #: selects the chunk scan in :meth:`batches`.  Scans feeding a join,
-    #: sort or merge leave it off and keep yielding row lists, so nothing
-    #: is ever transposed.
+    #: Whether the operator consuming this scan reads column vectors:
+    #: ``CountAggregate`` / ``GroupByCountAggregate``, and ``HashJoin`` on
+    #: its *probe* side (it tests the key column against the build keys
+    #: and materialises only the rows that join).  Derived from the plan
+    #: shape by :func:`repro.core.planner.build_executable`; it selects
+    #: the chunk scan in :meth:`batches`.  Scans feeding a hash join's
+    #: build side, an ``INLJoin``, a ``Sort`` or a ``MergeJoin`` leave it
+    #: off and keep yielding row lists: those consumers want every row as
+    #: a tuple, so columns would only be transposed back.
     parent_consumes_columns = False
 
     def __init__(
@@ -222,21 +225,18 @@ class SeqScan(_MonitoredScanMixin, Operator):
         """Whether this run takes the chunk scan rather than the page loop.
 
         The page loop stays the drive for what is genuinely row- or
-        page-ordered: row-list consumers (joins, sorts, merges), bundles
-        with bit-vector entries (probe charging stops at the first hit in
-        row order), and monitored runs under the reopt watchdog or with
-        resume tracking armed (the watchdog projects from ``progress()``
-        page by page, and a resume boundary is a page boundary).
+        page-ordered: row-list consumers (hash-join build sides, INL and
+        merge joins, sorts), and monitored runs under the reopt watchdog
+        or with resume tracking armed (the watchdog projects from
+        ``progress()`` page by page, and a resume boundary is a page
+        boundary).  What a bundle counts never decides it — every entry
+        kind, bit-vector ones included, takes per-page verdicts.
         """
         if not self.parent_consumes_columns:
             return False
         if self.bundle is None:
             return True
-        return (
-            self.bundle.supports_page_flags
-            and ctx.watchdog is None
-            and not self.resume_tracking
-        )
+        return ctx.watchdog is None and not self.resume_tracking
 
     def _scan_chunks_columnar(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
         """Batch drive over multi-page column chunks, monitored or not.
@@ -252,8 +252,10 @@ class SeqScan(_MonitoredScanMixin, Operator):
         the kernel is: per chunk the bundle flips its per-page coins in
         page order, each entry's witness mask is reduced to one flag per
         page (``vector.segment_any`` — exactly the per-page flags of
-        Fig. 4), and the bundle folds flag lists; no row mask crosses
-        into :mod:`repro.core.monitors`.  Rows of sampled pages are
+        Fig. 4), each bit-vector entry's filter-hit mask to a flag and a
+        first-hit offset per page (``vector.probe_pages``, Fig. 5), and the
+        bundle folds those lists; no row mask crosses into
+        :mod:`repro.core.monitors`.  Rows of sampled pages are
         evaluated (and charged) in full when some request is non-prefix,
         every other row short-circuited, so each simulated charge is the
         row drive's.
@@ -264,6 +266,7 @@ class SeqScan(_MonitoredScanMixin, Operator):
         stats = self.stats
         bundle = self.bundle
         witnesses = bundle.page_flag_witnesses() if bundle is not None else ()
+        probes = bundle.bitvector_probes() if bundle is not None else ()
         full_evaluation = (
             bundle is not None and bundle.evaluates_sampled_pages_in_full
         )
@@ -293,6 +296,12 @@ class SeqScan(_MonitoredScanMixin, Operator):
                     sampled,
                     num_rows,
                     io,
+                    [
+                        vector.probe_pages(
+                            columns[position], bitvector, page_starts, sampled
+                        )
+                        for position, bitvector in probes
+                    ],
                 )
             selected = vector.mask_count(passed)
             stats.actual_rows += selected

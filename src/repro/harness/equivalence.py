@@ -2,7 +2,7 @@
 
 The batch execution path (page-at-a-time :class:`~repro.exec.batch.RowBatch`
 exchange + compiled predicate kernels, plus the plan-derived column-chunk
-scan under counts, :mod:`repro.exec.vector`) is a pure
+scan under counts and hash-join probes, :mod:`repro.exec.vector`) is a pure
 performance optimization: it must be observationally identical to the
 Volcano row iterator.  This module proves it per query, by running the
 same physical plan under every mode of
@@ -20,8 +20,9 @@ paper's machinery depends on:
 then absorbs the monitored run's observations, re-optimizes, and checks
 the improved plan's unmonitored run the same way — i.e. the *entire*
 §V-B methodology pipeline is mode-invariant; table-scan plans exercise
-the chunk scan monitored (P) and unmonitored (P').  Row mode is the reference: every
-other mode is diffed against it.  Simulated ``cpu_ms`` is
+the chunk scan monitored (P) and unmonitored (P'), and Fig. 8 hash joins
+its bit-vector feed (a probe-side scan of the requested table).  Row
+mode is the reference: every other mode is diffed against it.  Simulated ``cpu_ms`` is
 deliberately excluded: batched charging accumulates the same totals in
 fewer float additions, so the float may differ in the last ulp while
 every integer counter is identical.

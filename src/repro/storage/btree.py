@@ -20,7 +20,8 @@ produce those column values without touching the table (Section III-B's
 from __future__ import annotations
 
 import bisect
-from typing import Any, Iterator, Optional, Sequence
+from operator import itemgetter
+from typing import Any, Callable, Iterator, Optional, Sequence
 
 from repro.common.errors import IndexError_
 from repro.common.types import RID, FileId, PageId
@@ -32,6 +33,16 @@ from repro.storage.page import USABLE_PAGE_BYTES
 #: Simulated per-entry overhead (slot pointer + row locator).
 _ENTRY_OVERHEAD_BYTES = 9
 _LOCATOR_BYTES = 8
+
+
+def _tuple_getter(positions: tuple[int, ...]) -> Callable[[Sequence[Any]], tuple]:
+    """``row -> tuple(row[p] for p in positions)``, without the generator."""
+    if not positions:
+        return lambda row: ()
+    if len(positions) == 1:
+        (position,) = positions
+        return lambda row: (row[position],)
+    return itemgetter(*positions)
 
 
 class BTreeIndex:
@@ -54,6 +65,9 @@ class BTreeIndex:
         self._payload_positions = tuple(
             schema.position(col) for col in definition.included_columns
         )
+        #: ``row -> key tuple`` of this index.
+        self.key_of = _tuple_getter(self._key_positions)
+        self._payload_of = _tuple_getter(self._payload_positions)
         entry_width = (
             sum(schema.column(c).width_bytes for c in definition.carried_columns())
             + _LOCATOR_BYTES
@@ -79,9 +93,6 @@ class BTreeIndex:
             return 0
         return -(-len(self._entries) // self.entries_per_page)  # ceil div
 
-    def key_of(self, row: Sequence[Any]) -> tuple:
-        return tuple(row[pos] for pos in self._key_positions)
-
     # ------------------------------------------------------------------
     # Build path
     # ------------------------------------------------------------------
@@ -89,11 +100,8 @@ class BTreeIndex:
         """Build the index from ``(rid, row)`` pairs; callable once."""
         if self._built:
             raise IndexError_(f"index {self.name} was already built")
-        entries = []
-        for rid, row in rows_with_rids:
-            key = self.key_of(row)
-            payload = tuple(row[pos] for pos in self._payload_positions)
-            entries.append((key, rid, payload))
+        key_of, payload_of = self.key_of, self._payload_of
+        entries = [(key_of(row), rid, payload_of(row)) for rid, row in rows_with_rids]
         entries.sort(key=lambda entry: (entry[0], entry[1].page_id, entry[1].slot))
         if self.definition.unique:
             for previous, current in zip(entries, entries[1:]):
@@ -115,7 +123,7 @@ class BTreeIndex:
         """
         self._require_built()
         key = self.key_of(row)
-        payload = tuple(row[pos] for pos in self._payload_positions)
+        payload = self._payload_of(row)
         index = bisect.bisect_left(self._keys, key)
         # Advance past equal keys to keep RID tie-break order.
         while (

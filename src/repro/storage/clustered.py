@@ -18,6 +18,7 @@ identical to chasing clustering keys).
 from __future__ import annotations
 
 import bisect
+from operator import itemgetter
 from typing import Any, Callable, Iterator, Optional, Sequence
 
 from repro.common.errors import StorageError
@@ -56,18 +57,19 @@ class ClusteredFile(DataFile):
     # ------------------------------------------------------------------
     # Load path
     # ------------------------------------------------------------------
-    def bulk_load(self, rows: Sequence[Sequence[Any]]) -> None:
+    def bulk_load(self, rows: Sequence[Sequence[Any]]) -> list[RID]:
         """Sort ``rows`` by the clustering key and pack them into pages.
 
         May be called exactly once; the file is immutable afterwards.
+        Returns the rows' RIDs in physical (key) order.
         """
         if self._loaded:
             raise StorageError(
                 f"clustered file {int(self.file_id)} was already bulk-loaded"
             )
-        ordered = sorted(rows, key=self.key_of)  # stable: ties keep input order
-        for row in ordered:
-            self.append_row(row)
+        # Stable, so ties keep input order.  A one-column key sorts on the
+        # bare value: the same order as on its 1-tuple, without building one.
+        rids = self.bulk_append(sorted(rows, key=itemgetter(*self.key_positions)))
         self._page_low_keys = [
             self.key_of(page.get(0)) for page in self._pages if page.num_rows
         ]
@@ -77,6 +79,7 @@ class ClusteredFile(DataFile):
             if page.num_rows
         ]
         self._loaded = True
+        return rids
 
     # ------------------------------------------------------------------
     # Read path
@@ -160,30 +163,33 @@ class ClusteredFile(DataFile):
                 if low_inclusive
                 else self.first_page_with_key_gt(low)
             )
+        # The fences say which pages lie wholly inside the range; those
+        # are passed as they are.  A boundary page's rows are sorted by
+        # key, so each bound is one bisection (a few ``key_of`` calls).
         key_of = self.key_of
+        page_lows = self._page_low_keys
+        page_highs = self._page_high_keys
         for page_id, page in self.scan_pages(io, start_page=start):
-            matched: list[tuple] = []
-            for row in page.rows_list():
-                key = key_of(row)
-                if low is not None:
-                    if low_inclusive:
-                        if key < low:
-                            continue
-                    elif key <= low:
-                        continue
-                if high is not None:
-                    if high_inclusive:
-                        if key > high:
-                            if matched:
-                                yield page_id, matched
-                            return
-                    elif key >= high:
-                        if matched:
-                            yield page_id, matched
-                        return
-                matched.append(row)
-            if matched:
-                yield page_id, matched
+            rows = page.rows_list()
+            first, stop = 0, len(rows)
+            if low is not None:
+                if low_inclusive:
+                    if page_lows[page_id] < low:
+                        first = bisect.bisect_left(rows, low, key=key_of)
+                elif page_lows[page_id] <= low:
+                    first = bisect.bisect_right(rows, low, key=key_of)
+            if high is not None:
+                if high_inclusive:
+                    if page_highs[page_id] > high:
+                        stop = bisect.bisect_right(rows, high, key=key_of)
+                elif page_highs[page_id] >= high:
+                    stop = bisect.bisect_left(rows, high, key=key_of)
+            if first == 0 and stop == len(rows):
+                yield page_id, rows
+            elif first < stop:
+                yield page_id, rows[first:stop]
+            if stop < len(rows):
+                return  # the first row past the upper bound ends the scan
 
     def fetch_by_key(self, io: IOContext, key: tuple) -> Iterator[tuple[PageId, tuple]]:
         """Random-access fetch of all rows with the exact clustering key.

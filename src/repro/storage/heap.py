@@ -11,7 +11,7 @@ Index Seek vs. Table Scan decision.
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Optional, Sequence
+from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from repro.common.errors import StorageError
 from repro.common.types import RID, FileId, PageId
@@ -95,6 +95,9 @@ class DataFile:
         full_capacity = rows_per_page(row_width_bytes)
         self.page_capacity = max(1, int(full_capacity * fill_factor))
         self._pages: list[Page] = []
+        #: Rows across all pages, maintained by the two append paths
+        #: (files are append-only), so :attr:`num_rows` is O(1).
+        self._num_rows = 0
         self._file_columns: Optional[FileColumns] = None
 
     # ------------------------------------------------------------------
@@ -106,11 +109,36 @@ class DataFile:
             self._pages.append(Page(PageId(len(self._pages)), self.page_capacity))
         page = self._pages[-1]
         slot = page.append(row)
+        self._num_rows += 1
         return RID(page.page_id, slot)
 
-    def bulk_append(self, rows: Iterator[Sequence[Any]]) -> list[RID]:
-        """Append many rows; returns their RIDs in insertion order."""
-        return [self.append_row(row) for row in rows]
+    def bulk_append(self, rows: Iterable[Sequence[Any]]) -> list[RID]:
+        """Append many rows; returns their RIDs in insertion order.
+
+        Packs whole pages by slice — the layout (and every RID) is what
+        row-by-row :meth:`append_row` calls would produce, including
+        topping up a part-filled last page first.  Rows that already are
+        tuples are stored as they come, not copied.
+        """
+        rows = [row if type(row) is tuple else tuple(row) for row in rows]
+        pages = self._pages
+        capacity = self.page_capacity
+        rids: list[RID] = []
+        position = 0
+        while position < len(rows):
+            if not pages or pages[-1].is_full:
+                pages.append(Page(PageId(len(pages)), capacity))
+            page = pages[-1]
+            first_slot = page.num_rows
+            taken = rows[position : position + capacity - first_slot]
+            page.extend(taken)
+            page_id = page.page_id
+            rids.extend(
+                RID(page_id, first_slot + offset) for offset in range(len(taken))
+            )
+            position += len(taken)
+        self._num_rows += len(rows)
+        return rids
 
     # ------------------------------------------------------------------
     # Read path (charges the caller's IOContext via the buffer pool)
@@ -121,7 +149,7 @@ class DataFile:
 
     @property
     def num_rows(self) -> int:
-        return sum(p.num_rows for p in self._pages)
+        return self._num_rows
 
     def page(self, page_id: PageId) -> Page:
         """Direct page access *without* I/O accounting (internal/tests)."""

@@ -64,6 +64,19 @@ class Page:
         self._rows.append(tuple(row))
         return len(self._rows) - 1
 
+    def extend(self, rows: list[tuple]) -> None:
+        """Append row tuples in order (bulk load).
+
+        The rows are stored as given — the caller hands over tuples it
+        will not mutate.  Raises when they do not all fit.
+        """
+        if len(self._rows) + len(rows) > self.capacity:
+            raise PageError(
+                f"page {int(self.page_id)} cannot take {len(rows)} more rows "
+                f"({len(self._rows)}/{self.capacity} used)"
+            )
+        self._rows.extend(rows)
+
     def get(self, slot: int) -> tuple:
         """Return the row in ``slot``; raises on invalid slots."""
         if not 0 <= slot < len(self._rows):

@@ -78,15 +78,11 @@ class Table:
         """Load all rows (validating against the schema) exactly once."""
         if self._loaded:
             raise StorageError(f"table {self.name} was already loaded")
-        validated = [self.schema.validate_row(row) for row in rows]
+        validated = self.schema.validate_rows(rows)
         if isinstance(self.data_file, ClusteredFile):
-            self.data_file.bulk_load(validated)
-            self._rids = [
-                RID(page_id, slot)
-                for page_id, slot, _ in _silent_scan(self.data_file)
-            ]
+            self._rids = self.data_file.bulk_load(validated)
         else:
-            self._rids = self.data_file.bulk_append(iter(validated))
+            self._rids = self.data_file.bulk_append(validated)
         self._loaded = True
 
     def append_rows(self, rows: Sequence[Sequence[Any]]) -> list[RID]:
@@ -151,7 +147,7 @@ class Table:
                 f"not {self.name}"
             )
         index = BTreeIndex(definition, self.schema, file_id, self.buffer_pool)
-        index.build(self._iter_rows_with_rids())
+        index.build(zip(self._rids, self._stored_rows()))
         self.indexes[definition.name] = index
         return index
 
@@ -159,10 +155,9 @@ class Table:
         """Full-scan statistics: row/page counts and per-column histograms."""
         if not self._loaded:
             raise StorageError(f"table {self.name}: load rows before statistics")
-        rows = [row for _, _, row in _silent_scan(self.data_file)]
         self.statistics = build_statistics(
             table_name=self.name,
-            rows=rows,
+            rows=self._stored_rows(),
             column_names=list(self.schema.column_names),
             page_count=self.num_pages,
             num_buckets=num_buckets,
@@ -171,9 +166,15 @@ class Table:
         self._stats_version += 1
         return self.statistics
 
-    def _iter_rows_with_rids(self) -> Iterator[tuple[RID, tuple]]:
-        for page_id, slot, row in _silent_scan(self.data_file):
-            yield RID(page_id, slot), row
+    def _stored_rows(self) -> list[tuple]:
+        """Every row in physical order — the order of ``self._rids`` — with
+        no I/O accounting (load-time operations)."""
+        data_file = self.data_file
+        return [
+            row
+            for page_index in range(data_file.num_pages)
+            for row in data_file.page(PageId(page_index)).rows_list()
+        ]
 
     # ------------------------------------------------------------------
     # Read path
@@ -222,11 +223,3 @@ class Table:
             f"Table({self.name}: {self.num_rows} rows, {self.num_pages} pages, "
             f"{layout}, indexes={sorted(self.indexes)})"
         )
-
-
-def _silent_scan(data_file: DataFile) -> Iterator[tuple[PageId, int, tuple]]:
-    """Scan without buffer-pool/IOContext accounting (load-time operations)."""
-    for page_index in range(data_file.num_pages):
-        page = data_file.page(PageId(page_index))
-        for slot, row in enumerate(page.rows()):
-            yield page.page_id, slot, row

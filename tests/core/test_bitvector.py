@@ -74,6 +74,73 @@ class TestAccounting:
         assert bitvector.may_contain(datetime.date(2007, 6, 1))
 
 
+_KEYS = st.one_of(
+    st.integers(-50, 50), st.booleans(), st.text("ab", max_size=2), st.floats(0, 4)
+)
+
+
+class TestBatchForms:
+    """``insert_all`` / ``first_hit``: the same filter, a batch at a time."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(values=st.lists(_KEYS, max_size=40), bits=st.integers(1, 64))
+    def test_insert_all_equals_insert_per_value(self, values, bits):
+        one_by_one, batched = BitVectorFilter(bits, seed=5), BitVectorFilter(bits, seed=5)
+        for value in values:
+            one_by_one.insert(value)
+        batched.insert_all(values)
+        assert bytes(batched.bits) == bytes(one_by_one.bits)
+        assert (batched.inserts, batched.bits_set) == (
+            one_by_one.inserts,
+            one_by_one.bits_set,
+        )
+
+    def test_partial_filter_insert_all_tracks_high_key(self):
+        partial = PartialBitVectorFilter(64)
+        partial.insert_all([3, 9, 5])
+        assert partial.high_key == 9 and partial.inserts == 3
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        inserted=st.lists(_KEYS, max_size=10),
+        probed=st.lists(st.one_of(st.none(), _KEYS), max_size=20),
+        bits=st.integers(1, 64),
+    )
+    def test_first_hit_is_the_first_accepted_probe(self, inserted, probed, bits):
+        bitvector = BitVectorFilter(bits, seed=5)
+        bitvector.insert_all(inserted)
+        first = bitvector.first_hit(probed)
+        assert bitvector.probes == 0  # the caller accounts for probes
+        expected = next(
+            (
+                index
+                for index, value in enumerate(probed)
+                if value is not None and bitvector.may_contain(value)
+            ),
+            len(probed),
+        )
+        assert first == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        values=st.lists(st.integers(-(2**62), 2**62), min_size=1, max_size=20),
+        bits=st.integers(1, 100),
+    )
+    def test_int_positions_is_position_of_each_int(self, values, bits):
+        np = pytest.importorskip("numpy")
+        bitvector = BitVectorFilter(bits)
+        byte_indexes, bit_masks = bitvector.int_positions(np.asarray(values))
+        assert list(zip(byte_indexes.tolist(), bit_masks.tolist())) == [
+            bitvector._position(value) for value in values
+        ]
+
+    def test_bits_is_a_live_view(self):
+        bitvector = BitVectorFilter(16)
+        view = bitvector.bits
+        bitvector.insert(9)
+        assert view[1] == 0b10 and len(view) == 2
+
+
 class TestPartial:
     def test_tracks_high_key(self):
         partial = PartialBitVectorFilter(64)

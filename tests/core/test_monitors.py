@@ -202,12 +202,127 @@ class TestPageFlagFeed:
         with pytest.raises(MonitorError):
             other.sample_pages(PageId(1), 1)
 
-    def test_bitvector_entries_need_rows(self):
+    def test_bitvector_entries_need_verdicts(self):
+        # Bit-vector entries ride the chunk feed like every other entry,
+        # but a chunk that leaves their verdicts out is a protocol error.
         bundle = self.mixed_bundle()
-        bundle.add_bitvector_request(request(), 0, BitVectorFilter(64))
-        assert not bundle.supports_page_flags
+        bitvector = BitVectorFilter(64)
+        bundle.add_bitvector_request(request(), 0, bitvector)
+        assert bundle.bitvector_probes() == [(0, bitvector)]
+        sampled = bundle.sample_pages(PageId(0), 1)
         with pytest.raises(MonitorError):
-            bundle.sample_pages(PageId(0), 1)
+            bundle.observe_pages([[True], [True]], sampled, 1, IOContext())
+
+
+class TestBitVectorPageVerdicts:
+    """Bit-vector entries on the chunk feed: ``(flags, probes, lookups)``."""
+
+    ROWS_PER_PAGE = 4
+
+    def bundle(self, fraction=0.5, seed=3):
+        bundle = ScanMonitorBundle(
+            "t", 0, sampler=BernoulliPageSampler(fraction, seed=seed)
+        )
+        bitvector = BitVectorFilter(100)
+        bitvector.insert_all([1, 2, 3])
+        bundle.add_bitvector_request(request(), 0, bitvector)
+        return bundle, bitvector
+
+    def pages(self):
+        """40 pages of 4 join values: hits early, late, never; NULLs probed."""
+        pages = []
+        for page in range(40):
+            kind = page % 4
+            if kind == 0:
+                pages.append([9, 1, 9, 2])  # first hit on the second row
+            elif kind == 1:
+                pages.append([9, 9, 9, 3])  # first hit on the last row
+            elif kind == 2:
+                pages.append([None, 9, None, 9])  # no hit, two NULLs
+            else:
+                pages.append([None, None, None, None])  # all NULL
+        return pages
+
+    def verdict(self, values, bitvector):
+        first = bitvector.first_hit(values)
+        hit = first < len(values)
+        probes = first + 1 if hit else len(values)
+        return hit, probes, probes - values[:probes].count(None)
+
+    def test_same_counts_charges_and_filter_probes_as_the_page_feed(self):
+        pages = self.pages()
+        io_pages, io_chunks = IOContext(), IOContext()
+        by_page, page_filter = self.bundle()
+        for page, values in enumerate(pages):
+            by_page.start_page(PageId(page))
+            for value in values:
+                by_page.observe_row(outcome(), (value,), io_pages)
+            by_page.end_page()
+        by_chunk, chunk_filter = self.bundle()
+        for first in range(0, 40, 16):
+            chunk = pages[first : first + 16]
+            sampled = by_chunk.sample_pages(PageId(first), len(chunk))
+            verdicts = [self.verdict(values, chunk_filter) for values in chunk]
+            by_chunk.observe_pages(
+                [],
+                sampled,
+                self.ROWS_PER_PAGE * len(chunk),
+                io_chunks,
+                [tuple(map(list, zip(*verdicts)))],
+            )
+        assert 0 < by_chunk.sampler.pages_sampled < 40
+        assert by_chunk.sampler.pages_sampled == by_page.sampler.pages_sampled
+        assert [
+            (o.key, o.mechanism, o.estimate, o.exact, o.details)
+            for o in by_chunk.finish()
+        ] == [
+            (o.key, o.mechanism, o.estimate, o.exact, o.details)
+            for o in by_page.finish()
+        ]
+        assert chunk_filter.probes == page_filter.probes > 0
+        assert io_chunks.cpu_ms == pytest.approx(io_pages.cpu_ms)
+        assert by_chunk.progress() == by_page.progress()
+
+    def test_unsampled_pages_are_neither_counted_nor_charged(self):
+        bundle, bitvector = self.bundle(fraction=0.5)
+        io = IOContext()
+        sampled = bundle.sample_pages(PageId(0), 8)
+        assert True in sampled and False in sampled
+        probes = [3 if keep else 1000 for keep in sampled]
+        bundle.observe_pages([], sampled, 0, io, [([True] * 8, probes, probes)])
+        kept = sum(sampled)
+        (observation,) = bundle.finish()
+        assert observation.details["satisfied_sampled_pages"] == kept
+        assert bitvector.probes == 3 * kept
+        assert io.cpu_ms == pytest.approx(
+            3 * kept * io.params.cpu_bitvector_probe_ms
+        )
+
+    @pytest.mark.parametrize(
+        "verdicts",
+        [
+            [],  # the entry's verdicts left out
+            [([True, True], [1, 1], [1, 1])] * 2,  # one entry, two verdicts
+            [([True], [1, 1], [1, 1])],  # flags for one page of two
+            [([True, True], [1], [1, 1])],  # probes for one page of two
+            [([True, True], [1, 1], [1])],  # lookups for one page of two
+            [([True, True], [1, 1])],  # no lookups at all
+        ],
+    )
+    def test_verdict_mismatches_rejected(self, verdicts):
+        bundle, _bitvector = self.bundle()
+        sampled = bundle.sample_pages(PageId(0), 2)
+        with pytest.raises(MonitorError):
+            bundle.observe_pages([], sampled, 8, IOContext(), verdicts)
+
+    def test_verdicts_without_a_bitvector_entry_rejected(self):
+        bundle = ScanMonitorBundle("t", 1)
+        bundle.add_expression_request(request(), (0,), exact=True)
+        sampled = bundle.sample_pages(PageId(0), 1)
+        with pytest.raises(MonitorError):
+            bundle.observe_pages(
+                [[True]], sampled, 1, IOContext(), [([True], [1], [1])]
+            )
 
 
 class TestBitVectorEntries:

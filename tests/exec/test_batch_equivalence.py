@@ -28,7 +28,21 @@ def equivalence_db():
     return build_synthetic_database(num_rows=8_000, seed=0, with_copy=True)
 
 
-def test_single_table_workload_row_batch_equivalent(equivalence_db, monkeypatch):
+@pytest.fixture
+def chunk_scans(monkeypatch):
+    """Every scan that takes the column-chunk drive while the test runs."""
+    scans = []
+    chunk_drive = SeqScan._scan_chunks_columnar
+
+    def counting(self, ctx):
+        scans.append(self)
+        return chunk_drive(self, ctx)
+
+    monkeypatch.setattr(SeqScan, "_scan_chunks_columnar", counting)
+    return scans
+
+
+def test_single_table_workload_row_batch_equivalent(equivalence_db, chunk_scans):
     workload = single_table_workload(
         equivalence_db,
         "t",
@@ -37,14 +51,6 @@ def test_single_table_workload_row_batch_equivalent(equivalence_db, monkeypatch)
         selectivity_range=(0.01, 0.10),
         seed=0,
     )
-    chunk_scans = []
-    chunk_drive = SeqScan._scan_chunks_columnar
-
-    def counting(self, ctx):
-        chunk_scans.append(self)
-        return chunk_drive(self, ctx)
-
-    monkeypatch.setattr(SeqScan, "_scan_chunks_columnar", counting)
     report = compare_workload(equivalence_db, workload)
     assert report.ok, report.render()
     # The proof covers the column-chunk path both ways: the monitored P
@@ -54,7 +60,7 @@ def test_single_table_workload_row_batch_equivalent(equivalence_db, monkeypatch)
     assert any(scan.bundle is None for scan in chunk_scans)
 
 
-def test_join_workload_row_batch_equivalent(equivalence_db):
+def test_join_workload_row_batch_equivalent(equivalence_db, chunk_scans):
     workload = join_workload(
         equivalence_db,
         "t",
@@ -69,6 +75,38 @@ def test_join_workload_row_batch_equivalent(equivalence_db):
         monitor_config=MonitorConfig(dpsample_fraction=0.3),
     )
     assert report.ok, report.render()
+    # These joins build on the filtered side, so the DPC request (keyed to
+    # that side) is unanswerable: their probe scans of t1 take the
+    # column-chunk path unmonitored.
+    assert {scan.table.name for scan in chunk_scans} == {"t1"}
+    assert all(scan.bundle is None for scan in chunk_scans)
+
+
+def test_fig8_join_workload_row_batch_equivalent(equivalence_db, chunk_scans, backend):
+    """Fig. 8's orientation — ``t1.c1 < N AND t1.ci = t.ci``, the request
+    on ``t`` — so the monitored P runs probe the bit-vector filter of
+    Fig. 5 from the column-chunk scan, on every join column."""
+    workload = join_workload(
+        equivalence_db,
+        "t1",
+        "t",
+        ["c2", "c3", "c4", "c5"],
+        queries_per_column=2,
+        seed=3,
+    )
+    report = compare_workload(
+        equivalence_db,
+        workload,
+        monitor_config=MonitorConfig(dpsample_fraction=0.3),
+    )
+    assert report.ok, report.render()
+    monitored = [
+        scan
+        for scan in chunk_scans
+        if scan.bundle is not None and scan.bundle.bitvector_probes()
+    ]
+    assert len(monitored) >= len(workload)
+    assert {scan.table.name for scan in monitored} == {"t"}
 
 
 def test_single_table_workload_equivalent_python_backend(equivalence_db):

@@ -2,16 +2,20 @@
 
 The batch drive's payload is a row list everywhere except one
 plan-derived case: a ``SeqScan`` whose parent consumes columns
-(``CountAggregate`` / ``GroupByCountAggregate``) emits multi-page column
-chunks — monitored or not: its bundle is fed per-page flags reduced from
-the chunk-wide masks.  What is genuinely row- or page-ordered stays on
-the page loop: bundles with bit-vector entries, runs under the reopt
-watchdog or with resume tracking armed, range scans, and scans feeding
-joins.  These tests pin the selection rule — it is a property of the plan
-and the run, never of an option — and prove row == batch for every shape
-on rows, observations, every ``IOContext`` charge, ``pages_touched``,
-``predicate_evaluations``, the sampler's draw counts and the read
-counters, under both vector backends.
+(``CountAggregate`` / ``GroupByCountAggregate``, and ``HashJoin`` on its
+probe side) emits multi-page column chunks — monitored or not: its bundle
+is fed per-page verdicts reduced from the chunk-wide masks, a flag per
+expression entry and a (flag, first-hit offset) per bit-vector entry.
+What is genuinely row- or page-ordered stays on the page loop: runs under
+the reopt watchdog or with resume tracking armed, range scans, and scans
+whose consumer wants every row as a tuple (hash-join build sides, INL and
+merge joins, sorts — a merge join's partial filter is still filling while
+it is probed).  These tests pin the selection rule — it is a property of
+the plan and the run, never of an option — and prove row == batch for
+every shape on rows, observations, every ``IOContext`` charge,
+``pages_touched``, ``predicate_evaluations``, the sampler's draw counts,
+the filter's own counters and the read counters, under both vector
+backends.
 """
 
 from __future__ import annotations
@@ -24,15 +28,20 @@ from hypothesis import given, settings, strategies as st
 
 from repro.catalog import ColumnDef, Database, TableSchema
 from repro.common.cancellation import CancellationToken
-from repro.core.bitvector import BitVectorFilter
+from repro.core.bitvector import BitVectorFilter, PartialBitVectorFilter
+from repro.core.dpsample import BernoulliPageSampler
+from repro.core.monitors import ScanMonitorBundle
 from repro.core.planner import MonitorConfig, build_executable
-from repro.core.requests import AccessPathRequest, JoinMethodRequest
+from repro.core.requests import AccessPathRequest, JoinMethodRequest, Mechanism
 from repro.exec import (
     ClusteredRangeScan,
     CountAggregate,
     GroupByCountAggregate,
     HashJoin,
+    INLJoin,
+    MergeJoin,
     SeqScan,
+    Sort,
     execute,
     vector,
 )
@@ -94,6 +103,19 @@ def join_query():
     )
 
 
+def fig8_join_query(column="c3", outer_rows=1_500, probe_predicate=None):
+    """Fig. 8: ``t1.c1 < N AND t1.ci = t.ci`` — a clustered range scan
+    builds, a table scan of ``t`` (optionally filtered) probes."""
+    predicates = {"t1": conjunction_of(Comparison("c1", "<", outer_rows))}
+    if probe_predicate is not None:
+        predicates["t"] = conjunction_of(probe_predicate)
+    return JoinQuery(
+        join_predicate=JoinEquality("t1", column, "t", column),
+        predicates=predicates,
+        count_column="t.padding",
+    )
+
+
 def build(database, query, hint, monitored, requests=None, fraction=None):
     plan = Optimizer(database, hint=PlanHint(hint)).optimize(query)
     if requests is None:
@@ -128,14 +150,27 @@ def spy_batches(operator):
     return seen
 
 
-def scans_of(root):
+def operators_of(root, kind):
     out, stack = [], [root]
     while stack:
         operator = stack.pop()
-        if isinstance(operator, SeqScan):
+        if isinstance(operator, kind):
             out.append(operator)
         stack.extend(operator.children())
     return out
+
+
+def scans_of(root):
+    return operators_of(root, SeqScan)
+
+
+def filter_counters(root):
+    """``(probes, inserts, bits_set)`` of every join filter under ``root``."""
+    return [
+        (join.bitvector.probes, join.bitvector.inserts, join.bitvector.bits_set)
+        for join in operators_of(root, (HashJoin, MergeJoin))
+        if join.bitvector is not None
+    ]
 
 
 def sampler_draws(root):
@@ -149,17 +184,20 @@ def sampler_draws(root):
 
 def assert_row_equals_batch(database, make_root):
     """Row == batch on every observable, including per-kind charge totals."""
-    results, tallies, draws = {}, {}, {}
+    results, tallies, draws, filters = {}, {}, {}, {}
     for mode in ("row", "batch"):
         io = TallyIO()
         root = make_root()
         results[mode] = execute(root, database, io=io, mode=mode)
         tallies[mode] = io.units
         draws[mode] = sampler_draws(root)
+        filters[mode] = filter_counters(root)
     assert not diff_results(results["row"], results["batch"])
     assert tallies["row"] == tallies["batch"]
     assert tallies["row"]["charge_rows"] > 0
     assert draws["row"] == draws["batch"]
+    assert filters["row"] == filters["batch"]
+    return results["batch"], tallies["batch"]
 
 
 # ----------------------------------------------------------------------
@@ -198,9 +236,8 @@ def monitored_count_scan(database):
     return root, scan
 
 
-def test_bitvector_bundle_keeps_the_page_loop(synthetic_db, backend):
-    # Probe charging stops at the first hit in row order: not a page flag.
-    root, scan = monitored_count_scan(synthetic_db)
+def with_bitvector_entry(scan):
+    """Hand the count scan's bundle a semi-join request on ``c2``."""
     bits = BitVectorFilter(1024)
     bits.insert(7)
     scan.bundle.add_bitvector_request(
@@ -208,10 +245,37 @@ def test_bitvector_bundle_keeps_the_page_loop(synthetic_db, backend):
         scan.table.schema.position("c2"),
         bits,
     )
-    assert not scan.bundle.supports_page_flags
+    return bits
+
+
+def test_bitvector_bundle_takes_the_chunk_scan(synthetic_db, backend):
+    # "Probe until the first hit" is a first-hit index per page — a
+    # segmented min over the chunk-wide hit mask, as a flag is an any.
+    root, scan = monitored_count_scan(synthetic_db)
+    bits = with_bitvector_entry(scan)
     seen = spy_batches(scan)
-    execute(root, synthetic_db, mode="batch")
-    assert seen and not any(seen)
+    result = execute(root, synthetic_db, mode="batch")
+    assert seen and all(seen)
+    assert bits.probes > 0
+    assert all(obs.answered for obs in result.runstats.observations)
+
+
+def test_bitvector_count_scan_row_equals_batch(synthetic_db, backend):
+    counters = {}
+    for mode in ("row", "batch"):
+        root, scan = monitored_count_scan(synthetic_db)
+        bits = with_bitvector_entry(scan)
+        io = TallyIO()
+        result = execute(root, synthetic_db, io=io, mode=mode)
+        counters[mode] = (
+            result.rows,
+            [observation_fingerprint(obs) for obs in result.runstats.observations],
+            io.units,
+            bits.probes,
+            sampler_draws(root),
+        )
+    assert counters["row"] == counters["batch"]
+    assert counters["batch"][2]["charge_bitvector_probes"] > 0
 
 
 def test_resume_tracking_keeps_the_page_loop(synthetic_db, backend):
@@ -259,16 +323,131 @@ def test_clustered_range_scan_receives_row_lists(synthetic_db, backend):
 
 
 @pytest.mark.parametrize("monitored", [False, True])
-def test_hash_join_over_scans_receives_row_lists(join_db, backend, monitored):
+def test_hash_join_probe_scan_receives_column_chunks(join_db, backend, monitored):
     root = build(join_db, join_query(), "hash_join", monitored=monitored)
     join = root.child
-    assert isinstance(join, HashJoin)
+    assert isinstance(join, HashJoin) and isinstance(join.probe, SeqScan)
+    assert join.probe.parent_consumes_columns
+    assert (join.probe.bundle is not None) == monitored
+    assert (join.bitvector is not None) == monitored
+    seen = spy_batches(join.probe)
+    joined = spy_batches(join)
+    execute(root, join_db, mode="batch")
+    assert seen and all(seen)
+    assert len(seen) < join.probe.stats.pages_touched / 4
+    # Only the rows that join are materialised, as row tuples.
+    assert joined and not any(joined)
+
+
+@pytest.mark.parametrize("monitored", [False, True])
+def test_hash_join_over_scans_receives_row_lists(join_db, backend, monitored):
+    # What still receives row lists around a hash join: the hash table
+    # stores every build row as a tuple, so the build-side scan is not
+    # marked, whichever scan it is; and a probe side that is not a table
+    # scan (here a clustered range scan) has no chunk drive.
+    for query in (
+        join_query(),
+        fig8_join_query(),
+        fig8_join_query(probe_predicate=Comparison("c1", "<", 12_000)),
+    ):
+        root = build(join_db, query, "hash_join", monitored=monitored)
+        join = root.child
+        assert isinstance(join, HashJoin)
+        assert not getattr(join.build, "parent_consumes_columns", False)
+        scans = [join.build]
+        if isinstance(join.probe, ClusteredRangeScan):
+            assert (join.probe.bundle is not None) == monitored
+            scans.append(join.probe)
+        seen = [spy_batches(scan) for scan in scans]
+        execute(root, join_db, mode="batch")
+        assert all(batches and not any(batches) for batches in seen)
+    assert len(scans) == 2  # the last query probes with a range scan
+
+
+@pytest.mark.parametrize("hint", ["inl_join", "merge_join"])
+def test_scans_under_other_joins_receive_row_lists(join_db, backend, hint):
+    # INLJoin streams its outer's row lists; MergeJoin's lookahead is row
+    # at a time, so it pulls rows() through its Sorts even in batch mode.
+    root = build(join_db, join_query(), hint, monitored=True)
+    kinds = {"inl_join": INLJoin, "merge_join": (MergeJoin, Sort)}[hint]
+    assert operators_of(root, kinds)
     scans = scans_of(root)
-    assert len(scans) == 2
-    assert not any(scan.parent_consumes_columns for scan in scans)
+    assert scans and not any(scan.parent_consumes_columns for scan in scans)
     seen = [spy_batches(scan) for scan in scans]
     execute(root, join_db, mode="batch")
+    assert all(scan.stats.pages_touched for scan in scans)
+    assert not any(is_columnar for batches in seen for is_columnar in batches)
+    if hint == "inl_join":
+        assert all(seen)
+
+
+def test_partial_filter_merge_join_receives_row_lists(join_db, backend):
+    # Both sides pre-sorted on the clustering key: the filter is still
+    # filling while the inner scan probes it, which only the page loop
+    # (interleaved with the merge) gets right.
+    query = JoinQuery(
+        join_predicate=JoinEquality("t1", "c1", "t", "c1"),
+        predicates={"t1": conjunction_of(Comparison("c5", "<", 15_000))},
+        count_column="t.padding",
+    )
+    root = build(join_db, query, "merge_join", monitored=True)
+    join = root.child
+    assert isinstance(join, MergeJoin)
+    assert isinstance(join.bitvector, PartialBitVectorFilter)
+    assert isinstance(join.inner, SeqScan) and join.inner.bundle is not None
+    assert not join.inner.parent_consumes_columns
+    seen = spy_batches(join.inner)
+    result = execute(root, join_db, mode="batch")
+    assert join.inner.stats.pages_touched and not any(seen)
+    assert join.bitvector.probes > 0
+    assert all(obs.answered for obs in result.runstats.observations)
+    assert_row_equals_batch(
+        join_db, lambda: build(join_db, query, "merge_join", monitored=True)
+    )
+
+
+def test_hash_join_probe_under_watchdog_or_resume_keeps_the_page_loop(
+    join_db, backend
+):
+    class Watchdog:
+        def observe(self, io):
+            pass
+
+    for arm in ("watchdog", "resume"):
+        root = build(join_db, fig8_join_query(), "hash_join", monitored=True)
+        probe = root.child.probe
+        assert probe.parent_consumes_columns and probe.bundle is not None
+        options = {}
+        if arm == "watchdog":
+            options = {"cancellation": CancellationToken(), "watchdog": Watchdog()}
+        else:
+            probe.resume_tracking = True
+            probe.resume_key_position = probe.table.schema.position("c1")
+        seen = spy_batches(probe)
+        execute(root, join_db, mode="batch", **options)
+        assert seen and not any(seen)
+
+
+def test_hand_built_hash_join_over_unmarked_scans_keeps_row_lists(
+    synthetic_db, backend
+):
+    # No planner, no mark: a row-backed probe batch takes the row loop.
+    table = synthetic_db.table("t")
+    build_scan = SeqScan(table, conjunction_of(Comparison("c1", "<", 500)))
+    probe_scan = SeqScan(table, conjunction_of(Comparison("c5", "<", 4_000)))
+    join = HashJoin(build_scan, probe_scan, "c2", "c2", "b", "p")
+    seen = [spy_batches(build_scan), spy_batches(probe_scan)]
+    result = execute(join, synthetic_db, mode="batch")
     assert all(batches and not any(batches) for batches in seen)
+    assert result.rows == execute(
+        HashJoin(
+            SeqScan(table, conjunction_of(Comparison("c1", "<", 500))),
+            SeqScan(table, conjunction_of(Comparison("c5", "<", 4_000))),
+            "c2", "c2", "b", "p",
+        ),
+        synthetic_db,
+        mode="row",
+    ).rows
 
 
 def test_group_by_over_unmonitored_scan_receives_column_chunks(
@@ -355,6 +534,51 @@ def test_hash_join_row_equals_batch(join_db, backend, monitored):
     )
 
 
+@pytest.mark.parametrize("fraction", [0.1, 0.5, 1.0])
+@pytest.mark.parametrize("column", ["c2", "c3", "c5"])
+def test_monitored_fig8_hash_join_row_equals_batch(join_db, backend, column, fraction):
+    # The bit-vector request of Fig. 5 on the probe scan's chunk path, at
+    # three sampling fractions, with and without a probe-side residual
+    # (the scan then hands the join filtered column vectors).
+    for probe_predicate in (None, Comparison("c4", "<", 9_000)):
+        query = fig8_join_query(column, probe_predicate=probe_predicate)
+        result, units = assert_row_equals_batch(
+            join_db,
+            lambda: build(join_db, query, "hash_join", True, fraction=fraction),
+        )
+        (observation,) = [
+            obs for obs in result.runstats.observations if obs.answered
+        ]
+        assert observation.mechanism is Mechanism.BITVECTOR_DPSAMPLE
+        assert 0 < observation.details["filter_fill_ratio"] < 1
+        for kind in (
+            "charge_hashes",
+            "charge_bitvector_probes",
+            "charge_rows",
+            "charge_monitor_checks",
+        ):
+            assert units[kind] > 0, kind
+        assert (units["charge_predicates"] > 0) == (probe_predicate is not None)
+
+
+@pytest.mark.parametrize("bits", [64, 997])
+def test_narrow_filter_hash_join_row_equals_batch(join_db, backend, bits):
+    # A filter far narrower than the key domain: aliased values flag pages
+    # that hold no joining row, in both drives alike.
+    query = fig8_join_query("c5", outer_rows=40)
+    plan = Optimizer(join_db, hint=PlanHint("hash_join")).optimize(query)
+    config = MonitorConfig(dpsample_fraction=0.5, bitvector_bits=bits)
+
+    def make_root():
+        return build_executable(
+            plan, join_db, default_requests(join_db, query), config
+        ).root
+
+    result, _units = assert_row_equals_batch(join_db, make_root)
+    (observation,) = [obs for obs in result.runstats.observations if obs.answered]
+    assert observation.details["filter_bits"] == bits
+
+
 def test_group_by_row_equals_batch(synthetic_db, backend):
     def make_root():
         scan = SeqScan(
@@ -380,16 +604,26 @@ def drive(database, root, mode, batch_rows):
     else:
         rows = [row for batch in root.batches(ctx) for row in batch.rows]
     root.finalize(ctx)
-    (scan,) = scans_of(root)
+    stats = root.collect_stats()
     return (
         rows,
         [observation_fingerprint(obs) for obs in ctx.observations],
         io.units,
-        scan.stats.pages_touched,
-        scan.stats.predicate_evaluations,
-        scan.stats.actual_rows,
+        _stats_tree(stats, "pages_touched"),
+        _stats_tree(stats, "predicate_evaluations"),
+        _stats_tree(stats, "actual_rows"),
         sampler_draws(root),
+        filter_counters(root),
     )
+
+
+def _stats_tree(stats, attribute):
+    """One per-operator counter over the stats tree, in pre-order."""
+    return [getattr(stats, attribute)] + [
+        value
+        for child in stats.children
+        for value in _stats_tree(child, attribute)
+    ]
 
 
 @settings(max_examples=40, deadline=None)
@@ -447,4 +681,116 @@ def test_random_tables_row_equals_batch(
     else:
         row, batch = run("row"), run("batch")
     assert row == batch
-    assert batch[3] == table.num_pages
+    assert batch[3] == [0, table.num_pages]  # [CountAggregate, SeqScan]
+
+
+# ----------------------------------------------------------------------
+# Hash joins over random small inputs: the probe on the chunk path
+# ----------------------------------------------------------------------
+_JOIN_SCHEMA_COLUMNS = [
+    ColumnDef("k", SqlType.INT),
+    ColumnDef("s", SqlType.STR),
+    ColumnDef("f", SqlType.INT),
+    ColumnDef("pad", SqlType.STR, width_bytes=1_000),
+]
+
+# NULL keys on either side, duplicates on both, negative ints, a handful
+# of strings: small domains so keys collide and repeat.
+_JOIN_ROWS = st.tuples(
+    st.one_of(st.none(), st.integers(-6, 12)),
+    st.one_of(st.none(), st.sampled_from(["a", "b", "c", "d", "e"])),
+    st.integers(0, 9),
+)
+
+
+def _sized(rows, largest):
+    # Sized first: lists left to themselves stay within a page or two.
+    return st.integers(0, largest).flatmap(
+        lambda size: st.lists(rows, min_size=size, max_size=size)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    build_rows=_sized(_JOIN_ROWS, 30),
+    probe_rows=_sized(_JOIN_ROWS, 90).filter(bool),
+    key=st.sampled_from(["k", "s"]),  # "s" takes the hashed _position branch
+    bits=st.sampled_from([3, 8, 1_024]),  # narrower than the key domain
+    fraction=st.sampled_from([0.1, 0.5, 1.0]),
+    residual=st.one_of(st.none(), st.integers(-1, 10)),
+    fill_factor=st.sampled_from([0.45, 1.0]),
+    one_page_chunks=st.booleans(),
+    python_backend=st.booleans(),
+)
+def test_random_hash_joins_row_equals_batch(
+    build_rows,
+    probe_rows,
+    key,
+    bits,
+    fraction,
+    residual,
+    fill_factor,
+    one_page_chunks,
+    python_backend,
+):
+    # 7 rows to a full page, 3 at the lower fill factor: ragged last
+    # pages, all-NULL pages, pages and whole files in which nothing joins.
+    database = Database("joins", buffer_pool_pages=1_000)
+    tables = {
+        name: database.load_table(
+            TableSchema(name, _JOIN_SCHEMA_COLUMNS),
+            [(*row, "x") for row in rows],
+            fill_factor=fill_factor,
+            build_stats=False,
+        )
+        for name, rows in (("b", build_rows), ("p", probe_rows))
+    }
+    probe_predicate = (
+        Conjunction(())
+        if residual is None
+        else conjunction_of(Comparison("f", "<", residual))
+    )
+    batch_rows = 1 if one_page_chunks else len(probe_rows)
+
+    def run(mode):
+        bitvector = BitVectorFilter(bits, seed=1)
+        bundle = ScanMonitorBundle(
+            "p", len(probe_predicate), sampler=BernoulliPageSampler(fraction, seed=3)
+        )
+        bundle.add_bitvector_request(
+            JoinMethodRequest("p", JoinEquality("b", key, "p", key)),
+            tables["p"].schema.position(key),
+            bitvector,
+        )
+        probe = SeqScan(tables["p"], probe_predicate, bundle=bundle)
+        probe.parent_consumes_columns = True  # as the planner marks it
+        root = HashJoin(
+            SeqScan(tables["b"], Conjunction(())),
+            probe,
+            key,
+            key,
+            "b",
+            "p",
+            bitvector=bitvector,
+        )
+        chunks = spy_batches(probe)
+        outcome = drive(database, root, mode, batch_rows)
+        # Chunks that select nothing are not emitted; none is a row list.
+        assert all(chunks) and (mode == "batch" or not chunks)
+        return outcome
+
+    if python_backend:
+        with vector.use_python_backend():
+            row, batch = run("row"), run("batch")
+    else:
+        row, batch = run("row"), run("batch")
+    assert row == batch
+    rows, _observations, units, pages_touched, *_rest = batch
+    keyed = {"k": 0, "s": 1}[key]
+    build_keys = [r[keyed] for r in build_rows if r[keyed] is not None]
+    passing = [r for r in probe_rows if residual is None or r[2] < residual]
+    assert len(rows) == sum(build_keys.count(r[keyed]) for r in passing)
+    assert pages_touched == [0, tables["b"].num_pages, tables["p"].num_pages]
+    assert units["charge_hashes"] == 2 * len(build_keys) + sum(
+        1 for r in passing if r[keyed] is not None
+    )

@@ -152,6 +152,106 @@ def test_segment_expand_spreads_page_flags_over_rows(backend):
     assert vector.segment_any(vector.segment_expand(flags, [0, 3, 6], 8), [0, 3, 6]) == flags
 
 
+# ---------------------------------------------------------------------------
+# Hash-join probe helpers: key membership, gathering the matches, page probes
+# ---------------------------------------------------------------------------
+
+
+def _lookup_matches(keys, values):
+    column = vector.make_scan_column(list(values))
+    return vector.KeyLookup(dict.fromkeys(keys)).matching_indexes(column)
+
+
+def test_key_lookup_matches_like_the_hash_table(backend):
+    # Probe order, duplicates on the probe side, negative keys.
+    assert _lookup_matches([5, -3, 9], [9, 1, -3, 9, 5, 0]) == [0, 2, 3, 4]
+    # An empty build side, and a chunk in which nothing matches.
+    assert _lookup_matches([], [1, 2, 3]) == []
+    assert _lookup_matches([7], [1, 2, 3]) == []
+    # NULL probe values never match (the column stays a list).
+    assert _lookup_matches([1, 2], [None, 2, None, 1]) == [1, 3]
+    # Keys at the ends of a span wider than the byte table: value by value.
+    wide = [0, 3, 1 << 40]
+    assert _lookup_matches(wide, [1 << 40, 2, 0, (1 << 40) + 1, -1]) == [0, 2]
+    # Out-of-span probe values next to the table's edges are misses.
+    assert _lookup_matches([10, 12], [9, 10, 11, 12, 13]) == [1, 3]
+    # Keys int64 cannot hold, int64's own extremes, and mixed key types
+    # take the value-by-value test.
+    huge = 1 << 70
+    assert _lookup_matches([huge, 1], [1, 2, 3]) == [0]
+    extremes = [-(1 << 63), (1 << 63) - 1]
+    assert _lookup_matches(extremes, [0, -(1 << 63), (1 << 63) - 1]) == [1, 2]
+    assert _lookup_matches(["a", 2], [2, 3]) == [0]
+    # String and float columns; 1.0 finds the int key 1 as a dict would.
+    assert _lookup_matches(["b", "d"], ["a", "b", "c", "d"]) == [1, 3]
+    assert _lookup_matches([1, 4], [1.0, 2.5, 4.0]) == [0, 2]
+
+
+def test_rows_at_gathers_only_the_listed_rows(backend):
+    rows = [(i, float(i) / 2, f"s{i}", None if i % 2 else i) for i in range(10)]
+    columns = vector.columns_from_rows(rows, 4)
+    assert vector.rows_at(columns, [7, 0, 3]) == [rows[7], rows[0], rows[3]]
+    assert vector.rows_at(columns, []) == []
+    (row,) = vector.rows_at(columns, [4])
+    assert [type(value) for value in row] == [int, float, str, int]
+    # A zero-copy view of file-level columns gathers within the view.
+    view = vector.SlicedColumns(columns, 2, 6)
+    assert vector.rows_at(view, [0, 3]) == [rows[2], rows[5]]
+
+
+def _probe(values, inserted, starts, sampled, bits=64):
+    from repro.core.bitvector import BitVectorFilter
+
+    bitvector = BitVectorFilter(bits)
+    bitvector.insert_all(inserted)
+    verdict = vector.probe_pages(
+        vector.make_scan_column(list(values)), bitvector, starts, sampled
+    )
+    assert bitvector.probes == 0  # the bundle accounts for probes
+    assert all(type(flag) is bool for flag in verdict[0])
+    assert all(type(n) is int for counts in verdict[1:] for n in counts)
+    return verdict
+
+
+def test_probe_pages_stops_at_each_sampled_pages_first_hit(backend):
+    # Pages of 3, 3 and a ragged 2: hit on the first row, on the last row
+    # of the page, and not at all.
+    values = [5, 0, 5, 0, 0, 5, 0, 0]
+    assert _probe(values, [5], [0, 3, 6], [True, True, True]) == (
+        [True, True, False], [1, 3, 2], [1, 3, 2],
+    )
+    # Unsampled pages are not read, whatever they hold.
+    assert _probe(values, [5], [0, 3, 6], [False, True, False]) == (
+        [False, True, False], [0, 3, 0], [0, 3, 0],
+    )
+    assert _probe(values, [5], [0, 3, 6], [False] * 3) == (
+        [False] * 3, [0] * 3, [0] * 3,
+    )
+    # A filter narrower than the key domain: 69 aliases 5 (identity mod 64).
+    assert _probe([1, 69, 2], [5], [0], [True]) == ([True], [2], [2])
+    # Negative ints are placed as Python places them.
+    assert _probe([-59, 1], [5], [0], [True]) == ([True], [1], [1])
+
+
+def test_probe_pages_reads_nulls_without_looking_them_up(backend):
+    # NULLs before the hit are probed (charged) but never reach the filter;
+    # an all-NULL page is read to its end and hits nothing.
+    values = [None, 7, None, None, None, None, 1, None]
+    assert _probe(values, [7], [0, 3, 6], [True, True, True]) == (
+        [True, False, False], [2, 3, 2], [1, 0, 1],
+    )
+
+
+def test_probe_pages_hashes_non_integer_values(backend):
+    for values, inserted in (
+        (["a", "b", "c", "d"], ["c"]),
+        ([0.5, 1.5, 2.5, 3.5], [2.5]),
+    ):
+        assert _probe(values, inserted, [0, 2], [True, True], bits=1 << 16) == (
+            [False, True], [2, 1], [2, 1],
+        )
+
+
 def test_evaluate_columns_full_rows_match_the_row_loop(backend):
     """Rows of sampled pages get the whole conjunction, un-short-circuited;
     the rest the short-circuited prefix — truth and charges as per row."""

@@ -82,6 +82,27 @@ class TestAppendRows:
         table.append_rows([])
         assert not table.statistics_stale
 
+    def test_chunk_scan_sees_rows_appended_after_an_earlier_scan(self):
+        # The file-level column cache is validated against the O(1) row
+        # count that append_row maintains: stale after any append.
+        from repro.exec import CountAggregate, SeqScan, execute
+        from repro.sql import Comparison, conjunction_of
+
+        database, table, _rows = make_heap_table()
+
+        def count_scan():
+            scan = SeqScan(table, conjunction_of(Comparison("k", ">=", 0)))
+            scan.parent_consumes_columns = True
+            return execute(CountAggregate(scan, "pad"), database, mode="batch").rows
+
+        assert count_scan() == [(200,)]
+        cached = table.data_file.file_columns()
+        assert table.data_file.file_columns() is cached
+        table.append_rows([(1000, 5, "y"), (1001, 6, None)])
+        assert table.data_file.num_rows == 202
+        assert table.data_file.file_columns() is not cached
+        assert count_scan() == [(201,)]  # the NULL pad is not counted
+
     def test_clustered_table_rejects_append(self):
         database, table, _rows = make_tiny_table(num_rows=50)
         with pytest.raises(StorageError):

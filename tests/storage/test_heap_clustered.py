@@ -63,6 +63,51 @@ class TestHeapFile:
                 seen.append(int(page_id))
         assert seen == sorted(set(seen))
 
+    def test_num_rows_is_maintained_by_both_append_paths(self):
+        heap = make_heap()
+        assert heap.num_rows == 0
+        heap.append_row((0,))
+        heap.bulk_append([(i,) for i in range(1, 50)])
+        heap.append_row((50,))
+        assert heap.num_rows == 51 == sum(
+            heap.page(PageId(i)).num_rows for i in range(heap.num_pages)
+        )
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(0, 45), min_size=1, max_size=6),
+        singles=st.integers(0, 3),
+    )
+    def test_bulk_append_packs_like_append_row(self, sizes, singles):
+        """Slice packing tops up a part-filled page first: same pages, RIDs."""
+        by_row, by_slice = make_heap(), make_heap()
+        value = 0
+        for size in sizes:
+            batch = [[value + i, "x"] for i in range(size)]  # lists: copied
+            value += size
+            assert by_slice.bulk_append(iter(batch)) == [
+                by_row.append_row(row) for row in batch
+            ]
+            for _ in range(singles):
+                assert by_slice.append_row((value,)) == by_row.append_row((value,))
+                value += 1
+        assert by_slice.num_rows == by_row.num_rows == value
+        assert [
+            by_slice.page(PageId(i)).rows_list() for i in range(by_slice.num_pages)
+        ] == [by_row.page(PageId(i)).rows_list() for i in range(by_row.num_pages)]
+
+    def test_bulk_append_keeps_tuples_it_is_given(self):
+        heap = make_heap()
+        rows = [(i, "x") for i in range(30)]
+        heap.bulk_append(rows)
+        assert all(
+            stored is given
+            for stored, given in zip(
+                (r for i in range(heap.num_pages) for r in heap.page(PageId(i)).rows()),
+                rows,
+            )
+        )
+
     def test_bad_page_rejected(self):
         heap = make_heap()
         heap.append_row((1,))
@@ -148,6 +193,61 @@ class TestClusteredFile:
         )
         expected = sorted((k, i) for i, k in enumerate(keys) if low <= k <= high)
         assert got == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        # Few distinct keys on ~7-row pages: duplicates straddle fences.
+        keys=st.lists(st.integers(0, 30), min_size=1, max_size=120),
+        low=st.one_of(st.none(), st.integers(-3, 33)),
+        high=st.one_of(st.none(), st.integers(-3, 33)),  # below low: empty
+        low_inclusive=st.booleans(),
+        high_inclusive=st.booleans(),
+        composite=st.booleans(),  # two-column key, one-column (prefix) bounds
+    )
+    def test_seek_range_pages_is_seek_range_grouped_by_page(
+        self, keys, low, high, low_inclusive, high_inclusive, composite
+    ):
+        """Fenced-in pages are passed whole and boundary pages bisected,
+        yet pages, rows, reads and the early stop are the row oracle's."""
+        rows = [(k, i % 3, i) for i, k in enumerate(keys)]
+        cf = make_clustered(
+            rows, key_positions=(0, 1) if composite else (0,), row_width=1000
+        )
+        bounds = (
+            None if low is None else (low,),
+            None if high is None else (high,),
+            low_inclusive,
+            high_inclusive,
+        )
+        io_rows, io_pages = IOContext(isolated=True), IOContext(isolated=True)
+        grouped: list[tuple[PageId, list[tuple]]] = []
+        for page_id, _slot, row in cf.seek_range(io_rows, *bounds):
+            if not grouped or grouped[-1][0] != page_id:
+                grouped.append((page_id, []))
+            grouped[-1][1].append(row)
+        paged = [
+            (page_id, list(page_rows))
+            for page_id, page_rows in cf.seek_range_pages(io_pages, *bounds)
+        ]
+        assert paged == grouped
+        assert (io_pages.sequential_reads, io_pages.random_reads) == (
+            io_rows.sequential_reads,
+            io_rows.random_reads,
+        )
+        assert io_pages.logical_reads == io_rows.logical_reads
+
+    def test_seek_range_pages_passes_interior_pages_whole(self):
+        cf = make_clustered([(i,) for i in range(200)], row_width=400)
+        capacity = cf.page_capacity
+        paged = list(
+            cf.seek_range_pages(IOContext(), (3,), (3 * capacity + 1,), True, True)
+        )
+        assert [len(page_rows) for _page_id, page_rows in paged] == [
+            capacity - 3, capacity, capacity, 2,
+        ]
+        # Interior pages are the page's own list, boundary pages slices.
+        assert paged[1][1] is cf.page(PageId(1)).rows_list()
+        assert paged[0][1] is not cf.page(PageId(0)).rows_list()
 
     @settings(max_examples=25, deadline=None)
     @given(keys=st.lists(st.integers(0, 50), min_size=1, max_size=150))
