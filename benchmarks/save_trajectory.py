@@ -26,6 +26,12 @@ at a glance:
   batch mode, monitored and unmonitored, and the batch-over-row ratio
   (the probe-side scan rides the chunk scan; ``smoke_batch.py`` gates
   the ratio);
+* **index plans** — a hinted Index Seek (``c5 < 1000``) and a hinted INL
+  join (``t1.c1 < 400 AND t1.c2 = t.c2``): milliseconds per statement,
+  monitored and unmonitored, in both modes, plus what every process pays
+  before its first query — seconds to build the 2 x 20 000-row synthetic
+  database and its ``tracemalloc`` footprint (``smoke_batch.py`` gates
+  the batch-over-row ratios and the footprint);
 * **plancache** — the plan-cache smoke gate's violation list, so the
   artifact also witnesses that caching still behaves;
 * **service throughput** — the closed-loop service sweep (cold vs. warm
@@ -188,6 +194,48 @@ def _hash_join() -> dict:
     }
 
 
+def _index_plans() -> dict:
+    """Wall cost of the hinted index plans (smoke_batch's probes) and of
+    building the database they run on."""
+    watch = Stopwatch()
+    database = build_synthetic_database(
+        num_rows=smoke_batch.SCAN_ROWS, seed=smoke_batch.SEED, with_copy=True
+    )
+    build_seconds = watch.elapsed_seconds
+    entry: dict = {
+        "num_rows": smoke_batch.SCAN_ROWS,
+        "database_build_seconds": round(build_seconds, 3),
+        "database_tracemalloc_mib": round(smoke_batch.database_footprint_mib(), 1),
+    }
+    for name, statement, probe in (
+        (
+            "index_seek",
+            f"c5 < {smoke_batch.INDEX_SEEK_ROWS}",
+            smoke_batch.index_seek_seconds,
+        ),
+        (
+            "inl_join",
+            f"t1.c1 < {smoke_batch.INL_OUTER_ROWS} AND t1.c2 = t.c2",
+            smoke_batch.inl_join_seconds,
+        ),
+    ):
+        monitored = probe(database)
+        unmonitored = probe(database, monitored=False)
+        entry[name] = {
+            "statement": statement,
+            **{
+                f"{mode}_monitored_ms": round(monitored[mode] * 1e3, 2)
+                for mode in smoke_batch.MODES
+            },
+            **{
+                f"{mode}_unmonitored_ms": round(unmonitored[mode] * 1e3, 2)
+                for mode in smoke_batch.MODES
+            },
+            "batch_over_row": round(monitored["row"] / monitored["batch"], 1),
+        }
+    return entry
+
+
 def _sharded_throughput() -> dict:
     """Simulated scatter-gather scan speedup at the smoke's shard count."""
     serial_ms, sharded_ms, speedup = smoke_shard.scan_speedup()
@@ -221,6 +269,7 @@ def build_entry() -> dict:
         "scan_throughput": _scan_throughput(),
         "monitored_scan": _monitored_scan(),
         "hash_join": _hash_join(),
+        "index_plans": _index_plans(),
         "sharded": _sharded_throughput(),
         "plancache_smoke_violations": smoke_plancache.run_smoke(),
         "service_throughput": bench_service_throughput.run_bench(),

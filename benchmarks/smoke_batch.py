@@ -3,7 +3,7 @@ plan-derived column-chunk scan must be live.
 
 Runs the Fig. 6 single-table methodology at reduced scale under both
 execution modes — the row-at-a-time iterator and page-at-a-time batch
-mode — and gates on five families of bounds:
+mode — and gates on seven families of bounds:
 
 * **wall-clock speedup**: batch mode must finish the identical
   (monitored) workload at least :data:`SPEEDUP_BOUND` times faster than
@@ -37,7 +37,21 @@ mode — and gates on five families of bounds:
   the bit-vector entry is fed per-page verdicts: ~11-15x.  With the probe
   scan back on the page loop (20 000 probe tuples through Python per
   join) it measured 5.6-6.7x, so the bound sits between the two; best of
-  :data:`HASH_JOIN_ATTEMPTS` attempts, like the gate above.
+  :data:`HASH_JOIN_ATTEMPTS` attempts, like the gate above;
+* **index plans**: a monitored hinted Index Seek (``c5 < 1000``) and a
+  monitored hinted INL join (``t1.c1 < 400 AND t1.c2 = t.c2``) in batch
+  mode must each run at least :data:`INDEX_PLAN_BOUND` times faster than
+  row mode.  The batch drive reads located leaf ranges a chunk at a time
+  (one access stream, one gather, one kernel pass, one linear-counter
+  feed per chunk): 6.2-8.7x and 6.2-10.6x in five consecutive runs.  Fed
+  by a generator per fetched row they measured 1.7x and 1.7x, so the
+  gate fails if either operator falls back to a per-row fetch chain;
+  best of :data:`INDEX_PLAN_ATTEMPTS`;
+* **database footprint**: ``tracemalloc`` over
+  ``build_synthetic_database(20 000 rows, with_copy=True)`` must read at
+  most :data:`FOOTPRINT_BOUND_MIB` MiB.  Columnar index leaves (typed key
+  / page / slot vectors) read 11.6; one ``(key, RID, payload)`` triple
+  per entry plus a ``RID`` per row read 21.8.
 
 Wall-clock is measured with :class:`repro.harness.timing.Stopwatch`,
 the only sanctioned host-clock reader (codelint R005).  Exit status 0/1
@@ -52,6 +66,7 @@ from __future__ import annotations
 import math
 import statistics
 import sys
+import tracemalloc
 from typing import Callable
 
 from repro.core.requests import AccessPathRequest
@@ -87,6 +102,20 @@ HASH_JOIN_BOUND = 8.0
 HASH_JOIN_ATTEMPTS = 3
 #: ``t1.c1 < N``: the build side's rows (5 % of the table).
 HASH_JOIN_OUTER_ROWS = 1_000
+
+#: Monitored hinted index plans in batch mode must beat row mode by at
+#: least this factor (chunk-at-a-time drive 6.2-10.6x, per-row fetch chain
+#: 1.7x).
+INDEX_PLAN_BOUND = 3.5
+INDEX_PLAN_ATTEMPTS = 3
+#: ``c5 < N``: rows the Index Seek fetches (5 % of the table, scattered).
+INDEX_SEEK_ROWS = 1_000
+#: ``t1.c1 < N``: outer rows of the INL join, each one index probe.
+INL_OUTER_ROWS = 400
+
+#: ``tracemalloc`` ceiling for the 2 x 20 000-row synthetic database
+#: (columnar leaves 11.6 MiB, entry tuples + RID objects 21.8 MiB).
+FOOTPRINT_BOUND_MIB = 14.0
 
 #: Reduced Fig. 6 scale — big enough for the per-row interpreter cost to
 #: dominate, small enough for a CI smoke job.
@@ -212,6 +241,54 @@ def hash_join_seconds(
     )
 
 
+def _mode_seconds(database, query, hint: str, monitored: bool) -> dict[str, float]:
+    """Median wall seconds of one hinted statement per mode."""
+    session = Session(database)
+    plan = session.optimize(query, hint=PlanHint(hint))
+    requests = default_requests(database, query) if monitored else ()
+    return _interleaved_medians(
+        {
+            mode: lambda mode=mode: session.run_plan(
+                query, plan, requests=requests, exec_mode=mode
+            )
+            for mode in MODES
+        }
+    )
+
+
+def index_seek_seconds(database, monitored: bool = True) -> dict[str, float]:
+    """Index Seek + Fetch on ``c5 < INDEX_SEEK_ROWS``, row and batch."""
+    query = SingleTableQuery(
+        "t", conjunction_of(Comparison("c5", "<", INDEX_SEEK_ROWS)), "padding"
+    )
+    return _mode_seconds(database, query, "index_seek", monitored)
+
+
+def inl_join_seconds(database, monitored: bool = True) -> dict[str, float]:
+    """INL join ``t1.c1 < INL_OUTER_ROWS AND t1.c2 = t.c2`` (the inner
+    fetched through ``t``'s index on ``c2``), row and batch."""
+    query = JoinQuery(
+        join_predicate=JoinEquality("t1", "c2", "t", "c2"),
+        predicates={"t1": conjunction_of(Comparison("c1", "<", INL_OUTER_ROWS))},
+        count_column="t.padding",
+    )
+    return _mode_seconds(database, query, "inl_join", monitored)
+
+
+def database_footprint_mib() -> float:
+    """``tracemalloc`` current of the 2 x 20 000-row synthetic database."""
+    tracemalloc.start()
+    try:
+        database = build_synthetic_database(
+            num_rows=SCAN_ROWS, seed=SEED, with_copy=True
+        )
+        current, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del database
+    return current / 2**20
+
+
 def run_smoke() -> list[str]:
     """Run fig6 in both modes; returns a list of bound violations."""
     violations: list[str] = []
@@ -317,6 +394,46 @@ def run_smoke() -> list[str]:
             f"monitored batch hash join only {join_speedup:.1f}x faster than "
             f"row mode (bound {HASH_JOIN_BOUND:.0f}x): is the probe-side scan "
             "still on the chunk path?"
+        )
+    for label, probe, question in (
+        (
+            f"monitored Index Seek c5 < {INDEX_SEEK_ROWS}",
+            index_seek_seconds,
+            "is the seek still fetching a chunk at a time?",
+        ),
+        (
+            f"monitored INL join t1.c1 < {INL_OUTER_ROWS} on c2",
+            inl_join_seconds,
+            "is the inner still probed by one sorted search per outer batch?",
+        ),
+    ):
+        best = 0.0
+        for _ in range(INDEX_PLAN_ATTEMPTS):
+            seconds = probe(join_database)
+            speedup = seconds["row"] / seconds["batch"]
+            print(
+                f"{label}: row {seconds['row'] * 1e3:.2f}ms, batch "
+                f"{seconds['batch'] * 1e3:.2f}ms -> {speedup:.1f}x "
+                f"(bound {INDEX_PLAN_BOUND:.1f}x)"
+            )
+            best = max(best, speedup)
+            if best >= INDEX_PLAN_BOUND:
+                break
+        if best < INDEX_PLAN_BOUND:
+            violations.append(
+                f"{label} in batch mode only {best:.1f}x faster than row mode "
+                f"(bound {INDEX_PLAN_BOUND:.1f}x): {question}"
+            )
+
+    footprint = database_footprint_mib()
+    print(
+        f"database footprint (tracemalloc, 2 x {SCAN_ROWS} rows): "
+        f"{footprint:.1f} MiB (bound {FOOTPRINT_BOUND_MIB:.0f} MiB)"
+    )
+    if footprint > FOOTPRINT_BOUND_MIB:
+        violations.append(
+            f"synthetic database holds {footprint:.1f} MiB (bound "
+            f"{FOOTPRINT_BOUND_MIB:.0f} MiB): are index leaves still columnar?"
         )
     return violations
 

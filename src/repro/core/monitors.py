@@ -596,35 +596,28 @@ class _FetchEntry:
     ) -> None:
         """Batch form of :meth:`observe` over one chunk of fetched rows.
 
-        Hashes the same page ids the row loop would (rows whose witness
-        terms all came out TRUE), charging the hash count once.
+        Witnesses the same page ids the row loop would (rows whose
+        witness terms all came out TRUE) and charges a hash for each, as
+        the paper does; the counter itself hashes each distinct id once
+        (:meth:`~repro.core.probabilistic.LinearCounter.observe_many`).
         """
-        observe = self.counter.observe
-        if not self.term_indexes:
-            io.charge_hashes(len(page_ids))
-            for page_id in page_ids:
-                observe(int(page_id))
+        columns = [truth_columns[index] for index in self.term_indexes]
+        if any(column is None for column in columns):
             return
-        columns = []
-        for index in self.term_indexes:
-            column = truth_columns[index]
-            if column is None:
-                return
-            columns.append(column)
-        hashes = 0
+        witnessed = page_ids
         if len(columns) == 1:
-            witness = columns[0]
-            for r, page_id in enumerate(page_ids):
-                if witness[r] is True:
-                    hashes += 1
-                    observe(int(page_id))
-        else:
-            for r, page_id in enumerate(page_ids):
-                if all(column[r] is True for column in columns):
-                    hashes += 1
-                    observe(int(page_id))
-        if hashes:
-            io.charge_hashes(hashes)
+            witnessed = [
+                page_id for page_id, value in zip(page_ids, columns[0]) if value is True
+            ]
+        elif columns:
+            witnessed = [
+                page_id
+                for page_id, *values in zip(page_ids, *columns)
+                if all(value is True for value in values)
+            ]
+        if witnessed:
+            io.charge_hashes(len(witnessed))
+            self.counter.observe_many(witnessed)
 
 
 class FetchMonitorBundle:
@@ -673,8 +666,12 @@ class FetchMonitorBundle:
         """Batch form of :meth:`observe_fetch` for one chunk of fetches.
 
         ``page_ids`` is parallel to the rows the batch outcome covers; the
-        counters end up bit-identical to per-row observation (the linear
-        counter is order-insensitive, and hash charges are exact totals).
+        counters end up bit-identical to per-row observation: the linear
+        counter is order-insensitive and idempotent per id, so each entry
+        hashes a chunk's *distinct* witnessed page ids once
+        (:meth:`~repro.core.probabilistic.LinearCounter.observe_many`),
+        while ``charge_hashes`` and ``observations`` still count every
+        witnessed fetch — the paper's one hash per row (Fig. 3).
         """
         if not self._entries or not page_ids:
             return

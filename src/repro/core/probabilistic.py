@@ -20,6 +20,7 @@ one hash.
 from __future__ import annotations
 
 import math
+from typing import Collection
 
 from repro.common.errors import MonitorError
 from repro.common.hashing import hash_to_bucket
@@ -52,6 +53,15 @@ class LinearCounter:
             self._bits[byte_index] |= bit_mask
             self._bits_set += 1
         self.observations += 1
+
+    def observe_many(self, values: Collection[int]) -> None:
+        """:meth:`observe` for a chunk of the stream.  Setting a bit twice
+        changes nothing, so each *distinct* value is hashed once; every
+        value still counts as an observation."""
+        distinct = set(values)
+        for value in distinct:
+            self.observe(value)
+        self.observations += len(values) - len(distinct)
 
     @property
     def bits_set(self) -> int:

@@ -36,6 +36,7 @@ from repro.core.monitors import FetchMonitorBundle
 from repro.exec import vector
 from repro.exec.base import ExecutionContext, Operator
 from repro.exec.batch import RowBatch
+from repro.exec.seeks import evaluate_fetched
 from repro.sql.evaluator import BoundConjunction
 from repro.sql.predicates import Conjunction
 from repro.storage.table import Table
@@ -59,6 +60,14 @@ class INLJoin(Operator):
 
     ``inner_index_name=None`` means the inner table's *clustered* key is
     the join column, so fetches go straight to the clustered file.
+
+    :meth:`batches` probes an inner *index* one outer batch at a time:
+    one sorted search locates every outer key's run of leaf entries
+    (:meth:`BTreeIndex.locate_equal_many`), the runs' page reads are
+    charged as one stream in outer-row order (:meth:`BTreeIndex.read_runs`),
+    their rows gathered in one pass, and the residual and the fetch
+    bundle see a chunk of at most ``batch_rows`` fetches at a time.  Rows
+    and every charge are those of :meth:`rows`, one seek per outer row.
     """
 
     engine_layer = "RE"  # the loop is RE; the inner fetch runs in SE
@@ -143,61 +152,74 @@ class INLJoin(Operator):
         compiled = BoundConjunction(
             self.inner_residual, self.inner_table.schema.column_names
         ).compile()
-        use_clustered = self.inner_index_name is None
-        if use_clustered:
-            clustered = self.inner_table.clustered_file()
-        else:
-            index = self.inner_table.index(self.inner_index_name)
-        bundle = self.bundle
-        stats = self.stats
-        chunk_size = ctx.batch_rows
-        outer_buf: list[tuple] = []
-        inner_buf: list[tuple] = []
-        page_ids: list[Any] = []
-
-        def flush() -> list[tuple]:
-            io.charge_rows(len(inner_buf))
-            outcome = compiled.evaluate_batch(inner_buf, short_circuit=True)
-            io.charge_predicates(outcome.evaluations)
-            stats.predicate_evaluations += outcome.evaluations
-            if bundle is not None:
-                bundle.observe_fetch_batch(page_ids, outcome, io)
-            out = [
-                outer_row + inner_row
-                for outer_row, inner_row, ok in zip(
-                    outer_buf, inner_buf, outcome.passed
-                )
-                if ok
-            ]
-            stats.actual_rows += len(out)
-            return out
-
+        fetch = (
+            self._fetch_by_clustered_key
+            if self.inner_index_name is None
+            else self._fetch_by_index
+        )
         for outer_batch in self.outer.batches(ctx):
-            ctx.checkpoint()
-            for outer_row in outer_batch.rows:
-                value = outer_row[outer_pos]
-                if value is None:
-                    continue
-                if use_clustered:
-                    fetches = clustered.fetch_by_key(io, (value,))
-                else:
-                    fetches = (
-                        self.inner_table.fetch(io, rid)
-                        for _key, rid, _payload in index.seek_equal(io, value)
-                    )
-                for page_id, inner_row in fetches:
-                    outer_buf.append(outer_row)
-                    inner_buf.append(inner_row)
-                    page_ids.append(page_id)
-                    if len(inner_buf) >= chunk_size:
-                        out = flush()
-                        if out:
-                            yield RowBatch(out)
-                        outer_buf, inner_buf, page_ids = [], [], []
-        if inner_buf:
-            out = flush()
-            if out:
-                yield RowBatch(out)
+            outer_rows = [
+                row for row in outer_batch.rows if row[outer_pos] is not None
+            ]
+            keys = [row[outer_pos] for row in outer_rows]
+            for matched, page_ids, inner_rows in fetch(ctx, outer_rows, keys):
+                ctx.checkpoint()
+                passed = evaluate_fetched(self, compiled, io, page_ids, inner_rows)
+                out = [
+                    outer_row + inner_row
+                    for outer_row, inner_row, ok in zip(matched, inner_rows, passed)
+                    if ok
+                ]
+                self.stats.actual_rows += len(out)
+                if out:
+                    yield RowBatch(out)
+
+    def _fetch_by_index(
+        self, ctx: ExecutionContext, outer_rows: list[tuple], keys: list
+    ) -> Iterator[tuple[list[tuple], list[int], list[tuple]]]:
+        """The inner fetches of one outer batch, through the inner index:
+        chunks of ``(outer row per fetch, page ids, inner rows)``.
+
+        One sorted search locates every probe key's run of leaf entries;
+        each probe is a seek of its own (a descent, a random read of its
+        first leaf), and the runs are read in outer-row order — the page
+        reads of :meth:`rows`, in the same order.
+        """
+        index = self.inner_table.index(self.inner_index_name)
+        starts, stops = index.locate_equal_many(keys)
+        ctx.io.charge_index_descent(len(keys))
+        matched = [
+            outer_row
+            for outer_row, start, stop in zip(outer_rows, starts, stops)
+            for _ in range(stop - start)
+        ]
+        data_file = self.inner_table.data_file
+        offset = 0
+        for runs in index.chunk_runs(zip(starts, stops), ctx.batch_rows):
+            page_ids, slots = index.read_runs(ctx.io, runs, data_file.file_id)
+            inner_rows = data_file.rows_at(page_ids, slots)
+            yield matched[offset : offset + len(page_ids)], page_ids, inner_rows
+            offset += len(page_ids)
+
+    def _fetch_by_clustered_key(
+        self, ctx: ExecutionContext, outer_rows: list[tuple], keys: list
+    ) -> Iterator[tuple[list[tuple], list[int], list[tuple]]]:
+        """The same chunks when the inner's clustered key is the join
+        column: one :meth:`ClusteredFile.fetch_by_key` per outer row."""
+        clustered = self.inner_table.clustered_file()
+        matched: list[tuple] = []
+        page_ids: list[int] = []
+        inner_rows: list[tuple] = []
+        for outer_row, key in zip(outer_rows, keys):
+            for page_id, inner_row in clustered.fetch_by_key(ctx.io, (key,)):
+                matched.append(outer_row)
+                page_ids.append(page_id)
+                inner_rows.append(inner_row)
+                if len(inner_rows) >= ctx.batch_rows:
+                    yield matched, page_ids, inner_rows
+                    matched, page_ids, inner_rows = [], [], []
+        if inner_rows:
+            yield matched, page_ids, inner_rows
 
     def finalize(self, ctx: ExecutionContext) -> None:
         self.outer.finalize(ctx)

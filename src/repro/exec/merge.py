@@ -36,6 +36,7 @@ from repro.common.errors import ExecutionError
 from repro.exec.base import ExecutionContext, Operator
 from repro.exec.batch import RowBatch, chunk_rows
 from repro.exec.runstats import OperatorStats
+from repro.exec.seeks import probe_order
 from repro.optimizer.plans import (
     CountPlan,
     CoveringScanPlan,
@@ -218,8 +219,8 @@ def gather_for_plan(
     ======================  =========================================
     ``CountPlan``           :class:`GatherReaggregate` (scalar/grouped)
     ``IndexSeekPlan``       :class:`GatherMerge` on the seek column
-    ``InListSeekPlan``      :class:`GatherMerge` on ``repr`` of the
-                            probe column (probes run in repr order)
+    ``InListSeekPlan``      :class:`GatherMerge` on the probe value's
+                            rank in :func:`~repro.exec.seeks.probe_order`
     ``CoveringScanPlan``    :class:`GatherMerge` on the index key
     anything else           :class:`GatherConcat` (page order)
     ======================  =========================================
@@ -234,7 +235,11 @@ def gather_for_plan(
         return GatherMerge(streams, lambda row: (row[position],))
     if isinstance(plan, InListSeekPlan):
         position = _column_position(columns, plan.in_term.column)
-        return GatherMerge(streams, lambda row: (repr(row[position]),))
+        rank = {
+            value: order
+            for order, value in enumerate(probe_order(plan.in_term.values))
+        }
+        return GatherMerge(streams, lambda row: (rank[row[position]],))
     if isinstance(plan, CoveringScanPlan):
         index_def = database.table(plan.table).indexes[plan.index_name].definition
         key_positions = [

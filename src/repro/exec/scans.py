@@ -497,11 +497,12 @@ class CoveringIndexScan(Operator):
         stats = self.stats
         full_eval = self.monitor_full_eval and bundle is not None
         leaf_pages_before = io.logical_reads
-        chunk_size = ctx.batch_rows
-        entries: list[tuple] = []
-        page_ids: list[Any] = []
-
-        def flush() -> list[tuple]:
+        index = self.index
+        io.charge_index_descent(1)
+        for runs in index.chunk_runs([index.locate()], ctx.batch_rows):
+            ctx.checkpoint()
+            page_ids, _slots = index.read_runs(io, runs)
+            entries = index.entry_rows(runs)
             io.charge_rows(len(entries))
             if full_eval:
                 outcome = compiled.evaluate_batch(entries, short_circuit=False)
@@ -517,19 +518,6 @@ class CoveringIndexScan(Operator):
                 bundle.observe_fetch_batch(page_ids, outcome, io)
             out = [row for row, ok in zip(entries, passed) if ok]
             stats.actual_rows += len(out)
-            return out
-
-        for key, rid, payload in self.index.scan_all(io):
-            entries.append(key + payload)
-            page_ids.append(rid.page_id)
-            if len(entries) >= chunk_size:
-                ctx.checkpoint()
-                out = flush()
-                if out:
-                    yield RowBatch(out)
-                entries, page_ids = [], []
-        if entries:
-            out = flush()
             if out:
                 yield RowBatch(out)
         stats.pages_touched = io.logical_reads - leaf_pages_before

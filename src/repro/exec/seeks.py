@@ -15,72 +15,98 @@ short-circuiting; monitored expressions must be prefixes of that order
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Optional
+from itertools import compress
+from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from repro.core.monitors import FetchMonitorBundle
 from repro.exec.base import ExecutionContext, Operator
 from repro.exec.batch import RowBatch
-from repro.sql.evaluator import BoundConjunction
+from repro.sql.evaluator import BoundConjunction, CompiledConjunction
 from repro.sql.predicates import Conjunction
+from repro.storage.accounting import IOContext
+from repro.storage.btree import BTreeIndex
 from repro.storage.table import Table
 
 
+def evaluate_fetched(
+    operator: Operator,
+    compiled: CompiledConjunction,
+    io: IOContext,
+    page_ids: Sequence[int],
+    rows: list[tuple],
+    short_circuit: bool = True,
+) -> list[bool]:
+    """Run one chunk of rows ``operator`` fetched through its residual
+    (``compiled``) and its fetch bundle: which rows pass.
+
+    Accounting and monitor feeds are totals-identical to the row loop:
+    one ``charge_rows(n)`` per chunk, the residual evaluated with the
+    same short-circuit setting, and the fetch bundle observing the same
+    (page id, truth) pairs.
+    """
+    io.charge_rows(len(rows))
+    outcome = compiled.evaluate_batch(rows, short_circuit=short_circuit)
+    io.charge_predicates(outcome.evaluations)
+    operator.stats.predicate_evaluations += outcome.evaluations
+    if operator.bundle is not None:
+        operator.bundle.observe_fetch_batch(page_ids, outcome, io)
+    return outcome.passed
+
+
 class _FetchResidualMixin:
-    """Shared batch drive for operators that fetch rows then filter them."""
+    """Shared batch drive for operators that fetch rows then filter them.
+
+    The unit of work is a chunk of at most ``ctx.batch_rows`` locators,
+    not a row: the chunk's page reads are charged as one access stream in
+    the row drive's order, its rows gathered in one pass, the residual
+    evaluated by the compiled kernels and the fetch bundle fed the
+    chunk's page ids — with one cancellation checkpoint per chunk.
+    """
 
     table: Table
     residual: Conjunction
     bundle: Optional[FetchMonitorBundle]
     monitor_full_eval: bool
 
-    def _fetch_batches(
-        self, ctx: ExecutionContext, fetch_iter: Iterator[tuple[Any, tuple]]
+    def _filter_chunks(
+        self, ctx: ExecutionContext, fetched: Iterable[tuple[Sequence[int], list[tuple]]]
     ) -> Iterator[RowBatch]:
-        """Chunk a ``(page_id, row)`` fetch stream through compiled kernels.
-
-        Accounting and monitor feeds are totals-identical to the row loop:
-        one ``charge_rows(n)`` per chunk, the residual evaluated with the
-        same short-circuit setting, and the fetch bundle observing the
-        same (page id, truth) pairs.
-        """
-        io = ctx.io
+        """Filter ``(page_ids, rows)`` chunks of fetched rows into batches."""
         compiled = BoundConjunction(
             self.residual, self.table.schema.column_names
         ).compile()
         short_circuit = not self.monitor_full_eval
-        bundle = self.bundle
-        stats = self.stats
-        chunk_size = ctx.batch_rows
         pages_seen: set[int] = set()
-        rows_buf: list[tuple] = []
-        page_ids: list[Any] = []
-
-        def flush() -> list[tuple]:
-            io.charge_rows(len(rows_buf))
-            outcome = compiled.evaluate_batch(rows_buf, short_circuit=short_circuit)
-            io.charge_predicates(outcome.evaluations)
-            stats.predicate_evaluations += outcome.evaluations
-            if bundle is not None:
-                bundle.observe_fetch_batch(page_ids, outcome, io)
-            out = [row for row, ok in zip(rows_buf, outcome.passed) if ok]
-            stats.actual_rows += len(out)
-            return out
-
-        for page_id, row in fetch_iter:
-            pages_seen.add(int(page_id))
-            rows_buf.append(row)
-            page_ids.append(page_id)
-            if len(rows_buf) >= chunk_size:
-                ctx.checkpoint()
-                out = flush()
-                if out:
-                    yield RowBatch(out)
-                rows_buf, page_ids = [], []
-        if rows_buf:
-            out = flush()
+        for page_ids, rows in fetched:
+            pages_seen.update(page_ids)
+            passed = evaluate_fetched(
+                self, compiled, ctx.io, page_ids, rows, short_circuit
+            )
+            out = rows if all(passed) else list(compress(rows, passed))
+            self.stats.actual_rows += len(out)
             if out:
                 yield RowBatch(out)
-        stats.pages_touched = len(pages_seen)
+        self.stats.pages_touched = len(pages_seen)
+
+    def _seek_batches(
+        self, ctx: ExecutionContext, index: BTreeIndex, ranges: list[tuple[int, int]]
+    ) -> Iterator[RowBatch]:
+        """Batch drive over located seek ranges, one index descent each."""
+        io = ctx.io
+        io.charge_index_descent(len(ranges))
+        data_file = self.table.data_file
+
+        def fetched() -> Iterator[tuple[list[int], list[tuple]]]:
+            for runs in index.chunk_runs(ranges, ctx.batch_rows):
+                ctx.checkpoint()
+                pages, slots = index.read_runs(io, runs, data_file.file_id)
+                yield pages, data_file.rows_at(pages, slots)
+
+        return self._filter_chunks(ctx, fetched())
+
+    def finalize(self, ctx: ExecutionContext) -> None:
+        if self.bundle is not None:
+            ctx.observations.extend(self.bundle.finish())
 
 
 class IndexSeekFetch(_FetchResidualMixin, Operator):
@@ -145,18 +171,21 @@ class IndexSeekFetch(_FetchResidualMixin, Operator):
         self.stats.pages_touched = len(pages_seen)
 
     def batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
-        io = ctx.io
-        fetches = (
-            self.table.fetch(io, rid)
-            for _key, rid, _payload in self.index.seek_range(
-                io, self.low, self.high, self.low_inclusive, self.high_inclusive
-            )
+        located = self.index.locate(
+            self.low, self.high, self.low_inclusive, self.high_inclusive
         )
-        yield from self._fetch_batches(ctx, fetches)
+        return self._seek_batches(ctx, self.index, [located])
 
-    def finalize(self, ctx: ExecutionContext) -> None:
-        if self.bundle is not None:
-            ctx.observations.extend(self.bundle.finish())
+
+def probe_order(values: Iterable[Any]) -> tuple:
+    """Distinct IN-list values in the order their probes run: ascending,
+    so leaf access stays monotone.  The schema gives a column one type, so
+    the values compare; a hand-built mixed list falls back to ``repr``."""
+    distinct = set(values)
+    try:
+        return tuple(sorted(distinct))
+    except TypeError:
+        return tuple(sorted(distinct, key=repr))
 
 
 class IndexInListSeekFetch(_FetchResidualMixin, Operator):
@@ -182,7 +211,7 @@ class IndexInListSeekFetch(_FetchResidualMixin, Operator):
         super().__init__()
         self.table = table
         self.index = table.index(index_name)
-        self.values = tuple(sorted(set(values), key=repr))
+        self.values = probe_order(values)
         self.residual = residual
         self.bundle = bundle
         self.monitor_full_eval = monitor_full_eval
@@ -221,18 +250,8 @@ class IndexInListSeekFetch(_FetchResidualMixin, Operator):
         self.stats.pages_touched = len(pages_seen)
 
     def batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
-        io = ctx.io
-
-        def fetches() -> Iterator[tuple[Any, tuple]]:
-            for value in self.values:
-                for _key, rid, _payload in self.index.seek_equal(io, value):
-                    yield self.table.fetch(io, rid)
-
-        yield from self._fetch_batches(ctx, fetches())
-
-    def finalize(self, ctx: ExecutionContext) -> None:
-        if self.bundle is not None:
-            ctx.observations.extend(self.bundle.finish())
+        located = [self.index.locate(value, value) for value in self.values]
+        return self._seek_batches(ctx, self.index, located)
 
 
 class SeekSpec:
@@ -294,7 +313,7 @@ class IndexIntersectionFetch(_FetchResidualMixin, Operator):
     def output_columns(self) -> tuple[str, ...]:
         return self.table.schema.column_names
 
-    def _intersect_rids(self, io) -> list:
+    def _intersect(self, io) -> list:
         """Run the seek legs, charge the RID hashing, return sorted RIDs."""
         rid_sets = []
         for spec in self.seeks:
@@ -313,10 +332,9 @@ class IndexIntersectionFetch(_FetchResidualMixin, Operator):
 
     def rows(self, ctx: ExecutionContext) -> Iterator[tuple]:
         io = ctx.io
-        sorted_rids = self._intersect_rids(io)
         bound = BoundConjunction(self.residual, self.table.schema.column_names)
         pages_seen: set[int] = set()
-        for rid in sorted_rids:
+        for rid in self._intersect(io):
             page_id, row = self.table.fetch(io, rid)
             if int(page_id) not in pages_seen:
                 # First touch of a page is the cancellation boundary,
@@ -336,11 +354,24 @@ class IndexIntersectionFetch(_FetchResidualMixin, Operator):
 
     def batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
         io = ctx.io
-        fetches = (
-            self.table.fetch(io, rid) for rid in self._intersect_rids(io)
-        )
-        yield from self._fetch_batches(ctx, fetches)
+        leg_locators = []
+        for spec in self.seeks:
+            ctx.checkpoint()
+            index = self.table.index(spec.index_name)
+            start, stop = index.locate(
+                spec.low, spec.high, spec.low_inclusive, spec.high_inclusive
+            )
+            io.charge_index_descent(1)
+            leg_locators.append(set(zip(*index.read_runs(io, [(start, stop, None)]))))
+        # Hashing RIDs during the intersection is CPU work.
+        io.charge_hashes(sum(map(len, leg_locators)))
+        ordered = sorted(set.intersection(*leg_locators))  # (page, slot) order
+        data_file = self.table.data_file
 
-    def finalize(self, ctx: ExecutionContext) -> None:
-        if self.bundle is not None:
-            ctx.observations.extend(self.bundle.finish())
+        def fetched() -> Iterator[tuple[tuple[int, ...], list[tuple]]]:
+            for offset in range(0, len(ordered), ctx.batch_rows):
+                ctx.checkpoint()
+                pages, slots = zip(*ordered[offset : offset + ctx.batch_rows])
+                yield pages, data_file.fetch_many(io, pages, slots)
+
+        return self._filter_chunks(ctx, fetched())

@@ -35,8 +35,9 @@ fallback (codelint R011 exempts this file).
 from __future__ import annotations
 
 import operator
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
+from functools import reduce
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence, Union
 
 if TYPE_CHECKING:
@@ -202,19 +203,98 @@ def count_notnull(column: Column) -> int:
     return sum(1 for value in column if value is not None)
 
 
+def values_at(column: Column, indexes: Sequence[int]) -> Column:
+    """The column's values at the listed positions, in that order (a gather)."""
+    if _is_array(column):
+        return column[indexes]
+    return [column[index] for index in indexes]
+
+
 def rows_at(columns: Sequence[Column], indexes: list[int]) -> list[tuple]:
     """Row tuples (Python scalars) of the listed row positions only.
 
     What a consumer that needs a few rows of a column batch calls instead
     of transposing all of it (:func:`rows_from_columns`).
     """
-    picked = [
-        column[indexes].tolist()
-        if _is_array(column)
-        else [column[index] for index in indexes]
-        for column in columns
-    ]
-    return list(zip(*picked))
+    return list(zip(*(column_values(values_at(column, indexes)) for column in columns)))
+
+
+# --- sorted columns (B-tree leaves) ----------------------------------------
+#
+# An index leaf level is a set of parallel columns sorted lexicographically
+# on its key columns.  A typed array is searched with ``searchsorted`` when
+# the probe is a plain value of the array's own type; any other probe (a
+# float against an int column, an int beyond int64, a bool) and every list
+# column take Python's ``bisect``, whose comparisons are the row loop's.
+
+#: The Python type whose values a typed array of each dtype kind holds
+#: uncast (``bool`` is not ``int`` here, and an unsigned array has none).
+_PLAIN_TYPE = {"i": int, "f": float}
+
+
+def slice_values(column: Column, start: int, stop: int) -> list:
+    """``column[start:stop]`` as a list of Python scalars."""
+    part = column[start:stop]
+    return part if type(part) is list else part.tolist()
+
+
+def sort_order(columns: Sequence[Column]) -> Sequence[int]:
+    """Stable lexicographic argsort: ties keep their input order."""
+    if all(_is_array(column) for column in columns):
+        return _np.lexsort(tuple(reversed(columns)))
+    if len(columns) == 1:
+        keys = column_values(columns[0])
+    else:
+        keys = list(zip(*map(column_values, columns)))
+    return sorted(range(len(keys)), key=keys.__getitem__)
+
+
+def first_adjacent_duplicate(columns: Sequence[Column]) -> int:
+    """First position whose row equals the row before it, or ``-1``."""
+    if all(_is_array(column) for column in columns):
+        same = reduce(operator.and_, (column[1:] == column[:-1] for column in columns))
+        hits = same.nonzero()[0]
+        return int(hits[0]) + 1 if len(hits) else -1
+    keys = list(zip(*map(column_values, columns)))
+    return next((i for i in range(1, len(keys)) if keys[i] == keys[i - 1]), -1)
+
+
+def bisect_column(column: Column, value: Any, lo: int, hi: int, right: bool) -> int:
+    """``bisect_right`` (or ``_left``) of ``value`` in the sorted ``column[lo:hi]``."""
+    if type(column) is not list and type(value) is _PLAIN_TYPE.get(column.dtype.kind):
+        return lo + int(column[lo:hi].searchsorted(value, "right" if right else "left"))
+    return (bisect_right if right else bisect_left)(column, value, lo, hi)
+
+
+def equal_ranges(column: Column, values: Sequence) -> tuple[list[int], list[int]]:
+    """``[start, stop)`` of each value's run in a sorted column: one sorted
+    search of all the values when they are plain values of its type."""
+    if _is_array(column):
+        probes = _np.asarray(values)
+        if probes.dtype == column.dtype:
+            return (
+                column.searchsorted(probes, "left").tolist(),
+                column.searchsorted(probes, "right").tolist(),
+            )
+    size = len(column)
+    return (
+        [bisect_column(column, value, 0, size, False) for value in values],
+        [bisect_column(column, value, 0, size, True) for value in values],
+    )
+
+
+def insert_value(column: Column, position: int, value: Any) -> Column:
+    """The column with ``value`` inserted before ``position`` (a list is
+    changed in place; an array that cannot hold the value becomes a list)."""
+    if _is_array(column):
+        if type(value) is _PLAIN_TYPE.get(column.dtype.kind):
+            try:
+                return _np.insert(column, position, value)
+            except OverflowError:  # an int beyond the array's width
+                pass
+        column = column.tolist()
+    column.insert(position, value)
+    return column
 
 
 # --- predicate kernels ---------------------------------------------------

@@ -20,8 +20,9 @@ paper's machinery depends on:
 then absorbs the monitored run's observations, re-optimizes, and checks
 the improved plan's unmonitored run the same way — i.e. the *entire*
 §V-B methodology pipeline is mode-invariant; table-scan plans exercise
-the chunk scan monitored (P) and unmonitored (P'), and Fig. 8 hash joins
-its bit-vector feed (a probe-side scan of the requested table).  Row
+the chunk scan monitored (P) and unmonitored (P'), Fig. 8 hash joins
+its bit-vector feed (a probe-side scan of the requested table), and
+hinted index plans the chunk-at-a-time seek → fetch → linear-count drive.  Row
 mode is the reference: every other mode is diffed against it.  Simulated ``cpu_ms`` is
 deliberately excluded: batched charging accumulates the same totals in
 fewer float additions, so the float may differ in the last ulp while
@@ -41,6 +42,7 @@ from repro.exec.executor import EXEC_MODES, QueryResult, execute
 from repro.exec.runstats import OperatorStats, RunStats
 from repro.harness.methodology import default_requests
 from repro.lifecycle.plan import build_optimizer
+from repro.optimizer.hints import PlanHint
 from repro.optimizer.injection import InjectionSet
 from repro.shard.feedback import ShardedFeedbackStore
 from repro.workloads.queries import GeneratedQuery
@@ -191,6 +193,7 @@ def compare_query(
     requests: Optional[Sequence[PageCountRequest]] = None,
     monitor_config: Optional[MonitorConfig] = None,
     base_injections: Optional[InjectionSet] = None,
+    hint: Optional[PlanHint] = None,
 ) -> QueryEquivalence:
     """Run one generated query through §V-B in every mode and diff.
 
@@ -198,7 +201,9 @@ def compare_query(
     unmonitored run of the feedback-improved plan P' (built from the
     row-mode observations; the diff has already proven the other modes
     produced the same ones).  Monitor state is rebuilt per mode — bundles
-    are stateful.
+    are stateful.  ``hint`` pins both plans to one physical shape, which
+    is how the index plans (seek, IN-list, intersection, covering scan,
+    INL) are proven on workloads whose cheapest plan is a scan.
     """
     monitor_config = (
         monitor_config if monitor_config is not None else MonitorConfig()
@@ -212,7 +217,9 @@ def compare_query(
     )
     entry = QueryEquivalence(label=generated.label)
 
-    plan = build_optimizer(database, injections=injections).optimize(query)
+    plan = build_optimizer(
+        database, injections=injections, hint=hint
+    ).optimize(query)
 
     monitored_results = {}
     for mode in EXEC_MODES:
@@ -236,7 +243,9 @@ def compare_query(
     corrected.absorb_observations(
         list(monitored_results["row"].runstats.observations)
     )
-    improved_plan = build_optimizer(database, injections=corrected).optimize(query)
+    improved_plan = build_optimizer(
+        database, injections=corrected, hint=hint
+    ).optimize(query)
     improved_results = {}
     for mode in EXEC_MODES:
         build = build_executable(improved_plan, database)
@@ -260,6 +269,7 @@ def compare_workload(
     workload: Sequence[GeneratedQuery],
     monitor_config: Optional[MonitorConfig] = None,
     base_injections: Optional[InjectionSet] = None,
+    hint: Optional[PlanHint] = None,
 ) -> EquivalenceReport:
     """Prove row≡batch for every query of a workload."""
     return EquivalenceReport(
@@ -269,6 +279,7 @@ def compare_workload(
                 generated,
                 monitor_config=monitor_config,
                 base_injections=base_injections,
+                hint=hint,
             )
             for generated in workload
         ]

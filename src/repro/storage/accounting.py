@@ -103,11 +103,11 @@ class IOContext:
             self._frames = OrderedDict()
         return self._frames
 
-    def record_pool_hit(self) -> None:
-        self.pool_hits += 1
+    def record_pool_hit(self, hits: int = 1) -> None:
+        self.pool_hits += hits
 
-    def record_eviction(self) -> None:
-        self.evictions += 1
+    def record_eviction(self, evictions: int = 1) -> None:
+        self.evictions += evictions
 
     # -- I/O charges ----------------------------------------------------
     def charge_random_read(self, pages: int = 1) -> None:

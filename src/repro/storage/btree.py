@@ -19,9 +19,8 @@ produce those column values without touching the table (Section III-B's
 
 from __future__ import annotations
 
-import bisect
-from operator import itemgetter
-from typing import Any, Callable, Iterator, Optional, Sequence
+from itertools import repeat
+from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from repro.common.errors import IndexError_
 from repro.common.types import RID, FileId, PageId
@@ -34,19 +33,33 @@ from repro.storage.page import USABLE_PAGE_BYTES
 _ENTRY_OVERHEAD_BYTES = 9
 _LOCATOR_BYTES = 8
 
-
-def _tuple_getter(positions: tuple[int, ...]) -> Callable[[Sequence[Any]], tuple]:
-    """``row -> tuple(row[p] for p in positions)``, without the generator."""
-    if not positions:
-        return lambda row: ()
-    if len(positions) == 1:
-        (position,) = positions
-        return lambda row: (row[position],)
-    return itemgetter(*positions)
+#: One contiguous run of leaf entries read by one seek: ``(start, stop,
+#: entered_leaf)``.  ``entered_leaf`` is the leaf page the seek is already
+#: on when it reaches ``start`` (a range cut into chunks carries it from
+#: one chunk to the next), ``None`` for a seek that has read nothing yet.
+LeafRun = tuple[int, int, Optional[int]]
 
 
 class BTreeIndex:
-    """A secondary index over one table."""
+    """A secondary index over one table.
+
+    The leaf level is stored by column: one vector per key column, sorted
+    lexicographically, then the locators' ``page`` and ``slot`` vectors,
+    then one vector per included column — typed arrays on the NumPy
+    backend, lists on the pure-Python one (and for string, date or
+    NULL-bearing columns on either).  An entry's leaf *page* is its
+    position divided by :attr:`entries_per_page`.  RIDs are two integer
+    vectors, not one object per entry, because everything a plan does
+    with locators is vector-shaped: a key range is a slice, the data
+    pages it touches are ``pages[start:stop]``, fetching its rows is one
+    gather.
+
+    :meth:`locate` finds a key range by column-at-a-time bisection.
+    :meth:`seek_range` / :meth:`seek_equal` / :meth:`scan_all` walk a
+    located range entry by entry (the row drive); the batch drive reads
+    it as chunks of :data:`LeafRun` (:meth:`chunk_runs`, then
+    :meth:`read_runs` and, for a covering scan, :meth:`entry_rows`).
+    """
 
     def __init__(
         self,
@@ -59,25 +72,26 @@ class BTreeIndex:
         self.schema = schema
         self.file_id = file_id
         self.buffer_pool = buffer_pool
-        self._key_positions = tuple(
-            schema.position(col) for col in definition.key_columns
+        self._key_count = len(definition.key_columns)
+        #: Row positions of the carried columns: keys, then payloads.
+        self._positions = tuple(
+            schema.position(col) for col in definition.carried_columns()
         )
-        self._payload_positions = tuple(
-            schema.position(col) for col in definition.included_columns
-        )
-        #: ``row -> key tuple`` of this index.
-        self.key_of = _tuple_getter(self._key_positions)
-        self._payload_of = _tuple_getter(self._payload_positions)
         entry_width = (
             sum(schema.column(c).width_bytes for c in definition.carried_columns())
             + _LOCATOR_BYTES
             + _ENTRY_OVERHEAD_BYTES
         )
         self.entries_per_page = max(1, USABLE_PAGE_BYTES // entry_width)
-        # Sorted leaf entries: (key_tuple, rid, payload_tuple).
-        self._entries: list[tuple[tuple, RID, tuple]] = []
-        self._keys: list[tuple] = []
-        self._built = False
+        #: Leaf columns: keys..., pages, slots, payloads... (``None``: unbuilt).
+        self._columns: Optional[list] = None
+        self._backend = ""
+        self._size = 0
+        # Imported lazily: storage must stay importable without touching
+        # the exec package (which imports storage back).
+        from repro.exec import vector
+
+        self._vector = vector
 
     @property
     def name(self) -> str:
@@ -85,78 +99,141 @@ class BTreeIndex:
 
     @property
     def num_entries(self) -> int:
-        return len(self._entries)
+        return self._size
 
     @property
     def num_leaf_pages(self) -> int:
-        if not self._entries:
-            return 0
-        return -(-len(self._entries) // self.entries_per_page)  # ceil div
+        return -(-self._size // self.entries_per_page)  # ceil div
 
     # ------------------------------------------------------------------
     # Build path
     # ------------------------------------------------------------------
-    def build(self, rows_with_rids: Iterator[tuple[RID, Sequence[Any]]]) -> None:
-        """Build the index from ``(rid, row)`` pairs; callable once."""
-        if self._built:
+    def build(
+        self, rows: Sequence[Sequence[Any]], pages: Sequence[int], slots: Sequence[int]
+    ) -> None:
+        """Build the index over ``rows`` stored at ``(pages[i], slots[i])``,
+        given in physical (page, slot) order; callable once.
+
+        One stable sort on the key columns: equal keys keep physical order.
+        """
+        if self._columns is not None:
             raise IndexError_(f"index {self.name} was already built")
-        key_of, payload_of = self.key_of, self._payload_of
-        entries = [(key_of(row), rid, payload_of(row)) for rid, row in rows_with_rids]
-        entries.sort(key=lambda entry: (entry[0], entry[1].page_id, entry[1].slot))
+        vector = self._vector
+        columns = [
+            vector.make_scan_column([row[position] for row in rows])
+            for position in self._positions
+        ]
+        order = vector.sort_order(columns[: self._key_count])
+        columns[self._key_count : self._key_count] = [
+            vector.make_scan_column(pages),
+            vector.make_scan_column(slots),
+        ]
+        columns = [vector.values_at(column, order) for column in columns]
         if self.definition.unique:
-            for previous, current in zip(entries, entries[1:]):
-                if previous[0] == current[0]:
-                    raise IndexError_(
-                        f"unique index {self.name}: duplicate key {current[0]!r}"
-                    )
-        self._entries = entries
-        self._keys = [entry[0] for entry in entries]
-        self._built = True
+            keys = columns[: self._key_count]
+            duplicate = vector.first_adjacent_duplicate(keys)
+            if duplicate >= 0:
+                key = tuple(
+                    vector.slice_values(column, duplicate, duplicate + 1)[0]
+                    for column in keys
+                )
+                raise IndexError_(f"unique index {self.name}: duplicate key {key!r}")
+        self._columns, self._backend = columns, vector.backend_name()
+        self._size = len(rows)
 
     def insert(self, rid: RID, row: Sequence[Any]) -> None:
         """Insert one row's entry, keeping leaf order (incremental load).
 
         Supports append workloads on heap tables: the entry is placed at
-        its sorted position (``bisect``), so seeks stay correct; leaf page
-        numbers shift accordingly, matching how a real B-tree's logical
-        leaf order absorbs inserts.
+        its sorted position — after the equal keys with a lower RID — so
+        seeks stay correct; leaf page numbers shift accordingly, matching
+        how a real B-tree's logical leaf order absorbs inserts.
         """
-        self._require_built()
-        key = self.key_of(row)
-        payload = self._payload_of(row)
-        index = bisect.bisect_left(self._keys, key)
-        # Advance past equal keys to keep RID tie-break order.
-        while (
-            index < len(self._entries)
-            and self._entries[index][0] == key
-            and (self._entries[index][1].page_id, self._entries[index][1].slot)
-            < (rid.page_id, rid.slot)
-        ):
-            index += 1
-        if self.definition.unique and (
-            (index < len(self._keys) and self._keys[index] == key)
-            or (index > 0 and self._keys[index - 1] == key)
-        ):
-            raise IndexError_(f"unique index {self.name}: duplicate key {key!r}")
-        self._entries.insert(index, (key, rid, payload))
-        self._keys.insert(index, key)
+        columns = self._leaf_columns()
+        carried = [row[position] for position in self._positions]
+        key = tuple(carried[: self._key_count])
+        if self.definition.unique:
+            start, stop = self.locate(key, key)
+            if start < stop:
+                raise IndexError_(f"unique index {self.name}: duplicate key {key!r}")
+        # Keys, then page, then slot: the order the leaf level is sorted in.
+        values = [*key, rid.page_id, rid.slot, *carried[self._key_count :]]
+        position = self._bisect(columns, values[: self._key_count + 2], right=False)
+        insert_value = self._vector.insert_value
+        self._columns = [
+            insert_value(column, position, value)
+            for column, value in zip(columns, values)
+        ]
+        self._size += 1
 
     # ------------------------------------------------------------------
-    # Read path
+    # Locating ranges (no I/O)
     # ------------------------------------------------------------------
-    def _require_built(self) -> None:
-        if not self._built:
+    def _leaf_columns(self) -> list:
+        """The leaf columns, in the active vector backend's representation."""
+        if self._columns is None:
             raise IndexError_(f"index {self.name} has not been built")
+        vector = self._vector
+        backend = vector.backend_name()
+        if self._backend != backend:
+            self._columns = [
+                vector.make_scan_column(vector.column_values(column))
+                for column in self._columns
+            ]
+            self._backend = backend
+        return self._columns
 
-    def _leaf_page_of(self, entry_index: int) -> PageId:
-        return PageId(entry_index // self.entries_per_page)
+    def _bisect(self, columns: Sequence, values: Sequence[Any], right: bool) -> int:
+        """Lexicographic bisection of ``values`` over sorted ``columns``,
+        one column at a time: within the run where the earlier columns
+        equal the earlier values, the next column is sorted."""
+        bisect_column = self._vector.bisect_column
+        lo, hi = 0, self._size
+        last = min(len(values), len(columns)) - 1
+        for depth in range(last):
+            column, value = columns[depth], values[depth]
+            lo, hi = (
+                bisect_column(column, value, lo, hi, False),
+                bisect_column(column, value, lo, hi, True),
+            )
+        return bisect_column(columns[last], values[last], lo, hi, right)
 
-    def _normalize(self, key: Any) -> tuple:
-        """Accept a scalar for single-column keys; always store tuples."""
-        if isinstance(key, tuple):
-            return key
-        return (key,)
+    def locate(
+        self,
+        low: Optional[Any] = None,
+        high: Optional[Any] = None,
+        low_inclusive: bool = True,
+        high_inclusive: bool = True,
+    ) -> tuple[int, int]:
+        """Leaf positions ``[start, stop)`` of the keys within the range.
 
+        ``None`` bounds are open; a scalar stands for a single-column key.
+        A partial (prefix) key bound on a composite index is a shorter
+        tuple and compares against the same prefix of each key, so
+        ``(5,)`` inclusive spans every ``(5, *)`` and exclusive none.
+        """
+        keys = self._leaf_columns()[: self._key_count]
+        start, stop = 0, self._size
+        if low is not None:
+            low = low if isinstance(low, tuple) else (low,)
+            start = self._bisect(keys, low, right=not low_inclusive)
+        if high is not None:
+            high = high if isinstance(high, tuple) else (high,)
+            stop = self._bisect(keys, high, right=high_inclusive)
+        return start, max(start, stop)
+
+    def locate_equal_many(self, values: Sequence[Any]) -> tuple[list[int], list[int]]:
+        """``locate(value, value)`` for each (non-NULL) value, as ``(starts,
+        stops)`` — the probes of an INL join's outer batch, one sorted
+        search when the key is a single typed column."""
+        if self._key_count == 1:
+            return self._vector.equal_ranges(self._leaf_columns()[0], values)
+        located = [self.locate(value, value) for value in values]
+        return [start for start, _ in located], [stop for _, stop in located]
+
+    # ------------------------------------------------------------------
+    # Read path, entry at a time (the row drive)
+    # ------------------------------------------------------------------
     def seek_range(
         self,
         io: IOContext,
@@ -166,60 +243,147 @@ class BTreeIndex:
         high_inclusive: bool = True,
     ) -> Iterator[tuple[tuple, RID, tuple]]:
         """Yield ``(key, rid, payload)`` for keys within the range, in key
-        order, charging ``io`` index-page I/O and per-entry CPU as it goes.
-
-        A partial (prefix) key bound on a composite index is supported by
-        passing a shorter tuple; comparison semantics follow Python tuple
-        ordering, which matches B-tree prefix-range behaviour for
-        inclusive-low / exclusive-high prefix bounds.
-        """
-        self._require_built()
+        order, charging ``io`` index-page I/O and per-entry CPU as it goes
+        (bounds as in :meth:`locate`)."""
+        start, stop = self.locate(low, high, low_inclusive, high_inclusive)
         # Root-to-leaf descent: non-leaf levels are assumed cached, so the
         # traversal costs CPU, charged once per seek.
         io.charge_index_descent(1)
-        if low is None:
-            start = 0
-        else:
-            low_key = self._normalize(low)
-            start = (
-                bisect.bisect_left(self._keys, low_key)
-                if low_inclusive
-                else bisect.bisect_right(self._keys, low_key)
+        epp = self.entries_per_page
+        entered: Optional[int] = None
+        while start < stop:
+            leaf = start // epp
+            self.buffer_pool.access(
+                self.file_id, PageId(leaf), io, sequential=entered is not None
             )
-        previous_leaf: Optional[PageId] = None
-        high_key = None if high is None else self._normalize(high)
-        for index in range(start, len(self._entries)):
-            key, rid, payload = self._entries[index]
-            if high_key is not None:
-                # For prefix bounds compare only the provided prefix length.
-                head = key[: len(high_key)]
-                if high_inclusive and head > high_key:
-                    return
-                if not high_inclusive and head >= high_key:
-                    return
-            leaf = self._leaf_page_of(index)
-            if leaf != previous_leaf:
-                self.buffer_pool.access(
-                    self.file_id, leaf, io, sequential=previous_leaf is not None
-                )
-                previous_leaf = leaf
-            io.charge_index_entries(1)
-            yield key, rid, payload
+            entered = leaf
+            segment_stop = min(stop, (leaf + 1) * epp)
+            for entry in self._entries_between(start, segment_stop):
+                io.charge_index_entries(1)
+                yield entry
+            start = segment_stop
 
     def seek_equal(self, io: IOContext, key: Any) -> Iterator[tuple[tuple, RID, tuple]]:
         """All entries with exactly this (possibly prefix) key."""
-        normalized = self._normalize(key)
-        return self.seek_range(
-            io, low=normalized, high=normalized, low_inclusive=True, high_inclusive=True
-        )
+        return self.seek_range(io, low=key, high=key)
 
     def scan_all(self, io: IOContext) -> Iterator[tuple[tuple, RID, tuple]]:
         """Full leaf-order scan (the access path of a covering-index scan)."""
         return self.seek_range(io)
 
+    def entries(self) -> Iterator[tuple[tuple, RID, tuple]]:
+        """Every ``(key, rid, payload)`` in leaf order — read-only, no I/O."""
+        self._leaf_columns()
+        return self._entries_between(0, self._size)
+
+    def _entries_between(self, start: int, stop: int) -> Iterator[tuple[tuple, RID, tuple]]:
+        keys = self._key_count
+        slice_values = self._vector.slice_values
+        columns = [slice_values(column, start, stop) for column in self._columns]
+        payloads = columns[keys + 2 :]
+        return zip(
+            zip(*columns[:keys]),
+            map(RID, columns[keys], columns[keys + 1]),
+            zip(*payloads) if payloads else repeat(()),
+        )
+
+    # ------------------------------------------------------------------
+    # Read path, a chunk of entries at a time (the batch drive)
+    # ------------------------------------------------------------------
+    def chunk_runs(
+        self, ranges: Iterable[tuple[int, int]], chunk_rows: int
+    ) -> Iterator[list[LeafRun]]:
+        """Cut located seek ranges into chunks of at most ``chunk_rows``
+        entries.  Each range is one seek (its first leaf read is random);
+        a range cut in two carries the leaf it was on into the next chunk.
+        Empty ranges read nothing and are dropped."""
+        epp = self.entries_per_page
+        chunk: list[LeafRun] = []
+        room = chunk_rows
+        for start, stop in ranges:
+            entered = None
+            while start < stop:
+                cut = start + room
+                if cut > stop:
+                    cut = stop
+                chunk.append((start, cut, entered))
+                room -= cut - start
+                if not room:
+                    yield chunk
+                    chunk, room = [], chunk_rows
+                entered = (cut - 1) // epp
+                start = cut
+        if chunk:
+            yield chunk
+
+    def read_runs(
+        self,
+        io: IOContext,
+        runs: Sequence[LeafRun],
+        data_file_id: Optional[FileId] = None,
+    ) -> tuple[list[int], list[int]]:
+        """Batch form of walking ``runs`` entry by entry (and, given the
+        table's ``data_file_id``, fetching each entry's row): returns the
+        entries' ``(pages, slots)`` and charges the walk's page reads, in
+        its order, as one :meth:`BufferPool.access_sequence` stream.
+
+        Each leaf is read as a run enters it — a seek's first leaf
+        randomly, continuation leaves (also inside an equal-key run that
+        spans leaves) sequentially — followed by the data page of each of
+        its entries: the order in which :meth:`seek_range` and a fetch
+        per yielded entry make them.  Per-entry index CPU is charged once.
+        """
+        locators = self._leaf_columns()[self._key_count : self._key_count + 2]
+        pages, slots = self._gather(runs, locators)
+        data_reads = (
+            [] if data_file_id is None else list(zip(repeat(data_file_id), pages))
+        )
+        epp = self.entries_per_page
+        file_id = self.file_id
+        keys: list[tuple[FileId, PageId]] = []
+        sequential: list[int] = []  # positions in ``keys``
+        offset = 0
+        for start, stop, entered in runs:
+            while start < stop:
+                leaf = start // epp
+                if leaf != entered:
+                    if entered is not None:
+                        sequential.append(len(keys))
+                    keys.append((file_id, leaf))
+                    entered = leaf
+                segment_stop = (leaf + 1) * epp
+                if segment_stop > stop:
+                    segment_stop = stop
+                if data_reads:
+                    keys += data_reads[offset : offset + segment_stop - start]
+                    offset += segment_stop - start
+                start = segment_stop
+        self.buffer_pool.access_sequence(keys, io, sequential)
+        io.charge_index_entries(len(pages))
+        return pages, slots
+
+    def _gather(self, runs: Sequence[LeafRun], columns: Sequence) -> list[list]:
+        """The runs' entries of each column, as lists of Python scalars."""
+        vector = self._vector
+        if len(runs) == 1:
+            start, stop, _ = runs[0]
+            return [vector.slice_values(column, start, stop) for column in columns]
+        positions = [p for start, stop, _ in runs for p in range(start, stop)]
+        return [
+            vector.column_values(vector.values_at(column, positions))
+            for column in columns
+        ]
+
+    def entry_rows(self, runs: Sequence[LeafRun]) -> list[tuple]:
+        """``key + payload`` of the runs' entries, in order (what a
+        covering scan outputs)."""
+        columns = self._leaf_columns()
+        keys = self._key_count
+        return list(zip(*self._gather(runs, columns[:keys] + columns[keys + 2 :])))
+
     def __repr__(self) -> str:
         return (
             f"BTreeIndex({self.name} on {self.definition.table_name}"
             f"({', '.join(self.definition.key_columns)}), "
-            f"{len(self._entries)} entries, {self.num_leaf_pages} leaf pages)"
+            f"{self._size} entries, {self.num_leaf_pages} leaf pages)"
         )

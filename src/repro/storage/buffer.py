@@ -24,7 +24,9 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from contextlib import nullcontext
 from dataclasses import dataclass
+from typing import Collection, Sequence
 
 from repro.common.errors import BufferPoolError
 from repro.common.types import FileId, PageId
@@ -138,6 +140,65 @@ class BufferPool:
                 self.stats.evictions += 1
         frames[key] = None
         return False
+
+    def access_sequence(
+        self,
+        keys: Sequence[tuple[FileId, PageId]],
+        io: IOContext,
+        sequential: Collection[int] = (),
+    ) -> None:
+        """Record the logical reads ``keys``, in order, as one :meth:`access`
+        per key would: the same hits, the same physical reads charged in the
+        same order, the same victims evicted.
+
+        ``sequential`` holds the positions in ``keys`` read sequentially
+        (a continuation leaf of an index range); every other read is
+        random.  The stream's *order* is part of the contract — once the
+        pool evicts, which page is the LRU victim depends on it — so a
+        caller batching an operator's reads hands them over in the order
+        the row-at-a-time operator makes them.  The lock is taken once,
+        and an immediate repeat of a key (the next row of the same data
+        page) is a hit that needs no frame bookkeeping: the page is
+        resident and already the most recently used.
+        """
+        sequential = frozenset(sequential)
+        shared = not io.isolated
+        frames = self._frames if shared else io.private_frames()
+        capacity = self.capacity_pages
+        move_to_end = frames.move_to_end
+        charge_random, charge_sequential = io.charge_random_read, io.charge_sequential_read
+        hits = evictions = 0
+        random_before, sequential_before = io.random_reads, io.sequential_reads
+        previous = None
+        with self._lock if shared else nullcontext():
+            for position, key in enumerate(keys):
+                if key == previous:
+                    hits += 1
+                    continue
+                previous = key
+                if key in frames:
+                    move_to_end(key)
+                    hits += 1
+                    continue
+                if position in sequential:
+                    charge_sequential()
+                else:
+                    charge_random()
+                if len(frames) >= capacity:
+                    frames.popitem(last=False)
+                    evictions += 1
+                frames[key] = None
+            io.record_pool_hit(hits)
+            io.record_eviction(evictions)
+            if shared:
+                random = io.random_reads - random_before
+                in_sequence = io.sequential_reads - sequential_before
+                stats = self.stats
+                stats.logical_reads += len(keys)
+                stats.physical_reads += random + in_sequence
+                stats.physical_random += random
+                stats.physical_sequential += in_sequence
+                stats.evictions += evictions
 
     def reset(self) -> None:
         """Cold-cache reset: drop all shared frames (keeps cumulative stats)."""

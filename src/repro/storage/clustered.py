@@ -22,7 +22,7 @@ from operator import itemgetter
 from typing import Any, Callable, Iterator, Optional, Sequence
 
 from repro.common.errors import StorageError
-from repro.common.types import RID, FileId, PageId
+from repro.common.types import FileId, PageId
 from repro.storage.accounting import IOContext
 from repro.storage.buffer import BufferPool
 from repro.storage.heap import DataFile
@@ -57,11 +57,10 @@ class ClusteredFile(DataFile):
     # ------------------------------------------------------------------
     # Load path
     # ------------------------------------------------------------------
-    def bulk_load(self, rows: Sequence[Sequence[Any]]) -> list[RID]:
+    def bulk_load(self, rows: Sequence[Sequence[Any]]) -> None:
         """Sort ``rows`` by the clustering key and pack them into pages.
 
         May be called exactly once; the file is immutable afterwards.
-        Returns the rows' RIDs in physical (key) order.
         """
         if self._loaded:
             raise StorageError(
@@ -69,7 +68,7 @@ class ClusteredFile(DataFile):
             )
         # Stable, so ties keep input order.  A one-column key sorts on the
         # bare value: the same order as on its 1-tuple, without building one.
-        rids = self.bulk_append(sorted(rows, key=itemgetter(*self.key_positions)))
+        self.bulk_append(sorted(rows, key=itemgetter(*self.key_positions)))
         self._page_low_keys = [
             self.key_of(page.get(0)) for page in self._pages if page.num_rows
         ]
@@ -79,7 +78,6 @@ class ClusteredFile(DataFile):
             if page.num_rows
         ]
         self._loaded = True
-        return rids
 
     # ------------------------------------------------------------------
     # Read path
@@ -211,10 +209,11 @@ class ClusteredFile(DataFile):
                 self.file_id, page.page_id, io, sequential=not first_read
             )
             first_read = False
-            for row in page.rows():
-                row_key = self.key_of(row)
-                if row_key < key:
-                    continue
-                if row_key > key:
-                    return
+            # Rows are sorted by key within the page: bisect to the run.
+            rows = page.rows_list()
+            first = bisect.bisect_left(rows, key, key=self.key_of)
+            stop = bisect.bisect_right(rows, key, lo=first, key=self.key_of)
+            for row in rows[first:stop]:
                 yield page.page_id, row
+            if stop < len(rows):
+                return  # a row past the key ends the run

@@ -11,6 +11,7 @@ Index Seek vs. Table Scan decision.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from repro.common.errors import StorageError
@@ -112,33 +113,40 @@ class DataFile:
         self._num_rows += 1
         return RID(page.page_id, slot)
 
-    def bulk_append(self, rows: Iterable[Sequence[Any]]) -> list[RID]:
-        """Append many rows; returns their RIDs in insertion order.
+    def bulk_append(self, rows: Iterable[Sequence[Any]]) -> None:
+        """Append many rows, in order.
 
-        Packs whole pages by slice — the layout (and every RID) is what
-        row-by-row :meth:`append_row` calls would produce, including
-        topping up a part-filled last page first.  Rows that already are
-        tuples are stored as they come, not copied.
+        Packs whole pages by slice — the layout (and every RID, see
+        :meth:`locators`) is what row-by-row :meth:`append_row` calls
+        would produce, including topping up a part-filled last page first.
+        Rows that already are tuples are stored as they come, not copied.
         """
         rows = [row if type(row) is tuple else tuple(row) for row in rows]
         pages = self._pages
         capacity = self.page_capacity
-        rids: list[RID] = []
         position = 0
         while position < len(rows):
             if not pages or pages[-1].is_full:
                 pages.append(Page(PageId(len(pages)), capacity))
             page = pages[-1]
-            first_slot = page.num_rows
-            taken = rows[position : position + capacity - first_slot]
+            taken = rows[position : position + capacity - page.num_rows]
             page.extend(taken)
-            page_id = page.page_id
-            rids.extend(
-                RID(page_id, first_slot + offset) for offset in range(len(taken))
-            )
             position += len(taken)
         self._num_rows += len(rows)
-        return rids
+
+    def locators(self) -> tuple[list[int], list[int]]:
+        """``(pages, slots)`` of every stored row, in physical order — the
+        file's RIDs as two parallel vectors (no I/O)."""
+        pages: list[int] = []
+        slots: list[int] = []
+        for page in self._pages:
+            pages.extend([page.page_id] * page.num_rows)
+            slots.extend(range(page.num_rows))
+        return pages, slots
+
+    def rids(self) -> Iterator[RID]:
+        """Every stored row's RID, in physical order (no I/O)."""
+        return map(RID, *self.locators())
 
     # ------------------------------------------------------------------
     # Read path (charges the caller's IOContext via the buffer pool)
@@ -170,6 +178,32 @@ class DataFile:
         page = self.page(rid.page_id)
         self.buffer_pool.access(self.file_id, rid.page_id, io, sequential=False)
         return rid.page_id, page.get(rid.slot)
+
+    def rows_at(self, pages: Sequence[int], slots: Sequence[int]) -> list[tuple]:
+        """The rows at ``(pages[i], slots[i])``, *without* I/O accounting —
+        the gather step of a batched fetch, whose page reads the caller
+        charges as one :meth:`BufferPool.access_sequence` stream."""
+        file_pages = self._pages
+        if pages and (min(pages) < 0 or min(slots) < 0):
+            raise StorageError(f"file {int(self.file_id)}: negative row locator")
+        try:
+            return [
+                file_pages[page].rows_list()[slot] for page, slot in zip(pages, slots)
+            ]
+        except IndexError:
+            raise StorageError(
+                f"file {int(self.file_id)}: row locator out of range "
+                f"(file has {len(file_pages)} pages)"
+            ) from None
+
+    def fetch_many(
+        self, io: IOContext, pages: Sequence[int], slots: Sequence[int]
+    ) -> list[tuple]:
+        """:meth:`fetch` for many locators, in order: the same reads, as
+        one stream."""
+        rows = self.rows_at(pages, slots)
+        self.buffer_pool.access_sequence(list(zip(repeat(self.file_id), pages)), io)
+        return rows
 
     def scan_pages(
         self, io: IOContext, start_page: int = 0, end_page: Optional[int] = None

@@ -39,8 +39,8 @@ class Table:
         #: Set by :func:`repro.shard.partition.partition_database` on the
         #: shard-local copies; ``None`` on an unsharded table.
         self.partition: Optional[TablePartition] = None
-        self._rids: list[RID] = []
         self._loaded = False
+        self._stats_dirty = False
         self._stats_version = 0
 
     # ------------------------------------------------------------------
@@ -80,9 +80,9 @@ class Table:
             raise StorageError(f"table {self.name} was already loaded")
         validated = self.schema.validate_rows(rows)
         if isinstance(self.data_file, ClusteredFile):
-            self._rids = self.data_file.bulk_load(validated)
+            self.data_file.bulk_load(validated)
         else:
-            self._rids = self.data_file.bulk_append(validated)
+            self.data_file.bulk_append(validated)
         self._loaded = True
 
     def append_rows(self, rows: Sequence[Sequence[Any]]) -> list[RID]:
@@ -108,7 +108,6 @@ class Table:
             validated = self.schema.validate_row(row)
             rid = self.data_file.append_row(validated)
             appended.append(rid)
-            self._rids.append(rid)
             for index in self.indexes.values():
                 index.insert(rid, validated)
         if appended:
@@ -118,7 +117,7 @@ class Table:
     @property
     def statistics_stale(self) -> bool:
         """Whether rows were appended since statistics were last built."""
-        return getattr(self, "_stats_dirty", False)
+        return self._stats_dirty
 
     @property
     def statistics_version(self) -> int:
@@ -147,7 +146,7 @@ class Table:
                 f"not {self.name}"
             )
         index = BTreeIndex(definition, self.schema, file_id, self.buffer_pool)
-        index.build(zip(self._rids, self._stored_rows()))
+        index.build(self._stored_rows(), *self.data_file.locators())
         self.indexes[definition.name] = index
         return index
 
@@ -167,7 +166,7 @@ class Table:
         return self.statistics
 
     def _stored_rows(self) -> list[tuple]:
-        """Every row in physical order — the order of ``self._rids`` — with
+        """Every row in physical order — the order of :meth:`rids` — with
         no I/O accounting (load-time operations)."""
         data_file = self.data_file
         return [
@@ -195,6 +194,10 @@ class Table:
             for idx in self.indexes.values()
             if idx.definition.leading_column == column
         ]
+
+    def rids(self) -> Iterator[RID]:
+        """Every stored row's RID, in physical order (no I/O)."""
+        return self.data_file.rids()
 
     def fetch(self, io: IOContext, rid: RID) -> tuple[PageId, tuple]:
         """Random-access row fetch (the Fetch operator's storage call)."""

@@ -114,7 +114,7 @@ class TestDatabase:
 
     def test_cold_cache_empties_pool(self):
         database, table, _rows = make_tiny_table(num_rows=300)
-        table.fetch(database.new_io_context(), table._rids[0])
+        table.fetch(database.new_io_context(), next(table.rids()))
         assert database.buffer_pool.resident_pages > 0
         database.cold_cache()
         assert database.buffer_pool.resident_pages == 0
@@ -129,14 +129,14 @@ class TestDatabase:
     def test_contexts_start_cold_and_independent(self):
         database, table, _rows = make_tiny_table(num_rows=300)
         first = database.new_io_context()
-        table.fetch(first, table._rids[5])
+        table.fetch(first, list(table.rids())[5])
         assert first.elapsed_ms > 0
         second = database.new_io_context()
         assert second.elapsed_ms == 0  # fresh context, no global carry-over
 
     def test_reset_measurements_clears_pool_state(self):
         database, table, _rows = make_tiny_table(num_rows=300)
-        table.fetch(database.new_io_context(), table._rids[5])
+        table.fetch(database.new_io_context(), list(table.rids())[5])
         assert database.buffer_pool.stats.logical_reads > 0
         database.reset_measurements()
         assert database.buffer_pool.stats.logical_reads == 0

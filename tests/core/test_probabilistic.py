@@ -115,3 +115,42 @@ def test_estimate_close_to_true_distinct(values):
         counter.observe(value)
     truth = len(set(values))
     assert counter.estimate() == pytest.approx(truth, rel=0.25, abs=3.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    chunks=st.lists(st.lists(st.integers(0, 300), max_size=80), max_size=6),
+    num_bits=st.sampled_from([1, 8, 64, 257]),
+    seed=st.integers(0, 3),
+)
+def test_observe_many_is_observe_per_value(chunks, num_bits, seed):
+    """A chunk hashes each distinct value once; the counter cannot tell."""
+    one_by_one, chunked = LinearCounter(num_bits, seed), LinearCounter(num_bits, seed)
+    for chunk in chunks:
+        for value in chunk:
+            one_by_one.observe(value)
+        chunked.observe_many(chunk)
+    assert chunked.observations == one_by_one.observations == sum(map(len, chunks))
+    assert chunked.bits_set == one_by_one.bits_set
+    assert chunked.estimate() == one_by_one.estimate()
+    # Same bitmap: the union of the two sets no bit either lacks.
+    union = LinearCounter(num_bits, seed)
+    union.merge(chunked)
+    union.merge(one_by_one)
+    assert union.bits_set == chunked.bits_set
+
+
+def test_observe_many_hashes_each_distinct_value_once(monkeypatch):
+    from repro.core import probabilistic
+
+    hashed = []
+    hash_to_bucket = probabilistic.hash_to_bucket
+    monkeypatch.setattr(
+        probabilistic,
+        "hash_to_bucket",
+        lambda value, *rest: hashed.append(value) or hash_to_bucket(value, *rest),
+    )
+    counter = LinearCounter(64)
+    counter.observe_many([7, 7, 9, 7, 9, 3])
+    assert sorted(hashed) == [3, 7, 9]
+    assert counter.observations == 6

@@ -14,12 +14,17 @@ import pytest
 
 from repro.core.planner import MonitorConfig
 from repro.exec.scans import SeqScan
+from repro.harness import compare_workload
+from repro.optimizer import PlanHint, SingleTableQuery
+from repro.sql import Comparison, Conjunction, InList, conjunction_of
+from repro.storage.btree import BTreeIndex
+from repro.storage.heap import DataFile
 from repro.workloads import (
     build_synthetic_database,
     join_workload,
     single_table_workload,
 )
-from repro.harness import compare_workload
+from repro.workloads.queries import GeneratedQuery, multi_predicate_query
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +112,66 @@ def test_fig8_join_workload_row_batch_equivalent(equivalence_db, chunk_scans, ba
     ]
     assert len(monitored) >= len(workload)
     assert {scan.table.name for scan in monitored} == {"t"}
+
+
+def _index_plan_workloads(database):
+    """``hint kind -> workload`` covering every index plan of §III-A."""
+    seeks = single_table_workload(
+        database, "t", ["c2", "c3", "c5"], queries_per_column=2,
+        selectivity_range=(0.01, 0.10), seed=5,
+    )
+    in_list = GeneratedQuery(
+        SingleTableQuery(
+            "t",
+            Conjunction((InList("c4", [9, 100, 10, 2_500, 20]), Comparison("c2", "<", 4_000))),
+            "padding",
+        ),
+        column="c4", selectivity=5 / 8_000, label="in-list",
+    )
+    covered = GeneratedQuery(
+        SingleTableQuery("t", conjunction_of(Comparison("c3", "<", 900)), "c3"),
+        column="c3", selectivity=900 / 8_000, label="covered",
+    )
+    return {
+        "index_seek": seeks,
+        "in_list_seek": [in_list],
+        "index_intersection": [
+            multi_predicate_query(database, "t", ["c3", "c5"], 0.2, seed=1),
+            multi_predicate_query(database, "t", ["c2", "c4", "c5"], 0.3, seed=2),
+        ],
+        "covering_scan": [covered],
+        "inl_join": join_workload(
+            database, "t1", "t", ["c2", "c5"], queries_per_column=2, seed=3
+        ),
+    }
+
+
+def test_index_plan_workloads_row_batch_equivalent(equivalence_db, backend, monkeypatch):
+    """Seek, IN-list, intersection, covering-scan and INL plans, pinned by
+    hint, monitored (P) and not (P'): the chunk-at-a-time drive is
+    observationally the row loop on both vector backends."""
+    chunked: list[str] = []
+    chunk_runs, fetch_many = BTreeIndex.chunk_runs, DataFile.fetch_many
+    monkeypatch.setattr(
+        BTreeIndex,
+        "chunk_runs",
+        lambda self, ranges, rows: chunked.append(self.name) or chunk_runs(self, ranges, rows),
+    )
+    monkeypatch.setattr(
+        DataFile,
+        "fetch_many",
+        lambda self, io, pages, slots: chunked.append("intersection")
+        or fetch_many(self, io, pages, slots),
+    )
+    for kind, workload in _index_plan_workloads(equivalence_db).items():
+        del chunked[:]
+        report = compare_workload(
+            equivalence_db, workload, hint=PlanHint(kind),
+            monitor_config=MonitorConfig(dpsample_fraction=0.3),
+        )
+        assert report.ok, f"{kind}: {report.render()}"
+        # P and P' of every query ran the batch drive of its index plan.
+        assert len(chunked) >= 2 * len(workload), kind
 
 
 def test_single_table_workload_equivalent_python_backend(equivalence_db):

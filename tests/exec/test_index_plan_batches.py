@@ -1,0 +1,280 @@
+"""Index plans a chunk at a time: the batch drive changes nothing.
+
+``IndexSeekFetch``, ``IndexInListSeekFetch``, ``IndexIntersectionFetch``,
+``INLJoin`` and ``CoveringIndexScan`` read located leaf ranges in chunks of
+``batch_rows`` entries — one buffer-pool access stream, one gather, one
+kernel evaluation, one monitor feed per chunk.  These tests prove row ==
+batch for each of them on rows (order included), observation
+fingerprints, per-kind charge totals, read and eviction counters,
+``pages_touched`` / ``actual_rows`` / ``predicate_evaluations``, with a
+4-frame buffer pool so the order of the access stream decides what is
+evicted, and that a cancelled run stops within one chunk.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.catalog import ColumnDef, Database, IndexDef, TableSchema
+from repro.common.cancellation import CancellationToken
+from repro.common.errors import QueryCancelled
+from repro.core.monitors import FetchMonitorBundle
+from repro.core.requests import AccessPathRequest
+from repro.exec import (
+    CoveringIndexScan,
+    INLJoin,
+    IndexInListSeekFetch,
+    IndexIntersectionFetch,
+    IndexSeekFetch,
+    SeekSpec,
+    SeqScan,
+)
+from repro.exec.base import ExecutionContext
+from repro.harness.equivalence import observation_fingerprint
+from repro.sql import Comparison, Conjunction, conjunction_of
+from repro.sql.types import SqlType
+from repro.storage.buffer import BufferPool
+
+from tests.exec.test_chunk_scan_selection import TallyIO
+
+NUM_ROWS = 1_500
+
+
+def make_database(pool_pages: int) -> Database:
+    """``f``: a heap with a low-cardinality column ``g`` (equal-key runs of
+    500 entries, longer than a leaf), a permutation ``v``, and a nullable
+    ``n`` for residuals with NULL truth values; wide rows, so ~100 pages.
+    ``c``: the same rows clustered on ``g`` (the INL clustered-key path).
+    ``o``: the INL outer — NULL, non-matching and duplicate join keys."""
+    database = Database(f"idx{pool_pages}", buffer_pool_pages=pool_pages)
+    columns = [
+        ColumnDef("k", SqlType.INT),
+        ColumnDef("g", SqlType.INT),
+        ColumnDef("v", SqlType.INT),
+        ColumnDef("n", SqlType.INT),
+        ColumnDef("pad", SqlType.STR, width_bytes=500),
+    ]
+    rows = [
+        (k, k % 3, (k * 37) % NUM_ROWS, None if k % 5 == 0 else k % 7, "x")
+        for k in range(NUM_ROWS)
+    ]
+    database.load_table(
+        TableSchema("f", columns),
+        rows,
+        indexes=[
+            IndexDef("ix_g", "f", ("g",)),
+            IndexDef("ix_v", "f", ("v",)),
+            IndexDef("ix_gv", "f", ("g", "v"), included_columns=("n",)),
+        ],
+    )
+    database.load_table(TableSchema("c", columns), rows, clustered_on=["g"])
+    outer = [(i, j) for i, j in enumerate([1, None, 7, 2, 1, 99, 0, None, 2] * 9)]
+    database.load_table(
+        TableSchema(
+            "o", [ColumnDef("i", SqlType.INT), ColumnDef("j", SqlType.INT)]
+        ),
+        outer,
+    )
+    return database
+
+
+@pytest.fixture(scope="module", params=[4, 10_000], ids=["pool4", "pool10k"])
+def database(request):
+    return make_database(request.param)
+
+
+def fetch_bundle(table_name: str, residual: Conjunction) -> FetchMonitorBundle:
+    """One request per witness shape: every fetch, the first term, all terms."""
+    bundle = FetchMonitorBundle(table_name)
+    for width in sorted({0, min(1, len(residual)), len(residual)}):
+        bundle.add_request(
+            AccessPathRequest(table_name, Conjunction(residual.terms[:width])),
+            term_indexes=range(width),
+            num_bits=256,
+            seed=width,
+        )
+    return bundle
+
+
+#: A residual whose first term is NULL on a fifth of the rows.
+RESIDUAL = conjunction_of(Comparison("n", "<", 5), Comparison("k", ">=", 100))
+
+
+def seek(database, monitored, full_eval):
+    table = database.table("f")
+    return IndexSeekFetch(
+        table, "ix_v", low=(40,), high=(700,), residual=RESIDUAL,
+        low_inclusive=False,
+        bundle=fetch_bundle("f", RESIDUAL) if monitored else None,
+        monitor_full_eval=full_eval,
+    )
+
+
+def long_run_seek(database, monitored, full_eval):
+    """One key's 500 entries: an equal-key run that spans leaves."""
+    table = database.table("f")
+    assert table.index("ix_g").entries_per_page < NUM_ROWS // 3
+    return IndexSeekFetch(
+        table, "ix_g", low=(1,), high=(1,), residual=RESIDUAL,
+        bundle=fetch_bundle("f", RESIDUAL) if monitored else None,
+        monitor_full_eval=full_eval,
+    )
+
+
+def in_list(database, monitored, full_eval):
+    return IndexInListSeekFetch(
+        database.table("f"), "ix_v",
+        values=(9, 1400, 10, 100, 20, 5000, *range(300, 1300, 20)),
+        residual=RESIDUAL,
+        bundle=fetch_bundle("f", RESIDUAL) if monitored else None,
+        monitor_full_eval=full_eval,
+    )
+
+
+def intersection(database, monitored, full_eval):
+    return IndexIntersectionFetch(
+        database.table("f"),
+        [SeekSpec("ix_g", (2,), (2,)), SeekSpec("ix_v", None, (900,), True, False)],
+        residual=RESIDUAL,
+        bundle=fetch_bundle("f", RESIDUAL) if monitored else None,
+        monitor_full_eval=full_eval,
+    )
+
+
+def covering(database, monitored, full_eval):
+    query = conjunction_of(Comparison("v", "<", 1_000))
+    monitor = conjunction_of(Comparison("v", "<", 1_000), Comparison("n", "<", 3))
+    return CoveringIndexScan(
+        database.table("f"), "ix_gv", query,
+        bundle=fetch_bundle("f", monitor) if monitored else None,
+        monitor_conjunction=monitor if monitored else None,
+        monitor_full_eval=full_eval,
+    )
+
+
+def inl(inner_table, inner_index):
+    def make(database, monitored, full_eval):
+        inner = database.table(inner_table)
+        return INLJoin(
+            SeqScan(database.table("o"), Conjunction()), "j", inner, "g", RESIDUAL,
+            inner_index_name=inner_index,
+            bundle=fetch_bundle(inner_table, RESIDUAL) if monitored else None,
+        )
+
+    return make
+
+
+OPERATORS = {
+    "seek": seek,
+    "long_run_seek": long_run_seek,
+    "in_list": in_list,
+    "intersection": intersection,
+    "covering": covering,
+    "inl_index": inl("f", "ix_g"),
+    "inl_clustered": inl("c", None),
+}
+
+
+def stats_tree(stats):
+    return (
+        stats.operator, stats.actual_rows, stats.pages_touched,
+        stats.predicate_evaluations, [stats_tree(child) for child in stats.children],
+    )
+
+
+def run(database, root, mode, batch_rows, cancellation=None):
+    database.cold_cache()
+    io = TallyIO()
+    ctx = ExecutionContext(
+        database=database, io=io, batch_rows=batch_rows, cancellation=cancellation
+    )
+    if mode == "row":
+        rows = list(root.rows(ctx))
+    else:
+        rows = [row for batch in root.batches(ctx) for row in batch.rows]
+    root.finalize(ctx)
+    return {
+        "rows": rows,
+        "observations": [observation_fingerprint(o) for o in ctx.observations],
+        "units": io.units,
+        "reads": (io.random_reads, io.sequential_reads, io.pool_hits, io.evictions),
+        "stats": stats_tree(root.collect_stats()),
+    }
+
+
+@pytest.mark.parametrize("batch_rows", [1, 7, 1024])
+@pytest.mark.parametrize("monitored, full_eval", [(False, False), (True, False), (True, True)])
+@pytest.mark.parametrize("name", sorted(OPERATORS))
+def test_row_equals_batch(database, backend, name, monitored, full_eval, batch_rows):
+    make = OPERATORS[name]
+    row = run(database, make(database, monitored, full_eval), "row", batch_rows)
+    batch = run(database, make(database, monitored, full_eval), "batch", batch_rows)
+    assert batch == row
+    assert row["rows"] and row["units"]["charge_rows"] > len(row["rows"])
+    assert bool(row["observations"]) == monitored
+    if database.buffer_pool.capacity_pages == 4:
+        assert row["reads"][3] > 0  # the stream's order decided evictions
+
+
+@pytest.mark.parametrize("name", sorted(OPERATORS))
+def test_cancellation_lands_within_one_chunk(name):
+    """With ``batch_rows`` = 7, a token firing at the N-th checkpoint stops
+    the run before an (N+1)-th chunk's rows are charged."""
+    database = make_database(10_000)
+    complete = run(database, OPERATORS[name](database, True, False), "batch", 7)
+    for checks in (1, 3, 6):
+        token = CancellationToken(cancel_after_checks=checks)
+        root = OPERATORS[name](database, True, False)
+        database.cold_cache()
+        io = TallyIO()
+        ctx = ExecutionContext(database=database, io=io, batch_rows=7, cancellation=token)
+        with pytest.raises(QueryCancelled):
+            for _batch in root.batches(ctx):
+                pass
+        assert token.checks == checks
+        assert io.units["charge_rows"] <= checks * 7 + _outer_rows(name)
+        assert io.units["charge_rows"] < complete["units"]["charge_rows"]
+
+
+def _outer_rows(name: str) -> int:
+    """Rows the INL's outer scan may charge on top of the inner chunks."""
+    return 81 if name.startswith("inl") else 0
+
+
+def test_in_list_probes_leaves_in_key_order(monkeypatch):
+    """Values are probed ascending — by value, not by ``repr`` — so the leaf
+    pages an IN-list seek touches never go backwards, in either drive."""
+    database = make_database(10_000)
+    index = database.table("f").index("ix_v")
+    values = (5, 1_000, 400, 30, 1_499, 9, 10)
+    assert sorted(values, key=repr) != sorted(values)
+    touched: list[int] = []
+    access, access_sequence = BufferPool.access, BufferPool.access_sequence
+
+    def spy_access(self, file_id, page_id, io, sequential=False):
+        if file_id == index.file_id:
+            touched.append(int(page_id))
+        return access(self, file_id, page_id, io, sequential)
+
+    def spy_sequence(self, keys, io, sequential=()):
+        touched.extend(int(page) for file_id, page in keys if file_id == index.file_id)
+        return access_sequence(self, keys, io, sequential)
+
+    monkeypatch.setattr(BufferPool, "access", spy_access)
+    monkeypatch.setattr(BufferPool, "access_sequence", spy_sequence)
+    results = {}
+    for mode in ("row", "batch"):
+        del touched[:]
+        operator = IndexInListSeekFetch(
+            database.table("f"), "ix_v", values=values, residual=RESIDUAL,
+            bundle=fetch_bundle("f", RESIDUAL),
+        )
+        assert operator.values == tuple(sorted(values))
+        results[mode] = run(database, operator, mode, 1024)
+        assert len(set(touched)) > 1 and touched == sorted(touched)
+    assert results["row"] == results["batch"]
+    # Values that do not compare fall back to a deterministic repr order.
+    mixed = IndexInListSeekFetch(
+        database.table("f"), "ix_v", values=(3, "a", None), residual=Conjunction()
+    )
+    assert mixed.values == ("a", 3, None)  # "'a'" < "3" < "None"

@@ -1,14 +1,18 @@
 """Tests for non-clustered B-tree indexes."""
 
+import datetime
+from contextlib import nullcontext
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.catalog.schema import ColumnDef, IndexDef, TableSchema
 from repro.common.errors import IndexError_
-from repro.common.types import FileId, RID, PageId
+from repro.common.types import FileId
 from repro.sql.types import SqlType
 from repro.storage.accounting import IOContext
 from repro.storage.btree import BTreeIndex
+from repro.exec import vector
 from repro.storage.buffer import BufferPool
 
 
@@ -31,8 +35,9 @@ def make_index(
     )
     pool = BufferPool(capacity_pages=1000)
     index = BTreeIndex(definition, schema, FileId(9), pool)
+    rows = list(rows)
     index.build(
-        (RID(PageId(i // 10), i % 10), row) for i, row in enumerate(rows)
+        rows, [i // 10 for i in range(len(rows))], [i % 10 for i in range(len(rows))]
     )
     return index
 
@@ -46,7 +51,7 @@ class TestBuild:
     def test_double_build_rejected(self):
         index = make_index([(0, 1, 2)])
         with pytest.raises(IndexError_):
-            index.build(iter([]))
+            index.build([], [], [])
 
     def test_unique_violation_detected(self):
         with pytest.raises(IndexError_):
@@ -172,3 +177,161 @@ def test_seek_range_matches_bruteforce(values, low, span):
     )
     expected = sorted(v for v in values if low <= v <= high)
     assert got == expected
+
+
+# ----------------------------------------------------------------------
+# The columnar leaf level: locating ranges
+# ----------------------------------------------------------------------
+_EPOCH = datetime.date(2008, 4, 7)
+
+#: Key-value generators per column type: few distinct values, so
+#: duplicates, runs and absent keys are all common.
+KEY_TYPES = {
+    SqlType.INT: st.integers(-3, 6),
+    SqlType.FLOAT: st.integers(-3, 6).map(lambda i: i / 2),
+    SqlType.STR: st.sampled_from(["", "a", "ab", "b", "ba", "c"]),
+    SqlType.DATE: st.integers(0, 6).map(lambda d: _EPOCH + datetime.timedelta(d)),
+}
+
+
+@st.composite
+def located_cases(draw):
+    """Rows of a one- or two-column key, plus a range whose bounds are
+    open, full-width or a one-column prefix, inclusive or not."""
+    types = draw(st.lists(st.sampled_from(sorted(KEY_TYPES, key=str)), min_size=1, max_size=2))
+    key = st.tuples(*(KEY_TYPES[sql_type] for sql_type in types))
+    keys = draw(st.lists(key, max_size=60))
+    bound = st.one_of(
+        st.none(), key, key.map(lambda full: full[:1])
+    )
+    probes = draw(st.lists(KEY_TYPES[types[0]], max_size=6))  # present and absent
+    return (
+        types, keys, probes,
+        draw(bound), draw(bound), draw(st.booleans()), draw(st.booleans()),
+    )
+
+
+def typed_index(types, keys, unique=False):
+    names = [f"c{position}" for position in range(len(types))]
+    schema = TableSchema(
+        "t", [ColumnDef(name, sql_type) for name, sql_type in zip(names, types)]
+    )
+    index = BTreeIndex(
+        IndexDef("ix", "t", tuple(names), unique=unique), schema, FileId(9), BufferPool()
+    )
+    index.build(keys, [i // 7 for i in range(len(keys))], [i % 7 for i in range(len(keys))])
+    return index
+
+
+def within(key, low, high, low_inclusive, high_inclusive):
+    """The linear filter: a bound compares against the same-width prefix."""
+    if low is not None:
+        head = key[: len(low)]
+        if head < low or (head == low and not low_inclusive):
+            return False
+    if high is not None:
+        head = key[: len(high)]
+        if head > high or (head == high and not high_inclusive):
+            return False
+    return True
+
+
+def _backend(python_backend: bool):
+    return vector.use_python_backend() if python_backend else nullcontext()
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=located_cases(), python_backend=st.booleans(), switch=st.booleans())
+def test_locate_is_a_linear_filter_over_sorted_entries(case, python_backend, switch):
+    types, keys, probes, *bounds = case
+    with _backend(python_backend != switch):
+        index = typed_index(types, keys)  # sometimes built under the other backend
+    with _backend(python_backend):
+        _check_located(index, keys, probes, *bounds)
+
+
+def _check_located(index, keys, probes, low, high, low_inclusive, high_inclusive):
+    entries = sorted(
+        ((key, i // 7, i % 7) for i, key in enumerate(keys)),
+    )
+    assert [
+        (key, int(rid.page_id), rid.slot) for key, rid, _payload in index.entries()
+    ] == entries
+    start, stop = index.locate(low, high, low_inclusive, high_inclusive)
+    expected = [
+        entry for entry in entries
+        if within(entry[0], low, high, low_inclusive, high_inclusive)
+    ]
+    assert 0 <= start <= stop <= len(entries)
+    assert entries[start:stop] == expected
+    # The row oracle walks exactly the located range.
+    assert [
+        (key, int(rid.page_id), rid.slot)
+        for key, rid, _payload in index.seek_range(
+            IOContext(), low, high, low_inclusive, high_inclusive
+        )
+    ] == expected
+    starts, stops = index.locate_equal_many(probes)
+    assert list(zip(starts, stops)) == [index.locate(p, p) for p in probes]
+    for probe, start, stop in zip(probes, starts, stops):
+        assert [key for key, _, _ in entries[start:stop]] == [
+            key for key, _, _ in entries if key[0] == probe
+        ]
+
+
+def test_exclusive_prefix_bound_excludes_the_whole_run():
+    index = typed_index(
+        [SqlType.INT, SqlType.INT], [(k, w) for k in range(4) for w in range(3)]
+    )
+    hits = [key for key, _r, _p in index.seek_range(IOContext(), low=(1,), low_inclusive=False)]
+    assert hits[0] == (2, 0)
+
+
+@pytest.mark.parametrize(
+    "probe", [2.5, 2**70, -(2**70), True, 2.0], ids=repr
+)
+def test_keys_that_are_not_plain_column_values_still_compare(backend, probe):
+    """A float, an int beyond int64 or a bool against an INT column takes
+    the generic bisection: Python's comparisons, not a cast."""
+    keys = [(value,) for value in (0, 1, 1, 2, 3, 5)]
+    index = typed_index([SqlType.INT], keys)
+    start, stop = index.locate(probe, probe)
+    assert [key for (key,) in keys[start:stop]] == [v for (v,) in keys if v == probe]
+    assert index.locate(None, probe)[1] == sum(v <= probe for (v,) in keys)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    loaded=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=40),
+    appended=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=25),
+    python_backend=st.booleans(),
+)
+def test_index_built_by_insert_equals_one_bulk_built(loaded, appended, python_backend):
+    with _backend(python_backend):
+        _check_insert_equals_bulk(loaded, appended)
+
+
+def _check_insert_equals_bulk(loaded, appended):
+    from repro.catalog import Database
+
+    def load(rows):
+        database = Database("d", buffer_pool_pages=100)
+        schema = TableSchema(
+            "h",
+            [ColumnDef("a", SqlType.INT), ColumnDef("b", SqlType.INT),
+             ColumnDef("pad", SqlType.STR, width_bytes=900)],
+        )
+        return database.load_table(
+            schema, [(a, b, "x") for a, b in rows],
+            indexes=[
+                IndexDef("ix_a", "h", ("a",), included_columns=("b",)),
+                IndexDef("ix_ab", "h", ("a", "b")),
+            ],
+        )
+
+    grown = load(loaded)
+    grown.append_rows([(a, b, "x") for a, b in appended])
+    bulk = load(loaded + appended)
+    for name in ("ix_a", "ix_ab"):
+        assert list(grown.index(name).entries()) == list(bulk.index(name).entries())
+        assert grown.index(name).num_entries == len(loaded) + len(appended)

@@ -1,7 +1,7 @@
 """Bulk load got faster; the database it loads did not change.
 
-``Table.bulk_load`` validates column-wise, keeps the tuples it is given,
-packs pages by slice and reuses the load's RIDs for every index build.
+``Table.bulk_load`` validates column-wise, keeps the tuples it is given and
+packs pages by slice; index leaves are stored by column.
 The fingerprint below covers everything a loaded database consists of —
 page contents, RIDs, index entries in leaf order, histograms,
 ``statistics_version`` — and is compared two ways: against the same load
@@ -57,14 +57,14 @@ def fingerprint(database: Database) -> tuple:
                     data_file.page(PageId(page)).rows_list()
                     for page in range(data_file.num_pages)
                 ],
-                [(int(rid.page_id), rid.slot) for rid in table._rids],
+                [(int(rid.page_id), rid.slot) for rid in table.rids()],
                 [
                     (
                         index_name,
                         index.entries_per_page,
                         [
                             (key, int(rid.page_id), rid.slot, payload)
-                            for key, rid, payload in index._entries
+                            for key, rid, payload in index.entries()
                         ],
                     )
                     for index_name, index in sorted(table.indexes.items())

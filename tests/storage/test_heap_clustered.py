@@ -33,16 +33,17 @@ class TestHeapFile:
 
     def test_fetch_roundtrip(self):
         heap = make_heap()
-        rids = heap.bulk_append(iter([(i, i * 2) for i in range(100)]))
+        heap.bulk_append(iter([(i, i * 2) for i in range(100)]))
+        rids = list(heap.rids())
         page_id, row = heap.fetch(IOContext(), rids[42])
         assert row == (42, 84)
         assert page_id == rids[42].page_id
 
     def test_fetch_charges_random_read(self):
         heap = make_heap()
-        rids = heap.bulk_append(iter([(i,) for i in range(10)]))
+        heap.bulk_append(iter([(i,) for i in range(10)]))
         io = IOContext()
-        heap.fetch(io, rids[0])
+        heap.fetch(io, next(heap.rids()))
         assert io.random_reads == 1
 
     def test_scan_charges_sequential(self):
@@ -85,7 +86,9 @@ class TestHeapFile:
         for size in sizes:
             batch = [[value + i, "x"] for i in range(size)]  # lists: copied
             value += size
-            assert by_slice.bulk_append(iter(batch)) == [
+            before = by_slice.num_rows
+            by_slice.bulk_append(iter(batch))
+            assert list(by_slice.rids())[before:] == [
                 by_row.append_row(row) for row in batch
             ]
             for _ in range(singles):
@@ -248,6 +251,36 @@ class TestClusteredFile:
         # Interior pages are the page's own list, boundary pages slices.
         assert paged[1][1] is cf.page(PageId(1)).rows_list()
         assert paged[0][1] is not cf.page(PageId(0)).rows_list()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        # Few distinct even keys on ~7-row pages: runs straddle page fences,
+        # and odd probes fall between fences, -1 below and 13 above them all.
+        keys=st.lists(st.integers(0, 6).map(lambda k: 2 * k), min_size=1, max_size=90),
+        probe=st.integers(-1, 13),
+    )
+    def test_fetch_by_key_is_a_linear_filter(self, keys, probe):
+        """Each page of the run is bisected, not walked: same rows, same
+        pages (first random, continuation sequential), same descent."""
+        rows = [(k, i) for i, k in enumerate(keys)]
+        cf = make_clustered(rows, row_width=1000)
+        io = IOContext(isolated=True)
+        got = list(cf.fetch_by_key(io, (probe,)))
+        stored = [
+            (page_id, row) for page_id, _slot, row in cf.scan_rows(IOContext())
+        ]
+        assert got == [(page_id, row) for page_id, row in stored if row[0] == probe]
+        # Pages read: every page whose fences straddle the probe, in order.
+        pages = [page_id for page_id, row in stored]
+        straddling = sorted(
+            page_id for page_id in set(pages)
+            if min(r[0] for p, r in stored if p == page_id) <= probe
+            <= max(r[0] for p, r in stored if p == page_id)
+        )
+        assert io.logical_reads == len(straddling)  # none when the key falls between fences
+        assert io.random_reads == min(1, len(straddling))
+        assert io.sequential_reads == max(0, len(straddling) - 1)
+        assert io.cpu_ms == io.params.cpu_index_descent_ms
 
     @settings(max_examples=25, deadline=None)
     @given(keys=st.lists(st.integers(0, 50), min_size=1, max_size=150))

@@ -164,6 +164,62 @@ class TestBufferPool:
         assert isolated.evictions == private.evictions
 
 
+class TestAccessSequence:
+    """``access_sequence`` is ``access`` per key: same hits, same physical
+    reads, same victims — checked on a 4-frame pool, where the order of the
+    stream decides every eviction."""
+
+    @staticmethod
+    def lru_order(pool, io, universe):
+        """Resident keys, least recently used first (by evicting them)."""
+        if io.isolated:
+            return list(io.private_frames())
+        resident = [key for key in universe if key in pool]
+        order, probe = [], IOContext()
+        for fresh in range(len(resident)):
+            pool.access(FileId(99), PageId(fresh), probe)
+            order += [key for key in resident if key not in pool and key not in order]
+        return order
+
+    @given(
+        stream=st.lists(
+            st.tuples(st.integers(0, 1), st.integers(0, 7), st.booleans()),
+            max_size=120,
+        ),
+        cuts=st.lists(st.integers(0, 120), max_size=4),
+        isolated=st.booleans(),
+    )
+    def test_matches_access_per_key(self, stream, cuts, isolated):
+        universe = [(FileId(f), PageId(p)) for f in range(2) for p in range(8)]
+        one_by_one, batched = BufferPool(4), BufferPool(4)
+        io_one, io_batched = IOContext(isolated=isolated), IOContext(isolated=isolated)
+        for file_id, page_id, sequential in stream:
+            one_by_one.access(FileId(file_id), PageId(page_id), io_one, sequential)
+        bounds = sorted({0, len(stream), *(cut for cut in cuts if cut < len(stream))})
+        for start, stop in zip(bounds, bounds[1:]):
+            piece = stream[start:stop]
+            batched.access_sequence(
+                [(FileId(f), PageId(p)) for f, p, _ in piece],
+                io_batched,
+                [at for at, (_, _, sequential) in enumerate(piece) if sequential],
+            )
+        for counter in ("random_reads", "sequential_reads", "pool_hits", "evictions"):
+            assert getattr(io_batched, counter) == getattr(io_one, counter), counter
+        assert io_batched.io_ms == io_one.io_ms  # same additions, same order
+        assert batched.stats == one_by_one.stats
+        assert (batched.stats.logical_reads == 0) == (isolated or not stream)
+        assert self.lru_order(batched, io_batched, universe) == self.lru_order(
+            one_by_one, io_one, universe
+        )
+
+    def test_immediate_repeats_are_hits(self):
+        pool, io = BufferPool(4), IOContext()
+        key = (FileId(0), PageId(3))
+        pool.access_sequence([key, key, key, (FileId(0), PageId(4)), key], io)
+        assert (io.random_reads, io.pool_hits) == (2, 3)
+        assert pool.stats.logical_reads == 5
+
+
 class TestIOContext:
     def test_charges_accumulate(self):
         io = IOContext()
