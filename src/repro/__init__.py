@@ -39,7 +39,7 @@ from repro.optimizer import (
     SingleTableQuery,
 )
 from repro.session import ExecutedQuery, Session
-from repro.shard import ShardCoordinator, ShardedFeedbackStore
+from repro.shard import ShardCoordinator
 from repro.sql import (
     Between,
     Comparison,
@@ -76,7 +76,6 @@ __all__ = [
     "QueryLifecycle",
     "Session",
     "ShardCoordinator",
-    "ShardedFeedbackStore",
     "SingleTableQuery",
     "SqlType",
     "TableSchema",

@@ -283,7 +283,7 @@ def _add_serve(subparsers) -> None:
 
 
 def _build_engine(database, shards: int):
-    """An Engine, or the Engine-shaped ShardCoordinator when sharded."""
+    """An Engine: a plain one, or a ShardCoordinator when sharded."""
     from repro.engine import Engine
 
     if shards > 1:

@@ -56,7 +56,7 @@ This module enforces them statically:
 ``R013``  shard workers stay inside their own handle: under ``shard/``,
           any function whose enclosing-function stack contains
           ``worker`` must not read the shard registries (``engines``,
-          ``shard_databases``, ``feedback_stores``, ...), reach a
+          ``shard_databases``, ...), reach a
           ``.feedback`` store, harvest feedback (``record_*``) or mint
           accounting contexts — cross-shard state flows only through
           the coordinator's gather/merge interfaces
@@ -189,29 +189,17 @@ _FLOAT_NAME_RE = re.compile(
 )
 
 #: Names that hold the coordinator's per-shard registries (R013): a
-#: worker reading any of these can reach a *sibling's* engine or store.
-_SHARD_REGISTRY_NAMES = frozenset(
-    {
-        "engines",
-        "shards",
-        "shard_engines",
-        "shard_databases",
-        "stores",
-        "shard_stores",
-        "feedback_stores",
-    }
-)
+#: worker reading any of these can reach a *sibling's* engine or database.
+_SHARD_REGISTRY_NAMES = frozenset({"engines", "shard_databases"})
 
 #: Calls a shard worker must not make (R013): feedback harvesting and
 #: accounting-context creation belong to the coordinator's merge path.
 _SHARD_FORBIDDEN_CALLS = frozenset(
     {
         "record_run",
-        "record_shard_runs",
-        "record_shard_observations",
-        "record_shard_cardinality",
         "record_observations",
         "record_cardinality",
+        "harvest_observations",
         "new_io_context",
         "IOContext",
     }
@@ -232,7 +220,6 @@ _WORKER_CHILD_FORBIDDEN_CALLS = frozenset(
         "record_run",
         "record_observations",
         "record_cardinality",
-        "record_shard_runs",
         "harvest_observations",
     }
 )

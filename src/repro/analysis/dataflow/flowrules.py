@@ -446,7 +446,7 @@ def check_resource_release(program: Program) -> list[Finding]:
 # --------------------------------------------------------------------------
 
 
-def _bump_closure(program: Program) -> set[str]:
+def _epoch_bump_closure(program: Program) -> set[str]:
     seeds = {
         info.qualname
         for info in program.functions.values()
@@ -482,7 +482,7 @@ def check_no_bump_after_cancellation(program: Program) -> list[Finding]:
     """F003: ``except QueryCancelled``/``except ReoptRequested`` handlers
     in ``service/`` and ``reopt/`` must not reach an epoch-bumping
     function (partial harvests ride the epoch-free ingest instead)."""
-    bumpers = _bump_closure(program)
+    bumpers = _epoch_bump_closure(program)
     if not bumpers:
         return []
     findings: list[Finding] = []

@@ -33,11 +33,12 @@ sessions so harvest order is deterministic under its own lock.
 from __future__ import annotations
 
 import json
+import math
 import re
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Union
+from typing import Any, Iterable, Mapping, Optional, Sequence, Union
 
 from repro.common.errors import FeedbackError
 from repro.core.requests import Mechanism, PageCountObservation, PageCountRequest
@@ -160,6 +161,37 @@ def partial_page_count_observation(
             "total_pages": total_pages,
         },
     )
+
+
+def _sequence_field(entry: Mapping[str, Any], label: str) -> int:
+    """A persisted ``sequence``: a non-negative int (absent = 0)."""
+    value = entry.get("sequence", 0)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise FeedbackError(
+            f"{label}: 'sequence' must be a non-negative integer, "
+            f"got {value!r}"
+        )
+    return value
+
+
+def _count_field(
+    entry: Mapping[str, Any], name: str, label: str
+) -> Optional[float]:
+    """A persisted page count / cardinality: None or a finite number >= 0."""
+    value = entry.get(name)
+    if value is None:
+        return None
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not math.isfinite(value)
+        or value < 0
+    ):
+        raise FeedbackError(
+            f"{label}: {name!r} must be null or a finite number >= 0, "
+            f"got {value!r}"
+        )
+    return float(value)
 
 
 @dataclass
@@ -472,22 +504,37 @@ class FeedbackStore:
                 f"got {type(records).__name__}"
             )
         store = cls()
-        store._sequence = int(payload.get("sequence", 0))
+        store._sequence = _sequence_field(payload, "feedback payload")
         for entry in records:
             if not isinstance(entry, dict) or "key" not in entry:
                 raise FeedbackError(
                     f"malformed feedback record (missing 'key'): {entry!r}"
                 )
+            key = entry["key"]
+            if not isinstance(key, str):
+                raise FeedbackError(
+                    f"feedback record key must be a string, got {key!r}"
+                )
+            label = f"feedback record {key!r}"
+            if key in store._records:
+                raise FeedbackError(f"{label} appears more than once")
             record = FeedbackRecord(
-                key=entry["key"],
-                page_count=entry.get("page_count"),
+                key=key,
+                page_count=_count_field(entry, "page_count", label),
                 page_count_exact=bool(entry.get("page_count_exact", False)),
-                cardinality=entry.get("cardinality"),
+                cardinality=_count_field(entry, "cardinality", label),
                 mechanism=entry.get("mechanism", ""),
-                sequence=int(entry.get("sequence", 0)),
+                sequence=_sequence_field(entry, label),
                 partial=bool(entry.get("partial", False)),
             )
-            store._records[record.key] = record
+            # A record from the store's future would outrank every later
+            # harvest of its key (merge_observation: newer sequence wins).
+            if record.sequence > store._sequence:
+                raise FeedbackError(
+                    f"{label}: sequence {record.sequence} exceeds the "
+                    f"store's {store._sequence}"
+                )
+            store._records[key] = record
         # Epochs are process-local freshness tokens, not persisted state:
         # a loaded store starts at one epoch per historical write batch
         # (= the sequence), with each table tagged by its newest record.

@@ -299,7 +299,8 @@ class Engine:
         (shutdown drains it, post-shutdown calls raise
         :class:`~repro.common.errors.EngineError`) and charges an
         isolated accounting context.  Feedback is **not** harvested here
-        — the coordinator merges per-shard run statistics itself.
+        — the coordinator merges the shards' observations and harvests
+        the merged batch into its own store.
         """
         session = session if session is not None else self.session()
         self._begin_execution()
@@ -450,14 +451,13 @@ class Engine:
         """Apply one harvested observation batch to the shared store.
 
         The coordinator-side entry point for feedback that was collected
-        *elsewhere* (a worker process) and travelled back over the
-        marshalling protocol: the whole batch lands atomically under the
-        engine's feedback write lock, advancing the epoch exactly once —
-        the same contract as
-        :meth:`repro.shard.ShardedFeedbackStore.record_shard_runs`.  A
-        batch with zero answerable observations is a complete no-op (no
-        epoch bump), so derived caches stay valid.  Returns how many
-        observations were stored.
+        *elsewhere* — by a worker process, travelling back over the
+        marshalling protocol, or by a shard fan-out, merged per key: the
+        whole batch lands atomically under the engine's feedback write
+        lock through :meth:`FeedbackStore.record_observations`, advancing
+        the epoch exactly once.  A batch with zero answerable
+        observations is a complete no-op (no epoch bump), so derived
+        caches stay valid.  Returns how many observations were stored.
         """
         with self._feedback_lock:
             return self.feedback.record_observations(observations)

@@ -39,12 +39,11 @@ from repro.core.feedback import FeedbackStore
 from repro.core.planner import MonitorConfig, build_executable
 from repro.core.requests import PageCountObservation, PageCountRequest
 from repro.exec.executor import EXEC_MODES, QueryResult, execute
-from repro.exec.runstats import OperatorStats, RunStats
+from repro.exec.runstats import OperatorStats
 from repro.harness.methodology import default_requests
 from repro.lifecycle.plan import build_optimizer
 from repro.optimizer.hints import PlanHint
 from repro.optimizer.injection import InjectionSet
-from repro.shard.feedback import ShardedFeedbackStore
 from repro.workloads.queries import GeneratedQuery
 
 if TYPE_CHECKING:
@@ -373,56 +372,52 @@ def _within_rtol(
 
 def _diff_merged_feedback(
     serial_observations: Sequence[PageCountObservation],
-    shard_runstats: Sequence[RunStats],
+    merged_observations: Sequence[PageCountObservation],
     context: str,
     out: list[str],
 ) -> None:
-    """Prove the ShardedFeedbackStore merge equals a single-store harvest.
+    """Prove harvesting the merged observations equals the serial harvest.
 
-    Fresh stores on both sides: the serial observations land in one
-    :class:`FeedbackStore`; the per-shard run statistics land in a
-    :class:`ShardedFeedbackStore` through its atomic batch path.  The
-    merged per-key records (summed page counts / exactness guard) must
-    reproduce the single-store truth, and both sides must agree on
-    whether the harvest moved the epoch at all.
+    Fresh :class:`FeedbackStore` on both sides, fed exactly as an engine
+    and a coordinator feed theirs.  The records must agree per key
+    (exact page counts to the bit, inexact within
+    :data:`SHARD_INEXACT_RTOL`, exactness never lost), and both sides
+    must agree on whether the harvest moved the epoch at all.
     """
     serial_store = FeedbackStore()
-    serial_store.record_observations(list(serial_observations))
-    sharded_store = ShardedFeedbackStore(
-        [FeedbackStore() for _ in shard_runstats]
-    )
-    sharded_store.record_shard_runs(list(shard_runstats))
-    serial_keys = serial_store.keys()
-    sharded_keys = sharded_store.keys()
-    if serial_keys != sharded_keys:
+    serial_store.record_observations(serial_observations)
+    sharded_store = FeedbackStore()
+    sharded_store.record_observations(merged_observations)
+    keys = serial_store.keys()
+    if keys != sharded_store.keys():
         out.append(
-            f"{context}: feedback keys serial={serial_keys} "
-            f"sharded={sharded_keys}"
+            f"{context}: feedback keys serial={keys} "
+            f"sharded={sharded_store.keys()}"
         )
         return
-    if bool(serial_store.epoch) != bool(sharded_store.epoch):
+    if serial_store.epoch != sharded_store.epoch:
         out.append(
             f"{context}: harvest no-op disagreement — serial epoch="
             f"{serial_store.epoch} sharded epoch={sharded_store.epoch}"
         )
-    for key in serial_keys:
+    for key in keys:
         serial_record = serial_store.record(key)
         merged_record = sharded_store.record(key)
         if serial_record is None or merged_record is None:
             out.append(f"{context}: {key}: record missing on one side")
             continue
-        if serial_record.page_count_exact and merged_record.page_count_exact:
+        if serial_record.page_count_exact and not merged_record.page_count_exact:
+            out.append(
+                f"{context}: {key}: serial feedback exact but merged "
+                "record is not"
+            )
+        elif serial_record.page_count_exact:
             if serial_record.page_count != merged_record.page_count:
                 out.append(
                     f"{context}: {key}: exact merged page count "
                     f"serial={serial_record.page_count} "
                     f"sharded={merged_record.page_count}"
                 )
-        elif serial_record.page_count_exact and not merged_record.page_count_exact:
-            out.append(
-                f"{context}: {key}: serial feedback exact but merged "
-                "record is not"
-            )
         elif not _within_rtol(
             serial_record.page_count,
             merged_record.page_count,
@@ -456,10 +451,10 @@ def compare_sharded_query(
        rows and columns must be bit-identical, and the merged
        observations must match the serial ones (exact mechanisms to the
        bit, inexact within :data:`SHARD_INEXACT_RTOL`);
-    2. the per-shard run statistics feed a fresh
-       :class:`~repro.shard.feedback.ShardedFeedbackStore` whose merged
-       records must equal a fresh single :class:`FeedbackStore` fed the
-       serial observations — the no-double-charging proof;
+    2. the merged observations, harvested into a fresh
+       :class:`FeedbackStore`, must leave the records a second fresh
+       store holds after the serial harvest — the no-double-charging
+       proof;
     3. both sides absorb their own observations, re-optimize, and the
        improved plans P' must render identically; P' then runs
        unmonitored both ways and the rows must again be bit-identical.
@@ -526,7 +521,7 @@ def compare_sharded_query(
     )
     _diff_merged_feedback(
         serial_observations,
-        [run.result.runstats for run in sharded.shard_results],
+        merged_result.runstats.observations,
         "feedback merge",
         entry.mismatches,
     )

@@ -9,8 +9,9 @@ the service's single-process contract intact:
   ``remember=False`` and return their harvested observations flattened;
   the pool applies each batch atomically through
   :meth:`Engine.harvest_observations` (epoch bumped exactly once per
-  batch, zero-answerable batches are no-ops — the
-  ``record_shard_runs`` contract).  ``use_feedback`` queries read a
+  batch, zero-answerable batches are no-ops —
+  :meth:`FeedbackStore.record_observations`' contract, the same one a
+  shard fan-out's harvest lands through).  ``use_feedback`` queries read a
   serialized replica shipped per worker, memoized per epoch.
 * **Deadlines abandon or recycle, never leak.**  While a query is on a
   worker the pool polls the request's token; a cancel is forwarded over

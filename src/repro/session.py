@@ -138,9 +138,6 @@ class Session:
                 + render_findings(findings)
             )
 
-    # Backwards-compatible private alias.
-    _lint = lint
-
     # ------------------------------------------------------------------
     def run_plan(
         self,

@@ -3,15 +3,13 @@
 * :mod:`repro.shard.partition` — split a database into N shard-local
   databases (page-aligned range runs, or hash scatter) with the
   partitioning recorded as catalog metadata;
-* :mod:`repro.shard.coordinator` — the Engine-compatible
-  :class:`ShardCoordinator`: plan once, fan out, gather, merge;
-* :mod:`repro.shard.feedback` — the :class:`ShardedFeedbackStore`
-  merging per-shard DPC/cardinality actuals into one optimizer view
-  under a single atomically-advancing epoch.
+* :mod:`repro.shard.coordinator` — :class:`ShardCoordinator`, an
+  :class:`~repro.engine.Engine` that plans once, fans out, gathers,
+  merges, and harvests the merged observations into its one
+  :class:`~repro.core.feedback.FeedbackStore`.
 """
 
 from repro.shard.coordinator import ShardCoordinator, ShardedExecutedQuery
-from repro.shard.feedback import MergedFeedbackRecord, ShardedFeedbackStore
 from repro.shard.partition import (
     check_page_alignment,
     hash_to_shard,
@@ -19,10 +17,8 @@ from repro.shard.partition import (
 )
 
 __all__ = [
-    "MergedFeedbackRecord",
     "ShardCoordinator",
     "ShardedExecutedQuery",
-    "ShardedFeedbackStore",
     "check_page_alignment",
     "hash_to_shard",
     "partition_database",

@@ -1,14 +1,15 @@
 """Scatter-gather execution over N shard-local engines.
 
-:class:`ShardCoordinator` is an :class:`~repro.engine.Engine`-shaped
-front end for a sharded deployment.  It keeps the *global* database for
-planning and splits its rows across N independent shard engines
+:class:`ShardCoordinator` is an :class:`~repro.engine.Engine` over the
+*global* database — sessions, plan cache, feedback store and the
+drain/shutdown lifecycle are the base class's — whose executions fan out
+over N independent shard engines holding the rows
 (:func:`repro.shard.partition.partition_database`); one query then runs
 as:
 
 1. **canonicalize + optimize once** — the coordinator's planning session
-   plans against the global catalog (global statistics, merged feedback
-   injections) through the shared
+   plans against the global catalog (global statistics, the store's
+   feedback injections) through the shared
    :class:`~repro.lifecycle.PlanCache`, so a repeated query costs one
    cached plan resolution no matter how many shards execute it;
 2. **scatter** — the same plan node fans out to every shard engine,
@@ -24,9 +25,11 @@ as:
    gather operators (:mod:`repro.exec.merge`), per-shard observations
    merge by summing disjoint page counts
    (:func:`repro.core.feedback.merge_page_count_observations`), and —
-   when the item asks to remember — per-shard run statistics land in the
-   :class:`~repro.shard.feedback.ShardedFeedbackStore` as one atomic,
-   single-epoch-bump harvest.
+   when the item asks to remember — the merged observations are
+   harvested into the coordinator's one
+   :class:`~repro.core.feedback.FeedbackStore` exactly as a serial
+   engine harvests a run: one atomic batch, one epoch bump iff
+   something was stored.  Shard engines' own stores stay empty.
 
 Shard workers are deliberately blinkered: a worker receives *its own*
 handle (engine, plan, token, result slot) and nothing else.  Cross-shard
@@ -50,7 +53,7 @@ from typing import Optional, Sequence
 from repro.catalog.catalog import Database
 from repro.catalog.schema import PartitionSpec
 from repro.common.cancellation import CancellationToken
-from repro.common.errors import EngineError, QueryCancelled, ShardError
+from repro.common.errors import QueryCancelled, ShardError
 from repro.core.feedback import merge_page_count_observations
 from repro.core.planner import MonitorConfig
 from repro.core.requests import PageCountRequest
@@ -60,12 +63,10 @@ from repro.exec.merge import ShardStream, gather_for_plan
 from repro.exec.runstats import RunStats
 from repro.lifecycle.plancache import PlanCache
 from repro.lifecycle.runner import ExecutedQuery
-from repro.optimizer.injection import InjectionSet
 from repro.optimizer.optimizer import Query
 from repro.optimizer.pagecount_model import AnalyticalPageCountModel
 from repro.optimizer.plans import PlanNode
 from repro.session import Session
-from repro.shard.feedback import ShardedFeedbackStore
 from repro.shard.partition import partition_database
 
 
@@ -113,8 +114,8 @@ def _shard_worker(handle: _ShardHandle) -> None:
         handle.token.cancel(f"shard {handle.shard_index} failed: {exc}")
 
 
-class ShardCoordinator:
-    """Engine-compatible scatter-gather front end over shard engines."""
+class ShardCoordinator(Engine):
+    """An :class:`Engine` whose executions scatter-gather over shard engines."""
 
     def __init__(
         self,
@@ -128,25 +129,21 @@ class ShardCoordinator:
         plan_cache: Optional[PlanCache] = None,
         use_plan_cache: bool = True,
     ) -> None:
-        spec = PartitionSpec(
+        # The base engine is the planning side: global catalog, one plan
+        # cache (a repeated query resolves once and every shard executes
+        # the cached plan) and the one feedback store.
+        super().__init__(
+            database,
+            monitor_config=monitor_config,
+            page_count_model=page_count_model,
+            plan_cache=plan_cache,
+            use_plan_cache=use_plan_cache,
+        )
+        self.spec = PartitionSpec(
             num_shards=num_shards, strategy=strategy, column=partition_column
         )
-        self.database = database
-        self.spec = spec
         self.shard_databases = partition_database(
-            database, spec, seed=partition_seed
-        )
-        self.monitor_config = (
-            monitor_config if monitor_config is not None else MonitorConfig()
-        )
-        self.page_count_model = page_count_model
-        #: One cache at the coordinator: the planning session resolves a
-        #: repeated query once and every shard executes the cached plan —
-        #: the "shard-local plan reuse" is this shared resolution.
-        self.plan_cache: Optional[PlanCache] = (
-            plan_cache
-            if plan_cache is not None
-            else (PlanCache() if use_plan_cache else None)
+            database, self.spec, seed=partition_seed
         )
         #: Shard engines never optimize (plans arrive pre-built), so they
         #: carry no plan cache of their own.
@@ -159,77 +156,17 @@ class ShardCoordinator:
             )
             for shard_db in self.shard_databases
         ]
-        self.feedback = ShardedFeedbackStore(
-            [engine.feedback for engine in self.engines]
-        )
-        self._feedback_lock = threading.Lock()
-        self._state = threading.Condition()
-        self._closed = False
-        self._active = 0
 
-    # ------------------------------------------------------------------
-    # Engine-facade lifecycle
-    # ------------------------------------------------------------------
     @property
     def num_shards(self) -> int:
         return len(self.engines)
 
-    @property
-    def closed(self) -> bool:
-        with self._state:
-            return self._closed
-
-    @property
-    def active_executions(self) -> int:
-        with self._state:
-            return self._active
-
     def shutdown(self, drain: bool = True, timeout: Optional[float] = None) -> bool:
         """Stop admitting work, drain in-flight fan-outs, cascade to shards."""
-        with self._state:
-            self._closed = True
-            drained = (
-                self._state.wait_for(lambda: self._active == 0, timeout=timeout)
-                if drain
-                else self._active == 0
-            )
+        drained = super().shutdown(drain=drain, timeout=timeout)
         for engine in self.engines:
             drained = engine.shutdown(drain=drain, timeout=timeout) and drained
         return drained
-
-    def _begin_execution(self) -> None:
-        with self._state:
-            if self._closed:
-                raise EngineError(
-                    "coordinator is shut down; execute() rejected "
-                    f"({self._active} fan-out(s) still draining)"
-                )
-            self._active += 1
-
-    def _end_execution(self) -> None:
-        with self._state:
-            self._active -= 1
-            self._state.notify_all()
-
-    # ------------------------------------------------------------------
-    # Planning (once, at the coordinator, against the global catalog)
-    # ------------------------------------------------------------------
-    def session(self, injections: Optional[InjectionSet] = None) -> Session:
-        """A planning session over the global database + merged feedback."""
-        with self._state:
-            if self._closed:
-                raise EngineError("coordinator is shut down; session() rejected")
-        return Session(
-            database=self.database,
-            feedback=self.feedback,  # type: ignore[arg-type]
-            injections=(
-                injections.copy() if injections is not None else InjectionSet()
-            ),
-            monitor_config=self.monitor_config,
-            page_count_model=self.page_count_model,
-            feedback_lock=self._feedback_lock,
-            plan_cache=self.plan_cache,
-        )
 
     # ------------------------------------------------------------------
     # Scatter / gather
@@ -355,7 +292,7 @@ class ShardCoordinator:
         )
 
     # ------------------------------------------------------------------
-    # The Engine-compatible execution entry points
+    # Execution: the two Engine entry points that differ
     # ------------------------------------------------------------------
     def execute(
         self,
@@ -379,9 +316,7 @@ class ShardCoordinator:
                 cancellation=cancellation,
             )
             if item.remember:
-                self.feedback.record_shard_runs(
-                    [run.result.runstats for run in executed.shard_results]
-                )
+                self.harvest_observations(executed.observations)
             executed.trace = trace
             return executed
         finally:
@@ -419,21 +354,10 @@ class ShardCoordinator:
             shard_results=list(shard_runs),
         )
 
-    def run_serial(self, items: Sequence[WorkloadItem]) -> list[ExecutedQuery]:
-        """Execute a workload one item at a time through one session."""
-        session = self.session()
-        return [self.execute(item, session=session) for item in items]
-
     # ------------------------------------------------------------------
     def report(self) -> str:
-        """Coordinator health: shard shape, merged feedback, plan cache."""
-        lines = [
-            f"shards: {self.num_shards} ({self.spec.strategy} partitioning)",
-            f"feedback: {len(self.feedback)} merged record(s), "
-            f"epoch={self.feedback.epoch}",
-        ]
-        if self.plan_cache is None:
-            lines.append("plan-cache: disabled")
-        else:
-            lines.append(self.plan_cache.stats.render())
-        return "\n".join(lines)
+        """The engine report under a line naming the shard shape."""
+        return (
+            f"shards: {self.num_shards} ({self.spec.strategy} partitioning)\n"
+            + super().report()
+        )

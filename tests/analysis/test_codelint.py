@@ -460,7 +460,7 @@ class TestR013:
         assert "R013" in rules_fired(
             "def _shard_worker(handle):\n"
             "    def retry():\n"
-            "        return shard_stores[1]\n"
+            "        return shard_databases[1]\n"
             "    retry()\n",
             self.SHARD_PATH,
         )

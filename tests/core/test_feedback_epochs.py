@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 from repro.core.feedback import (
     FeedbackStore,
     partial_page_count_observation,
@@ -59,6 +61,40 @@ class TestEpochs:
         assert store.epoch == 1
         store.record_observations([observation("t", "a", 13.0)])
         assert store.epoch == 2
+
+    def test_concurrent_harvests_race_the_epoch_atomically(self):
+        """N racing harvests: epoch == number of non-empty batches, and the
+        lowered view reflects every stored observation exactly once."""
+        store = FeedbackStore()
+        batches = 8
+        errors: list[BaseException] = []
+
+        def harvest(index: int) -> None:
+            try:
+                store.record_observations(
+                    [observation("t", f"c{index}", float(index + 1))]
+                )
+            except BaseException as exc:  # surfaced after the join
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=harvest, args=(i,)) for i in range(batches)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10.0)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert store.epoch == batches
+        assert store.table_epoch("t") == batches
+        injections = store.to_injections()
+        for index in range(batches):
+            request = observation("t", f"c{index}", 0.0).request
+            assert store.record(request.key()).page_count == float(index + 1)
+            assert injections.access_page_count(
+                "t", request.expression
+            ) == float(index + 1)
 
     def test_cardinality_write_bumps_epoch(self):
         store = FeedbackStore()

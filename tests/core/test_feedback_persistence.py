@@ -90,6 +90,62 @@ class TestPersistence:
         with pytest.raises(FeedbackError, match="missing 'key'"):
             FeedbackStore.from_json('{"version": 1, "records": ["DPC(t, a)"]}')
 
+    @pytest.mark.parametrize(
+        "payload, match",
+        [
+            ('{"version": 1, "sequence": "x"}', "sequence"),
+            ('{"version": 1, "sequence": -1}', "sequence"),
+            ('{"version": 1, "sequence": 1.5}', "sequence"),
+            ('{"version": 1, "records": [{"key": 7}]}', "key must be a string"),
+            (
+                '{"version": 1, "records": [{"key": "DPC(t, a)", '
+                '"sequence": "x"}]}',
+                r"DPC\(t, a\).*sequence",
+            ),
+            (
+                '{"version": 1, "records": [{"key": "DPC(t, a)", '
+                '"page_count": "many"}]}',
+                r"DPC\(t, a\).*page_count",
+            ),
+            (
+                '{"version": 1, "records": [{"key": "DPC(t, a)", '
+                '"page_count": -5}]}',
+                r"DPC\(t, a\).*page_count",
+            ),
+            (
+                '{"version": 1, "records": [{"key": "DPC(t, a)", '
+                '"page_count": NaN}]}',
+                r"DPC\(t, a\).*page_count",
+            ),
+            (
+                '{"version": 1, "records": [{"key": "DPC(t, a)", '
+                '"page_count": true}]}',
+                r"DPC\(t, a\).*page_count",
+            ),
+            (
+                '{"version": 1, "records": [{"key": "CARD(t, a)", '
+                '"cardinality": Infinity}]}',
+                r"CARD\(t, a\).*cardinality",
+            ),
+            (
+                '{"version": 1, "sequence": 2, "records": '
+                '[{"key": "DPC(t, a)", "page_count": 4.0, "sequence": 3}]}',
+                r"DPC\(t, a\).*exceeds",
+            ),
+            (
+                '{"version": 1, "sequence": 2, "records": ['
+                '{"key": "DPC(t, a)", "page_count": 4.0, "sequence": 1}, '
+                '{"key": "DPC(t, a)", "page_count": 9.0, "sequence": 2}]}',
+                r"DPC\(t, a\).*more than once",
+            ),
+        ],
+    )
+    def test_corrupt_field_rejected_at_load(self, payload, match):
+        """Nothing malformed survives to ``to_injections()`` or to
+        ``merge_observation``'s recency comparison."""
+        with pytest.raises(FeedbackError, match=match):
+            FeedbackStore.from_json(payload)
+
     def test_malformed_file_rejected(self, tmp_path):
         path = tmp_path / "feedback.json"
         path.write_text('{"version": 1, "records": [{}]}', encoding="utf-8")

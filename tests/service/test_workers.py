@@ -26,11 +26,13 @@ from repro.harness.loadgen import (
 )
 from repro.harness.reporting import format_worker_table
 from repro.service import (
+    QUERY_ERROR,
     QueryRequest,
     QueryService,
     WorkerPool,
     WorkerSpec,
 )
+from repro.service.worker_main import _CurrentQuery, _serve_query
 from repro.workloads import build_synthetic_database
 
 #: Small but real: enough rows that scans cross many pages (checkpoints
@@ -180,6 +182,27 @@ class TestCentralizedFeedback:
         assert responses[0].ok
         assert pool.engine.feedback.epoch == 0
         assert len(pool.engine.feedback) == 0
+
+
+    def test_corrupt_replica_answers_a_typed_feedback_error(self, worker_db):
+        """The child rebuilds its replica with ``FeedbackStore.from_json``;
+        a payload that fails validation is a query error, not an internal
+        one (no worker process needed: the serve function is the child)."""
+        reply = _serve_query(
+            Engine(worker_db),
+            {
+                "seq": 1,
+                "feedback": '{"version": 1, "records": '
+                '[{"key": "DPC(t, c2 < 300)", "page_count": "many"}]}',
+                "request": QueryRequest(
+                    sql=SCAN_SQL, use_feedback=True
+                ).to_dict(),
+            },
+            _CurrentQuery(),
+        )
+        assert reply["status"] == "error"
+        assert reply["code"] == QUERY_ERROR
+        assert reply["message"].startswith("FeedbackError:")
 
 
 class TestCancellation:

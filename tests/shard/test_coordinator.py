@@ -1,19 +1,23 @@
-"""ShardCoordinator: the Engine facade, scatter-gather, failure settling."""
+"""ShardCoordinator: an Engine that scatter-gathers, harvests once, settles."""
 
 from __future__ import annotations
 
+import asyncio
 import threading
 
 import pytest
 
 from repro.common.cancellation import CancellationToken
 from repro.common.errors import EngineError, ShardError
-from repro.core.requests import AccessPathRequest
-from repro.engine.engine import WorkloadItem
+from repro.core.feedback import FeedbackStore, partial_page_count_observation
+from repro.core.requests import AccessPathRequest, JoinMethodRequest, Mechanism
+from repro.engine.engine import Engine, WorkloadItem
+from repro.harness.equivalence import SHARD_INEXACT_RTOL
 from repro.optimizer import SingleTableQuery
+from repro.service import QueryRequest, QueryService, WorkerPool, WorkerSpec
 from repro.session import Session
 from repro.shard import ShardCoordinator
-from repro.sql import Comparison, conjunction_of
+from repro.sql import Comparison, JoinEquality, conjunction_of
 from repro.workloads import build_synthetic_database
 
 NUM_SHARDS = 4
@@ -80,10 +84,61 @@ class TestExecution:
             WorkloadItem(query=query, requests=(request,), remember=True)
         )
         assert coordinator.feedback.epoch == 1
-        for store in (
-            coordinator.feedback.shard_store(i) for i in range(NUM_SHARDS)
-        ):
-            assert store.epoch <= 1  # per-shard stores never race ahead
+        assert coordinator.feedback.table_epoch("t") == 1
+        # The merged batch is the only harvest: shard stores stay empty.
+        for engine in coordinator.engines:
+            assert engine.feedback.epoch == 0
+
+    def test_remembered_injections_match_a_serial_engine(
+        self, database, coordinator
+    ):
+        query = _query()
+        item = WorkloadItem(
+            query=query,
+            requests=(AccessPathRequest("t", query.predicate),),
+            remember=True,
+        )
+        serial = Engine(database)
+        serial.execute(item)
+        coordinator.execute(item)
+        keys = serial.feedback.keys()
+        assert coordinator.feedback.keys() == keys and keys
+        for key in keys:
+            ours = coordinator.feedback.record(key)
+            theirs = serial.feedback.record(key)
+            if theirs.page_count_exact:
+                assert ours.page_count_exact
+                assert ours.page_count == theirs.page_count
+            else:
+                assert ours.page_count == pytest.approx(
+                    theirs.page_count, rel=SHARD_INEXACT_RTOL
+                )
+
+    def test_unanswerable_fanout_harvest_is_a_noop(self, coordinator):
+        """No shard's single-table plan can observe a join-method request:
+        the merged observation is unanswerable and nothing is stored."""
+        query = _query()
+        request = JoinMethodRequest("t", JoinEquality("s", "c1", "t", "c1"))
+        executed = coordinator.execute(
+            WorkloadItem(query=query, requests=(request,), remember=True)
+        )
+        assert [obs.answered for obs in executed.observations] == [False]
+        assert coordinator.feedback.epoch == 0
+        assert coordinator.feedback.table_epoch("t") == 0
+        assert len(coordinator.feedback.to_injections()) == 0
+
+    def test_partial_harvest_lowers_without_bumping_the_epoch(
+        self, coordinator
+    ):
+        """The reopt ingest path exists on the coordinator's store too."""
+        request = AccessPathRequest("t", _query().predicate)
+        partial = partial_page_count_observation(
+            request, Mechanism.EXACT_SCAN_COUNT, 7.0, pages_seen=9, total_pages=40
+        )
+        assert coordinator.feedback.record_partial_observations([partial]) == 1
+        assert coordinator.feedback.epoch == 0
+        injections = coordinator.feedback.to_injections()
+        assert injections.access_page_count("t", request.expression) == 7.0
 
     def test_run_plan_does_not_harvest(self, coordinator):
         query = _query()
@@ -158,3 +213,74 @@ class TestLifecycle:
         report = coordinator.report()
         assert f"shards: {NUM_SHARDS} (range partitioning)" in report
         assert "plan-cache:" in report
+
+
+class TestIsAnEngine:
+    def test_coordinator_is_an_engine(self, coordinator):
+        assert isinstance(coordinator, Engine)
+        inherited = (
+            "closed",
+            "active_executions",
+            "_begin_execution",
+            "_end_execution",
+            "session",
+            "run_serial",
+            "harvest_observations",
+        )
+        assert not set(inherited) & set(vars(ShardCoordinator))
+
+    def test_service_and_worker_pool_accept_it(self, coordinator):
+        async def scenario():
+            service = QueryService(coordinator)
+            response = await service.handle(
+                QueryRequest(
+                    sql="SELECT count(padding) FROM t WHERE c2 < 700",
+                    remember=True,
+                )
+            )
+            await service.shutdown()
+            return response
+
+        response = asyncio.run(scenario())
+        assert response.ok
+        assert coordinator.feedback.epoch == 1
+        spec = WorkerSpec(
+            "repro.workloads:build_synthetic_database",
+            {"num_rows": 500, "seed": 23},
+        )
+        pool = WorkerPool(spec, num_workers=1, engine=coordinator)
+        try:
+            assert pool.engine is coordinator
+        finally:
+            pool.shutdown()
+        assert pool.leaked_workers() == []
+
+
+class TestPersistedFeedback:
+    def test_saved_feedback_replans_identically_on_a_fresh_coordinator(
+        self, database, coordinator, tmp_path
+    ):
+        query = _query(value=300)
+        request = AccessPathRequest("t", query.predicate)
+        coordinator.execute(
+            WorkloadItem(query=query, requests=(request,), remember=True)
+        )
+        session = coordinator.session()
+        plan = session.optimize(query, use_feedback=True)
+        path = tmp_path / "feedback.json"
+        coordinator.feedback.save(path)
+
+        fresh = ShardCoordinator(database, num_shards=2)
+        try:
+            fresh.feedback = FeedbackStore.load(path)
+            replanned = fresh.session().optimize(query, use_feedback=True)
+            assert replanned.render() == plan.render()
+            assert fresh.feedback.table_epochs(["t"]) == (
+                coordinator.feedback.table_epochs(["t"])
+            )
+            assert (
+                fresh.feedback.to_injections()._page_counts
+                == coordinator.feedback.to_injections()._page_counts
+            )
+        finally:
+            fresh.shutdown(drain=True, timeout=5.0)

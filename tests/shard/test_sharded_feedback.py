@@ -1,16 +1,16 @@
-"""ShardedFeedbackStore: atomic harvests, guarded exactness, merge edges."""
+"""A fan-out's feedback: merge per-shard observations, harvest them once.
+
+The coordinator's harvest is ``merge_page_count_observations`` ->
+``FeedbackStore.record_observations``; these cases pin the merge rules
+and the single-store contract they land through.
+"""
 
 from __future__ import annotations
 
-import threading
-
 import pytest
 
-from repro.common.errors import ShardError
 from repro.core.feedback import FeedbackStore, merge_page_count_observations
 from repro.core.requests import AccessPathRequest, Mechanism, PageCountObservation
-from repro.exec.runstats import OperatorStats, RunStats
-from repro.shard import ShardedFeedbackStore
 from repro.sql import Comparison, conjunction_of
 
 NUM_SHARDS = 4
@@ -31,137 +31,85 @@ def _observation(
     )
 
 
-def _runstats(*observations: PageCountObservation) -> RunStats:
-    return RunStats(
-        root=OperatorStats(operator="Test"), observations=list(observations)
-    )
+def _unanswerable() -> PageCountObservation:
+    return PageCountObservation.unanswerable(_request(), "no monitor attached")
 
 
-def _store() -> ShardedFeedbackStore:
-    return ShardedFeedbackStore([FeedbackStore() for _ in range(NUM_SHARDS)])
+def _harvest(
+    store: FeedbackStore, per_shard: list[list[PageCountObservation]]
+) -> int:
+    """One fan-out's harvest, as ``ShardCoordinator.execute`` performs it."""
+    return store.record_observations(merge_page_count_observations(per_shard))
 
 
 class TestAtomicHarvest:
     def test_one_epoch_bump_per_batch(self):
-        store = _store()
-        batch = [_runstats(_observation(100, float(i))) for i in range(NUM_SHARDS)]
-        assert store.record_shard_runs(batch) == NUM_SHARDS
+        store = FeedbackStore()
+        batch = [[_observation(100, float(i))] for i in range(NUM_SHARDS)]
+        assert _harvest(store, batch) == 1  # one key, whatever the fan-out
         assert store.epoch == 1
         assert store.table_epoch("t") == 1
 
-    def test_concurrent_harvests_race_the_epoch_atomically(self):
-        """N racing harvests: epoch == number of non-empty batches, and the
-        lowered view reflects every stored observation exactly once."""
-        store = _store()
-        batches = 8
-        errors: list[BaseException] = []
-
-        def harvest(index: int) -> None:
-            try:
-                batch: list = [None] * NUM_SHARDS
-                batch[index % NUM_SHARDS] = _runstats(
-                    _observation(100 + index, float(index + 1))
-                )
-                store.record_shard_runs(batch)
-            except BaseException as exc:  # surfaced after the join
-                errors.append(exc)
-
-        threads = [
-            threading.Thread(target=harvest, args=(i,)) for i in range(batches)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert errors == []
-        assert store.epoch == batches
-        injections = store.to_injections()
-        for index in range(batches):
-            request = _request(value=100 + index)
-            record = store.record(request.key())
-            assert record is not None
-            assert record.page_count == float(index + 1)
-            assert (
-                injections.access_page_count("t", request.expression)
-                is not None
-            )
-
     def test_zero_answerable_harvest_is_a_noop(self):
-        store = _store()
-        unanswerable = _runstats(
-            PageCountObservation.unanswerable(_request(), "no monitor attached")
-        )
-        stored = store.record_shard_runs([unanswerable] * NUM_SHARDS)
+        store = FeedbackStore()
+        stored = _harvest(store, [[_unanswerable()]] * NUM_SHARDS)
         assert stored == 0
         assert store.epoch == 0
         assert store.table_epoch("t") == 0
         assert len(store.to_injections()) == 0
 
-    def test_batch_must_cover_every_shard(self):
-        store = _store()
-        with pytest.raises(ShardError):
-            store.record_shard_runs([None])
-
-    def test_shard_blind_record_run_is_rejected(self):
-        store = _store()
-        with pytest.raises(ShardError):
-            store.record_run(_runstats(_observation(100, 1.0)))
-
 
 class TestMergedView:
     def test_all_shards_exact_sums_exactly(self):
-        store = _store()
-        store.record_shard_runs(
-            [_runstats(_observation(100, float(i + 1))) for i in range(NUM_SHARDS)]
+        store = FeedbackStore()
+        _harvest(
+            store, [[_observation(100, float(i + 1))] for i in range(NUM_SHARDS)]
         )
         record = store.record(_request().key())
         assert record.page_count == 1.0 + 2.0 + 3.0 + 4.0
         assert record.page_count_exact
-        assert record.shards_reporting == NUM_SHARDS
 
     def test_partial_coverage_never_claims_exactness(self):
-        """A key only one shard ever saw: the merged view exposes the
-        partial sum but refuses to call it exact."""
-        store = _store()
-        store.record_shard_observations(0, [_observation(100, 5.0)])
+        """A key only one shard answered: the run's partial sum is stored
+        but never called exact."""
+        store = FeedbackStore()
+        _harvest(
+            store,
+            [[_observation(100, 5.0)]]
+            + [[_unanswerable()] for _ in range(NUM_SHARDS - 1)],
+        )
         record = store.record(_request().key())
         assert record.page_count == 5.0
         assert not record.page_count_exact
-        assert record.shards_reporting == 1
-        # The partial sum still lowers (a conservative overcount beats
+        # The partial sum still lowers (a conservative undercount beats
         # the analytical model's blind guess)...
         assert (
             store.to_injections().access_page_count("t", _request().expression)
             == 5.0
         )
-        # ...and completing the coverage upgrades it to an exact sum.
-        for shard in range(1, NUM_SHARDS):
-            store.record_shard_observations(shard, [_observation(100, 1.0)])
+        # ...and the next run every shard answers replaces it with that
+        # run's exact sum — other runs' per-shard counts are never mixed in.
+        _harvest(
+            store,
+            [[_observation(100, 5.0)]]
+            + [[_observation(100, 1.0)] for _ in range(NUM_SHARDS - 1)],
+        )
         completed = store.record(_request().key())
         assert completed.page_count == 8.0
         assert completed.page_count_exact
 
     def test_any_inexact_shard_downgrades_the_merge(self):
-        store = _store()
-        batch = [_runstats(_observation(100, 2.0)) for _ in range(NUM_SHARDS - 1)]
-        batch.append(_runstats(_observation(100, 2.5, exact=False)))
-        store.record_shard_runs(batch)
+        store = FeedbackStore()
+        batch = [[_observation(100, 2.0)] for _ in range(NUM_SHARDS - 1)]
+        batch.append([_observation(100, 2.5, exact=False)])
+        _harvest(store, batch)
         record = store.record(_request().key())
         assert record.page_count == pytest.approx(8.5)
         assert not record.page_count_exact
 
-    def test_cardinalities_sum_across_shards(self):
-        store = _store()
-        key = _request().key()
-        for shard in range(NUM_SHARDS):
-            store.record_shard_cardinality(shard, key, 10.0 * (shard + 1))
-        assert store.record(key).cardinality == 100.0
-
     def test_lowering_memoized_per_epoch(self):
-        store = _store()
-        store.record_shard_runs(
-            [_runstats(_observation(100, 1.0))] + [None] * (NUM_SHARDS - 1)
-        )
+        store = FeedbackStore()
+        _harvest(store, [[_observation(100, 1.0)]] + [[]] * (NUM_SHARDS - 1))
         store.to_injections()
         store.to_injections()
         assert store.lowering_builds == 1
@@ -170,18 +118,15 @@ class TestMergedView:
 
 class TestObservationMerging:
     def test_unanswered_everywhere_stays_unanswerable(self):
-        groups = [
-            [PageCountObservation.unanswerable(_request(), "nope")]
-            for _ in range(NUM_SHARDS)
-        ]
-        merged = merge_page_count_observations(groups)
+        merged = merge_page_count_observations(
+            [[_unanswerable()] for _ in range(NUM_SHARDS)]
+        )
         assert len(merged) == 1
         assert not merged[0].answered
 
     def test_partial_answers_merge_inexactly(self):
         groups = [[_observation(100, 3.0)]] + [
-            [PageCountObservation.unanswerable(_request(), "nope")]
-            for _ in range(NUM_SHARDS - 1)
+            [_unanswerable()] for _ in range(NUM_SHARDS - 1)
         ]
         merged = merge_page_count_observations(groups)
         assert merged[0].answered
