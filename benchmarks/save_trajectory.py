@@ -32,6 +32,10 @@ at a glance:
   before its first query — seconds to build the 2 x 20 000-row synthetic
   database and its ``tracemalloc`` footprint (``smoke_batch.py`` gates
   the batch-over-row ratios and the footprint);
+* **database rss** — peak RSS of a fresh interpreter that imports
+  the engine and service packages and builds the 2 x 20 000-row synthetic
+  database: what a worker process weighs before its first query, set-up
+  transients included (``tracemalloc`` above sees only what is retained);
 * **plancache** — the plan-cache smoke gate's violation list, so the
   artifact also witnesses that caching still behaves;
 * **service throughput** — the closed-loop service sweep (cold vs. warm
@@ -52,6 +56,8 @@ root and refreshed by CI as a non-gating build artifact::
 from __future__ import annotations
 
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -236,6 +242,40 @@ def _index_plans() -> dict:
     return entry
 
 
+#: What the fresh interpreter of :func:`database_peak_rss_mib` runs.  It
+#: reads its high-water mark as ``VmHWM``, which starts over at ``exec``;
+#: ``ru_maxrss`` would still carry the size of the process that forked it.
+_RSS_PROBE = """
+from repro.engine import Engine
+from repro.service import QueryService
+from repro.workloads import build_synthetic_database
+database = build_synthetic_database(num_rows={rows}, seed={seed}, with_copy=True)
+with open("/proc/self/status") as status:
+    print(next(int(line.split()[1]) for line in status if line.startswith("VmHWM")) / 1024)
+"""
+
+
+def database_peak_rss_mib(src: Path = DEFAULT_OUTPUT.parent / "src") -> float:
+    """Peak RSS (MiB) of a fresh interpreter that imports ``repro`` from
+    ``src`` and builds the smoke-scale synthetic database (``src`` of
+    another checkout gives the before/after row of a memory change)."""
+    probe = _RSS_PROBE.format(rows=smoke_batch.SCAN_ROWS, seed=smoke_batch.SEED)
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True,
+    )
+    return float(result.stdout)
+
+
+def _database_rss() -> dict:
+    return {
+        "num_rows": smoke_batch.SCAN_ROWS,
+        "probe": "imports + build_synthetic_database(with_copy=True), fresh interpreter",
+        "peak_rss_mib": round(database_peak_rss_mib(), 1),
+    }
+
+
 def _sharded_throughput() -> dict:
     """Simulated scatter-gather scan speedup at the smoke's shard count."""
     serial_ms, sharded_ms, speedup = smoke_shard.scan_speedup()
@@ -270,6 +310,7 @@ def build_entry() -> dict:
         "monitored_scan": _monitored_scan(),
         "hash_join": _hash_join(),
         "index_plans": _index_plans(),
+        "database_rss": _database_rss(),
         "sharded": _sharded_throughput(),
         "plancache_smoke_violations": smoke_plancache.run_smoke(),
         "service_throughput": bench_service_throughput.run_bench(),

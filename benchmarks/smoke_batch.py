@@ -49,9 +49,11 @@ mode — and gates on seven families of bounds:
   best of :data:`INDEX_PLAN_ATTEMPTS`;
 * **database footprint**: ``tracemalloc`` over
   ``build_synthetic_database(20 000 rows, with_copy=True)`` must read at
-  most :data:`FOOTPRINT_BOUND_MIB` MiB.  Columnar index leaves (typed key
-  / page / slot vectors) read 11.6; one ``(key, RID, payload)`` triple
-  per entry plus a ``RID`` per row read 21.8.
+  most :data:`FOOTPRINT_BOUND_MIB` MiB.  The table stored as its column
+  vectors (pages are windows over them) reads 3.9 here (4.8 in a process
+  that has run nothing else yet); a tuple per row under columnar index
+  leaves read 11.6; one ``(key, RID, payload)`` triple per entry plus a
+  ``RID`` per row read 21.8.
 
 Wall-clock is measured with :class:`repro.harness.timing.Stopwatch`,
 the only sanctioned host-clock reader (codelint R005).  Exit status 0/1
@@ -113,9 +115,10 @@ INDEX_SEEK_ROWS = 1_000
 #: ``t1.c1 < N``: outer rows of the INL join, each one index probe.
 INL_OUTER_ROWS = 400
 
-#: ``tracemalloc`` ceiling for the 2 x 20 000-row synthetic database
-#: (columnar leaves 11.6 MiB, entry tuples + RID objects 21.8 MiB).
-FOOTPRINT_BOUND_MIB = 14.0
+#: ``tracemalloc`` ceiling for the 2 x 20 000-row synthetic database: the
+#: 3.9-4.8 MiB readings + ~30 % (a tuple per row read 11.6 MiB, entry
+#: tuples + RID objects 21.8 MiB).
+FOOTPRINT_BOUND_MIB = 6.0
 
 #: Reduced Fig. 6 scale — big enough for the per-row interpreter cost to
 #: dominate, small enough for a CI smoke job.
@@ -433,7 +436,8 @@ def run_smoke() -> list[str]:
     if footprint > FOOTPRINT_BOUND_MIB:
         violations.append(
             f"synthetic database holds {footprint:.1f} MiB (bound "
-            f"{FOOTPRINT_BOUND_MIB:.0f} MiB): are index leaves still columnar?"
+            f"{FOOTPRINT_BOUND_MIB:.0f} MiB): is the table still stored by "
+            "column, and are index leaves?"
         )
     return violations
 

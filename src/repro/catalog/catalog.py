@@ -12,7 +12,7 @@ through shared mutable state.
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence
+from typing import Any, Iterable, Optional, Sequence
 
 from repro.common.errors import CatalogError
 from repro.common.types import FileId
@@ -99,13 +99,17 @@ class Database:
     def load_table(
         self,
         schema: TableSchema,
-        rows: Sequence[Sequence[Any]],
+        rows: Iterable[Sequence[Any]],
         clustered_on: Optional[Sequence[str]] = None,
         indexes: Sequence[IndexDef] = (),
         build_stats: bool = True,
         fill_factor: float = 1.0,
     ) -> Table:
-        """One-shot create + bulk load + index build + statistics."""
+        """One-shot create + bulk load + index build + statistics.
+
+        ``rows`` may be lazy (a generator, a ``zip`` over columns): it is
+        read once, a bounded slice at a time.
+        """
         table = self.create_table(schema, clustered_on, fill_factor)
         table.bulk_load(rows)
         for definition in indexes:

@@ -10,7 +10,8 @@ optionally with included columns (making them covering for some queries).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional, Sequence
+from itertools import islice
+from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from repro.common.errors import SchemaError
 from repro.sql.types import SqlType
@@ -43,6 +44,11 @@ _DEFAULT_WIDTHS: dict[SqlType, int] = {
     SqlType.STR: 32,
     SqlType.DATE: 4,
 }
+
+
+#: Rows a bulk load holds as Python objects at any one time (the rest of
+#: the table is already stored columns, or not yet read).
+LOAD_SLICE_ROWS = 1024
 
 
 class TableSchema:
@@ -98,27 +104,38 @@ class TableSchema:
             col.sql_type.validate(value) for col, value in zip(self.columns, row)
         )
 
-    def validate_rows(self, rows: Sequence[Sequence[Any]]) -> list[tuple]:
-        """Type-check many rows (bulk load); returns them as tuples.
+    def validate_rows(self, rows: Iterable[Sequence[Any]]) -> Iterator[list[list]]:
+        """Type-check many rows (bulk load); yields them by column, a
+        slice of at most :data:`LOAD_SLICE_ROWS` rows at a time.
 
-        Checked a column at a time: when every row is a tuple of the
-        right arity and every value of a column has exactly the column's
-        Python type, nothing needs converting and the tuples are returned
-        as they are.  Anything else — NULLs, bools, ints to widen in a
-        FLOAT column, lists, wrong arity — takes :meth:`validate_row` row
-        by row, so the first offender raises the same :class:`SchemaError`.
+        ``rows`` is read once, lazily.  Each slice is checked a column at
+        a time: when every row is a tuple of the right arity and every
+        value of a column has exactly the column's Python type, nothing
+        needs converting and the slice's transpose is what is yielded.
+        Anything else — NULLs, bools, ints to widen in a FLOAT column,
+        lists, wrong arity — takes :meth:`validate_row` row by row, so the
+        first offender raises the same :class:`SchemaError`.
         """
-        rows = rows if isinstance(rows, list) else list(rows)
-        if (
-            set(map(type, rows)) == {tuple}
-            and set(map(len, rows)) == {len(self.columns)}
-            and all(
-                set(map(type, values)) == {column.sql_type.python_type}
-                for column, values in zip(self.columns, zip(*rows))
-            )
-        ):
-            return rows
-        return [self.validate_row(row) for row in rows]
+        rows = iter(rows)
+        chunk = list(islice(rows, LOAD_SLICE_ROWS))
+        if not chunk:
+            yield [[] for _ in self.columns]  # no rows: one batch, of the schema's width
+        while chunk:
+            by_column = None
+            if set(map(type, chunk)) == {tuple} and set(map(len, chunk)) == {
+                len(self.columns)
+            }:
+                by_column = [list(values) for values in zip(*chunk)]
+                if not all(
+                    set(map(type, values)) == {column.sql_type.python_type}
+                    for column, values in zip(self.columns, by_column)
+                ):
+                    by_column = None
+            if by_column is None:
+                validated = [self.validate_row(row) for row in chunk]
+                by_column = [list(values) for values in zip(*validated)]
+            yield by_column
+            chunk = list(islice(rows, LOAD_SLICE_ROWS))
 
     def __len__(self) -> int:
         return len(self.columns)

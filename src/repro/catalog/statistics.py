@@ -11,7 +11,7 @@ formulas — which the feedback mechanisms then correct.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Any, Iterable, Optional, Sequence
 
 from repro.common.errors import EstimationError
 from repro.catalog.histogram import EquiDepthHistogram
@@ -84,19 +84,21 @@ class TableStatistics:
 
 def build_statistics(
     table_name: str,
-    rows: list[tuple],
+    columns: Iterable[Sequence[Any]],
     column_names: list[str],
+    row_count: int,
     page_count: int,
     histogram_columns: Optional[list[str]] = None,
     num_buckets: int = 64,
 ) -> TableStatistics:
-    """Construct :class:`TableStatistics` by scanning ``rows``.
+    """Construct :class:`TableStatistics` from a table's columns.
 
-    ``histogram_columns`` defaults to all columns.  This mimics
+    ``columns`` yields each column's values (plain Python values, one
+    sequence per name in ``column_names``) and is read one column at a
+    time; ``histogram_columns`` defaults to all columns.  This mimics
     ``UPDATE STATISTICS ... WITH FULLSCAN``: exact row counts and
     full-resolution equi-depth histograms.
     """
-    row_count = len(rows)
     avg = row_count / page_count if page_count else 0.0
     stats = TableStatistics(
         table_name=table_name,
@@ -104,11 +106,9 @@ def build_statistics(
         page_count=page_count,
         avg_rows_per_page=avg,
     )
-    targets = histogram_columns if histogram_columns is not None else list(column_names)
-    for column in targets:
-        position = column_names.index(column)
-        values = [row[position] for row in rows]
-        stats.histograms[column] = EquiDepthHistogram.build(
-            column, values, num_buckets=num_buckets
-        )
+    for column, values in zip(column_names, columns):
+        if histogram_columns is None or column in histogram_columns:
+            stats.histograms[column] = EquiDepthHistogram.build(
+                column, values, num_buckets=num_buckets
+            )
     return stats

@@ -107,8 +107,9 @@ def make_column(values: Sequence) -> Column:
     return arr
 
 
-def make_scan_column(values: list) -> Column:
-    """Build a *file-level* scan column from one table column's values.
+def make_scan_column(values: Column) -> Column:
+    """Build a *stored* column (a table's, an index leaf's) from one
+    column's values, or bring one built under the other backend over.
 
     Unlike :func:`make_column`, only numeric NULL-free columns become
     ndarrays: converting a long string column (``numpy.asarray`` on tens
@@ -118,6 +119,8 @@ def make_scan_column(values: list) -> Column:
     the fallback paths.
     """
     if _np is None or _force_python:
+        return column_values(values)
+    if _is_array(values):
         return values
     first = next((value for value in values if value is not None), None)
     if isinstance(first, bool) or not isinstance(first, (int, float)):
@@ -216,7 +219,45 @@ def rows_at(columns: Sequence[Column], indexes: list[int]) -> list[tuple]:
     What a consumer that needs a few rows of a column batch calls instead
     of transposing all of it (:func:`rows_from_columns`).
     """
-    return list(zip(*(column_values(values_at(column, indexes)) for column in columns)))
+    gathered = []
+    array_indexes = None  # the index list as an array, converted once
+    for column in columns:
+        if _is_array(column):
+            if array_indexes is None:
+                array_indexes = _np.asarray(indexes, dtype=_np.intp)
+            gathered.append(column[array_indexes].tolist())
+        else:
+            gathered.append([column[index] for index in indexes])
+    return list(zip(*gathered))
+
+
+def row_at(columns: Sequence[Column], index: int) -> tuple:
+    """One row tuple (Python scalars): :func:`rows_at` for a single
+    position, without the one-element gathers."""
+    return tuple(
+        [
+            column[index] if type(column) is list else column.item(index)
+            for column in columns
+        ]
+    )
+
+
+# --- stored columns (the table itself, B-tree leaves) -----------------------
+
+def concat_columns(parts: Sequence[Column]) -> Column:
+    """Stored columns (:func:`make_scan_column`'s) joined end to end into
+    one: an array when every non-empty part is an array of one dtype, else
+    a list."""
+    parts = [part for part in parts if len(part)]
+    if len(parts) == 1:
+        return parts[0]
+    if parts and all(_is_array(part) for part in parts):
+        if len({part.dtype for part in parts}) == 1:
+            return _np.concatenate(parts)
+    joined: list = []
+    for part in parts:
+        joined.extend(column_values(part))
+    return joined
 
 
 # --- sorted columns (B-tree leaves) ----------------------------------------

@@ -211,20 +211,20 @@ class PlanCache:
         table object wholesale, …).
         """
         with self._lock:
-            if table is None:
-                dropped = len(self._entries)
-                self._entries.clear()
-            else:
-                doomed = [
-                    key
-                    for key, entry in self._entries.items()
-                    if any(name == table for name, _, _ in entry.freshness)
-                ]
-                for key in doomed:
-                    del self._entries[key]
-                dropped = len(doomed)
-            self.stats.invalidations += dropped
-            return dropped
+            doomed = [
+                key
+                for key, entry in self._entries.items()
+                if table is None
+                or any(name == table for name, _, _ in entry.freshness)
+            ]
+            for key in doomed:
+                del self._entries[key]
+                # The build lock goes with the entry, as on eviction: a
+                # service invalidating per table must not keep one lock
+                # per statement shape it ever saw.
+                self._building.pop(key, None)
+            self.stats.invalidations += len(doomed)
+            return len(doomed)
 
     def __repr__(self) -> str:
         with self._lock:

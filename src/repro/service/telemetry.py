@@ -18,6 +18,7 @@ concurrently.  Percentile math is shared with the figure harness
 from __future__ import annotations
 
 import threading
+from collections import deque
 from typing import Any, Optional
 
 from repro.harness.reporting import format_table, latency_summary
@@ -84,29 +85,44 @@ class Gauge:
         self.value += delta
 
 
-class Histogram:
-    """Recorded samples with percentile digests.
+#: Samples a :class:`Histogram` keeps for its percentiles (the most
+#: recent ones); ``count`` / ``mean`` / ``max`` cover every sample.
+HISTOGRAM_WINDOW = 4096
 
-    Keeps every sample (service runs are bounded by the load harness's
-    request count, not an unbounded stream); ``summary()`` digests to
-    count/mean/p50/p95/p99/max.
+
+class Histogram:
+    """Recorded samples with percentile digests, at constant size.
+
+    ``count``, ``mean`` and ``max`` are exact over everything recorded;
+    ``p50`` / ``p95`` / ``p99`` are taken over the last
+    :data:`HISTOGRAM_WINDOW` samples, so a service that runs for days
+    neither grows per request nor sorts its whole history on every
+    ``stats`` poll.
     """
 
-    __slots__ = ("name", "samples")
+    __slots__ = ("name", "count", "total", "max", "recent")
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self.samples: list[float] = []
+        self.count = 0
+        self.total = 0.0
+        self.max = 0.0
+        self.recent: deque[float] = deque(maxlen=HISTOGRAM_WINDOW)
 
     def record(self, value: float) -> None:
-        self.samples.append(float(value))
-
-    @property
-    def count(self) -> int:
-        return len(self.samples)
+        value = float(value)
+        self.max = value if not self.count else max(self.max, value)
+        self.count += 1
+        self.total += value
+        self.recent.append(value)
 
     def summary(self) -> dict[str, float]:
-        return latency_summary(self.samples)
+        digest = latency_summary(self.recent)
+        if self.count:
+            digest.update(
+                count=self.count, mean=self.total / self.count, max=self.max
+            )
+        return digest
 
 
 class ServiceTelemetry:

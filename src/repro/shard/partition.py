@@ -36,6 +36,7 @@ from repro.catalog.catalog import Database
 from repro.catalog.schema import IndexDef, PartitionSpec, TablePartition
 from repro.common.errors import ShardError
 from repro.common.hashing import mix64
+from repro.exec import vector
 from repro.storage.table import Table
 
 
@@ -60,14 +61,6 @@ def partition_column(table: Table, spec: PartitionSpec) -> str:
     if table.clustered_index is not None:
         return table.clustered_index.key_columns[0]
     return table.schema.column_names[0]
-
-
-def _storage_order_rows(table: Table) -> list[tuple]:
-    """All rows in physical (page, slot) order, without I/O accounting."""
-    rows: list[tuple] = []
-    for page_id in table.all_page_ids():
-        rows.extend(table.rows_on_page(page_id))
-    return rows
 
 
 def _range_slices(table: Table, num_shards: int) -> list[tuple[int, int]]:
@@ -124,7 +117,9 @@ def partition_database(
         shards.append(shard_db)
 
     for table in database.tables.values():
-        rows = _storage_order_rows(table)
+        # Read by column: a shard's rows are a lazy ``zip`` over its share
+        # of each column, which the loader reads in slices.
+        columns = table.data_file.columns()
         clustered_on = (
             table.clustered_index.key_columns
             if table.clustered_index is not None
@@ -135,8 +130,12 @@ def partition_database(
         if spec.strategy == "range":
             slices = _range_slices(table, spec.num_shards)
             capacity = table.data_file.page_capacity
-            shard_rows: list[list[tuple]] = [
-                rows[first * capacity : end * capacity] for first, end in slices
+            shard_columns = [
+                [
+                    vector.slice_values(column, first * capacity, end * capacity)
+                    for column in columns
+                ]
+                for first, end in slices
             ]
             partitions = [
                 TablePartition(
@@ -148,26 +147,27 @@ def partition_database(
                 for shard in range(spec.num_shards)
             ]
         else:
-            column = partition_column(table, spec)
-            position = table.schema.position(column)
-            shard_rows = [[] for _ in range(spec.num_shards)]
-            for row in rows:
-                shard_rows[
-                    hash_to_shard(row[position], spec.num_shards, seed)
-                ].append(row)
+            position = table.schema.position(partition_column(table, spec))
+            members: list[list[int]] = [[] for _ in range(spec.num_shards)]
+            for row, value in enumerate(vector.column_values(columns[position])):
+                members[hash_to_shard(value, spec.num_shards, seed)].append(row)
+            shard_columns = [
+                [vector.column_values(vector.values_at(column, rows)) for column in columns]
+                for rows in members
+            ]
             partitions = [
                 TablePartition(spec=spec, shard_index=shard)
                 for shard in range(spec.num_shards)
             ]
-        for shard_db, slice_rows, partition in zip(
-            shards, shard_rows, partitions
+        for shard_db, slice_columns, partition in zip(
+            shards, shard_columns, partitions
         ):
             shard_table = shard_db.load_table(
                 table.schema,
-                slice_rows,
+                zip(*slice_columns),
                 clustered_on=clustered_on,
                 indexes=secondary,
-                build_stats=bool(slice_rows),
+                build_stats=bool(slice_columns[0]),
                 fill_factor=fill_factor,
             )
             shard_table.partition = partition

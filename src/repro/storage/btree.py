@@ -109,10 +109,11 @@ class BTreeIndex:
     # Build path
     # ------------------------------------------------------------------
     def build(
-        self, rows: Sequence[Sequence[Any]], pages: Sequence[int], slots: Sequence[int]
+        self, columns: Sequence[Any], pages: Sequence[int], slots: Sequence[int]
     ) -> None:
-        """Build the index over ``rows`` stored at ``(pages[i], slots[i])``,
-        given in physical (page, slot) order; callable once.
+        """Build the index over a table stored as ``columns`` (one per schema
+        column, row ``i`` at ``(pages[i], slots[i])``, in physical order);
+        callable once.
 
         One stable sort on the key columns: equal keys keep physical order.
         """
@@ -120,8 +121,7 @@ class BTreeIndex:
             raise IndexError_(f"index {self.name} was already built")
         vector = self._vector
         columns = [
-            vector.make_scan_column([row[position] for row in rows])
-            for position in self._positions
+            vector.make_scan_column(columns[position]) for position in self._positions
         ]
         order = vector.sort_order(columns[: self._key_count])
         columns[self._key_count : self._key_count] = [
@@ -139,7 +139,7 @@ class BTreeIndex:
                 )
                 raise IndexError_(f"unique index {self.name}: duplicate key {key!r}")
         self._columns, self._backend = columns, vector.backend_name()
-        self._size = len(rows)
+        self._size = len(pages)
 
     def insert(self, rid: RID, row: Sequence[Any]) -> None:
         """Insert one row's entry, keeping leaf order (incremental load).
@@ -176,10 +176,7 @@ class BTreeIndex:
         vector = self._vector
         backend = vector.backend_name()
         if self._backend != backend:
-            self._columns = [
-                vector.make_scan_column(vector.column_values(column))
-                for column in self._columns
-            ]
+            self._columns = [vector.make_scan_column(c) for c in self._columns]
             self._backend = backend
         return self._columns
 

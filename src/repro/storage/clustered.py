@@ -18,8 +18,7 @@ identical to chasing clustering keys).
 from __future__ import annotations
 
 import bisect
-from operator import itemgetter
-from typing import Any, Callable, Iterator, Optional, Sequence
+from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from repro.common.errors import StorageError
 from repro.common.types import FileId, PageId
@@ -57,8 +56,9 @@ class ClusteredFile(DataFile):
     # ------------------------------------------------------------------
     # Load path
     # ------------------------------------------------------------------
-    def bulk_load(self, rows: Sequence[Sequence[Any]]) -> None:
-        """Sort ``rows`` by the clustering key and pack them into pages.
+    def bulk_load(self, batches: Iterable[Sequence[Any]]) -> None:
+        """Store the rows (batches of columns, as :meth:`bulk_append` takes
+        them) sorted by the clustering key.
 
         May be called exactly once; the file is immutable afterwards.
         """
@@ -66,18 +66,40 @@ class ClusteredFile(DataFile):
             raise StorageError(
                 f"clustered file {int(self.file_id)} was already bulk-loaded"
             )
-        # Stable, so ties keep input order.  A one-column key sorts on the
-        # bare value: the same order as on its 1-tuple, without building one.
-        self.bulk_append(sorted(rows, key=itemgetter(*self.key_positions)))
-        self._page_low_keys = [
-            self.key_of(page.get(0)) for page in self._pages if page.num_rows
-        ]
-        self._page_high_keys = [
-            self.key_of(page.get(page.num_rows - 1))
-            for page in self._pages
-            if page.num_rows
-        ]
+        self.bulk_append(batches)
+        vector = self._vector
+        columns = self._store()
+        # Stable, so ties keep input order.
+        order = vector.sort_order([columns[pos] for pos in self.key_positions])
+        # In place, a column at a time (nothing reads a file mid-load): only
+        # one column's unsorted copy is alive beside the table.
+        for position, column in enumerate(columns):
+            columns[position] = vector.values_at(column, order)
+        # The fences are the keys of each page's first and last row.
+        capacity = self.page_capacity
+        firsts = range(0, self.num_rows, capacity)
+        self._page_low_keys = self._keys_at(firsts)
+        self._page_high_keys = self._keys_at(
+            [min(first + capacity, self.num_rows) - 1 for first in firsts]
+        )
         self._loaded = True
+
+    def _keys_at(self, positions: Sequence[int]) -> list[tuple]:
+        """The clustering-key tuples of the rows at ``positions``."""
+        columns = self._store()
+        return self._vector.rows_at(
+            [columns[pos] for pos in self.key_positions], list(positions)
+        )
+
+    def _page_keys(self, page_id: int) -> tuple[int, list[tuple]]:
+        """A page's first row position and its rows' key tuples (sorted):
+        what locates a key run inside the page without building its rows."""
+        start = page_id * self.page_capacity
+        stop = min(start + self.page_capacity, self.num_rows)
+        columns = self._store()
+        slice_values = self._vector.slice_values
+        keys = [slice_values(columns[pos], start, stop) for pos in self.key_positions]
+        return start, list(zip(*keys))
 
     # ------------------------------------------------------------------
     # Read path
@@ -162,31 +184,38 @@ class ClusteredFile(DataFile):
                 else self.first_page_with_key_gt(low)
             )
         # The fences say which pages lie wholly inside the range; those
-        # are passed as they are.  A boundary page's rows are sorted by
-        # key, so each bound is one bisection (a few ``key_of`` calls).
-        key_of = self.key_of
+        # are passed whole.  A boundary page's keys are sorted, so each
+        # bound is one bisection over them, and only the rows inside the
+        # bounds are built.
         page_lows = self._page_low_keys
         page_highs = self._page_high_keys
         for page_id, page in self.scan_pages(io, start_page=start):
-            rows = page.rows_list()
-            first, stop = 0, len(rows)
-            if low is not None:
-                if low_inclusive:
-                    if page_lows[page_id] < low:
-                        first = bisect.bisect_left(rows, low, key=key_of)
-                elif page_lows[page_id] <= low:
-                    first = bisect.bisect_right(rows, low, key=key_of)
-            if high is not None:
-                if high_inclusive:
-                    if page_highs[page_id] > high:
-                        stop = bisect.bisect_right(rows, high, key=key_of)
-                elif page_highs[page_id] >= high:
-                    stop = bisect.bisect_left(rows, high, key=key_of)
-            if first == 0 and stop == len(rows):
-                yield page_id, rows
-            elif first < stop:
-                yield page_id, rows[first:stop]
-            if stop < len(rows):
+            cut_low = low is not None and (
+                page_lows[page_id] < low
+                if low_inclusive
+                else page_lows[page_id] <= low
+            )
+            cut_high = high is not None and (
+                page_highs[page_id] > high
+                if high_inclusive
+                else page_highs[page_id] >= high
+            )
+            if not (cut_low or cut_high):
+                yield page_id, page.rows_list()
+                continue
+            base, keys = self._page_keys(page_id)
+            first, stop = 0, len(keys)
+            if cut_low:
+                first = (bisect.bisect_left if low_inclusive else bisect.bisect_right)(
+                    keys, low
+                )
+            if cut_high:
+                stop = (bisect.bisect_right if high_inclusive else bisect.bisect_left)(
+                    keys, high
+                )
+            if first < stop:
+                yield page_id, self.rows_between(base + first, base + stop)
+            if stop < len(keys):
                 return  # the first row past the upper bound ends the scan
 
     def fetch_by_key(self, io: IOContext, key: tuple) -> Iterator[tuple[PageId, tuple]]:
@@ -200,20 +229,19 @@ class ClusteredFile(DataFile):
         io.charge_index_descent(1)
         start = self.first_page_with_key_ge(key)
         first_read = True
-        for page_index in range(start, len(self._pages)):
-            if self._page_low_keys[page_index] > key:
+        for page_id in range(start, self.num_pages):
+            if self._page_low_keys[page_id] > key:
                 return
-            page = self._pages[page_index]
             # The page's key range straddles ``key``: it must be read.
             self.buffer_pool.access(
-                self.file_id, page.page_id, io, sequential=not first_read
+                self.file_id, page_id, io, sequential=not first_read
             )
             first_read = False
-            # Rows are sorted by key within the page: bisect to the run.
-            rows = page.rows_list()
-            first = bisect.bisect_left(rows, key, key=self.key_of)
-            stop = bisect.bisect_right(rows, key, lo=first, key=self.key_of)
-            for row in rows[first:stop]:
-                yield page.page_id, row
-            if stop < len(rows):
+            # Keys are sorted within the page: bisect to the run.
+            base, keys = self._page_keys(page_id)
+            first = bisect.bisect_left(keys, key)
+            stop = bisect.bisect_right(keys, key, lo=first)
+            for row in self.rows_between(base + first, base + stop):
+                yield page_id, row
+            if stop < len(keys):
                 return  # a row past the key ends the run

@@ -1,7 +1,17 @@
-"""Heap files: unordered pages of rows.
+"""Heap files: unordered pages of rows, stored by column.
 
 :class:`DataFile` is the shared base for the two physical table layouts
-(heap and clustered); it owns the page array, bulk append and RID fetch.
+(heap and clustered).  The table *is* its columns: one vector per column
+for the whole file — typed arrays on the NumPy backend for numeric
+NULL-free columns, lists on the pure-Python backend and for string, date
+or NULL-bearing columns (``vector.make_scan_column``'s rule, the one the
+index leaves follow), converted once when the backend switches.  Rows
+pack densely, so page ``p`` is rows ``[p * page_capacity, (p + 1) *
+page_capacity)`` of every column and a :class:`~repro.storage.page.Page`
+is a window, not a container; row tuples exist only where a caller asks
+for them (:meth:`DataFile.rows_between`, :meth:`DataFile.row`,
+:meth:`DataFile.rows_at`).
+
 All *reads* are routed through the buffer pool, which charges the
 caller's :class:`~repro.storage.accounting.IOContext`.  Scans read pages
 in allocation order with sequential I/O charges (readahead); RID fetches
@@ -21,63 +31,8 @@ from repro.storage.buffer import BufferPool
 from repro.storage.page import Page, rows_per_page
 
 
-class FileColumns:
-    """Lazily materialized file-level column vectors over a page list.
-
-    Columnar scans used to transpose (and cache) each 73-row page
-    separately, which meant one NumPy kernel dispatch per page — too
-    little work to amortize the call overhead.  This cache instead holds
-    one file-wide vector per *touched* column (predicates on two columns
-    materialize two vectors, never the whole table) plus the running
-    page-row offsets, and hands out zero-copy
-    :class:`~repro.exec.vector.SlicedColumns` views for any contiguous
-    page run.  Validity is checked by :meth:`DataFile.file_columns`
-    against the append-only row count and the active vector backend.
-    """
-
-    __slots__ = ("backend", "num_rows", "_pages", "_offsets", "_columns")
-
-    def __init__(self, pages: list[Page], backend: str) -> None:
-        self.backend = backend
-        offsets = [0]
-        for page in pages:
-            offsets.append(offsets[-1] + page.num_rows)
-        self._pages = pages
-        self._offsets = offsets
-        self.num_rows = offsets[-1]
-        width = len(pages[0].rows_list()[0]) if self.num_rows else 0
-        self._columns: list = [None] * width
-
-    def __len__(self) -> int:
-        return len(self._columns)
-
-    def __getitem__(self, position: int):
-        column = self._columns[position]
-        if column is None:
-            # Imported lazily: storage must stay importable without
-            # touching the exec package (which imports storage back).
-            from repro.exec import vector
-
-            values = [
-                row[position] for page in self._pages for row in page.rows_list()
-            ]
-            column = vector.make_scan_column(values)
-            self._columns[position] = column
-        return column
-
-    def page_starts(self, first_page: int, page_count: int) -> list[int]:
-        """File-level row offset of each page of a contiguous page run."""
-        return self._offsets[first_page : first_page + page_count]
-
-    def slice_rows(self, start: int, stop: int) -> "Any":
-        """An arbitrary contiguous row range as a zero-copy columns view."""
-        from repro.exec import vector
-
-        return vector.SlicedColumns(self, start, stop)
-
-
 class DataFile:
-    """A sequence of pages holding full rows of one table."""
+    """The column vectors of one table, paged by position."""
 
     def __init__(
         self,
@@ -95,78 +50,124 @@ class DataFile:
         self.fill_factor = fill_factor
         full_capacity = rows_per_page(row_width_bytes)
         self.page_capacity = max(1, int(full_capacity * fill_factor))
-        self._pages: list[Page] = []
-        #: Rows across all pages, maintained by the two append paths
-        #: (files are append-only), so :attr:`num_rows` is O(1).
+        #: One vector per column (none before the first append), each
+        #: ``_num_rows`` long and never changed in place: an append
+        #: installs new vectors, then raises the row count, so a reader
+        #: that takes the count first always finds at least that many rows.
+        self._columns: list = []
+        self._backend = ""
         self._num_rows = 0
-        self._file_columns: Optional[FileColumns] = None
+        # Imported lazily: storage must stay importable without touching
+        # the exec package (which imports storage back).
+        from repro.exec import vector
+
+        self._vector = vector
+
+    def _store(self) -> list:
+        """The columns, in the active vector backend's representation."""
+        backend = self._vector.backend_name()
+        if self._backend != backend:
+            make_scan_column = self._vector.make_scan_column
+            self._columns = [make_scan_column(column) for column in self._columns]
+            self._backend = backend
+        return self._columns
 
     # ------------------------------------------------------------------
     # Load path (no I/O charges: loading happens "offline")
     # ------------------------------------------------------------------
-    def append_row(self, row: Sequence[Any]) -> RID:
-        """Append one row, opening a new page when the last one is full."""
-        if not self._pages or self._pages[-1].is_full:
-            self._pages.append(Page(PageId(len(self._pages)), self.page_capacity))
-        page = self._pages[-1]
-        slot = page.append(row)
-        self._num_rows += 1
-        return RID(page.page_id, slot)
+    def bulk_append(self, batches: Iterable[Sequence[Any]]) -> None:
+        """Append rows given as batches of columns (each batch one list or
+        vector per column), in order.
 
-    def bulk_append(self, rows: Iterable[Sequence[Any]]) -> None:
-        """Append many rows, in order.
-
-        Packs whole pages by slice — the layout (and every RID, see
-        :meth:`locators`) is what row-by-row :meth:`append_row` calls
-        would produce, including topping up a part-filled last page first.
-        Rows that already are tuples are stored as they come, not copied.
+        Each batch is packed into stored form as it arrives, so a lazy
+        ``batches`` never has more than one batch of Python values alive;
+        the file's columns are then rebuilt once per call — one copy, not
+        one per row — so callers append in batches.  Nothing is stored if
+        reading ``batches`` raises.
         """
-        rows = [row if type(row) is tuple else tuple(row) for row in rows]
-        pages = self._pages
+        vector = self._vector
+        parts: list[list] = [[column] for column in self._store()]
+        added = 0
+        for batch in batches:
+            parts = parts or [[] for _ in batch]
+            if len(batch) != len(parts) or len({len(column) for column in batch}) > 1:
+                raise StorageError(
+                    f"file {int(self.file_id)}: expected {len(parts)} columns of "
+                    f"one length, got lengths {[len(column) for column in batch]}"
+                )
+            for chunks, column in zip(parts, batch):
+                chunks.append(vector.make_scan_column(column))
+            added += len(batch[0]) if batch else 0
+        self._columns = [vector.concat_columns(chunks) for chunks in parts]
+        self._num_rows += added
+
+    def append_row(self, row: Sequence[Any]) -> RID:
+        """Append one row; returns its RID."""
+        self.bulk_append([[[value] for value in row]])
+        return RID(*divmod(self._num_rows - 1, self.page_capacity))
+
+    def locators(self, first_row: int = 0) -> tuple[list[int], list[int]]:
+        """``(pages, slots)`` of the stored rows from position ``first_row``
+        on, in physical order — the file's RIDs as two parallel vectors
+        (no I/O)."""
         capacity = self.page_capacity
-        position = 0
-        while position < len(rows):
-            if not pages or pages[-1].is_full:
-                pages.append(Page(PageId(len(pages)), capacity))
-            page = pages[-1]
-            taken = rows[position : position + capacity - page.num_rows]
-            page.extend(taken)
-            position += len(taken)
-        self._num_rows += len(rows)
+        positions = range(first_row, self._num_rows)
+        return (
+            [position // capacity for position in positions],
+            [position % capacity for position in positions],
+        )
 
-    def locators(self) -> tuple[list[int], list[int]]:
-        """``(pages, slots)`` of every stored row, in physical order — the
-        file's RIDs as two parallel vectors (no I/O)."""
-        pages: list[int] = []
-        slots: list[int] = []
-        for page in self._pages:
-            pages.extend([page.page_id] * page.num_rows)
-            slots.extend(range(page.num_rows))
-        return pages, slots
-
-    def rids(self) -> Iterator[RID]:
-        """Every stored row's RID, in physical order (no I/O)."""
-        return map(RID, *self.locators())
+    def rids(self, first_row: int = 0) -> Iterator[RID]:
+        """The RIDs :meth:`locators` lists (no I/O)."""
+        return map(RID, *self.locators(first_row))
 
     # ------------------------------------------------------------------
     # Read path (charges the caller's IOContext via the buffer pool)
     # ------------------------------------------------------------------
     @property
     def num_pages(self) -> int:
-        return len(self._pages)
+        return -(-self._num_rows // self.page_capacity)  # ceil div
 
     @property
     def num_rows(self) -> int:
         return self._num_rows
 
+    def columns(self) -> list:
+        """The stored column vectors, in schema order — read-only, no I/O
+        (what index builds and partitioning read)."""
+        return self._store()
+
+    def column_values(self) -> Iterator[list]:
+        """Each column in turn as a list of plain Python values (what
+        statistics read; one column is held at a time)."""
+        return map(self._vector.column_values, self._store())
+
+    def rows_between(self, start: int, stop: int) -> list[tuple]:
+        """Rows ``[start, stop)`` as tuples of plain Python values, *without*
+        I/O accounting: where a page's rows come into being."""
+        slice_values = self._vector.slice_values
+        return list(
+            zip(*[slice_values(column, start, stop) for column in self._store()])
+        )
+
+    def row(self, position: int) -> tuple:
+        """The row at file position ``position``: :meth:`rows_between` for
+        one row (what a RID fetch reads)."""
+        return self._vector.row_at(self._store(), position)
+
     def page(self, page_id: PageId) -> Page:
         """Direct page access *without* I/O accounting (internal/tests)."""
-        if not 0 <= page_id < len(self._pages):
+        if not 0 <= page_id < self.num_pages:
             raise StorageError(
                 f"file {int(self.file_id)}: page {int(page_id)} out of range "
-                f"(file has {len(self._pages)} pages)"
+                f"(file has {self.num_pages} pages)"
             )
-        return self._pages[page_id]
+        return self._window(page_id, self._num_rows)
+
+    def _window(self, page_id: PageId, num_rows: int) -> Page:
+        """Page ``page_id`` of the file's first ``num_rows`` rows."""
+        start = page_id * self.page_capacity
+        return Page(self, page_id, start, min(start + self.page_capacity, num_rows))
 
     def fetch(self, io: IOContext, rid: RID) -> tuple[PageId, tuple]:
         """Random-access read of one row by RID.
@@ -183,18 +184,19 @@ class DataFile:
         """The rows at ``(pages[i], slots[i])``, *without* I/O accounting —
         the gather step of a batched fetch, whose page reads the caller
         charges as one :meth:`BufferPool.access_sequence` stream."""
-        file_pages = self._pages
-        if pages and (min(pages) < 0 or min(slots) < 0):
-            raise StorageError(f"file {int(self.file_id)}: negative row locator")
-        try:
-            return [
-                file_pages[page].rows_list()[slot] for page, slot in zip(pages, slots)
-            ]
-        except IndexError:
+        capacity = self.page_capacity
+        positions = [page * capacity + slot for page, slot in zip(pages, slots)]
+        if positions and not (
+            0 <= min(slots)
+            and max(slots) < capacity
+            and 0 <= min(positions)
+            and max(positions) < self._num_rows
+        ):
             raise StorageError(
                 f"file {int(self.file_id)}: row locator out of range "
-                f"(file has {len(file_pages)} pages)"
-            ) from None
+                f"(file has {self.num_pages} pages)"
+            )
+        return self._vector.rows_at(self._store(), positions)
 
     def fetch_many(
         self, io: IOContext, pages: Sequence[int], slots: Sequence[int]
@@ -212,36 +214,15 @@ class DataFile:
 
         ``start_page``/``end_page`` bound the scan (used by clustered range
         seeks); ``end_page`` is exclusive and defaults to the file end.
+        The scan covers the rows the file held when it started.
         """
-        stop = len(self._pages) if end_page is None else min(end_page, len(self._pages))
+        num_rows = self._num_rows
+        stop = -(-num_rows // self.page_capacity)
+        if end_page is not None:
+            stop = min(end_page, stop)
         for page_id in range(start_page, stop):
-            page = self._pages[page_id]
-            self.buffer_pool.access(self.file_id, page.page_id, io, sequential=True)
-            yield page.page_id, page
-
-    def file_columns(self) -> FileColumns:
-        """The file-level column cache, rebuilt when stale.
-
-        Staleness is cheap to detect because files are append-only: the
-        row count strictly grows under :meth:`append_row`, so ``(backend,
-        num_rows)`` identifies the loaded snapshot.  The vectors
-        themselves materialize lazily, per touched column.
-        """
-        # Imported lazily: storage must stay importable without touching
-        # the exec package (which imports storage back).
-        from repro.exec import vector
-
-        cached = self._file_columns
-        backend = vector.backend_name()
-        if (
-            cached is not None
-            and cached.backend == backend
-            and cached.num_rows == self.num_rows
-        ):
-            return cached
-        cached = FileColumns(self._pages, backend)
-        self._file_columns = cached
-        return cached
+            self.buffer_pool.access(self.file_id, page_id, io, sequential=True)
+            yield page_id, self._window(page_id, num_rows)
 
     def scan_column_chunks(
         self,
@@ -256,8 +237,10 @@ class DataFile:
         Groups contiguous whole pages until a chunk reaches
         ``rows_per_chunk`` rows, so one whole-vector kernel evaluation
         covers many simulated pages — the granularity at which NumPy
-        dispatch overhead amortizes.  Page order and per-page sequential
-        I/O charging are exactly those of :meth:`scan_pages`.
+        dispatch overhead amortizes.  The view is a zero-copy slice of the
+        store.  Page order and per-page sequential I/O charging are
+        exactly those of :meth:`scan_pages`, and like it the scan covers
+        the rows the file held when it started.
         ``page_starts`` lists each page's first row within the chunk
         (``page_starts[0] == 0``): a caller whose accounting is per page
         rather than additive across pages (scan monitors count *pages*
@@ -265,20 +248,20 @@ class DataFile:
         segments, so the kernel can be wider than a page while the
         counters stay page-granular.
         """
-        columns = self.file_columns()
+        sliced = self._vector.SlicedColumns
+        capacity = self.page_capacity
         chunk_start: Optional[PageId] = None
         chunk_rows = 0
         chunk_pages = 0
 
         def chunk() -> tuple[PageId, int, Any, int, list[int]]:
-            starts = columns.page_starts(chunk_start, chunk_pages)
-            offset = starts[0]
+            offset = chunk_start * capacity
             return (
                 chunk_start,
                 chunk_pages,
-                columns.slice_rows(offset, offset + chunk_rows),
+                sliced(self._store(), offset, offset + chunk_rows),
                 chunk_rows,
-                [start - offset for start in starts],
+                list(range(0, chunk_rows, capacity)),
             )
 
         for page_id, page in self.scan_pages(io, start_page, end_page):
@@ -299,7 +282,7 @@ class DataFile:
         once the iterator moves past a page, that page never reappears.
         """
         for page_id, page in self.scan_pages(io):
-            for slot, row in enumerate(page.rows()):
+            for slot, row in enumerate(page.rows_list()):
                 yield page_id, slot, row
 
 

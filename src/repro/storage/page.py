@@ -1,19 +1,25 @@
-"""In-memory representation of a disk page.
+"""A disk page: a window over its file's column vectors.
 
-A :class:`Page` holds full row tuples in slot order, bounded by a capacity
-derived from the simulated page geometry (8 KB pages, ~8060 usable bytes,
-like SQL Server).  The engine never serialises rows to bytes — the byte
-widths exist only to make rows-per-page realistic, because rows-per-page is
-the quantity that links cardinality to page counts throughout the paper
-(``k`` in the LB = n/k bound of Section V-B).
+A table is stored once, by column (:class:`~repro.storage.heap.DataFile`);
+a :class:`Page` is a read-only ``(file, start, stop)`` run of row positions
+whose extent comes from the simulated page geometry (8 KB pages, ~8060
+usable bytes, like SQL Server).  The engine never serialises rows to
+bytes — the declared byte widths exist only to make rows-per-page
+realistic, because rows-per-page is the quantity that links cardinality to
+page counts throughout the paper (``k`` in the LB = n/k bound of Section
+V-B).  Geometry comes from those declared widths, never from the item
+size of the arrays that happen to hold the values.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator
 
 from repro.common.errors import PageError
 from repro.common.types import PageId
+
+if TYPE_CHECKING:
+    from repro.storage.heap import DataFile
 
 #: Simulated page size; 8192 bytes minus header, following SQL Server.
 PAGE_SIZE_BYTES = 8192
@@ -30,76 +36,52 @@ def rows_per_page(row_width_bytes: int) -> int:
 
 
 class Page:
-    """A fixed-capacity container of row tuples.
+    """Rows ``[start, stop)`` of a file, addressed by slot.
 
-    Slots are dense: slot ``i`` holds the ``i``-th row inserted.  Pages are
-    append-only because the simulated tables are bulk-loaded and immutable
-    (deletes/updates are out of scope for the paper's experiments, which
-    load data once and measure read plans).
+    Slots are dense: slot ``i`` is row ``start + i``.  The page holds no
+    rows of its own; :meth:`get`, :meth:`rows` and :meth:`rows_list`
+    materialise plain-Python tuples from the file's columns each time they
+    are called (the row drive and the oracles do; the chunk scan reads the
+    columns and never comes here).  Files are append-only, so a window
+    stays valid — a page taken before an append keeps showing the rows it
+    had.
     """
 
-    __slots__ = ("page_id", "capacity", "_rows")
+    __slots__ = ("page_id", "_file", "_start", "_stop")
 
-    def __init__(self, page_id: PageId, capacity: int) -> None:
-        if capacity <= 0:
-            raise PageError(f"page capacity must be positive, got {capacity}")
+    def __init__(self, file: "DataFile", page_id: PageId, start: int, stop: int) -> None:
         self.page_id = page_id
-        self.capacity = capacity
-        self._rows: list[tuple] = []
+        self._file = file
+        self._start = start
+        self._stop = stop
 
     @property
     def num_rows(self) -> int:
-        return len(self._rows)
+        return self._stop - self._start
 
     @property
-    def is_full(self) -> bool:
-        return len(self._rows) >= self.capacity
-
-    def append(self, row: Sequence[Any]) -> int:
-        """Append a row; returns the slot number.  Raises when full."""
-        if self.is_full:
-            raise PageError(
-                f"page {int(self.page_id)} is full ({self.capacity} rows)"
-            )
-        self._rows.append(tuple(row))
-        return len(self._rows) - 1
-
-    def extend(self, rows: list[tuple]) -> None:
-        """Append row tuples in order (bulk load).
-
-        The rows are stored as given — the caller hands over tuples it
-        will not mutate.  Raises when they do not all fit.
-        """
-        if len(self._rows) + len(rows) > self.capacity:
-            raise PageError(
-                f"page {int(self.page_id)} cannot take {len(rows)} more rows "
-                f"({len(self._rows)}/{self.capacity} used)"
-            )
-        self._rows.extend(rows)
+    def capacity(self) -> int:
+        return self._file.page_capacity
 
     def get(self, slot: int) -> tuple:
         """Return the row in ``slot``; raises on invalid slots."""
-        if not 0 <= slot < len(self._rows):
+        if not 0 <= slot < self.num_rows:
             raise PageError(
                 f"page {int(self.page_id)}: slot {slot} out of range "
-                f"(page has {len(self._rows)} rows)"
+                f"(page has {self.num_rows} rows)"
             )
-        return self._rows[slot]
+        return self._file.row(self._start + slot)
 
     def rows(self) -> Iterator[tuple]:
         """Iterate rows in slot order."""
-        return iter(self._rows)
+        return iter(self.rows_list())
 
     def rows_list(self) -> list[tuple]:
-        """The page's rows in slot order, as a list — read-only.
-
-        Batch scans use this to hand a whole page to the compiled kernels
-        without a per-row iterator hop; callers must not mutate it.
-        """
-        return self._rows
+        """The page's rows in slot order, as a new list of tuples."""
+        return self._file.rows_between(self._start, self._stop)
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return self.num_rows
 
     def __repr__(self) -> str:
-        return f"Page({int(self.page_id)}: {len(self._rows)}/{self.capacity} rows)"
+        return f"Page({int(self.page_id)}: {self.num_rows}/{self.capacity} rows)"

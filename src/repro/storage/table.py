@@ -9,7 +9,7 @@ catalog statistics built at load time.
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Optional, Sequence
+from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from repro.common.errors import CatalogError, StorageError
 from repro.common.types import RID, FileId, PageId
@@ -74,27 +74,31 @@ class Table:
     # ------------------------------------------------------------------
     # Load path
     # ------------------------------------------------------------------
-    def bulk_load(self, rows: Sequence[Sequence[Any]]) -> None:
-        """Load all rows (validating against the schema) exactly once."""
+    def bulk_load(self, rows: Iterable[Sequence[Any]]) -> None:
+        """Load all rows (validating against the schema) exactly once.
+
+        ``rows`` may be a lazy iterable: it is read once, a bounded slice
+        at a time, and stored by column — the rows are never all held.
+        """
         if self._loaded:
             raise StorageError(f"table {self.name} was already loaded")
-        validated = self.schema.validate_rows(rows)
         if isinstance(self.data_file, ClusteredFile):
-            self.data_file.bulk_load(validated)
+            self.data_file.bulk_load(self.schema.validate_rows(rows))
         else:
-            self.data_file.bulk_append(validated)
+            self.data_file.bulk_append(self.schema.validate_rows(rows))
         self._loaded = True
 
-    def append_rows(self, rows: Sequence[Sequence[Any]]) -> list[RID]:
+    def append_rows(self, rows: Iterable[Sequence[Any]]) -> list[RID]:
         """Append rows after the initial load (heap tables only).
 
-        Secondary indexes are maintained incrementally; **statistics are
-        not** — they go stale exactly as in a real engine, and
-        :attr:`statistics_stale` flags it so callers (and the staleness
-        bench) can decide when to rebuild.  Clustered tables reject
-        appends: keeping rows physically key-ordered would require page
-        splits, which this simulation's contiguous-run clustered layout
-        deliberately does not model (see DESIGN.md).
+        The file's columns are extended once per call, so append in
+        batches.  Secondary indexes are maintained incrementally;
+        **statistics are not** — they go stale exactly as in a real
+        engine, and :attr:`statistics_stale` flags it so callers (and the
+        staleness bench) can decide when to rebuild.  Clustered tables
+        reject appends: keeping rows physically key-ordered would require
+        page splits, which this simulation's contiguous-run clustered
+        layout deliberately does not model (see DESIGN.md).
         """
         if not self._loaded:
             raise StorageError(f"table {self.name}: bulk_load before append_rows")
@@ -103,13 +107,13 @@ class Table:
                 f"table {self.name} is clustered; appends would violate the "
                 "contiguous key-order layout (heap tables support appends)"
             )
-        appended: list[RID] = []
-        for row in rows:
-            validated = self.schema.validate_row(row)
-            rid = self.data_file.append_row(validated)
-            appended.append(rid)
+        data_file = self.data_file
+        first_row = data_file.num_rows
+        data_file.bulk_append(self.schema.validate_rows(rows))
+        appended = list(data_file.rids(first_row))
+        for rid, row in zip(appended, data_file.rows_between(first_row, data_file.num_rows)):
             for index in self.indexes.values():
-                index.insert(rid, validated)
+                index.insert(rid, row)
         if appended:
             self._stats_dirty = True
         return appended
@@ -146,7 +150,7 @@ class Table:
                 f"not {self.name}"
             )
         index = BTreeIndex(definition, self.schema, file_id, self.buffer_pool)
-        index.build(self._stored_rows(), *self.data_file.locators())
+        index.build(self.data_file.columns(), *self.data_file.locators())
         self.indexes[definition.name] = index
         return index
 
@@ -156,24 +160,15 @@ class Table:
             raise StorageError(f"table {self.name}: load rows before statistics")
         self.statistics = build_statistics(
             table_name=self.name,
-            rows=self._stored_rows(),
+            columns=self.data_file.column_values(),
             column_names=list(self.schema.column_names),
+            row_count=self.num_rows,
             page_count=self.num_pages,
             num_buckets=num_buckets,
         )
         self._stats_dirty = False
         self._stats_version += 1
         return self.statistics
-
-    def _stored_rows(self) -> list[tuple]:
-        """Every row in physical order — the order of :meth:`rids` — with
-        no I/O accounting (load-time operations)."""
-        data_file = self.data_file
-        return [
-            row
-            for page_index in range(data_file.num_pages)
-            for row in data_file.page(PageId(page_index)).rows_list()
-        ]
 
     # ------------------------------------------------------------------
     # Read path
@@ -218,7 +213,7 @@ class Table:
 
     def rows_on_page(self, page_id: PageId) -> list[tuple]:
         """Rows of one page without I/O accounting (oracle/test helper)."""
-        return list(self.data_file.page(page_id).rows())
+        return self.data_file.page(page_id).rows_list()
 
     def __repr__(self) -> str:
         layout = self.data_file.layout_name

@@ -244,10 +244,7 @@ def load_dataset(
         c.name: c.generate(spec.num_rows, derive_seed(seed, spec.name, c.name))
         for c in spec.columns
     }
-    names = [c.name for c in spec.columns]
-    rows = [
-        tuple(columns[name][i] for name in names) for i in range(spec.num_rows)
-    ]
+    rows = zip(*(columns[c.name] for c in spec.columns))  # lazy: read in slices
     indexes = [
         IndexDef(f"ix_{spec.name}_{col}", spec.name, (col,))
         for col in spec.indexed_columns()

@@ -14,8 +14,11 @@ it studies are ratios (selectivity, DPC/P, crossovers), so we default to
 
 from __future__ import annotations
 
+from itertools import repeat
+from typing import Iterator
+
 from repro.catalog.catalog import Database
-from repro.catalog.schema import ColumnDef, IndexDef, TableSchema
+from repro.catalog.schema import LOAD_SLICE_ROWS, ColumnDef, IndexDef, TableSchema
 from repro.common.errors import WorkloadError
 from repro.sql.types import SqlType
 from repro.storage.disk import DiskParameters
@@ -49,12 +52,15 @@ def synthetic_schema(table_name: str = "t") -> TableSchema:
     )
 
 
-def generate_synthetic_rows(
+def iter_synthetic_rows(
     num_rows: int,
     seed: int = 0,
     column_noise: dict[str, float] | None = None,
-) -> list[tuple]:
-    """Rows of T in C1 order (the clustered bulk-load order)."""
+) -> Iterator[tuple]:
+    """Rows of T in C1 order (the clustered bulk-load order), one at a
+    time.  The permutation columns stay arrays and are unboxed a loader's
+    slice at a time, so a bulk load never holds the table as Python
+    objects."""
     if num_rows <= 0:
         raise WorkloadError(f"num_rows must be positive, got {num_rows}")
     noise = dict(DEFAULT_COLUMN_NOISE)
@@ -65,17 +71,22 @@ def generate_synthetic_rows(
         for index, (name, level) in enumerate(sorted(noise.items()))
     }
     pad = "x" * 8  # declared width drives page geometry, not len()
-    return [
-        (
-            i,
-            int(columns["c2"][i]),
-            int(columns["c3"][i]),
-            int(columns["c4"][i]),
-            int(columns["c5"][i]),
-            pad,
+    for start in range(0, num_rows, LOAD_SLICE_ROWS):
+        stop = min(start + LOAD_SLICE_ROWS, num_rows)
+        yield from zip(
+            range(start, stop),
+            *(columns[name][start:stop].tolist() for name in ("c2", "c3", "c4", "c5")),
+            repeat(pad),
         )
-        for i in range(num_rows)
-    ]
+
+
+def generate_synthetic_rows(
+    num_rows: int,
+    seed: int = 0,
+    column_noise: dict[str, float] | None = None,
+) -> list[tuple]:
+    """:func:`iter_synthetic_rows`, as a list."""
+    return list(iter_synthetic_rows(num_rows, seed, column_noise))
 
 
 def build_synthetic_database(
@@ -96,7 +107,7 @@ def build_synthetic_database(
     database = Database(
         db_name, buffer_pool_pages=buffer_pool_pages, disk_params=disk_params
     )
-    rows = generate_synthetic_rows(num_rows, seed=seed, column_noise=column_noise)
+    rows = iter_synthetic_rows(num_rows, seed=seed, column_noise=column_noise)
     schema = synthetic_schema("t")
     indexes = [
         IndexDef(f"ix_{column}", "t", (column,))
@@ -128,7 +139,7 @@ def add_synthetic_copy(
     join, because row *i* could only ever match row *i*.
     """
     schema = synthetic_schema(table_name)
-    rows = generate_synthetic_rows(
+    rows = iter_synthetic_rows(
         num_rows, seed=seed + 7919, column_noise=column_noise
     )
     return database.load_table(schema, rows, clustered_on=["c1"])

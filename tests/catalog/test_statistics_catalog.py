@@ -9,14 +9,14 @@ from repro.sql.predicates import Comparison, Conjunction, conjunction_of
 from repro.sql.types import SqlType
 from repro.storage.accounting import IOContext
 
-from tests.conftest import make_tiny_table
+from tests.conftest import by_column, make_tiny_table
 
 
 class TestTableStatistics:
     @pytest.fixture(scope="class")
     def stats(self):
         rows = [(i, (i * 7) % 100) for i in range(1000)]
-        return build_statistics("t", rows, ["a", "b"], page_count=20)
+        return build_statistics("t", by_column(rows), ["a", "b"], 1000, page_count=20)
 
     def test_geometry(self, stats):
         assert stats.row_count == 1000
@@ -54,7 +54,7 @@ class TestTableStatistics:
     def test_subset_histogram_columns(self):
         rows = [(i, i) for i in range(100)]
         stats = build_statistics(
-            "t", rows, ["a", "b"], page_count=2, histogram_columns=["a"]
+            "t", by_column(rows), ["a", "b"], 100, page_count=2, histogram_columns=["a"]
         )
         assert stats.has_histogram("a") and not stats.has_histogram("b")
 

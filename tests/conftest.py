@@ -49,6 +49,12 @@ def backend(request):
         yield "numpy"
 
 
+def by_column(rows, width: int = 0) -> list[list]:
+    """Rows transposed — the shape the storage load path takes (``width``
+    says how many empty columns no rows make)."""
+    return [list(values) for values in zip(*rows)] or [[] for _ in range(width)]
+
+
 def make_tiny_table(
     num_rows: int = 500,
     clustered: bool = True,

@@ -180,3 +180,16 @@ class TestInvalidate:
         assert cache.invalidate() == 2
         assert len(cache) == 0
         assert cache.stats.invalidations == 2
+
+    def test_invalidate_drops_the_build_locks_with_the_entries(self):
+        cache = PlanCache()
+        for table in ("t", "u"):
+            for shape in range(5):
+                cache.get_or_build(
+                    key(f"{table}{shape}"), ((table, 1, 0),), object
+                )
+        assert len(cache._building) == len(cache._entries) == 10
+        assert cache.invalidate("t") == 5
+        assert len(cache._building) <= len(cache._entries) == 5
+        assert cache.invalidate() == 5
+        assert len(cache._building) <= len(cache._entries) == 0

@@ -264,6 +264,23 @@ class TestStats:
         assert "feedback" in stats["engine"]["report"]
 
 
+    def test_histogram_stays_constant_size(self):
+        from repro.service.telemetry import HISTOGRAM_WINDOW, ServiceTelemetry
+
+        telemetry = ServiceTelemetry()
+        for sample in range(100_000):
+            telemetry.observe("execution_ms", sample)
+        histogram = telemetry._histograms["execution_ms"]
+        assert len(histogram.recent) == HISTOGRAM_WINDOW
+        digest = telemetry.histogram("execution_ms")
+        assert digest["count"] == 100_000
+        assert digest["mean"] == 49_999.5 and digest["max"] == 99_999.0
+        # Percentiles describe the most recent window only.
+        assert digest["p50"] == 100_000 - (HISTOGRAM_WINDOW + 1) / 2
+        assert set(telemetry.histogram("queue_wait_ms")) == set(digest)
+        assert telemetry.histogram("queue_wait_ms")["count"] == 0
+
+
 class TestShutdown:
     def test_drain_then_reject(self, synthetic_db):
         engine = Engine(synthetic_db)

@@ -8,6 +8,8 @@ from repro.common.errors import IndexError_, StorageError
 from repro.sql.types import SqlType
 from repro.storage.accounting import IOContext
 
+from repro.exec import vector
+
 from tests.conftest import make_tiny_table
 
 
@@ -83,8 +85,8 @@ class TestAppendRows:
         assert not table.statistics_stale
 
     def test_chunk_scan_sees_rows_appended_after_an_earlier_scan(self):
-        # The file-level column cache is validated against the O(1) row
-        # count that append_row maintains: stale after any append.
+        # The chunk scan slices the store itself: there is no column cache
+        # to go stale, so the next scan simply covers the new rows.
         from repro.exec import CountAggregate, SeqScan, execute
         from repro.sql import Comparison, conjunction_of
 
@@ -96,12 +98,33 @@ class TestAppendRows:
             return execute(CountAggregate(scan, "pad"), database, mode="batch").rows
 
         assert count_scan() == [(200,)]
-        cached = table.data_file.file_columns()
-        assert table.data_file.file_columns() is cached
         table.append_rows([(1000, 5, "y"), (1001, 6, None)])
         assert table.data_file.num_rows == 202
-        assert table.data_file.file_columns() is not cached
         assert count_scan() == [(201,)]  # the NULL pad is not counted
+
+    def test_chunk_scan_started_before_an_append_sees_a_consistent_prefix(
+        self, backend
+    ):
+        database, table, rows = make_heap_table()
+        data_file = table.data_file
+        scan = data_file.scan_column_chunks(IOContext(), 64)
+        chunks = [next(scan)]
+        # A NULL turns the typed ``k`` column into a list mid-scan.
+        table.append_rows([(1000, 5, "y"), (None, 7, None)])
+        chunks.extend(scan)
+        seen = [
+            row
+            for _page, _count, columns, num_rows, _starts in chunks
+            for row in vector.rows_from_columns(list(columns), num_rows)
+        ]
+        assert seen == rows
+        assert sum(count for _page, count, *_ in chunks) == -(
+            -len(rows) // data_file.page_capacity
+        )
+        assert [r for _p, _s, r in table.scan_rows(IOContext())] == rows + [
+            (1000, 5, "y"),
+            (None, 7, None),
+        ]
 
     def test_clustered_table_rejects_append(self):
         database, table, _rows = make_tiny_table(num_rows=50)

@@ -15,6 +15,8 @@ from repro.storage.btree import BTreeIndex
 from repro.exec import vector
 from repro.storage.buffer import BufferPool
 
+from tests.conftest import by_column
+
 
 def make_index(
     rows,
@@ -37,7 +39,9 @@ def make_index(
     index = BTreeIndex(definition, schema, FileId(9), pool)
     rows = list(rows)
     index.build(
-        rows, [i // 10 for i in range(len(rows))], [i % 10 for i in range(len(rows))]
+        by_column(rows, len(schema)),
+        [i // 10 for i in range(len(rows))],
+        [i % 10 for i in range(len(rows))],
     )
     return index
 
@@ -219,7 +223,11 @@ def typed_index(types, keys, unique=False):
     index = BTreeIndex(
         IndexDef("ix", "t", tuple(names), unique=unique), schema, FileId(9), BufferPool()
     )
-    index.build(keys, [i // 7 for i in range(len(keys))], [i % 7 for i in range(len(keys))])
+    index.build(
+        by_column(keys, len(types)),
+        [i // 7 for i in range(len(keys))],
+        [i % 7 for i in range(len(keys))],
+    )
     return index
 
 

@@ -1,7 +1,8 @@
 """Bulk load got faster; the database it loads did not change.
 
-``Table.bulk_load`` validates column-wise, keeps the tuples it is given and
-packs pages by slice; index leaves are stored by column.
+``Table.bulk_load`` validates a slice of rows at a time, column-wise, and
+stores the table by column (pages are windows over the columns); index
+leaves are stored by column too.
 The fingerprint below covers everything a loaded database consists of —
 page contents, RIDs, index entries in leaf order, histograms,
 ``statistics_version`` — and is compared two ways: against the same load
@@ -20,6 +21,7 @@ import pytest
 from repro.catalog import ColumnDef, Database, IndexDef, TableSchema
 from repro.common.errors import SchemaError
 from repro.common.types import PageId
+from repro.exec import vector
 from repro.sql.types import SqlType
 from repro.storage.heap import DataFile
 from repro.workloads import build_synthetic_database
@@ -96,12 +98,21 @@ def row_at_a_time(monkeypatch):
     monkeypatch.setattr(
         TableSchema,
         "validate_rows",
-        lambda self, rows: [self.validate_row(row) for row in rows],
+        lambda self, rows: [
+            [list(values) for values in zip(*[self.validate_row(row) for row in rows])]
+            or [[] for _ in self.columns]
+        ],
     )
+    append_batches = DataFile.bulk_append  # what ``append_row`` is built on
+
     monkeypatch.setattr(
         DataFile,
         "bulk_append",
-        lambda self, rows: [self.append_row(row) for row in rows],
+        lambda self, batches: [
+            append_batches(self, [[[value] for value in row]])
+            for batch in batches
+            for row in vector.rows_from_columns(batch, len(batch[0]))
+        ],
     )
 
 

@@ -4,47 +4,64 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.common.errors import BufferPoolError, PageError
-from repro.common.types import FileId, PageId
+from repro.common.types import RID, FileId, PageId
 from repro.storage.accounting import IOContext
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import DiskParameters
+from repro.storage.heap import HeapFile
 from repro.storage.page import (
     ROW_OVERHEAD_BYTES,
     USABLE_PAGE_BYTES,
-    Page,
     rows_per_page,
 )
 
 
+def make_file(rows, row_width=4000) -> HeapFile:
+    """A heap of one-column rows, two to a page."""
+    heap = HeapFile(FileId(0), row_width, BufferPool())
+    heap.bulk_append([[list(rows)]])
+    return heap
+
+
 class TestPage:
     def test_append_and_get(self):
-        page = Page(PageId(0), capacity=3)
-        assert page.append((1,)) == 0
-        assert page.append((2,)) == 1
+        heap = make_file([])
+        assert heap.page_capacity == 2
+        assert heap.append_row((1,)) == RID(PageId(0), 0)
+        assert heap.append_row((2,)) == RID(PageId(0), 1)
+        page = heap.page(PageId(0))
         assert page.get(1) == (2,)
         assert page.num_rows == 2
 
-    def test_full_page_rejects(self):
-        page = Page(PageId(0), capacity=1)
-        page.append((1,))
-        assert page.is_full
-        with pytest.raises(PageError):
-            page.append((2,))
+    def test_a_page_is_a_window_over_the_file(self):
+        heap = make_file(range(3))
+        before = heap.page(PageId(1))
+        assert (before.num_rows, before.capacity) == (1, 2)
+        heap.append_row((3,))  # tops the part-filled page up, opens no new one
+        assert heap.num_pages == 2
+        assert before.rows_list() == [(2,)]  # the window it was taken as
+        assert heap.page(PageId(1)).rows_list() == [(2,), (3,)]
+        assert type(heap.page(PageId(1)).get(0)[0]) is int
 
     def test_bad_slot(self):
-        page = Page(PageId(0), capacity=2)
-        with pytest.raises(PageError):
-            page.get(0)
+        page = make_file(range(3)).page(PageId(1))
+        for slot in (-1, 1, 2):
+            with pytest.raises(PageError):
+                page.get(slot)
 
     def test_rows_in_slot_order(self):
-        page = Page(PageId(0), capacity=5)
-        for i in range(5):
-            page.append((i,))
+        heap = make_file(range(5), row_width=1000)
+        page = heap.page(PageId(0))
         assert [r[0] for r in page.rows()] == list(range(5))
+        assert page.rows_list() == [(i,) for i in range(5)]
 
     def test_capacity_validation(self):
-        with pytest.raises(PageError):
-            Page(PageId(0), capacity=0)
+        # A page's capacity is its file's, and never below one row.
+        heap = HeapFile(FileId(0), 10**9, BufferPool(), fill_factor=0.01)
+        heap.append_row((1,))
+        heap.append_row((2,))
+        assert heap.page_capacity == 1 == heap.page(PageId(1)).capacity
+        assert heap.page(PageId(1)).rows_list() == [(2,)]
 
     def test_rows_per_page_formula(self):
         assert rows_per_page(100) == USABLE_PAGE_BYTES // (100 + ROW_OVERHEAD_BYTES)
