@@ -1,8 +1,10 @@
 """Service-layer throughput benchmark: the closed loop at several widths.
 
 Replays the Fig. 6-style workload through the in-process transport at a
-sweep of client counts, cold and warm, and prints per-width latency
-digests (p50/p95/p99), queue-wait digests and QPS — the serving-layer
+sweep of client counts, cold and warm, in each execution mode side by
+side (``batch`` is what the service runs when a request names no mode,
+``row`` is the reference oracle), and prints per-width latency digests
+(p50/p95/p99), queue-wait digests and QPS — the serving-layer
 view of the paper's claim: shared feedback plus the shared plan cache
 make the *tail* of a live workload faster as the service warms up.
 
@@ -32,6 +34,7 @@ import sys
 from typing import Optional
 
 from repro.engine import Engine, WorkloadItem
+from repro.exec.executor import EXEC_MODES
 from repro.harness.loadgen import (
     DEFAULT_WORKLOAD_SQL,
     LoadSpec,
@@ -75,13 +78,17 @@ async def _one_width(
     warm: bool,
     workers: int,
     pool: Optional[WorkerPool],
+    exec_mode: str,
 ) -> dict:
     engine = Engine(database)
     if warm:
         for item in workload_items(database, DEFAULT_WORKLOAD_SQL):
             engine.execute(
                 WorkloadItem(
-                    query=item.query, requests=item.requests, remember=True
+                    query=item.query,
+                    requests=item.requests,
+                    remember=True,
+                    exec_mode=exec_mode,
                 )
             )
     if pool is not None:
@@ -98,7 +105,12 @@ async def _one_width(
     )
     report = await run_closed_loop(
         service,
-        LoadSpec(concurrency=concurrency, passes=PASSES, use_feedback=warm),
+        LoadSpec(
+            concurrency=concurrency,
+            passes=PASSES,
+            exec_mode=exec_mode,
+            use_feedback=warm,
+        ),
     )
     # The pool outlives each width (spawn cost is paid once per bench):
     # detach it before shutdown so only the service-side state drains.
@@ -115,6 +127,7 @@ async def _one_width(
     latency = report.latency()
     queue_wait = report.queue_wait()
     return {
+        "exec_mode": exec_mode,
         "concurrency": concurrency,
         "mode": "warm" if warm else "cold",
         "workers": workers,
@@ -145,14 +158,16 @@ def run_bench(workers: int = 0) -> dict:
 
     pool = _build_pool(workers)
     try:
-        sweeps = []
-        for concurrency in CONCURRENCIES:
-            for warm in (False, True):
-                sweeps.append(
-                    asyncio.run(
-                        _one_width(database, concurrency, warm, workers, pool)
-                    )
+        sweeps = [
+            asyncio.run(
+                _one_width(
+                    database, concurrency, warm, workers, pool, exec_mode
                 )
+            )
+            for exec_mode in EXEC_MODES
+            for concurrency in CONCURRENCIES
+            for warm in (False, True)
+        ]
     finally:
         if pool is not None:
             pool.shutdown()
@@ -179,6 +194,7 @@ def main() -> int:
     result = run_bench(workers=args.workers)
     rows = [
         [
+            s["exec_mode"],
             s["concurrency"],
             s["mode"],
             s["workers"],
@@ -192,28 +208,25 @@ def main() -> int:
     ]
     print(
         format_table(
-            ["clients", "mode", "workers", "qps", "p50", "p95", "p99",
-             "queue p99"],
+            ["exec", "clients", "mode", "workers", "qps", "p50", "p95",
+             "p99", "queue p99"],
             rows,
         )
     )
-    for concurrency in CONCURRENCIES:
-        cold = next(
-            s
-            for s in result["sweeps"]
-            if s["concurrency"] == concurrency and s["mode"] == "cold"
-        )
-        warm = next(
-            s
-            for s in result["sweeps"]
-            if s["concurrency"] == concurrency and s["mode"] == "warm"
-        )
-        print(
-            f"clients={concurrency}: warm/cold mean "
-            f"{warm['mean_ms']:.1f}/{cold['mean_ms']:.1f} ms "
-            f"({cold['mean_ms'] / warm['mean_ms']:.2f}x), "
-            f"qps {warm['qps']:.1f} vs {cold['qps']:.1f}"
-        )
+    by_key = {
+        (s["exec_mode"], s["concurrency"], s["mode"]): s
+        for s in result["sweeps"]
+    }
+    for exec_mode in EXEC_MODES:
+        for concurrency in CONCURRENCIES:
+            cold = by_key[exec_mode, concurrency, "cold"]
+            warm = by_key[exec_mode, concurrency, "warm"]
+            print(
+                f"{exec_mode} clients={concurrency}: warm/cold mean "
+                f"{warm['mean_ms']:.1f}/{cold['mean_ms']:.1f} ms "
+                f"({cold['mean_ms'] / warm['mean_ms']:.2f}x), "
+                f"qps {warm['qps']:.1f} vs {cold['qps']:.1f}"
+            )
     return 0
 
 

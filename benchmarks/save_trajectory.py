@@ -39,7 +39,7 @@ at a glance:
 * **plancache** — the plan-cache smoke gate's violation list, so the
   artifact also witnesses that caching still behaves;
 * **service throughput** — the closed-loop service sweep (cold vs. warm
-  engine at several client counts) from
+  engine at several client counts, in both execution modes) from
   ``benchmarks/bench_service_throughput.py``: QPS and latency tails at
   the service boundary;
 * **reopt** — the mid-query re-optimization A/B at the smoke scale

@@ -12,18 +12,27 @@ the service to its acceptance bar:
   clean on the same workload;
 * **zero leaked admission slots** — every admitted request reaches
   exactly one terminal counter and nothing stays in flight after drain;
+* **the oracle still serves** — one one-client pass names
+  ``exec_mode="row"`` explicitly, so the reference drive is exercised end
+  to end through the service, diffed against its own serial replay; its
+  median is also the machine-speed yardstick for the next gate;
 * **bounded execution tail** — p99 of per-query *execution* wall-clock
-  stays under ``50x`` the serial median.  (Total service time under a
-  closed 64-client load is Little's-law-bound near ``clients x
-  per-query cost`` no matter the policy; what admission control actually
-  guarantees is the execution tail, by capping in-flight concurrency.
-  Queue wait is reported separately.)
+  under the 64-client load (which runs the default, batch, drive) stays
+  under ``8x`` the row oracle's serial median.  The yardstick is the
+  oracle rather than the batch drive's own serial median so that the
+  bound is one a slow service fails: served at oracle speed the same
+  load reads ~14-21x (the pre-batch-default smoke), the batch drive
+  reads ~0.7-2.4x.  (Total service time under a closed 64-client load is
+  Little's-law-bound near ``clients x per-query cost`` no matter the
+  policy; what admission control actually guarantees is the execution
+  tail, by capping in-flight concurrency.  Queue wait is reported
+  separately.)
 * **warm beats cold** — a service whose engine was pre-warmed (feedback
   harvested, plan cache populated) serves the same load with lower
   aggregate latency than a cold one: the paper's loop, observed at the
   service boundary.
 
-The first two gates are deterministic and fail the smoke on the spot.
+The first three gates are deterministic and fail the smoke on the spot.
 The last two are wall-clock measurements, so a noisy shared CI runner
 can violate them without anything being wrong; those gates get up to
 ``TIMING_ATTEMPTS`` full re-measurements and only fail when every
@@ -63,8 +72,12 @@ MAX_QUEUE_DEPTH = 64
 #: Full replays of the workload per load run (pass 0 is cold).
 PASSES = 20
 
-#: Execution-tail bound: p99 of execution wall-clock vs. serial median.
-P99_BOUND = 50.0
+#: Execution-tail bound: p99 of batch-drive execution wall-clock under
+#: load vs. the *row oracle's* serial median.  Reads 0.7-2.4x (8 in
+#: flight contending for one GIL); 8x keeps the ~2.4x headroom the old
+#: 50x-of-own-median bound had over its ~21x reading, and a service as
+#: slow as that one (14-21x on this yardstick) fails it.
+P99_BOUND = 8.0
 
 #: Full re-measurements granted to the wall-clock gates (p99 bound,
 #: warm-beats-cold) before they count as failures; deterministic gates
@@ -72,20 +85,19 @@ P99_BOUND = 50.0
 TIMING_ATTEMPTS = 3
 
 
-async def _measure_serial_median(database) -> float:
-    """Median service time of a one-client, one-pass cold replay."""
+async def _oracle_pass(database):
+    """A one-client, one-pass cold replay on the row oracle, by name."""
     service = QueryService(Engine(database), max_in_flight=1, max_queue_depth=1)
     report = await run_closed_loop(
-        service, LoadSpec(concurrency=1, passes=1)
+        service, LoadSpec(concurrency=1, passes=1, exec_mode="row")
     )
     await service.shutdown()
     bad = [r for r in report.responses if not r.ok]
     if bad:
         raise RuntimeError(
-            f"serial reference replay failed: {bad[0].error_code} "
-            f"{bad[0].error}"
+            f"oracle replay failed: {bad[0].error_code} {bad[0].error}"
         )
-    return report.latency()["p50"]
+    return report
 
 
 async def _run_load(database, warm: bool):
@@ -115,7 +127,8 @@ async def _run_load(database, warm: bool):
 
 
 def _deterministic_violations(
-    database, cold_report, warm_report, cold_admission, warm_admission
+    database, oracle_report, cold_report, warm_report,
+    cold_admission, warm_admission,
 ) -> list[str]:
     """The hard gates: equivalence and slot conservation, no wall clock."""
     violations: list[str] = []
@@ -127,12 +140,16 @@ def _deterministic_violations(
         if set(statuses) != {"ok"}:
             violations.append(f"{label} run had non-ok responses: {statuses}")
 
-    # Zero equivalence diffs (cold run: deterministic, feedback-free).
-    diffs = diff_against_serial(database, cold_report)
-    for diff in diffs[:5]:
-        violations.append(f"equivalence diff: {diff}")
-    if len(diffs) > 5:
-        violations.append(f"... and {len(diffs) - 5} more equivalence diffs")
+    # Zero equivalence diffs (cold runs: deterministic, feedback-free),
+    # for the loaded batch run and for the oracle pass alike.
+    for label, report in (("cold", cold_report), ("oracle", oracle_report)):
+        diffs = diff_against_serial(database, report)
+        for diff in diffs[:5]:
+            violations.append(f"{label} equivalence diff: {diff}")
+        if len(diffs) > 5:
+            violations.append(
+                f"... and {len(diffs) - 5} more {label} equivalence diffs"
+            )
 
     # Zero leaked admission slots.
     for label, report, admission in (
@@ -154,23 +171,23 @@ def _deterministic_violations(
 
 
 def _timing_violations(
-    serial_median, cold_report, warm_report
+    oracle_median, cold_report, warm_report
 ) -> list[str]:
     """The wall-clock gates: execution tail bound and warm-beats-cold."""
     violations: list[str] = []
 
-    # Bounded execution tail: p99 of execution wall-clock vs serial median.
-    bound_ms = P99_BOUND * serial_median
+    # Bounded execution tail: p99 of execution wall-clock vs the oracle.
+    bound_ms = P99_BOUND * oracle_median
     for label, report in (("cold", cold_report), ("warm", warm_report)):
         execution_p99 = report.telemetry["histograms"]["execution_ms"]["p99"]
         print(
             f"{label} execution p99: {execution_p99:.3f} ms "
-            f"(bound {bound_ms:.3f} = {P99_BOUND:.0f}x serial median)"
+            f"(bound {bound_ms:.3f} = {P99_BOUND:.0f}x oracle serial median)"
         )
         if execution_p99 >= bound_ms:
             violations.append(
                 f"{label} execution p99 {execution_p99:.3f} ms exceeds "
-                f"{P99_BOUND:.0f}x serial median ({bound_ms:.3f} ms)"
+                f"{P99_BOUND:.0f}x oracle serial median ({bound_ms:.3f} ms)"
             )
 
     # Warm beats cold on aggregate latency.
@@ -207,7 +224,8 @@ def run_smoke() -> list[str]:
 
     timing: list[str] = []
     for attempt in range(1, TIMING_ATTEMPTS + 1):
-        serial_median = asyncio.run(_measure_serial_median(database))
+        oracle_report = asyncio.run(_oracle_pass(database))
+        oracle_median = oracle_report.latency()["p50"]
         cold_report, cold_admission = asyncio.run(
             _run_load(database, warm=False)
         )
@@ -216,19 +234,19 @@ def run_smoke() -> list[str]:
         )
 
         print(f"--- attempt {attempt}/{TIMING_ATTEMPTS} ---")
-        print(f"serial median: {serial_median:.3f} ms")
+        print(f"oracle (exec_mode=row) serial median: {oracle_median:.3f} ms")
         print("--- cold service ---")
         print(cold_report.render())
         print("--- warm service (feedback harvested, use_feedback=on) ---")
         print(warm_report.render())
 
         deterministic = _deterministic_violations(
-            database, cold_report, warm_report,
+            database, oracle_report, cold_report, warm_report,
             cold_admission, warm_admission,
         )
         if deterministic:
             return deterministic
-        timing = _timing_violations(serial_median, cold_report, warm_report)
+        timing = _timing_violations(oracle_median, cold_report, warm_report)
         if not timing:
             return []
         if attempt < TIMING_ATTEMPTS:

@@ -19,12 +19,16 @@ holds the tier to its acceptance bar:
 * **throughput does not collapse with concurrency** — warm closed-loop
   QPS at 64 clients stays at or above QPS at 16 clients (modulo
   ``QPS_NOISE_RATIO`` for shared runners): the tier's reason to exist
-  is pushing the concurrency cliff out past the in-process ceiling.
+  is pushing the concurrency cliff out past the in-process ceiling;
+* **throughput is the batch drive's** — warm QPS at 64 clients clears
+  ``WARM_QPS_FLOOR``.  The ratio gate alone would pass a tier twenty
+  times slower at both widths (it did, for as long as the load ran the
+  row oracle by default: 73-93 QPS against ~630 now).
 
 The first three gates are deterministic and fail the smoke on the spot.
-The QPS gate is a wall-clock measurement, so a noisy shared CI runner
-can violate it without anything being wrong; it gets up to
-``TIMING_ATTEMPTS`` full re-measurements and only fails when every
+The QPS gates are wall-clock measurements, so a noisy shared CI runner
+can violate them without anything being wrong; they get up to
+``TIMING_ATTEMPTS`` full re-measurements and only fail when every
 attempt violates.  (Absolute speedup over the in-process tier is *not*
 gated here: it scales with ``min(WORKERS, cpu_count)`` and this gate
 must pass on a 1-CPU runner.  The trajectory artifact records the
@@ -72,7 +76,12 @@ SEED = 1234
 #: gate is "no collapse", and the ratio absorbs shared-runner noise.
 QPS_NOISE_RATIO = 0.9
 
-#: Full re-measurements granted to the QPS gate before it counts as a
+#: Absolute floor on warm QPS at 64 clients.  Reads ~630 on a 2-vCPU box
+#: (one in-process client reads 350-470, so a 1-CPU runner still clears
+#: it); the same load served by the row oracle reads 73-93.
+WARM_QPS_FLOOR = 150.0
+
+#: Full re-measurements granted to the QPS gates before they count as a
 #: failure; the deterministic gates are hard on every attempt.
 TIMING_ATTEMPTS = 3
 
@@ -159,21 +168,28 @@ def _deterministic_violations(database, runs) -> list[str]:
 
 
 def _timing_violations(runs) -> list[str]:
-    """The wall-clock gate: warm QPS does not collapse at 64 clients."""
+    """The wall-clock gates: warm QPS at 64 clients neither collapses
+    relative to 16 clients nor falls below the absolute floor."""
     low_qps = runs[f"warm@{LOW_CONCURRENCY}"][0].qps
     high_qps = runs[f"warm@{HIGH_CONCURRENCY}"][0].qps
     print(
         f"warm qps: {low_qps:.1f} @ {LOW_CONCURRENCY} clients, "
         f"{high_qps:.1f} @ {HIGH_CONCURRENCY} clients "
-        f"(floor {QPS_NOISE_RATIO:.2f}x)"
+        f"(floors {QPS_NOISE_RATIO:.2f}x and {WARM_QPS_FLOOR:.0f} qps)"
     )
+    violations = []
     if high_qps < QPS_NOISE_RATIO * low_qps:
-        return [
+        violations.append(
             f"warm qps collapsed with concurrency: {high_qps:.1f} @ "
             f"{HIGH_CONCURRENCY} clients < {QPS_NOISE_RATIO:.2f}x "
             f"{low_qps:.1f} @ {LOW_CONCURRENCY} clients"
-        ]
-    return []
+        )
+    if high_qps < WARM_QPS_FLOOR:
+        violations.append(
+            f"warm qps {high_qps:.1f} @ {HIGH_CONCURRENCY} clients is "
+            f"below the {WARM_QPS_FLOOR:.0f} qps floor"
+        )
+    return violations
 
 
 def run_smoke() -> list[str]:
@@ -202,7 +218,7 @@ def run_smoke() -> list[str]:
             if not timing:
                 break
             if attempt < TIMING_ATTEMPTS:
-                print("timing gate violated; re-measuring (noisy runner?):")
+                print("timing gate(s) violated; re-measuring (noisy runner?):")
                 for violation in timing:
                     print(f"  ~ {violation}")
         if timing:

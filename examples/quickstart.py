@@ -11,10 +11,11 @@ whole loop on one query:
 
 Run:  python examples/quickstart.py [--exec-mode {row,batch}] [--shards N]
 
-``--exec-mode batch`` drives the same plans through the page-at-a-time
-batch engine (compiled predicate kernels; unmonitored count scans read
-multi-page column chunks); every printed number is identical, the walk
-just completes faster.  ``--shards 4`` runs the same loop over
+The default drive is the page-at-a-time batch engine (compiled predicate
+kernels; count scans read multi-page column chunks); ``--exec-mode row``
+drives the same plans through the row-at-a-time reference oracle — every
+printed number is identical, the walk just takes longer.  ``--shards 4``
+runs the same loop over
 a scatter-gather deployment: the table range-partitions across 4 shard
 engines, the monitored DPC actual arrives as the *sum* of disjoint
 per-shard page counts (still exact — same printed value), and the
@@ -31,7 +32,7 @@ from repro import (
     conjunction_of,
 )
 from repro.core.dpc import exact_dpc
-from repro.exec.executor import EXEC_MODES
+from repro.exec.executor import DEFAULT_EXEC_MODE, EXEC_MODES
 from repro.optimizer import Optimizer
 from repro.workloads import build_synthetic_database
 
@@ -41,8 +42,9 @@ def main() -> None:
     parser.add_argument(
         "--exec-mode",
         choices=EXEC_MODES,
-        default="row",
-        help="row-at-a-time iterator (default) or page-at-a-time batches",
+        default=DEFAULT_EXEC_MODE,
+        help="page-at-a-time batches (default) or the row-at-a-time "
+        "reference oracle",
     )
     parser.add_argument(
         "--shards",

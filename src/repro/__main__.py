@@ -33,7 +33,17 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.exec.executor import EXEC_MODES
+from repro.exec.executor import DEFAULT_EXEC_MODE, EXEC_MODES
+
+
+def _add_exec_mode(parser) -> None:
+    parser.add_argument(
+        "--exec-mode",
+        choices=EXEC_MODES,
+        default=DEFAULT_EXEC_MODE,
+        help="execution drive: page-at-a-time batches (default), or the "
+        "row-at-a-time reference oracle (results identical, much slower)",
+    )
 
 
 def _add_figures(subparsers) -> None:
@@ -44,13 +54,7 @@ def _add_figures(subparsers) -> None:
     parser.add_argument("--scale", type=float, default=0.25)
     parser.add_argument("--rows", type=int, default=30_000)
     parser.add_argument("--seed", type=int, default=3)
-    parser.add_argument(
-        "--exec-mode",
-        choices=EXEC_MODES,
-        default="row",
-        help="execution drive for fig6/fig8 (results identical, batch is "
-        "faster); the other figure drivers are mode-agnostic",
-    )
+    _add_exec_mode(parser)  # fig6/fig8; the other drivers are mode-agnostic
     parser.add_argument(
         "--shards",
         type=int,
@@ -71,12 +75,7 @@ def _add_query_command(subparsers, name: str, help_text: str) -> None:
             default=None,
             help="path to persist the gathered feedback store (JSON)",
         )
-        parser.add_argument(
-            "--exec-mode",
-            choices=EXEC_MODES,
-            default="row",
-            help="row-at-a-time iterator (default) or page-at-a-time batches",
-        )
+        _add_exec_mode(parser)
 
 
 def _cmd_figures(args) -> int:
@@ -278,8 +277,29 @@ def _add_serve(subparsers) -> None:
         action="store_true",
         help="run monitored in-process queries under the mid-query "
         "re-optimization watchdog by default (per-request 'reopt' "
-        "still wins; ignored on the worker-process tier)",
+        "still wins; ignored on the worker-process tier, refused with "
+        "--shards)",
     )
+
+
+def _check_scale_out(args) -> None:
+    """Refuse flag combinations no tier implements, before building anything.
+
+    ``--workers`` with ``--shards``: the worker tier harvests into one
+    authoritative engine-owned feedback store, which the shard coordinator
+    replaces with its own merge path.  ``--reopt`` with ``--shards``: the
+    fan-out has no one place to decide a mid-query plan switch.
+    """
+    if args.shards > 1 and args.workers > 0:
+        raise SystemExit(
+            "--workers and --shards are mutually exclusive; pick one "
+            "scaling axis"
+        )
+    if args.shards > 1 and args.reopt:
+        raise SystemExit(
+            "--reopt and --shards are mutually exclusive; the shard "
+            "fan-out cannot re-optimize mid-query"
+        )
 
 
 def _build_engine(database, shards: int):
@@ -299,18 +319,11 @@ def _build_worker_pool(args, engine):
 
     Workers rebuild the same synthetic database the coordinator holds
     (same factory, same kwargs), which is what keeps the equivalence
-    diff at zero.  Mutually exclusive with ``--shards``: the worker tier
-    harvests into one authoritative engine-owned feedback store, which
-    the scatter-gather coordinator replaces with its own merge path.
+    diff at zero.
     """
-    workers = getattr(args, "workers", 0)
+    workers = args.workers
     if workers <= 0:
         return None
-    if getattr(args, "shards", 1) > 1:
-        raise SystemExit(
-            "--workers and --shards are mutually exclusive; pick one "
-            "scaling axis"
-        )
     from repro.service import WorkerPool, WorkerSpec
 
     print(f"spawning {workers} worker process(es)...", file=sys.stderr)
@@ -329,6 +342,7 @@ def _cmd_serve(args) -> int:
 
     from repro.service import QueryServer, QueryService
 
+    _check_scale_out(args)
     database = _build_synthetic(args)
     engine = _build_engine(database, args.shards)
     service = QueryService(
@@ -371,7 +385,7 @@ def _add_loadgen(subparsers) -> None:
         action="store_true",
         help="pre-harvest feedback and optimize with it (in-process only)",
     )
-    parser.add_argument("--exec-mode", choices=EXEC_MODES, default="row")
+    _add_exec_mode(parser)
     parser.add_argument("--deadline-ms", type=float, default=None)
     parser.add_argument("--max-in-flight", type=int, default=8)
     parser.add_argument(
@@ -399,7 +413,7 @@ def _add_loadgen(subparsers) -> None:
         action="store_true",
         help="mark every request for mid-query re-optimization (the "
         "serial equivalence diff then skips read-count comparison on "
-        "tripped responses; rows must still match)",
+        "tripped responses; rows must still match; refused with --shards)",
     )
 
 
@@ -436,6 +450,7 @@ def _cmd_loadgen(args) -> int:
     from repro.engine import WorkloadItem
     from repro.service import QueryService
 
+    _check_scale_out(args)
     database = _build_synthetic(args)
     engine = _build_engine(database, args.shards)
     if args.warm:

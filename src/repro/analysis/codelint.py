@@ -53,13 +53,6 @@ This module enforces them statically:
           ``sql/`` outside its definition site ``exec/batch.py`` — use
           ``DEFAULT_BATCH_ROWS`` / ``ExecutionContext.batch_rows`` so
           the exchange granularity stays centrally tunable
-``R013``  shard workers stay inside their own handle: under ``shard/``,
-          any function whose enclosing-function stack contains
-          ``worker`` must not read the shard registries (``engines``,
-          ``shard_databases``, ...), reach a
-          ``.feedback`` store, harvest feedback (``record_*``) or mint
-          accounting contexts — cross-shard state flows only through
-          the coordinator's gather/merge interfaces
 ``R014``  worker-child modules (``service/worker_main.py``,
           ``service/marshal.py`` — everything a spawned worker process
           imports) never touch the coordinator's authority: no
@@ -107,7 +100,6 @@ CODE_RULES: dict[str, str] = {
     "R010": "no unused or unknown # lint: disable=... suppression comments",
     "R011": "no per-row loops inside matches_vector/evaluate_columns kernels",
     "R012": "no magic 1024 batch-size literal in exec//sql/ (DEFAULT_BATCH_ROWS)",
-    "R013": "shard workers touch only their own handle (no cross-shard state)",
     "R014": "worker-child modules never touch the coordinator's "
     "PlanCache/FeedbackStore",
     "R015": "reopt cancellation and partial-observation ingest only "
@@ -126,15 +118,9 @@ ALLOWED_PATHS: dict[str, tuple[str, ...]] = {
     # diagnostics builds throwaway what-if optimizers over injected stores;
     # routing it through the lifecycle would cycle core -> lifecycle -> core.
     "R007": ("lifecycle/plan.py", "core/diagnostics.py"),
-    # the service layer, the engine's concurrency harness and the shard
-    # coordinator's fan-out are where threads/event loops are supposed to
-    # live (the coordinator joins every worker under dataflow rule F002).
-    "R009": (
-        "service/",
-        "engine/engine.py",
-        "harness/timing.py",
-        "shard/coordinator.py",
-    ),
+    # the service layer and the engine's concurrency harness are where
+    # threads/event loops are supposed to live.
+    "R009": ("service/", "engine/engine.py", "harness/timing.py"),
     # the vector module IS the sanctioned pure-Python fallback: its
     # per-row loops are the list-backend implementation itself.
     "R011": ("exec/vector.py",),
@@ -187,24 +173,6 @@ _FLOAT_NAME_RE = re.compile(
     r"(^|_)(cost|costs|ms|dpc|selectivity|selectivities|ratio|fraction|"
     r"overhead|speedup)($|_)|(^|_)estimated?_"
 )
-
-#: Names that hold the coordinator's per-shard registries (R013): a
-#: worker reading any of these can reach a *sibling's* engine or database.
-_SHARD_REGISTRY_NAMES = frozenset({"engines", "shard_databases"})
-
-#: Calls a shard worker must not make (R013): feedback harvesting and
-#: accounting-context creation belong to the coordinator's merge path.
-_SHARD_FORBIDDEN_CALLS = frozenset(
-    {
-        "record_run",
-        "record_observations",
-        "record_cardinality",
-        "harvest_observations",
-        "new_io_context",
-        "IOContext",
-    }
-)
-
 
 #: Modules a spawned worker child imports (R014): the process-boundary
 #: side of the multi-process tier.  The coordinator's PlanCache and
@@ -272,8 +240,6 @@ class _FileChecker(ast.NodeVisitor):
         #: R012 polices the exchange layer only: exec/ and sql/ files.
         normalized = "/" + file_label.replace("\\", "/")
         self._r012_in_scope = "/exec/" in normalized or "/sql/" in normalized
-        #: R013 polices shard-local code only: files under shard/.
-        self._r013_in_scope = "/shard/" in normalized
         #: R014 polices the modules a spawned worker child imports.
         self._r014_in_scope = any(
             normalized.endswith("/" + module)
@@ -293,42 +259,6 @@ class _FileChecker(ast.NodeVisitor):
                 hint=hint,
             )
         )
-
-    # -- R013: shard-worker isolation -----------------------------------
-    def _in_shard_worker(self) -> bool:
-        return self._r013_in_scope and any(
-            "worker" in name for name in self._function_stack
-        )
-
-    def _check_shard_worker_call(
-        self, node: ast.Call, chain: tuple[str, ...]
-    ) -> None:
-        if chain[-1] in _SHARD_FORBIDDEN_CALLS:
-            self.report(
-                "R013",
-                node,
-                f"shard worker {'/'.join(self._function_stack)} calls "
-                f"{'.'.join(chain)}()",
-                hint="workers execute their own handle's plan and nothing "
-                "else; feedback harvests and accounting contexts belong to "
-                "the coordinator's gather/merge path",
-            )
-
-    def visit_Name(self, node: ast.Name) -> None:
-        if (
-            isinstance(node.ctx, ast.Load)
-            and node.id in _SHARD_REGISTRY_NAMES
-            and self._in_shard_worker()
-        ):
-            self.report(
-                "R013",
-                node,
-                f"shard worker {'/'.join(self._function_stack)} reads the "
-                f"shard registry {node.id!r}",
-                hint="a worker may only touch its own handle; cross-shard "
-                "state flows through the coordinator's merge interfaces",
-            )
-        self.generic_visit(node)
 
     # -- R014: worker-child modules stay off coordinator authority ------
     def _check_worker_child_call(
@@ -350,8 +280,6 @@ class _FileChecker(ast.NodeVisitor):
         chain = _dotted(node.func)
         if chain is not None:
             self._check_call_chain(node, chain)
-            if self._in_shard_worker():
-                self._check_shard_worker_call(node, chain)
             if self._r014_in_scope:
                 self._check_worker_child_call(node, chain)
         self.generic_visit(node)
@@ -620,7 +548,6 @@ class _FileChecker(ast.NodeVisitor):
         self.generic_visit(node)
 
     # -- R006: global clock attribute access ---------------------------
-    # -- R013: shard workers reaching a feedback store ------------------
     def visit_Attribute(self, node: ast.Attribute) -> None:
         if node.attr == "clock":
             owner = _dotted(node.value)
@@ -632,15 +559,6 @@ class _FileChecker(ast.NodeVisitor):
                     hint="thread the execution's IOContext "
                     "(repro.storage.accounting) to here and charge it",
                 )
-        elif node.attr == "feedback" and self._in_shard_worker():
-            self.report(
-                "R013",
-                node,
-                f"shard worker {'/'.join(self._function_stack)} reaches a "
-                "feedback store (.feedback)",
-                hint="per-shard observations flow back through the worker's "
-                "result; the coordinator merges and harvests them",
-            )
         elif node.attr == "plan_cache" and self._r014_in_scope:
             self.report(
                 "R014",

@@ -15,13 +15,10 @@ These are the invariants the ROADMAP's next steps lean on:
 * **F002** — an admission slot that leaks on an exceptional path wedges
   the admission controller permanently (the capacity is never given
   back); an ``IOContext`` created and then dropped on some path loses
-  the execution feedback the whole paper depends on; a shard fan-out
-  (``_scatter``-returned worker handles) abandoned on some path leaves
-  live worker threads behind the coordinator's back.  All are audited
+  the execution feedback the whole paper depends on.  Both are audited
   by CFG reachability: from the acquisition, no path (normal or
   exceptional) may reach a function exit without passing a release /
-  use / ownership transfer (for a fan-out, handing the handles to
-  ``_gather`` — which joins or cancels every worker — is the settle).
+  use / ownership transfer.
 * **F003** — once a cancellation has been observed (an
   ``except QueryCancelled`` or ``except ReoptRequested`` handler is
   running), the run's statistics describe a *partial* execution; feeding
@@ -330,11 +327,6 @@ def _acquired_resource(stmt: ast.stmt) -> Optional[tuple[str, str]]:
         return ("admission slot", name)
     if leaf in {"new_io_context", "IOContext"}:
         return ("IOContext", name)
-    if leaf in {"_scatter", "scatter"}:
-        # The shard coordinator's fan-out: the returned handles own live
-        # worker threads, and every path must settle them (join or
-        # cancel) — passing the handles to _gather() is the settle.
-        return ("shard fan-out", name)
     return None
 
 

@@ -40,6 +40,7 @@ from repro.common.errors import EngineError
 from repro.core.feedback import FeedbackStore
 from repro.core.planner import MonitorConfig
 from repro.core.requests import PageCountObservation, PageCountRequest
+from repro.exec.executor import DEFAULT_EXEC_MODE
 from repro.lifecycle.plancache import PlanCache
 from repro.optimizer.hints import PlanHint
 from repro.optimizer.injection import InjectionSet
@@ -64,7 +65,7 @@ class WorkloadItem:
     remember: bool = False
     #: Drive style for the execution: ``"row"`` or ``"batch"`` (results
     #: are mode-invariant; see :func:`repro.exec.executor.execute`).
-    exec_mode: str = "row"
+    exec_mode: str = DEFAULT_EXEC_MODE
     #: Run under the mid-query re-optimization watchdog (the engine's
     #: :attr:`Engine.reopt_policy`, or the default policy).  Off by
     #: default: the plain path is bit-identical to pre-reopt behaviour.
@@ -285,7 +286,7 @@ class Engine:
         query: Query,
         plan: PlanNode,
         requests: Sequence[PageCountRequest] = (),
-        exec_mode: str = "row",
+        exec_mode: str = DEFAULT_EXEC_MODE,
         session: Optional[Session] = None,
         cancellation: Optional[CancellationToken] = None,
     ) -> ExecutedQuery:

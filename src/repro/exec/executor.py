@@ -28,6 +28,11 @@ from repro.storage.accounting import IOContext
 #: harness all import it).  ``"row"`` is the reference oracle.
 EXEC_MODES = ("row", "batch")
 
+#: The drive every layer runs when the caller names none: the production
+#: drive.  Every ``exec_mode`` / ``mode`` default in the package refers to
+#: this name; the oracle is asked for by name (``"row"``).
+DEFAULT_EXEC_MODE = "batch"
+
 #: Row-mode cancellation granularity: the checked drive loop consults the
 #: token every this-many output rows (batch mode checks at every batch —
 #: i.e. page — boundary instead).  Small enough that a timed-out scan
@@ -92,7 +97,7 @@ def execute(
     database: Database,
     cold_cache: bool = True,
     io: Optional[IOContext] = None,
-    mode: str = "row",
+    mode: str = DEFAULT_EXEC_MODE,
     cancellation: Optional[CancellationToken] = None,
     watchdog: Optional[ExecutionWatchdog] = None,
 ) -> QueryResult:
@@ -106,10 +111,11 @@ def execute(
     An *isolated* context brings its own cold private frames, so the
     shared pool is left untouched — that is the concurrent-execution path.
 
-    ``mode`` selects the drive style: ``"row"`` pulls the Volcano row
-    iterator (the reference oracle), ``"batch"`` pulls page-at-a-time
+    ``mode`` selects the drive style: ``"batch"``
+    (:data:`DEFAULT_EXEC_MODE`) pulls page-at-a-time
     :class:`~repro.exec.batch.RowBatch` exchange with compiled predicate
-    kernels (:data:`EXEC_MODES` is the whole set).  Batch payloads are row
+    kernels, ``"row"`` pulls the Volcano row iterator (the reference
+    oracle; :data:`EXEC_MODES` is the whole set).  Batch payloads are row
     lists, except that a table scan feeding a column-consuming aggregate
     emits multi-page column chunks, monitored or not — a property of the
     plan shape (:func:`repro.core.planner.build_executable` marks the

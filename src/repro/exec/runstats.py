@@ -67,6 +67,10 @@ class RunStats:
     """Execution feedback for one query run."""
 
     root: OperatorStats
+    #: How the plan was driven (the executor always sets it): ``"batch"``
+    #: (page-at-a-time RowBatch exchange with compiled predicate kernels)
+    #: or ``"row"`` (the Volcano iterator, the reference oracle).
+    execution_mode: str
     elapsed_ms: float = 0.0
     io_ms: float = 0.0
     cpu_ms: float = 0.0
@@ -76,9 +80,6 @@ class RunStats:
     #: attributed to the run's own IOContext — not a global-pool delta.
     logical_reads: int = 0
     pool_hits: int = 0
-    #: How the plan was driven: ``"row"`` (Volcano iterator) or ``"batch"``
-    #: (page-at-a-time RowBatch exchange with compiled predicate kernels).
-    execution_mode: str = "row"
     observations: list[PageCountObservation] = field(default_factory=list)
     _lifecycle: Union[None, dict[str, Any], Callable[[], dict[str, Any]]] = field(
         default=None, init=False, repr=False, compare=False

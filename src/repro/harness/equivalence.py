@@ -38,7 +38,7 @@ from repro.catalog.catalog import Database
 from repro.core.feedback import FeedbackStore
 from repro.core.planner import MonitorConfig, build_executable
 from repro.core.requests import PageCountObservation, PageCountRequest
-from repro.exec.executor import EXEC_MODES, QueryResult, execute
+from repro.exec.executor import DEFAULT_EXEC_MODE, EXEC_MODES, QueryResult, execute
 from repro.exec.runstats import OperatorStats
 from repro.harness.methodology import default_requests
 from repro.lifecycle.plan import build_optimizer
@@ -68,7 +68,7 @@ def _diff_plan_stats(
     batch_stats: OperatorStats,
     path: str,
     out: list[str],
-    mode: str = "batch",
+    mode: str,
 ) -> None:
     """Recursively compare the per-operator counters of the two runs."""
     label = f"{path}/{row_stats.operator}"
@@ -99,8 +99,8 @@ def _diff_plan_stats(
 def diff_results(
     row_result: QueryResult,
     batch_result: QueryResult,
+    mode: str,
     context: str = "",
-    mode: str = "batch",
 ) -> list[str]:
     """Every observable difference between a row-mode run and a run in
     ``mode``."""
@@ -233,8 +233,8 @@ def compare_query(
             diff_results(
                 monitored_results["row"],
                 monitored_results[mode],
-                "monitored P",
                 mode,
+                "monitored P",
             )
         )
 
@@ -256,8 +256,8 @@ def compare_query(
             diff_results(
                 improved_results["row"],
                 improved_results[mode],
-                "unmonitored P'",
                 mode,
+                "unmonitored P'",
             )
         )
     return entry
@@ -438,7 +438,7 @@ def compare_sharded_query(
     requests: Optional[Sequence[PageCountRequest]] = None,
     monitor_config: Optional[MonitorConfig] = None,
     base_injections: Optional[InjectionSet] = None,
-    exec_mode: str = "row",
+    exec_mode: str = DEFAULT_EXEC_MODE,
 ) -> QueryEquivalence:
     """Run one query serially and scatter-gathered, and diff everything.
 
@@ -568,7 +568,7 @@ def compare_sharded_workload(
     strategy: str = "range",
     monitor_config: Optional[MonitorConfig] = None,
     base_injections: Optional[InjectionSet] = None,
-    exec_mode: str = "row",
+    exec_mode: str = DEFAULT_EXEC_MODE,
 ) -> EquivalenceReport:
     """Prove serial≡sharded for every query of a workload.
 

@@ -21,7 +21,7 @@ from repro.core.clustering import ClusteringMeasurement, measure_clustering
 from repro.core.dpc import exact_dpc
 from repro.core.planner import MonitorConfig, build_executable
 from repro.core.requests import AccessPathRequest
-from repro.exec.executor import execute
+from repro.exec.executor import DEFAULT_EXEC_MODE, execute
 from repro.harness.methodology import EvaluationOutcome, evaluate_workload
 from repro.harness.reporting import format_table, percent, summarize
 from repro.lifecycle.plan import build_optimizer
@@ -175,7 +175,7 @@ def run_fig6_fig7(
     queries_per_column: int = 25,
     seed: int = 0,
     monitor_config: Optional[MonitorConfig] = None,
-    exec_mode: str = "row",
+    exec_mode: str = DEFAULT_EXEC_MODE,
     shards: int = 1,
 ) -> SingleTableFiguresResult:
     """The Fig. 6/7 experiment: 4 columns x N queries, selectivity 1-10%.
@@ -265,7 +265,7 @@ def run_fig8(
     queries_per_column: int = 10,
     seed: int = 0,
     monitor_config: Optional[MonitorConfig] = None,
-    exec_mode: str = "row",
+    exec_mode: str = DEFAULT_EXEC_MODE,
 ) -> JoinFigureResult:
     """The Fig. 8 experiment: 40 join queries across the Ci spectrum."""
     database = build_synthetic_database(num_rows=num_rows, seed=seed, with_copy=True)

@@ -26,7 +26,7 @@ from typing import Any, Optional, Sequence
 
 from repro.catalog.catalog import Database
 from repro.engine import Engine, WorkloadItem
-from repro.exec.executor import EXEC_MODES
+from repro.exec.executor import DEFAULT_EXEC_MODE, EXEC_MODES
 from repro.harness.methodology import default_requests
 from repro.harness.reporting import format_table, latency_summary, reopt_summary
 from repro.harness.timing import Stopwatch
@@ -55,7 +55,7 @@ class LoadSpec:
     concurrency: int = 8
     #: Full replays of ``sqls``; pass 0 is the cold pass.
     passes: int = 3
-    exec_mode: str = "row"
+    exec_mode: str = DEFAULT_EXEC_MODE
     use_feedback: bool = False
     monitor: bool = True
     #: Run every request under the mid-query re-optimization watchdog
@@ -298,7 +298,7 @@ async def run_closed_loop_tcp(
 def workload_items(
     database: Database,
     sqls: Sequence[str],
-    exec_mode: str = "row",
+    exec_mode: str = DEFAULT_EXEC_MODE,
     use_feedback: bool = False,
     monitor: bool = True,
 ) -> list[WorkloadItem]:

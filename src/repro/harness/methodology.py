@@ -28,7 +28,7 @@ from repro.core.requests import (
     PageCountObservation,
     PageCountRequest,
 )
-from repro.exec.executor import execute
+from repro.exec.executor import DEFAULT_EXEC_MODE, execute
 from repro.lifecycle.plan import build_optimizer
 from repro.optimizer.injection import InjectionSet
 from repro.optimizer.optimizer import JoinQuery, Query, SingleTableQuery
@@ -137,7 +137,7 @@ def evaluate_query(
     requests: Optional[Sequence[PageCountRequest]] = None,
     monitor_config: Optional[MonitorConfig] = None,
     base_injections: Optional[InjectionSet] = None,
-    exec_mode: str = "row",
+    exec_mode: str = DEFAULT_EXEC_MODE,
 ) -> EvaluationOutcome:
     """Run the full §V-B methodology for one generated query.
 
@@ -206,7 +206,7 @@ def evaluate_workload(
     workload: Sequence[GeneratedQuery],
     monitor_config: Optional[MonitorConfig] = None,
     base_injections: Optional[InjectionSet] = None,
-    exec_mode: str = "row",
+    exec_mode: str = DEFAULT_EXEC_MODE,
 ) -> list[EvaluationOutcome]:
     """Evaluate every query in a workload (Figs. 6-8, 11)."""
     return [
@@ -226,7 +226,7 @@ def evaluate_query_sharded(
     generated: GeneratedQuery,
     requests: Optional[Sequence[PageCountRequest]] = None,
     base_injections: Optional[InjectionSet] = None,
-    exec_mode: str = "row",
+    exec_mode: str = DEFAULT_EXEC_MODE,
 ) -> EvaluationOutcome:
     """Run §V-B against a sharded deployment instead of a single engine.
 
@@ -291,7 +291,7 @@ def evaluate_workload_sharded(
     coordinator: "ShardCoordinator",
     workload: Sequence[GeneratedQuery],
     base_injections: Optional[InjectionSet] = None,
-    exec_mode: str = "row",
+    exec_mode: str = DEFAULT_EXEC_MODE,
 ) -> list[EvaluationOutcome]:
     """Evaluate a workload through one sharded deployment."""
     return [

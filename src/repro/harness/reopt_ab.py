@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from repro.catalog.catalog import Database
+from repro.exec.executor import DEFAULT_EXEC_MODE
 from repro.harness.methodology import default_requests
 from repro.harness.reporting import format_table
 from repro.optimizer.pagecount_model import AnalyticalPageCountModel
@@ -157,7 +158,7 @@ def evaluate_reopt_query(
     generated: GeneratedQuery,
     policy: Optional[ReoptPolicy] = None,
     page_count_model: Optional[AnalyticalPageCountModel] = None,
-    exec_mode: str = "batch",
+    exec_mode: str = DEFAULT_EXEC_MODE,
 ) -> ReoptABOutcome:
     """Run one query's ride-vs-switch A/B.
 
@@ -210,7 +211,7 @@ def run_reopt_ab(
     num_rows: int = 20_000,
     queries_per_column: int = 3,
     seed: int = 3,
-    exec_mode: str = "batch",
+    exec_mode: str = DEFAULT_EXEC_MODE,
     policy: Optional[ReoptPolicy] = None,
     selectivity_range: tuple[float, float] = (0.01, 0.05),
 ) -> ReoptABReport:
@@ -244,7 +245,7 @@ def evaluate_reopt_workload(
     workload: Sequence[GeneratedQuery],
     policy: Optional[ReoptPolicy] = None,
     page_count_model: Optional[AnalyticalPageCountModel] = None,
-    exec_mode: str = "batch",
+    exec_mode: str = DEFAULT_EXEC_MODE,
 ) -> ReoptABReport:
     """The full A/B over a workload (Fig. 6 columns, both regimes)."""
     report = ReoptABReport()

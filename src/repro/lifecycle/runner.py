@@ -34,7 +34,7 @@ from repro.common.cancellation import CancellationToken
 from repro.core.planner import build_executable
 from repro.core.requests import PageCountRequest
 from repro.exec.base import ExecutionWatchdog
-from repro.exec.executor import QueryResult, execute
+from repro.exec.executor import DEFAULT_EXEC_MODE, QueryResult, execute
 from repro.lifecycle.plan import (
     build_optimizer,
     cache_key,
@@ -278,7 +278,7 @@ class QueryLifecycle:
         cold_cache: bool = True,
         io: Optional[IOContext] = None,
         remember: bool = False,
-        exec_mode: str = "row",
+        exec_mode: str = DEFAULT_EXEC_MODE,
         cancellation: Optional[CancellationToken] = None,
     ) -> ExecutedQuery:
         """The full lifecycle: plan (cached or fresh), execute, harvest."""
@@ -304,7 +304,7 @@ class QueryLifecycle:
         io: Optional[IOContext] = None,
         remember: bool = False,
         trace: Optional[LifecycleTrace] = None,
-        exec_mode: str = "row",
+        exec_mode: str = DEFAULT_EXEC_MODE,
         cancellation: Optional[CancellationToken] = None,
         watchdog: Optional[ExecutionWatchdog] = None,
     ) -> ExecutedQuery:

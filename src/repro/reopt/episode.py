@@ -44,7 +44,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 from repro.common.cancellation import CancellationToken
 from repro.common.errors import ReoptRequested
 from repro.core.requests import PageCountRequest
-from repro.exec.executor import QueryResult
+from repro.exec.executor import DEFAULT_EXEC_MODE, QueryResult
 from repro.lifecycle.plan import build_optimizer
 from repro.lifecycle.runner import ExecutedQuery
 from repro.optimizer.hints import PlanHint
@@ -139,7 +139,7 @@ def run_with_reopt(
     hint: Optional[PlanHint] = None,
     cold_cache: bool = True,
     io: Optional[IOContext] = None,
-    exec_mode: str = "batch",
+    exec_mode: str = DEFAULT_EXEC_MODE,
     cancellation: Optional[CancellationToken] = None,
     remember: bool = False,
 ) -> ReoptEpisode:

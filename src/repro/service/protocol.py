@@ -21,11 +21,12 @@ Responses echo the request's ``id`` and carry either the result payload
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from typing import Any, Mapping, Optional
 
 from repro.common.errors import ServiceError
-from repro.exec.executor import EXEC_MODES
+from repro.exec.executor import DEFAULT_EXEC_MODE, EXEC_MODES
 from repro.optimizer.hints import PlanHint
 
 #: Machine-readable error codes a response may carry.
@@ -54,7 +55,7 @@ class QueryRequest:
 
     sql: str
     request_id: str = ""
-    exec_mode: str = "row"
+    exec_mode: str = DEFAULT_EXEC_MODE
     #: Optimize with the engine's shared feedback store folded in.
     use_feedback: bool = False
     #: Harvest this run's observations into the shared store (epoch bump).
@@ -84,9 +85,32 @@ class QueryRequest:
                 f"unknown exec_mode {self.exec_mode!r}; expected "
                 f"{'|'.join(EXEC_MODES)}"
             )
-        if self.deadline_ms is not None and self.deadline_ms <= 0:
+        # The fields arrive as whatever JSON the client sent: a truthy
+        # string for a flag would harvest when the client said "false".
+        if not isinstance(self.request_id, str):
             raise ServiceError(
-                f"deadline_ms must be positive, got {self.deadline_ms}"
+                f"request_id must be a string, got {self.request_id!r}"
+            )
+        for name in ("use_feedback", "remember", "reopt"):
+            if not isinstance(getattr(self, name), bool):
+                raise ServiceError(
+                    f"{name} must be true or false, got {getattr(self, name)!r}"
+                )
+        if self.monitor is not None and not isinstance(self.monitor, bool):
+            raise ServiceError(
+                f"monitor must be true, false or null, got {self.monitor!r}"
+            )
+        if self.hint is not None and not isinstance(self.hint, Mapping):
+            raise ServiceError(f"hint must be an object, got {self.hint!r}")
+        if self.deadline_ms is not None and not (
+            isinstance(self.deadline_ms, (int, float))
+            and not isinstance(self.deadline_ms, bool)
+            and math.isfinite(self.deadline_ms)
+            and self.deadline_ms > 0
+        ):
+            raise ServiceError(
+                "deadline_ms must be a finite positive number, got "
+                f"{self.deadline_ms!r}"
             )
 
     def plan_hint(self) -> Optional[PlanHint]:

@@ -34,6 +34,7 @@ from repro.common.errors import PlanLintError
 from repro.core.feedback import FeedbackStore
 from repro.core.planner import MonitorConfig
 from repro.core.requests import PageCountRequest
+from repro.exec.executor import DEFAULT_EXEC_MODE
 from repro.lifecycle.plan import build_optimizer
 from repro.lifecycle.plancache import PlanCache
 from repro.lifecycle.runner import ExecutedQuery, LifecycleTrace, QueryLifecycle
@@ -146,7 +147,7 @@ class Session:
         requests: Sequence[PageCountRequest] = (),
         cold_cache: bool = True,
         io: Optional[IOContext] = None,
-        exec_mode: str = "row",
+        exec_mode: str = DEFAULT_EXEC_MODE,
         cancellation: Optional[CancellationToken] = None,
     ) -> ExecutedQuery:
         """Execute a specific plan, with monitors for ``requests``.
@@ -154,10 +155,11 @@ class Session:
         ``io`` is the execution's accounting context (default: a fresh
         shared-pool context); pass an *isolated* context to run
         interference-free next to concurrent executions.  ``exec_mode``
-        picks row-at-a-time (default) or page-at-a-time batch drive.
-        ``cancellation`` opts into cooperative cancellation (the executor
-        raises :class:`~repro.common.errors.QueryCancelled` at the next
-        page/batch boundary after the token is cancelled).
+        picks the page-at-a-time batch drive (default) or the row-at-a-time
+        reference oracle.  ``cancellation`` opts into cooperative
+        cancellation (the executor raises
+        :class:`~repro.common.errors.QueryCancelled` at the next page/batch
+        boundary after the token is cancelled).
         """
         executed = self.lifecycle().run_plan(
             query,
@@ -180,7 +182,7 @@ class Session:
         cold_cache: bool = True,
         io: Optional[IOContext] = None,
         remember: bool = False,
-        exec_mode: str = "row",
+        exec_mode: str = DEFAULT_EXEC_MODE,
         cancellation: Optional[CancellationToken] = None,
     ) -> ExecutedQuery:
         """The full lifecycle: plan (cached or fresh), execute, and — with

@@ -1,4 +1,4 @@
-"""Scatter-gather execution over N shard-local engines.
+"""Fan-out execution over N shard-local engines.
 
 :class:`ShardCoordinator` is an :class:`~repro.engine.Engine` over the
 *global* database — sessions, plan cache, feedback store and the
@@ -12,16 +12,17 @@ as:
    feedback injections) through the shared
    :class:`~repro.lifecycle.PlanCache`, so a repeated query costs one
    cached plan resolution no matter how many shards execute it;
-2. **scatter** — the same plan node fans out to every shard engine,
-   which rebinds it *by table/index name* (shard catalogs clone the
-   global schema) and executes it concurrently under its own isolated
-   accounting context via :meth:`~repro.engine.Engine.execute_plan` —
-   no per-shard re-optimization, ever;
-3. **gather** — every fanned-out execution *settles* (joins, or is
-   cancelled via the shared token when a sibling fails) on all normal
-   and exceptional paths before the coordinator proceeds (dataflow rule
-   F002 audits exactly this);
-4. **merge** — per-shard row streams recombine through the exec-layer
+2. **fan out** — the same plan node goes to every shard engine in shard
+   order, which rebinds it *by table/index name* (shard catalogs clone
+   the global schema) and executes it under its own isolated accounting
+   context via :meth:`~repro.engine.Engine.execute_plan` — no per-shard
+   re-optimization, ever.  The fan-out is a plain loop on the caller's
+   thread with the caller's cancellation token: the executions are
+   CPU-bound Python, so threads bought nothing under the GIL (measured
+   2x *slower* in batch mode, EXPERIMENTS.md), and an error or
+   :class:`~repro.common.errors.QueryCancelled` in shard *k* propagates
+   as itself with shards after *k* never started;
+3. **merge** — per-shard row streams recombine through the exec-layer
    gather operators (:mod:`repro.exec.merge`), per-shard observations
    merge by summing disjoint page counts
    (:func:`repro.core.feedback.merge_page_count_observations`), and —
@@ -31,34 +32,28 @@ as:
    engine harvests a run: one atomic batch, one epoch bump iff
    something was stored.  Shard engines' own stores stay empty.
 
-Shard workers are deliberately blinkered: a worker receives *its own*
-handle (engine, plan, token, result slot) and nothing else.  Cross-shard
-state — result rows, observations, feedback — flows only through the
-coordinator's merge interfaces (codelint rule R013 enforces this
-structurally for every worker in this package).
-
 Merged ``RunStats`` model the parallel deployment: integer I/O counters
 **sum** across shards (total work), while the simulated times take the
-**maximum** over shards (makespan — shards run concurrently), which is
+**maximum** over the shards' own simulated clocks (the makespan of a
+deployment whose shards run concurrently — computed, not run), which is
 what the ≥3×-at-4-shards scan-throughput gate in
 ``benchmarks/smoke_shard.py`` measures.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from repro.catalog.catalog import Database
 from repro.catalog.schema import PartitionSpec
 from repro.common.cancellation import CancellationToken
-from repro.common.errors import QueryCancelled, ShardError
+from repro.common.errors import EngineError
 from repro.core.feedback import merge_page_count_observations
 from repro.core.planner import MonitorConfig
 from repro.core.requests import PageCountRequest
 from repro.engine.engine import Engine, WorkloadItem
-from repro.exec.executor import QueryResult, execute
+from repro.exec.executor import DEFAULT_EXEC_MODE, QueryResult, execute
 from repro.exec.merge import ShardStream, gather_for_plan
 from repro.exec.runstats import RunStats
 from repro.lifecycle.plancache import PlanCache
@@ -77,45 +72,8 @@ class ShardedExecutedQuery(ExecutedQuery):
     shard_results: list[ExecutedQuery] = field(default_factory=list)
 
 
-@dataclass
-class _ShardHandle:
-    """Everything one shard worker may touch: its own slice of the fan-out."""
-
-    shard_index: int
-    engine: Engine
-    query: Query
-    plan: PlanNode
-    requests: tuple[PageCountRequest, ...]
-    exec_mode: str
-    token: CancellationToken
-    thread: Optional[threading.Thread] = None
-    result: Optional[ExecutedQuery] = None
-    error: Optional[BaseException] = None
-
-
-def _shard_worker(handle: _ShardHandle) -> None:
-    """Execute the fanned-out plan on this worker's own shard engine.
-
-    On failure the worker cancels the fan-out's shared token so sibling
-    shards stop at their next page/batch boundary instead of completing
-    doomed work; the coordinator re-raises the root cause after every
-    shard has settled.
-    """
-    try:
-        handle.result = handle.engine.execute_plan(
-            handle.query,
-            handle.plan,
-            requests=handle.requests,
-            exec_mode=handle.exec_mode,
-            cancellation=handle.token,
-        )
-    except BaseException as exc:  # re-raised by the coordinator's gather
-        handle.error = exc
-        handle.token.cancel(f"shard {handle.shard_index} failed: {exc}")
-
-
 class ShardCoordinator(Engine):
-    """An :class:`Engine` whose executions scatter-gather over shard engines."""
+    """An :class:`Engine` whose executions fan out over shard engines."""
 
     def __init__(
         self,
@@ -167,80 +125,6 @@ class ShardCoordinator(Engine):
         for engine in self.engines:
             drained = engine.shutdown(drain=drain, timeout=timeout) and drained
         return drained
-
-    # ------------------------------------------------------------------
-    # Scatter / gather
-    # ------------------------------------------------------------------
-    def _scatter(
-        self,
-        query: Query,
-        plan: PlanNode,
-        item: WorkloadItem,
-        token: CancellationToken,
-    ) -> list[_ShardHandle]:
-        """Fan the plan out: one worker thread per shard, all started."""
-        handles = [
-            _ShardHandle(
-                shard_index=index,
-                engine=engine,
-                query=query,
-                plan=plan,
-                requests=tuple(item.requests),
-                exec_mode=item.exec_mode,
-                token=token,
-            )
-            for index, engine in enumerate(self.engines)
-        ]
-        for handle in handles:
-            thread = threading.Thread(
-                target=_shard_worker,
-                args=(handle,),
-                name=f"shard-worker-{handle.shard_index}",
-            )
-            handle.thread = thread
-            thread.start()
-        return handles
-
-    def _gather(self, handles: Sequence[_ShardHandle]) -> list[ExecutedQuery]:
-        """Settle every fanned-out execution, then surface the root cause.
-
-        Every shard thread is joined unconditionally (a failing shard has
-        already cancelled the shared token, so siblings stop at their
-        next checkpoint rather than running to completion).  If any shard
-        failed, the first *non-cancellation* error is re-raised — the
-        cancellations it triggered are collateral, not the cause.
-        """
-        try:
-            for handle in handles:
-                if handle.thread is not None:
-                    handle.thread.join()
-        finally:
-            # Joining never raises in practice; the finally guards the
-            # invariant that no code path leaves a live worker behind.
-            still_alive = [
-                h.shard_index
-                for h in handles
-                if h.thread is not None and h.thread.is_alive()
-            ]
-            if still_alive:
-                raise ShardError(
-                    f"shard worker(s) {still_alive} failed to settle"
-                )
-        errors = [h.error for h in handles if h.error is not None]
-        if errors:
-            for error in errors:
-                if not isinstance(error, QueryCancelled):
-                    raise error
-            raise errors[0]
-        results: list[ExecutedQuery] = []
-        for handle in handles:
-            if handle.result is None:
-                raise ShardError(
-                    f"shard {handle.shard_index} returned no result and no "
-                    "error; refusing to merge a partial fan-out"
-                )
-            results.append(handle.result)
-        return results
 
     # ------------------------------------------------------------------
     # Merge
@@ -300,7 +184,18 @@ class ShardCoordinator(Engine):
         session: Optional[Session] = None,
         cancellation: Optional[CancellationToken] = None,
     ) -> ShardedExecutedQuery:
-        """Plan once, scatter, gather, merge — one sharded execution."""
+        """Plan once, fan out, merge — one sharded execution.
+
+        Mid-query re-optimization is refused, not dropped: the fan-out
+        has no one place to decide a plan switch for N shards yet, and a
+        plain result must not pass for a watched one.
+        """
+        if item.reopt:
+            raise EngineError(
+                "mid-query re-optimization is not supported on a sharded "
+                "deployment; send the request without 'reopt' or serve "
+                "unsharded"
+            )
         session = session if session is not None else self.session()
         self._begin_execution()
         try:
@@ -327,7 +222,7 @@ class ShardCoordinator(Engine):
         query: Query,
         plan: PlanNode,
         requests: Sequence[PageCountRequest] = (),
-        exec_mode: str = "row",
+        exec_mode: str = DEFAULT_EXEC_MODE,
         cancellation: Optional[CancellationToken] = None,
     ) -> ShardedExecutedQuery:
         """Scatter an already-optimized plan, gather, and merge.
@@ -336,22 +231,27 @@ class ShardCoordinator(Engine):
         it directly because §V-B's steps hand the coordinator explicit
         plans (P, then P').  Feedback is *not* harvested here.
         """
-        token = (
-            cancellation if cancellation is not None else CancellationToken()
-        )
         item = WorkloadItem(
             query=query,
             requests=tuple(requests),
             exec_mode=exec_mode,
         )
-        handles = self._scatter(query, plan, item, token)
-        shard_runs = self._gather(handles)
+        shard_runs = [
+            engine.execute_plan(
+                query,
+                plan,
+                requests=requests,
+                exec_mode=exec_mode,
+                cancellation=cancellation,
+            )
+            for engine in self.engines
+        ]
         result = self._merge(plan, item, shard_runs)
         return ShardedExecutedQuery(
             query=query,
             plan=plan,
             result=result,
-            shard_results=list(shard_runs),
+            shard_results=shard_runs,
         )
 
     # ------------------------------------------------------------------

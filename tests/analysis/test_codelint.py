@@ -328,10 +328,10 @@ class TestR009:
             "import threading\nlock = threading.Lock()\n"
         )
 
-    def test_allowed_inside_shard_coordinator(self):
-        """Scatter workers are bare joinable threads by design."""
+    def test_fires_inside_shard_coordinator(self):
+        """The shard fan-out is a loop: no longer a sanctioned thread site."""
         violating = "import threading\nt = threading.Thread(target=w)\n"
-        assert "R009" not in rules_fired(
+        assert "R009" in rules_fired(
             violating, "src/repro/shard/coordinator.py"
         )
 
@@ -419,76 +419,6 @@ class TestR012:
     def test_silent_on_other_numbers(self):
         assert "R012" not in rules_fired(
             "chunk = 512\n", "src/repro/exec/scans.py"
-        )
-
-
-# ----------------------------------------------------------------------
-# R013 — shard workers touch only their own handle
-# ----------------------------------------------------------------------
-class TestR013:
-    SHARD_PATH = "src/repro/shard/coordinator.py"
-
-    def test_fires_on_registry_read_in_worker(self):
-        assert "R013" in rules_fired(
-            "def _shard_worker(handle):\n"
-            "    peer = engines[0]\n",
-            self.SHARD_PATH,
-        )
-
-    def test_fires_on_feedback_attribute_in_worker(self):
-        assert "R013" in rules_fired(
-            "def _shard_worker(handle):\n"
-            "    handle.engine.feedback.keys()\n",
-            self.SHARD_PATH,
-        )
-
-    def test_fires_on_direct_harvest_call_in_worker(self):
-        assert "R013" in rules_fired(
-            "def _shard_worker(handle, stats):\n"
-            "    store.record_run(stats)\n",
-            self.SHARD_PATH,
-        )
-
-    def test_fires_on_fresh_io_context_in_worker(self):
-        assert "R013" in rules_fired(
-            "def _shard_worker(handle):\n"
-            "    io = handle.engine.database.new_io_context()\n",
-            self.SHARD_PATH,
-        )
-
-    def test_fires_inside_worker_closure(self):
-        assert "R013" in rules_fired(
-            "def _shard_worker(handle):\n"
-            "    def retry():\n"
-            "        return shard_databases[1]\n"
-            "    retry()\n",
-            self.SHARD_PATH,
-        )
-
-    def test_silent_on_own_handle(self):
-        clean = (
-            "def _shard_worker(handle):\n"
-            "    handle.result = handle.engine.execute_plan(\n"
-            "        handle.query, handle.plan, cancellation=handle.token\n"
-            "    )\n"
-        )
-        assert "R013" not in rules_fired(clean, self.SHARD_PATH)
-
-    def test_silent_in_coordinator_merge_code(self):
-        """The coordinator itself may cross shards — only workers may not."""
-        clean = (
-            "def _merge(self, shard_runs):\n"
-            "    return [e.feedback for e in self.engines]\n"
-        )
-        assert "R013" not in rules_fired(clean, self.SHARD_PATH)
-
-    def test_silent_outside_the_shard_package(self):
-        violating = (
-            "def pool_worker(task):\n"
-            "    return engines[0]\n"
-        )
-        assert "R013" not in rules_fired(
-            violating, "src/repro/service/service.py"
         )
 
 
@@ -605,7 +535,6 @@ class TestMachinery:
             "R010",
             "R011",
             "R012",
-            "R013",
             "R014",
             "R015",
         }

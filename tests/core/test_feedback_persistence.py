@@ -208,6 +208,13 @@ class TestCli:
 
         assert main(["figures", "fig99"]) == 2
 
+    @pytest.mark.parametrize("command", ["serve", "loadgen"])
+    def test_reopt_with_shards_is_refused_up_front(self, command):
+        from repro.__main__ import main
+
+        with pytest.raises(SystemExit, match="--reopt and --shards"):
+            main([command, "--reopt", "--shards", "4"])
+
     def test_diagnose_command_with_feedback(self, capsys, tmp_path):
         from repro.__main__ import main
 

@@ -15,7 +15,9 @@ SCAN_SQL = "SELECT count(padding) FROM t WHERE c2 < 900"
 
 
 def scan_item() -> WorkloadItem:
-    return WorkloadItem(query=parse_query(SCAN_SQL))
+    # The row oracle by name: the drain tests need an execution that is
+    # still in flight when they look (the batch drive is done in ~1 ms).
+    return WorkloadItem(query=parse_query(SCAN_SQL), exec_mode="row")
 
 
 class TestRejectAfterShutdown:

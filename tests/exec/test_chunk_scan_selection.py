@@ -192,7 +192,7 @@ def assert_row_equals_batch(database, make_root):
         tallies[mode] = io.units
         draws[mode] = sampler_draws(root)
         filters[mode] = filter_counters(root)
-    assert not diff_results(results["row"], results["batch"])
+    assert not diff_results(results["row"], results["batch"], "batch")
     assert tallies["row"] == tallies["batch"]
     assert tallies["row"]["charge_rows"] > 0
     assert draws["row"] == draws["batch"]

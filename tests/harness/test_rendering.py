@@ -63,6 +63,7 @@ class TestRunStatsRendering:
             observation = PageCountObservation.unanswerable(request, "nope")
         return RunStats(
             root=root,
+            execution_mode="batch",
             elapsed_ms=3.5,
             io_ms=3.0,
             cpu_ms=0.5,

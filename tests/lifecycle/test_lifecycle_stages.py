@@ -67,7 +67,7 @@ class TestTraceWithoutCache:
         executed = session.run_plan(query, scan_plan)
         assert len(executed.result.rows) == 40
         detail = executed.trace.stage("execute").detail
-        assert detail.startswith("mode=row rows=40 physical_reads=")
+        assert detail.startswith("mode=batch rows=40 physical_reads=")
         stages = executed.result.runstats.to_dict()["lifecycle"]["stages"]
         assert stages[-2]["detail"] == detail
 
@@ -79,7 +79,7 @@ class TestTraceWithoutCache:
         executed.result.rows.append(("late",))
         lifecycle = executed.result.runstats.lifecycle
         assert [s["stage"] for s in lifecycle["stages"]] == list(STAGES)
-        assert lifecycle["stages"][5]["detail"].startswith("mode=row rows=1 ")
+        assert lifecycle["stages"][5]["detail"].startswith("mode=batch rows=1 ")
         assert executed.result.runstats.lifecycle is lifecycle
 
 

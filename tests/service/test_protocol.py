@@ -54,6 +54,34 @@ class TestQueryRequest:
         with pytest.raises(ServiceError, match="deadline_ms"):
             QueryRequest(sql="SELECT count(*) FROM t", deadline_ms=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("remember", "false"),
+            ("use_feedback", 0),
+            ("reopt", "off"),
+            ("monitor", "no"),
+            ("deadline_ms", float("nan")),
+            ("deadline_ms", float("inf")),
+            ("deadline_ms", True),
+            ("deadline_ms", "250"),
+            ("request_id", 7),
+            ("hint", "table_scan"),
+            ("hint", ["kind", "table_scan"]),
+        ],
+    )
+    def test_mistyped_field_rejected(self, field, value):
+        """JSON hands over whatever the client typed: a truthy string
+        must not pass for a flag, nor NaN for a deadline."""
+        payload = {"sql": "SELECT count(*) FROM t", field: value}
+        with pytest.raises(ServiceError, match=field):
+            QueryRequest.from_dict(payload)
+
+    def test_nan_deadline_from_json_text_rejected(self):
+        payload = decode_message('{"sql": "x", "deadline_ms": NaN}')
+        with pytest.raises(ServiceError, match="deadline_ms"):
+            QueryRequest.from_dict(payload)
+
     def test_unknown_field_rejected(self):
         with pytest.raises(ServiceError, match="unknown query request field"):
             QueryRequest.from_dict(

@@ -121,3 +121,35 @@ class TestMalformedInput:
 
         frame = run_with_server(synthetic_db, scenario)
         assert frame["error_code"] == BAD_REQUEST
+
+    def test_mistyped_flags_are_bad_request_no_harvest(
+        self, synthetic_db
+    ):
+        """``"remember": "false"`` is a truthy string: before validation
+        it harvested and bumped the epoch the client asked to leave alone."""
+
+        async def scenario(host, port):
+            reader, writer = await asyncio.open_connection(host, port)
+            try:
+                payload = {
+                    "kind": "query",
+                    "sql": SCAN_SQL,
+                    "remember": "false",
+                    "monitor": "no",
+                    "reopt": "off",
+                }
+                writer.write((json.dumps(payload) + "\n").encode())
+                await writer.drain()
+                frame = json.loads(await reader.readline())
+                writer.write(b'{"kind": "stats"}\n')
+                await writer.drain()
+                stats = json.loads(await reader.readline())
+            finally:
+                writer.close()
+            return frame, stats
+
+        frame, stats = run_with_server(synthetic_db, scenario)
+        assert frame["error_code"] == BAD_REQUEST
+        assert "remember" in frame["error"]
+        assert stats["engine"]["feedback_epoch"] == 0
+        assert stats["engine"]["feedback_records"] == 0

@@ -30,9 +30,17 @@ JOIN_SQL = (
     "SELECT count(t.padding) FROM t, t1 WHERE t1.c1 < 1000 AND t1.c2 = t.c2"
 )
 
-#: Far below the queries' execution cost (tens of ms), far above timer
-#: resolution — the deadline reliably fires at an executor checkpoint.
+#: Far below the queries' execution cost on the row oracle (tens of ms;
+#: the batch drive finishes in about a millisecond, so tests that need a
+#: query still running ask for ``exec_mode="row"`` by name), far above
+#: timer resolution — the deadline reliably fires at an executor
+#: checkpoint.
 TINY_DEADLINE_MS = 1.0
+
+
+def slow_request(request_id: str) -> QueryRequest:
+    """A scan on the row oracle: still running when the test looks."""
+    return QueryRequest(sql=SCAN_SQL, request_id=request_id, exec_mode="row")
 
 
 def serve_one(engine: Engine, request: QueryRequest, **service_kwargs):
@@ -59,6 +67,14 @@ class TestHappyPath:
         assert response.runstats["page_counts"], "monitoring was attached"
         assert response.service_ms >= response.queue_wait_ms >= 0
         assert engine.feedback.epoch == 1  # remember=True harvested
+
+    def test_wire_request_without_exec_mode_runs_the_batch_drive(
+        self, synthetic_db
+    ):
+        request = QueryRequest.from_dict({"kind": "query", "sql": SCAN_SQL})
+        _, response = serve_one(Engine(synthetic_db), request)
+        assert response.ok, response.error
+        assert response.runstats["execution_mode"] == "batch"
 
     def test_monitor_off_skips_page_counts(self, synthetic_db):
         _, response = serve_one(
@@ -122,6 +138,19 @@ class TestErrorMapping:
         )
         assert response.error_code == BAD_REQUEST
 
+    def test_reopt_on_a_sharded_engine_is_query_error(self, synthetic_db):
+        """The coordinator cannot re-optimize mid-query; it must say so
+        rather than answer a plain result that looks watched."""
+        from repro.shard import ShardCoordinator
+
+        service, response = serve_one(
+            ShardCoordinator(synthetic_db, num_shards=2),
+            QueryRequest(sql=SCAN_SQL, reopt=True),
+        )
+        assert response.error_code == QUERY_ERROR
+        assert "re-optimization" in response.error
+        assert service.telemetry.leaked_slots() is None
+
     def test_engine_crash_is_internal_error(self, synthetic_db):
         async def scenario():
             service = QueryService(Engine(synthetic_db))
@@ -153,6 +182,7 @@ class TestDeadlines:
                 QueryRequest(
                     sql=sql,
                     request_id="doomed",
+                    exec_mode="row",
                     remember=True,  # must still not bump the epoch
                     deadline_ms=TINY_DEADLINE_MS,
                 )
@@ -184,7 +214,7 @@ class TestDeadlines:
         async def scenario():
             service = QueryService(engine, max_in_flight=1, max_queue_depth=2)
             blocker = asyncio.ensure_future(
-                service.handle(QueryRequest(sql=SCAN_SQL, request_id="slow"))
+                service.handle(slow_request("slow"))
             )
             while service.admission.in_flight == 0:
                 await asyncio.sleep(0.001)
@@ -225,7 +255,7 @@ class TestOverload:
         async def scenario():
             service = QueryService(engine, max_in_flight=1, max_queue_depth=1)
             running = asyncio.ensure_future(
-                service.handle(QueryRequest(sql=SCAN_SQL, request_id="r"))
+                service.handle(slow_request("r"))
             )
             while service.admission.in_flight == 0:
                 await asyncio.sleep(0.001)
@@ -288,7 +318,7 @@ class TestShutdown:
         async def scenario():
             service = QueryService(engine)
             in_flight = asyncio.ensure_future(
-                service.handle(QueryRequest(sql=SCAN_SQL, request_id="live"))
+                service.handle(slow_request("live"))
             )
             while service.admission.in_flight == 0:
                 await asyncio.sleep(0.001)
@@ -313,7 +343,7 @@ class TestShutdown:
         async def scenario():
             service = QueryService(engine)
             victim = asyncio.ensure_future(
-                service.handle(QueryRequest(sql=SCAN_SQL, request_id="v"))
+                service.handle(slow_request("v"))
             )
             while service.admission.in_flight == 0:
                 await asyncio.sleep(0.001)
@@ -335,7 +365,7 @@ class TestShutdown:
         async def scenario():
             service = QueryService(engine, max_in_flight=1, max_queue_depth=4)
             running = asyncio.ensure_future(
-                service.handle(QueryRequest(sql=SCAN_SQL, request_id="run"))
+                service.handle(slow_request("run"))
             )
             while service.admission.in_flight == 0:
                 await asyncio.sleep(0.001)

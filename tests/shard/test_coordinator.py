@@ -1,14 +1,13 @@
-"""ShardCoordinator: an Engine that scatter-gathers, harvests once, settles."""
+"""ShardCoordinator: an Engine that fans out in a loop and harvests once."""
 
 from __future__ import annotations
 
 import asyncio
-import threading
 
 import pytest
 
 from repro.common.cancellation import CancellationToken
-from repro.common.errors import EngineError, ShardError
+from repro.common.errors import EngineError, QueryCancelled
 from repro.core.feedback import FeedbackStore, partial_page_count_observation
 from repro.core.requests import AccessPathRequest, JoinMethodRequest, Mechanism
 from repro.engine.engine import Engine, WorkloadItem
@@ -38,13 +37,6 @@ def coordinator(database):
 def _query(column: str = "c2", value: int = 700) -> SingleTableQuery:
     return SingleTableQuery(
         "t", conjunction_of(Comparison(column, "<", value)), "padding"
-    )
-
-
-def _no_worker_threads() -> bool:
-    return not any(
-        thread.name.startswith("shard-worker-")
-        for thread in threading.enumerate()
     )
 
 
@@ -149,45 +141,86 @@ class TestExecution:
         assert coordinator.feedback.epoch == 0
 
 
+def _spy_on_execute_plan(engine, started: list, after=None) -> None:
+    """Record each ``execute_plan`` call on ``engine``, then run it."""
+    real = engine.execute_plan
+
+    def spy(*args, **kwargs):
+        started.append(engine)
+        result = real(*args, **kwargs)
+        if after is not None:
+            after()
+        return result
+
+    engine.execute_plan = spy
+
+
 class TestFailureSettling:
-    def test_one_failing_shard_cancels_siblings_and_reraises(
-        self, database
+    def test_failing_shard_propagates_later_never_start(
+        self, coordinator
     ):
-        coordinator = ShardCoordinator(database, num_shards=NUM_SHARDS)
-        try:
-            query = _query(value=5_000)
-            session = coordinator.session()
-            plan = session.optimize(query)
+        boom = RuntimeError("disk on fire")
 
-            def explode(*args, **kwargs):
-                raise RuntimeError("disk on fire")
+        def explode(*args, **kwargs):
+            raise boom
 
-            coordinator.engines[1].execute_plan = explode  # type: ignore[method-assign]
-            token = CancellationToken()
-            with pytest.raises(RuntimeError, match="disk on fire"):
-                coordinator.run_plan(query, plan, cancellation=token)
-            # The failing worker cancelled the shared token so siblings
-            # stopped at their next checkpoint...
-            assert token.cancelled
-            # ...and the gather settled every thread before re-raising.
-            assert _no_worker_threads()
-            assert coordinator.active_executions == 0
-        finally:
-            coordinator.shutdown(drain=True, timeout=5.0)
+        started: list = []
+        coordinator.engines[1].execute_plan = explode
+        for engine in coordinator.engines[2:]:
+            _spy_on_execute_plan(engine, started)
+        with pytest.raises(RuntimeError) as raised:
+            coordinator.execute(WorkloadItem(query=_query(value=5_000)))
+        # The shard's own exception object, not a wrapper or a sibling's
+        # collateral cancellation...
+        assert raised.value is boom
+        # ...and shards after the failing one did no work at all: no
+        # execution started, so no reads were charged anywhere.
+        assert started == []
+        for engine in coordinator.engines:
+            assert engine.active_executions == 0
+        assert coordinator.active_executions == 0
 
-    def test_missing_result_without_error_is_refused(self, database):
-        coordinator = ShardCoordinator(database, num_shards=2)
-        try:
-            query = _query()
-            session = coordinator.session()
-            plan = session.optimize(query)
-            coordinator.engines[0].execute_plan = (  # type: ignore[method-assign]
-                lambda *args, **kwargs: None
-            )
-            with pytest.raises(ShardError, match="no result and no error"):
-                coordinator.run_plan(query, plan)
-        finally:
-            coordinator.shutdown(drain=True, timeout=5.0)
+    def test_external_cancel_stops_the_fanout_unharvested(
+        self, coordinator
+    ):
+        """A token cancelled while shard 0 runs stops shard 1 at its
+        first checkpoint; shards 2+ never start and nothing is stored."""
+        token = CancellationToken()
+        started: list = []
+        _spy_on_execute_plan(
+            coordinator.engines[0],
+            started,
+            after=lambda: token.cancel("client went away"),
+        )
+        for engine in coordinator.engines[1:]:
+            _spy_on_execute_plan(engine, started)
+        query = _query(value=5_000)
+        item = WorkloadItem(
+            query=query,
+            requests=(AccessPathRequest("t", query.predicate),),
+            remember=True,
+        )
+        with pytest.raises(QueryCancelled, match="client went away"):
+            coordinator.execute(item, cancellation=token)
+        assert started == coordinator.engines[:2]
+        assert coordinator.feedback.epoch == 0
+        assert len(coordinator.feedback) == 0
+        for engine in coordinator.engines:
+            assert engine.active_executions == 0
+        assert coordinator.active_executions == 0
+
+    def test_reopt_items_are_refused_not_run_plain(
+        self, coordinator
+    ):
+        query = _query()
+        item = WorkloadItem(
+            query=query,
+            requests=(AccessPathRequest("t", query.predicate),),
+            reopt=True,
+        )
+        with pytest.raises(EngineError, match="re-optimization"):
+            coordinator.execute(item)
+        assert coordinator.active_executions == 0
 
 
 class TestLifecycle:
@@ -206,7 +239,6 @@ class TestLifecycle:
     def test_no_active_executions_after_a_run(self, coordinator):
         coordinator.execute(WorkloadItem(query=_query()))
         assert coordinator.active_executions == 0
-        assert _no_worker_threads()
 
     def test_report_mentions_shape_and_cache(self, coordinator):
         coordinator.execute(WorkloadItem(query=_query()))
