@@ -44,7 +44,14 @@ at a glance:
   the service boundary;
 * **reopt** — the mid-query re-optimization A/B at the smoke scale
   (``benchmarks/smoke_reopt.py``): mean simulated win of switching on
-  the correlated workload and the watchdog's worst quiet overhead.
+  the correlated workload and the watchdog's worst quiet overhead;
+* **join feedback regret** — the 20 ``pipeline_join``-style statements
+  of ``benchmarks/smoke_join_feedback.py`` after one remember pass:
+  simulated ms per statement as chosen and at the best hinted plan, the
+  regret between them, beside the same two numbers measured at the
+  commit before join feedback was keyed by the outer filter; plus Fig. 8
+  (per-query feedback, which that keying must not move) at the
+  ``bench_fig8_join_speedup.py`` scale.
 
 Wall-clock comes from :class:`repro.harness.timing.Stopwatch` (the only
 sanctioned host-clock reader).  The artifact is committed at the repo
@@ -66,6 +73,7 @@ try:  # repo-root import (pytest); falls back for direct script runs,
     from benchmarks import (
         bench_service_throughput,
         smoke_batch,
+        smoke_join_feedback,
         smoke_plancache,
         smoke_reopt,
         smoke_shard,
@@ -73,12 +81,14 @@ try:  # repo-root import (pytest); falls back for direct script runs,
 except ModuleNotFoundError:
     import bench_service_throughput  # type: ignore[no-redef]
     import smoke_batch  # type: ignore[no-redef]
+    import smoke_join_feedback  # type: ignore[no-redef]
     import smoke_plancache  # type: ignore[no-redef]
     import smoke_reopt  # type: ignore[no-redef]
     import smoke_shard  # type: ignore[no-redef]
 
+from repro.core.planner import MonitorConfig
 from repro.exec.executor import EXEC_MODES
-from repro.harness.figures import run_fig6_fig7
+from repro.harness.figures import run_fig6_fig7, run_fig8
 from repro.harness.timing import Stopwatch, utc_now_iso
 from repro.optimizer import SingleTableQuery
 from repro.session import Session
@@ -301,6 +311,36 @@ def _reopt_value() -> dict:
     }
 
 
+def _join_feedback_regret() -> dict:
+    """Simulated regret of feedback-planned joins, before and after the
+    join key named the outer filter (before: measured once, at 250387b)."""
+    measured = smoke_join_feedback.measure()
+    statements = len(measured["kinds"])
+    fig8 = run_fig8(
+        num_rows=100_000,
+        queries_per_column=10,
+        seed=42,
+        monitor_config=MonitorConfig(dpsample_fraction=0.4),
+    ).outcomes
+    return {
+        "num_rows": smoke_join_feedback.NUM_ROWS,
+        "statements": statements,
+        "inl_plans": sum(1 for k in measured["kinds"].values() if k == "INL"),
+        "feedback_records": measured["records"],
+        "sim_ms_per_statement": round(measured["chosen_ms"] / statements, 4),
+        "best_sim_ms_per_statement": round(measured["best_ms"] / statements, 4),
+        "regret_pct": round(100 * measured["regret"], 2),
+        "before": {
+            "inl_plans": 6,
+            "feedback_records": 4,
+            "sim_ms_per_statement": 33.7560,
+            "regret_pct": 8.48,
+        },
+        "fig8_plan_flips": sum(1 for o in fig8 if o.plan_changed),
+        "fig8_mean_speedup": round(sum(o.speedup for o in fig8) / len(fig8), 8),
+    }
+
+
 def build_entry() -> dict:
     """One timestamped trajectory entry: the current perf snapshot."""
     return {
@@ -315,6 +355,7 @@ def build_entry() -> dict:
         "plancache_smoke_violations": smoke_plancache.run_smoke(),
         "service_throughput": bench_service_throughput.run_bench(),
         "reopt": _reopt_value(),
+        "join_feedback_regret": _join_feedback_regret(),
     }
 
 

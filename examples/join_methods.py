@@ -41,10 +41,12 @@ def main() -> None:
     truth = exact_join_dpc(
         database.table("t"), database.table("t1"), join_predicate, outer_predicate
     )
-    print(f"True DPC(t, join-pred) = {truth} of {database.table('t').num_pages} pages\n")
+    print(f"True DPC(t, join-pred | outer filter) = {truth} of {database.table('t').num_pages} pages\n")
 
     # --- 1+2: hash join runs; bit-vector monitoring measures the join DPC
-    request = JoinMethodRequest("t", join_predicate)
+    # The count belongs to the outer rows that drive the join, so the
+    # request names the filter on T1 as well as the join predicate.
+    request = JoinMethodRequest.for_query(query, "t")
     first = session.run(query, requests=[request])
     print("--- first execution ---")
     print(first.plan.render())
@@ -65,6 +67,7 @@ def main() -> None:
         f"(SpeedUp {speedup:.0%})"
     )
     assert first.result.rows == second.result.rows
+    assert speedup > 0, "the remembered join DPC should have paid off"
     print(f"both plans return count = {second.result.scalar()}")
 
 

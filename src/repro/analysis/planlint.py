@@ -406,7 +406,7 @@ def _check_dpc(ctx: _Context, nodes: list[tuple[str, PlanNode]]) -> None:
             continue
         if isinstance(node, INLJoinPlan):
             injected = ctx.injections.join_page_count(
-                node.inner_table, node.join_predicate
+                node.inner_table, node.join_predicate, node.outer_filter
             )
         else:
             expression = _fetch_expression(node)

@@ -130,13 +130,11 @@ def _plan_dpc_estimates(plan: PlanNode) -> dict[str, float]:
             ).key()
             estimates[key] = node.estimated_dpc
         elif isinstance(node, INLJoinPlan):
-            key = JoinMethodRequest(node.inner_table, node.join_predicate).key()
-            estimates[key] = node.estimated_dpc
-            estimates[
-                JoinMethodRequest(
-                    node.inner_table, node.join_predicate.reversed()
+            for predicate in (node.join_predicate, node.join_predicate.reversed()):
+                key = JoinMethodRequest(
+                    node.inner_table, predicate, node.outer_filter
                 ).key()
-            ] = node.estimated_dpc
+                estimates[key] = node.estimated_dpc
     return estimates
 
 

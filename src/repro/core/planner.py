@@ -24,6 +24,10 @@ merge join (inner scan)   the join predicate, via full ("blocking") or
                           partial bit-vector filter (§IV)
 ========================  =====================================================
 
+A join counts the inner pages matched by the rows its outer (build) side
+produces, so all three answer a join request only when it names the
+selection that side runs under (``JoinMethodRequest.outer_filter``).
+
 Requests nothing can observe come back as explicit *unanswerable*
 observations — a diagnostic, never a fabricated number.
 
@@ -165,6 +169,33 @@ class _Instrumentation:
             ):
                 continue
             matches.append((rid, request))
+        return matches
+
+    def join_requests_under(
+        self,
+        inner_table: str,
+        join_predicate: JoinEquality,
+        outer_filter: Conjunction,
+    ) -> list[tuple[int, JoinMethodRequest]]:
+        """The join requests a join over ``outer_filter``'s rows measures.
+
+        A request for the same inner and predicate under *another* outer
+        filter counts a different row set: it is failed with both filters
+        named, never answered with this join's count.
+        """
+        measured = JoinMethodRequest(inner_table, join_predicate, outer_filter)
+        matches = []
+        for rid, request in self.join_requests_for(inner_table, join_predicate):
+            if request.outer_filter == measured.outer_filter:
+                matches.append((rid, request))
+            else:
+                self.fail(
+                    rid,
+                    "the current plan drives this join with the outer rows "
+                    f"matching {measured.outer_filter.key()}; the request "
+                    f"asks for the count under {request.outer_filter.key()}, "
+                    "which this execution does not measure",
+                )
         return matches
 
     def claim(self, request_id: int) -> None:
@@ -561,7 +592,9 @@ def _build_covering(plan: CoveringScanPlan, state: _Instrumentation) -> Operator
 def _build_inl(plan: INLJoinPlan, state: _Instrumentation) -> Operator:
     # Claim join-method requests *before* walking the outer subtree, so
     # access requests inside the outer still resolve independently.
-    matches = state.join_requests_for(plan.inner_table, plan.join_predicate)
+    matches = state.join_requests_under(
+        plan.inner_table, plan.join_predicate, plan.outer_filter
+    )
     bundle = None
     if matches:
         bundle = FetchMonitorBundle(plan.inner_table)
@@ -596,7 +629,9 @@ def _scan_query_conjunction(plan: PlanNode) -> Optional[Conjunction]:
 
 
 def _build_hash(plan: HashJoinPlan, state: _Instrumentation) -> Operator:
-    matches = state.join_requests_for(plan.probe_table, plan.join_predicate)
+    matches = state.join_requests_under(
+        plan.probe_table, plan.join_predicate, plan.build_filter
+    )
     build_side_requests = state.join_requests_for(
         plan.build_table, plan.join_predicate
     )
@@ -651,7 +686,9 @@ def _build_hash(plan: HashJoinPlan, state: _Instrumentation) -> Operator:
 
 
 def _build_merge(plan: MergeJoinPlan, state: _Instrumentation) -> Operator:
-    matches = state.join_requests_for(plan.inner_table, plan.join_predicate)
+    matches = state.join_requests_under(
+        plan.inner_table, plan.join_predicate, plan.outer_filter
+    )
     outer_side_requests = state.join_requests_for(
         plan.outer_table, plan.join_predicate
     )

@@ -17,9 +17,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 from repro.sql.predicates import Conjunction, JoinEquality
+
+if TYPE_CHECKING:
+    from repro.optimizer.optimizer import JoinQuery
 
 
 @dataclass(frozen=True)
@@ -35,7 +38,16 @@ class AccessPathRequest:
 
 @dataclass(frozen=True)
 class JoinMethodRequest:
-    """Request for ``DPC(inner_table, join_predicate)`` — INL costing (§IV).
+    """Request for ``DPC(inner_table, join_predicate | outer_filter)`` (§IV).
+
+    An INL join fetches the inner pages matched by the rows its *outer*
+    side produces, so the count belongs to the join predicate **and** the
+    selection on the outer (Example 2; ``exact_join_dpc``'s
+    ``outer_predicate``): a count measured under ``c1 < 1600`` says
+    nothing about ``c1 < 200``.  ``outer_filter`` is that selection, an
+    empty conjunction meaning an unfiltered outer.  A DPC is a property
+    of the outer row *set*, so the terms are held sorted by ``key()`` and
+    two spellings of one filter are one request with one key.
 
     Selection predicates on the inner are deliberately absent: an INL join
     evaluates them after the fetch, so they do not reduce fetched pages.
@@ -43,9 +55,29 @@ class JoinMethodRequest:
 
     inner_table: str
     join_predicate: JoinEquality
+    outer_filter: Conjunction = Conjunction()
+
+    def __post_init__(self) -> None:
+        terms = self.outer_filter.terms
+        if len(terms) > 1:
+            ordered = sorted(terms, key=lambda term: term.key())
+            object.__setattr__(self, "outer_filter", Conjunction(ordered))
+
+    @classmethod
+    def for_query(cls, query: "JoinQuery", inner_table: str) -> "JoinMethodRequest":
+        """The request ``query`` answers when ``inner_table`` is the inner."""
+        outer_table = query.join_predicate.other_table(inner_table)
+        return cls(
+            inner_table,
+            query.join_predicate,
+            query.predicates.get(outer_table, Conjunction()),
+        )
 
     def key(self) -> str:
-        return f"DPC({self.inner_table}, {self.join_predicate.key()})"
+        expression = self.join_predicate.key()
+        if self.outer_filter.terms:
+            expression = f"{expression} | {self.outer_filter.key()}"
+        return f"DPC({self.inner_table}, {expression})"
 
 
 PageCountRequest = AccessPathRequest | JoinMethodRequest

@@ -81,9 +81,7 @@ def default_requests(database: Database, query: Query) -> list[PageCountRequest]
                 and table.clustered_index.key_columns[0] == column
             )
             if has_access:
-                requests.append(
-                    JoinMethodRequest(table_name, query.join_predicate)
-                )
+                requests.append(JoinMethodRequest.for_query(query, table_name))
     return requests
 
 

@@ -69,10 +69,14 @@ class PageCountEstimator:
         self,
         inner_table: str,
         join_predicate: JoinEquality,
+        outer_filter: Conjunction,
         fetched_rows: float,
     ) -> tuple[float, str]:
-        """DPC of the inner table under the join predicate (INL costing)."""
-        injected = self.injections.join_page_count(inner_table, join_predicate)
+        """DPC of the inner table under the join predicate, for the outer
+        rows ``outer_filter`` selects (INL costing)."""
+        injected = self.injections.join_page_count(
+            inner_table, join_predicate, outer_filter
+        )
         if injected is not None:
             return injected, "injected"
         return self._model_estimate(inner_table, fetched_rows), "model"

@@ -36,8 +36,10 @@ def access_dpc_key(table: str, expression: Conjunction) -> str:
     return AccessPathRequest(table, expression).key()
 
 
-def join_dpc_key(inner_table: str, join_predicate: JoinEquality) -> str:
-    return JoinMethodRequest(inner_table, join_predicate).key()
+def join_dpc_key(
+    inner_table: str, join_predicate: JoinEquality, outer_filter: Conjunction
+) -> str:
+    return JoinMethodRequest(inner_table, join_predicate, outer_filter).key()
 
 
 #: Fingerprint of a set with no entries (the warm path's usual case).
@@ -69,11 +71,16 @@ class InjectionSet:
         self._page_counts[access_dpc_key(table, expression)] = pages
 
     def inject_join_page_count(
-        self, inner_table: str, join_predicate: JoinEquality, pages: float
+        self,
+        inner_table: str,
+        join_predicate: JoinEquality,
+        outer_filter: Conjunction,
+        pages: float,
     ) -> None:
         if pages < 0:
             raise ValueError(f"injected page count must be >= 0, got {pages}")
-        self._page_counts[join_dpc_key(inner_table, join_predicate)] = pages
+        key = join_dpc_key(inner_table, join_predicate, outer_filter)
+        self._page_counts[key] = pages
 
     def inject_page_count_by_key(self, key: str, pages: float) -> None:
         """Inject under a pre-formatted request key (feedback-store path)."""
@@ -145,15 +152,23 @@ class InjectionSet:
         return self._page_counts.get(access_dpc_key(table, expression))
 
     def join_page_count(
-        self, inner_table: str, join_predicate: JoinEquality
+        self,
+        inner_table: str,
+        join_predicate: JoinEquality,
+        outer_filter: Conjunction,
     ) -> Optional[float]:
-        key = join_dpc_key(inner_table, join_predicate)
+        """The count filed under exactly this expression, else ``None``.
+
+        A count taken under another outer filter measured another row
+        set; it is never served in this one's place.
+        """
+        key = join_dpc_key(inner_table, join_predicate, outer_filter)
         value = self._page_counts.get(key)
         if value is not None:
             return value
         # A join predicate is symmetric; accept the reversed spelling too.
         return self._page_counts.get(
-            join_dpc_key(inner_table, join_predicate.reversed())
+            join_dpc_key(inner_table, join_predicate.reversed(), outer_filter)
         )
 
     def __len__(self) -> int:

@@ -102,6 +102,7 @@ class JoinEnumerator:
         plans.extend(
             self._hash_plans(
                 join_predicate,
+                predicates,
                 (left, left_best, left_rows),
                 (right, right_best, right_rows),
                 join_rows,
@@ -115,6 +116,7 @@ class JoinEnumerator:
         plans.append(
             self._merge_plan(
                 join_predicate,
+                predicates,
                 (left, left_best, left_rows),
                 (right, right_best, right_rows),
                 join_rows,
@@ -126,6 +128,7 @@ class JoinEnumerator:
     def _hash_plans(
         self,
         join_predicate: JoinEquality,
+        predicates: dict[str, Conjunction],
         left_side: tuple[str, PlanNode, float],
         right_side: tuple[str, PlanNode, float],
         join_rows: float,
@@ -143,6 +146,7 @@ class JoinEnumerator:
                 build_table=build_table,
                 probe_table=probe_table,
                 join_predicate=join_predicate,
+                build_filter=predicates.get(build_table, Conjunction()),
             )
             plan.estimated_rows = join_rows
             plan.estimated_cost_ms = self.cost_model.hash_join_cost(
@@ -196,7 +200,7 @@ class JoinEnumerator:
                 join_predicate, outer_pred, Conjunction()
             )
             dpc, source = self.page_counts.join_dpc(
-                inner_table, join_predicate, matched_entries
+                inner_table, join_predicate, outer_pred, matched_entries
             )
             inner_stats = inner.require_statistics()
             residual_selectivities = [
@@ -216,6 +220,7 @@ class JoinEnumerator:
                     join_predicate=join_predicate,
                     inner_residual=inner_pred,
                     inner_index_name=access,
+                    outer_filter=outer_pred,
                     estimated_dpc=dpc,
                     dpc_source=source,
                 )
@@ -234,6 +239,7 @@ class JoinEnumerator:
     def _merge_plan(
         self,
         join_predicate: JoinEquality,
+        predicates: dict[str, Conjunction],
         left_side: tuple[str, PlanNode, float],
         right_side: tuple[str, PlanNode, float],
         join_rows: float,
@@ -254,6 +260,7 @@ class JoinEnumerator:
             join_predicate=join_predicate,
             sort_outer=sort_left,
             sort_inner=sort_right,
+            outer_filter=predicates.get(left_table, Conjunction()),
         )
         plan.estimated_rows = join_rows
         plan.estimated_cost_ms = self.cost_model.merge_join_cost(

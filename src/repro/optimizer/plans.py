@@ -247,6 +247,9 @@ class INLJoinPlan(PlanNode):
     join_predicate: JoinEquality
     inner_residual: Conjunction
     inner_index_name: Optional[str]  # None -> inner clustered on join column
+    #: Selection on the outer: with the join predicate, the expression
+    #: ``estimated_dpc`` was looked up (and is remembered) under.
+    outer_filter: Conjunction = field(default_factory=Conjunction)
     estimated_dpc: float = 0.0
     dpc_source: str = "model"
 
@@ -278,6 +281,9 @@ class HashJoinPlan(PlanNode):
     build_table: str
     probe_table: str
     join_predicate: JoinEquality
+    #: Selection on the build side: the outer row set a bit-vector count
+    #: of the probe table's join pages is taken under.
+    build_filter: Conjunction = field(default_factory=Conjunction)
 
     def children(self) -> list[PlanNode]:
         return [self.build, self.probe]
@@ -300,6 +306,8 @@ class MergeJoinPlan(PlanNode):
     join_predicate: JoinEquality
     sort_outer: bool
     sort_inner: bool
+    #: Selection on the outer side (see ``HashJoinPlan.build_filter``).
+    outer_filter: Conjunction = field(default_factory=Conjunction)
 
     def children(self) -> list[PlanNode]:
         return [self.outer, self.inner]

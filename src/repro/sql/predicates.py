@@ -318,5 +318,10 @@ class JoinEquality:
             return self.right_column
         raise ExpressionError(f"table {table!r} does not participate in {self.key()}")
 
+    def other_table(self, table: str) -> str:
+        """The participant that is not ``table``; raises if not a participant."""
+        self.column_for(table)
+        return self.right_table if table == self.left_table else self.left_table
+
     def __repr__(self) -> str:
         return f"JoinEquality({self.key()})"

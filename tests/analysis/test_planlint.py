@@ -222,6 +222,55 @@ class TestP005DPCConsistency:
     def test_silent_without_injection_context(self, tiny_db):
         assert lint_plan(make_seek(), tiny_db, rules=["P005"]) == []
 
+    # An INL node's feedback key includes the outer filter it was costed
+    # under: P005 must look the injection up under the node's own filter.
+    JOIN = JoinEquality("tiny", "v", "tiny", "k")
+    NARROW = conjunction_of(Comparison("v", "<", 40))
+    WIDE = conjunction_of(Comparison("v", "<", 400))
+
+    def make_inl(self, **overrides) -> INLJoinPlan:
+        outer = SeqScanPlan(table="tiny", predicate=self.NARROW)
+        outer.estimated_rows = 40.0
+        fields = dict(
+            outer=outer,
+            outer_table="tiny",
+            inner_table="tiny",
+            join_predicate=self.JOIN,
+            inner_residual=Conjunction(()),
+            inner_index_name=None,
+            outer_filter=self.NARROW,
+            estimated_dpc=2.0,
+            dpc_source="model",
+        )
+        fields.update(overrides)
+        plan = INLJoinPlan(**fields)
+        plan.estimated_rows = 40.0
+        return plan
+
+    def test_inl_fires_when_same_filter_feedback_ignored(self, tiny_db):
+        injections = InjectionSet()
+        injections.inject_join_page_count("tiny", self.JOIN, self.NARROW, 2.0)
+        findings = lint_plan(
+            self.make_inl(), tiny_db, injections=injections, rules=["P005"]
+        )
+        assert rules_fired(findings) == {"P005"}
+
+    def test_inl_silent_on_feedback_under_another_filter(self, tiny_db):
+        injections = InjectionSet()
+        injections.inject_join_page_count("tiny", self.JOIN, self.WIDE, 9.0)
+        injections.inject_join_page_count("tiny", self.JOIN, Conjunction(), 9.0)
+        plan = self.make_inl()
+        assert lint_plan(plan, tiny_db, injections=injections, rules=["P005"]) == []
+
+    def test_inl_injected_claim_needs_its_own_filters_entry(self, tiny_db):
+        injections = InjectionSet()
+        injections.inject_join_page_count("tiny", self.JOIN, self.WIDE, 9.0)
+        plan = self.make_inl(dpc_source="injected")
+        findings = lint_plan(plan, tiny_db, injections=injections, rules=["P005"])
+        assert rules_fired(findings) == {"P005"}
+        injections.inject_join_page_count("tiny", self.JOIN, self.NARROW, 2.0)
+        assert lint_plan(plan, tiny_db, injections=injections, rules=["P005"]) == []
+
 
 class _LeakyShapeSeek(IndexSeekPlan):
     """A buggy node whose shape key includes an estimate."""

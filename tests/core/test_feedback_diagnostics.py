@@ -11,9 +11,10 @@ from repro.core.requests import (
 )
 from repro.common.errors import FeedbackError
 from repro.harness.methodology import default_requests
-from repro.optimizer import Optimizer, PlanHint, SingleTableQuery
-from repro.optimizer.plans import CountPlan, SeqScanPlan
-from repro.sql import Comparison, conjunction_of
+from repro.optimizer import JoinQuery, Optimizer, PlanHint, SingleTableQuery
+from repro.optimizer.plans import CountPlan, INLJoinPlan, SeqScanPlan
+from repro.session import Session
+from repro.sql import Comparison, JoinEquality, conjunction_of
 
 
 def observation(key_expr, estimate, exact=True):
@@ -117,6 +118,29 @@ class TestDiagnose:
         )
         report = diagnose(query.describe(), plan, [bad])
         assert "some reason" in report.render()
+
+    def test_remembered_inl_run_pairs_estimate_with_actual(self, join_db):
+        """The join line's key carries the outer filter on both sides: the
+        plan node's estimate and the monitor's actual meet on one row."""
+        query = JoinQuery(
+            join_predicate=JoinEquality("t1", "c2", "t", "c2"),
+            predicates={"t1": conjunction_of(Comparison("c1", "<", 300))},
+            count_column="t.padding",
+        )
+        requests = default_requests(join_db, query)
+        session = Session(join_db)
+        session.remember(session.run(query, requests=requests))
+        second = session.run(query, requests=requests, use_feedback=True)
+        inl = second.plan.children()[0]
+        assert isinstance(inl, INLJoinPlan) and inl.dpc_source == "injected"
+        report = diagnose(query.describe(), second.plan, second.observations)
+        (line,) = [item for item in report.lines if item.answered]
+        assert line.expression == "DPC(t, t1.c2 = t.c2 | c1 < 300)"
+        assert line.estimated_pages == inl.estimated_dpc
+        assert line.actual_pages is not None
+        (row,) = [r for r in report.render().splitlines() if "c1 < 300)" in r]
+        assert f"{line.estimated_pages:.1f}" in row
+        assert f"{line.actual_pages:.1f}" in row
 
     def test_error_factor_none_when_missing(self):
         from repro.core.diagnostics import DiagnosticLine

@@ -1,16 +1,21 @@
 """Tests for feedback-store persistence and the CLI entry points."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.common.errors import FeedbackError
-from repro.core.feedback import FeedbackStore
-from repro.optimizer import InjectionSet
+from repro.core.feedback import FeedbackStore, table_of_key
+from repro.optimizer import InjectionSet, JoinQuery, PlanHint
 from repro.core.requests import (
     AccessPathRequest,
+    JoinMethodRequest,
     Mechanism,
     PageCountObservation,
 )
-from repro.sql import Comparison, conjunction_of
+from repro.session import Session
+from repro.sql import Comparison, Conjunction, InList, JoinEquality, conjunction_of
 
 
 def observation(column, estimate, exact=True):
@@ -151,6 +156,84 @@ class TestPersistence:
         path.write_text('{"version": 1, "records": [{}]}', encoding="utf-8")
         with pytest.raises(FeedbackError):
             FeedbackStore.load(path)
+
+
+class TestJoinKeysNameTheOuterFilter:
+    """The join key is ``DPC(inner, join-pred | outer filter)``; a store
+    saved before the filter joined the key loads as it is, and its
+    ``DPC(t, t1.c3 = t.c3)`` entries mean what they say: unfiltered outer."""
+
+    FIXTURE = Path(__file__).parent / "fixtures" / "feedback_store_pr21.json"
+    JOIN = JoinEquality("t1", "c3", "t", "c3")
+
+    def test_pre_filter_store_loads_unchanged(self):
+        text = self.FIXTURE.read_text(encoding="utf-8")
+        store = FeedbackStore.from_json(text)
+        assert json.loads(store.to_json()) == json.loads(text)
+        assert store.keys() == [
+            "DPC(t, c2 < 800)", "DPC(t, t1.c2 = t.c2)", "DPC(t, t1.c3 = t.c3)",
+        ]
+        assert store.table_epoch("t") == 3
+
+    def test_old_join_entries_stop_steering_filtered_statements(self, join_db):
+        store = FeedbackStore.load(self.FIXTURE)
+        injections = store.to_injections()
+        assert injections.join_page_count("t", self.JOIN, Conjunction()) == 45.0
+        narrow = conjunction_of(Comparison("c1", "<", 200))
+        assert injections.join_page_count("t", self.JOIN, narrow) is None
+        query = JoinQuery(
+            join_predicate=self.JOIN,
+            predicates={"t1": narrow},
+            count_column="t.padding",
+        )
+        with_store = Session(join_db, feedback=store).optimize(
+            query, use_feedback=True, hint=PlanHint("inl_join")
+        )
+        without = Session(join_db).optimize(
+            query, use_feedback=True, hint=PlanHint("inl_join")
+        )
+        assert with_store.render() == without.render()
+        assert with_store.children()[0].dpc_source == "model"
+
+    @pytest.mark.parametrize(
+        "outer_filter",
+        [
+            Conjunction(),
+            conjunction_of(Comparison("c1", "<", 200)),
+            conjunction_of(InList("c1", (1, 2, 3)), Comparison("c4", ">=", 7)),
+        ],
+        ids=["unfiltered", "range", "in-list-with-commas-and-parentheses"],
+    )
+    def test_table_of_key_is_the_inner_table(self, outer_filter):
+        request = JoinMethodRequest("t", self.JOIN, outer_filter)
+        assert table_of_key(request.key()) == "t"
+        store = FeedbackStore()
+        store.record_observations(
+            [
+                PageCountObservation(
+                    request=request, mechanism=Mechanism.LINEAR_COUNTING,
+                    estimate=4.0,
+                )
+            ]
+        )
+        assert FeedbackStore.from_json(store.to_json()).table_epoch("t") == 1
+
+    def test_two_spellings_of_one_filter_share_one_record(self):
+        a, b = Comparison("c1", "<", 200), Comparison("c4", ">=", 7)
+        store = FeedbackStore()
+        for terms, estimate in (((a, b), 4.0), ((b, a), 6.0)):
+            store.record_observations(
+                [
+                    PageCountObservation(
+                        request=JoinMethodRequest("t", self.JOIN, Conjunction(terms)),
+                        mechanism=Mechanism.LINEAR_COUNTING,
+                        estimate=estimate,
+                    )
+                ]
+            )
+        assert store.keys() == ["DPC(t, t1.c3 = t.c3 | c1 < 200 AND c4 >= 7)"]
+        injections = store.to_injections()
+        assert injections.join_page_count("t", self.JOIN, Conjunction((b, a))) == 6.0
 
 
 class TestLoweringOntoBase:

@@ -12,10 +12,12 @@ from repro.common.errors import MonitorError
 from repro.sql import Comparison, Conjunction, JoinEquality, conjunction_of
 
 
-def run_with_requests(database, query, requests, hint=None, config=None):
+def run_with_requests(
+    database, query, requests, hint=None, config=None, mode="batch"
+):
     plan = Optimizer(database, hint=hint).optimize(query)
     build = build_executable(plan, database, requests, config or MonitorConfig())
-    result = execute(build.root, database)
+    result = execute(build.root, database, mode=mode)
     return plan, list(result.runstats.observations) + build.unanswerable
 
 
@@ -175,7 +177,7 @@ class TestJoinInstrumentation:
 
     def test_hash_join_probe_side_bitvector(self, join_db):
         query = self.make_join_query()
-        request = JoinMethodRequest("t", query.join_predicate)
+        request = JoinMethodRequest.for_query(query, "t")
         _plan, observations = run_with_requests(
             join_db, query, [request], hint=PlanHint("hash_join"),
             config=MonitorConfig(dpsample_fraction=1.0),
@@ -194,7 +196,7 @@ class TestJoinInstrumentation:
 
     def test_hash_join_build_side_unanswerable(self, join_db):
         query = self.make_join_query()
-        request = JoinMethodRequest("t1", query.join_predicate)
+        request = JoinMethodRequest.for_query(query, "t1")
         _plan, observations = run_with_requests(
             join_db, query, [request], hint=PlanHint("hash_join")
         )
@@ -204,7 +206,7 @@ class TestJoinInstrumentation:
 
     def test_inl_join_linear_counting(self, join_db):
         query = self.make_join_query()
-        request = JoinMethodRequest("t", query.join_predicate)
+        request = JoinMethodRequest.for_query(query, "t")
         _plan, observations = run_with_requests(
             join_db, query, [request],
             hint=PlanHint("inl_join", inner_table="t"),
@@ -224,7 +226,7 @@ class TestJoinInstrumentation:
         """A Sort above the inner scan hides page ids from the bit-vector
         mechanism; the planner must refuse rather than mis-count."""
         query = self.make_join_query()
-        request = JoinMethodRequest("t", query.join_predicate)
+        request = JoinMethodRequest.for_query(query, "t")
         _plan, observations = run_with_requests(
             join_db, query, [request], hint=PlanHint("merge_join"),
             config=MonitorConfig(dpsample_fraction=1.0),
@@ -242,7 +244,7 @@ class TestJoinInstrumentation:
             predicates={"t1": conjunction_of(Comparison("c1", "<", 1000))},
             count_column="t.padding",
         )
-        request = JoinMethodRequest("t", query.join_predicate)
+        request = JoinMethodRequest.for_query(query, "t")
         plan, observations = run_with_requests(
             join_db, query, [request], hint=PlanHint("merge_join"),
             config=MonitorConfig(dpsample_fraction=1.0),
@@ -266,7 +268,7 @@ class TestJoinInstrumentation:
             predicates={"t1": conjunction_of(Comparison("c1", "<", 1000))},
             count_column="t.padding",
         )
-        request = JoinMethodRequest("t", query.join_predicate)
+        request = JoinMethodRequest.for_query(query, "t")
         plan, observations = run_with_requests(
             join_db, query, [request], hint=PlanHint("merge_join"),
             config=MonitorConfig(dpsample_fraction=1.0),
@@ -284,10 +286,86 @@ class TestJoinInstrumentation:
 
     def test_reversed_join_predicate_matches(self, join_db):
         query = self.make_join_query()
-        request = JoinMethodRequest("t", query.join_predicate.reversed())
+        request = JoinMethodRequest(
+            "t", query.join_predicate.reversed(), query.predicates["t1"]
+        )
         _plan, observations = run_with_requests(
             join_db, query, [request], hint=PlanHint("hash_join"),
             config=MonitorConfig(dpsample_fraction=1.0),
         )
         (observation,) = observations
         assert observation.answered
+
+
+class TestJoinRequestOuterFilter:
+    """A join monitor counts the inner pages the *filtered* outer drives:
+    it answers the request filed under that filter and no other."""
+
+    #: (hint, join columns (outer, inner), expected mechanism) for linear
+    #: counting under INL and bit-vector + DPSample under hash and merge.
+    MECHANISMS = [
+        pytest.param(
+            PlanHint("inl_join", inner_table="t"), ("c2", "c2"),
+            Mechanism.LINEAR_COUNTING, id="inl",
+        ),
+        pytest.param(
+            PlanHint("hash_join"), ("c2", "c2"),
+            Mechanism.BITVECTOR_DPSAMPLE, id="hash",
+        ),
+        pytest.param(
+            PlanHint("merge_join"), ("c2", "c1"),
+            Mechanism.BITVECTOR_DPSAMPLE, id="merge",
+        ),
+    ]
+
+    @pytest.mark.parametrize("mode", ["row", "batch"])
+    @pytest.mark.parametrize("hint, columns, mechanism", MECHANISMS)
+    def test_only_the_measured_filter_is_answered(
+        self, join_db, hint, columns, mechanism, mode
+    ):
+        measured = conjunction_of(Comparison("c1", "<", 1000))
+        query = JoinQuery(
+            join_predicate=JoinEquality("t1", columns[0], "t", columns[1]),
+            predicates={"t1": measured},
+            count_column="t.padding",
+        )
+        matching = JoinMethodRequest.for_query(query, "t")
+        others = [
+            JoinMethodRequest("t", query.join_predicate),
+            JoinMethodRequest(
+                "t", query.join_predicate, conjunction_of(Comparison("c1", "<", 200))
+            ),
+        ]
+        _plan, observations = run_with_requests(
+            join_db, query, [others[0], matching, others[1]], hint=hint,
+            config=MonitorConfig(dpsample_fraction=1.0), mode=mode,
+        )
+        by_key = {}
+        for observation in observations:
+            by_key.setdefault(observation.key, []).append(observation)
+        assert len(observations) == 3 and len(by_key) == 3
+        (answer,) = by_key[matching.key()]  # claimed exactly once
+        assert answer.answered and answer.mechanism is mechanism
+        for other in others:
+            (refused,) = by_key[other.key()]
+            assert not refused.answered and refused.estimate is None
+            assert measured.key() in refused.reason
+            assert other.outer_filter.key() in refused.reason
+
+    def test_two_spellings_of_one_filter_are_one_request(self, join_db):
+        first = Comparison("c1", "<", 1000)
+        second = Comparison("c3", ">=", 0)
+        query = JoinQuery(
+            join_predicate=JoinEquality("t1", "c2", "t", "c2"),
+            predicates={"t1": conjunction_of(first, second)},
+            count_column="t.padding",
+        )
+        request = JoinMethodRequest(
+            "t", query.join_predicate, conjunction_of(second, first)
+        )
+        assert request == JoinMethodRequest.for_query(query, "t")
+        assert request.key() == "DPC(t, t1.c2 = t.c2 | c1 < 1000 AND c3 >= 0)"
+        _plan, (observation,) = run_with_requests(
+            join_db, query, [request], hint=PlanHint("hash_join")
+        )
+        assert observation.answered and observation.key == request.key()

@@ -48,8 +48,8 @@ class TestDuplicateAndOverlappingRequests:
             count_column="t.padding",
         )
         requests = [
-            JoinMethodRequest("t", query.join_predicate),
-            JoinMethodRequest("t1", query.join_predicate),
+            JoinMethodRequest.for_query(query, "t"),
+            JoinMethodRequest.for_query(query, "t1"),
         ]
         plan = Optimizer(join_db, hint=PlanHint("hash_join")).optimize(query)
         build = build_executable(plan, join_db, requests, MonitorConfig())

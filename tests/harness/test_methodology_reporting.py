@@ -48,8 +48,12 @@ class TestDefaultRequests:
             count_column="t.padding",
         )
         requests = default_requests(join_db, query)
-        # Only t has an index on c2; t1 does not.
-        assert [r.inner_table for r in requests] == ["t"]
+        # Only t has an index on c2; t1 does not.  The request names the
+        # filter on the side that drives the join (t1), not the inner's.
+        assert requests == [
+            JoinMethodRequest("t", query.join_predicate, query.predicates["t1"])
+        ]
+        assert requests[0].key() == "DPC(t, t1.c2 = t.c2 | c1 < 100)"
 
     def test_join_on_clustering_key_both_sides(self, join_db):
         query = JoinQuery(
@@ -58,6 +62,9 @@ class TestDefaultRequests:
         )
         requests = default_requests(join_db, query)
         assert {r.inner_table for r in requests} == {"t", "t1"}
+        assert {r.key() for r in requests} == {
+            "DPC(t, t1.c1 = t.c1)", "DPC(t1, t1.c1 = t.c1)"
+        }
 
 
 class TestEvaluateQuery:

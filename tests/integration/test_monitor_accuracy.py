@@ -91,7 +91,7 @@ class TestEstimatingMechanisms:
             predicates={"t1": conjunction_of(Comparison("c1", "<", 1_000))},
             count_column="t.padding",
         )
-        request = JoinMethodRequest("t", query.join_predicate)
+        request = JoinMethodRequest.for_query(query, "t")
         observations = observe(
             join_db,
             query,

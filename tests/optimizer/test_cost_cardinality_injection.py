@@ -123,9 +123,35 @@ class TestInjectionSet:
     def test_join_page_count_symmetric(self):
         injections = InjectionSet()
         predicate = JoinEquality("r1", "a", "r2", "b")
-        injections.inject_join_page_count("r2", predicate, 9.0)
-        assert injections.join_page_count("r2", predicate) == 9.0
-        assert injections.join_page_count("r2", predicate.reversed()) == 9.0
+        outer = conjunction_of(Comparison("a", "<", 1))
+        injections.inject_join_page_count("r2", predicate, outer, 9.0)
+        assert injections.join_page_count("r2", predicate, outer) == 9.0
+        assert injections.join_page_count("r2", predicate.reversed(), outer) == 9.0
+
+    def test_join_page_count_is_per_outer_filter(self):
+        """A count filed under one outer filter answers no other: not a
+        wider one, not a narrower one, not the unfiltered outer."""
+        injections = InjectionSet()
+        predicate = JoinEquality("r1", "a", "r2", "b")
+        narrow = conjunction_of(Comparison("a", "<", 200))
+        wide = conjunction_of(Comparison("a", "<", 1600))
+        injections.inject_join_page_count("r2", predicate, wide, 90.0)
+        assert injections.join_page_count("r2", predicate, narrow) is None
+        assert injections.join_page_count("r2", predicate, Conjunction()) is None
+        injections.inject_join_page_count("r2", predicate, Conjunction(), 120.0)
+        assert injections.join_page_count("r2", predicate, narrow) is None
+        assert injections.join_page_count("r2", predicate, wide) == 90.0
+
+    def test_fingerprint_differs_when_only_the_outer_filter_differs(self):
+        predicate = JoinEquality("r1", "a", "r2", "b")
+        fingerprints = set()
+        for cut in (200, 400):
+            injections = InjectionSet()
+            injections.inject_join_page_count(
+                "r2", predicate, conjunction_of(Comparison("a", "<", cut)), 9.0
+            )
+            fingerprints.add(injections.fingerprint())
+        assert len(fingerprints) == 2
 
     def test_negative_values_rejected(self):
         injections = InjectionSet()
@@ -149,7 +175,9 @@ class TestInjectionSet:
         expr = conjunction_of(Comparison("a", "<", 1))
         assert cardinality_key("t", expr) == "CARD(t, a < 1)"
         assert access_dpc_key("t", expr) == "DPC(t, a < 1)"
-        assert join_dpc_key("t", JoinEquality("s", "x", "t", "y")) == "DPC(t, s.x = t.y)"
+        join = JoinEquality("s", "x", "t", "y")
+        assert join_dpc_key("t", join, Conjunction()) == "DPC(t, s.x = t.y)"
+        assert join_dpc_key("t", join, expr) == "DPC(t, s.x = t.y | a < 1)"
 
 
 class TestCardinalityEstimator:

@@ -13,8 +13,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.harness import compare_sharded_workload
-from repro.workloads import build_synthetic_database, single_table_workload
+from repro.core.requests import JoinMethodRequest
+from repro.engine.engine import Engine, WorkloadItem
+from repro.harness import compare_sharded_workload, default_requests
+from repro.shard import ShardCoordinator
+from repro.workloads import (
+    build_synthetic_database,
+    join_workload,
+    single_table_workload,
+)
 
 
 @pytest.fixture(scope="module")
@@ -60,9 +67,7 @@ def test_hash_sharded_rows_equivalent(equivalence_db, workload):
     Rows (sorted; hash placement drops the global clustering order) must
     still match exactly.
     """
-    from repro.engine.engine import WorkloadItem
     from repro.session import Session
-    from repro.shard import ShardCoordinator
 
     coordinator = ShardCoordinator(
         equivalence_db, num_shards=4, strategy="hash"
@@ -78,3 +83,41 @@ def test_hash_sharded_rows_equivalent(equivalence_db, workload):
             assert sorted(sharded.result.rows) == sorted(serial.result.rows)
     finally:
         coordinator.shutdown(drain=True, timeout=5.0)
+
+
+@pytest.mark.parametrize("exec_mode", ["row", "batch"])
+def test_filtered_join_equivalent_and_filed_under_its_filter(exec_mode):
+    """Fig. 8 joins on the clustering key of both tables (range shards
+    are then co-partitioned): same rows, and the merged join observation
+    is the serial one — keyed by join predicate *and* outer filter."""
+    database = build_synthetic_database(num_rows=8_000, seed=5, with_copy=True)
+    workload = join_workload(
+        database, "t1", "t", ["c1"], queries_per_column=2,
+        selectivity_range=(0.02, 0.10), seed=5,
+    )
+    report = compare_sharded_workload(
+        database, workload, num_shards=2, exec_mode=exec_mode
+    )
+    assert report.ok, report.render()
+
+    serial = Engine(database)
+    coordinator = ShardCoordinator(database, num_shards=2)
+    try:
+        for generated in workload:
+            item = WorkloadItem(
+                query=generated.query,
+                requests=tuple(default_requests(database, generated.query)),
+                remember=True,
+                exec_mode=exec_mode,
+            )
+            serial.execute(item)
+            coordinator.execute(item)
+    finally:
+        coordinator.shutdown(drain=True, timeout=5.0)
+    expected = sorted(
+        JoinMethodRequest.for_query(generated.query, "t").key()
+        for generated in workload
+    )
+    assert serial.feedback.keys() == expected
+    assert coordinator.feedback.keys() == expected
+    assert all(" | c1 < " in key for key in expected)
