@@ -17,6 +17,7 @@ the paper's structural argument for feedback.
 
 from benchmarks.conftest import run_once
 from repro.core.planner import build_executable
+from repro.engine import Engine
 from repro.exec import execute
 from repro.harness.methodology import evaluate_query
 from repro.harness.reporting import format_table, percent
@@ -27,6 +28,7 @@ from repro.workloads import build_synthetic_database, single_table_workload
 def test_ablation_dpc_sources(benchmark):
     def sweep():
         database = build_synthetic_database(num_rows=60_000, seed=37)
+        engine = Engine(database)
         table = database.table("t")
         histograms = {
             "t": build_dpc_histograms(
@@ -45,7 +47,7 @@ def test_ablation_dpc_sources(benchmark):
         for generated in workload:
             injections = generated.injections()
             # (1) analytical model and (3) feedback, via the methodology.
-            outcome = evaluate_query(database, generated)
+            outcome = evaluate_query(engine, generated)
             model_time = outcome.time_original_ms
             feedback_time = outcome.time_improved_ms
             # (2) histogram-equipped optimizer, no feedback.

@@ -12,7 +12,7 @@ Two gates over a 4-shard range-partitioned deployment:
   (high-selectivity predicates the optimizer answers with a SeqScan)
   must complete at least :data:`SCAN_SPEEDUP_BOUND` times faster in
   *simulated merged time* at :data:`SHARDS` shards than serially.  The
-  merged time is the fan-out's makespan (slowest shard + merge), which
+  merged time is the fan-out's makespan (the slowest shard), which
   is the deployment model's wall-clock: page-aligned range partitioning
   splits a scan's pages ~evenly, so 4 shards should approach 4x and
   must clear 3x.
@@ -33,8 +33,7 @@ from __future__ import annotations
 
 import sys
 
-from repro.core.planner import MonitorConfig, build_executable
-from repro.exec.executor import execute
+from repro.engine import Engine
 from repro.harness.equivalence import compare_sharded_workload
 from repro.harness.timing import Stopwatch
 from repro.lifecycle.plan import build_optimizer
@@ -112,19 +111,17 @@ def scan_speedup() -> tuple[float, float, float]:
             f"scan probe predicates must plan as SeqScans, got {non_scans}"
         )
 
-    serial_ms = 0.0
-    for plan in plans:
-        build = build_executable(plan, database)
-        serial_ms += execute(build.root, database, cold_cache=True).elapsed_ms
-
-    coordinator = ShardCoordinator(
-        database, num_shards=SHARDS, monitor_config=MonitorConfig()
-    )
-    try:
-        sharded_ms = sum(
-            coordinator.run_plan(query, plan).result.runstats.elapsed_ms
+    # One door on both topologies: Engine.execute_plan (cold, isolated).
+    def total_ms(engine: Engine) -> float:
+        return sum(
+            engine.execute_plan(query, plan).elapsed_ms
             for query, plan in zip(queries, plans)
         )
+
+    serial_ms = total_ms(Engine(database))
+    coordinator = ShardCoordinator(database, num_shards=SHARDS)
+    try:
+        sharded_ms = total_ms(coordinator)
     finally:
         coordinator.shutdown()
     speedup = serial_ms / sharded_ms if sharded_ms > 0 else float("inf")

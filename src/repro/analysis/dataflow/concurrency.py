@@ -54,6 +54,7 @@ _BLOCKING_SEEDS: frozenset[tuple[str, str]] = frozenset(
         ("Session", "run"),
         ("Session", "run_plan"),
         ("Engine", "execute"),
+        ("Engine", "execute_plan"),
         ("Engine", "run_serial"),
         ("Engine", "run_concurrent"),
         ("Engine", "shutdown"),

@@ -24,10 +24,9 @@ serve a plan built from superseded feedback.  The lowering itself is
 memoized per epoch: repeated :meth:`to_injections` calls between writes
 reuse one frozen injection set instead of rebuilding it record by record.
 
-The store is internally thread-safe (all record/epoch/memo state is
-guarded by one reentrant lock); the
-:class:`~repro.engine.Engine` additionally serializes *writes* across
-sessions so harvest order is deterministic under its own lock.
+The store is internally thread-safe: all record/epoch/memo state is
+guarded by one reentrant lock, held across each whole ingest batch, so
+the sessions of an :class:`~repro.engine.Engine` write it directly.
 """
 
 from __future__ import annotations

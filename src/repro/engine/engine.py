@@ -10,8 +10,8 @@ module packages it:
 * :class:`Engine` owns the shared, immutable-after-load
   :class:`~repro.catalog.Database` and one shared
   :class:`~repro.core.FeedbackStore`, and hands out
-  :class:`~repro.session.Session` objects whose feedback writes are
-  serialized under the engine's lock.
+  :class:`~repro.session.Session` objects that all write that store
+  (it serializes its own batches).
 
 * :meth:`Engine.run_concurrent` is the concurrent-workload harness: it
   executes a workload on N threads, each query under an *isolated*
@@ -24,7 +24,8 @@ module packages it:
 Executions never write to tables (the stored data is immutable after
 load), so the only cross-session mutable state is the shared buffer
 pool's frame set — guarded by its own lock and bypassed entirely by
-isolated contexts — and the feedback store, serialized here.
+isolated contexts — and the feedback store, which holds its own lock
+across each whole batch.
 """
 
 from __future__ import annotations
@@ -151,7 +152,6 @@ class Engine:
         #: such items run under the default :class:`ReoptPolicy`; items
         #: with ``reopt=False`` never see a watchdog either way.
         self.reopt_policy = reopt_policy
-        self._feedback_lock = threading.Lock()
         #: Lifecycle state: ``shutdown()`` flips ``_closed`` and then (with
         #: ``drain=True``) waits on ``_state`` until ``_active`` executions
         #: reach zero.  ``_state`` guards both fields.
@@ -232,7 +232,6 @@ class Engine:
             ),
             monitor_config=self.monitor_config,
             page_count_model=self.page_count_model,
-            feedback_lock=self._feedback_lock,
             plan_cache=self.plan_cache,
         )
 
@@ -292,16 +291,17 @@ class Engine:
     ) -> ExecutedQuery:
         """Run an already-optimized plan under lifecycle accounting.
 
-        The scatter-gather deployment plans **once** at the coordinator
-        and fans the same plan node out; shard engines must execute it
-        without re-optimizing (their local statistics would re-derive a
-        different plan and break shard↔shard comparability).  Like
+        "Run this plan, cold and isolated, with these requests" — the
+        one door the §V-B harness (P, then P'), the regret oracle and the
+        scatter-gather fan-out all use; a
+        :class:`~repro.shard.coordinator.ShardCoordinator` overrides it
+        to fan out, and its shard engines run the plan here without
+        re-optimizing (their local statistics would re-derive a different
+        plan and break shard↔shard comparability).  Like
         :meth:`execute`, the run is registered with the engine lifecycle
         (shutdown drains it, post-shutdown calls raise
         :class:`~repro.common.errors.EngineError`) and charges an
-        isolated accounting context.  Feedback is **not** harvested here
-        — the coordinator merges the shards' observations and harvests
-        the merged batch into its own store.
+        isolated accounting context.  Feedback is **not** harvested here.
         """
         session = session if session is not None else self.session()
         self._begin_execution()
@@ -454,14 +454,13 @@ class Engine:
         The coordinator-side entry point for feedback that was collected
         *elsewhere* — by a worker process, travelling back over the
         marshalling protocol, or by a shard fan-out, merged per key: the
-        whole batch lands atomically under the engine's feedback write
-        lock through :meth:`FeedbackStore.record_observations`, advancing
-        the epoch exactly once.  A batch with zero answerable
+        whole batch lands atomically (the store holds its lock across
+        :meth:`FeedbackStore.record_observations`), advancing the epoch
+        exactly once.  A batch with zero answerable
         observations is a complete no-op (no epoch bump), so derived
         caches stay valid.  Returns how many observations were stored.
         """
-        with self._feedback_lock:
-            return self.feedback.record_observations(observations)
+        return self.feedback.record_observations(observations)
 
     # ------------------------------------------------------------------
     def report(self) -> str:

@@ -108,15 +108,14 @@ class Operator(ABC):
         override this (and must emit exactly the rows, in exactly the
         order, the row iterator would — the equivalence harness checks).
 
-        Still on the adapter (inherited, or spelled out identically):
-        :class:`~repro.exec.joins.MergeJoin` and the shard merge
-        operators (``ShardStream``, ``GatherConcat`` / ``GatherMerge`` /
-        ``GatherReaggregate``).  The adapter pulls
-        :meth:`rows`, which pulls the children's :meth:`rows` — so under
-        a batch-mode plan the *whole subtree* below one of them runs the
-        row drive and feeds its monitors per row.  That is why
-        :meth:`rows` is a production path, not only the test oracle,
-        until merge join gets a batch drive of its own.
+        :class:`~repro.exec.joins.MergeJoin` is the only operator still
+        on the adapter (``tests/exec/test_default_exec_mode.py`` walks
+        the subclasses).  The adapter pulls :meth:`rows`, which pulls the
+        children's :meth:`rows` — so under a batch-mode plan the *whole
+        subtree* below a merge join runs the row drive and feeds its
+        monitors per row.  That is why :meth:`rows` is a production
+        path, not only the test oracle, until merge join gets a batch
+        drive of its own.
         """
         yield from chunk_rows(self.rows(ctx), ctx.batch_rows)
 

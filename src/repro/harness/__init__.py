@@ -26,9 +26,7 @@ from repro.harness.methodology import (
     EvaluationOutcome,
     default_requests,
     evaluate_query,
-    evaluate_query_sharded,
     evaluate_workload,
-    evaluate_workload_sharded,
 )
 from repro.harness.reopt_ab import (
     ReoptABOutcome,
@@ -60,9 +58,7 @@ __all__ = [
     "evaluate_reopt_query",
     "evaluate_reopt_workload",
     "run_reopt_ab",
-    "evaluate_query_sharded",
     "evaluate_workload",
-    "evaluate_workload_sharded",
     "format_table",
     "percent",
     "run_fig10",

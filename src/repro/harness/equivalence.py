@@ -32,22 +32,21 @@ every integer counter is identical.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.catalog.catalog import Database
 from repro.core.feedback import FeedbackStore
-from repro.core.planner import MonitorConfig, build_executable
+from repro.core.planner import MonitorConfig
 from repro.core.requests import PageCountObservation, PageCountRequest
-from repro.exec.executor import DEFAULT_EXEC_MODE, EXEC_MODES, QueryResult, execute
+from repro.engine import Engine
+from repro.exec.executor import DEFAULT_EXEC_MODE, EXEC_MODES, QueryResult
 from repro.exec.runstats import OperatorStats
 from repro.harness.methodology import default_requests
 from repro.lifecycle.plan import build_optimizer
 from repro.optimizer.hints import PlanHint
 from repro.optimizer.injection import InjectionSet
+from repro.optimizer.plans import PlanNode
 from repro.workloads.queries import GeneratedQuery
-
-if TYPE_CHECKING:
-    from repro.shard.coordinator import ShardCoordinator
 
 
 def observation_fingerprint(observation: PageCountObservation) -> tuple:
@@ -187,10 +186,9 @@ class EquivalenceReport:
 
 
 def compare_query(
-    database: Database,
+    engine: Engine,
     generated: GeneratedQuery,
     requests: Optional[Sequence[PageCountRequest]] = None,
-    monitor_config: Optional[MonitorConfig] = None,
     base_injections: Optional[InjectionSet] = None,
     hint: Optional[PlanHint] = None,
 ) -> QueryEquivalence:
@@ -199,14 +197,14 @@ def compare_query(
     Covers the monitored run of the accurate-cardinality plan P *and* the
     unmonitored run of the feedback-improved plan P' (built from the
     row-mode observations; the diff has already proven the other modes
-    produced the same ones).  Monitor state is rebuilt per mode — bundles
-    are stateful.  ``hint`` pins both plans to one physical shape, which
-    is how the index plans (seek, IN-list, intersection, covering scan,
-    INL) are proven on workloads whose cheapest plan is a scan.
+    produced the same ones).  Every run is one
+    :meth:`~repro.engine.Engine.execute_plan` — cold, isolated, monitor
+    state rebuilt (bundles are stateful).  ``hint`` pins both plans to
+    one physical shape, which is how the index plans (seek, IN-list,
+    intersection, covering scan, INL) are proven on workloads whose
+    cheapest plan is a scan.
     """
-    monitor_config = (
-        monitor_config if monitor_config is not None else MonitorConfig()
-    )
+    database = engine.database
     injections = generated.injections(base_injections)
     query = generated.query
     request_list = (
@@ -216,57 +214,37 @@ def compare_query(
     )
     entry = QueryEquivalence(label=generated.label)
 
+    def diff_modes(plan: PlanNode, plan_requests, context: str) -> QueryResult:
+        """Run ``plan`` in every mode, diff against row; the row result."""
+        results = {
+            mode: engine.execute_plan(
+                query, plan, requests=plan_requests, exec_mode=mode
+            ).result
+            for mode in EXEC_MODES
+        }
+        for mode in EXEC_MODES[1:]:
+            entry.mismatches.extend(
+                diff_results(results["row"], results[mode], mode, context)
+            )
+        return results["row"]
+
     plan = build_optimizer(
         database, injections=injections, hint=hint
     ).optimize(query)
-
-    monitored_results = {}
-    for mode in EXEC_MODES:
-        build = build_executable(
-            plan, database, list(request_list), monitor_config
-        )
-        monitored_results[mode] = execute(
-            build.root, database, cold_cache=True, mode=mode
-        )
-    for mode in EXEC_MODES[1:]:
-        entry.mismatches.extend(
-            diff_results(
-                monitored_results["row"],
-                monitored_results[mode],
-                mode,
-                "monitored P",
-            )
-        )
+    monitored = diff_modes(plan, request_list, "monitored P")
 
     corrected = injections.copy()
-    corrected.absorb_observations(
-        list(monitored_results["row"].runstats.observations)
-    )
+    corrected.absorb_observations(monitored.runstats.observations)
     improved_plan = build_optimizer(
         database, injections=corrected, hint=hint
     ).optimize(query)
-    improved_results = {}
-    for mode in EXEC_MODES:
-        build = build_executable(improved_plan, database)
-        improved_results[mode] = execute(
-            build.root, database, cold_cache=True, mode=mode
-        )
-    for mode in EXEC_MODES[1:]:
-        entry.mismatches.extend(
-            diff_results(
-                improved_results["row"],
-                improved_results[mode],
-                mode,
-                "unmonitored P'",
-            )
-        )
+    diff_modes(improved_plan, (), "unmonitored P'")
     return entry
 
 
 def compare_workload(
-    database: Database,
+    engine: Engine,
     workload: Sequence[GeneratedQuery],
-    monitor_config: Optional[MonitorConfig] = None,
     base_injections: Optional[InjectionSet] = None,
     hint: Optional[PlanHint] = None,
 ) -> EquivalenceReport:
@@ -274,9 +252,8 @@ def compare_workload(
     return EquivalenceReport(
         queries=[
             compare_query(
-                database,
+                engine,
                 generated,
-                monitor_config=monitor_config,
                 base_injections=base_injections,
                 hint=hint,
             )
@@ -431,26 +408,41 @@ def _diff_merged_feedback(
             )
 
 
+def _diff_rows(
+    serial: QueryResult, sharded: QueryResult, context: str, out: list[str]
+) -> None:
+    if serial.rows != sharded.rows:
+        out.append(
+            f"{context}: result rows differ "
+            f"(serial={len(serial.rows)} rows, sharded={len(sharded.rows)} rows"
+            + (
+                ""
+                if len(serial.rows) != len(sharded.rows)
+                else ", same length but different content/order"
+            )
+            + ")"
+        )
+
+
 def compare_sharded_query(
-    database: Database,
-    coordinator: "ShardCoordinator",
+    serial: Engine,
+    coordinator: Engine,
     generated: GeneratedQuery,
     requests: Optional[Sequence[PageCountRequest]] = None,
-    monitor_config: Optional[MonitorConfig] = None,
     base_injections: Optional[InjectionSet] = None,
     exec_mode: str = DEFAULT_EXEC_MODE,
 ) -> QueryEquivalence:
     """Run one query serially and scatter-gathered, and diff everything.
 
     Mirrors :func:`compare_query`'s §V-B walk with the deployment as the
-    varying axis instead of the execution mode:
+    varying axis instead of the execution mode — both sides run through
+    their engine's :meth:`~repro.engine.Engine.execute_plan`:
 
-    1. the accurate-cardinality plan P runs monitored on the single
-       global database (the reference) and through
-       :meth:`~repro.shard.coordinator.ShardCoordinator.run_plan`; result
-       rows and columns must be bit-identical, and the merged
-       observations must match the serial ones (exact mechanisms to the
-       bit, inexact within :data:`SHARD_INEXACT_RTOL`);
+    1. the accurate-cardinality plan P runs monitored on ``serial`` (one
+       engine over the global database, the reference) and on
+       ``coordinator``; result rows and columns must be bit-identical,
+       and the merged observations must match the serial ones (exact
+       mechanisms to the bit, inexact within :data:`SHARD_INEXACT_RTOL`);
     2. the merged observations, harvested into a fresh
        :class:`FeedbackStore`, must leave the records a second fresh
        store holds after the serial harvest — the no-double-charging
@@ -465,9 +457,7 @@ def compare_sharded_query(
     rows, observations, merged feedback, and the resulting plan choice —
     is what must be invariant.
     """
-    monitor_config = (
-        monitor_config if monitor_config is not None else MonitorConfig()
-    )
+    database = serial.database
     injections = generated.injections(base_injections)
     query = generated.query
     request_list = (
@@ -479,51 +469,25 @@ def compare_sharded_query(
 
     plan = build_optimizer(database, injections=injections).optimize(query)
 
-    serial_build = build_executable(
-        plan, database, list(request_list), monitor_config
-    )
-    serial_result = execute(
-        serial_build.root, database, cold_cache=True, mode=exec_mode
-    )
-    # The shard engines run through the lifecycle, which appends the
-    # unanswerable leftovers to the runstats; mirror that here so both
-    # observation lists cover the full request set.
-    serial_observations = (
-        list(serial_result.runstats.observations) + serial_build.unanswerable
-    )
-
-    sharded = coordinator.run_plan(
+    serial_result = serial.execute_plan(
         query, plan, requests=request_list, exec_mode=exec_mode
-    )
-    merged_result = sharded.result
+    ).result
+    merged_result = coordinator.execute_plan(
+        query, plan, requests=request_list, exec_mode=exec_mode
+    ).result
+    serial_observations = serial_result.runstats.observations
+    merged_observations = merged_result.runstats.observations
     if serial_result.columns != merged_result.columns:
         entry.mismatches.append(
             f"monitored P: columns serial={serial_result.columns} "
             f"sharded={merged_result.columns}"
         )
-    if serial_result.rows != merged_result.rows:
-        entry.mismatches.append(
-            f"monitored P: result rows differ "
-            f"(serial={len(serial_result.rows)} rows, "
-            f"sharded={len(merged_result.rows)} rows"
-            + (
-                ""
-                if len(serial_result.rows) != len(merged_result.rows)
-                else ", same length but different content/order"
-            )
-            + ")"
-        )
+    _diff_rows(serial_result, merged_result, "monitored P", entry.mismatches)
     _diff_sharded_observations(
-        serial_observations,
-        list(merged_result.runstats.observations),
-        "monitored P",
-        entry.mismatches,
+        serial_observations, merged_observations, "monitored P", entry.mismatches
     )
     _diff_merged_feedback(
-        serial_observations,
-        merged_result.runstats.observations,
-        "feedback merge",
-        entry.mismatches,
+        serial_observations, merged_observations, "feedback merge", entry.mismatches
     )
 
     serial_corrected = injections.copy()
@@ -532,9 +496,7 @@ def compare_sharded_query(
         database, injections=serial_corrected
     ).optimize(query)
     sharded_corrected = injections.copy()
-    sharded_corrected.absorb_observations(
-        list(merged_result.runstats.observations)
-    )
+    sharded_corrected.absorb_observations(merged_observations)
     sharded_improved = build_optimizer(
         database, injections=sharded_corrected
     ).optimize(query)
@@ -545,19 +507,16 @@ def compare_sharded_query(
             f"{sharded_improved.render()!r}"
         )
     else:
-        improved_build = build_executable(serial_improved, database)
-        serial_prime = execute(
-            improved_build.root, database, cold_cache=True, mode=exec_mode
+        _diff_rows(
+            serial.execute_plan(
+                query, serial_improved, exec_mode=exec_mode
+            ).result,
+            coordinator.execute_plan(
+                query, serial_improved, exec_mode=exec_mode
+            ).result,
+            "unmonitored P'",
+            entry.mismatches,
         )
-        sharded_prime = coordinator.run_plan(
-            query, serial_improved, exec_mode=exec_mode
-        )
-        if serial_prime.rows != sharded_prime.result.rows:
-            entry.mismatches.append(
-                f"unmonitored P': result rows differ "
-                f"(serial={len(serial_prime.rows)} rows, "
-                f"sharded={len(sharded_prime.result.rows)} rows)"
-            )
     return entry
 
 
@@ -586,6 +545,7 @@ def compare_sharded_workload(
         if monitor_config is not None
         else MonitorConfig(dpsample_fraction=1.0)
     )
+    serial = Engine(database, monitor_config=monitor_config)
     coordinator = ShardCoordinator(
         database,
         num_shards=num_shards,
@@ -595,10 +555,9 @@ def compare_sharded_workload(
     try:
         queries = [
             compare_sharded_query(
-                database,
+                serial,
                 coordinator,
                 generated,
-                monitor_config=monitor_config,
                 base_injections=base_injections,
                 exec_mode=exec_mode,
             )

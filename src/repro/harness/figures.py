@@ -21,6 +21,7 @@ from repro.core.clustering import ClusteringMeasurement, measure_clustering
 from repro.core.dpc import exact_dpc
 from repro.core.planner import MonitorConfig, build_executable
 from repro.core.requests import AccessPathRequest
+from repro.engine import Engine
 from repro.exec.executor import DEFAULT_EXEC_MODE, execute
 from repro.harness.methodology import EvaluationOutcome, evaluate_workload
 from repro.harness.reporting import format_table, percent, summarize
@@ -181,9 +182,10 @@ def run_fig6_fig7(
     """The Fig. 6/7 experiment: 4 columns x N queries, selectivity 1-10%.
 
     ``shards > 1`` runs the same methodology against a scatter-gather
-    deployment: every T / T_monitored / T' is the merged makespan of a
-    range-partitioned :class:`~repro.shard.coordinator.ShardCoordinator`
-    fan-out, and step 4 re-optimizes on the shard-merged observations.
+    deployment — it only chooses which engine the one methodology walks:
+    every T / T_monitored / T' is then the makespan of a range-partitioned
+    :class:`~repro.shard.coordinator.ShardCoordinator` fan-out, and step
+    4 re-optimizes on the shard-merged observations.
     The plan transitions (the Fig. 6 shape) are identical to the serial
     run — :func:`repro.harness.equivalence.compare_sharded_workload`
     proves it — but the *speedups* change character: scans parallelize
@@ -202,22 +204,17 @@ def run_fig6_fig7(
         seed=seed,
     )
     if shards > 1:
-        from repro.harness.methodology import evaluate_workload_sharded
         from repro.shard.coordinator import ShardCoordinator
 
-        coordinator = ShardCoordinator(
+        engine: Engine = ShardCoordinator(
             database, num_shards=shards, monitor_config=monitor_config
         )
-        try:
-            outcomes = evaluate_workload_sharded(
-                coordinator, workload, exec_mode=exec_mode
-            )
-        finally:
-            coordinator.shutdown()
     else:
-        outcomes = evaluate_workload(
-            database, workload, monitor_config=monitor_config, exec_mode=exec_mode
-        )
+        engine = Engine(database, monitor_config=monitor_config)
+    try:
+        outcomes = evaluate_workload(engine, workload, exec_mode=exec_mode)
+    finally:
+        engine.shutdown()
     return SingleTableFiguresResult(outcomes=outcomes)
 
 
@@ -282,7 +279,7 @@ def run_fig8(
         dpsample_fraction=0.3
     )
     outcomes = evaluate_workload(
-        database, workload, monitor_config=config, exec_mode=exec_mode
+        Engine(database, monitor_config=config), workload, exec_mode=exec_mode
     )
     return JoinFigureResult(outcomes=outcomes)
 
@@ -523,6 +520,6 @@ def run_fig11(
             seed=seed,
         )
         result.outcomes_by_db[name] = evaluate_workload(
-            database, workload, monitor_config=monitor_config
+            Engine(database, monitor_config=monitor_config), workload
         )
     return result

@@ -18,26 +18,23 @@ identical times, so step 5 reuses T when the plan did not change.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.catalog.catalog import Database
-from repro.core.planner import MonitorConfig, build_executable
 from repro.core.requests import (
     AccessPathRequest,
     JoinMethodRequest,
     PageCountObservation,
     PageCountRequest,
 )
-from repro.exec.executor import DEFAULT_EXEC_MODE, execute
+from repro.engine import Engine
+from repro.exec.executor import DEFAULT_EXEC_MODE
 from repro.lifecycle.plan import build_optimizer
 from repro.optimizer.injection import InjectionSet
 from repro.optimizer.optimizer import JoinQuery, Query, SingleTableQuery
 from repro.optimizer.plans import PlanNode
 from repro.sql.predicates import Conjunction
 from repro.workloads.queries import GeneratedQuery
-
-if TYPE_CHECKING:
-    from repro.shard.coordinator import ShardCoordinator
 
 
 def default_requests(database: Database, query: Query) -> list[PageCountRequest]:
@@ -130,21 +127,29 @@ class EvaluationOutcome:
 
 
 def evaluate_query(
-    database: Database,
+    engine: Engine,
     generated: GeneratedQuery,
     requests: Optional[Sequence[PageCountRequest]] = None,
-    monitor_config: Optional[MonitorConfig] = None,
     base_injections: Optional[InjectionSet] = None,
     exec_mode: str = DEFAULT_EXEC_MODE,
 ) -> EvaluationOutcome:
     """Run the full §V-B methodology for one generated query.
+
+    ``engine`` is the deployment under evaluation: every execution goes
+    through its :meth:`~repro.engine.Engine.execute_plan` (cold, isolated,
+    monitored per the engine's own ``monitor_config``), so a serial
+    :class:`~repro.engine.Engine` and a
+    :class:`~repro.shard.coordinator.ShardCoordinator` walk the same six
+    steps — on the coordinator T / T_monitored / T' are fan-out makespans
+    and step 4 absorbs the shard-merged observations; planning happens
+    once, against the engine's (global) catalog, either way.
 
     ``exec_mode`` selects the execution drive for all three runs; the
     simulated times and observations are identical either way (see
     :mod:`repro.harness.equivalence`), batch mode just gets there with
     far less interpreter work per row.
     """
-    monitor_config = monitor_config if monitor_config is not None else MonitorConfig()
+    database = engine.database
     injections = generated.injections(base_injections)
     query = generated.query
     request_list = (
@@ -157,21 +162,15 @@ def evaluate_query(
     original_plan = build_optimizer(database, injections=injections).optimize(query)
 
     # 2. T: plan P, no monitoring.
-    plain = build_executable(original_plan, database)
-    time_original = execute(
-        plain.root, database, cold_cache=True, mode=exec_mode
+    time_original = engine.execute_plan(
+        query, original_plan, exec_mode=exec_mode
     ).elapsed_ms
 
     # 3. Monitored run of P.
-    monitored = build_executable(
-        original_plan, database, request_list, monitor_config
+    monitored = engine.execute_plan(
+        query, original_plan, requests=request_list, exec_mode=exec_mode
     )
-    monitored_result = execute(
-        monitored.root, database, cold_cache=True, mode=exec_mode
-    )
-    observations = (
-        list(monitored_result.runstats.observations) + monitored.unanswerable
-    )
+    observations = list(monitored.observations)
 
     # 4. Re-optimize with the feedback injected.
     corrected = injections.copy()
@@ -182,9 +181,8 @@ def evaluate_query(
     if improved_plan.signature() == original_plan.signature():
         time_improved = time_original
     else:
-        improved = build_executable(improved_plan, database)
-        time_improved = execute(
-            improved.root, database, cold_cache=True, mode=exec_mode
+        time_improved = engine.execute_plan(
+            query, improved_plan, exec_mode=exec_mode
         ).elapsed_ms
 
     return EvaluationOutcome(
@@ -192,7 +190,7 @@ def evaluate_query(
         original_plan=original_plan,
         improved_plan=improved_plan,
         time_original_ms=time_original,
-        time_monitored_ms=monitored_result.elapsed_ms,
+        time_monitored_ms=monitored.elapsed_ms,
         time_improved_ms=time_improved,
         observations=observations,
         requests=request_list,
@@ -200,101 +198,15 @@ def evaluate_query(
 
 
 def evaluate_workload(
-    database: Database,
+    engine: Engine,
     workload: Sequence[GeneratedQuery],
-    monitor_config: Optional[MonitorConfig] = None,
     base_injections: Optional[InjectionSet] = None,
     exec_mode: str = DEFAULT_EXEC_MODE,
 ) -> list[EvaluationOutcome]:
     """Evaluate every query in a workload (Figs. 6-8, 11)."""
     return [
         evaluate_query(
-            database,
-            generated,
-            monitor_config=monitor_config,
-            base_injections=base_injections,
-            exec_mode=exec_mode,
-        )
-        for generated in workload
-    ]
-
-
-def evaluate_query_sharded(
-    coordinator: "ShardCoordinator",
-    generated: GeneratedQuery,
-    requests: Optional[Sequence[PageCountRequest]] = None,
-    base_injections: Optional[InjectionSet] = None,
-    exec_mode: str = DEFAULT_EXEC_MODE,
-) -> EvaluationOutcome:
-    """Run §V-B against a sharded deployment instead of a single engine.
-
-    The same six steps, with every execution scatter-gathered through
-    :meth:`~repro.shard.coordinator.ShardCoordinator.run_plan`: planning
-    still happens once against the *global* catalog, T / T_monitored /
-    T' are the merged makespans (slowest shard + merge), and step 4
-    absorbs the *merged* observations — summed disjoint per-shard page
-    counts, so an exact DPC feeds the re-optimization exactly as in the
-    serial run.  Monitoring configuration comes from the coordinator
-    (its shard engines attach monitors shard-side).
-    """
-    database = coordinator.database
-    injections = generated.injections(base_injections)
-    query = generated.query
-    request_list = (
-        list(requests)
-        if requests is not None
-        else default_requests(database, query)
-    )
-
-    # 1. Plan P under accurate cardinalities (once, at the coordinator).
-    original_plan = build_optimizer(database, injections=injections).optimize(query)
-
-    # 2. T: plan P fanned out, no monitoring.
-    time_original = coordinator.run_plan(
-        query, original_plan, exec_mode=exec_mode
-    ).result.runstats.elapsed_ms
-
-    # 3. Monitored scatter-gather run of P; observations arrive merged.
-    monitored = coordinator.run_plan(
-        query, original_plan, requests=request_list, exec_mode=exec_mode
-    )
-    observations = list(monitored.result.runstats.observations)
-
-    # 4. Re-optimize with the merged feedback injected.
-    corrected = injections.copy()
-    corrected.absorb_observations(observations)
-    improved_plan = build_optimizer(database, injections=corrected).optimize(query)
-
-    # 5./6. T' (identical plan -> identical deterministic makespan).
-    if improved_plan.signature() == original_plan.signature():
-        time_improved = time_original
-    else:
-        time_improved = coordinator.run_plan(
-            query, improved_plan, exec_mode=exec_mode
-        ).result.runstats.elapsed_ms
-
-    return EvaluationOutcome(
-        generated=generated,
-        original_plan=original_plan,
-        improved_plan=improved_plan,
-        time_original_ms=time_original,
-        time_monitored_ms=monitored.result.runstats.elapsed_ms,
-        time_improved_ms=time_improved,
-        observations=observations,
-        requests=request_list,
-    )
-
-
-def evaluate_workload_sharded(
-    coordinator: "ShardCoordinator",
-    workload: Sequence[GeneratedQuery],
-    base_injections: Optional[InjectionSet] = None,
-    exec_mode: str = DEFAULT_EXEC_MODE,
-) -> list[EvaluationOutcome]:
-    """Evaluate a workload through one sharded deployment."""
-    return [
-        evaluate_query_sharded(
-            coordinator,
+            engine,
             generated,
             base_injections=base_injections,
             exec_mode=exec_mode,

@@ -20,7 +20,12 @@ input is versioned:
 
 Logically the cache is keyed on (query key, injection fingerprint,
 freshness vector); physically the vector lives *in the entry* and is
-compared on lookup, so superseded epochs do not pile up as dead entries.
+compared on lookup.  That keeps superseded *statistics versions* from
+piling up as dead entries, but not superseded feedback: a
+``use_feedback`` key's injection fingerprint hashes the whole lowered
+store, so any harvest (or partial reopt write) anywhere moves the key,
+the lookup misses instead of invalidating, and the old entry stays
+until LRU eviction (ROADMAP, open items).
 
 Lookups are **stampede-safe**: concurrent misses on the same key
 serialize on a per-key build lock, so one thread optimizes while the

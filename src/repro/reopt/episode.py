@@ -205,11 +205,7 @@ def run_with_reopt(
     trace.record("reopt-trip", "ok", watchdog.trip_detail)
 
     partials = harvest_partials(watchdog)
-    if session.feedback_lock is None:
-        stored = session.feedback.record_partial_observations(partials)
-    else:
-        with session.feedback_lock:
-            stored = session.feedback.record_partial_observations(partials)
+    stored = session.feedback.record_partial_observations(partials)
     trace.record(
         "reopt-harvest",
         "ok",

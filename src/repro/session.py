@@ -24,7 +24,7 @@ cached plan is never stale.  The last run's stage-by-stage record is in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, ContextManager, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.analysis.findings import Finding, errors, render_findings
 from repro.analysis.planlint import lint_plan
@@ -67,11 +67,6 @@ class Session:
     lint_plans: bool = True
     strict_lint: bool = False
     lint_findings: list[Finding] = field(default_factory=list)
-    #: Acquired around feedback-store writes when the session shares its
-    #: :class:`~repro.core.feedback.FeedbackStore` with concurrent sessions
-    #: (an :class:`~repro.engine.Engine` sets this; standalone sessions
-    #: leave it None and write directly).  Any context-manager lock works.
-    feedback_lock: Optional[ContextManager[Any]] = None
     #: Shared plan cache (an Engine wires its own in).  ``None`` means
     #: every optimize is fresh — the plan-cache stage reports "bypassed".
     plan_cache: Optional[PlanCache] = None
@@ -231,9 +226,6 @@ class Session:
     # ------------------------------------------------------------------
     def remember(self, executed: ExecutedQuery) -> int:
         """Harvest an executed query's page-count feedback; returns the
-        number of observations stored.  Serialized under
-        :attr:`feedback_lock` when the store is shared."""
-        if self.feedback_lock is None:
-            return self.feedback.record_run(executed.result.runstats)
-        with self.feedback_lock:
-            return self.feedback.record_run(executed.result.runstats)
+        number of observations stored (the store serializes the batch,
+        so sessions sharing one may call this concurrently)."""
+        return self.feedback.record_run(executed.result.runstats)

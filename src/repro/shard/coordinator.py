@@ -22,9 +22,9 @@ as:
    2x *slower* in batch mode, EXPERIMENTS.md), and an error or
    :class:`~repro.common.errors.QueryCancelled` in shard *k* propagates
    as itself with shards after *k* never started;
-3. **merge** — per-shard row streams recombine through the exec-layer
-   gather operators (:mod:`repro.exec.merge`), per-shard observations
-   merge by summing disjoint page counts
+3. **merge** — a sum (:func:`merge_shard_runs`): every plan the
+   optimizer emits is a scalar ``COUNT``, so the shards' partial counts
+   add up, per-shard observations merge by summing disjoint page counts
    (:func:`repro.core.feedback.merge_page_count_observations`), and —
    when the item asks to remember — the merged observations are
    harvested into the coordinator's one
@@ -53,14 +53,13 @@ from repro.core.feedback import merge_page_count_observations
 from repro.core.planner import MonitorConfig
 from repro.core.requests import PageCountRequest
 from repro.engine.engine import Engine, WorkloadItem
-from repro.exec.executor import DEFAULT_EXEC_MODE, QueryResult, execute
-from repro.exec.merge import ShardStream, gather_for_plan
-from repro.exec.runstats import RunStats
+from repro.exec.executor import DEFAULT_EXEC_MODE, QueryResult
+from repro.exec.runstats import OperatorStats, RunStats
 from repro.lifecycle.plancache import PlanCache
 from repro.lifecycle.runner import ExecutedQuery
 from repro.optimizer.optimizer import Query
 from repro.optimizer.pagecount_model import AnalyticalPageCountModel
-from repro.optimizer.plans import PlanNode
+from repro.optimizer.plans import CountPlan, PlanNode
 from repro.session import Session
 from repro.shard.partition import partition_database
 
@@ -70,6 +69,45 @@ class ShardedExecutedQuery(ExecutedQuery):
     """A merged execution result plus the per-shard executions behind it."""
 
     shard_results: list[ExecutedQuery] = field(default_factory=list)
+
+
+def merge_shard_runs(shard_runs: Sequence[ExecutedQuery]) -> QueryResult:
+    """Sum the shards' scalar ``COUNT`` partials into the global answer.
+
+    Free, like the partial counts it adds: every row was charged on its
+    shard's own accounting context.  The merged :class:`RunStats` graft
+    the per-shard stats trees under one root, so ``render()`` still shows
+    the fan-out.
+    """
+    shard_stats = [run.result.runstats for run in shard_runs]
+    root = OperatorStats(
+        operator="ShardSum",
+        detail=f"{len(shard_runs)} shard(s)",
+        actual_rows=1,
+        children=[stats.root for stats in shard_stats],
+    )
+    runstats = RunStats(
+        root=root,
+        execution_mode=shard_stats[0].execution_mode,
+        # Makespan of the parallel fan-out: shards execute concurrently,
+        # so the deployment's simulated time is the slowest shard's.
+        elapsed_ms=max(s.elapsed_ms for s in shard_stats),
+        io_ms=max(s.io_ms for s in shard_stats),
+        cpu_ms=max(s.cpu_ms for s in shard_stats),
+        random_reads=sum(s.random_reads for s in shard_stats),
+        sequential_reads=sum(s.sequential_reads for s in shard_stats),
+        logical_reads=sum(s.logical_reads for s in shard_stats),
+        pool_hits=sum(s.pool_hits for s in shard_stats),
+        observations=merge_page_count_observations(
+            [stats.observations for stats in shard_stats]
+        ),
+    )
+    total = sum(run.result.scalar() for run in shard_runs)
+    return QueryResult(
+        rows=[(total,)],
+        runstats=runstats,
+        columns=shard_runs[0].result.columns,
+    )
 
 
 class ShardCoordinator(Engine):
@@ -127,55 +165,6 @@ class ShardCoordinator(Engine):
         return drained
 
     # ------------------------------------------------------------------
-    # Merge
-    # ------------------------------------------------------------------
-    def _merge(
-        self,
-        plan: PlanNode,
-        item: WorkloadItem,
-        shard_runs: Sequence[ExecutedQuery],
-    ) -> QueryResult:
-        streams = [
-            ShardStream(
-                shard_index=index,
-                rows=run.result.rows,
-                columns=run.result.columns,
-                shard_root_stats=run.result.runstats.root,
-            )
-            for index, run in enumerate(shard_runs)
-        ]
-        gather = gather_for_plan(plan, streams, self.database)
-        merged = execute(
-            gather,
-            self.database,
-            io=self.database.new_io_context(isolated=True),
-            mode=item.exec_mode,
-        )
-        shard_stats = [run.result.runstats for run in shard_runs]
-        merged_observations = merge_page_count_observations(
-            [stats.observations for stats in shard_stats]
-        )
-        runstats = RunStats(
-            root=merged.runstats.root,
-            # Makespan of the parallel fan-out: shards execute
-            # concurrently, so the deployment's simulated time is the
-            # slowest shard's (plus the free merge pass).
-            elapsed_ms=max(s.elapsed_ms for s in shard_stats)
-            + merged.runstats.elapsed_ms,
-            io_ms=max(s.io_ms for s in shard_stats),
-            cpu_ms=max(s.cpu_ms for s in shard_stats),
-            random_reads=sum(s.random_reads for s in shard_stats),
-            sequential_reads=sum(s.sequential_reads for s in shard_stats),
-            logical_reads=sum(s.logical_reads for s in shard_stats),
-            pool_hits=sum(s.pool_hits for s in shard_stats),
-            execution_mode=merged.runstats.execution_mode,
-            observations=merged_observations,
-        )
-        return QueryResult(
-            rows=merged.rows, runstats=runstats, columns=merged.columns
-        )
-
-    # ------------------------------------------------------------------
     # Execution: the two Engine entry points that differ
     # ------------------------------------------------------------------
     def execute(
@@ -202,40 +191,53 @@ class ShardCoordinator(Engine):
             plan = session.optimize(
                 item.query, use_feedback=item.use_feedback, hint=item.hint
             )
-            trace = session.last_trace
-            executed = self.run_plan(
-                item.query,
-                plan,
-                requests=item.requests,
-                exec_mode=item.exec_mode,
-                cancellation=cancellation,
+            executed = self._fan_out(
+                item.query, plan, item.requests, item.exec_mode, cancellation
             )
             if item.remember:
                 self.harvest_observations(executed.observations)
-            executed.trace = trace
+            executed.trace = session.last_trace
             return executed
         finally:
             self._end_execution()
 
-    def run_plan(
+    def execute_plan(
         self,
         query: Query,
         plan: PlanNode,
         requests: Sequence[PageCountRequest] = (),
         exec_mode: str = DEFAULT_EXEC_MODE,
+        session: Optional[Session] = None,
         cancellation: Optional[CancellationToken] = None,
     ) -> ShardedExecutedQuery:
-        """Scatter an already-optimized plan, gather, and merge.
+        """Fan an already-optimized plan out and merge — the sharded
+        form of :meth:`Engine.execute_plan`, under the same lifecycle
+        accounting (shutdown drains it, post-shutdown calls raise).
 
-        The lower half of :meth:`execute`; the methodology harness uses
-        it directly because §V-B's steps hand the coordinator explicit
-        plans (P, then P').  Feedback is *not* harvested here.
+        The §V-B harness hands explicit plans (P, then P') to whichever
+        engine it was given; feedback is *not* harvested here.
+        ``session`` is the base signature's: shard engines execute under
+        sessions of their own, so a caller's session plays no part.
         """
-        item = WorkloadItem(
-            query=query,
-            requests=tuple(requests),
-            exec_mode=exec_mode,
-        )
+        self._begin_execution()
+        try:
+            return self._fan_out(query, plan, requests, exec_mode, cancellation)
+        finally:
+            self._end_execution()
+
+    def _fan_out(
+        self,
+        query: Query,
+        plan: PlanNode,
+        requests: Sequence[PageCountRequest],
+        exec_mode: str,
+        cancellation: Optional[CancellationToken],
+    ) -> ShardedExecutedQuery:
+        if not isinstance(plan, CountPlan):
+            raise EngineError(
+                "a sharded deployment merges scalar COUNT partials only; "
+                f"plan root {plan.describe()} is not a CountPlan"
+            )
         shard_runs = [
             engine.execute_plan(
                 query,
@@ -246,11 +248,10 @@ class ShardCoordinator(Engine):
             )
             for engine in self.engines
         ]
-        result = self._merge(plan, item, shard_runs)
         return ShardedExecutedQuery(
             query=query,
             plan=plan,
-            result=result,
+            result=merge_shard_runs(shard_runs),
             shard_results=shard_runs,
         )
 

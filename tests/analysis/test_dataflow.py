@@ -212,6 +212,49 @@ class Batch:
 """
         assert fired({"pkg/harness/batch.py": source}, ["C003"]) == set()
 
+    #: ``Engine.execute_plan`` runs a whole plan; nothing in its body says
+    #: so to the analysis, which is why it is a blocking seed by name.
+    ENGINE = """
+class Engine:
+    def execute_plan(self, query, plan):
+        return plan
+"""
+
+    def test_fires_on_execute_plan_called_on_the_loop(self):
+        source = """
+from pkg.engine import Engine
+
+class Service:
+    def __init__(self):
+        self.engine = Engine()
+
+    async def handle(self, query, plan):
+        return self.engine.execute_plan(query, plan)
+"""
+        findings = findings_for(
+            {"pkg/engine.py": self.ENGINE, "pkg/service/svc.py": source}, ["C003"]
+        )
+        assert [f.rule for f in findings] == ["C003"]
+        assert "Engine.execute_plan" in findings[0].message
+
+    def test_silent_when_execute_plan_hops_to_the_executor(self):
+        source = """
+import asyncio
+from pkg.engine import Engine
+
+class Service:
+    def __init__(self):
+        self.engine = Engine()
+
+    async def handle(self, query, plan):
+        loop = asyncio.get_running_loop()
+        return await loop.run_in_executor(
+            None, self.engine.execute_plan, query, plan
+        )
+"""
+        sources = {"pkg/engine.py": self.ENGINE, "pkg/service/svc.py": source}
+        assert fired(sources, ["C003"]) == set()
+
 
 # ----------------------------------------------------------------------
 # F001 — drive loops in exec/ must checkpoint on every path

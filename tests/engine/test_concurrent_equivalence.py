@@ -9,6 +9,7 @@ were deltas of a global clock, so any interleaving corrupted them.
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
@@ -121,7 +122,7 @@ class TestConcurrentEquivalence:
 class TestSharedFeedback:
     def test_concurrent_remembering_is_serialized(self, synthetic_db):
         """All threads write observations into one FeedbackStore without
-        losing records (writes go through the engine's lock)."""
+        losing records (the store serializes each batch)."""
         engine = Engine(synthetic_db)
         items = [
             WorkloadItem(
@@ -145,8 +146,49 @@ class TestSharedFeedback:
         assert len(engine.feedback) == 1
 
     def test_sessions_share_lock_instance(self, synthetic_db):
+        # The store is the shared instance, and the one lock is its own.
         engine = Engine(synthetic_db)
         first, second = engine.session(), engine.session()
-        assert first.feedback_lock is second.feedback_lock
         assert first.feedback is engine.feedback
-        assert isinstance(first.feedback_lock, type(threading.Lock()))
+        assert second.feedback is engine.feedback
+
+    def test_eight_threads_remembering_bump_once_per_nonempty_batch(
+        self, synthetic_db
+    ):
+        """No lock above the store: ``Session.remember`` from 8 threads
+        advances the epoch exactly once per batch that stored something
+        (a lost or doubled ``_bump`` would miss the count)."""
+        engine = Engine(synthetic_db)
+        monitored = [engine.execute(item) for item in workload()[:3]]
+        unmonitored = engine.execute(WorkloadItem(query=query_on("c5", 400)))
+        assert all(run.observations for run in monitored)
+        assert not unmonitored.observations
+        rounds, num_threads = 25, 8
+        gate = threading.Barrier(num_threads)
+        failures: list[Exception] = []
+
+        def remember_all() -> None:
+            session = engine.session()
+            try:
+                gate.wait(timeout=10.0)
+                for _ in range(rounds):
+                    for run in (*monitored, unmonitored):
+                        session.remember(run)
+            except Exception as exc:  # surfaced by the assert below
+                failures.append(exc)
+
+        threads = [
+            threading.Thread(target=remember_all) for _ in range(num_threads)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not failures and not any(t.is_alive() for t in threads)
+        assert engine.feedback.epoch == num_threads * rounds * len(monitored)
+        assert len(engine.feedback) == len(monitored)

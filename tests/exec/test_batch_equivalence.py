@@ -13,6 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.planner import MonitorConfig
+from repro.engine import Engine
 from repro.exec.scans import SeqScan
 from repro.harness import compare_workload
 from repro.optimizer import PlanHint, SingleTableQuery
@@ -25,6 +26,10 @@ from repro.workloads import (
     single_table_workload,
 )
 from repro.workloads.queries import GeneratedQuery, multi_predicate_query
+
+
+#: Fig. 8's sampling fraction (``run_fig8``'s default monitor config).
+FIG8_MONITORS = MonitorConfig(dpsample_fraction=0.3)
 
 
 @pytest.fixture(scope="module")
@@ -56,7 +61,7 @@ def test_single_table_workload_row_batch_equivalent(equivalence_db, chunk_scans)
         selectivity_range=(0.01, 0.10),
         seed=0,
     )
-    report = compare_workload(equivalence_db, workload)
+    report = compare_workload(Engine(equivalence_db), workload)
     assert report.ok, report.render()
     # The proof covers the column-chunk path both ways: the monitored P
     # runs are table scans under the count, and so are several of the
@@ -75,9 +80,8 @@ def test_join_workload_row_batch_equivalent(equivalence_db, chunk_scans):
         seed=3,
     )
     report = compare_workload(
-        equivalence_db,
+        Engine(equivalence_db, monitor_config=FIG8_MONITORS),
         workload,
-        monitor_config=MonitorConfig(dpsample_fraction=0.3),
     )
     assert report.ok, report.render()
     # These joins build on the filtered side, so the DPC request (keyed to
@@ -100,9 +104,8 @@ def test_fig8_join_workload_row_batch_equivalent(equivalence_db, chunk_scans, ba
         seed=3,
     )
     report = compare_workload(
-        equivalence_db,
+        Engine(equivalence_db, monitor_config=FIG8_MONITORS),
         workload,
-        monitor_config=MonitorConfig(dpsample_fraction=0.3),
     )
     assert report.ok, report.render()
     monitored = [
@@ -166,8 +169,8 @@ def test_index_plan_workloads_row_batch_equivalent(equivalence_db, backend, monk
     for kind, workload in _index_plan_workloads(equivalence_db).items():
         del chunked[:]
         report = compare_workload(
-            equivalence_db, workload, hint=PlanHint(kind),
-            monitor_config=MonitorConfig(dpsample_fraction=0.3),
+            Engine(equivalence_db, monitor_config=FIG8_MONITORS),
+            workload, hint=PlanHint(kind),
         )
         assert report.ok, f"{kind}: {report.render()}"
         # P and P' of every query ran the batch drive of its index plan.
@@ -188,7 +191,7 @@ def test_single_table_workload_equivalent_python_backend(equivalence_db):
         seed=11,
     )
     with vector.use_python_backend():
-        report = compare_workload(equivalence_db, workload)
+        report = compare_workload(Engine(equivalence_db), workload)
     assert report.ok, report.render()
 
 
@@ -200,7 +203,7 @@ def test_equivalence_report_renders_per_query(equivalence_db):
         queries_per_column=1,
         seed=7,
     )
-    report = compare_workload(equivalence_db, workload)
+    report = compare_workload(Engine(equivalence_db), workload)
     rendered = report.render()
     assert "row≡batch equivalence: 1 queries, 0 mismatched" in rendered
     assert "OK" in rendered

@@ -16,7 +16,8 @@ LAYERS = (
     "repro.session.Session.run",
     "repro.engine.engine.WorkloadItem",
     "repro.engine.engine.Engine.execute_plan",
-    "repro.shard.coordinator.ShardCoordinator.run_plan",
+    "repro.shard.coordinator.ShardCoordinator.execute_plan",
+    "repro.harness.methodology.evaluate_query",
     "repro.service.protocol.QueryRequest",
     "repro.reopt.episode.run_with_reopt",
     "repro.harness.loadgen.LoadSpec",
@@ -78,3 +79,26 @@ def test_oracle_and_retired_spelling_stay_reachable_by_name(synthetic_db):
         result = execute(root, synthetic_db, mode=mode)
         ran[mode] = result.runstats.execution_mode
     assert ran == {"row": "row", "batch": "batch", "columnar": "batch"}
+
+
+def test_merge_join_is_the_only_operator_on_the_rows_adapter():
+    """Every other operator in ``repro.exec`` has a batch drive of its
+    own; ``Operator.batches`` (chunked ``rows()``) serves merge join."""
+    import repro.exec
+    from repro.exec.base import Operator
+
+    for module_info in pkgutil.walk_packages(repro.exec.__path__, "repro.exec."):
+        importlib.import_module(module_info.name)
+
+    def descendants(cls):
+        for child in cls.__subclasses__():
+            yield child
+            yield from descendants(child)
+
+    adapted = {
+        cls.__name__
+        for cls in descendants(Operator)
+        if cls.__module__.startswith("repro.exec.")
+        and cls.batches is Operator.batches
+    }
+    assert adapted == {"MergeJoin"}

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.core.planner import MonitorConfig
 from repro.core.requests import AccessPathRequest, JoinMethodRequest
+from repro.engine import Engine
 from repro.harness.methodology import (
     EvaluationOutcome,
     default_requests,
@@ -10,6 +12,7 @@ from repro.harness.methodology import (
 )
 from repro.harness.reporting import format_table, percent, summarize
 from repro.optimizer import JoinQuery, SingleTableQuery
+from repro.shard import ShardCoordinator
 from repro.sql import Comparison, JoinEquality, conjunction_of
 from repro.workloads.queries import GeneratedQuery, single_table_workload, join_workload
 
@@ -72,7 +75,7 @@ class TestEvaluateQuery:
         (generated,) = single_table_workload(
             synthetic_db, "t", ["c2"], 1, selectivity_range=(0.02, 0.05), seed=2
         )
-        outcome = evaluate_query(synthetic_db, generated)
+        outcome = evaluate_query(Engine(synthetic_db), generated)
         assert outcome.plan_changed
         assert outcome.speedup > 0.2
         assert outcome.time_improved_ms < outcome.time_original_ms
@@ -81,7 +84,7 @@ class TestEvaluateQuery:
         (generated,) = single_table_workload(
             synthetic_db, "t", ["c5"], 1, selectivity_range=(0.02, 0.05), seed=2
         )
-        outcome = evaluate_query(synthetic_db, generated)
+        outcome = evaluate_query(Engine(synthetic_db), generated)
         assert not outcome.plan_changed
         assert outcome.speedup == 0.0
 
@@ -89,14 +92,14 @@ class TestEvaluateQuery:
         (generated,) = single_table_workload(
             synthetic_db, "t", ["c3"], 1, seed=3
         )
-        outcome = evaluate_query(synthetic_db, generated)
+        outcome = evaluate_query(Engine(synthetic_db), generated)
         assert 0.0 <= outcome.overhead < 0.05
 
     def test_join_query_end_to_end(self, join_db):
         (generated,) = join_workload(
             join_db, "t1", "t", ["c2"], 1, selectivity_range=(0.01, 0.02), seed=4
         )
-        outcome = evaluate_query(join_db, generated)
+        outcome = evaluate_query(Engine(join_db), generated)
         assert outcome.observations
         assert outcome.original_plan.access_method() == "HashJoinPlan"
         assert outcome.improved_plan.access_method() == "INLJoinPlan"
@@ -104,7 +107,7 @@ class TestEvaluateQuery:
 
     def test_summary_renders(self, synthetic_db):
         (generated,) = single_table_workload(synthetic_db, "t", ["c2"], 1, seed=5)
-        outcome = evaluate_query(synthetic_db, generated)
+        outcome = evaluate_query(Engine(synthetic_db), generated)
         text = outcome.summary()
         assert "speedup=" in text and "overhead=" in text
 
@@ -124,6 +127,94 @@ class TestEvaluateQuery:
             time_improved_ms=0.0,
         )
         assert outcome.speedup == 0.0 and outcome.overhead == 0.0
+
+
+#: §V-B on a fixed Fig. 6 / Fig. 8 slice, captured at the last commit
+#: whose harness forked per topology (``evaluate_query(database, ...)``
+#: serial, ``evaluate_query_sharded(coordinator, ...)`` at 4 shards):
+#: ``label -> (repr(T), repr(T_monitored), repr(T'))``.
+PINNED_TIMES = {
+    "serial": {
+        "c2#0": ("36.34999999999988", "36.54999999999987", "14.212"),
+        "c5#0": ("36.23949999999988", "36.43949999999987", "36.23949999999988"),
+        "join-c1#0": ("40.79039999999987", "41.664999999999864", "12.623999999999942"),
+        "join-c2#0": ("40.74559999999987", "41.60739999999987", "12.9968"),
+    },
+    "sharded": {
+        "c2#0": ("9.475900000000003", "9.526270000000004", "14.212"),
+        "c5#0": ("9.132900000000003", "9.183270000000002", "9.132900000000003"),
+        "join-c1#0": ("10.923700000000004", "11.196270000000004", "12.623999999999942"),
+        "join-c2#0": ("10.878900000000005", "11.138670000000005", "12.9968"),
+    },
+}
+#: ``label -> (P, P')`` signatures — the same on both topologies.
+PINNED_PLANS = {
+    "c2#0": (
+        "Count(padding) | SeqScan(t | c2 < 860)",
+        "Count(padding) | IndexSeek(t.ix_c2 | c2 < 860 residual TRUE)",
+    ),
+    "c5#0": (
+        "Count(padding) | SeqScan(t | c5 < 639)",
+        "Count(padding) | SeqScan(t | c5 < 639)",
+    ),
+    "join-c1#0": (
+        "Count(t.padding) | HashJoin(build=t1, probe=t | t1.c1 = t.c1) | "
+        "ClusteredRangeScan(t1 | c1 < 336 residual TRUE) | SeqScan(t | TRUE)",
+        "Count(t.padding) | INLJoin(inner=t via clustered-key | t1.c1 = t.c1) | "
+        "ClusteredRangeScan(t1 | c1 < 336 residual TRUE)",
+    ),
+    "join-c2#0": (
+        "Count(t.padding) | HashJoin(build=t1, probe=t | t1.c2 = t.c2) | "
+        "ClusteredRangeScan(t1 | c1 < 304 residual TRUE) | SeqScan(t | TRUE)",
+        "Count(t.padding) | INLJoin(inner=t via ix_c2 | t1.c2 = t.c2) | "
+        "ClusteredRangeScan(t1 | c1 < 304 residual TRUE)",
+    ),
+}
+
+
+@pytest.mark.parametrize("topology", ["serial", "sharded"])
+def test_no_figure_moved_on_either_topology(topology, synthetic_db, join_db):
+    """One ``evaluate_query`` over ``Engine.execute_plan`` reproduces, bit
+    for bit, what the two per-topology walks it replaced measured."""
+
+    def engine_over(database, monitor_config=None):
+        if topology == "sharded":
+            return ShardCoordinator(
+                database, num_shards=4, monitor_config=monitor_config
+            )
+        return Engine(database, monitor_config=monitor_config)
+
+    fig6 = engine_over(synthetic_db)
+    fig8 = engine_over(join_db, MonitorConfig(dpsample_fraction=0.3))
+    slices = [
+        (fig6, generated)
+        for generated in single_table_workload(
+            synthetic_db, "t", ["c2", "c5"], 1, selectivity_range=(0.02, 0.05), seed=2
+        )
+    ] + [
+        (fig8, generated)
+        for generated in join_workload(
+            join_db, "t1", "t", ["c1", "c2"], 1, selectivity_range=(0.01, 0.02), seed=4
+        )
+    ]
+    times, plans = {}, {}
+    try:
+        for engine, generated in slices:
+            outcome = evaluate_query(engine, generated)
+            times[generated.label] = (
+                repr(outcome.time_original_ms),
+                repr(outcome.time_monitored_ms),
+                repr(outcome.time_improved_ms),
+            )
+            plans[generated.label] = (
+                outcome.original_plan.signature(),
+                outcome.improved_plan.signature(),
+            )
+    finally:
+        fig6.shutdown()
+        fig8.shutdown()
+    assert times == PINNED_TIMES[topology]
+    assert plans == PINNED_PLANS
 
 
 class TestReporting:

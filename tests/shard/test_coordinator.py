@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
+import threading
 
 import pytest
 
@@ -12,10 +14,11 @@ from repro.core.feedback import FeedbackStore, partial_page_count_observation
 from repro.core.requests import AccessPathRequest, JoinMethodRequest, Mechanism
 from repro.engine.engine import Engine, WorkloadItem
 from repro.harness.equivalence import SHARD_INEXACT_RTOL
-from repro.optimizer import SingleTableQuery
+from repro.harness.regret import plan_regret
+from repro.optimizer import PlanHint, SingleTableQuery
 from repro.service import QueryRequest, QueryService, WorkerPool, WorkerSpec
 from repro.session import Session
-from repro.shard import ShardCoordinator
+from repro.shard import ShardCoordinator, ShardedExecutedQuery
 from repro.sql import Comparison, JoinEquality, conjunction_of
 from repro.workloads import build_synthetic_database
 
@@ -132,13 +135,85 @@ class TestExecution:
         injections = coordinator.feedback.to_injections()
         assert injections.access_page_count("t", request.expression) == 7.0
 
-    def test_run_plan_does_not_harvest(self, coordinator):
+    def test_execute_plan_does_not_harvest(self, coordinator):
         query = _query()
         session = coordinator.session()
         plan = session.optimize(query)
         request = AccessPathRequest("t", query.predicate)
-        coordinator.run_plan(query, plan, requests=(request,))
+        coordinator.execute_plan(query, plan, requests=(request,))
         assert coordinator.feedback.epoch == 0
+
+
+class TestExecutePlan:
+    """``execute_plan`` is the fan-out, not the inherited unsharded run."""
+
+    def test_fans_out_and_reports_the_makespan(self, database, coordinator):
+        query = _query(value=5_000)
+        plan = coordinator.session().optimize(query)
+        request = AccessPathRequest("t", query.predicate)
+        executed = coordinator.execute_plan(query, plan, requests=(request,))
+        assert isinstance(executed, ShardedExecutedQuery)
+        assert len(executed.shard_results) == NUM_SHARDS
+        assert executed.elapsed_ms == max(
+            run.elapsed_ms for run in executed.shard_results
+        )
+        serial = Engine(database).execute_plan(query, plan, requests=(request,))
+        assert executed.result.rows == serial.result.rows
+        assert executed.elapsed_ms < serial.elapsed_ms / 3
+        # The merged stats tree still shows the fan-out.
+        root = executed.result.runstats.root
+        assert [child.operator for child in root.children] == [
+            run.result.runstats.root.operator for run in executed.shard_results
+        ]
+        assert root.operator in executed.result.runstats.render()
+
+    def test_plan_regret_measures_the_sharded_deployment(
+        self, database, coordinator
+    ):
+        query = _query(value=5_000)
+        regret = plan_regret(
+            coordinator, query, alternatives=(PlanHint("index_seek"),)
+        )
+        sharded = coordinator.execute_plan(query, regret.chosen_plan)
+        serial = Engine(database).execute_plan(query, regret.chosen_plan)
+        assert regret.chosen_ms == sharded.elapsed_ms != serial.elapsed_ms
+        seek_plan, seek_ms = regret.alternatives["index_seek"]
+        assert seek_ms == coordinator.execute_plan(query, seek_plan).elapsed_ms
+
+    def test_non_count_root_is_refused_before_any_shard_runs(self, coordinator):
+        query = _query()
+        scan = coordinator.session().optimize(query).child
+        started: list = []
+        for engine in coordinator.engines:
+            _spy_on_execute_plan(engine, started)
+        with pytest.raises(EngineError, match="not a CountPlan") as raised:
+            coordinator.execute_plan(query, scan)
+        assert scan.describe() in str(raised.value)
+        assert started == []
+        assert coordinator.active_executions == 0
+
+    def test_drain_waits_for_a_direct_execute_plan(self, coordinator):
+        """The last shard has finished but the fan-out has not returned:
+        only the coordinator's own accounting can hold the drain."""
+        query = _query(value=5_000)
+        plan = coordinator.session().optimize(query)
+        last_shard_done, release = threading.Event(), threading.Event()
+
+        def hold_the_fan_out() -> None:
+            last_shard_done.set()
+            release.wait(timeout=5.0)
+
+        _spy_on_execute_plan(coordinator.engines[-1], [], after=hold_the_fan_out)
+        with concurrent.futures.ThreadPoolExecutor(max_workers=1) as pool:
+            running = pool.submit(coordinator.execute_plan, query, plan)
+            assert last_shard_done.wait(timeout=5.0)
+            assert coordinator.active_executions == 1
+            assert coordinator.shutdown(drain=True, timeout=0.05) is False
+            release.set()
+            assert coordinator.shutdown(drain=True, timeout=5.0) is True
+            executed = running.result(timeout=5.0)
+        assert len(executed.shard_results) == NUM_SHARDS
+        assert coordinator.active_executions == 0
 
 
 def _spy_on_execute_plan(engine, started: list, after=None) -> None:
@@ -226,6 +301,7 @@ class TestFailureSettling:
 class TestLifecycle:
     def test_shutdown_cascades_and_rejects_new_work(self, database):
         coordinator = ShardCoordinator(database, num_shards=2)
+        plan = coordinator.session().optimize(_query())
         assert not coordinator.closed
         assert coordinator.shutdown(drain=True, timeout=5.0)
         assert coordinator.closed
@@ -233,6 +309,8 @@ class TestLifecycle:
             assert engine.closed
         with pytest.raises(EngineError):
             coordinator.execute(WorkloadItem(query=_query()))
+        with pytest.raises(EngineError, match="shut down"):
+            coordinator.execute_plan(_query(), plan)
         with pytest.raises(EngineError):
             coordinator.session()
 
