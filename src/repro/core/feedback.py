@@ -20,11 +20,9 @@ that epoch (:meth:`table_epoch`).  Consumers that cache anything derived
 from the store — most importantly the
 :class:`~repro.lifecycle.PlanCache` — key their entries on the epochs of
 the tables a plan touches, so a remembered page count can never silently
-serve a plan built from superseded feedback.  The lowering itself is
-memoized per epoch: repeated :meth:`to_injections` calls between writes
-reuse one frozen injection set instead of rebuilding it record by record.
+serve a plan built from superseded feedback.
 
-The store is internally thread-safe: all record/epoch/memo state is
+The store is internally thread-safe: all record/epoch state is
 guarded by one reentrant lock, held across each whole ingest batch, so
 the sessions of an :class:`~repro.engine.Engine` write it directly.
 """
@@ -193,6 +191,31 @@ def _count_field(
     return float(value)
 
 
+def _flag_field(entry: Mapping[str, Any], name: str, label: str) -> bool:
+    """A persisted flag: a JSON boolean (absent = false), never coerced."""
+    value = entry.get(name, False)
+    if not isinstance(value, bool):
+        raise FeedbackError(
+            f"{label}: {name!r} must be a boolean, got {value!r}"
+        )
+    return value
+
+
+#: What a persisted ``mechanism`` may name ("" = a cardinality-only record).
+_MECHANISMS = frozenset({""} | {mechanism.value for mechanism in Mechanism})
+
+
+def _mechanism_field(entry: Mapping[str, Any], label: str) -> str:
+    """A persisted mechanism: ``""`` or a :class:`Mechanism` value."""
+    value = entry.get("mechanism", "")
+    if not isinstance(value, str) or value not in _MECHANISMS:
+        raise FeedbackError(
+            f"{label}: 'mechanism' must be one of {sorted(_MECHANISMS)}, "
+            f"got {value!r}"
+        )
+    return value
+
+
 @dataclass
 class FeedbackRecord:
     """One remembered fact about an expression."""
@@ -263,17 +286,9 @@ class FeedbackStore:
         self._table_epochs: dict[str, int] = {}
         #: Partial (reopt-harvest) write batches.  Deliberately separate
         #: from the epoch: a cancelled run's lower bounds must not make
-        #: cached plans look stale, but the lowering memo still has to
-        #: see that the records changed.
+        #: cached plans look stale.
         self._partial_sequence = 0
         self._lock = threading.RLock()
-        #: Memoized lowering (rebuilt lazily when the epoch moves).
-        self._lowered: Optional[InjectionSet] = None
-        self._lowered_epoch = -1
-        self._lowered_partial = -1
-        #: Observability counters for the memoization (tests/reports).
-        self.lowering_builds = 0
-        self.lowering_reuses = 0
 
     def __len__(self) -> int:
         with self._lock:
@@ -355,10 +370,10 @@ class FeedbackStore:
         treating its harvest as a store version change would invalidate
         cached plans (and re-trigger re-optimizations) on the strength of
         counts that are only lower bounds.  Partial records still reach
-        :meth:`to_injections` — the lowering memo is additionally keyed
-        on the partial write counter — and are replaced outright by the
-        first complete observation of the same key.  Only the reopt
-        episode runner calls this (codelint rule R015).
+        :meth:`to_injections` (the reopt replan optimizes from them) and
+        are replaced outright by the first complete observation of the
+        same key.  Only the reopt episode runner calls this (codelint
+        rule R015).
         """
         storable = [
             observation
@@ -400,28 +415,6 @@ class FeedbackStore:
     # ------------------------------------------------------------------
     # Export
     # ------------------------------------------------------------------
-    def _lowered_set(self) -> InjectionSet:
-        """The memoized page-count lowering for the current epoch."""
-        with self._lock:
-            if (
-                self._lowered is None
-                or self._lowered_epoch != self._epoch
-                or self._lowered_partial != self._partial_sequence
-            ):
-                lowered = InjectionSet()
-                for record in self._records.values():
-                    if record.page_count is not None:
-                        lowered.inject_page_count_by_key(
-                            record.key, record.page_count
-                        )
-                self._lowered = lowered
-                self._lowered_epoch = self._epoch
-                self._lowered_partial = self._partial_sequence
-                self.lowering_builds += 1
-            else:
-                self.lowering_reuses += 1
-            return self._lowered
-
     def to_injections(self, base: Optional[InjectionSet] = None) -> InjectionSet:
         """Lower the store into optimizer injections.
 
@@ -430,29 +423,25 @@ class FeedbackStore:
         lookup, so round-tripping is lossless).  With a ``base`` set, the
         store's entries are merged *into* ``base`` (mutating and
         returning it); on key conflicts the feedback record wins.
-
-        The lowering is memoized per epoch: between writes, repeated
-        calls reuse one frozen set instead of re-walking every record.
         """
-        lowered = self._lowered_set()
-        if base is None:
-            return lowered.copy()
-        base.merge_from(lowered)
-        return base
+        lowered = base if base is not None else InjectionSet()
+        with self._lock:
+            for record in self._records.values():
+                if record.page_count is not None:
+                    lowered.inject_page_count_by_key(record.key, record.page_count)
+        return lowered
 
     def snapshot_injections(
-        self,
-        base: Optional[InjectionSet] = None,
-        tables: Iterable[str] = (),
-    ) -> tuple[InjectionSet, tuple[tuple[str, int], ...]]:
-        """Atomically lower the store *and* read the freshness vector.
+        self, base: Optional[InjectionSet] = None
+    ) -> InjectionSet:
+        """The lowering a plan-cache miss optimizes from.
 
-        The plan cache needs the injections a plan was built from and the
-        epochs it is keyed under to describe the same store state; taking
-        them in two separate calls would race with concurrent writes.
+        The lifecycle reads the freshness vector *before* calling this,
+        so a write landing in between tags the new plan older than the
+        data it was built from: the next lookup invalidates it, and a
+        stale plan is never served.
         """
-        with self._lock:
-            return self.to_injections(base), self.table_epochs(tables)
+        return self.to_injections(base)
 
     def keys(self) -> list[str]:
         with self._lock:
@@ -520,11 +509,11 @@ class FeedbackStore:
             record = FeedbackRecord(
                 key=key,
                 page_count=_count_field(entry, "page_count", label),
-                page_count_exact=bool(entry.get("page_count_exact", False)),
+                page_count_exact=_flag_field(entry, "page_count_exact", label),
                 cardinality=_count_field(entry, "cardinality", label),
-                mechanism=entry.get("mechanism", ""),
+                mechanism=_mechanism_field(entry, label),
                 sequence=_sequence_field(entry, label),
-                partial=bool(entry.get("partial", False)),
+                partial=_flag_field(entry, "partial", label),
             )
             # A record from the store's future would outrank every later
             # harvest of its key (merge_observation: newer sequence wins).

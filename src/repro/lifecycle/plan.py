@@ -58,7 +58,11 @@ def cache_key(
     use_feedback: bool,
     page_count_model: Optional[AnalyticalPageCountModel] = None,
 ) -> PlanCacheKey:
-    """Assemble the plan-cache key for one optimization problem."""
+    """Assemble the plan-cache key for one optimization problem.
+
+    ``injections`` is the session's base set; the feedback store is
+    versioned per table by the freshness vector and never keyed.
+    """
     model_tag = model_fingerprint(page_count_model)
     hint_tag = hint_fingerprint(hint)
     return PlanCacheKey(

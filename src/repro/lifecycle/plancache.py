@@ -7,9 +7,9 @@ not?*  Our answer is structural.  A cached plan is trustworthy exactly
 while the inputs it was optimized from are unchanged, and every such
 input is versioned:
 
-* the **canonical query key** and the **injection fingerprint** identify
-  what was optimized (they form the cache key, together with the hint
-  fingerprint and the feedback mode);
+* the **canonical query key** and the fingerprint of the session's own
+  base injections identify what was optimized (they form the cache key,
+  together with the hint fingerprint and the feedback mode);
 * the **freshness vector** — per touched table, the
   :class:`~repro.core.feedback.FeedbackStore` epoch and the
   :class:`~repro.storage.table.Table` statistics version — identifies
@@ -18,14 +18,12 @@ input is versioned:
   evicts the entry and rebuilds; a stale plan is therefore unreachable
   by construction, not by best-effort eviction hooks.
 
-Logically the cache is keyed on (query key, injection fingerprint,
+Logically the cache is keyed on (query key, base injection fingerprint,
 freshness vector); physically the vector lives *in the entry* and is
-compared on lookup.  That keeps superseded *statistics versions* from
-piling up as dead entries, but not superseded feedback: a
-``use_feedback`` key's injection fingerprint hashes the whole lowered
-store, so any harvest (or partial reopt write) anywhere moves the key,
-the lookup misses instead of invalidating, and the old entry stays
-until LRU eviction (ROADMAP, open items).
+compared on lookup, so superseded feedback and statistics never pile up
+as dead entries.  The caller reads the vector *before* building: a write
+racing the build tags the plan older than its data, which costs one
+invalidation on the next lookup and never serves a stale plan.
 
 Lookups are **stampede-safe**: concurrent misses on the same key
 serialize on a per-key build lock, so one thread optimizes while the
@@ -51,6 +49,7 @@ class PlanCacheKey:
     """Identity of one optimization problem (freshness excluded)."""
 
     query_key: str
+    #: The session's base injections; the feedback store never enters.
     injection_fingerprint: str
     hint_fingerprint: str = ""
     #: ``"feedback"`` or ``"plain"`` — a feedback-driven optimization and
@@ -213,7 +212,7 @@ class PlanCache:
 
         Freshness validation already prevents stale *serving*; this is
         the explicit operational lever (DBA dropped an index, reloaded a
-        table object wholesale, …).
+        table object wholesale, swapped in an unrelated feedback store, …).
         """
         with self._lock:
             doomed = [

@@ -42,7 +42,6 @@ from repro.lifecycle.plan import (
     freshness_vector,
 )
 from repro.optimizer.hints import PlanHint
-from repro.optimizer.injection import InjectionSet
 from repro.optimizer.optimizer import Query
 from repro.optimizer.plans import PlanNode
 from repro.storage.accounting import IOContext
@@ -194,40 +193,33 @@ class QueryLifecycle:
             lambda: f"key={canonical.key!r} tables={list(canonical.tables)}",
         )
 
-        # Injections and the freshness vector must describe the same
-        # feedback-store state, so they are snapshotted atomically.  The
-        # session's own set is passed as it is: the key, the optimizer and
-        # the linter only look entries up.
-        if use_feedback:
-            injections, _ = session.feedback.snapshot_injections(
-                session.injections.copy(), canonical.tables
-            )
-        else:
-            injections = session.injections
-
         cache = session.plan_cache
         if cache is None:
             trace.record("plan-cache", "bypassed", "no cache configured")
             trace.cache_event = "bypassed"
             plan_node = self._optimize_and_lint(
-                query, injections, hint, trace.records
+                query, use_feedback, hint, trace.records
             )
             return plan_node, trace
 
+        # Freshness first, the store's lowering (on a miss only) second: a
+        # write landing in between tags the new plan older than the data
+        # it was built from, so the next lookup invalidates it.  A stale
+        # plan is never served, and a hit never touches the store.
+        freshness = freshness_vector(
+            session.database, session.feedback, canonical.tables, use_feedback
+        )
         key = cache_key(
             canonical,
-            injections,
+            session.injections,
             hint,
             use_feedback,
             session.page_count_model,
         )
-        freshness = freshness_vector(
-            session.database, session.feedback, canonical.tables, use_feedback
-        )
         built: list[StageRecord] = []
 
         def builder() -> PlanNode:
-            return self._optimize_and_lint(query, injections, hint, built)
+            return self._optimize_and_lint(query, use_feedback, hint, built)
 
         plan_node, event = cache.get_or_build(key, freshness, builder)
         trace.cache_event = event
@@ -242,11 +234,18 @@ class QueryLifecycle:
     def _optimize_and_lint(
         self,
         query: Query,
-        injections: InjectionSet,
+        use_feedback: bool,
         hint: Optional[PlanHint],
         records: list[StageRecord],
     ) -> PlanNode:
         session = self.session
+        # The session's own set is passed as it is: the optimizer and the
+        # linter only look entries up.
+        injections = (
+            session.feedback.snapshot_injections(session.injections.copy())
+            if use_feedback
+            else session.injections
+        )
         optimizer = build_optimizer(
             session.database,
             injections=injections,

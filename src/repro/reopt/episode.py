@@ -157,14 +157,12 @@ def run_with_reopt(
     plan_node, trace = lifecycle.plan(query, use_feedback=use_feedback, hint=hint)
     session.last_trace = trace
 
-    # Baselines must be the estimates the chosen plan was built from —
-    # the same snapshot rule the planning stage applies.
+    # Baselines are the estimates the chosen plan was built from: the
+    # lowering a plan-cache miss optimizes from (plus any epoch-free
+    # partial bounds written since the plan was cached).
+    baseline_injections = session.injections.copy()
     if use_feedback:
-        baseline_injections, _ = session.feedback.snapshot_injections(
-            session.injections.copy(), query.tables()
-        )
-    else:
-        baseline_injections = session.injections.copy()
+        session.feedback.snapshot_injections(baseline_injections)
 
     token = cancellation if cancellation is not None else CancellationToken()
     watchdog = RegretWatchdog(

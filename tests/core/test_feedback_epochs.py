@@ -1,4 +1,4 @@
-"""Epoch versioning and memoized lowering of the FeedbackStore."""
+"""Epoch versioning and lowering of the FeedbackStore."""
 
 from __future__ import annotations
 
@@ -132,22 +132,12 @@ class TestEpochs:
 
 
 class TestMemoizedLowering:
-    def test_repeat_lowering_reuses_one_set(self):
-        store = FeedbackStore()
-        store.record_observations([observation("t", "a", 12.0)])
-        store.to_injections()
-        store.to_injections()
-        store.to_injections()
-        assert store.lowering_builds == 1
-        assert store.lowering_reuses == 2
-
     def test_write_forces_rebuild(self):
         store = FeedbackStore()
         store.record_observations([observation("t", "a", 12.0)])
         store.to_injections()
         store.record_observations([observation("t", "b", 5.0)])
         lowered = store.to_injections()
-        assert store.lowering_builds == 2
         assert len(lowered) == 2
 
     def test_returned_copy_is_independent(self):
@@ -157,14 +147,12 @@ class TestMemoizedLowering:
         lowered.inject_page_count_by_key("DPC(t, poison)", 1.0)
         assert len(store.to_injections()) == 1
 
-    def test_snapshot_is_atomic_pairing(self):
+    def test_snapshot_lowers_onto_the_base(self):
         store = FeedbackStore()
         store.record_observations([observation("t", "a", 12.0)])
-        injections, epochs = store.snapshot_injections(
-            InjectionSet(), ["t"]
-        )
-        assert len(injections) == 1
-        assert epochs == (("t", 1),)
+        base = InjectionSet()
+        assert store.snapshot_injections(base) is base
+        assert len(base) == 1
 
 
 def partial(table: str, column: str, satisfied: float, pages_seen: int = 10):
@@ -202,14 +190,12 @@ class TestPartialObservations:
         assert store.table_epoch("t") == 1
 
     def test_partial_still_reaches_lowering(self):
-        # Epoch-free does not mean invisible: the lowering memo is also
-        # keyed on the partial write counter, so the replan sees bounds.
+        # Epoch-free does not mean invisible: the replan sees the bounds.
         store = FeedbackStore()
         store.record_observations([observation("t", "a", 12.0)])
         store.to_injections()
         store.record_partial_observations([partial("t", "b", 5.0)])
         lowered = store.to_injections()
-        assert store.lowering_builds == 2
         assert len(lowered) == 2
         assert store.epoch == 1
 

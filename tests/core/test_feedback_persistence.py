@@ -143,6 +143,21 @@ class TestPersistence:
                 '{"key": "DPC(t, a)", "page_count": 9.0, "sequence": 2}]}',
                 r"DPC\(t, a\).*more than once",
             ),
+            (
+                '{"version": 1, "records": [{"key": "DPC(t, a)", '
+                '"page_count": 4.0, "page_count_exact": "false"}]}',
+                r"DPC\(t, a\).*page_count_exact",
+            ),
+            (
+                '{"version": 1, "records": [{"key": "DPC(t, a)", '
+                '"page_count": 4.0, "partial": "no"}]}',
+                r"DPC\(t, a\).*partial",
+            ),
+            (
+                '{"version": 1, "records": [{"key": "DPC(t, a)", '
+                '"page_count": 4.0, "mechanism": 7}]}',
+                r"DPC\(t, a\).*mechanism",
+            ),
         ],
     )
     def test_corrupt_field_rejected_at_load(self, payload, match):

@@ -72,6 +72,9 @@ class TestCacheKey:
         assert plain.mode == "plain" and feedback.mode == "feedback"
 
     def test_injections_change_the_key(self):
+        """The session's base set is the only injection input to the key;
+        the feedback store is versioned per table by the freshness vector
+        (``tests/lifecycle/test_staleness.py``)."""
         canonical = canonicalize(single())
         empty = InjectionSet()
         loaded = InjectionSet()

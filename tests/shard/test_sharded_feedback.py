@@ -107,14 +107,6 @@ class TestMergedView:
         assert record.page_count == pytest.approx(8.5)
         assert not record.page_count_exact
 
-    def test_lowering_memoized_per_epoch(self):
-        store = FeedbackStore()
-        _harvest(store, [[_observation(100, 1.0)]] + [[]] * (NUM_SHARDS - 1))
-        store.to_injections()
-        store.to_injections()
-        assert store.lowering_builds == 1
-        assert store.lowering_reuses >= 1
-
 
 class TestObservationMerging:
     def test_unanswered_everywhere_stays_unanswerable(self):
