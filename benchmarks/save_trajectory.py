@@ -32,6 +32,11 @@ at a glance:
   before its first query — seconds to build the 2 x 20 000-row synthetic
   database and its ``tracemalloc`` footprint (``smoke_batch.py`` gates
   the batch-over-row ratios and the footprint);
+* **row-list scans** — the batch drive of a table scan whose parent
+  wants row tuples (a hash join's build side) at three ``t1.c4``
+  filters, and of clustered range seeks ``t1.c1 < N``: median
+  milliseconds per scan, beside the same probe measured once on the page
+  loop the chunk scan replaced;
 * **database rss** — peak RSS of a fresh interpreter that imports
   the engine and service packages and builds the 2 x 20 000-row synthetic
   database: what a worker process weighs before its first query, set-up
@@ -64,6 +69,7 @@ from __future__ import annotations
 
 import json
 import os
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -87,12 +93,14 @@ except ModuleNotFoundError:
     import smoke_shard  # type: ignore[no-redef]
 
 from repro.core.planner import MonitorConfig
+from repro.exec.executor import execute
 from repro.exec.executor import EXEC_MODES
+from repro.exec.scans import ClusteredRangeScan, SeqScan
 from repro.harness.figures import run_fig6_fig7, run_fig8
 from repro.harness.timing import Stopwatch, utc_now_iso
 from repro.optimizer import SingleTableQuery
 from repro.session import Session
-from repro.sql import Comparison, conjunction_of
+from repro.sql import Comparison, Conjunction, conjunction_of
 from repro.workloads import build_synthetic_database
 
 DEFAULT_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_exec.json"
@@ -108,6 +116,12 @@ SCAN_REPEATS = 5
 
 #: Execution modes measured per trajectory entry (row is the baseline).
 MODES = EXEC_MODES
+
+#: Row-list scan probe: ``t1.c4 < N`` filters (None: no filter) of a
+#: build-side-style table scan, ``t1.c1 < N`` clustered range seeks.
+ROW_LIST_SCAN_FILTERS = (None, 400, 10_000)
+RANGE_SEEK_BOUNDS = (5, 40, 400)
+ROW_LIST_REPEATS = 30
 
 
 def _fig6_all_modes() -> dict:
@@ -278,6 +292,58 @@ def database_peak_rss_mib(src: Path = DEFAULT_OUTPUT.parent / "src") -> float:
     return float(result.stdout)
 
 
+def row_list_scan_ms() -> dict[str, float]:
+    """Median batch-drive wall milliseconds of each row-list scan probe on
+    the smoke-scale ``t1``, every scan a fresh unmonitored operator whose
+    surviving rows the executor drains as tuples."""
+    database = build_synthetic_database(
+        num_rows=smoke_batch.SCAN_ROWS, seed=smoke_batch.SEED, with_copy=True
+    )
+    table = database.table("t1")
+    probes = {}
+    for bound in ROW_LIST_SCAN_FILTERS:
+        name = "scan, no filter" if bound is None else f"scan c4 < {bound}"
+        predicate = (
+            Conjunction(()) if bound is None
+            else conjunction_of(Comparison("c4", "<", bound))
+        )
+        probes[name] = lambda predicate=predicate: SeqScan(table, predicate)
+    for bound in RANGE_SEEK_BOUNDS:
+        probes[f"range c1 < {bound}"] = lambda bound=bound: ClusteredRangeScan(
+            table, None, (bound,), Conjunction(()), high_inclusive=False
+        )
+    medians = {}
+    for name, make_scan in probes.items():
+        seconds = []
+        for _ in range(ROW_LIST_REPEATS):
+            scan = make_scan()
+            watch = Stopwatch()
+            execute(scan, database, mode="batch")
+            seconds.append(watch.elapsed_seconds)
+        medians[name] = round(1e3 * statistics.median(seconds), 4)
+    return medians
+
+
+def _row_list_scans() -> dict:
+    """Row-list scan wall time, and the same probe on the page loop
+    (measured once, at dcf7233: medians of 6 fresh processes alternating
+    with the chunk scan's, on the machine that recorded the entry)."""
+    return {
+        "num_rows": smoke_batch.SCAN_ROWS,
+        "table": "t1",
+        "repeats": ROW_LIST_REPEATS,
+        "median_ms": row_list_scan_ms(),
+        "page_loop_median_ms": {
+            "scan, no filter": 8.7717,
+            "scan c4 < 400": 7.1863,
+            "scan c4 < 10000": 9.1978,
+            "range c1 < 5": 0.0306,
+            "range c1 < 40": 0.0355,
+            "range c1 < 400": 0.1426,
+        },
+    }
+
+
 def _database_rss() -> dict:
     return {
         "num_rows": smoke_batch.SCAN_ROWS,
@@ -350,6 +416,7 @@ def build_entry() -> dict:
         "monitored_scan": _monitored_scan(),
         "hash_join": _hash_join(),
         "index_plans": _index_plans(),
+        "row_list_scans": _row_list_scans(),
         "database_rss": _database_rss(),
         "sharded": _sharded_throughput(),
         "plancache_smoke_violations": smoke_plancache.run_smoke(),

@@ -41,7 +41,7 @@ def _add_exec_mode(parser) -> None:
         "--exec-mode",
         choices=EXEC_MODES,
         default=DEFAULT_EXEC_MODE,
-        help="execution drive: page-at-a-time batches (default), or the "
+        help="execution drive: chunk-at-a-time batches (default), or the "
         "row-at-a-time reference oracle (results identical, much slower)",
     )
 

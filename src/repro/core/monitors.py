@@ -100,38 +100,6 @@ class _ScanExpressionEntry:
                 return
         self.page_satisfied = True
 
-    def observe_batch(
-        self,
-        truth_columns: Sequence[Optional[Sequence[Optional[bool]]]],
-        num_rows: int,
-    ) -> None:
-        """Batch form of :meth:`observe`: fold a whole page's truth columns.
-
-        Equivalent to calling :meth:`observe` on every row of the page in
-        order — the flag ends up set iff some row witnesses every request
-        term.  A ``None`` column means the term was evaluated on no row of
-        the page, so it can witness nothing.
-        """
-        if self.page_satisfied or num_rows == 0:
-            return
-        if not self.term_indexes:
-            self.page_satisfied = True
-            return
-        columns = []
-        for index in self.term_indexes:
-            column = truth_columns[index]
-            if column is None:
-                return
-            columns.append(column)
-        if len(columns) == 1:
-            if any(value is True for value in columns[0]):
-                self.page_satisfied = True
-            return
-        for values in zip(*columns):
-            if all(value is True for value in values):
-                self.page_satisfied = True
-                return
-
     def fold_page(self, counted: bool) -> None:
         """End-of-page: fold the flag into the counter if the page counts
         toward this entry (always for exact mode, sampled pages otherwise).
@@ -159,27 +127,6 @@ class _BitVectorEntry:
         if value is not None and self.filter.may_contain(value):
             self.page_satisfied = True
 
-    def observe_batch(self, rows: Sequence[Sequence[Any]], io: IOContext) -> None:
-        """Batch form of :meth:`observe_row` over a page's rows.
-
-        Probe charging is order-dependent in row mode (rows after the
-        first satisfying one are free), so the batch counts probes up to
-        and including the first hit before charging once.
-        """
-        if self.page_satisfied:
-            return
-        position = self.column_position
-        may_contain = self.filter.may_contain
-        probes = 0
-        for row in rows:
-            probes += 1
-            value = row[position]
-            if value is not None and may_contain(value):
-                self.page_satisfied = True
-                break
-        if probes:
-            io.charge_bitvector_probes(probes)
-
     def fold_page(self, counted: bool) -> None:
         if counted and self.page_satisfied:
             self.satisfied_pages += 1
@@ -192,21 +139,21 @@ class ScanMonitorBundle:
     Every counter here is page-granular: a request counts *pages* holding
     at least one witness row, and the Bernoulli sampler flips one coin
     per page, in page order.  How the scan produces a page's verdict is
-    its own business, so there are two feeds:
+    its own business, so there are two feeds, one per drive:
 
-    * **per page** — :meth:`start_page`, then :meth:`observe_row` per row
-      or :meth:`observe_batch` per page (passing the term outcome the
-      scan computed and the raw rows), then :meth:`end_page`;
+    * **per row** (the row oracle) — :meth:`start_page`, then
+      :meth:`observe_row` per row (passing the term outcome the scan
+      computed and the raw row), then :meth:`end_page`;
       :meth:`needs_full_evaluation` tells the scan whether the current
       page requires short-circuiting to be off (Fig. 4 step 4).
-    * **per chunk of pages** — :meth:`sample_pages` for the chunk's coin
-      flips, then :meth:`observe_pages` with one verdict per page per
-      entry: a flag for an expression entry, and for a bit-vector entry
-      the flag plus how many rows the prober got through — probing
-      stops at a page's first hit, so that is the first hit's offset
-      plus one, or the page's row count.  The scan reduces its
-      chunk-wide witness and filter-hit masks to those verdicts itself;
-      no row or row mask crosses this seam.
+    * **per chunk of pages** (the batch drive) — :meth:`sample_pages` for
+      the chunk's coin flips, then :meth:`observe_pages` with one verdict
+      per page per entry: a flag for an expression entry, and for a
+      bit-vector entry the flag plus how many rows the prober got
+      through — probing stops at a page's first hit, so that is the first
+      hit's offset plus one, or the page's row count.  The scan reduces
+      its chunk-wide witness and filter-hit masks to those verdicts
+      itself; no row or row mask crosses this seam.
 
     :meth:`finish` yields the observations.
     """
@@ -326,32 +273,6 @@ class ScanMonitorBundle:
             for bv_entry in self._bitvector_entries:
                 bv_entry.observe_row(row, io)
 
-    def observe_batch(
-        self, outcome: BatchOutcome, rows: Sequence[Sequence[Any]], io: IOContext
-    ) -> None:
-        """Feed one page's worth of evaluation results to all entries.
-
-        Equivalent to :meth:`observe_row` on each row in page order: the
-        per-row monitor check is charged once for the whole page
-        (``charge_monitor_checks(n)``), expression entries fold the truth
-        *columns*, and bit-vector entries preserve the row-ordered probe
-        charging (probes stop at the first satisfying row).
-        """
-        if not self._in_page:
-            raise MonitorError("observe_batch called outside a page")
-        num_rows = outcome.num_rows
-        if num_rows == 0:
-            return
-        io.charge_monitor_checks(num_rows)
-        truth = outcome.truth
-        for entry in self._exact_expression_entries:
-            entry.observe_batch(truth, num_rows)
-        if self._current_page_sampled:
-            for entry in self._sampled_expression_entries:
-                entry.observe_batch(truth, num_rows)
-            for bv_entry in self._bitvector_entries:
-                bv_entry.observe_batch(rows, io)
-
     def end_page(self) -> None:
         if not self._in_page:
             raise MonitorError("end_page called outside a page")
@@ -395,8 +316,8 @@ class ScanMonitorBundle:
         """The Bernoulli decisions for ``page_count`` consecutive pages.
 
         One :meth:`~repro.core.dpsample.BernoulliPageSampler.sample_page`
-        draw per page, in page order — the same RNG sequence the
-        page-at-a-time feed consumes.
+        draw per page, in page order — the same RNG sequence the per-row
+        feed's :meth:`start_page` consumes.
         """
         if self._in_page or self._pages_pending:
             raise MonitorError("sample_pages called with a page or chunk still open")
@@ -428,7 +349,7 @@ class ScanMonitorBundle:
         ``sampled_pages`` is what :meth:`sample_pages` returned.  Exact
         entries count every flagged page, sampled entries the flagged
         pages of the sample.  The per-row monitor check of §III-B is
-        charged for the chunk's ``num_rows`` rows, as the per-page feed
+        charged for the chunk's ``num_rows`` rows, as the per-row feed
         charges it.
 
         ``probes_per_entry[k]`` is bit-vector entry *k*'s ``(flags,
@@ -438,7 +359,7 @@ class ScanMonitorBundle:
         (a NULL is probed and charged but never reaches the filter).
         Only sampled pages are probed, so only theirs are folded: flagged
         ones are counted, their probes charged, their lookups added to
-        the filter's own ``probes`` counter — the totals the per-page
+        the filter's own ``probes`` counter — the totals the per-row
         feed reaches one ``may_contain`` at a time.
         """
         page_count = len(sampled_pages)

@@ -436,9 +436,8 @@ def _build(plan: PlanNode, state: _Instrumentation) -> Operator:
     if isinstance(plan, CountPlan):
         child = _build(plan.child, state)
         if isinstance(child, SeqScan):
-            # The aggregate reads column vectors, so the scan under it may
-            # emit multi-page column chunks (the scan itself keeps the
-            # page loop for runs that are row- or page-ordered).
+            # The aggregate reads column vectors, so the scan under it
+            # emits its chunks as columns.
             child.parent_consumes_columns = True
         operator: Operator = CountAggregate(child, plan.column)
     elif isinstance(plan, SeqScanPlan):
@@ -656,9 +655,9 @@ def _build_hash(plan: HashJoinPlan, state: _Instrumentation) -> Operator:
     probe_operator = _build(plan.probe, state)
     if isinstance(probe_operator, SeqScan):
         # The probe reads the key column and materialises only the rows
-        # that join, so the scan may emit column chunks; the filter it
-        # probes is complete before the first one is pulled.  (The build
-        # side wants every row as a tuple and keeps the page loop.)
+        # that join, so the scan emits its chunks as columns; the filter
+        # it probes is complete before the first one is pulled.  (The
+        # build side wants every row as a tuple and receives row tuples.)
         probe_operator.parent_consumes_columns = True
     if matches and probe_conjunction is not None:
         bitvector = BitVectorFilter(

@@ -27,7 +27,7 @@ class ExecutionWatchdog(Protocol):
     """Checkpoint-boundary observer (the reopt regret watchdog's seam).
 
     ``observe`` runs on the executing thread at every
-    :meth:`ExecutionContext.checkpoint` — i.e. at the same page/probe
+    :meth:`ExecutionContext.checkpoint` — i.e. at the same scan-chunk/probe
     boundaries cancellation is checked at — *before* the cancellation
     token is consulted, so an observer that trips the token stops the
     run at the very boundary it observed.  Implementations charge any
@@ -45,12 +45,13 @@ class ExecutionContext:
     ``io`` is this execution's private accounting context: every operator,
     storage call and monitor charges it, so the run's timings and read
     counts are exact attributions (no global clock, no snapshot deltas).
-    ``batch_rows`` is the chunk size relational-engine operators use in
-    batch mode (the page loop of storage-engine scans batches per page
-    regardless; the chunk scan uses it as its chunk width).
+    ``batch_rows`` is the chunk size of batch mode: relational-engine
+    operators exchange chunks of it, and storage-engine scans read chunks
+    of whole pages of about that many rows (one page at a time when a
+    ``watchdog`` observes the run or resume tracking is armed).
     ``cancellation`` is the run's cooperative-cancellation token (``None``
     for the overwhelmingly common uncancellable run); operators call
-    :meth:`checkpoint` at page/probe boundaries.  ``watchdog`` is an
+    :meth:`checkpoint` at scan-chunk/probe boundaries.  ``watchdog`` is an
     optional checkpoint observer (mid-query re-optimization's regret
     watchdog); it runs before the token check so a trip it requests is
     raised at the same boundary.
@@ -67,9 +68,10 @@ class ExecutionContext:
         """Raise :class:`~repro.common.errors.QueryCancelled` if this
         execution's token has been cancelled; no-op without a token.
 
-        Called once per storage page (scan operators) and once per probe
-        row (index-nested-loop join), so a timed-out query stops charging
-        its :attr:`io` within one page of work.  A watchdog, when
+        Called once per scan chunk (one page under a watchdog or in the
+        row drive) and once per probe row (index-nested-loop join), so a
+        timed-out query stops charging its :attr:`io` within one chunk of
+        work.  A watchdog, when
         attached, observes the same boundary first — tripping the token
         here is how mid-query re-optimization stops a run.
         """

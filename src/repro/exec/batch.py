@@ -1,12 +1,14 @@
-"""Row batches: the unit of exchange in page-at-a-time execution.
+"""Row batches: the unit of exchange in chunk-at-a-time execution.
 
 The Volcano row iterator (:meth:`~repro.exec.base.Operator.rows`) costs a
 Python generator hop per row; at repro scale the simulator — not the
 simulated I/O — dominates wall-clock.  Batch mode replaces the per-row
-exchange with :class:`RowBatch` objects: storage-engine scans emit one
-batch per *page* (so monitor page boundaries stay aligned with exchange
-boundaries for free), relational-engine operators exchange fixed-size
-chunks (:data:`DEFAULT_BATCH_ROWS`).
+exchange with :class:`RowBatch` objects of about
+:data:`DEFAULT_BATCH_ROWS` rows.  A table or clustered range scan emits
+one batch of survivors per multi-page chunk (one page per chunk under a
+watchdog or resume tracking); the monitors stay page-granular because
+the scan reduces its chunk-wide masks to per-page verdicts, not because
+batches align with pages.
 
 A batch carries one of two physical representations behind one logical
 interface:
@@ -15,7 +17,8 @@ interface:
   one exception;
 * **column-backed** — a tuple of column vectors (one per output column,
   see :mod:`repro.exec.vector`) plus a row count.  Only the chunk
-  scan (:meth:`repro.exec.scans.SeqScan.batches`) builds these,
+  scan (:meth:`repro.exec.scans.SeqScan.batches`,
+  :class:`~repro.exec.scans.ClusteredRangeScan`) builds these,
   straight from the file-level column cache with zero copying on
   all-pass chunks, and only when its parent consumes columns:
   ``CountAggregate``/``GroupByCountAggregate``, which read one column,
@@ -43,30 +46,24 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Optional, Sequence
 
-from repro.common.types import PageId
 from repro.exec import vector
 
-#: Chunk size for relational-engine batches (SE scans batch per page).
+#: Rows per batch: a scan's chunk width and a relational-engine chunk.
 DEFAULT_BATCH_ROWS = 1024
 
 
 class RowBatch:
     """An ordered run of output rows from one operator.
 
-    ``page_id`` is set when the batch corresponds to one storage-engine
-    page (SE scans); relational-engine chunks leave it ``None``.
-
-    Construct row-backed batches positionally (``RowBatch(rows, page_id)``,
-    unchanged from the list-of-tuples era) and column-backed batches via
-    :meth:`from_columns`.
+    Construct row-backed batches positionally (``RowBatch(rows)``) and
+    column-backed batches via :meth:`from_columns`.
     """
 
-    __slots__ = ("_rows", "_columns", "_num_rows", "page_id")
+    __slots__ = ("_rows", "_columns", "_num_rows")
 
     def __init__(
         self,
         rows: Optional[list[tuple]] = None,
-        page_id: Optional[PageId] = None,
         *,
         columns: Optional[tuple] = None,
         num_rows: Optional[int] = None,
@@ -75,7 +72,6 @@ class RowBatch:
             rows = []
         self._rows = rows
         self._columns = columns
-        self.page_id = page_id
         if num_rows is not None:
             self._num_rows = num_rows
         elif rows is not None:
@@ -90,11 +86,10 @@ class RowBatch:
     def from_columns(
         cls,
         columns: Sequence,
-        page_id: Optional[PageId] = None,
         num_rows: Optional[int] = None,
     ) -> "RowBatch":
         """Build a column-backed batch from column vectors."""
-        return cls(page_id=page_id, columns=tuple(columns), num_rows=num_rows)
+        return cls(columns=tuple(columns), num_rows=num_rows)
 
     @property
     def is_columnar(self) -> bool:
@@ -134,9 +129,8 @@ class RowBatch:
         return iter(self.rows)
 
     def __repr__(self) -> str:
-        origin = f" page={int(self.page_id)}" if self.page_id is not None else ""
         kind = "columns" if self.is_columnar else "rows"
-        return f"RowBatch({self._num_rows} {kind}{origin})"
+        return f"RowBatch({self._num_rows} {kind})"
 
 
 def chunk_rows(

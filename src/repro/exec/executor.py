@@ -112,7 +112,7 @@ def execute(
     shared pool is left untouched — that is the concurrent-execution path.
 
     ``mode`` selects the drive style: ``"batch"``
-    (:data:`DEFAULT_EXEC_MODE`) pulls page-at-a-time
+    (:data:`DEFAULT_EXEC_MODE`) pulls chunk-at-a-time
     :class:`~repro.exec.batch.RowBatch` exchange with compiled predicate
     kernels, ``"row"`` pulls the Volcano row iterator (the reference
     oracle; :data:`EXEC_MODES` is the whole set).  Batch payloads are row

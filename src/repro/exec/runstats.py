@@ -68,7 +68,7 @@ class RunStats:
 
     root: OperatorStats
     #: How the plan was driven (the executor always sets it): ``"batch"``
-    #: (page-at-a-time RowBatch exchange with compiled predicate kernels)
+    #: (chunk-at-a-time RowBatch exchange with compiled predicate kernels)
     #: or ``"row"`` (the Volcano iterator, the reference oracle).
     execution_mode: str
     elapsed_ms: float = 0.0

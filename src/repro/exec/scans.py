@@ -22,32 +22,46 @@ from __future__ import annotations
 from functools import reduce
 from typing import Any, Iterator, Optional
 
+from repro.common.types import PageId
 from repro.core.monitors import FetchMonitorBundle, ScanMonitorBundle
 from repro.exec import vector
 from repro.exec.base import ExecutionContext, Operator
 from repro.exec.batch import RowBatch
 from repro.sql.evaluator import BoundConjunction, VectorOutcome
 from repro.sql.predicates import Conjunction
+from repro.storage.accounting import IOContext
 from repro.storage.table import Table
 
 
 class _MonitoredScanMixin:
-    """Shared row-loop logic for operators with grouped page access."""
+    """Shared drive logic for operators with grouped page access: the row
+    oracle's page/row loop (:meth:`_scan_pages`) and the batch drive's
+    chunk loop (:meth:`_scan_chunks`)."""
 
     table: Table
     query_conjunction: Conjunction
     monitor_conjunction: Conjunction
     bundle: Optional[ScanMonitorBundle]
 
+    #: Whether the operator consuming this scan reads column vectors:
+    #: ``CountAggregate`` / ``GroupByCountAggregate``, and ``HashJoin`` on
+    #: its *probe* side (it tests the key column against the build keys
+    #: and materialises only the rows that join).  Derived from the plan
+    #: shape by :func:`repro.core.planner.build_executable`, which marks
+    #: table scans only; it picks the representation :meth:`_scan_chunks`
+    #: emits.  Scans feeding a hash join's build side, an ``INLJoin`` or a
+    #: ``Sort`` leave it off and emit row tuples of the surviving rows.
+    parent_consumes_columns = False
+
     #: Resume tracking (armed by the reopt watchdog, off by default): the
-    #: batch drive records the clustering-key value of the last
-    #: row of each *fully processed* page.  Cancellation raises at the
-    #: checkpoint that precedes the next page, and the downstream
-    #: consumer has synchronously drained every yielded batch, so after a
-    #: mid-query stop ``resume_key`` is an exact replay boundary: every
-    #: row with key <= resume_key was scanned, none beyond it were.  The
-    #: row drive does not track (its root-level cancellation check can
-    #: fire mid-page), which is why resume is a batch-only path.
+    #: batch drive scans one page per chunk and records the clustering-key
+    #: value of the last row of each *fully processed* page.  Cancellation
+    #: raises at the checkpoint that precedes the next page, and the
+    #: downstream consumer has synchronously drained every yielded batch,
+    #: so after a mid-query stop ``resume_key`` is an exact replay
+    #: boundary: every row with key <= resume_key was scanned, none beyond
+    #: it were.  The row drive does not track (its root-level cancellation
+    #: check can fire mid-page), which is why resume is a batch-only path.
     resume_tracking = False
     resume_key_position: Optional[int] = None
     resume_key: Any = None
@@ -114,139 +128,32 @@ class _MonitoredScanMixin:
                         yield row
             bundle.end_page()
 
-    def _scan_pages_batched(
-        self, ctx: ExecutionContext, page_iter: Iterator[tuple[Any, list[tuple]]]
-    ) -> Iterator[RowBatch]:
-        """Page-at-a-time drive: one compiled-kernel evaluation per page.
-
-        Emits one :class:`RowBatch` of surviving rows per page (empty
-        pages are charged and observed but yield nothing, matching the
-        row loop, which simply yields no rows for them).
-        """
-        compiled = self._bind().compile()
-        num_query_terms = len(self.query_conjunction)
-        io = ctx.io
-        bundle = self.bundle
-        stats = self.stats
-        track_resume = self.resume_tracking
-        key_position = self.resume_key_position
-        for page_id, rows in page_iter:
-            ctx.checkpoint()
-            stats.pages_touched += 1
-            io.charge_rows(len(rows))
-            if track_resume and rows and key_position is not None:
-                self.resume_key = rows[-1][key_position]
-            if bundle is not None:
-                bundle.start_page(page_id)
-                if bundle.needs_full_evaluation():
-                    outcome = compiled.evaluate_batch(rows, short_circuit=False)
-                    passed = outcome.prefix_passed(num_query_terms)
-                else:
-                    outcome = compiled.evaluate_batch(
-                        rows, num_query_terms, short_circuit=True
-                    )
-                    passed = outcome.passed
-                io.charge_predicates(outcome.evaluations)
-                stats.predicate_evaluations += outcome.evaluations
-                bundle.observe_batch(outcome, rows, io)
-                bundle.end_page()
-            else:
-                outcome = compiled.evaluate_batch(
-                    rows, num_query_terms, short_circuit=True
-                )
-                passed = outcome.passed
-                io.charge_predicates(outcome.evaluations)
-                stats.predicate_evaluations += outcome.evaluations
-            out = [row for row, ok in zip(rows, passed) if ok]
-            stats.actual_rows += len(out)
-            if out:
-                yield RowBatch(out, page_id)
-
-    def finalize(self, ctx: ExecutionContext) -> None:
-        if self.bundle is not None:
-            ctx.observations.extend(self.bundle.finish())
-
-
-class SeqScan(_MonitoredScanMixin, Operator):
-    """Full scan of a heap or clustered table (the paper's "Table Scan")."""
-
-    engine_layer = "SE"
-
-    #: Whether the operator consuming this scan reads column vectors:
-    #: ``CountAggregate`` / ``GroupByCountAggregate``, and ``HashJoin`` on
-    #: its *probe* side (it tests the key column against the build keys
-    #: and materialises only the rows that join).  Derived from the plan
-    #: shape by :func:`repro.core.planner.build_executable`; it selects
-    #: the chunk scan in :meth:`batches`.  Scans feeding a hash join's
-    #: build side, an ``INLJoin``, a ``Sort`` or a ``MergeJoin`` leave it
-    #: off and keep yielding row lists: those consumers want every row as
-    #: a tuple, so columns would only be transposed back.
-    parent_consumes_columns = False
-
-    def __init__(
-        self,
-        table: Table,
-        query_conjunction: Conjunction,
-        bundle: Optional[ScanMonitorBundle] = None,
-        monitor_conjunction: Optional[Conjunction] = None,
-    ) -> None:
-        super().__init__()
-        self.table = table
-        self.query_conjunction = query_conjunction
-        self.monitor_conjunction = (
-            monitor_conjunction if monitor_conjunction is not None else query_conjunction
-        )
-        self.bundle = bundle
-        self.stats.detail = f"{table.name} [{query_conjunction.key()}]"
-
-    @property
-    def output_columns(self) -> tuple[str, ...]:
-        return self.table.schema.column_names
-
-    def rows(self, ctx: ExecutionContext) -> Iterator[tuple]:
-        def pages():
-            for page_id, page in self.table.data_file.scan_pages(ctx.io):
-                yield page_id, page.rows()
-
-        yield from self._scan_pages(ctx, pages())
-
     def batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
-        if self._emits_column_chunks(ctx):
-            yield from self._scan_chunks_columnar(ctx)
-            return
+        yield from self._scan_chunks(ctx)
 
-        def pages():
-            for page_id, page in self.table.data_file.scan_pages(ctx.io):
-                yield page_id, page.rows_list()
+    def _read_chunks(
+        self, io: IOContext, rows_per_chunk: int
+    ) -> Iterator[tuple[PageId, int, Any, int, list[int]]]:
+        """The scanned rows as :meth:`~repro.storage.heap.DataFile.scan_column_chunks`
+        tuples, charging ``io`` for every page read."""
+        raise NotImplementedError
 
-        yield from self._scan_pages_batched(ctx, pages())
+    def _scan_chunks(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
+        """The batch drive: column chunks of the scanned rows, monitored or not.
 
-    def _emits_column_chunks(self, ctx: ExecutionContext) -> bool:
-        """Whether this run takes the chunk scan rather than the page loop.
+        Consumes ``(first_page_id, page_count, columns_view, num_rows,
+        page_starts)`` tuples from :meth:`_read_chunks`, evaluating one
+        whole-vector kernel per term per chunk.  Two things are derived,
+        neither is an option:
 
-        The page loop stays the drive for what is genuinely row- or
-        page-ordered: row-list consumers (hash-join build sides, INL and
-        merge joins, sorts), and monitored runs under the reopt watchdog
-        or with resume tracking armed (the watchdog projects from
-        ``progress()`` page by page, and a resume boundary is a page
-        boundary).  What a bundle counts never decides it — every entry
-        kind, bit-vector ones included, takes per-page verdicts.
-        """
-        if not self.parent_consumes_columns:
-            return False
-        if self.bundle is None:
-            return True
-        return ctx.watchdog is None and not self.resume_tracking
-
-    def _scan_chunks_columnar(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
-        """Batch drive over multi-page column chunks, monitored or not.
-
-        The one place a batch's payload is column vectors.  Consumes
-        ``(first_page_id, page_count, columns_view, num_rows, page_starts)``
-        tuples (:meth:`~repro.storage.heap.DataFile.scan_column_chunks`),
-        evaluating one whole-vector kernel per term per ~``ctx.batch_rows``
-        rows — wide enough to amortize NumPy dispatch, which 73-row pages
-        cannot (one chunk is also the checkpoint granularity here).
+        * the chunk width — ``ctx.batch_rows`` rows, wide enough to
+          amortize NumPy dispatch, which 73-row pages cannot; or one page
+          when a watchdog observes the run or resume tracking is armed, so
+          the checkpoint, ``progress()`` and ``resume_key`` stay
+          page-granular;
+        * the output — the surviving rows as column vectors when
+          :attr:`parent_consumes_columns`, else as row tuples, built for
+          the survivors only.
 
         Monitors stay page-granular in what they *count*, not in how wide
         the kernel is: per chunk the bundle flips its per-page coins in
@@ -270,12 +177,19 @@ class SeqScan(_MonitoredScanMixin, Operator):
         full_evaluation = (
             bundle is not None and bundle.evaluates_sampled_pages_in_full
         )
+        emit_columns = self.parent_consumes_columns
+        key_position = self.resume_key_position if self.resume_tracking else None
+        one_page = ctx.watchdog is not None or self.resume_tracking
         for first_page_id, page_count, columns, num_rows, page_starts in (
-            self.table.data_file.scan_column_chunks(io, ctx.batch_rows)
+            self._read_chunks(io, 1 if one_page else ctx.batch_rows)
         ):
             ctx.checkpoint()
             stats.pages_touched += page_count
             io.charge_rows(num_rows)
+            if key_position is not None:
+                self.resume_key = vector.row_at(
+                    (columns[key_position],), num_rows - 1
+                )[0]
             full_rows = None
             if bundle is not None:
                 sampled = bundle.sample_pages(first_page_id, page_count)
@@ -307,11 +221,54 @@ class SeqScan(_MonitoredScanMixin, Operator):
             stats.actual_rows += selected
             if not selected:
                 continue
-            if selected == num_rows:
-                yield RowBatch.from_columns(columns, first_page_id, num_rows=num_rows)
+            if selected < num_rows:
+                columns = tuple(vector.take(column, passed) for column in columns)
+            if emit_columns:
+                yield RowBatch.from_columns(columns, num_rows=selected)
             else:
-                filtered = tuple(vector.take(column, passed) for column in columns)
-                yield RowBatch.from_columns(filtered, first_page_id, num_rows=selected)
+                yield RowBatch(vector.rows_from_columns(columns, selected))
+
+    def finalize(self, ctx: ExecutionContext) -> None:
+        if self.bundle is not None:
+            ctx.observations.extend(self.bundle.finish())
+
+
+class SeqScan(_MonitoredScanMixin, Operator):
+    """Full scan of a heap or clustered table (the paper's "Table Scan")."""
+
+    engine_layer = "SE"
+
+    def __init__(
+        self,
+        table: Table,
+        query_conjunction: Conjunction,
+        bundle: Optional[ScanMonitorBundle] = None,
+        monitor_conjunction: Optional[Conjunction] = None,
+    ) -> None:
+        super().__init__()
+        self.table = table
+        self.query_conjunction = query_conjunction
+        self.monitor_conjunction = (
+            monitor_conjunction if monitor_conjunction is not None else query_conjunction
+        )
+        self.bundle = bundle
+        self.stats.detail = f"{table.name} [{query_conjunction.key()}]"
+
+    @property
+    def output_columns(self) -> tuple[str, ...]:
+        return self.table.schema.column_names
+
+    def rows(self, ctx: ExecutionContext) -> Iterator[tuple]:
+        def pages():
+            for page_id, page in self.table.data_file.scan_pages(ctx.io):
+                yield page_id, page.rows()
+
+        yield from self._scan_pages(ctx, pages())
+
+    def _read_chunks(
+        self, io: IOContext, rows_per_chunk: int
+    ) -> Iterator[tuple[PageId, int, Any, int, list[int]]]:
+        return self.table.data_file.scan_column_chunks(io, rows_per_chunk)
 
 
 def _page_flags(
@@ -405,12 +362,16 @@ class ClusteredRangeScan(_MonitoredScanMixin, Operator):
 
         yield from self._scan_pages(ctx, pages())
 
-    def batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
-        yield from self._scan_pages_batched(
-            ctx,
-            self.table.clustered_file().seek_range_pages(
-                ctx.io, self.low, self.high, self.low_inclusive, self.high_inclusive
-            ),
+    def _read_chunks(
+        self, io: IOContext, rows_per_chunk: int
+    ) -> Iterator[tuple[PageId, int, Any, int, list[int]]]:
+        return self.table.clustered_file().seek_range_chunks(
+            io,
+            rows_per_chunk,
+            self.low,
+            self.high,
+            self.low_inclusive,
+            self.high_inclusive,
         )
 
 

@@ -1,8 +1,8 @@
 """Row ≡ batch equivalence harness.
 
-The batch execution path (page-at-a-time :class:`~repro.exec.batch.RowBatch`
-exchange + compiled predicate kernels, plus the plan-derived column-chunk
-scan under counts and hash-join probes, :mod:`repro.exec.vector`) is a pure
+The batch execution path (chunk-at-a-time :class:`~repro.exec.batch.RowBatch`
+exchange + compiled predicate kernels, with every table and clustered
+range scan reading column chunks, :mod:`repro.exec.vector`) is a pure
 performance optimization: it must be observationally identical to the
 Volcano row iterator.  This module proves it per query, by running the
 same physical plan under every mode of

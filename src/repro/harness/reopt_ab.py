@@ -165,9 +165,10 @@ def evaluate_reopt_query(
     Each arm gets its own :class:`Session` (private feedback store, no
     plan cache) seeded with the query's exact cardinalities, so the two
     executions are independent cold-cache runs differing only in the
-    watchdog.  ``exec_mode`` defaults to the page-at-a-time batch drive
-    — the checkpoint cadence the watchdog projects on (and the drive
-    whose page boundaries make the resume path legal).
+    watchdog.  ``exec_mode`` defaults to the batch drive, which
+    scans one page per chunk under a watchdog — the checkpoint cadence
+    the watchdog projects on (and the page boundaries that make the
+    resume path legal).
     """
     policy = policy if policy is not None else ReoptPolicy()
     requests = tuple(default_requests(database, generated.query))

@@ -312,7 +312,7 @@ class QueryLifecycle:
         ``io`` is the execution's accounting context (default: a fresh
         shared-pool context); pass an *isolated* context to run
         interference-free next to concurrent executions.  ``exec_mode``
-        selects row-at-a-time or page-at-a-time drive (see
+        selects row-at-a-time or chunk-at-a-time drive (see
         :func:`repro.exec.executor.execute`).  ``cancellation`` threads a
         cooperative-cancellation token into the execute stage; a
         cancelled run raises :class:`~repro.common.errors.QueryCancelled`

@@ -111,15 +111,6 @@ class InjectionSet:
         duplicate._page_counts = dict(self._page_counts)
         return duplicate
 
-    def merge_from(self, other: "InjectionSet") -> None:
-        """Absorb another set's entries; ``other`` wins on key conflicts.
-
-        This is the feedback-store lowering path: session-level base
-        injections are overridden by fresher execution feedback.
-        """
-        self._cardinalities.update(other._cardinalities)
-        self._page_counts.update(other._page_counts)
-
     def fingerprint(self) -> str:
         """Deterministic content digest (a plan-cache key component).
 

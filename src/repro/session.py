@@ -150,7 +150,7 @@ class Session:
         ``io`` is the execution's accounting context (default: a fresh
         shared-pool context); pass an *isolated* context to run
         interference-free next to concurrent executions.  ``exec_mode``
-        picks the page-at-a-time batch drive (default) or the row-at-a-time
+        picks the chunk-at-a-time batch drive (default) or the row-at-a-time
         reference oracle.  ``cancellation`` opts into cooperative
         cancellation (the executor raises
         :class:`~repro.common.errors.QueryCancelled` at the next page/batch

@@ -159,7 +159,7 @@ class VectorOutcome:
 
 
 class CompiledConjunction:
-    """Per-term kernels for page-at-a-time conjunction evaluation.
+    """Per-term kernels for batch conjunction evaluation.
 
     ``compile()`` specializes every term into a closure that evaluates it
     over a list of rows in one comprehension (constants hoisted by the

@@ -132,7 +132,9 @@ class ClusteredFile(DataFile):
 
         ``None`` bounds are open.  Pages are read sequentially starting at
         the first qualifying page; the scan stops at the first row past the
-        upper bound (grouped page access holds within the range).
+        upper bound (grouped page access holds within the range).  This is
+        the row oracle's seek; the batch drive reads the same pages through
+        :meth:`seek_range_chunks`.
         """
         self._require_loaded()
         start = 0
@@ -157,66 +159,58 @@ class ClusteredFile(DataFile):
                         return
                 yield page_id, slot, row
 
-    def seek_range_pages(
+    def range_rows(
         self,
-        io: IOContext,
         low: Optional[tuple],
         high: Optional[tuple],
         low_inclusive: bool = True,
         high_inclusive: bool = True,
-    ) -> Iterator[tuple[PageId, list[tuple]]]:
-        """Page-at-a-time form of :meth:`seek_range`: ``(page_id, rows)``.
-
-        Yields exactly the pages (and rows, in order) that grouping
-        :meth:`seek_range`'s output by page would produce: pages the scan
-        reads but that hold no in-range row are charged yet not yielded,
-        and the scan stops at the first row past the upper bound (the
-        partial page's in-range rows are still yielded first).  Keeping
-        the page sequence identical keeps the monitor's Bernoulli sampler
-        and ``pages_touched`` identical between the two execution modes.
-        """
+    ) -> tuple[int, int]:
+        """The row positions ``[start, stop)`` holding the keys in the range
+        (no I/O): one fence bisection and one in-page bisection per bound.
+        An empty range has ``start == stop``."""
         self._require_loaded()
-        start = 0
+        start, stop = 0, self.num_rows
         if low is not None:
-            start = (
-                self.first_page_with_key_ge(low)
-                if low_inclusive
-                else self.first_page_with_key_gt(low)
+            start = self._first_row(low, past=not low_inclusive)
+        if high is not None:
+            stop = self._first_row(high, past=high_inclusive)
+        return start, max(start, stop)
+
+    def _first_row(self, key: tuple, past: bool) -> int:
+        """Position of the first row whose key is > ``key`` (``past``) or
+        >= ``key``; the row count when there is none."""
+        find = bisect.bisect_right if past else bisect.bisect_left
+        page_id = find(self._page_high_keys, key)
+        if page_id == self.num_pages:
+            return self.num_rows
+        base, keys = self._page_keys(page_id)
+        return base + find(keys, key)
+
+    def seek_range_chunks(
+        self,
+        io: IOContext,
+        rows_per_chunk: int,
+        low: Optional[tuple],
+        high: Optional[tuple],
+        low_inclusive: bool = True,
+        high_inclusive: bool = True,
+    ) -> Iterator[tuple[PageId, int, Any, int, list[int]]]:
+        """Chunk form of :meth:`seek_range`: :meth:`scan_column_chunks`
+        over :meth:`range_rows`, with :meth:`seek_range`'s reads.
+
+        :meth:`seek_range` stops at the first row past the range, so it
+        also reads the page holding that row when no row of the range is
+        on it (the range is empty or ends on a page boundary).  That read
+        is charged here after the last chunk; the page is in no chunk, so
+        a monitor flips no coin for it and counts no touch.
+        """
+        start, stop = self.range_rows(low, high, low_inclusive, high_inclusive)
+        yield from self.scan_column_chunks(io, rows_per_chunk, start, stop)
+        if stop < self.num_rows and (start == stop or not stop % self.page_capacity):
+            self.buffer_pool.access(
+                self.file_id, stop // self.page_capacity, io, sequential=True
             )
-        # The fences say which pages lie wholly inside the range; those
-        # are passed whole.  A boundary page's keys are sorted, so each
-        # bound is one bisection over them, and only the rows inside the
-        # bounds are built.
-        page_lows = self._page_low_keys
-        page_highs = self._page_high_keys
-        for page_id, page in self.scan_pages(io, start_page=start):
-            cut_low = low is not None and (
-                page_lows[page_id] < low
-                if low_inclusive
-                else page_lows[page_id] <= low
-            )
-            cut_high = high is not None and (
-                page_highs[page_id] > high
-                if high_inclusive
-                else page_highs[page_id] >= high
-            )
-            if not (cut_low or cut_high):
-                yield page_id, page.rows_list()
-                continue
-            base, keys = self._page_keys(page_id)
-            first, stop = 0, len(keys)
-            if cut_low:
-                first = (bisect.bisect_left if low_inclusive else bisect.bisect_right)(
-                    keys, low
-                )
-            if cut_high:
-                stop = (bisect.bisect_right if high_inclusive else bisect.bisect_left)(
-                    keys, high
-                )
-            if first < stop:
-                yield page_id, self.rows_between(base + first, base + stop)
-            if stop < len(keys):
-                return  # the first row past the upper bound ends the scan
 
     def fetch_by_key(self, io: IOContext, key: tuple) -> Iterator[tuple[PageId, tuple]]:
         """Random-access fetch of all rows with the exact clustering key.

@@ -208,19 +208,13 @@ class DataFile:
         return rows
 
     def scan_pages(
-        self, io: IOContext, start_page: int = 0, end_page: Optional[int] = None
+        self, io: IOContext, start_page: int = 0
     ) -> Iterator[tuple[PageId, Page]]:
-        """Iterate pages in allocation order, charging ``io`` sequential reads.
-
-        ``start_page``/``end_page`` bound the scan (used by clustered range
-        seeks); ``end_page`` is exclusive and defaults to the file end.
-        The scan covers the rows the file held when it started.
-        """
+        """Iterate pages in allocation order from ``start_page``, charging
+        ``io`` sequential reads.  The scan covers the rows the file held
+        when it started."""
         num_rows = self._num_rows
-        stop = -(-num_rows // self.page_capacity)
-        if end_page is not None:
-            stop = min(end_page, stop)
-        for page_id in range(start_page, stop):
+        for page_id in range(start_page, -(-num_rows // self.page_capacity)):
             self.buffer_pool.access(self.file_id, page_id, io, sequential=True)
             yield page_id, self._window(page_id, num_rows)
 
@@ -228,19 +222,21 @@ class DataFile:
         self,
         io: IOContext,
         rows_per_chunk: int,
-        start_page: int = 0,
-        end_page: Optional[int] = None,
+        start: int = 0,
+        stop: Optional[int] = None,
     ) -> Iterator[tuple[PageId, int, Any, int, list[int]]]:
-        """Columnar scan in multi-page chunks:
+        """Columnar scan of rows ``[start, stop)`` in multi-page chunks:
         ``(first_page_id, page_count, columns_view, num_rows, page_starts)``.
 
-        Groups contiguous whole pages until a chunk reaches
-        ``rows_per_chunk`` rows, so one whole-vector kernel evaluation
-        covers many simulated pages — the granularity at which NumPy
-        dispatch overhead amortizes.  The view is a zero-copy slice of the
-        store.  Page order and per-page sequential I/O charging are
-        exactly those of :meth:`scan_pages`, and like it the scan covers
-        the rows the file held when it started.
+        Groups contiguous pages until a chunk reaches ``rows_per_chunk``
+        rows, so one whole-vector kernel evaluation covers many simulated
+        pages — the granularity at which NumPy dispatch overhead
+        amortizes; ``rows_per_chunk=1`` makes every page its own chunk.
+        The view is a zero-copy slice of the store.  Every page holding a
+        row of the range is read once, in order, as a sequential read
+        charged before its chunk is yielded; the first and last page may
+        be cut at the bounds.  ``stop`` defaults to the file end, and the
+        scan covers the rows the file held when it started.
         ``page_starts`` lists each page's first row within the chunk
         (``page_starts[0] == 0``): a caller whose accounting is per page
         rather than additive across pages (scan monitors count *pages*
@@ -250,30 +246,25 @@ class DataFile:
         """
         sliced = self._vector.SlicedColumns
         capacity = self.page_capacity
-        chunk_start: Optional[PageId] = None
-        chunk_rows = 0
-        chunk_pages = 0
-
-        def chunk() -> tuple[PageId, int, Any, int, list[int]]:
-            offset = chunk_start * capacity
-            return (
-                chunk_start,
-                chunk_pages,
-                sliced(self._store(), offset, offset + chunk_rows),
-                chunk_rows,
-                list(range(0, chunk_rows, capacity)),
+        stop = self._num_rows if stop is None else min(stop, self._num_rows)
+        access = self.buffer_pool.access
+        while start < stop:
+            first_page_id = page_id = start // capacity
+            chunk_stop = start
+            page_starts = []
+            while chunk_stop < stop and chunk_stop - start < rows_per_chunk:
+                access(self.file_id, page_id, io, sequential=True)
+                page_starts.append(chunk_stop - start)
+                page_id += 1
+                chunk_stop = min(page_id * capacity, stop)
+            yield (
+                first_page_id,
+                page_id - first_page_id,
+                sliced(self._store(), start, chunk_stop),
+                chunk_stop - start,
+                page_starts,
             )
-
-        for page_id, page in self.scan_pages(io, start_page, end_page):
-            if chunk_start is None:
-                chunk_start = page_id
-            chunk_rows += page.num_rows
-            chunk_pages += 1
-            if chunk_rows >= rows_per_chunk:
-                yield chunk()
-                chunk_start, chunk_rows, chunk_pages = None, 0, 0
-        if chunk_start is not None:
-            yield chunk()
+            start = chunk_stop
 
     def scan_rows(self, io: IOContext) -> Iterator[tuple[PageId, int, tuple]]:
         """Full scan yielding ``(page_id, slot, row)`` in grouped page order.

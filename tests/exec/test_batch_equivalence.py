@@ -2,7 +2,7 @@
 
 The batch execution path is a performance optimization only: these tests
 drive the full §V-B pipeline (monitored P, feedback, unmonitored P' —
-either takes the column-chunk scan whenever it is a table scan)
+every table and clustered range scan takes the chunk scan)
 through :func:`repro.harness.compare_workload` and require that every
 observable — result rows, observations, read counters, and the
 per-operator stats tree — is identical across the modes.
@@ -14,7 +14,7 @@ import pytest
 
 from repro.core.planner import MonitorConfig
 from repro.engine import Engine
-from repro.exec.scans import SeqScan
+from repro.exec.scans import ClusteredRangeScan, _MonitoredScanMixin
 from repro.harness import compare_workload
 from repro.optimizer import PlanHint, SingleTableQuery
 from repro.sql import Comparison, Conjunction, InList, conjunction_of
@@ -40,15 +40,16 @@ def equivalence_db():
 
 @pytest.fixture
 def chunk_scans(monkeypatch):
-    """Every scan that takes the column-chunk drive while the test runs."""
+    """Every ``SeqScan`` and ``ClusteredRangeScan`` the batch drive ran
+    while the test runs, in the order their chunk scans started."""
     scans = []
-    chunk_drive = SeqScan._scan_chunks_columnar
+    chunk_drive = _MonitoredScanMixin._scan_chunks
 
     def counting(self, ctx):
         scans.append(self)
         return chunk_drive(self, ctx)
 
-    monkeypatch.setattr(SeqScan, "_scan_chunks_columnar", counting)
+    monkeypatch.setattr(_MonitoredScanMixin, "_scan_chunks", counting)
     return scans
 
 
@@ -85,10 +86,13 @@ def test_join_workload_row_batch_equivalent(equivalence_db, chunk_scans):
     )
     assert report.ok, report.render()
     # These joins build on the filtered side, so the DPC request (keyed to
-    # that side) is unanswerable: their probe scans of t1 take the
-    # column-chunk path unmonitored.
-    assert {scan.table.name for scan in chunk_scans} == {"t1"}
-    assert all(scan.bundle is None for scan in chunk_scans)
+    # that side) is unanswerable: their probe scans of t1 hand the join
+    # column chunks unmonitored, and the build scans of t row tuples.
+    probes = [scan for scan in chunk_scans if scan.parent_consumes_columns]
+    builds = [scan for scan in chunk_scans if not scan.parent_consumes_columns]
+    assert {scan.table.name for scan in probes} == {"t1"}
+    assert all(scan.bundle is None for scan in probes)
+    assert {scan.table.name for scan in builds} == {"t"}
 
 
 def test_fig8_join_workload_row_batch_equivalent(equivalence_db, chunk_scans, backend):
@@ -115,6 +119,8 @@ def test_fig8_join_workload_row_batch_equivalent(equivalence_db, chunk_scans, ba
     ]
     assert len(monitored) >= len(workload)
     assert {scan.table.name for scan in monitored} == {"t"}
+    # The ``t1.c1 < N`` side is a clustered range seek on the same loop.
+    assert any(isinstance(scan, ClusteredRangeScan) for scan in chunk_scans)
 
 
 def _index_plan_workloads(database):

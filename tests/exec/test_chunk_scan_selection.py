@@ -1,18 +1,19 @@
-"""When a batch-mode scan emits column chunks, and that it changes nothing.
+"""How the one batch scan loop shapes its chunks, and that it changes nothing.
 
-The batch drive's payload is a row list everywhere except one
-plan-derived case: a ``SeqScan`` whose parent consumes columns
-(``CountAggregate`` / ``GroupByCountAggregate``, and ``HashJoin`` on its
-probe side) emits multi-page column chunks — monitored or not: its bundle
-is fed per-page verdicts reduced from the chunk-wide masks, a flag per
-expression entry and a (flag, first-hit offset) per bit-vector entry.
-What is genuinely row- or page-ordered stays on the page loop: runs under
-the reopt watchdog or with resume tracking armed, range scans, and scans
-whose consumer wants every row as a tuple (hash-join build sides, INL and
-merge joins, sorts — a merge join's partial filter is still filling while
-it is probed).  These tests pin the selection rule — it is a property of
-the plan and the run, never of an option — and prove row == batch for
-every shape on rows, observations, every ``IOContext`` charge,
+Every batch-mode ``SeqScan`` and ``ClusteredRangeScan`` runs the chunk
+scan, monitored or not: its bundle is fed per-page verdicts reduced from
+the chunk-wide masks, a flag per expression entry and a (flag, first-hit
+offset) per bit-vector entry.  Two things are derived from the plan and
+the run, never from an option.  The output: column chunks when the
+parent consumes columns (``CountAggregate`` / ``GroupByCountAggregate``,
+and ``HashJoin`` on its probe side, for table scans), else row tuples of
+the surviving rows (hash-join build sides, INL joins, sorts, range
+scans).  The width: multi-page chunks, or one page per chunk under the
+reopt watchdog or with resume tracking armed, so checkpoints,
+``progress()`` and the resume boundary stay page-granular.  A merge
+join still pulls ``rows()`` through its subtree (its partial filter is
+filling while it is probed).  The tests prove row == batch for every
+shape on rows, observations, every ``IOContext`` charge,
 ``pages_touched``, ``predicate_evaluations``, the sampler's draw counts,
 the filter's own counters and the read counters, under both vector
 backends.
@@ -24,9 +25,10 @@ from collections import Counter
 
 import pytest
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.catalog import ColumnDef, Database, TableSchema
+from repro.common.types import PageId
 from repro.common.cancellation import CancellationToken
 from repro.core.bitvector import BitVectorFilter, PartialBitVectorFilter
 from repro.core.dpsample import BernoulliPageSampler
@@ -150,6 +152,24 @@ def spy_batches(operator):
     return seen
 
 
+def spy_chunk_widths(scan):
+    """Record the page count of every chunk ``scan`` reads, and hand back
+    the ``resume_key`` each chunk found (read before the chunk is
+    processed, so it is the boundary of everything processed so far)."""
+    widths: list[int] = []
+    keys_before: list = []
+    read = scan._read_chunks
+
+    def reading(io, rows_per_chunk):
+        for chunk in read(io, rows_per_chunk):
+            widths.append(chunk[1])
+            keys_before.append(scan.resume_key)
+            yield chunk
+
+    scan._read_chunks = reading
+    return widths, keys_before
+
+
 def operators_of(root, kind):
     out, stack = [], [root]
     while stack:
@@ -174,10 +194,11 @@ def filter_counters(root):
 
 
 def sampler_draws(root):
-    """``(pages_seen, pages_sampled)`` of every scan sampler under ``root``."""
+    """``(pages_seen, pages_sampled)`` of every scan sampler under ``root``
+    (table and clustered range scans)."""
     return [
         (scan.bundle.sampler.pages_seen, scan.bundle.sampler.pages_sampled)
-        for scan in scans_of(root)
+        for scan in operators_of(root, (SeqScan, ClusteredRangeScan))
         if scan.bundle is not None and scan.bundle.sampler is not None
     ]
 
@@ -236,13 +257,15 @@ def monitored_count_scan(database):
     return root, scan
 
 
-def with_bitvector_entry(scan):
-    """Hand the count scan's bundle a semi-join request on ``c2``."""
+def with_bitvector_entry(scan, column="c2", values=(7,)):
+    """Hand the scan's bundle a semi-join request on ``column`` whose
+    filter holds ``values``."""
     bits = BitVectorFilter(1024)
-    bits.insert(7)
+    for value in values:
+        bits.insert(value)
     scan.bundle.add_bitvector_request(
-        JoinMethodRequest("t", JoinEquality("t1", "c2", "t", "c2")),
-        scan.table.schema.position("c2"),
+        JoinMethodRequest("t", JoinEquality("t1", column, "t", column)),
+        scan.table.schema.position(column),
         bits,
     )
     return bits
@@ -278,17 +301,29 @@ def test_bitvector_count_scan_row_equals_batch(synthetic_db, backend):
     assert counters["batch"][2]["charge_bitvector_probes"] > 0
 
 
-def test_resume_tracking_keeps_the_page_loop(synthetic_db, backend):
+def test_resume_tracking_scans_one_page_chunks(synthetic_db, backend):
     root, scan = monitored_count_scan(synthetic_db)
+    key_position = scan.table.schema.position("c1")
     scan.resume_tracking = True
-    scan.resume_key_position = scan.table.schema.position("c1")
+    scan.resume_key_position = key_position
     seen = spy_batches(scan)
+    widths, keys_before = spy_chunk_widths(scan)
     execute(root, synthetic_db, mode="batch")
-    assert seen and not any(seen)
-    assert scan.resume_key is not None
+    data_file = scan.table.data_file
+    # The oracle's page boundaries: the key of each page's last row.
+    boundaries = [
+        data_file.page(PageId(page)).rows_list()[-1][key_position]
+        for page in range(data_file.num_pages)
+    ]
+    assert seen and all(seen)
+    assert widths == [1] * data_file.num_pages == [1] * scan.stats.pages_touched
+    # Every stop between two chunks sees the last fully processed page's
+    # boundary, and the run ends on the last page's.
+    assert keys_before == [None] + boundaries[:-1]
+    assert scan.resume_key == boundaries[-1]
 
 
-def test_watchdog_run_keeps_the_page_loop(synthetic_db, backend):
+def test_watchdog_run_scans_one_page_chunks(synthetic_db, backend):
     class CountingWatchdog:
         checkpoints = 0
 
@@ -298,6 +333,7 @@ def test_watchdog_run_keeps_the_page_loop(synthetic_db, backend):
     root, scan = monitored_count_scan(synthetic_db)
     watchdog = CountingWatchdog()
     seen = spy_batches(scan)
+    widths, _keys = spy_chunk_widths(scan)
     execute(
         root,
         synthetic_db,
@@ -305,21 +341,33 @@ def test_watchdog_run_keeps_the_page_loop(synthetic_db, backend):
         cancellation=CancellationToken(),
         watchdog=watchdog,
     )
-    assert seen and not any(seen)
+    assert seen and all(seen)
+    assert widths == [1] * scan.stats.pages_touched
     # The watchdog polls progress() page by page.
     assert watchdog.checkpoints == scan.stats.pages_touched
 
 
-def test_clustered_range_scan_receives_row_lists(synthetic_db, backend):
-    query = SingleTableQuery(
-        "t", conjunction_of(Comparison("c1", "<", 3_000)), "padding"
+def clustered_range_query(bound=3_000):
+    return SingleTableQuery(
+        "t", conjunction_of(Comparison("c1", "<", bound)), "padding"
     )
-    root = build(synthetic_db, query, "clustered_range", monitored=True)
+
+
+def test_clustered_range_scan_takes_the_chunk_scan(synthetic_db, backend):
+    root = build(synthetic_db, clustered_range_query(), "clustered_range", True)
     scan = root.child
     assert isinstance(scan, ClusteredRangeScan) and scan.bundle is not None
     seen = spy_batches(scan)
+    widths, _keys = spy_chunk_widths(scan)
     execute(root, synthetic_db, mode="batch")
+    # Multi-page chunks of row tuples (the planner marks table scans only).
     assert seen and not any(seen)
+    assert sum(widths) == scan.stats.pages_touched
+    assert len(widths) < scan.stats.pages_touched / 4
+    assert_row_equals_batch(
+        synthetic_db,
+        lambda: build(synthetic_db, clustered_range_query(), "clustered_range", True),
+    )
 
 
 @pytest.mark.parametrize("monitored", [False, True])
@@ -344,7 +392,7 @@ def test_hash_join_over_scans_receives_row_lists(join_db, backend, monitored):
     # What still receives row lists around a hash join: the hash table
     # stores every build row as a tuple, so the build-side scan is not
     # marked, whichever scan it is; and a probe side that is not a table
-    # scan (here a clustered range scan) has no chunk drive.
+    # scan (here a clustered range scan) is not marked either.
     for query in (
         join_query(),
         fig8_join_query(),
@@ -383,7 +431,7 @@ def test_scans_under_other_joins_receive_row_lists(join_db, backend, hint):
 
 def test_partial_filter_merge_join_receives_row_lists(join_db, backend):
     # Both sides pre-sorted on the clustering key: the filter is still
-    # filling while the inner scan probes it, which only the page loop
+    # filling while the inner scan probes it, which only the row drive
     # (interleaved with the merge) gets right.
     query = JoinQuery(
         join_predicate=JoinEquality("t1", "c1", "t", "c1"),
@@ -406,26 +454,37 @@ def test_partial_filter_merge_join_receives_row_lists(join_db, backend):
     )
 
 
-def test_hash_join_probe_under_watchdog_or_resume_keeps_the_page_loop(
+def test_hash_join_probe_under_watchdog_or_resume_scans_one_page_chunks(
     join_db, backend
 ):
     class Watchdog:
+        checkpoints = 0
+
         def observe(self, io):
-            pass
+            self.checkpoints += 1
 
     for arm in ("watchdog", "resume"):
         root = build(join_db, fig8_join_query(), "hash_join", monitored=True)
         probe = root.child.probe
         assert probe.parent_consumes_columns and probe.bundle is not None
         options = {}
+        watchdog = Watchdog()
         if arm == "watchdog":
-            options = {"cancellation": CancellationToken(), "watchdog": Watchdog()}
+            options = {"cancellation": CancellationToken(), "watchdog": watchdog}
         else:
             probe.resume_tracking = True
             probe.resume_key_position = probe.table.schema.position("c1")
         seen = spy_batches(probe)
+        widths, _keys = spy_chunk_widths(probe)
         execute(root, join_db, mode="batch", **options)
-        assert seen and not any(seen)
+        assert seen and all(seen)
+        assert widths == [1] * probe.stats.pages_touched == [1] * probe.table.num_pages
+        if arm == "watchdog":
+            # Build pages plus probe pages: one checkpoint per scanned page.
+            build_pages = root.child.build.stats.pages_touched
+            assert watchdog.checkpoints == build_pages + probe.stats.pages_touched
+        else:
+            assert probe.resume_key is not None
 
 
 def test_hand_built_hash_join_over_unmarked_scans_keeps_row_lists(
@@ -626,7 +685,28 @@ def _stats_tree(stats, attribute):
     ]
 
 
-@settings(max_examples=40, deadline=None)
+_KEY_BOUND = st.one_of(st.none(), st.integers(-1, 10))
+
+#: Named clustered ranges over 28 rows keyed ``i // 2``, 7 rows to a page:
+#: page 0 holds keys 0..3, page 1 keys 3..6, page 2 starts at key 7.
+_NAMED_RANGE_ROWS = [(i // 2, i % 10) for i in range(28)]
+
+
+def _named_range(key_range, kind="mixed", bitvector=True, fraction=0.5):
+    return example(
+        values=_NAMED_RANGE_ROWS,
+        fill_factor=1.0,
+        bounds=(5, 6),
+        kind=kind,
+        fraction=fraction,
+        one_page_chunks=False,
+        python_backend=False,
+        key_range=key_range,
+        bitvector=bitvector,
+    )
+
+
+@settings(max_examples=80, deadline=None)
 @given(
     # Sized first: lists left to themselves stay within a page or two.
     values=st.integers(1, 120).flatmap(
@@ -642,11 +722,36 @@ def _stats_tree(stats, attribute):
     fraction=st.sampled_from([0.1, 0.5, 1.0]),
     one_page_chunks=st.booleans(),
     python_backend=st.booleans(),
+    # None: a table scan; else a clustered range seek on ``a``:
+    # (low, high, low_inclusive, high_inclusive), either bound open.
+    key_range=st.one_of(
+        st.none(), st.tuples(_KEY_BOUND, _KEY_BOUND, st.booleans(), st.booleans())
+    ),
+    bitvector=st.booleans(),
 )
+# Ends exactly on a page boundary: page 2 is read but yields no row.
+@_named_range((None, 7, True, False))
+@_named_range((1, 6, False, True), kind="dpsample")
+# Empty inside the file, and inverted: only the page holding ``low``.
+@_named_range((5, 5, False, True), kind="exact")
+@_named_range((9, 2, True, True), bitvector=False)
+# Both bounds exclusive, both inclusive, on both sides of a fence.
+@_named_range((3, 7, False, False), fraction=1.0)
+@_named_range((3, 7, True, True), fraction=0.1)
+# Past the last key: nothing is read.
+@_named_range((20, None, True, True))
 def test_random_tables_row_equals_batch(
-    values, fill_factor, bounds, kind, fraction, one_page_chunks, python_backend
+    values,
+    fill_factor,
+    bounds,
+    kind,
+    fraction,
+    one_page_chunks,
+    python_backend,
+    key_range,
+    bitvector,
 ):
-    # 8 rows to a full page: ragged last pages, part-filled pages, chunks
+    # 7 rows to a full page: ragged last pages, part-filled pages, chunks
     # (and whole files) that select nothing.
     database = Database("chunks", buffer_pool_pages=1_000)
     schema = TableSchema(
@@ -658,7 +763,10 @@ def test_random_tables_row_equals_batch(
         ],
     )
     table = database.load_table(
-        schema, [(a, b, "x") for a, b in values], fill_factor=fill_factor
+        schema,
+        [(a, b, "x") for a, b in values],
+        clustered_on=None if key_range is None else ["a"],
+        fill_factor=fill_factor,
     )
     query = SingleTableQuery(
         "t",
@@ -670,9 +778,16 @@ def test_random_tables_row_equals_batch(
     batch_rows = 1 if one_page_chunks else len(values)
 
     def run(mode):
-        root = build(
-            database, query, "table_scan", True, scan_requests(kind, query), fraction
-        )
+        if key_range is None:
+            requests = scan_requests(kind, query)
+            root = build(database, query, "table_scan", True, requests, fraction)
+            scan = root.child
+        else:
+            root = scan = range_scan(table, key_range, bounds, kind, fraction)
+        if bitvector:
+            with_bitvector_entry(scan, column="b", values=(0, 3, 7))
+            if scan.bundle.sampler is None:  # an exact-only plan has none
+                scan.bundle.sampler = BernoulliPageSampler(fraction, seed=3)
         return drive(database, root, mode, batch_rows)
 
     if python_backend:
@@ -681,7 +796,55 @@ def test_random_tables_row_equals_batch(
     else:
         row, batch = run("row"), run("batch")
     assert row == batch
-    assert batch[3] == [0, table.num_pages]  # [CountAggregate, SeqScan]
+    if key_range is None:
+        assert batch[3] == [0, table.num_pages]  # [CountAggregate, SeqScan]
+    else:
+        capacity = table.data_file.page_capacity
+        stored = table.data_file.rows_between(0, table.num_rows)
+        in_range = {
+            position // capacity
+            for position, row in enumerate(stored)
+            if _in_key_range(row[0], *key_range)
+        }
+        assert batch[3] == [len(in_range)]
+
+
+def range_scan(table, key_range, bounds, kind, fraction):
+    """A monitored clustered range seek on ``a`` with residual ``b < N``:
+    an exact entry on the residual, a DPSample entry on ``a < M`` (a
+    term only the monitor conjunction holds), or both."""
+    low, high, low_inclusive, high_inclusive = key_range
+    residual = conjunction_of(Comparison("b", "<", bounds[1]))
+    monitored = Conjunction(residual.terms + (Comparison("a", "<", bounds[0]),))
+    bundle = ScanMonitorBundle(
+        "t", len(residual), sampler=BernoulliPageSampler(fraction, seed=3)
+    )
+    if kind in ("exact", "mixed"):
+        bundle.add_expression_request(
+            AccessPathRequest("t", residual), term_indexes=(0,), exact=True
+        )
+    if kind in ("dpsample", "mixed"):
+        bundle.add_expression_request(
+            AccessPathRequest("t", Conjunction(monitored.terms[1:])),
+            term_indexes=(1,),
+            exact=False,
+        )
+    return ClusteredRangeScan(
+        table,
+        None if low is None else (low,),
+        None if high is None else (high,),
+        residual,
+        low_inclusive,
+        high_inclusive,
+        bundle=bundle,
+        monitor_conjunction=monitored,
+    )
+
+
+def _in_key_range(key, low, high, low_inclusive, high_inclusive):
+    if low is not None and (key < low if low_inclusive else key <= low):
+        return False
+    return high is None or (key <= high if high_inclusive else key < high)
 
 
 # ----------------------------------------------------------------------

@@ -47,10 +47,9 @@ def test_empty_columnar_batch(backend):
 def test_from_columns_round_trip(backend):
     rows = [(1, "a", 1.5), (2, "b", 2.5), (3, None, 3.5)]
     columns = vector.columns_from_rows(rows, 3)
-    batch = RowBatch.from_columns(columns, page_id=7)
+    batch = RowBatch.from_columns(columns)
     assert batch.is_columnar
     assert len(batch) == 3
-    assert batch.page_id == 7
     assert batch.to_rows() == rows
     # The rows shim caches: second access is the same materialization.
     assert batch.rows is batch.rows

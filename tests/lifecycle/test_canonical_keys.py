@@ -113,12 +113,3 @@ class TestInjectionFingerprint:
         first.inject_page_count_by_key("DPC(t, a < 1)", 5.0)
         second.inject_page_count_by_key("DPC(t, a < 1)", 6.0)
         assert first.fingerprint() != second.fingerprint()
-
-    def test_merge_from_other_wins(self):
-        base, fresh = InjectionSet(), InjectionSet()
-        base.inject_page_count_by_key("DPC(t, a < 1)", 5.0)
-        base.inject_page_count_by_key("DPC(t, c < 3)", 1.0)
-        fresh.inject_page_count_by_key("DPC(t, a < 1)", 8.0)
-        base.merge_from(fresh)
-        assert base._page_counts["DPC(t, a < 1)"] == 8.0
-        assert base._page_counts["DPC(t, c < 3)"] == 1.0

@@ -133,12 +133,18 @@ def test_every_read_path_returns_the_loaded_rows(rows, clustered, build, read):
             expected = [row for row in stored if 3 <= row[0] <= 9]
             sought = list(clustered_file.seek_range(IOContext(), low, high))
             assert [row for _page, _slot, row in sought] == expected
-            by_page = list(clustered_file.seek_range_pages(IOContext(), low, high))
-            assert [row for _page, page_rows in by_page for row in page_rows] == expected
+            chunked = [
+                row
+                for _first, _count, columns, num_rows, _starts in (
+                    clustered_file.seek_range_chunks(IOContext(), 8, low, high)
+                )
+                for row in vector.rows_from_columns(list(columns), num_rows)
+            ]
+            assert chunked == expected
             keyed = list(clustered_file.fetch_by_key(IOContext(), (5,)))
             assert [row for _page, row in keyed] == [r for r in stored if r[0] == 5]
             assert_plain(expected)
-            assert_plain(row for _page, page_rows in by_page for row in page_rows)
+            assert_plain(chunked)
             assert_plain(row for _page, row in keyed)
 
 

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import StorageError
 from repro.common.types import FileId, RID, PageId
+from repro.exec import vector
 from repro.storage.accounting import IOContext
 from repro.storage.buffer import BufferPool
 from repro.storage.clustered import ClusteredFile
@@ -197,12 +198,13 @@ class TestClusteredFile:
         low_inclusive=st.booleans(),
         high_inclusive=st.booleans(),
         composite=st.booleans(),  # two-column key, one-column (prefix) bounds
+        rows_per_chunk=st.sampled_from([1, 10, 1_000]),
     )
-    def test_seek_range_pages_is_seek_range_grouped_by_page(
-        self, keys, low, high, low_inclusive, high_inclusive, composite
+    def test_seek_range_chunks_is_seek_range_grouped_by_page(
+        self, keys, low, high, low_inclusive, high_inclusive, composite, rows_per_chunk
     ):
-        """Fenced-in pages are passed whole and boundary pages bisected,
-        yet pages, rows, reads and the early stop are the row oracle's."""
+        """Chunks cut at the bounds hold the row oracle's pages and rows,
+        and the reads — the early stop's included — are the oracle's."""
         rows = [(k, i % 3, i) for i, k in enumerate(keys)]
         cf = make_clustered(
             rows, key_positions=(0, 1) if composite else (0,), row_width=1000
@@ -213,35 +215,71 @@ class TestClusteredFile:
             low_inclusive,
             high_inclusive,
         )
-        io_rows, io_pages = IOContext(isolated=True), IOContext(isolated=True)
-        grouped: list[tuple[PageId, list[tuple]]] = []
-        for page_id, _slot, row in cf.seek_range(io_rows, *bounds):
-            if not grouped or grouped[-1][0] != page_id:
-                grouped.append((page_id, []))
-            grouped[-1][1].append(row)
-        paged = [
-            (page_id, list(page_rows))
-            for page_id, page_rows in cf.seek_range_pages(io_pages, *bounds)
-        ]
-        assert paged == grouped
-        assert (io_pages.sequential_reads, io_pages.random_reads) == (
+        io_rows, io_chunks = IOContext(isolated=True), IOContext(isolated=True)
+        grouped = _grouped_by_page(
+            (page_id, row) for page_id, _slot, row in cf.seek_range(io_rows, *bounds)
+        )
+        chunked = _grouped_by_page(
+            _chunk_rows(cf.seek_range_chunks(io_chunks, rows_per_chunk, *bounds))
+        )
+        assert chunked == grouped
+        assert (io_chunks.sequential_reads, io_chunks.random_reads) == (
             io_rows.sequential_reads,
             io_rows.random_reads,
         )
-        assert io_pages.logical_reads == io_rows.logical_reads
+        assert io_chunks.logical_reads == io_rows.logical_reads
 
-    def test_seek_range_pages_passes_interior_pages_whole(self):
+    def test_seek_range_chunks_cut_only_the_boundary_pages(self):
         cf = make_clustered([(i,) for i in range(200)], row_width=400)
         capacity = cf.page_capacity
-        paged = list(
-            cf.seek_range_pages(IOContext(), (3,), (3 * capacity + 1,), True, True)
-        )
-        assert [len(page_rows) for _page_id, page_rows in paged] == [
-            capacity - 3, capacity, capacity, 2,
+        bounds = ((3,), (3 * capacity + 1,), True, True)
+        paged = list(cf.seek_range_chunks(IOContext(), 1, *bounds))
+        assert [(first, count, num_rows) for first, count, _, num_rows, _ in paged] == [
+            (0, 1, capacity - 3), (1, 1, capacity), (2, 1, capacity), (3, 1, 2),
         ]
-        # Interior pages come whole, boundary pages cut at the bounds.
-        assert paged[1][1] == cf.page(PageId(1)).rows_list()
-        assert paged[0][1] == cf.page(PageId(0)).rows_list()[3:]
+        # One wide chunk: the same pages, segmented by ``page_starts``.
+        ((first, count, columns, num_rows, starts),) = cf.seek_range_chunks(
+            IOContext(), 1_000, *bounds
+        )
+        assert (first, count, num_rows) == (0, 4, 3 * capacity - 1)
+        assert starts == [0, capacity - 3, 2 * capacity - 3, 3 * capacity - 3]
+        assert list(columns[0]) == list(range(3, 3 * capacity + 2))
+
+    def test_seek_range_chunks_read_the_page_past_the_range(self):
+        """The oracle reads the page holding the first row past the range
+        even when it yields nothing from it; the chunk form charges that
+        read but puts the page in no chunk."""
+        cf = make_clustered([(i,) for i in range(200)], row_width=400)
+        capacity = cf.page_capacity
+        cases = {
+            # Ends exactly on a page boundary: page 1 is read, not chunked.
+            "boundary": (((0,), (capacity,), True, False), [0], 2),
+            # Empty inside the file: the page holding ``low`` is read.
+            "empty": (((capacity + 2,), (capacity + 2,), True, False), [], 1),
+            # Below ``low``: the same single read.
+            "inverted": (((capacity + 2,), (1,), True, True), [], 1),
+            # Past the last key: nothing to read at all.
+            "past_the_end": (((500,), None, True, True), [], 0),
+            # Open upper bound: no page past the file.
+            "to_the_end": (((190,), None, True, True), None, None),
+        }
+        for name, (bounds, pages, reads) in cases.items():
+            io_rows, io_chunks = IOContext(isolated=True), IOContext(isolated=True)
+            oracle = list(cf.seek_range(io_rows, *bounds))
+            chunks = list(cf.seek_range_chunks(io_chunks, 1, *bounds))
+            chunk_pages = [first for first, *_ in chunks]
+            assert chunk_pages == sorted({page for page, _slot, _row in oracle}), name
+            assert io_chunks.sequential_reads == io_rows.sequential_reads, name
+            if pages is not None:
+                assert (chunk_pages, io_chunks.sequential_reads) == (pages, reads), name
+
+    def test_range_rows_bisects_to_row_positions(self):
+        cf = make_clustered([(i // 2,) for i in range(100)], row_width=400)
+        assert cf.range_rows(None, None) == (0, 100)
+        assert cf.range_rows((10,), (12,)) == (20, 26)
+        assert cf.range_rows((10,), (12,), False, False) == (22, 24)
+        assert cf.range_rows((30,), (20,)) == (60, 60)
+        assert cf.range_rows((99,), None) == (100, 100)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -282,3 +320,22 @@ class TestClusteredFile:
         got = sorted(row for _pid, row in cf.fetch_by_key(IOContext(), (probe,)))
         expected = sorted((k, i) for i, k in enumerate(keys) if k == probe)
         assert got == expected
+
+
+def _chunk_rows(chunks):
+    """``(page_id, row)`` for every row of ``seek_range_chunks`` chunks."""
+    for first_page_id, _count, columns, num_rows, page_starts in chunks:
+        rows = vector.rows_from_columns(list(columns), num_rows)
+        stops = [*page_starts[1:], num_rows]
+        for page, (start, stop) in enumerate(zip(page_starts, stops)):
+            for row in rows[start:stop]:
+                yield first_page_id + page, row
+
+
+def _grouped_by_page(located):
+    grouped: list[tuple[PageId, list[tuple]]] = []
+    for page_id, row in located:
+        if not grouped or grouped[-1][0] != page_id:
+            grouped.append((page_id, []))
+        grouped[-1][1].append(row)
+    return grouped
