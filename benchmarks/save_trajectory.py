@@ -53,10 +53,9 @@ at a glance:
 * **join feedback regret** — the 20 ``pipeline_join``-style statements
   of ``benchmarks/smoke_join_feedback.py`` after one remember pass:
   simulated ms per statement as chosen and at the best hinted plan, the
-  regret between them, beside the same two numbers measured at the
-  commit before join feedback was keyed by the outer filter; plus Fig. 8
-  (per-query feedback, which that keying must not move) at the
-  ``bench_fig8_join_speedup.py`` scale.
+  regret between them, beside the same numbers measured at the commit
+  before INL probes were costed with remembered leaf counts; plus Fig. 8
+  (per-query feedback) at the ``bench_fig8_join_speedup.py`` scale.
 
 Wall-clock comes from :class:`repro.harness.timing.Stopwatch` (the only
 sanctioned host-clock reader).  The artifact is committed at the repo
@@ -378,8 +377,9 @@ def _reopt_value() -> dict:
 
 
 def _join_feedback_regret() -> dict:
-    """Simulated regret of feedback-planned joins, before and after the
-    join key named the outer filter (before: measured once, at 250387b)."""
+    """Simulated regret of feedback-planned joins, before and after INL
+    probes were costed with remembered leaf counts (before: measured once,
+    at 0e57393)."""
     measured = smoke_join_feedback.measure()
     statements = len(measured["kinds"])
     fig8 = run_fig8(
@@ -397,10 +397,10 @@ def _join_feedback_regret() -> dict:
         "best_sim_ms_per_statement": round(measured["best_ms"] / statements, 4),
         "regret_pct": round(100 * measured["regret"], 2),
         "before": {
-            "inl_plans": 6,
-            "feedback_records": 4,
-            "sim_ms_per_statement": 33.7560,
-            "regret_pct": 8.48,
+            "inl_plans": 10,
+            "feedback_records": 20,
+            "sim_ms_per_statement": 31.4258,
+            "regret_pct": 1.69,
         },
         "fig8_plan_flips": sum(1 for o in fig8 if o.plan_changed),
         "fig8_mean_speedup": round(sum(o.speedup for o in fig8) / len(fig8), 8),

@@ -2,7 +2,9 @@
 expression they measured.
 
 A join's ``DPC(inner, join-pred | outer filter)`` belongs to the outer
-rows that drove it.  This script replays the ``pipeline_join`` protocol —
+rows that drove it, and so does ``LEAVES(inner, index, join-pred | outer
+filter)``, the leaf pages of the inner's index its probes read.  This
+script replays the ``pipeline_join`` protocol —
 20 Fig. 8-style ``t1 JOIN t`` statements, four join columns, outer
 selectivities 0.4-8 %, one remember pass — and then uses the engine as
 its own oracle (:func:`repro.harness.regret.plan_regret`): every
@@ -10,14 +12,18 @@ statement's feedback-planned choice and both hinted alternatives run on
 the simulated clock.  Gates, all deterministic:
 
 * **regret** — simulated time lost to plan choices, over the 20
-  statements, at most ``REGRET_BOUND`` of the workload (1.69 % here; 8.48 %
-  when the key dropped the outer filter and every statement on a join
-  column was costed with the column's last-remembered count);
+  statements, at most ``REGRET_BOUND`` of the workload (0.00 % here;
+  1.69 % when INL probes were costed as contiguous in the index, and
+  8.48 % when the key dropped the outer filter and every statement on a
+  join column was costed with the column's last-remembered count);
 * **no aliased lookup** — every INL candidate costed from feedback was
   looked up under its own statement's key, and carries that record's
   count;
 * **the three flips** — ``c3 < 200``, ``c3 < 400`` and ``c4 < 200`` (1-2 %
-  outer selectivity, right under the hash/INL crossover) run an INL join.
+  outer selectivity, right under the hash/INL crossover) run an INL join;
+* **the leaf flip** — ``c4 < 400`` runs a hash join: its probes scatter
+  over 15 of ``ix_c4``'s leaves, not the 2 contiguous ones the fallback
+  arithmetic assumes.
 
 Exit status 0/1.  Run directly
 (``PYTHONPATH=src python benchmarks/smoke_join_feedback.py``) or via
@@ -28,8 +34,8 @@ from __future__ import annotations
 
 import sys
 
-from repro.core.dpc import exact_join_dpc
-from repro.core.requests import JoinMethodRequest
+from repro.core.dpc import exact_join_dpc, exact_leaf_dpc
+from repro.core.requests import IndexLeafRequest, JoinMethodRequest
 from repro.engine import Engine, WorkloadItem
 from repro.harness.methodology import default_requests
 from repro.harness.regret import plan_regret
@@ -51,14 +57,29 @@ STRATA = {
 }
 
 #: Maximum share of the workload's simulated time lost to plan choices.
-REGRET_BOUND = 0.025
+REGRET_BOUND = 0.005
 
 #: ``(join column, outer cut)`` statements that must run an INL join.
 MUST_BE_INL = (("c3", 200), ("c3", 400), ("c4", 200))
 
+#: ``(join column, outer cut)`` statements that must run a hash join.
+MUST_BE_HASH = (("c4", 400),)
+
 
 def _join_kind(plan) -> str:
     return type(plan.children()[0]).__name__.removesuffix("JoinPlan")
+
+
+def _outer_keys(database, column: str, cut: int) -> list:
+    """``t1.column`` of the outer rows ``t1.c1 < cut`` selects."""
+    t1 = database.table("t1")
+    c1, key = t1.schema.position("c1"), t1.schema.position(column)
+    return [
+        row[key]
+        for page_id in t1.all_page_ids()
+        for row in t1.rows_on_page(page_id)
+        if row[c1] < cut
+    ]
 
 
 def measure() -> dict:
@@ -100,6 +121,10 @@ def measure() -> dict:
         kinds[column, cut] = _join_kind(regret.chosen_plan)
         own = JoinMethodRequest.for_query(query, "t")
         remembered = engine.feedback.record(own.key())
+        index = database.table("t").index(f"ix_{column}")
+        leaves = engine.feedback.record(
+            IndexLeafRequest.for_query(query, "t", index.name).key()
+        )
         candidates = engine.session().optimizer(use_feedback=True).candidates(query)
         for node in (candidate.children()[0] for candidate in candidates):
             if not (isinstance(node, INLJoinPlan) and node.dpc_source == "injected"):
@@ -132,6 +157,8 @@ def measure() -> dict:
                     query.join_predicate,
                     own.outer_filter,
                 ),
+                leaves.page_count if leaves is not None else "-",
+                exact_leaf_dpc(index, _outer_keys(database, column, cut)),
                 regret.regret_ms,
             ]
         )
@@ -154,7 +181,8 @@ def run_smoke() -> list[str]:
             [
                 "join col, t1.c1 cut", "cold", "remembered",
                 "hash est ms", "hash sim ms", "INL est ms", "INL sim ms",
-                "DPC remembered", "DPC exact", "regret ms",
+                "DPC remembered", "DPC exact",
+                "leaves remembered", "leaves exact", "regret ms",
             ],
             measured["rows"],
         )
@@ -176,12 +204,13 @@ def run_smoke() -> list[str]:
     violations.extend(
         f"aliased feedback lookup on {entry}" for entry in measured["aliased"]
     )
-    for statement in MUST_BE_INL:
-        if measured["kinds"][statement] != "INL":
-            violations.append(
-                f"{statement[0]} < {statement[1]} runs a "
-                f"{measured['kinds'][statement]} join, expected INL"
-            )
+    for statements, kind in ((MUST_BE_INL, "INL"), (MUST_BE_HASH, "Hash")):
+        for statement in statements:
+            if measured["kinds"][statement] != kind:
+                violations.append(
+                    f"{statement[0]} < {statement[1]} runs a "
+                    f"{measured['kinds'][statement]} join, expected {kind}"
+                )
     return violations
 
 

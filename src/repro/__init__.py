@@ -22,11 +22,13 @@ from repro.engine import Engine, WorkloadItem
 from repro.core import (
     AccessPathRequest,
     FeedbackStore,
+    IndexLeafRequest,
     JoinMethodRequest,
     MonitorConfig,
     diagnose,
     exact_dpc,
     exact_join_dpc,
+    exact_leaf_dpc,
     measure_clustering,
     recommend_hint,
 )
@@ -66,6 +68,7 @@ __all__ = [
     "IndexDef",
     "InjectionSet",
     "JoinEquality",
+    "IndexLeafRequest",
     "JoinMethodRequest",
     "JoinQuery",
     "LifecycleTrace",
@@ -84,6 +87,7 @@ __all__ = [
     "diagnose",
     "exact_dpc",
     "exact_join_dpc",
+    "exact_leaf_dpc",
     "measure_clustering",
     "parse_predicate",
     "parse_query",

@@ -15,13 +15,15 @@ structural and estimate invariants the rest of the system silently assumes
 ``P003``  seek-range sanity: lower bound ≤ upper bound; degenerate
           (empty) ranges flagged
 ``P004``  estimate sanity: ``estimated_rows`` / ``estimated_cost_ms`` /
-          ``estimated_dpc`` finite and non-negative
+          ``estimated_dpc`` / ``estimated_leaf_pages`` finite and
+          non-negative
 ``P005``  DPC consistency: estimated DPC ≤ the table's page count (a
           *distinct* page count can never exceed it, §II-A), and injection
           provenance: when the :class:`~repro.optimizer.injection.InjectionSet`
           carries a feedback value for a fetch expression the plan must
           record ``dpc_source="injected"`` — and must not claim it without
-          one
+          one; an INL join's ``estimated_leaf_pages`` ≤ its index's leaf
+          page count, with ``leaf_source`` held to the same provenance
 ``P006``  shape-key hygiene: ``signature()`` is stable across calls and no
           estimate or provenance annotation leaks into ``shape_key()`` —
           the harness detects plan changes by comparing signatures, so a
@@ -64,7 +66,7 @@ PLAN_RULES: dict[str, str] = {
     "P002": "tables, indexes and predicate columns resolve against the catalog",
     "P003": "seek lower bound <= upper bound",
     "P004": "estimated rows/cost/DPC are finite and non-negative",
-    "P005": "estimated DPC <= table page count; injection provenance consistent",
+    "P005": "estimated DPC <= table (leaf) page count; injection provenance consistent",
     "P006": "signature() stable; no estimate leakage into shape_key()",
 }
 
@@ -345,8 +347,9 @@ def _check_estimates(ctx: _Context, nodes: list[tuple[str, PlanNode]]) -> None:
             ("estimated_rows", node.estimated_rows),
             ("estimated_cost_ms", node.estimated_cost_ms),
         ]
-        if hasattr(node, "estimated_dpc"):
-            values.append(("estimated_dpc", node.estimated_dpc))
+        for name in ("estimated_dpc", "estimated_leaf_pages"):
+            if hasattr(node, name):
+                values.append((name, getattr(node, name)))
         for name, value in values:
             if not isinstance(value, (int, float)) or not math.isfinite(value):
                 ctx.report(
@@ -415,29 +418,84 @@ def _check_dpc(ctx: _Context, nodes: list[tuple[str, PlanNode]]) -> None:
                 if expression is not None
                 else None
             )
-        if injected is not None and source == "model":
+        _check_provenance(ctx, path, "dpc_source", source, injected)
+
+
+def _check_provenance(
+    ctx: _Context, path: str, field_name: str, source: str, injected: Optional[float]
+) -> None:
+    """``source`` must say ``"injected"`` exactly when feedback exists."""
+    if injected is not None and source == "model":
+        ctx.report(
+            "P005",
+            path,
+            "an injected feedback count exists for this expression but the "
+            "plan was costed with the analytical model",
+            hint=f"{field_name} must record 'injected' when feedback "
+            "overrode the model's estimate",
+        )
+    elif injected is None and source == "injected":
+        ctx.report(
+            "P005",
+            path,
+            f"{field_name} claims an injected value but the injection set "
+            "has no entry for this expression",
+            hint="injection provenance must be traceable",
+        )
+
+
+def _check_leaves(ctx: _Context, nodes: list[tuple[str, PlanNode]]) -> None:
+    """P005 for an INL join's index side: the leaf estimate is bounded by
+    the index's leaf pages and its provenance matches the injections."""
+    for path, node in nodes:
+        if not isinstance(node, INLJoinPlan) or node.inner_index_name is None:
+            continue
+        if node.leaf_source not in ("model", "injected"):
+            ctx.report(
+                "P005", path, f"unknown leaf_source {node.leaf_source!r}"
+            )
+        table = ctx.table(node.inner_table)
+        if table is None or node.inner_index_name not in table.indexes:
+            continue  # P002 reports the miss
+        leaves = table.index(node.inner_index_name).num_leaf_pages
+        estimate = node.estimated_leaf_pages
+        if (
+            isinstance(estimate, (int, float))
+            and estimate > leaves * (1.0 + _RELATIVE_TOLERANCE)
+        ):
             ctx.report(
                 "P005",
                 path,
-                "an injected feedback DPC exists for this expression but the "
-                "plan was costed with the analytical model",
-                hint="dpc_source must record 'injected' when feedback "
-                "overrode the Yao/Mackert-Lohman estimate",
+                f"estimated_leaf_pages {estimate:.1f} exceeds "
+                f"{node.inner_index_name}'s {leaves} leaf pages",
+                hint="a distinct leaf count is bounded by the index's leaves",
             )
-        elif injected is None and source == "injected":
-            ctx.report(
-                "P005",
-                path,
-                "dpc_source claims an injected value but the injection set "
-                "has no entry for this expression",
-                hint="injection provenance must be traceable",
+        if ctx.injections is not None:
+            injected = ctx.injections.leaf_page_count(
+                node.inner_table,
+                node.inner_index_name,
+                node.join_predicate,
+                node.outer_filter,
             )
+            _check_provenance(ctx, path, "leaf_source", node.leaf_source, injected)
+
+
+def _check_counts(ctx: _Context, nodes: list[tuple[str, PlanNode]]) -> None:
+    _check_dpc(ctx, nodes)
+    _check_leaves(ctx, nodes)
 
 
 # ----------------------------------------------------------------------
 # P006 — shape-key hygiene
 # ----------------------------------------------------------------------
-_PERTURBABLE = ("estimated_rows", "estimated_cost_ms", "estimated_dpc", "dpc_source")
+_PERTURBABLE = (
+    "estimated_rows",
+    "estimated_cost_ms",
+    "estimated_dpc",
+    "dpc_source",
+    "estimated_leaf_pages",
+    "leaf_source",
+)
 
 
 def _check_shape(ctx: _Context, nodes: list[tuple[str, PlanNode]]) -> None:
@@ -459,7 +517,7 @@ def _check_shape(ctx: _Context, nodes: list[tuple[str, PlanNode]]) -> None:
         }
         try:
             for name, value in saved.items():
-                if name == "dpc_source":
+                if isinstance(value, str):
                     setattr(node, name, "injected" if value != "injected" else "model")
                 else:
                     setattr(node, name, float(value) + 1.0 if isinstance(value, (int, float)) else 1.0)
@@ -468,9 +526,9 @@ def _check_shape(ctx: _Context, nodes: list[tuple[str, PlanNode]]) -> None:
                     "P006",
                     path,
                     "shape_key() depends on estimates or DPC provenance",
-                    hint="shape_key() must exclude estimated_rows/cost/dpc and "
-                    "dpc_source, or plan-change detection misfires on every "
-                    "re-estimate",
+                    hint="shape_key() must exclude estimated rows/cost/dpc/"
+                    "leaves and their sources, or plan-change detection "
+                    "misfires on every re-estimate",
                 )
         finally:
             for name, value in saved.items():
@@ -482,7 +540,7 @@ _CHECKS: dict[str, Callable[[_Context, list[tuple[str, PlanNode]]], None]] = {
     "P002": _check_resolution,
     "P003": _check_seek_ranges,
     "P004": _check_estimates,
-    "P005": _check_dpc,
+    "P005": _check_counts,
     "P006": _check_shape,
 }
 

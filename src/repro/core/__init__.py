@@ -24,18 +24,25 @@ from repro.core.diagnostics import (
     hint_for_plan,
     recommend_hint,
 )
-from repro.core.dpc import dpc_bounds, exact_dpc, exact_join_dpc, satisfies
+from repro.core.dpc import (
+    dpc_bounds,
+    exact_dpc,
+    exact_join_dpc,
+    exact_leaf_dpc,
+    satisfies,
+)
 from repro.core.dpsample import (
     BernoulliPageSampler,
     dpsample,
     dpsample_error_bound,
 )
 from repro.core.feedback import FeedbackRecord, FeedbackStore
-from repro.core.monitors import FetchMonitorBundle, ScanMonitorBundle
+from repro.core.monitors import FetchMonitorBundle, LeafPageMonitor, ScanMonitorBundle
 from repro.core.planner import BuildResult, MonitorConfig, build_executable
 from repro.core.probabilistic import LinearCounter, recommended_bitmap_bits
 from repro.core.requests import (
     AccessPathRequest,
+    IndexLeafRequest,
     JoinMethodRequest,
     Mechanism,
     PageCountObservation,
@@ -55,7 +62,9 @@ __all__ = [
     "FeedbackRecord",
     "FeedbackStore",
     "FetchMonitorBundle",
+    "LeafPageMonitor",
     "GEEEstimator",
+    "IndexLeafRequest",
     "JoinMethodRequest",
     "LinearCounter",
     "Mechanism",
@@ -74,6 +83,7 @@ __all__ = [
     "estimate_distinct_pages_from_sample",
     "exact_dpc",
     "exact_join_dpc",
+    "exact_leaf_dpc",
     "frequency_profile",
     "hint_for_plan",
     "measure_clustering",

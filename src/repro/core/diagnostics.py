@@ -49,7 +49,8 @@ class DiagnosticLine:
 
     @property
     def error_factor(self) -> Optional[float]:
-        """max(est/act, act/est); None when either side is missing/zero."""
+        """The q-error max(est/act, act/est); None when either side is
+        missing or zero."""
         if (
             not self.answered
             or self.estimated_pages is None
@@ -107,9 +108,14 @@ class DiagnosticReport:
 
 
 def _plan_dpc_estimates(plan: PlanNode) -> dict[str, float]:
-    """Harvest (expression key -> estimated DPC) pairs from a plan tree."""
+    """Harvest (expression key -> estimated DPC) pairs from a plan tree,
+    an INL join's leaf estimate under its ``LEAVES(...)`` key."""
     estimates: dict[str, float] = {}
-    from repro.core.requests import AccessPathRequest, JoinMethodRequest
+    from repro.core.requests import (
+        AccessPathRequest,
+        IndexLeafRequest,
+        JoinMethodRequest,
+    )
     from repro.sql.predicates import Conjunction
 
     for _path, node in plan.walk():
@@ -135,6 +141,14 @@ def _plan_dpc_estimates(plan: PlanNode) -> dict[str, float]:
                     node.inner_table, predicate, node.outer_filter
                 ).key()
                 estimates[key] = node.estimated_dpc
+                if node.inner_index_name is not None:
+                    key = IndexLeafRequest(
+                        node.inner_table,
+                        node.inner_index_name,
+                        predicate,
+                        node.outer_filter,
+                    ).key()
+                    estimates[key] = node.estimated_leaf_pages
     return estimates
 
 

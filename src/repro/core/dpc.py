@@ -17,11 +17,12 @@ estimation error.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Any, Iterable, Optional
 
 from repro.common.types import PageId
 from repro.sql.evaluator import BoundConjunction
 from repro.sql.predicates import Conjunction, JoinEquality
+from repro.storage.btree import BTreeIndex
 from repro.storage.table import Table
 
 
@@ -84,6 +85,24 @@ def exact_join_dpc(
                 count += 1
                 break
     return count
+
+
+def exact_leaf_dpc(index: BTreeIndex, outer_keys: Iterable[Any]) -> int:
+    """Exact ``LEAVES(index, join-pred | outer filter)`` for probe keys.
+
+    The distinct leaf pages an INL join reads when it probes ``index``
+    once per key of ``outer_keys`` (the qualifying outer rows' join
+    values): each key's run of equal entries spans the leaves from its
+    first entry's to its last's; a key with no entry reads none, and a
+    NULL never probes.
+    """
+    epp = index.entries_per_page
+    leaves: set[int] = set()
+    for key in set(outer_keys) - {None}:
+        start, stop = index.locate(key, key)
+        if start < stop:
+            leaves.update(range(start // epp, (stop - 1) // epp + 1))
+    return len(leaves)
 
 
 def dpc_bounds(row_count: int, rows_per_page: float, total_pages: int) -> tuple[float, int]:

@@ -38,20 +38,27 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping, Optional, Sequence, Union
 
 from repro.common.errors import FeedbackError
-from repro.core.requests import Mechanism, PageCountObservation, PageCountRequest
+from repro.core.requests import (
+    IndexLeafRequest,
+    Mechanism,
+    PageCountObservation,
+    PageCountRequest,
+)
 from repro.exec.runstats import RunStats
 from repro.optimizer.injection import InjectionSet
 
-#: Feedback keys are ``MECH(table, expression)`` — ``DPC(t, a < 9)``,
-#: ``CARD(t, a < 9)`` — so the owning table is the first argument.
+#: Feedback keys are ``MECH(table, ...)`` — ``DPC(t, a < 9)``,
+#: ``CARD(t, a < 9)``, ``LEAVES(t, ix_a, t1.a = t.a)`` — so the owning
+#: table is the first argument.
 _KEY_TABLE_RE = re.compile(r"^[A-Za-z_]+\(\s*([^,()]+?)\s*[,)]")
 
 
 def table_of_key(key: str) -> Optional[str]:
     """The table a feedback key refers to, or ``None`` if unparseable.
 
-    Both key families the engine produces — ``DPC(table, expression)``
-    and ``CARD(table, expression)`` — name the table first.
+    Every key family the engine produces — ``DPC(table, expression)``,
+    ``CARD(table, expression)`` and ``LEAVES(table, index, expression)``
+    — names the table first.
     """
     match = _KEY_TABLE_RE.match(key)
     return match.group(1) if match else None
@@ -63,6 +70,21 @@ def _request_table(request: PageCountRequest) -> str:
     if table is not None:
         return str(table)
     return str(request.inner_table)  # type: ignore[union-attr]
+
+
+#: Why a sharded execution reports no leaf count.
+SHARD_LEAF_REASON = (
+    "each shard rebuilds its own secondary indexes, so per-shard leaf pages "
+    "are not the global index's leaves and do not sum to its count"
+)
+
+
+def unsummable(observation: PageCountObservation) -> Optional[PageCountObservation]:
+    """The unanswerable observation a fan-out reports in place of a leaf
+    count, or ``None`` when per-shard counts of the key do sum."""
+    if isinstance(observation.request, IndexLeafRequest):
+        return PageCountObservation.unanswerable(observation.request, SHARD_LEAF_REASON)
+    return None
 
 
 def merge_page_count_observations(
@@ -81,7 +103,9 @@ def merge_page_count_observations(
       coverage never claims exactness;
     * ``mechanism``/``request`` come from the first answering shard (the
       plan is identical on every shard, so mechanisms agree);
-    * a key no shard answered stays a single unanswerable observation.
+    * a key no shard answered stays a single unanswerable observation;
+    * a leaf key (:class:`~repro.core.requests.IndexLeafRequest`) is
+      never summed: it comes back unanswerable, :data:`SHARD_LEAF_REASON`.
 
     Key order follows first appearance across shards in shard order, so
     merged fingerprints are deterministic.
@@ -93,6 +117,10 @@ def merge_page_count_observations(
             grouped.setdefault(observation.key, []).append(observation)
     merged: list[PageCountObservation] = []
     for key, group in grouped.items():
+        refused = unsummable(group[0])
+        if refused is not None:
+            merged.append(refused)
+            continue
         answered = [
             obs for obs in group if obs.answered and obs.estimate is not None
         ]

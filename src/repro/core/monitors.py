@@ -20,6 +20,13 @@ paper:
   each answerable request gets a :class:`~repro.core.probabilistic.LinearCounter`
   over the fetched page ids (Fig. 3).
 
+A third, smaller counter covers the index side of an INL join:
+:class:`LeafPageMonitor` counts the distinct leaf pages of the inner's
+index the join's probes land on, exactly, in a bitmap of one flag per
+leaf.  The INL join feeds it the runs its probes already located; a hash
+join, which never probes, locates its build keys in the probe table's
+index during the build phase (the SE→RE moment of Fig. 5).
+
 Bundles charge the executing query's
 :class:`~repro.storage.accounting.IOContext` for every hash and bit-vector
 probe they perform (the operator passes its context into the observe
@@ -48,6 +55,7 @@ from repro.core.requests import (
 from repro.sql.evaluator import BatchOutcome, TermOutcome
 from repro.sql.predicates import AtomicPredicate, Conjunction
 from repro.storage.accounting import IOContext
+from repro.storage.btree import BTreeIndex
 
 
 #: One bit-vector entry's per-page verdicts for a chunk: ``(flags, probes,
@@ -632,3 +640,67 @@ class FetchMonitorBundle:
                 )
             )
         return observations
+
+
+class LeafPageMonitor:
+    """Exact distinct-leaf count of one index under a join's probes.
+
+    One flag per leaf page of ``index`` (a byte each: setting one is a
+    store, where a packed bit costs a read-modify-write per probe).  A
+    probe's run of equal entries
+    ``[start, stop)`` reads the leaves from ``start``'s to ``stop - 1``'s
+    — the leaves :meth:`~repro.storage.btree.BTreeIndex.seek_range`
+    enters — and an empty run reads none.  Every request handed in names
+    the same (index, join predicate, outer filter), so they share the
+    bitmap and each gets the count.
+    """
+
+    def __init__(self, index: BTreeIndex, requests: Sequence[PageCountRequest]) -> None:
+        self.index = index
+        self.requests = list(requests)
+        self._leaves = bytearray(index.num_leaf_pages)
+        self.probes = 0
+
+    def observe_runs(self, starts: Sequence[int], stops: Sequence[int]) -> None:
+        """Flag the leaves each ``[start, stop)`` run reads."""
+        epp = self.index.entries_per_page
+        leaves = self._leaves
+        for start, stop in zip(starts, stops):
+            if start < stop:
+                first, last = start // epp, (stop - 1) // epp
+                if first == last:
+                    leaves[first] = 1
+                else:
+                    leaves[first : last + 1] = b"\x01" * (last + 1 - first)
+        self.probes += len(starts)
+
+    def observe_probes(
+        self, starts: Sequence[int], stops: Sequence[int], io: IOContext
+    ) -> None:
+        """An INL join's probes, located already: one monitor check each."""
+        if starts:
+            io.charge_monitor_checks(len(starts))
+            self.observe_runs(starts, stops)
+
+    def observe_keys(self, keys: Sequence[Any], io: IOContext) -> None:
+        """A hash join's build keys (NULLs removed): each is located in the
+        index, charged as one bit-vector probe."""
+        if keys:
+            io.charge_bitvector_probes(len(keys))
+            self.observe_runs(*self.index.locate_equal_many(keys))
+
+    def finish(self) -> list[PageCountObservation]:
+        leaves = self._leaves.count(1)
+        return [
+            PageCountObservation(
+                request=request,
+                mechanism=Mechanism.LEAF_BITMAP,
+                estimate=float(leaves),
+                exact=True,
+                details={
+                    "leaf_pages": self.index.num_leaf_pages,
+                    "probes": self.probes,
+                },
+            )
+            for request in self.requests
+        ]

@@ -28,6 +28,11 @@ A join counts the inner pages matched by the rows its outer (build) side
 produces, so all three answer a join request only when it names the
 selection that side runs under (``JoinMethodRequest.outer_filter``).
 
+The leaves of the inner's index (``IndexLeafRequest``) are counted exactly
+by an INL join probing that index and by a hash join whose build phase
+locates its keys in the probe table's index; a merge join touches no
+index and answers none.
+
 Requests nothing can observe come back as explicit *unanswerable*
 observations — a diagnostic, never a fabricated number.
 
@@ -39,7 +44,7 @@ requires changes to the plan itself", §V-A).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Any, Optional
 
 from repro.catalog.catalog import Database
 from repro.common.errors import MonitorError
@@ -50,9 +55,10 @@ from repro.core.bitvector import (
     recommended_bitvector_bits,
 )
 from repro.core.dpsample import BernoulliPageSampler
-from repro.core.monitors import FetchMonitorBundle, ScanMonitorBundle
+from repro.core.monitors import FetchMonitorBundle, LeafPageMonitor, ScanMonitorBundle
 from repro.core.requests import (
     AccessPathRequest,
+    IndexLeafRequest,
     JoinMethodRequest,
     PageCountObservation,
     PageCountRequest,
@@ -155,11 +161,16 @@ class _Instrumentation:
         ]
 
     def join_requests_for(
-        self, inner_table: str, join_predicate: JoinEquality
-    ) -> list[tuple[int, JoinMethodRequest]]:
+        self,
+        inner_table: str,
+        join_predicate: JoinEquality,
+        kind: type = JoinMethodRequest,
+    ) -> list[tuple[int, Any]]:
+        """Unclaimed requests of ``kind`` (join pages, or the inner index's
+        leaves) for this inner and join predicate, under any filter."""
         matches = []
         for rid, request in self.pending.items():
-            if rid in self.claimed or not isinstance(request, JoinMethodRequest):
+            if rid in self.claimed or not isinstance(request, kind):
                 continue
             if request.inner_table != inner_table:
                 continue
@@ -176,8 +187,9 @@ class _Instrumentation:
         inner_table: str,
         join_predicate: JoinEquality,
         outer_filter: Conjunction,
-    ) -> list[tuple[int, JoinMethodRequest]]:
-        """The join requests a join over ``outer_filter``'s rows measures.
+        kind: type = JoinMethodRequest,
+    ) -> list[tuple[int, Any]]:
+        """The ``kind`` requests a join over ``outer_filter``'s rows measures.
 
         A request for the same inner and predicate under *another* outer
         filter counts a different row set: it is failed with both filters
@@ -185,7 +197,7 @@ class _Instrumentation:
         """
         measured = JoinMethodRequest(inner_table, join_predicate, outer_filter)
         matches = []
-        for rid, request in self.join_requests_for(inner_table, join_predicate):
+        for rid, request in self.join_requests_for(inner_table, join_predicate, kind):
             if request.outer_filter == measured.outer_filter:
                 matches.append((rid, request))
             else:
@@ -430,6 +442,47 @@ def _plan_fetch_monitoring(
 
 
 # ----------------------------------------------------------------------
+# Leaf instrumentation helper
+# ----------------------------------------------------------------------
+def _plan_leaf_monitoring(
+    state: _Instrumentation,
+    inner_table: str,
+    join_predicate: JoinEquality,
+    outer_filter: Conjunction,
+    readable: set[Optional[str]],
+    refusal: str,
+) -> list[LeafPageMonitor]:
+    """One leaf monitor per index in ``readable`` that a leaf request for
+    ``inner_table`` under ``outer_filter`` names; a request naming another
+    index is failed with ``refusal`` (``{index}`` filled in).
+    """
+    grouped: dict[str, list[tuple[int, IndexLeafRequest]]] = {}
+    for rid, request in state.join_requests_under(
+        inner_table, join_predicate, outer_filter, IndexLeafRequest
+    ):
+        if request.index_name in readable:
+            grouped.setdefault(request.index_name, []).append((rid, request))
+        else:
+            state.fail(rid, refusal.format(index=request.index_name))
+    table = state.database.table(inner_table)
+    monitors = []
+    for index_name, group in grouped.items():
+        for rid, _request in group:
+            state.claim(rid)
+        monitors.append(
+            LeafPageMonitor(table.index(index_name), [request for _, request in group])
+        )
+    return monitors
+
+
+def _fail_leaf_requests(
+    state: _Instrumentation, table: str, join_predicate: JoinEquality, reason: str
+) -> None:
+    for rid, _request in state.join_requests_for(table, join_predicate, IndexLeafRequest):
+        state.fail(rid, reason)
+
+
+# ----------------------------------------------------------------------
 # The plan walk
 # ----------------------------------------------------------------------
 def _build(plan: PlanNode, state: _Instrumentation) -> Operator:
@@ -603,6 +656,16 @@ def _build_inl(plan: INLJoinPlan, state: _Instrumentation) -> Operator:
             # construction: no residual terms needed (term_indexes empty).
             bundle.add_request(request, (), num_bits=bits, seed=state.config.seed)
             state.claim(rid)
+    leaf_monitors = _plan_leaf_monitoring(
+        state,
+        plan.inner_table,
+        plan.join_predicate,
+        plan.outer_filter,
+        {plan.inner_index_name},
+        f"the current INL join reaches {plan.inner_table} through "
+        f"{plan.inner_index_name or 'its clustered key'}; it reads no leaves "
+        "of {index}",
+    )
     outer_operator = _build(plan.outer, state)
     outer_column = plan.join_predicate.column_for(plan.outer_table)
     inner_column = plan.join_predicate.column_for(plan.inner_table)
@@ -615,6 +678,7 @@ def _build_inl(plan: INLJoinPlan, state: _Instrumentation) -> Operator:
         inner_index_name=plan.inner_index_name,
         outer_label=plan.outer_table,
         bundle=bundle,
+        leaf_monitor=leaf_monitors[0] if leaf_monitors else None,
     )
 
 
@@ -641,6 +705,24 @@ def _build_hash(plan: HashJoinPlan, state: _Instrumentation) -> Operator:
             "vector for that side cannot exist before its scan, so its "
             "join DPC is not obtainable from this plan",
         )
+    _fail_leaf_requests(
+        state,
+        plan.build_table,
+        plan.join_predicate,
+        f"the current Hash Join builds on {plan.build_table}; only its build "
+        f"keys are located, in {plan.probe_table}'s index",
+    )
+    probe_column = plan.join_predicate.column_for(plan.probe_table)
+    probe_table = state.database.table(plan.probe_table)
+    leaf_monitors = _plan_leaf_monitoring(
+        state,
+        plan.probe_table,
+        plan.join_predicate,
+        plan.build_filter,
+        {index.name for index in probe_table.indexes_on_column(probe_column)},
+        f"{plan.probe_table} has no index {{index}} on {probe_column} to "
+        "locate the build keys in",
+    )
 
     probe_conjunction = _scan_query_conjunction(plan.probe)
     bitvector: Optional[BitVectorFilter] = None
@@ -664,8 +746,6 @@ def _build_hash(plan: HashJoinPlan, state: _Instrumentation) -> Operator:
             state.bitvector_bits(plan.build_table, plan.probe_table),
             seed=state.config.seed,
         )
-        probe_table = state.database.table(plan.probe_table)
-        probe_column = plan.join_predicate.column_for(plan.probe_table)
         column_position = probe_table.schema.position(probe_column)
         bundle = _ensure_scan_bundle(
             state, probe_operator, plan.probe_table, len(probe_conjunction)
@@ -681,6 +761,7 @@ def _build_hash(plan: HashJoinPlan, state: _Instrumentation) -> Operator:
         build_label=plan.build_table,
         probe_label=plan.probe_table,
         bitvector=bitvector,
+        leaf_monitors=leaf_monitors,
     )
 
 
@@ -696,6 +777,14 @@ def _build_merge(plan: MergeJoinPlan, state: _Instrumentation) -> Operator:
             rid,
             f"the current Merge Join consumes {plan.outer_table} as its "
             "outer; its join DPC is not obtainable from this plan",
+        )
+    for table in (plan.outer_table, plan.inner_table):
+        _fail_leaf_requests(
+            state,
+            table,
+            plan.join_predicate,
+            "a Merge Join reads no index leaves and locates no join keys; "
+            "leaf counts are measured under INL and Hash joins",
         )
     inner_conjunction = _scan_query_conjunction(plan.inner)
     if matches and (inner_conjunction is None or plan.sort_inner):

@@ -36,6 +36,23 @@ class AccessPathRequest:
         return f"DPC({self.table}, {self.expression.key()})"
 
 
+def _canonical_filter(outer_filter: Conjunction) -> Conjunction:
+    """An outer filter with its terms sorted by ``key()``: a DPC is a
+    property of the outer row *set*, so two spellings of one filter are
+    one request with one key."""
+    terms = outer_filter.terms
+    if len(terms) > 1:
+        return Conjunction(sorted(terms, key=lambda term: term.key()))
+    return outer_filter
+
+
+def _join_expression(join_predicate: JoinEquality, outer_filter: Conjunction) -> str:
+    expression = join_predicate.key()
+    if outer_filter.terms:
+        expression = f"{expression} | {outer_filter.key()}"
+    return expression
+
+
 @dataclass(frozen=True)
 class JoinMethodRequest:
     """Request for ``DPC(inner_table, join_predicate | outer_filter)`` (§IV).
@@ -58,10 +75,7 @@ class JoinMethodRequest:
     outer_filter: Conjunction = Conjunction()
 
     def __post_init__(self) -> None:
-        terms = self.outer_filter.terms
-        if len(terms) > 1:
-            ordered = sorted(terms, key=lambda term: term.key())
-            object.__setattr__(self, "outer_filter", Conjunction(ordered))
+        object.__setattr__(self, "outer_filter", _canonical_filter(self.outer_filter))
 
     @classmethod
     def for_query(cls, query: "JoinQuery", inner_table: str) -> "JoinMethodRequest":
@@ -74,13 +88,47 @@ class JoinMethodRequest:
         )
 
     def key(self) -> str:
-        expression = self.join_predicate.key()
-        if self.outer_filter.terms:
-            expression = f"{expression} | {self.outer_filter.key()}"
+        expression = _join_expression(self.join_predicate, self.outer_filter)
         return f"DPC({self.inner_table}, {expression})"
 
 
-PageCountRequest = AccessPathRequest | JoinMethodRequest
+@dataclass(frozen=True)
+class IndexLeafRequest:
+    """Request for ``LEAVES(inner_table, index, join_predicate | outer_filter)``.
+
+    The distinct *leaf* pages of the inner's index that an INL join's
+    probes read: the §III-A page-count question one level up the index.
+    The cost model's fallback assumes the probed keys are contiguous in
+    the index (``ceil(matches / entries per leaf)``); probes arriving in
+    outer order scatter over far more leaves when the join column is not
+    correlated with the outer's order.  Keyed like
+    :class:`JoinMethodRequest` — the same outer row set — plus the index,
+    whose leaves are counted.
+    """
+
+    inner_table: str
+    index_name: str
+    join_predicate: JoinEquality
+    outer_filter: Conjunction = Conjunction()
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "outer_filter", _canonical_filter(self.outer_filter))
+
+    @classmethod
+    def for_query(
+        cls, query: "JoinQuery", inner_table: str, index_name: str
+    ) -> "IndexLeafRequest":
+        """The leaf request ``query`` answers when ``inner_table`` is the
+        inner, probed through ``index_name``."""
+        join = JoinMethodRequest.for_query(query, inner_table)
+        return cls(inner_table, index_name, join.join_predicate, join.outer_filter)
+
+    def key(self) -> str:
+        expression = _join_expression(self.join_predicate, self.outer_filter)
+        return f"LEAVES({self.inner_table}, {self.index_name}, {expression})"
+
+
+PageCountRequest = AccessPathRequest | JoinMethodRequest | IndexLeafRequest
 
 
 class Mechanism(enum.Enum):
@@ -90,6 +138,7 @@ class Mechanism(enum.Enum):
     DPSAMPLE = "dpsample"  # Bernoulli page sampling (Fig. 4)
     LINEAR_COUNTING = "linear-counting"  # fetch-stream bitmap (Fig. 3)
     BITVECTOR_DPSAMPLE = "bitvector+dpsample"  # hash/merge join (Fig. 5)
+    LEAF_BITMAP = "leaf-bitmap"  # one flag per index leaf (INL probe / hash build)
     NOT_AVAILABLE = "not-available"
 
 

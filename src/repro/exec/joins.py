@@ -5,14 +5,19 @@ The monitoring story differs per method, mirroring the paper:
 * **INL Join** — the inner side is fetched through an index, so the inner
   fetch stream carries page ids; a
   :class:`~repro.core.monitors.FetchMonitorBundle` with a linear counter
-  observes it directly (like an Index Seek).
+  observes it directly (like an Index Seek).  A
+  :class:`~repro.core.monitors.LeafPageMonitor` counts the index leaves
+  the probes land on, from the runs they located.
 
 * **Hash Join** — the join predicate is evaluated in the relational
   engine, where page ids are invisible.  When monitoring is requested the
   planner hands the operator a :class:`~repro.core.bitvector.BitVectorFilter`;
   the build phase inserts every build-side join value (the SE→RE callback
   of §V-A), and the probe-side *scan* probes the filter on sampled pages
-  as a derived semi-join predicate (Fig. 5).  In batch mode the probe is
+  as a derived semi-join predicate (Fig. 5).  The same build phase can
+  locate its keys in the probe table's index for a
+  :class:`~repro.core.monitors.LeafPageMonitor`: the leaves an INL join
+  driven by the build side would read.  In batch mode the probe is
   a column consumer: a probe-side table scan hands it multi-page column
   chunks, it tests each chunk's key column against the build keys in one
   pass and builds row tuples only for the positions that join (the build
@@ -28,11 +33,11 @@ The monitoring story differs per method, mirroring the paper:
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Optional
+from typing import Any, Iterator, Optional, Sequence
 
 from repro.common.errors import ExecutionError
 from repro.core.bitvector import BitVectorFilter, PartialBitVectorFilter
-from repro.core.monitors import FetchMonitorBundle
+from repro.core.monitors import FetchMonitorBundle, LeafPageMonitor
 from repro.exec import vector
 from repro.exec.base import ExecutionContext, Operator
 from repro.exec.batch import RowBatch
@@ -82,6 +87,7 @@ class INLJoin(Operator):
         inner_index_name: Optional[str] = None,
         outer_label: str = "outer",
         bundle: Optional[FetchMonitorBundle] = None,
+        leaf_monitor: Optional[LeafPageMonitor] = None,
     ) -> None:
         super().__init__()
         self.outer = outer
@@ -92,6 +98,7 @@ class INLJoin(Operator):
         self.inner_index_name = inner_index_name
         self.outer_label = outer_label
         self.bundle = bundle
+        self.leaf_monitor = leaf_monitor
         access = inner_index_name or "clustered-key"
         self.stats.detail = (
             f"inner={inner_table.name} via {access} on {inner_join_column}"
@@ -123,6 +130,7 @@ class INLJoin(Operator):
             clustered = self.inner_table.clustered_file()
         else:
             index = self.inner_table.index(self.inner_index_name)
+        leaf_monitor = self.leaf_monitor
         for outer_row in self.outer.rows(ctx):
             ctx.checkpoint()
             value = outer_row[outer_pos]
@@ -131,6 +139,8 @@ class INLJoin(Operator):
             if use_clustered:
                 fetches = clustered.fetch_by_key(io, (value,))
             else:
+                if leaf_monitor is not None:
+                    leaf_monitor.observe_probes(*index.locate_equal_many([value]), io)
                 fetches = (
                     self.inner_table.fetch(io, rid)
                     for _key, rid, _payload in index.seek_equal(io, value)
@@ -188,6 +198,8 @@ class INLJoin(Operator):
         index = self.inner_table.index(self.inner_index_name)
         starts, stops = index.locate_equal_many(keys)
         ctx.io.charge_index_descent(len(keys))
+        if self.leaf_monitor is not None:
+            self.leaf_monitor.observe_probes(starts, stops, ctx.io)
         matched = [
             outer_row
             for outer_row, start, stop in zip(outer_rows, starts, stops)
@@ -225,6 +237,8 @@ class INLJoin(Operator):
         self.outer.finalize(ctx)
         if self.bundle is not None:
             ctx.observations.extend(self.bundle.finish())
+        if self.leaf_monitor is not None:
+            ctx.observations.extend(self.leaf_monitor.finish())
 
 
 class HashJoin(Operator):
@@ -251,6 +265,7 @@ class HashJoin(Operator):
         build_label: str = "build",
         probe_label: str = "probe",
         bitvector: Optional[BitVectorFilter] = None,
+        leaf_monitors: Sequence[LeafPageMonitor] = (),
     ) -> None:
         super().__init__()
         self.build = build
@@ -260,6 +275,7 @@ class HashJoin(Operator):
         self.build_label = build_label
         self.probe_label = probe_label
         self.bitvector = bitvector
+        self.leaf_monitors = tuple(leaf_monitors)
         self.stats.detail = f"{build_join_column} = {probe_join_column}"
 
     @property
@@ -294,6 +310,8 @@ class HashJoin(Operator):
             if self.bitvector is not None:
                 io.charge_hashes(1)
                 self.bitvector.insert(value)
+            for leaf_monitor in self.leaf_monitors:
+                leaf_monitor.observe_keys([value], io)
 
         # Probe phase: streams; the probe child's scan bundle (if any)
         # consults the now-complete bit vector on sampled pages.
@@ -333,6 +351,8 @@ class HashJoin(Operator):
                 bitvector.insert_all(keys)
             if hashes:
                 io.charge_hashes(hashes)
+            for leaf_monitor in self.leaf_monitors:
+                leaf_monitor.observe_keys(keys, io)
 
         get = hash_table.get
         lookup: Optional[vector.KeyLookup] = None
@@ -382,6 +402,8 @@ class HashJoin(Operator):
     def finalize(self, ctx: ExecutionContext) -> None:
         self.build.finalize(ctx)
         self.probe.finalize(ctx)
+        for leaf_monitor in self.leaf_monitors:
+            ctx.observations.extend(leaf_monitor.finish())
 
 
 class MergeJoin(Operator):

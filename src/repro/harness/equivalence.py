@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from repro.catalog.catalog import Database
-from repro.core.feedback import FeedbackStore
+from repro.core.feedback import FeedbackStore, unsummable
 from repro.core.planner import MonitorConfig
 from repro.core.requests import PageCountObservation, PageCountRequest
 from repro.engine import Engine
@@ -475,7 +475,12 @@ def compare_sharded_query(
     merged_result = coordinator.execute_plan(
         query, plan, requests=request_list, exec_mode=exec_mode
     ).result
-    serial_observations = serial_result.runstats.observations
+    # A leaf count does not survive the fan-out (``unsummable``): the
+    # reference is the serial run as a deployment can report it.
+    serial_observations = [
+        unsummable(observation) or observation
+        for observation in serial_result.runstats.observations
+    ]
     merged_observations = merged_result.runstats.observations
     if serial_result.columns != merged_result.columns:
         entry.mismatches.append(

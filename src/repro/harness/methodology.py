@@ -23,6 +23,7 @@ from typing import Optional, Sequence
 from repro.catalog.catalog import Database
 from repro.core.requests import (
     AccessPathRequest,
+    IndexLeafRequest,
     JoinMethodRequest,
     PageCountObservation,
     PageCountRequest,
@@ -44,7 +45,8 @@ def default_requests(database: Database, query: Query) -> list[PageCountRequest]
     a usable index (each would drive an Index Seek), plus the full
     conjunction when it has several such terms (Index Intersection /
     current-plan DPC).  Join queries: a join-method request per table that
-    could serve as the INL inner (index or clustering on its join column).
+    could serve as the INL inner (index or clustering on its join column),
+    each followed by a leaf request per index on that column.
     """
     requests: list[PageCountRequest] = []
     if isinstance(query, SingleTableQuery):
@@ -73,12 +75,17 @@ def default_requests(database: Database, query: Query) -> list[PageCountRequest]
         ):
             table = database.table(table_name)
             column = query.join_predicate.column_for(table_name)
-            has_access = bool(table.indexes_on_column(column)) or (
+            indexes = table.indexes_on_column(column)
+            has_access = bool(indexes) or (
                 table.clustered_index is not None
                 and table.clustered_index.key_columns[0] == column
             )
             if has_access:
                 requests.append(JoinMethodRequest.for_query(query, table_name))
+            requests.extend(
+                IndexLeafRequest.for_query(query, table_name, index.name)
+                for index in indexes
+            )
     return requests
 
 

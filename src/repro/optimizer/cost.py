@@ -8,7 +8,9 @@ which it takes either from the analytical uniform-placement model
 (:mod:`repro.optimizer.pagecount_model`) or from an injected feedback
 value.  That single degree of freedom is the paper's subject: with an
 accurate DPC the model ranks plans correctly; with the analytical estimate
-it can be off by the full correlation factor.
+it can be off by the full correlation factor.  An INL join has the same
+question one level up, the distinct *leaf* pages its probes read, which
+it also takes from outside (``PageCountEstimator.leaf_dpc``).
 
 Predicate-evaluation CPU uses expected short-circuit depth: for terms with
 selectivities ``s1, s2, ...`` evaluated in order, a row costs
@@ -181,26 +183,24 @@ class CostModel:
         outer_cost: float,
         outer_rows: float,
         inner_matched_entries: float,
-        inner_entries_per_page: int,
+        inner_leaf_pages: float,
         inner_distinct_pages: float,
         inner_residual_selectivities: Sequence[float],
     ) -> float:
         """Outer plan + per-outer-row index descent + inner leaf/fetch I/O.
 
         ``inner_matched_entries`` is the total number of (outer, inner)
-        index matches across the whole outer stream; leaf pages are read
-        once each thanks to the buffer pool, so leaf I/O is their count,
+        index matches across the whole outer stream.  Leaf pages are read
+        once each thanks to the buffer pool, so leaf I/O is their distinct
+        count, ``inner_leaf_pages`` (``PageCountEstimator.leaf_dpc``),
         charged random (visit order follows the outer, not leaf order).
         """
-        leaf_pages = math.ceil(
-            max(0.0, inner_matched_entries) / max(1, inner_entries_per_page)
-        )
         descents = outer_rows * self.params.cpu_index_descent_ms
         entry_cpu = inner_matched_entries * self.params.cpu_index_entry_ms
         return (
             outer_cost
             + descents
-            + self.random_io(leaf_pages)
+            + self.random_io(inner_leaf_pages)
             + entry_cpu
             + self.fetch_cost(
                 inner_matched_entries,

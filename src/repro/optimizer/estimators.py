@@ -10,6 +10,7 @@ plan nodes record and the diagnostics report surfaces.
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 from repro.catalog.catalog import Database
@@ -80,3 +81,33 @@ class PageCountEstimator:
         if injected is not None:
             return injected, "injected"
         return self._model_estimate(inner_table, fetched_rows), "model"
+
+    def leaf_dpc(
+        self,
+        inner_table: str,
+        index_name: Optional[str],
+        join_predicate: JoinEquality,
+        outer_filter: Conjunction,
+        matched_entries: float,
+    ) -> tuple[float, str]:
+        """Leaf pages an INL join's probes read in the inner's index
+        (``index_name=None``: the clustered key, whose leaves are the data
+        pages), for the outer rows ``outer_filter`` selects.
+
+        A remembered count wins; otherwise the probes' ``matched_entries``
+        are assumed contiguous, ``ceil(matched / entries per leaf)``.
+        """
+        inner = self.database.table(inner_table)
+        if index_name is None:
+            entries_per_page = inner.data_file.page_capacity
+        else:
+            injected = self.injections.leaf_page_count(
+                inner_table, index_name, join_predicate, outer_filter
+            )
+            if injected is not None:
+                return injected, "injected"
+            entries_per_page = inner.index(index_name).entries_per_page
+        return (
+            math.ceil(max(0.0, matched_entries) / max(1, entries_per_page)),
+            "model",
+        )

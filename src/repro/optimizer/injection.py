@@ -22,6 +22,7 @@ from typing import Iterable, Optional
 
 from repro.core.requests import (
     AccessPathRequest,
+    IndexLeafRequest,
     JoinMethodRequest,
     PageCountObservation,
 )
@@ -40,6 +41,15 @@ def join_dpc_key(
     inner_table: str, join_predicate: JoinEquality, outer_filter: Conjunction
 ) -> str:
     return JoinMethodRequest(inner_table, join_predicate, outer_filter).key()
+
+
+def leaf_dpc_key(
+    inner_table: str,
+    index_name: str,
+    join_predicate: JoinEquality,
+    outer_filter: Conjunction,
+) -> str:
+    return IndexLeafRequest(inner_table, index_name, join_predicate, outer_filter).key()
 
 
 #: Fingerprint of a set with no entries (the warm path's usual case).
@@ -161,6 +171,23 @@ class InjectionSet:
         return self._page_counts.get(
             join_dpc_key(inner_table, join_predicate.reversed(), outer_filter)
         )
+
+    def leaf_page_count(
+        self,
+        inner_table: str,
+        index_name: str,
+        join_predicate: JoinEquality,
+        outer_filter: Conjunction,
+    ) -> Optional[float]:
+        """The leaf count filed under exactly this expression (either
+        spelling of the join predicate), else ``None``."""
+        for predicate in (join_predicate, join_predicate.reversed()):
+            value = self._page_counts.get(
+                leaf_dpc_key(inner_table, index_name, predicate, outer_filter)
+            )
+            if value is not None:
+                return value
+        return None
 
     def __len__(self) -> int:
         return len(self._cardinalities) + len(self._page_counts)

@@ -6,7 +6,9 @@ Enumerates, for ``σ(L) ⋈ σ(R)`` on an equality predicate:
   single-table access path;
 * **INL Join** in both directions, when the inner table has a
   non-clustered index on the join column or is clustered on it — the
-  method whose costing needs ``DPC(inner, join-pred)`` (§IV);
+  method whose costing needs ``DPC(inner, join-pred)`` (§IV), and the
+  leaf pages of the inner index its probes read
+  (``LEAVES(inner, index, join-pred)``);
 * **Merge Join**, adding Sort operators on sides that do not already
   produce join-column order (a side is pre-sorted when its table is
   clustered on the join column and the chosen access path preserves that
@@ -208,10 +210,8 @@ class JoinEnumerator:
                 for t in inner_pred.terms
             ]
             for access in inner_accesses:
-                entries_per_page = (
-                    inner.index(access).entries_per_page
-                    if access is not None
-                    else inner.data_file.page_capacity
+                leaves, leaf_source = self.page_counts.leaf_dpc(
+                    inner_table, access, join_predicate, outer_pred, matched_entries
                 )
                 plan = INLJoinPlan(
                     outer=outer_best,
@@ -223,13 +223,15 @@ class JoinEnumerator:
                     outer_filter=outer_pred,
                     estimated_dpc=dpc,
                     dpc_source=source,
+                    estimated_leaf_pages=leaves,
+                    leaf_source=leaf_source,
                 )
                 plan.estimated_rows = join_rows
                 plan.estimated_cost_ms = self.cost_model.inl_join_cost(
                     outer_best.estimated_cost_ms,
                     outer_rows,
                     matched_entries,
-                    entries_per_page,
+                    leaves,
                     dpc,
                     residual_selectivities,
                 )

@@ -252,6 +252,11 @@ class INLJoinPlan(PlanNode):
     outer_filter: Conjunction = field(default_factory=Conjunction)
     estimated_dpc: float = 0.0
     dpc_source: str = "model"
+    #: Leaf pages of the inner index the probes were costed to read, and
+    #: where that count came from (``"model"``: contiguous probe keys;
+    #: ``"injected"``: a remembered ``LEAVES(...)`` count).
+    estimated_leaf_pages: float = 0.0
+    leaf_source: str = "model"
 
     def children(self) -> list[PlanNode]:
         return [self.outer]
@@ -261,7 +266,8 @@ class INLJoinPlan(PlanNode):
         return (
             f"INLJoin(inner={self.inner_table} via {access} | "
             f"{self.join_predicate.key()} | dpc≈{self.estimated_dpc:.1f} "
-            f"({self.dpc_source}))"
+            f"({self.dpc_source}) | leaves≈{self.estimated_leaf_pages:g} "
+            f"({self.leaf_source}))"
         )
 
     def shape_key(self) -> str:

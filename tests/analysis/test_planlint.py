@@ -11,6 +11,7 @@ import pytest
 from repro.analysis.findings import Severity
 from repro.analysis.planlint import PLAN_RULES, lint_plan
 from repro.common.errors import AnalysisError, PlanLintError
+from repro.core.requests import IndexLeafRequest
 from repro.optimizer.injection import InjectionSet
 from repro.optimizer.optimizer import Optimizer, SingleTableQuery
 from repro.optimizer.plans import (
@@ -271,6 +272,30 @@ class TestP005DPCConsistency:
         injections.inject_join_page_count("tiny", self.JOIN, self.NARROW, 2.0)
         assert lint_plan(plan, tiny_db, injections=injections, rules=["P005"]) == []
 
+    # The index side of an INL join: a leaf count, bounded by the index's
+    # leaves and held to the same provenance rule under its LEAVES key.
+    def test_inl_leaf_estimate_bounded_by_the_index_leaves(self, tiny_db):
+        leaves = tiny_db.table("tiny").index("ix_v").num_leaf_pages
+        plan = self.make_inl(inner_index_name="ix_v", estimated_leaf_pages=leaves)
+        assert lint_plan(plan, tiny_db, rules=["P005"]) == []
+        plan.estimated_leaf_pages = leaves + 1
+        (finding,) = lint_plan(plan, tiny_db, rules=["P005"])
+        assert finding.rule == "P005" and "leaf pages" in finding.message
+
+    def test_inl_leaf_provenance_follows_its_own_key(self, tiny_db):
+        injections = InjectionSet()
+        leaf_key = IndexLeafRequest("tiny", "ix_v", self.JOIN, self.NARROW).key()
+        injections.inject_page_count_by_key(leaf_key, 1.0)
+        plan = self.make_inl(inner_index_name="ix_v", estimated_leaf_pages=1.0)
+        (finding,) = lint_plan(plan, tiny_db, injections=injections, rules=["P005"])
+        assert "leaf_source" in finding.hint
+        plan.leaf_source = "injected"
+        assert lint_plan(plan, tiny_db, injections=injections, rules=["P005"]) == []
+        # Claimed without an entry under the node's own filter.
+        plan.outer_filter = self.WIDE
+        (finding,) = lint_plan(plan, tiny_db, injections=injections, rules=["P005"])
+        assert finding.message.startswith("leaf_source claims an injected value")
+
 
 class _LeakyShapeSeek(IndexSeekPlan):
     """A buggy node whose shape key includes an estimate."""
@@ -285,6 +310,13 @@ class _UnstableScan(SeqScanPlan):
     def describe(self) -> str:
         self._calls = getattr(self, "_calls", 0) + 1
         return f"UnstableScan#{self._calls}"
+
+
+class _LeakyLeafINL(INLJoinPlan):
+    """A buggy INL node whose shape key includes its leaf provenance."""
+
+    def shape_key(self) -> str:
+        return f"LeakyINL({self.leaf_source})"
 
 
 class TestP006ShapeHygiene:
@@ -317,6 +349,23 @@ class TestP006ShapeHygiene:
 
     def test_silent_on_clean_plan(self, tiny_db):
         assert lint_plan(make_seek(), tiny_db, rules=["P006"]) == []
+
+    def test_leaf_fields_are_perturbed_and_restored(self, tiny_db):
+        fields = dict(
+            outer=SeqScanPlan(table="tiny", predicate=Conjunction(())),
+            outer_table="tiny",
+            inner_table="tiny",
+            join_predicate=JoinEquality("tiny", "v", "tiny", "k"),
+            inner_residual=Conjunction(()),
+            inner_index_name="ix_v",
+            estimated_leaf_pages=3.0,
+            leaf_source="injected",
+        )
+        leaky = _LeakyLeafINL(**fields)
+        assert "P006" in rules_fired(lint_plan(leaky, tiny_db, rules=["P006"]))
+        clean = INLJoinPlan(**fields)
+        assert lint_plan(clean, tiny_db, rules=["P006"]) == []
+        assert clean.estimated_leaf_pages == 3.0 and clean.leaf_source == "injected"
 
 
 class TestRuleCatalog:

@@ -133,14 +133,22 @@ class TestDiagnose:
         second = session.run(query, requests=requests, use_feedback=True)
         inl = second.plan.children()[0]
         assert isinstance(inl, INLJoinPlan) and inl.dpc_source == "injected"
+        assert inl.leaf_source == "injected"
         report = diagnose(query.describe(), second.plan, second.observations)
-        (line,) = [item for item in report.lines if item.answered]
+        line, leaves = [item for item in report.lines if item.answered]
         assert line.expression == "DPC(t, t1.c2 = t.c2 | c1 < 300)"
         assert line.estimated_pages == inl.estimated_dpc
         assert line.actual_pages is not None
-        (row,) = [r for r in report.render().splitlines() if "c1 < 300)" in r]
+        (row,) = [r for r in report.render().splitlines() if r.startswith("DPC(")]
         assert f"{line.estimated_pages:.1f}" in row
         assert f"{line.actual_pages:.1f}" in row
+        # The index side meets its own observation: a remembered, exact
+        # leaf count, so the q-error is 1.
+        assert leaves.expression == "LEAVES(t, ix_c2, t1.c2 = t.c2 | c1 < 300)"
+        assert leaves.mechanism == "leaf-bitmap"
+        assert leaves.estimated_pages == inl.estimated_leaf_pages
+        assert leaves.actual_pages == inl.estimated_leaf_pages
+        assert leaves.error_factor == 1.0
 
     def test_error_factor_none_when_missing(self):
         from repro.core.diagnostics import DiagnosticLine

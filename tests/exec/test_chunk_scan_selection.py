@@ -31,6 +31,7 @@ from repro.catalog import ColumnDef, Database, TableSchema
 from repro.common.types import PageId
 from repro.common.cancellation import CancellationToken
 from repro.core.bitvector import BitVectorFilter, PartialBitVectorFilter
+from repro.core.dpc import exact_leaf_dpc
 from repro.core.dpsample import BernoulliPageSampler
 from repro.core.monitors import ScanMonitorBundle
 from repro.core.planner import MonitorConfig, build_executable
@@ -116,6 +117,18 @@ def fig8_join_query(column="c3", outer_rows=1_500, probe_predicate=None):
         predicates=predicates,
         count_column="t.padding",
     )
+
+
+def fig8_outer_keys(database, column, outer_rows=1_500):
+    """``t1.column`` of the rows :func:`fig8_join_query` drives with."""
+    t1 = database.table("t1")
+    c1, key = t1.schema.position("c1"), t1.schema.position(column)
+    return [
+        row[key]
+        for page_id in t1.all_page_ids()
+        for row in t1.rows_on_page(page_id)
+        if row[c1] < outer_rows
+    ]
 
 
 def build(database, query, hint, monitored, requests=None, fraction=None):
@@ -605,11 +618,18 @@ def test_monitored_fig8_hash_join_row_equals_batch(join_db, backend, column, fra
             join_db,
             lambda: build(join_db, query, "hash_join", True, fraction=fraction),
         )
-        (observation,) = [
+        observation, leaves = [
             obs for obs in result.runstats.observations if obs.answered
         ]
         assert observation.mechanism is Mechanism.BITVECTOR_DPSAMPLE
         assert 0 < observation.details["filter_fill_ratio"] < 1
+        # The build phase located its keys in the probe table's index: the
+        # leaves an INL join driven by the same rows would read, exactly.
+        assert leaves.mechanism is Mechanism.LEAF_BITMAP and leaves.exact
+        assert leaves.estimate == exact_leaf_dpc(
+            join_db.table("t").index(f"ix_{column}"),
+            fig8_outer_keys(join_db, column),
+        )
         for kind in (
             "charge_hashes",
             "charge_bitvector_probes",
@@ -634,8 +654,14 @@ def test_narrow_filter_hash_join_row_equals_batch(join_db, backend, bits):
         ).root
 
     result, _units = assert_row_equals_batch(join_db, make_root)
-    (observation,) = [obs for obs in result.runstats.observations if obs.answered]
+    observation, leaves = [
+        obs for obs in result.runstats.observations if obs.answered
+    ]
     assert observation.details["filter_bits"] == bits
+    # The leaf bitmap is exact whatever the filter's width.
+    assert leaves.estimate == exact_leaf_dpc(
+        join_db.table("t").index("ix_c5"), fig8_outer_keys(join_db, "c5", 40)
+    )
 
 
 def test_group_by_row_equals_batch(synthetic_db, backend):

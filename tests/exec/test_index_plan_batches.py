@@ -18,8 +18,9 @@ import pytest
 from repro.catalog import ColumnDef, Database, IndexDef, TableSchema
 from repro.common.cancellation import CancellationToken
 from repro.common.errors import QueryCancelled
-from repro.core.monitors import FetchMonitorBundle
-from repro.core.requests import AccessPathRequest
+from repro.core.dpc import exact_leaf_dpc
+from repro.core.monitors import FetchMonitorBundle, LeafPageMonitor
+from repro.core.requests import AccessPathRequest, IndexLeafRequest
 from repro.exec import (
     CoveringIndexScan,
     INLJoin,
@@ -31,7 +32,7 @@ from repro.exec import (
 )
 from repro.exec.base import ExecutionContext
 from repro.harness.equivalence import observation_fingerprint
-from repro.sql import Comparison, Conjunction, conjunction_of
+from repro.sql import Comparison, Conjunction, JoinEquality, conjunction_of
 from repro.sql.types import SqlType
 from repro.storage.buffer import BufferPool
 
@@ -155,14 +156,23 @@ def covering(database, monitored, full_eval):
 def inl(inner_table, inner_index):
     def make(database, monitored, full_eval):
         inner = database.table(inner_table)
+        leaf_monitor = None
+        if monitored and inner_index is not None:
+            leaf_monitor = LeafPageMonitor(
+                inner.index(inner_index),
+                [IndexLeafRequest(inner_table, inner_index, INL_JOIN)],
+            )
         return INLJoin(
             SeqScan(database.table("o"), Conjunction()), "j", inner, "g", RESIDUAL,
             inner_index_name=inner_index,
             bundle=fetch_bundle(inner_table, RESIDUAL) if monitored else None,
+            leaf_monitor=leaf_monitor,
         )
 
     return make
 
+
+INL_JOIN = JoinEquality("o", "j", "f", "g")
 
 OPERATORS = {
     "seek": seek,
@@ -214,6 +224,23 @@ def test_row_equals_batch(database, backend, name, monitored, full_eval, batch_r
     assert bool(row["observations"]) == monitored
     if database.buffer_pool.capacity_pages == 4:
         assert row["reads"][3] > 0  # the stream's order decided evictions
+
+
+@pytest.mark.parametrize("batch_rows", [1, 7, 1024])
+def test_inl_leaf_count_is_the_oracle_count(database, backend, batch_rows):
+    """Probes of 0, 1 and 2 are runs of 500 entries, each over several
+    leaves and together the whole index; NULL and 7/99 probes read none."""
+    index = database.table("f").index("ix_g")
+    outer = database.table("o")
+    keys = [row[1] for page in outer.all_page_ids() for row in outer.rows_on_page(page)]
+    expected = exact_leaf_dpc(index, keys)
+    assert expected == index.num_leaf_pages == 5
+    for mode in ("row", "batch"):
+        out = run(database, OPERATORS["inl_index"](database, True, False), mode, batch_rows)
+        (leaves,) = [o for o in out["observations"] if o[1] == "leaf-bitmap"]
+        assert leaves[2] == expected and leaves[3] is True
+        probes = sum(key is not None for key in keys)
+        assert dict(leaves[6])["probes"] == repr(probes)
 
 
 @pytest.mark.parametrize("name", sorted(OPERATORS))

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.planner import MonitorConfig
-from repro.core.requests import AccessPathRequest, JoinMethodRequest
+from repro.core.requests import AccessPathRequest, IndexLeafRequest, JoinMethodRequest
 from repro.engine import Engine
 from repro.harness.methodology import (
     EvaluationOutcome,
@@ -51,12 +51,20 @@ class TestDefaultRequests:
             count_column="t.padding",
         )
         requests = default_requests(join_db, query)
-        # Only t has an index on c2; t1 does not.  The request names the
-        # filter on the side that drives the join (t1), not the inner's.
+        # Only t has an index on c2; t1 does not.  The requests name the
+        # filter on the side that drives the join (t1), not the inner's:
+        # the inner's data pages, then the leaves of its index.
         assert requests == [
-            JoinMethodRequest("t", query.join_predicate, query.predicates["t1"])
+            JoinMethodRequest("t", query.join_predicate, query.predicates["t1"]),
+            IndexLeafRequest(
+                "t", "ix_c2", query.join_predicate, query.predicates["t1"]
+            ),
         ]
-        assert requests[0].key() == "DPC(t, t1.c2 = t.c2 | c1 < 100)"
+        assert [request.key() for request in requests] == [
+            "DPC(t, t1.c2 = t.c2 | c1 < 100)",
+            "LEAVES(t, ix_c2, t1.c2 = t.c2 | c1 < 100)",
+        ]
+        assert requests[1] == IndexLeafRequest.for_query(query, "t", "ix_c2")
 
     def test_join_on_clustering_key_both_sides(self, join_db):
         query = JoinQuery(
@@ -132,19 +140,22 @@ class TestEvaluateQuery:
 #: §V-B on a fixed Fig. 6 / Fig. 8 slice, captured at the last commit
 #: whose harness forked per topology (``evaluate_query(database, ...)``
 #: serial, ``evaluate_query_sharded(coordinator, ...)`` at 4 shards):
-#: ``label -> (repr(T), repr(T_monitored), repr(T'))``.
+#: ``label -> (repr(T), repr(T_monitored), repr(T'))``.  ``join-c2#0``'s
+#: T_monitored then rose by the leaf monitor's charge (its hash join
+#: locates the 304 build keys in ``ix_c2``): 41.6074 -> 41.6378 serial,
+#: 11.1387 -> 11.1691 at 4 shards; T and T' did not move.
 PINNED_TIMES = {
     "serial": {
         "c2#0": ("36.34999999999988", "36.54999999999987", "14.212"),
         "c5#0": ("36.23949999999988", "36.43949999999987", "36.23949999999988"),
         "join-c1#0": ("40.79039999999987", "41.664999999999864", "12.623999999999942"),
-        "join-c2#0": ("40.74559999999987", "41.60739999999987", "12.9968"),
+        "join-c2#0": ("40.74559999999987", "41.63779999999987", "12.9968"),
     },
     "sharded": {
         "c2#0": ("9.475900000000003", "9.526270000000004", "14.212"),
         "c5#0": ("9.132900000000003", "9.183270000000002", "9.132900000000003"),
         "join-c1#0": ("10.923700000000004", "11.196270000000004", "12.623999999999942"),
-        "join-c2#0": ("10.878900000000005", "11.138670000000005", "12.9968"),
+        "join-c2#0": ("10.878900000000005", "11.169070000000003", "12.9968"),
     },
 }
 #: ``label -> (P, P')`` signatures — the same on both topologies.

@@ -1,5 +1,7 @@
 """Tests for the cost model, cardinality estimation and injections."""
 
+import math
+
 import pytest
 
 from repro.optimizer.cardinality import CardinalityEstimator
@@ -82,7 +84,7 @@ class TestCostModel:
                 ),
                 outer_rows=outer_rows,
                 inner_matched_entries=outer_rows,
-                inner_entries_per_page=500,
+                inner_leaf_pages=math.ceil(outer_rows / 500),
                 inner_distinct_pages=selectivity * pages,
                 inner_residual_selectivities=[],
             )

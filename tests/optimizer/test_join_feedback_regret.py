@@ -21,7 +21,7 @@ from repro.engine import Engine, WorkloadItem
 from repro.harness.methodology import default_requests
 from repro.harness.regret import plan_regret
 from repro.optimizer.hints import PlanHint
-from repro.optimizer.plans import INLJoinPlan
+from repro.optimizer.plans import HashJoinPlan, INLJoinPlan
 from repro.service import QueryRequest, QueryService, WorkerPool, WorkerSpec
 from repro.shard import ShardCoordinator
 from repro.sql.parser import parse_query
@@ -66,8 +66,12 @@ def test_remembered_join_feedback_leaves_little_regret(database):
                 query=query, requests=monitors, use_feedback=True, remember=True
             )
         )
-    # One record per statement, each under the key of its own filter.
-    assert len(engine.feedback) == len(statements)
+    # Two records per statement, each under the key of its own filter:
+    # the inner's data pages and its index's leaves.
+    assert len(engine.feedback) == 2 * len(statements)
+    assert sum(key.startswith("LEAVES(") for key in engine.feedback.keys()) == len(
+        statements
+    )
 
     regrets = {
         statement: plan_regret(engine, query, monitors)
@@ -75,11 +79,16 @@ def test_remembered_join_feedback_leaves_little_regret(database):
     }
     chosen_ms = sum(regret.chosen_ms for regret in regrets.values())
     regret_ms = sum(regret.regret_ms for regret in regrets.values())
-    assert regret_ms / chosen_ms <= 0.025  # 1.69 %; 8.48 % under the coarse key
+    # 0.00 %; 1.69 % costing INL leaves as contiguous, 8.48 % under the
+    # coarse key.
+    assert regret_ms / chosen_ms <= 0.005
     for statement in (("c3", 200), ("c3", 400), ("c4", 200)):
         chosen = regrets[statement].chosen_plan.children()[0]
         assert isinstance(chosen, INLJoinPlan), statement
         assert chosen.dpc_source == "injected"
+        assert chosen.leaf_source == "injected"
+    # The residual of the contiguous-leaf arithmetic: 15 leaves, not 2.
+    assert isinstance(regrets["c4", 400].chosen_plan.children()[0], HashJoinPlan)
 
 
 # ----------------------------------------------------------------------

@@ -120,7 +120,10 @@ class TestRoundTrip:
             assert back.mechanism is Mechanism(entry["mechanism"])
         # The key string carries the outer filter across the wire as it is:
         # the parent files a worker's count under the expression it measured.
-        assert [e["key"] for e in join_entries] == ["DPC(t, t1.c2 = t.c2 | c1 < 100)"]
+        assert [e["key"] for e in join_entries] == [
+            "DPC(t, t1.c2 = t.c2 | c1 < 100)",
+            "LEAVES(t, ix_c2, t1.c2 = t.c2 | c1 < 100)",
+        ]
         store = FeedbackStore()
         store.record_observations(
             unmarshal_observations(marshal_observations(observations))
