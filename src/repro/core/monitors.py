@@ -52,7 +52,7 @@ from repro.core.requests import (
     PageCountObservation,
     PageCountRequest,
 )
-from repro.sql.evaluator import BatchOutcome, TermOutcome
+from repro.sql.evaluator import TermOutcome
 from repro.sql.predicates import AtomicPredicate, Conjunction
 from repro.storage.accounting import IOContext
 from repro.storage.btree import BTreeIndex
@@ -517,43 +517,14 @@ class _FetchEntry:
         io.charge_hashes(1)
         self.counter.observe(int(page_id))
 
-    def observe_batch(
-        self,
-        page_ids: Sequence[PageId],
-        truth_columns: Sequence[Optional[Sequence[Optional[bool]]]],
-        io: IOContext,
-    ) -> None:
-        """Batch form of :meth:`observe` over one chunk of fetched rows.
-
-        Witnesses the same page ids the row loop would (rows whose
-        witness terms all came out TRUE) and charges a hash for each, as
-        the paper does; the counter itself hashes each distinct id once
-        (:meth:`~repro.core.probabilistic.LinearCounter.observe_many`).
-        """
-        columns = [truth_columns[index] for index in self.term_indexes]
-        if any(column is None for column in columns):
-            return
-        witnessed = page_ids
-        if len(columns) == 1:
-            witnessed = [
-                page_id for page_id, value in zip(page_ids, columns[0]) if value is True
-            ]
-        elif columns:
-            witnessed = [
-                page_id
-                for page_id, *values in zip(page_ids, *columns)
-                if all(value is True for value in values)
-            ]
-        if witnessed:
-            io.charge_hashes(len(witnessed))
-            self.counter.observe_many(witnessed)
-
 
 class FetchMonitorBundle:
     """Linear counters attached to a Fetch stream (Fig. 3).
 
-    The Fetch operator calls :meth:`observe_fetch` for every row it fetches,
-    passing the page id and the residual-term outcome it computed anyway.
+    The row oracle calls :meth:`observe_fetch` for every row it fetches,
+    passing the page id and the residual-term outcome it computed anyway;
+    the batch drive calls :meth:`observe_fetches` once per chunk of
+    fetches, with one witness flag per fetch per entry.
     """
 
     def __init__(self, table_name: str) -> None:
@@ -586,29 +557,46 @@ class FetchMonitorBundle:
         for entry in self._entries:
             entry.observe(page_id, truth, io)
 
-    def observe_fetch_batch(
+    def witness_terms(self) -> list[tuple[int, ...]]:
+        """Each entry's residual term positions, in the order
+        :meth:`observe_fetches` takes its flag lists.  A fetched row
+        witnesses an entry when every listed term came out TRUE on it."""
+        return [entry.term_indexes for entry in self._entries]
+
+    def observe_fetches(
         self,
         page_ids: Sequence[PageId],
-        outcome: Optional[BatchOutcome],
+        flags_per_entry: Sequence[Sequence[bool]],
         io: IOContext,
     ) -> None:
         """Batch form of :meth:`observe_fetch` for one chunk of fetches.
 
-        ``page_ids`` is parallel to the rows the batch outcome covers; the
-        counters end up bit-identical to per-row observation: the linear
-        counter is order-insensitive and idempotent per id, so each entry
-        hashes a chunk's *distinct* witnessed page ids once
+        ``flags_per_entry[k][i]`` says whether fetch *i*, of page
+        ``page_ids[i]``, witnesses entry *k* (entries as in
+        :meth:`witness_terms`); the operator reads those flags off its
+        chunk-wide residual masks, so no truth vector crosses this seam.
+        The counters end up bit-identical to per-row observation: the
+        linear counter is order-insensitive and idempotent per id, so each
+        entry hashes a chunk's *distinct* witnessed page ids once
         (:meth:`~repro.core.probabilistic.LinearCounter.observe_many`),
         while ``charge_hashes`` and ``observations`` still count every
-        witnessed fetch — the paper's one hash per row (Fig. 3).
+        witnessing fetch — the paper's one hash per row (Fig. 3).
         """
-        if not self._entries or not page_ids:
-            return
-        truth_columns: Sequence[Optional[Sequence[Optional[bool]]]] = (
-            outcome.truth if outcome is not None else ()
-        )
-        for entry in self._entries:
-            entry.observe_batch(page_ids, truth_columns, io)
+        if len(flags_per_entry) != len(self._entries):
+            raise MonitorError(
+                f"observe_fetches got {len(flags_per_entry)} flag lists for "
+                f"{len(self._entries)} entries"
+            )
+        for entry, flags in zip(self._entries, flags_per_entry):
+            if len(flags) != len(page_ids):
+                raise MonitorError(
+                    f"observe_fetches got {len(flags)} flags for "
+                    f"{len(page_ids)} fetches"
+                )
+            witnessed = list(compress(page_ids, flags))
+            if witnessed:
+                io.charge_hashes(len(witnessed))
+                entry.counter.observe_many(witnessed)
 
     def progress(self) -> list[MonitorProgress]:
         """Streaming counter estimates so far (honest lower bounds)."""

@@ -488,9 +488,9 @@ def _fail_leaf_requests(
 def _build(plan: PlanNode, state: _Instrumentation) -> Operator:
     if isinstance(plan, CountPlan):
         child = _build(plan.child, state)
-        if isinstance(child, SeqScan):
-            # The aggregate reads column vectors, so the scan under it
-            # emits its chunks as columns.
+        if isinstance(child, (SeqScan, ClusteredRangeScan)):
+            # The aggregate reads column vectors, so the chunk scan under
+            # it emits its chunks as columns.
             child.parent_consumes_columns = True
         operator: Operator = CountAggregate(child, plan.column)
     elif isinstance(plan, SeqScanPlan):
@@ -735,9 +735,9 @@ def _build_hash(plan: HashJoinPlan, state: _Instrumentation) -> Operator:
             )
     build_operator = _build(plan.build, state)
     probe_operator = _build(plan.probe, state)
-    if isinstance(probe_operator, SeqScan):
+    if isinstance(probe_operator, (SeqScan, ClusteredRangeScan)):
         # The probe reads the key column and materialises only the rows
-        # that join, so the scan emits its chunks as columns; the filter
+        # that join, so the chunk scan emits its chunks as columns; the filter
         # it probes is complete before the first one is pulled.  (The
         # build side wants every row as a tuple and receives row tuples.)
         probe_operator.parent_consumes_columns = True

@@ -33,8 +33,8 @@ equivalence checkable row-for-row.  ``batch.rows`` is the ``to_rows()``
 shim: a consumer that reads it off a column-backed batch (only the
 executor's root drain, when a chunk scan is driven standalone) gets
 Python row tuples materialized from the columns, cached.  All per-term
-truth bookkeeping lives in the evaluator outcomes
-(:class:`~repro.sql.evaluator.BatchOutcome`), so batches themselves
+truth bookkeeping lives in the evaluator's outcome masks
+(:class:`~repro.sql.evaluator.VectorOutcome`), so batches themselves
 carry no selection vectors — operators emit batches of *surviving* rows
 only.
 

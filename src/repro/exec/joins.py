@@ -33,6 +33,7 @@ The monitoring story differs per method, mirroring the paper:
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Any, Iterator, Optional, Sequence
 
 from repro.common.errors import ExecutionError
@@ -70,8 +71,9 @@ class INLJoin(Operator):
     one sorted search locates every outer key's run of leaf entries
     (:meth:`BTreeIndex.locate_equal_many`), the runs' page reads are
     charged as one stream in outer-row order (:meth:`BTreeIndex.read_runs`),
-    their rows gathered in one pass, and the residual and the fetch
-    bundle see a chunk of at most ``batch_rows`` fetches at a time.  Rows
+    their columns gathered in one pass, and the residual (on the column
+    kernels) and the fetch bundle see a chunk of at most ``batch_rows``
+    fetches at a time; joined rows are built for the survivors only.  Rows
     and every charge are those of :meth:`rows`, one seek per outer row.
     """
 
@@ -159,9 +161,9 @@ class INLJoin(Operator):
     def batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
         io = ctx.io
         outer_pos = _position_of(self.outer.output_columns, self.outer_join_column)
-        compiled = BoundConjunction(
+        bound = BoundConjunction(
             self.inner_residual, self.inner_table.schema.column_names
-        ).compile()
+        )
         fetch = (
             self._fetch_by_clustered_key
             if self.inner_index_name is None
@@ -172,13 +174,15 @@ class INLJoin(Operator):
                 row for row in outer_batch.rows if row[outer_pos] is not None
             ]
             keys = [row[outer_pos] for row in outer_rows]
-            for matched, page_ids, inner_rows in fetch(ctx, outer_rows, keys):
+            for matched, page_ids, columns in fetch(ctx, outer_rows, keys):
                 ctx.checkpoint()
-                passed = evaluate_fetched(self, compiled, io, page_ids, inner_rows)
+                passed = evaluate_fetched(self, bound, io, page_ids, columns)
+                inner_rows = vector.rows_where(columns, passed)
+                if len(inner_rows) < len(matched):
+                    matched = compress(matched, vector.mask_values(passed))
                 out = [
                     outer_row + inner_row
-                    for outer_row, inner_row, ok in zip(matched, inner_rows, passed)
-                    if ok
+                    for outer_row, inner_row in zip(matched, inner_rows)
                 ]
                 self.stats.actual_rows += len(out)
                 if out:
@@ -186,9 +190,9 @@ class INLJoin(Operator):
 
     def _fetch_by_index(
         self, ctx: ExecutionContext, outer_rows: list[tuple], keys: list
-    ) -> Iterator[tuple[list[tuple], list[int], list[tuple]]]:
+    ) -> Iterator[tuple[list[tuple], list[int], tuple]]:
         """The inner fetches of one outer batch, through the inner index:
-        chunks of ``(outer row per fetch, page ids, inner rows)``.
+        chunks of ``(outer row per fetch, page ids, inner columns)``.
 
         One sorted search locates every probe key's run of leaf entries;
         each probe is a seek of its own (a descent, a random read of its
@@ -209,16 +213,18 @@ class INLJoin(Operator):
         offset = 0
         for runs in index.chunk_runs(zip(starts, stops), ctx.batch_rows):
             page_ids, slots = index.read_runs(ctx.io, runs, data_file.file_id)
-            inner_rows = data_file.rows_at(page_ids, slots)
-            yield matched[offset : offset + len(page_ids)], page_ids, inner_rows
+            columns = data_file.columns_at(page_ids, slots)
+            yield matched[offset : offset + len(page_ids)], page_ids, columns
             offset += len(page_ids)
 
     def _fetch_by_clustered_key(
         self, ctx: ExecutionContext, outer_rows: list[tuple], keys: list
-    ) -> Iterator[tuple[list[tuple], list[int], list[tuple]]]:
+    ) -> Iterator[tuple[list[tuple], list[int], tuple]]:
         """The same chunks when the inner's clustered key is the join
-        column: one :meth:`ClusteredFile.fetch_by_key` per outer row."""
+        column: one :meth:`ClusteredFile.fetch_by_key` per outer row, each
+        chunk's rows transposed into columns."""
         clustered = self.inner_table.clustered_file()
+        width = len(self.inner_table.schema.column_names)
         matched: list[tuple] = []
         page_ids: list[int] = []
         inner_rows: list[tuple] = []
@@ -228,10 +234,10 @@ class INLJoin(Operator):
                 page_ids.append(page_id)
                 inner_rows.append(inner_row)
                 if len(inner_rows) >= ctx.batch_rows:
-                    yield matched, page_ids, inner_rows
+                    yield matched, page_ids, vector.columns_from_rows(inner_rows, width)
                     matched, page_ids, inner_rows = [], [], []
         if inner_rows:
-            yield matched, page_ids, inner_rows
+            yield matched, page_ids, vector.columns_from_rows(inner_rows, width)
 
     def finalize(self, ctx: ExecutionContext) -> None:
         self.outer.finalize(ctx)

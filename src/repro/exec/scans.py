@@ -19,7 +19,6 @@ measurements of Figs. 7 and 9 arise.
 
 from __future__ import annotations
 
-from functools import reduce
 from typing import Any, Iterator, Optional
 
 from repro.common.types import PageId
@@ -27,6 +26,7 @@ from repro.core.monitors import FetchMonitorBundle, ScanMonitorBundle
 from repro.exec import vector
 from repro.exec.base import ExecutionContext, Operator
 from repro.exec.batch import RowBatch
+from repro.exec.seeks import evaluate_fetched
 from repro.sql.evaluator import BoundConjunction, VectorOutcome
 from repro.sql.predicates import Conjunction
 from repro.storage.accounting import IOContext
@@ -47,10 +47,11 @@ class _MonitoredScanMixin:
     #: ``CountAggregate`` / ``GroupByCountAggregate``, and ``HashJoin`` on
     #: its *probe* side (it tests the key column against the build keys
     #: and materialises only the rows that join).  Derived from the plan
-    #: shape by :func:`repro.core.planner.build_executable`, which marks
-    #: table scans only; it picks the representation :meth:`_scan_chunks`
-    #: emits.  Scans feeding a hash join's build side, an ``INLJoin`` or a
-    #: ``Sort`` leave it off and emit row tuples of the surviving rows.
+    #: shape by :func:`repro.core.planner.build_executable`, for table and
+    #: clustered range scans alike; it picks the representation
+    #: :meth:`_scan_chunks` emits.  Scans feeding a hash join's build
+    #: side, an ``INLJoin`` or a ``Sort`` leave it off and emit row tuples
+    #: of the surviving rows.
     parent_consumes_columns = False
 
     #: Resume tracking (armed by the reopt watchdog, off by default): the
@@ -167,7 +168,7 @@ class _MonitoredScanMixin:
         every other row short-circuited, so each simulated charge is the
         row drive's.
         """
-        compiled = self._bind().compile()
+        bound = self._bind()
         num_query_terms = len(self.query_conjunction)
         io = ctx.io
         stats = self.stats
@@ -195,7 +196,7 @@ class _MonitoredScanMixin:
                 sampled = bundle.sample_pages(first_page_id, page_count)
                 if full_evaluation and True in sampled:
                     full_rows = vector.segment_expand(sampled, page_starts, num_rows)
-            outcome = compiled.evaluate_columns(
+            outcome = bound.evaluate_columns(
                 columns, num_rows, num_query_terms, full_rows
             )
             passed = outcome.passed
@@ -279,25 +280,15 @@ def _page_flags(
 ) -> list[bool]:
     """One monitor entry's per-page flags for a chunk.
 
-    A page is flagged when some row of it has every listed term TRUE.
-    Exact entries read short-circuited truth, where "term *i* TRUE" is
-    "alive after term *i*", so their witness is the last listed term's
-    ``alive`` mask.  Sampled entries read full truth — the AND of the raw
-    term masks — which exists only when the chunk holds a sampled page;
-    without one they have nothing to count.
+    A page is flagged when some row of it witnesses the entry
+    (:meth:`~repro.sql.evaluator.VectorOutcome.witness`): exact entries
+    read short-circuited truth, sampled entries full truth, which exists
+    only when the chunk holds a sampled page — without one they have
+    nothing to count.
     """
-    if exact:
-        witness = (
-            outcome.alive[max(term_indexes)]
-            if term_indexes
-            else vector.ones_mask(outcome.num_rows)
-        )
-    elif outcome.raw is None:
+    witness = outcome.witness(term_indexes, full_truth=not exact)
+    if witness is None:
         return [False] * len(page_starts)
-    else:
-        witness = reduce(
-            vector.mask_and, [outcome.raw[index] for index in term_indexes]
-        )
     return vector.segment_any(witness, page_starts)
 
 
@@ -450,34 +441,22 @@ class CoveringIndexScan(Operator):
         self.stats.pages_touched = io.logical_reads - leaf_pages_before
 
     def batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
-        columns = self.output_columns
-        compiled = BoundConjunction(self.monitor_conjunction, columns).compile()
+        bound = BoundConjunction(self.monitor_conjunction, self.output_columns)
         num_query_terms = len(self.query_conjunction)
         io = ctx.io
-        bundle = self.bundle
         stats = self.stats
-        full_eval = self.monitor_full_eval and bundle is not None
+        full_evaluation = self.monitor_full_eval and self.bundle is not None
         leaf_pages_before = io.logical_reads
         index = self.index
         io.charge_index_descent(1)
         for runs in index.chunk_runs([index.locate()], ctx.batch_rows):
             ctx.checkpoint()
             page_ids, _slots = index.read_runs(io, runs)
-            entries = index.entry_rows(runs)
-            io.charge_rows(len(entries))
-            if full_eval:
-                outcome = compiled.evaluate_batch(entries, short_circuit=False)
-                passed = outcome.prefix_passed(num_query_terms)
-            else:
-                outcome = compiled.evaluate_batch(
-                    entries, num_query_terms, short_circuit=True
-                )
-                passed = outcome.passed
-            io.charge_predicates(outcome.evaluations)
-            stats.predicate_evaluations += outcome.evaluations
-            if bundle is not None:
-                bundle.observe_fetch_batch(page_ids, outcome, io)
-            out = [row for row, ok in zip(entries, passed) if ok]
+            columns = index.entry_columns(runs)
+            passed = evaluate_fetched(
+                self, bound, io, page_ids, columns, num_query_terms, full_evaluation
+            )
+            out = vector.rows_where(columns, passed)
             stats.actual_rows += len(out)
             if out:
                 yield RowBatch(out)

@@ -15,13 +15,13 @@ short-circuiting; monitored expressions must be prefixes of that order
 
 from __future__ import annotations
 
-from itertools import compress
 from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from repro.core.monitors import FetchMonitorBundle
+from repro.exec import vector
 from repro.exec.base import ExecutionContext, Operator
 from repro.exec.batch import RowBatch
-from repro.sql.evaluator import BoundConjunction, CompiledConjunction
+from repro.sql.evaluator import BoundConjunction
 from repro.sql.predicates import Conjunction
 from repro.storage.accounting import IOContext
 from repro.storage.btree import BTreeIndex
@@ -30,26 +30,43 @@ from repro.storage.table import Table
 
 def evaluate_fetched(
     operator: Operator,
-    compiled: CompiledConjunction,
+    bound: BoundConjunction,
     io: IOContext,
     page_ids: Sequence[int],
-    rows: list[tuple],
-    short_circuit: bool = True,
-) -> list[bool]:
-    """Run one chunk of rows ``operator`` fetched through its residual
-    (``compiled``) and its fetch bundle: which rows pass.
+    columns: Sequence,
+    num_terms: Optional[int] = None,
+    full_evaluation: bool = False,
+):
+    """Run one chunk of rows ``operator`` fetched, as column vectors,
+    through its residual (``bound``) and its fetch bundle: the mask of
+    the rows that pass.
 
     Accounting and monitor feeds are totals-identical to the row loop:
-    one ``charge_rows(n)`` per chunk, the residual evaluated with the
-    same short-circuit setting, and the fetch bundle observing the same
-    (page id, truth) pairs.
+    one ``charge_rows(n)`` per chunk; the first ``num_terms`` residual
+    terms (all by default) evaluated short-circuited, or every term on
+    every row under ``full_evaluation``; and each bundle entry fed one
+    witness flag per fetch, read off the masks the way the scan reads its
+    page flags (:meth:`~repro.sql.evaluator.VectorOutcome.witness`).
     """
-    io.charge_rows(len(rows))
-    outcome = compiled.evaluate_batch(rows, short_circuit=short_circuit)
+    num_rows = len(page_ids)
+    io.charge_rows(num_rows)
+    outcome = bound.evaluate_columns(
+        columns,
+        num_rows,
+        num_terms,
+        vector.ones_mask(num_rows) if full_evaluation else None,
+    )
     io.charge_predicates(outcome.evaluations)
     operator.stats.predicate_evaluations += outcome.evaluations
-    if operator.bundle is not None:
-        operator.bundle.observe_fetch_batch(page_ids, outcome, io)
+    bundle = operator.bundle
+    if bundle is not None:
+        flags_per_entry = []
+        for terms in bundle.witness_terms():
+            witness = outcome.witness(terms, full_evaluation)
+            flags_per_entry.append(
+                [False] * num_rows if witness is None else vector.mask_values(witness)
+            )
+        bundle.observe_fetches(page_ids, flags_per_entry, io)
     return outcome.passed
 
 
@@ -58,9 +75,10 @@ class _FetchResidualMixin:
 
     The unit of work is a chunk of at most ``ctx.batch_rows`` locators,
     not a row: the chunk's page reads are charged as one access stream in
-    the row drive's order, its rows gathered in one pass, the residual
-    evaluated by the compiled kernels and the fetch bundle fed the
-    chunk's page ids — with one cancellation checkpoint per chunk.
+    the row drive's order, its columns gathered in one pass, the residual
+    evaluated by the column kernels and the fetch bundle fed the chunk's
+    page ids — with one cancellation checkpoint per chunk.  Row tuples
+    are built for the surviving rows only.
     """
 
     table: Table
@@ -69,20 +87,22 @@ class _FetchResidualMixin:
     monitor_full_eval: bool
 
     def _filter_chunks(
-        self, ctx: ExecutionContext, fetched: Iterable[tuple[Sequence[int], list[tuple]]]
+        self, ctx: ExecutionContext, fetched: Iterable[tuple[Sequence[int], tuple]]
     ) -> Iterator[RowBatch]:
-        """Filter ``(page_ids, rows)`` chunks of fetched rows into batches."""
-        compiled = BoundConjunction(
-            self.residual, self.table.schema.column_names
-        ).compile()
-        short_circuit = not self.monitor_full_eval
+        """Filter ``(page_ids, columns)`` chunks of fetched rows into batches."""
+        bound = BoundConjunction(self.residual, self.table.schema.column_names)
         pages_seen: set[int] = set()
-        for page_ids, rows in fetched:
+        for page_ids, columns in fetched:
             pages_seen.update(page_ids)
             passed = evaluate_fetched(
-                self, compiled, ctx.io, page_ids, rows, short_circuit
+                self,
+                bound,
+                ctx.io,
+                page_ids,
+                columns,
+                full_evaluation=self.monitor_full_eval,
             )
-            out = rows if all(passed) else list(compress(rows, passed))
+            out = vector.rows_where(columns, passed)
             self.stats.actual_rows += len(out)
             if out:
                 yield RowBatch(out)
@@ -96,11 +116,11 @@ class _FetchResidualMixin:
         io.charge_index_descent(len(ranges))
         data_file = self.table.data_file
 
-        def fetched() -> Iterator[tuple[list[int], list[tuple]]]:
+        def fetched() -> Iterator[tuple[list[int], tuple]]:
             for runs in index.chunk_runs(ranges, ctx.batch_rows):
                 ctx.checkpoint()
                 pages, slots = index.read_runs(io, runs, data_file.file_id)
-                yield pages, data_file.rows_at(pages, slots)
+                yield pages, data_file.columns_at(pages, slots)
 
         return self._filter_chunks(ctx, fetched())
 
@@ -368,7 +388,7 @@ class IndexIntersectionFetch(_FetchResidualMixin, Operator):
         ordered = sorted(set.intersection(*leg_locators))  # (page, slot) order
         data_file = self.table.data_file
 
-        def fetched() -> Iterator[tuple[tuple[int, ...], list[tuple]]]:
+        def fetched() -> Iterator[tuple[tuple[int, ...], tuple]]:
             for offset in range(0, len(ordered), ctx.batch_rows):
                 ctx.checkpoint()
                 pages, slots = zip(*ordered[offset : offset + ctx.batch_rows])

@@ -213,22 +213,39 @@ def values_at(column: Column, indexes: Sequence[int]) -> Column:
     return [column[index] for index in indexes]
 
 
+def gather(columns: Sequence[Column], indexes: Sequence[int]) -> tuple:
+    """Each column's values at the listed positions, in that order: a
+    gather per column, the position list made an index array once."""
+    gathered = []
+    array_indexes = None
+    for column in columns:
+        if _is_array(column):
+            if array_indexes is None:
+                array_indexes = _np.asarray(indexes, dtype=_np.intp)
+            gathered.append(column[array_indexes])
+        else:
+            gathered.append([column[index] for index in indexes])
+    return tuple(gathered)
+
+
 def rows_at(columns: Sequence[Column], indexes: list[int]) -> list[tuple]:
     """Row tuples (Python scalars) of the listed row positions only.
 
     What a consumer that needs a few rows of a column batch calls instead
     of transposing all of it (:func:`rows_from_columns`).
     """
-    gathered = []
-    array_indexes = None  # the index list as an array, converted once
-    for column in columns:
-        if _is_array(column):
-            if array_indexes is None:
-                array_indexes = _np.asarray(indexes, dtype=_np.intp)
-            gathered.append(column[array_indexes].tolist())
-        else:
-            gathered.append([column[index] for index in indexes])
-    return list(zip(*gathered))
+    return list(zip(*map(column_values, gather(columns, indexes))))
+
+
+def rows_where(columns: Sequence[Column], mask: Mask) -> list[tuple]:
+    """Row tuples (Python scalars) of the rows ``mask`` sets, in order:
+    a filter's survivors, built without transposing the rest."""
+    selected = mask_count(mask)
+    if not selected:
+        return []
+    if selected < len(mask):
+        columns = [take(column, mask) for column in columns]
+    return rows_from_columns(columns, selected)
 
 
 def row_at(columns: Sequence[Column], index: int) -> tuple:

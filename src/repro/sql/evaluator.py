@@ -11,38 +11,36 @@ skipped (Example 3).  The DPC monitors need to know, per row:
   Figs. 7 and 9 measure).
 
 :class:`BoundConjunction` binds a :class:`~repro.sql.predicates.Conjunction`
-to a row layout once (name -> position), then evaluates rows cheaply.  The
-result is a :class:`TermOutcome` carrying the per-term truth vector.
+to a row layout once (name -> position).  It has two seams, one per drive:
 
-Batch mode adds a second seam: :meth:`BoundConjunction.compile` specializes
-each term into a closure (a *kernel*) evaluated over a whole page of rows
-at once, selection-vector style — term *i* runs only on the rows every
-earlier term passed, so the per-term truth vectors and the total number of
-term evaluations are exactly what the row-at-a-time loop would have
-produced.  The column-oriented result is a :class:`BatchOutcome`.
-
-The chunk scan adds the third:
-:meth:`CompiledConjunction.evaluate_columns` runs each term's
-:meth:`~repro.sql.predicates.AtomicPredicate.matches_vector` over a whole
-column vector, producing a selection *bitmask* (:class:`VectorOutcome`).
-Masks are computed full-width (that is what makes them fast), but
-short-circuit semantics are preserved by masking: term *i*'s mask is
-ANDed with the rows alive after terms ``0..i-1``, and ``evaluations``
-charges each term only for the rows the row-at-a-time loop would have
-evaluated it on — so Fig. 7/9 overhead accounting stays bit-identical.
-Per-term truth is reported as masks too: the cumulative ``alive`` masks
-(under short-circuiting, "term *i* came out TRUE" is "alive after term
-*i*") and, for rows of DPSample-selected pages, the raw un-short-circuited
-term masks — the scan folds those into per-page flags for its monitors.
+* per row (the row oracle): :meth:`BoundConjunction.evaluate` /
+  :meth:`~BoundConjunction.evaluate_prefix` give a :class:`TermOutcome`
+  carrying the row's per-term truth vector;
+* per chunk of column vectors (every batch operator that filters rows):
+  :meth:`BoundConjunction.evaluate_columns` runs each term's
+  :meth:`~repro.sql.predicates.AtomicPredicate.matches_vector` over a
+  whole column, producing a selection *bitmask* (:class:`VectorOutcome`).
+  Masks are computed full-width (that is what makes them fast), but
+  short-circuit semantics are preserved by masking: term *i*'s mask is
+  ANDed with the rows alive after terms ``0..i-1``, and ``evaluations``
+  charges each term only for the rows the row-at-a-time loop would have
+  evaluated it on — so Fig. 7/9 overhead accounting stays bit-identical.
+  Per-term truth is reported as masks too: the cumulative ``alive`` masks
+  (under short-circuiting, "term *i* came out TRUE" is "alive after term
+  *i*") and, for rows evaluated in full, the raw un-short-circuited term
+  masks.  :meth:`VectorOutcome.witness` reads a monitor entry's witness
+  rows off them; scans fold those into per-page flags, fetches hand them
+  to their linear counters one flag per fetched row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Sequence
+from functools import reduce
+from typing import Optional, Sequence
 
 from repro.common.errors import ExpressionError
-from repro.sql.predicates import AtomicPredicate, Conjunction
+from repro.sql.predicates import Conjunction
 
 _vector_module = None
 
@@ -76,58 +74,6 @@ class TermOutcome:
         return self.truth[index] is not None
 
 
-class BatchOutcome:
-    """Result of evaluating a conjunction over one batch of rows.
-
-    Column-oriented mirror of :class:`TermOutcome`: ``truth[i]`` is the
-    per-row truth column of term *i* (``None`` entries for rows the term
-    was short-circuited on), or ``None`` when the term was evaluated on no
-    row at all.  ``passed[r]`` is the evaluated prefix's value on row *r*
-    and ``evaluations`` is the total number of term evaluations — both
-    bit-identical to summing the per-row :class:`TermOutcome` results.
-    """
-
-    __slots__ = ("passed", "truth", "evaluations", "num_rows")
-
-    def __init__(
-        self,
-        passed: list[bool],
-        truth: list[Optional[list[Optional[bool]]]],
-        evaluations: int,
-        num_rows: int,
-    ) -> None:
-        self.passed = passed
-        self.truth = truth
-        self.evaluations = evaluations
-        self.num_rows = num_rows
-
-    def truth_row(self, row_index: int) -> tuple[Optional[bool], ...]:
-        """Row ``row_index``'s truth vector, in :class:`TermOutcome` form."""
-        return tuple(
-            column[row_index] if column is not None else None
-            for column in self.truth
-        )
-
-    def prefix_passed(self, num_terms: int) -> list[bool]:
-        """Per-row truth of the first ``num_terms`` terms.
-
-        Used by scans in full-evaluation mode, where the monitor
-        conjunction was evaluated in full but row output is decided by the
-        query's own prefix (`all(outcome.truth[:num_query_terms])` in the
-        row loop).
-        """
-        if num_terms == 0:
-            return [True] * self.num_rows
-        columns = self.truth[:num_terms]
-        if any(column is None for column in columns):
-            return [False] * self.num_rows
-        if num_terms == 1:
-            return [value is True for value in columns[0]]
-        return [
-            all(value is True for value in values) for values in zip(*columns)
-        ]
-
-
 class VectorOutcome:
     """Result of evaluating a conjunction over one chunk of column vectors.
 
@@ -157,207 +103,36 @@ class VectorOutcome:
         self.alive = alive
         self.raw = raw
 
+    def witness(self, term_indexes: Sequence[int], full_truth: bool = False):
+        """The mask of rows on which every listed term came out TRUE.
 
-class CompiledConjunction:
-    """Per-term kernels for batch conjunction evaluation.
-
-    ``compile()`` specializes every term into a closure that evaluates it
-    over a list of rows in one comprehension (constants hoisted by the
-    term's :meth:`~repro.sql.predicates.AtomicPredicate.matches_batch`).
-    Evaluation is selection-vector style: with short-circuiting on, term
-    *i*'s kernel runs only on the rows that every earlier term passed, so
-    per-term truth, short-circuit skips (``None``) and the evaluation
-    count all match the interpreted per-row path exactly.
-    """
-
-    __slots__ = ("conjunction", "_positions", "_kernels", "_vector_kernels")
-
-    def __init__(
-        self,
-        conjunction: Conjunction,
-        positions: tuple[int, ...],
-        terms: tuple[AtomicPredicate, ...],
-    ) -> None:
-        self.conjunction = conjunction
-        self._positions = positions
-        self._kernels = tuple(
-            self._specialize(position, term)
-            for position, term in zip(positions, terms)
-        )
-        self._vector_kernels = tuple(
-            self._specialize_vector(position, term)
-            for position, term in zip(positions, terms)
-        )
-
-    @staticmethod
-    def _specialize(
-        position: int, term: AtomicPredicate
-    ) -> Callable[[list[tuple]], list[bool]]:
-        matches_batch = term.matches_batch
-
-        def kernel(rows: list[tuple]) -> list[bool]:
-            return matches_batch([row[position] for row in rows])
-
-        return kernel
-
-    @staticmethod
-    def _specialize_vector(position: int, term: AtomicPredicate) -> Callable:
-        matches_vector = term.matches_vector
-
-        def kernel(columns: Sequence):
-            return matches_vector(columns[position])
-
-        return kernel
-
-    def __len__(self) -> int:
-        return len(self._kernels)
-
-    def evaluate_batch(
-        self,
-        rows: Sequence[tuple],
-        num_terms: Optional[int] = None,
-        short_circuit: bool = True,
-    ) -> BatchOutcome:
-        """Evaluate the first ``num_terms`` terms over all of ``rows``.
-
-        ``num_terms=None`` evaluates the whole conjunction.  Equivalent to
-        calling :meth:`BoundConjunction.evaluate_prefix` on every row and
-        transposing the outcomes; see :class:`BatchOutcome`.
-        """
-        total = len(self._kernels)
-        if num_terms is None:
-            num_terms = total
-        if not 0 <= num_terms <= total:
-            raise ExpressionError(
-                f"prefix of {num_terms} terms out of range for "
-                f"{total}-term conjunction"
-            )
-        rows = rows if isinstance(rows, list) else list(rows)
-        num_rows = len(rows)
-        truth: list[Optional[list[Optional[bool]]]] = [None] * total
-        passed = [True] * num_rows
-        evaluations = 0
-
-        if not short_circuit:
-            for i in range(num_terms):
-                column = self._kernels[i](rows)
-                truth[i] = column  # type: ignore[assignment]
-                evaluations += num_rows
-                for r, value in enumerate(column):
-                    if not value:
-                        passed[r] = False
-            return BatchOutcome(passed, truth, evaluations, num_rows)
-
-        # Selection-vector path: ``alive`` is the list of row indexes every
-        # term so far passed; ``None`` means "all rows" (fast common case).
-        alive: Optional[list[int]] = None
-        for i in range(num_terms):
-            if alive is None:
-                column = self._kernels[i](rows)
-                truth[i] = column  # type: ignore[assignment]
-                evaluations += num_rows
-                if not all(column):
-                    alive = []
-                    survived = alive.append
-                    for r, value in enumerate(column):
-                        if value:
-                            survived(r)
-                        else:
-                            passed[r] = False
-            else:
-                if not alive:
-                    break  # every row short-circuited: later terms unevaluated
-                values = self._kernels[i]([rows[r] for r in alive])
-                evaluations += len(alive)
-                column_sparse: list[Optional[bool]] = [None] * num_rows
-                next_alive: list[int] = []
-                survived = next_alive.append
-                for r, value in zip(alive, values):
-                    column_sparse[r] = value
-                    if value:
-                        survived(r)
-                    else:
-                        passed[r] = False
-                truth[i] = column_sparse
-                alive = next_alive
-        return BatchOutcome(passed, truth, evaluations, num_rows)
-
-    def evaluate_columns(
-        self,
-        columns: Sequence,
-        num_rows: int,
-        num_terms: Optional[int] = None,
-        full_rows=None,
-    ) -> VectorOutcome:
-        """Evaluate the first ``num_terms`` terms over column vectors.
-
-        The columnar mirror of :meth:`evaluate_batch`: each term becomes
-        one whole-vector compare producing a bitmask.  ``full_rows`` is
-        the mask of rows on which the *whole* conjunction is evaluated
-        with short-circuiting off (rows of DPSample-selected pages,
-        Fig. 4 step 4); every other row gets the short-circuited prefix.
-        ``passed``, ``alive`` and the evaluation count match the
-        row-at-a-time loop exactly: a kernel may physically run on rows
-        that loop would have skipped, but only the rows it would have
-        evaluated are charged.
+        Short-circuited truth (the default) is the last listed term's
+        ``alive`` mask: "term *i* TRUE" there is "alive after term *i*".
+        ``full_truth`` reads the rows evaluated in full instead — the AND
+        of the listed terms' ``raw`` masks.  No listed terms: every row.
+        ``None`` when no row can witness: a listed term lies past the
+        evaluated prefix, or no row was evaluated in full.
         """
         vec = _vec()
-        total = len(self._kernels)
-        if num_terms is None:
-            num_terms = total
-        if not 0 <= num_terms <= total:
-            raise ExpressionError(
-                f"prefix of {num_terms} terms out of range for "
-                f"{total}-term conjunction"
-            )
-        kernels = self._vector_kernels
-        raw = None
-        full_count = 0
-        if full_rows is not None:
-            raw = [kernels[i](columns) for i in range(total)]
-            full_count = vec.mask_count(full_rows)
-        evaluations = total * full_count
-        # Masked short-circuit: ``current`` is the mask of rows every term
-        # so far passed, starting from all rows.  A term is charged only
-        # for the short-circuited rows alive when it ran, and once no row
-        # is alive the later terms are not evaluated at all — exactly
-        # mirroring the selection-vector path above.
-        current = vec.ones_mask(num_rows)
-        alive_count = num_rows
-        alive: list = []
-        for i in range(num_terms):
-            if alive_count == 0 and raw is None:
-                alive.append(current)
-                continue  # every row short-circuited: term unevaluated
-            if full_count == 0:
-                evaluations += alive_count
-            elif alive_count == num_rows:
-                evaluations += num_rows - full_count
-            elif full_count < num_rows:
-                evaluations += alive_count - vec.mask_count(
-                    vec.mask_and(current, full_rows)
-                )
-            mask = raw[i] if raw is not None else kernels[i](columns)
-            if alive_count < num_rows:
-                current = vec.mask_and(current, mask)
-                alive_count = vec.mask_count(current)
-            else:
-                alive_count = vec.mask_count(mask)
-                if alive_count < num_rows:
-                    current = mask
-            alive.append(current)
-        return VectorOutcome(current, evaluations, num_rows, alive, raw)
+        if not term_indexes:
+            return vec.ones_mask(self.num_rows)
+        if not full_truth:
+            last = max(term_indexes)
+            return self.alive[last] if last < len(self.alive) else None
+        if self.raw is None:
+            return None
+        return reduce(vec.mask_and, [self.raw[index] for index in term_indexes])
 
 
 class BoundConjunction:
     """A conjunction bound to a specific row layout for fast evaluation.
 
-    The layout is a sequence of column names; rows are tuples in that order.
-    Binding resolves each term's column to a position once, so per-row
-    evaluation does no dict lookups.
+    The layout is a sequence of column names; rows are tuples (and chunks
+    tuples of column vectors) in that order.  Binding resolves each term's
+    column to a position once, so evaluation does no dict lookups.
     """
 
-    __slots__ = ("conjunction", "_positions", "_matchers", "_compiled")
+    __slots__ = ("conjunction", "_positions", "_matchers")
 
     def __init__(self, conjunction: Conjunction, columns: Sequence[str]) -> None:
         self.conjunction = conjunction
@@ -373,24 +148,85 @@ class BoundConjunction:
             matchers.append(term.matches)
         self._positions = tuple(positions)
         self._matchers = tuple(matchers)
-        self._compiled: Optional[CompiledConjunction] = None
 
     def __len__(self) -> int:
         return len(self._positions)
 
-    def compile(self) -> CompiledConjunction:
-        """Specialize every term into a batch kernel (cached).
-
-        The compiled form evaluates whole pages at a time; see
-        :class:`CompiledConjunction` for the equivalence guarantees.
-        """
-        compiled = self._compiled
-        if compiled is None:
-            compiled = CompiledConjunction(
-                self.conjunction, self._positions, self.conjunction.terms
+    def _check_prefix(self, num_terms: int) -> None:
+        if not 0 <= num_terms <= len(self._positions):
+            raise ExpressionError(
+                f"prefix of {num_terms} terms out of range for "
+                f"{len(self._positions)}-term conjunction"
             )
-            self._compiled = compiled
-        return compiled
+
+    def evaluate_columns(
+        self,
+        columns: Sequence,
+        num_rows: int,
+        num_terms: Optional[int] = None,
+        full_rows=None,
+    ) -> VectorOutcome:
+        """Evaluate the first ``num_terms`` terms over column vectors.
+
+        The chunk form of :meth:`evaluate_prefix`: each term becomes one
+        whole-vector compare producing a bitmask.  ``num_terms=None``
+        evaluates the whole conjunction.  ``full_rows`` is the mask of
+        rows on which the *whole* conjunction is evaluated with
+        short-circuiting off (rows of DPSample-selected pages, Fig. 4
+        step 4, or every fetched row of a full-evaluation fetch); every
+        other row gets the short-circuited prefix.  ``passed``, ``alive``
+        and the evaluation count match the row-at-a-time loop exactly: a
+        kernel may physically run on rows that loop would have skipped,
+        but only the rows it would have evaluated are charged.
+        """
+        vec = _vec()
+        terms = self.conjunction.terms
+        positions = self._positions
+        total = len(positions)
+        if num_terms is None:
+            num_terms = total
+        self._check_prefix(num_terms)
+        raw = None
+        full_count = 0
+        if full_rows is not None:
+            raw = [
+                terms[i].matches_vector(columns[positions[i]]) for i in range(total)
+            ]
+            full_count = vec.mask_count(full_rows)
+        evaluations = total * full_count
+        # Masked short-circuit: ``current`` is the mask of rows every term
+        # so far passed, starting from all rows.  A term is charged only
+        # for the short-circuited rows alive when it ran, and once no row
+        # is alive the later terms are not evaluated at all — exactly
+        # what the per-row loop does.
+        current = vec.ones_mask(num_rows)
+        alive_count = num_rows
+        alive: list = []
+        for i in range(num_terms):
+            if alive_count == 0 and raw is None:
+                alive.append(current)
+                continue  # every row short-circuited: term unevaluated
+            if full_count == 0:
+                evaluations += alive_count
+            elif alive_count == num_rows:
+                evaluations += num_rows - full_count
+            elif full_count < num_rows:
+                evaluations += alive_count - vec.mask_count(
+                    vec.mask_and(current, full_rows)
+                )
+            if raw is not None:
+                mask = raw[i]
+            else:
+                mask = terms[i].matches_vector(columns[positions[i]])
+            if alive_count < num_rows:
+                current = vec.mask_and(current, mask)
+                alive_count = vec.mask_count(current)
+            else:
+                alive_count = vec.mask_count(mask)
+                if alive_count < num_rows:
+                    current = mask
+            alive.append(current)
+        return VectorOutcome(current, evaluations, num_rows, alive, raw)
 
     def evaluate(self, row: Sequence, short_circuit: bool = True) -> TermOutcome:
         """Evaluate all terms on ``row``.
@@ -425,11 +261,7 @@ class BoundConjunction:
         scan uses to decide row output when extra monitoring-only terms
         have been appended after the query's own terms.
         """
-        if not 0 <= num_terms <= len(self._positions):
-            raise ExpressionError(
-                f"prefix of {num_terms} terms out of range for "
-                f"{len(self._positions)}-term conjunction"
-            )
+        self._check_prefix(num_terms)
         truth: list[Optional[bool]] = [None] * len(self._positions)
         passed = True
         evaluations = 0

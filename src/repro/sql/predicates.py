@@ -65,30 +65,15 @@ class AtomicPredicate(ABC):
         SQL three-valued logic is collapsed: NULL never matches.
         """
 
-    def matches_batch(self, values: Sequence[Any]) -> list[bool]:
-        """Vectorized :meth:`matches` over a column of values.
-
-        Semantically ``[self.matches(v) for v in values]`` — subclasses
-        override with a specialized comprehension that hoists the per-term
-        constants out of the loop, which is what the compiled batch
-        kernels (:meth:`~repro.sql.evaluator.BoundConjunction.compile`)
-        run per page.  Overrides must preserve the NULL-never-matches
-        collapse exactly.
-        """
-        return [self.matches(v) for v in values]
-
+    @abstractmethod
     def matches_vector(self, column):
         """Whole-column :meth:`matches` producing a selection mask.
 
-        ``column`` is a column vector (see :mod:`repro.exec.vector`);
-        the result is a mask aligned with it.  Subclasses map onto a
-        single backend kernel; this default routes through
-        :meth:`matches_batch` so any atomic predicate is vector-safe.
-        Like the batch path, overrides must preserve the
-        NULL-never-matches collapse exactly.
+        ``column`` is a column vector (see :mod:`repro.exec.vector`); the
+        result is a mask aligned with it, computed by a single backend
+        kernel.  Implementations must preserve the NULL-never-matches
+        collapse exactly.
         """
-        vec = _vec()
-        return self.matches_batch(vec.column_values(column))
 
     @abstractmethod
     def key(self) -> str:
@@ -132,10 +117,6 @@ class Comparison(AtomicPredicate):
             return False
         return _OPS[self.op](value, self.value)
 
-    def matches_batch(self, values: Sequence[Any]) -> list[bool]:
-        op, bound = _OPS[self.op], self.value
-        return [v is not None and op(v, bound) for v in values]
-
     def matches_vector(self, column):
         return _vec().compare_mask(column, self.op, self.value)
 
@@ -168,10 +149,6 @@ class Between(AtomicPredicate):
             return False
         return self.low <= value <= self.high
 
-    def matches_batch(self, values: Sequence[Any]) -> list[bool]:
-        low, high = self.low, self.high
-        return [v is not None and low <= v <= high for v in values]
-
     def matches_vector(self, column):
         return _vec().between_mask(column, self.low, self.high)
 
@@ -199,10 +176,6 @@ class InList(AtomicPredicate):
         if value is None:
             return False
         return value in self._value_set
-
-    def matches_batch(self, values: Sequence[Any]) -> list[bool]:
-        value_set = self._value_set
-        return [v is not None and v in value_set for v in values]
 
     def matches_vector(self, column):
         return _vec().isin_mask(column, self._value_set)

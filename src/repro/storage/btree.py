@@ -58,7 +58,7 @@ class BTreeIndex:
     :meth:`seek_range` / :meth:`seek_equal` / :meth:`scan_all` walk a
     located range entry by entry (the row drive); the batch drive reads
     it as chunks of :data:`LeafRun` (:meth:`chunk_runs`, then
-    :meth:`read_runs` and, for a covering scan, :meth:`entry_rows`).
+    :meth:`read_runs` and, for a covering scan, :meth:`entry_columns`).
     """
 
     def __init__(
@@ -331,7 +331,7 @@ class BTreeIndex:
         per yielded entry make them.  Per-entry index CPU is charged once.
         """
         locators = self._leaf_columns()[self._key_count : self._key_count + 2]
-        pages, slots = self._gather(runs, locators)
+        pages, slots = map(self._vector.column_values, self._gather(runs, locators))
         data_reads = (
             [] if data_file_id is None else list(zip(repeat(data_file_id), pages))
         )
@@ -359,24 +359,21 @@ class BTreeIndex:
         io.charge_index_entries(len(pages))
         return pages, slots
 
-    def _gather(self, runs: Sequence[LeafRun], columns: Sequence) -> list[list]:
-        """The runs' entries of each column, as lists of Python scalars."""
-        vector = self._vector
+    def _gather(self, runs: Sequence[LeafRun], columns: Sequence) -> tuple:
+        """The runs' entries of each column, as column vectors: slices of
+        the leaf columns for one run, else one gather over every run."""
         if len(runs) == 1:
             start, stop, _ = runs[0]
-            return [vector.slice_values(column, start, stop) for column in columns]
+            return tuple(column[start:stop] for column in columns)
         positions = [p for start, stop, _ in runs for p in range(start, stop)]
-        return [
-            vector.column_values(vector.values_at(column, positions))
-            for column in columns
-        ]
+        return self._vector.gather(columns, positions)
 
-    def entry_rows(self, runs: Sequence[LeafRun]) -> list[tuple]:
-        """``key + payload`` of the runs' entries, in order (what a
-        covering scan outputs)."""
+    def entry_columns(self, runs: Sequence[LeafRun]) -> tuple:
+        """The ``key + payload`` columns of the runs' entries, in order
+        (what a covering scan filters and outputs)."""
         columns = self._leaf_columns()
         keys = self._key_count
-        return list(zip(*self._gather(runs, columns[:keys] + columns[keys + 2 :])))
+        return self._gather(runs, columns[:keys] + columns[keys + 2 :])
 
     def __repr__(self) -> str:
         return (

@@ -9,8 +9,8 @@ index leaves follow), converted once when the backend switches.  Rows
 pack densely, so page ``p`` is rows ``[p * page_capacity, (p + 1) *
 page_capacity)`` of every column and a :class:`~repro.storage.page.Page`
 is a window, not a container; row tuples exist only where a caller asks
-for them (:meth:`DataFile.rows_between`, :meth:`DataFile.row`,
-:meth:`DataFile.rows_at`).
+for them (:meth:`DataFile.rows_between`, :meth:`DataFile.row`); a
+batched fetch gathers columns (:meth:`DataFile.columns_at`).
 
 All *reads* are routed through the buffer pool, which charges the
 caller's :class:`~repro.storage.accounting.IOContext`.  Scans read pages
@@ -180,10 +180,11 @@ class DataFile:
         self.buffer_pool.access(self.file_id, rid.page_id, io, sequential=False)
         return rid.page_id, page.get(rid.slot)
 
-    def rows_at(self, pages: Sequence[int], slots: Sequence[int]) -> list[tuple]:
-        """The rows at ``(pages[i], slots[i])``, *without* I/O accounting —
-        the gather step of a batched fetch, whose page reads the caller
-        charges as one :meth:`BufferPool.access_sequence` stream."""
+    def columns_at(self, pages: Sequence[int], slots: Sequence[int]) -> tuple:
+        """The column vectors of the rows at ``(pages[i], slots[i])``, in
+        that order, *without* I/O accounting — the gather step of a
+        batched fetch, whose page reads the caller charges as one
+        :meth:`BufferPool.access_sequence` stream."""
         capacity = self.page_capacity
         positions = [page * capacity + slot for page, slot in zip(pages, slots)]
         if positions and not (
@@ -196,16 +197,16 @@ class DataFile:
                 f"file {int(self.file_id)}: row locator out of range "
                 f"(file has {self.num_pages} pages)"
             )
-        return self._vector.rows_at(self._store(), positions)
+        return self._vector.gather(self._store(), positions)
 
     def fetch_many(
         self, io: IOContext, pages: Sequence[int], slots: Sequence[int]
-    ) -> list[tuple]:
+    ) -> tuple:
         """:meth:`fetch` for many locators, in order: the same reads, as
-        one stream."""
-        rows = self.rows_at(pages, slots)
+        one stream, and the rows as :meth:`columns_at` gathers them."""
+        columns = self.columns_at(pages, slots)
         self.buffer_pool.access_sequence(list(zip(repeat(self.file_id), pages)), io)
-        return rows
+        return columns
 
     def scan_pages(
         self, io: IOContext, start_page: int = 0

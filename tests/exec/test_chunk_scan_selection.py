@@ -6,10 +6,10 @@ the chunk-wide masks, a flag per expression entry and a (flag, first-hit
 offset) per bit-vector entry.  Two things are derived from the plan and
 the run, never from an option.  The output: column chunks when the
 parent consumes columns (``CountAggregate`` / ``GroupByCountAggregate``,
-and ``HashJoin`` on its probe side, for table scans), else row tuples of
-the surviving rows (hash-join build sides, INL joins, sorts, range
-scans).  The width: multi-page chunks, or one page per chunk under the
-reopt watchdog or with resume tracking armed, so checkpoints,
+and ``HashJoin`` on its probe side, for table and clustered range scans
+alike), else row tuples of the surviving rows (hash-join build sides,
+INL joins, sorts).  The width: multi-page chunks, or one page per chunk
+under the reopt watchdog or with resume tracking armed, so checkpoints,
 ``progress()`` and the resume boundary stay page-granular.  A merge
 join still pulls ``rows()`` through its subtree (its partial filter is
 filling while it is probed).  The tests prove row == batch for every
@@ -373,8 +373,10 @@ def test_clustered_range_scan_takes_the_chunk_scan(synthetic_db, backend):
     seen = spy_batches(scan)
     widths, _keys = spy_chunk_widths(scan)
     execute(root, synthetic_db, mode="batch")
-    # Multi-page chunks of row tuples (the planner marks table scans only).
-    assert seen and not any(seen)
+    # Multi-page column chunks: the count reads columns, whichever chunk
+    # scan is under it.
+    assert scan.parent_consumes_columns
+    assert seen and all(seen)
     assert sum(widths) == scan.stats.pages_touched
     assert len(widths) < scan.stats.pages_touched / 4
     assert_row_equals_batch(
@@ -404,8 +406,9 @@ def test_hash_join_probe_scan_receives_column_chunks(join_db, backend, monitored
 def test_hash_join_over_scans_receives_row_lists(join_db, backend, monitored):
     # What still receives row lists around a hash join: the hash table
     # stores every build row as a tuple, so the build-side scan is not
-    # marked, whichever scan it is; and a probe side that is not a table
-    # scan (here a clustered range scan) is not marked either.
+    # marked, whichever scan it is.  A probe side that is a clustered
+    # range scan is a chunk scan like a table scan, and is marked.
+    probes = []
     for query in (
         join_query(),
         fig8_join_query(),
@@ -415,14 +418,15 @@ def test_hash_join_over_scans_receives_row_lists(join_db, backend, monitored):
         join = root.child
         assert isinstance(join, HashJoin)
         assert not getattr(join.build, "parent_consumes_columns", False)
-        scans = [join.build]
-        if isinstance(join.probe, ClusteredRangeScan):
-            assert (join.probe.bundle is not None) == monitored
-            scans.append(join.probe)
-        seen = [spy_batches(scan) for scan in scans]
+        assert join.probe.parent_consumes_columns
+        probes.append(join.probe)
+        seen = spy_batches(join.build), spy_batches(join.probe)
         execute(root, join_db, mode="batch")
-        assert all(batches and not any(batches) for batches in seen)
-    assert len(scans) == 2  # the last query probes with a range scan
+        assert seen[0] and not any(seen[0])
+        assert seen[1] and all(seen[1])
+    # The last query probes with a range scan.
+    assert isinstance(probes[-1], ClusteredRangeScan)
+    assert (probes[-1].bundle is not None) == monitored
 
 
 @pytest.mark.parametrize("hint", ["inl_join", "merge_join"])
@@ -601,9 +605,15 @@ def test_empty_and_all_pass_count_scans_row_equal_batch(synthetic_db, backend):
 
 @pytest.mark.parametrize("monitored", [False, True])
 def test_hash_join_row_equals_batch(join_db, backend, monitored):
-    assert_row_equals_batch(
-        join_db, lambda: build(join_db, join_query(), "hash_join", monitored)
-    )
+    # Probed by a table scan, then by a clustered range scan: both hand
+    # the join column chunks.
+    range_probe = fig8_join_query(probe_predicate=Comparison("c1", "<", 12_000))
+    for query in (join_query(), range_probe):
+        assert_row_equals_batch(
+            join_db, lambda: build(join_db, query, "hash_join", monitored)
+        )
+    probe = build(join_db, range_probe, "hash_join", monitored).child.probe
+    assert isinstance(probe, ClusteredRangeScan) and probe.parent_consumes_columns
 
 
 @pytest.mark.parametrize("fraction", [0.1, 0.5, 1.0])

@@ -20,6 +20,7 @@ from repro.common.cancellation import CancellationToken
 from repro.common.errors import QueryCancelled
 from repro.core.dpc import exact_leaf_dpc
 from repro.core.monitors import FetchMonitorBundle, LeafPageMonitor
+from repro.core.planner import MonitorConfig, build_executable
 from repro.core.requests import AccessPathRequest, IndexLeafRequest
 from repro.exec import (
     CoveringIndexScan,
@@ -29,10 +30,12 @@ from repro.exec import (
     IndexSeekFetch,
     SeekSpec,
     SeqScan,
+    execute,
 )
 from repro.exec.base import ExecutionContext
 from repro.harness.equivalence import observation_fingerprint
-from repro.sql import Comparison, Conjunction, JoinEquality, conjunction_of
+from repro.optimizer import Optimizer, PlanHint, SingleTableQuery
+from repro.sql import Comparison, Conjunction, InList, JoinEquality, conjunction_of
 from repro.sql.types import SqlType
 from repro.storage.buffer import BufferPool
 
@@ -305,3 +308,78 @@ def test_in_list_probes_leaves_in_key_order(monkeypatch):
         database.table("f"), "ix_v", values=(3, "a", None), residual=Conjunction()
     )
     assert mixed.values == ("a", 3, None)  # "'a'" < "3" < "None"
+
+
+#: Planner-built index plans whose one request is *not* a prefix of the
+#: fetch residual — the seek term plus the residual's last term (the shape
+#: of ``tests/integration/test_session.py``'s full-evaluation test) — so
+#: ``allow_fetch_full_evaluation`` has the fetch evaluate every term on
+#: every row.  ``(predicate, count column, requested term positions)``.
+FULL_EVALUATION_PLANS = {
+    "index_seek": (
+        conjunction_of(
+            Comparison("c2", "<", 800),
+            Comparison("c4", "<", 15_000),
+            Comparison("c5", "<", 15_000),
+        ),
+        "padding",
+        (0, 2),
+    ),
+    "in_list_seek": (
+        conjunction_of(
+            InList("c2", range(0, 4_000, 7)),
+            Comparison("c4", "<", 15_000),
+            Comparison("c5", "<", 15_000),
+        ),
+        "padding",
+        (0, 2),
+    ),
+    "index_intersection": (
+        conjunction_of(
+            Comparison("c2", "<", 3_000),
+            Comparison("c3", "<", 3_000),
+            Comparison("c4", "<", 15_000),
+            Comparison("c5", "<", 15_000),
+        ),
+        "padding",
+        (0, 1, 3),
+    ),
+    # The index carries ``c3`` alone: a request for the second term.
+    "covering_scan": (
+        conjunction_of(Comparison("c3", ">=", 2_000), Comparison("c3", "<", 9_000)),
+        "c3",
+        (1,),
+    ),
+}
+
+
+@pytest.mark.parametrize("hint", sorted(FULL_EVALUATION_PLANS))
+def test_full_evaluation_fetch_witness_row_equals_batch(synthetic_db, backend, hint):
+    """A fetch evaluated in full witnesses a request on the rows where its
+    own terms are TRUE, whatever the unrequested earlier terms say: the
+    AND of the raw term masks, not the short-circuited ``alive`` mask.
+    Row == batch on rows, observation fingerprints and charges, and the
+    counter saw more fetches than the rows passing the whole residual —
+    the ones ``alive`` would have dropped."""
+    predicate, count_column, requested = FULL_EVALUATION_PLANS[hint]
+    query = SingleTableQuery("t", predicate, count_column)
+    request = AccessPathRequest(
+        "t", Conjunction(tuple(predicate.terms[i] for i in requested))
+    )
+    plan = Optimizer(synthetic_db, hint=PlanHint(hint)).optimize(query)
+    config = MonitorConfig(allow_fetch_full_evaluation=True)
+    outcomes = {}
+    for mode in ("row", "batch"):
+        executable = build_executable(plan, synthetic_db, [request], config)
+        fetch = executable.root.child
+        assert fetch.monitor_full_eval and not executable.unanswerable
+        io = TallyIO()
+        result = execute(executable.root, synthetic_db, io=io, mode=mode)
+        outcomes[mode] = (
+            result.rows,
+            [observation_fingerprint(o) for o in result.runstats.observations],
+            io.units,
+        )
+    assert outcomes["batch"] == outcomes["row"]
+    ((count,),), (observation,), _units = outcomes["batch"]
+    assert int(dict(observation[6])["observations"]) > count

@@ -263,7 +263,7 @@ def test_evaluate_columns_full_rows_match_the_row_loop(backend):
     )
     starts = [0, 20, 40]
     full = vector.segment_expand([False, True, False], starts, len(rows))
-    outcome = bound.compile().evaluate_columns(
+    outcome = bound.evaluate_columns(
         vector.columns_from_rows(rows, 3), len(rows), 2, full
     )
     per_row = [
@@ -286,18 +286,18 @@ def test_evaluate_columns_full_rows_match_the_row_loop(backend):
         ]
 
 
-def test_evaluate_columns_matches_evaluate_batch(backend):
+def test_evaluate_columns_matches_the_row_evaluator(backend):
     rows = [(i, (i * 37) % 50) for i in range(200)]
     columns = vector.columns_from_rows(rows, 2)
-    compiled = BoundConjunction(
+    bound = BoundConjunction(
         conjunction_of(Comparison("k", "<", 120), Comparison("v", ">=", 10)),
         ("k", "v"),
-    ).compile()
-    row_outcome = compiled.evaluate_batch(rows)
-    col_outcome = compiled.evaluate_columns(columns, len(rows))
-    assert vector.mask_values(col_outcome.passed) == row_outcome.passed
-    assert col_outcome.evaluations == row_outcome.evaluations
-    assert col_outcome.num_rows == row_outcome.num_rows
+    )
+    per_row = [bound.evaluate(row) for row in rows]
+    outcome = bound.evaluate_columns(columns, len(rows))
+    assert vector.mask_values(outcome.passed) == [o.passed for o in per_row]
+    assert outcome.evaluations == sum(o.evaluations for o in per_row)
+    assert outcome.num_rows == len(rows)
 
 
 # ---------------------------------------------------------------------------

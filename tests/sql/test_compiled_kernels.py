@@ -1,13 +1,18 @@
-"""Compiled batch kernels vs. the interpreted per-row evaluator.
+"""The column kernel against the per-row evaluator, its reference.
 
 Property-style check: on randomized conjunctions (random term types,
-order, bounds, and NULL-bearing rows), :meth:`CompiledConjunction.
-evaluate_batch` must reproduce the per-row :class:`TermOutcome` stream
-exactly — same passed vector, same per-term truth vectors (including
-``None`` short-circuit holes), and the same *total* evaluation count,
-in both short-circuit and full-evaluation mode and for every prefix
-length.  The evaluation counts are the Fig. 7/9 overhead currency, so
-"close" is not good enough.
+order, bounds, and NULL-bearing rows),
+:meth:`BoundConjunction.evaluate_columns` must reproduce the per-row
+:class:`TermOutcome` stream exactly, for every prefix length and on both
+vector backends:
+
+* ``passed`` and the *total* evaluation count — the Fig. 7/9 overhead
+  currency, so "close" is not good enough;
+* ``alive[i]`` is set exactly on the rows whose short-circuited truth
+  (:meth:`BoundConjunction.evaluate_prefix`) has term *i* TRUE;
+* ``raw[i]`` equals term *i*'s full-evaluation truth
+  (:meth:`BoundConjunction.evaluate` with short-circuiting off) on the
+  ``full_rows``, with ``full_rows`` none, all and random.
 """
 
 from __future__ import annotations
@@ -18,10 +23,21 @@ import pytest
 
 from repro.common.errors import ExpressionError
 from repro.common.rng import make_random
-from repro.sql.evaluator import BoundConjunction, CompiledConjunction
+from repro.exec import vector
+from repro.sql.evaluator import BoundConjunction
 from repro.sql.predicates import Between, Comparison, Conjunction, InList
 
 COLUMNS = ("a", "b", "c", "d")
+
+BACKENDS = ["numpy", "python"] if vector.HAVE_NUMPY else ["python"]
+
+
+def _forced(backend: str):
+    return (
+        vector.use_python_backend()
+        if backend == "python"
+        else contextlib.nullcontext()
+    )
 
 
 def _random_term(rng, column: str):
@@ -54,83 +70,86 @@ def _random_rows(rng, num_rows: int) -> list[tuple]:
     return rows
 
 
-def _assert_batch_matches_rows(
+def _assert_columns_match_rows(
     bound: BoundConjunction,
-    compiled: CompiledConjunction,
     rows: list[tuple],
     num_terms: int,
-    short_circuit: bool,
+    full: list[bool] | None = None,
 ) -> None:
-    outcome = compiled.evaluate_batch(
-        rows, num_terms=num_terms, short_circuit=short_circuit
+    """``evaluate_columns`` vs the row oracle; ``full[r]`` says whether row
+    *r* is evaluated in full (``None``: every row short-circuited)."""
+    num_rows = len(rows)
+    full_rows = None
+    if full is not None:
+        full_rows = vector.mask_and(vector.ones_mask(num_rows), full)
+    outcome = bound.evaluate_columns(
+        vector.columns_from_rows(rows, len(COLUMNS)), num_rows, num_terms, full_rows
     )
-    assert outcome.num_rows == len(rows)
+    in_full = full or [False] * num_rows
     expected = [
-        bound.evaluate_prefix(row, num_terms, short_circuit=short_circuit)
-        for row in rows
+        bound.evaluate(row, short_circuit=False)
+        if is_full
+        else bound.evaluate_prefix(row, num_terms)
+        for row, is_full in zip(rows, in_full)
     ]
-    assert outcome.passed == [e.passed for e in expected]
+    assert outcome.num_rows == num_rows
+    assert vector.mask_values(outcome.passed) == [
+        all(e.truth[:num_terms]) for e in expected
+    ]
     assert outcome.evaluations == sum(e.evaluations for e in expected)
-    for r, e in enumerate(expected):
-        assert outcome.truth_row(r) == e.truth
+    assert len(outcome.alive) == num_terms
+    for term in range(num_terms):
+        alive = vector.mask_values(outcome.alive[term])
+        assert alive == [
+            all(value is True for value in e.truth[: term + 1]) for e in expected
+        ]
+        for is_full, flag, e in zip(in_full, alive, expected):
+            if not is_full:
+                assert flag == (e.truth[term] is True)
+    if full is None:
+        assert outcome.raw is None
+        return
+    for term in range(len(bound)):
+        raw = vector.mask_values(outcome.raw[term])
+        assert [flag for flag, is_full in zip(raw, full) if is_full] == [
+            e.truth[term] for e, is_full in zip(expected, full) if is_full
+        ]
 
 
 @pytest.mark.parametrize("trial", range(25))
 def test_randomized_conjunctions_match_interpreted_path(trial):
+    """Short-circuited evaluation of every prefix, on every backend."""
     rng = make_random(trial, "compiled-kernels")
     conjunction = _random_conjunction(rng)
     bound = BoundConjunction(conjunction, COLUMNS)
-    compiled = bound.compile()
     rows = _random_rows(rng, rng.randrange(0, 60))
-    for short_circuit in (True, False):
-        for num_terms in range(len(conjunction.terms) + 1):
-            _assert_batch_matches_rows(
-                bound, compiled, rows, num_terms, short_circuit
-            )
-
-
-def _assert_columns_match_batch(
-    compiled: CompiledConjunction,
-    rows: list[tuple],
-    num_terms: int,
-) -> None:
-    """The chunk scan's vector kernel vs the short-circuiting batch kernel."""
-    from repro.exec import vector
-
-    columns = vector.columns_from_rows(rows, len(COLUMNS))
-    batch = compiled.evaluate_batch(rows, num_terms=num_terms)
-    outcome = compiled.evaluate_columns(columns, len(rows), num_terms=num_terms)
-    assert outcome.num_rows == batch.num_rows
-    assert vector.mask_values(outcome.passed) == batch.passed
-    assert outcome.evaluations == batch.evaluations
+    for backend in BACKENDS:
+        with _forced(backend):
+            for num_terms in range(len(conjunction.terms) + 1):
+                _assert_columns_match_rows(bound, rows, num_terms)
 
 
 @pytest.mark.parametrize("trial", range(25))
 @pytest.mark.parametrize("backend", ["numpy", "python"])
 def test_randomized_conjunctions_columnar_matches_batch(trial, backend):
-    from repro.exec import vector
-
+    """A batch of rows some of which are evaluated in full — none, all,
+    or a random subset, as DPSample picks pages — against the row oracle
+    applied row by row."""
     if backend == "numpy" and not vector.HAVE_NUMPY:
         pytest.skip("NumPy unavailable")
     rng = make_random(trial, "columnar-kernels")
     conjunction = _random_conjunction(rng)
-    compiled = BoundConjunction(conjunction, COLUMNS).compile()
+    bound = BoundConjunction(conjunction, COLUMNS)
     rows = _random_rows(rng, rng.randrange(0, 60))
-    forced = (
-        vector.use_python_backend()
-        if backend == "python"
-        else contextlib.nullcontext()
-    )
-    with forced:
+    subsets = [
+        [False] * len(rows),
+        [True] * len(rows),
+        [rng.random() < 0.5 for _ in rows],
+    ]
+    with _forced(backend):
         for num_terms in range(len(conjunction.terms) + 1):
-            _assert_columns_match_batch(compiled, rows, num_terms)
-
-
-def test_compile_is_cached():
-    bound = BoundConjunction(
-        Conjunction((Comparison("a", "<", 5),)), COLUMNS
-    )
-    assert bound.compile() is bound.compile()
+            for full in subsets:
+                _assert_columns_match_rows(bound, rows, num_terms, full)
 
 
 def test_null_rows_never_match():
@@ -138,12 +157,23 @@ def test_null_rows_never_match():
         Conjunction((Comparison("a", "!=", 5), Between("b", 0, 99))), COLUMNS
     )
     rows = [(None, 1, 0, 0), (1, None, 0, 0), (None, None, 0, 0)]
-    outcome = bound.compile().evaluate_batch(rows)
-    assert outcome.passed == [False, False, False]
-    # Row 0 short-circuits on the NULL first term; row 1 fails the second.
-    assert outcome.truth_row(0) == (False, None)
-    assert outcome.truth_row(1) == (True, False)
-    assert outcome.evaluations == 4
+    for backend in BACKENDS:
+        with _forced(backend):
+            columns = vector.columns_from_rows(rows, len(COLUMNS))
+            outcome = bound.evaluate_columns(columns, len(rows))
+            assert vector.mask_values(outcome.passed) == [False, False, False]
+            # Row 0 short-circuits on the NULL first term; row 1 fails the
+            # second.
+            assert vector.mask_values(outcome.alive[0]) == [False, True, False]
+            assert vector.mask_values(outcome.alive[1]) == [False, False, False]
+            assert outcome.evaluations == 4
+            # Evaluated in full, a NULL still never matches.
+            full = bound.evaluate_columns(
+                columns, len(rows), full_rows=vector.ones_mask(len(rows))
+            )
+            assert vector.mask_values(full.raw[0]) == [False, True, False]
+            assert vector.mask_values(full.raw[1]) == [True, False, False]
+            assert full.evaluations == 6
 
 
 def test_all_rows_short_circuit_stops_later_terms():
@@ -152,10 +182,15 @@ def test_all_rows_short_circuit_stops_later_terms():
         COLUMNS,
     )
     rows = [(5, 1, 0, 0), (9, 2, 0, 0)]
-    outcome = bound.compile().evaluate_batch(rows)
-    assert outcome.passed == [False, False]
-    assert outcome.truth[1] is None  # second term evaluated on no row
-    assert outcome.evaluations == 2
+    for backend in BACKENDS:
+        with _forced(backend):
+            outcome = bound.evaluate_columns(
+                vector.columns_from_rows(rows, len(COLUMNS)), len(rows)
+            )
+            assert vector.mask_values(outcome.passed) == [False, False]
+            # The second term is evaluated on no row, and charged for none.
+            assert vector.mask_values(outcome.alive[1]) == [False, False]
+            assert outcome.evaluations == 2
 
 
 def test_prefix_out_of_range_matches_interpreted_error():
@@ -165,9 +200,7 @@ def test_prefix_out_of_range_matches_interpreted_error():
     with pytest.raises(ExpressionError):
         bound.evaluate_prefix((1, 2, 3, 4), 2)
     with pytest.raises(ExpressionError):
-        bound.compile().evaluate_batch([(1, 2, 3, 4)], num_terms=2)
-    with pytest.raises(ExpressionError):
-        bound.compile().evaluate_columns(((1,), (2,), (3,), (4,)), 1, num_terms=2)
+        bound.evaluate_columns(((1,), (2,), (3,), (4,)), 1, num_terms=2)
 
 
 def test_unknown_column_rejected_at_bind_time():

@@ -101,7 +101,13 @@ def test_every_read_path_returns_the_loaded_rows(rows, clustered, build, read):
 
         pages, slots = data_file.locators()
         backwards = list(zip(pages, slots))[::-1]
-        gathered = data_file.rows_at(*zip(*backwards)) if backwards else []
+        gathered = (
+            vector.rows_from_columns(
+                data_file.columns_at(*zip(*backwards)), len(backwards)
+            )
+            if backwards
+            else []
+        )
         assert gathered == stored[::-1]
         assert_plain(gathered)
 
