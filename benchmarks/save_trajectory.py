@@ -55,7 +55,12 @@ at a glance:
   simulated ms per statement as chosen and at the best hinted plan, the
   regret between them, beside the same numbers measured at the commit
   before INL probes were costed with remembered leaf counts; plus Fig. 8
-  (per-query feedback) at the ``bench_fig8_join_speedup.py`` scale.
+  (per-query feedback) at the ``bench_fig8_join_speedup.py`` scale;
+* **served feedback** — the same 20 statements after their remember
+  pass, each steady plan run alternately with every monitor live and
+  with the store's instrument-matched counts served (in one process):
+  wall of the monitor-plan and execute stages and simulated ms per
+  statement per arm, and how many requests of each kind were served.
 
 Wall-clock comes from :class:`repro.harness.timing.Stopwatch` (the only
 sanctioned host-clock reader).  The artifact is committed at the repo
@@ -71,6 +76,7 @@ import os
 import statistics
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 try:  # repo-root import (pytest); falls back for direct script runs,
@@ -115,6 +121,9 @@ SCAN_REPEATS = 5
 
 #: Execution modes measured per trajectory entry (row is the baseline).
 MODES = EXEC_MODES
+
+#: Rounds of the served-feedback A/B (the two arms alternate per round).
+SERVED_AB_ROUNDS = 15
 
 #: Row-list scan probe: ``t1.c4 < N`` filters (None: no filter) of a
 #: build-side-style table scan, ``t1.c1 < N`` clustered range seeks.
@@ -407,6 +416,58 @@ def _join_feedback_regret() -> dict:
     }
 
 
+def _served_feedback() -> dict:
+    """Live monitors vs served feedback on the ``pipeline_join``
+    statements' steady plans, alternating in one process."""
+    engine, queries, requests = smoke_join_feedback.remembered_engine()
+    session = engine.session()
+    lifecycle = session.lifecycle()
+    arms = {"live": None, "served": engine.feedback}
+    wall = dict.fromkeys(arms, 0.0)
+    sim = dict.fromkeys(arms, 0.0)
+    served: Counter = Counter()
+    measured = 0
+    for query, monitors in zip(queries, requests):
+        plan = session.optimize(query, use_feedback=True)
+        samples: dict[str, list[float]] = {arm: [] for arm in arms}
+        for round_index in range(SERVED_AB_ROUNDS):
+            for arm, store in arms.items():
+                watch = Stopwatch()
+                run = lifecycle.run_plan(
+                    query,
+                    plan,
+                    monitors,
+                    io=engine.database.new_io_context(isolated=True),
+                    feedback=store,
+                )
+                samples[arm].append(watch.elapsed_seconds)
+                if round_index == 0:
+                    sim[arm] += run.result.runstats.elapsed_ms
+                    if store is not None:
+                        for observation in run.observations:
+                            if observation.remembered:
+                                served[type(observation.request).__name__] += 1
+                            elif observation.answered:
+                                measured += 1
+        for arm in arms:
+            wall[arm] += statistics.median(samples[arm])
+    statements = len(queries)
+    return {
+        "num_rows": smoke_join_feedback.NUM_ROWS,
+        "statements": statements,
+        "rounds": SERVED_AB_ROUNDS,
+        "served": dict(served),
+        "measured": measured,
+        "sim_ms_per_statement": {
+            arm: round(sim[arm] / statements, 4) for arm in arms
+        },
+        "monitor_plan_and_exec_wall_ms_per_statement": {
+            arm: round(1e3 * wall[arm] / statements, 4) for arm in arms
+        },
+        "served_over_live_wall": round(wall["served"] / wall["live"], 3),
+    }
+
+
 def build_entry() -> dict:
     """One timestamped trajectory entry: the current perf snapshot."""
     return {
@@ -423,6 +484,7 @@ def build_entry() -> dict:
         "service_throughput": bench_service_throughput.run_bench(),
         "reopt": _reopt_value(),
         "join_feedback_regret": _join_feedback_regret(),
+        "served_feedback": _served_feedback(),
     }
 
 

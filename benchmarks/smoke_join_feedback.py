@@ -23,7 +23,11 @@ the simulated clock.  Gates, all deterministic:
   outer selectivity, right under the hash/INL crossover) run an INL join;
 * **the leaf flip** — ``c4 < 400`` runs a hash join: its probes scatter
   over 15 of ``ix_c4``'s leaves, not the 2 contiguous ones the fallback
-  arithmetic assumes.
+  arithmetic assumes;
+* **nothing re-measured** — a second feedback-planned run of the 20
+  statements is served every leaf key from the store (the remember pass
+  counted them with the same exact leaf bitmap), and its hash joins build
+  no bit vector (their join counts come from the same sampled filter).
 
 Exit status 0/1.  Run directly
 (``PYTHONPATH=src python benchmarks/smoke_join_feedback.py``) or via
@@ -35,8 +39,10 @@ from __future__ import annotations
 import sys
 
 from repro.core.dpc import exact_join_dpc, exact_leaf_dpc
+from repro.core.planner import build_executable
 from repro.core.requests import IndexLeafRequest, JoinMethodRequest
 from repro.engine import Engine, WorkloadItem
+from repro.exec.joins import HashJoin
 from repro.harness.methodology import default_requests
 from repro.harness.regret import plan_regret
 from repro.harness.reporting import format_table
@@ -70,6 +76,13 @@ def _join_kind(plan) -> str:
     return type(plan.children()[0]).__name__.removesuffix("JoinPlan")
 
 
+def _hash_joins(operator) -> list:
+    found = [operator] if isinstance(operator, HashJoin) else []
+    for child in operator.children():
+        found.extend(_hash_joins(child))
+    return found
+
+
 def _outer_keys(database, column: str, cut: int) -> list:
     """``t1.column`` of the outer rows ``t1.c1 < cut`` selects."""
     t1 = database.table("t1")
@@ -82,39 +95,71 @@ def _outer_keys(database, column: str, cut: int) -> list:
     ]
 
 
-def measure() -> dict:
-    """Remember the 20 statements once, then time every choice."""
-    database = build_synthetic_database(
-        num_rows=NUM_ROWS, seed=DATA_SEED, with_copy=True
-    )
-    engine = Engine(database)
-    statements = [
+def statements() -> list[tuple[str, int]]:
+    """``(join column, t1.c1 cut)`` of the 20 statements."""
+    return [
         (column, round(target * NUM_ROWS))
         for column, targets in STRATA.items()
         for target in targets
     ]
+
+
+def remembered_engine() -> tuple[Engine, list, list]:
+    """An engine after one feedback-planned remember pass over the 20
+    statements, with the statements' queries and monitor requests."""
+    database = build_synthetic_database(
+        num_rows=NUM_ROWS, seed=DATA_SEED, with_copy=True
+    )
+    engine = Engine(database)
     queries = [
         parse_query(
             "SELECT count(t.padding) FROM t1, t "
             f"WHERE t1.c1 < {cut} AND t1.{column} = t.{column}"
         )
-        for column, cut in statements
+        for column, cut in statements()
     ]
     requests = [tuple(default_requests(database, query)) for query in queries]
-    cold = [engine.session().optimize(query) for query in queries]
     for query, monitors in zip(queries, requests):
         engine.execute(
             WorkloadItem(
                 query=query, requests=monitors, use_feedback=True, remember=True
             )
         )
+    return engine, queries, requests
+
+
+def measure() -> dict:
+    """Remember the 20 statements once, then time every choice."""
+    engine, queries, requests = remembered_engine()
+    database = engine.database
+    # The cold plans are the optimizer's choices without feedback.
+    cold = [Engine(database).session().optimize(query) for query in queries]
 
     rows, aliased = [], []
     chosen_ms = best_ms = 0.0
     kinds = {}
+    #: second run: [served, total] leaf keys, [without, total] bit vectors
+    leaves_served, bare_hash_joins = [0, 0], [0, 0]
     for (column, cut), query, monitors, cold_plan in zip(
-        statements, queries, requests, cold
+        statements(), queries, requests, cold
     ):
+        second = engine.execute(
+            WorkloadItem(query=query, requests=monitors, use_feedback=True)
+        )
+        for obs in second.observations:
+            if isinstance(obs.request, IndexLeafRequest):
+                leaves_served[0] += obs.remembered
+                leaves_served[1] += 1
+        build = build_executable(
+            second.plan,
+            database,
+            monitors,
+            engine.monitor_config,
+            feedback=engine.feedback,
+        )
+        for join in _hash_joins(build.root):
+            bare_hash_joins[0] += join.bitvector is None
+            bare_hash_joins[1] += 1
         regret = plan_regret(engine, query, monitors)
         chosen_ms += regret.chosen_ms
         best_ms += regret.best_ms
@@ -166,6 +211,8 @@ def measure() -> dict:
         "rows": rows,
         "kinds": kinds,
         "aliased": aliased,
+        "leaves_served": leaves_served,
+        "bare_hash_joins": bare_hash_joins,
         "chosen_ms": chosen_ms,
         "best_ms": best_ms,
         "regret": (chosen_ms - best_ms) / chosen_ms,
@@ -193,7 +240,11 @@ def run_smoke() -> list[str]:
         f"{measured['chosen_ms'] / len(measured['kinds']):.4f} ms per statement "
         f"chosen, {measured['best_ms'] / len(measured['kinds']):.4f} ms best; "
         f"regret {measured['regret']:.2%} (bound {REGRET_BOUND:.1%}); "
-        f"{measured['records']} feedback records"
+        f"{measured['records']} feedback records\n"
+        "second feedback-planned run: {}/{} leaf keys served, {}/{} hash "
+        "joins without a bit vector".format(
+            *measured["leaves_served"], *measured["bare_hash_joins"]
+        )
     )
     violations = []
     if measured["regret"] > REGRET_BOUND:
@@ -204,6 +255,12 @@ def run_smoke() -> list[str]:
     violations.extend(
         f"aliased feedback lookup on {entry}" for entry in measured["aliased"]
     )
+    for (done, total), what in (
+        (measured["leaves_served"], "leaf keys served"),
+        (measured["bare_hash_joins"], "hash joins without a bit vector"),
+    ):
+        if not total or done != total:
+            violations.append(f"second run: {done}/{total} {what}")
     for statements, kind in ((MUST_BE_INL, "INL"), (MUST_BE_HASH, "Hash")):
         for statement in statements:
             if measured["kinds"][statement] != kind:

@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 from repro.analysis.findings import Finding, render_findings
 from repro.catalog.catalog import Database
 from repro.core.requests import PageCountObservation
+from repro.core.selftuning import guarded_ratio
 from repro.optimizer.hints import PlanHint
 from repro.optimizer.injection import InjectionSet
 from repro.optimizer.optimizer import Optimizer, Query
@@ -46,20 +47,21 @@ class DiagnosticLine:
     mechanism: str
     answered: bool
     reason: str = ""
+    #: The actual was served from feedback its own instrument measured.
+    remembered: bool = False
 
     @property
     def error_factor(self) -> Optional[float]:
-        """The q-error max(est/act, act/est); None when either side is
-        missing or zero."""
+        """The q-error (:func:`~repro.core.selftuning.guarded_ratio`: both
+        sides floored at one page, so a 0-page estimate of 30 actual pages
+        reads 30); None when either side is missing."""
         if (
             not self.answered
             or self.estimated_pages is None
             or self.actual_pages is None
-            or min(self.estimated_pages, self.actual_pages) <= 0
         ):
             return None
-        ratio = self.estimated_pages / self.actual_pages
-        return max(ratio, 1.0 / ratio)
+        return guarded_ratio(self.actual_pages, self.estimated_pages)
 
     def flagged(self, threshold: float = 2.0) -> bool:
         """Whether the estimate is off by more than ``threshold``x."""
@@ -103,6 +105,8 @@ class DiagnosticReport:
             )
             actual = f"{line.actual_pages:.1f}"
             flag = "  <<<" if line.flagged(threshold) else ""
+            if line.remembered:
+                flag += "  (remembered)"
             rows.append(f"{line.expression:<58} {estimate:>10} {actual:>10}{flag}")
         return "\n".join(rows)
 
@@ -186,6 +190,7 @@ def diagnose(
                 mechanism=observation.mechanism.value,
                 answered=observation.answered,
                 reason=observation.reason,
+                remembered=observation.remembered,
             )
         )
     return DiagnosticReport(

@@ -40,6 +40,7 @@ from typing import Any, Iterable, Mapping, Optional, Sequence, Union
 from repro.common.errors import FeedbackError
 from repro.core.requests import (
     IndexLeafRequest,
+    InstrumentFingerprint,
     Mechanism,
     PageCountObservation,
     PageCountRequest,
@@ -244,6 +245,20 @@ def _mechanism_field(entry: Mapping[str, Any], label: str) -> str:
     return value
 
 
+def _instrument_field(
+    entry: Mapping[str, Any], label: str
+) -> Optional[InstrumentFingerprint]:
+    """A persisted instrument fingerprint: absent (a store written before
+    fingerprints existed) or a complete, well-typed object."""
+    value = entry.get("instrument")
+    if value is None:
+        return None
+    try:
+        return InstrumentFingerprint.from_json(value)
+    except ValueError as exc:
+        raise FeedbackError(f"{label}: {exc}") from exc
+
+
 @dataclass
 class FeedbackRecord:
     """One remembered fact about an expression."""
@@ -257,6 +272,10 @@ class FeedbackRecord:
     #: True while the page count is a lower bound harvested from a
     #: reopt-cancelled run; cleared when a complete observation lands.
     partial: bool = False
+    #: The instrument that measured ``page_count`` (None when unknown: a
+    #: shard merge's sum, a partial bound, a store written before
+    #: fingerprints existed).  Only a record with one is ever served.
+    instrument: Optional[InstrumentFingerprint] = None
 
     def merge_observation(
         self, observation: PageCountObservation, sequence: int
@@ -280,6 +299,7 @@ class FeedbackRecord:
             self.mechanism = observation.mechanism.value
             self.sequence = sequence
             self.partial = False
+            self.instrument = observation.instrument
 
     def merge_partial_observation(
         self, observation: PageCountObservation
@@ -300,6 +320,24 @@ class FeedbackRecord:
             self.page_count_exact = False
             self.mechanism = observation.mechanism.value
             self.partial = True
+            self.instrument = None
+
+
+def _record_json(record: FeedbackRecord) -> dict[str, Any]:
+    """A record's persisted form; ``instrument`` only when known, so a
+    store written before fingerprints existed round-trips unchanged."""
+    entry: dict[str, Any] = {
+        "key": record.key,
+        "page_count": record.page_count,
+        "page_count_exact": record.page_count_exact,
+        "cardinality": record.cardinality,
+        "mechanism": record.mechanism,
+        "sequence": record.sequence,
+        "partial": record.partial,
+    }
+    if record.instrument is not None:
+        entry["instrument"] = record.instrument.to_json()
+    return entry
 
 
 class FeedbackStore:
@@ -329,6 +367,31 @@ class FeedbackStore:
     def record(self, key: str) -> Optional[FeedbackRecord]:
         with self._lock:
             return self._records.get(key)
+
+    def remembered(
+        self, request: PageCountRequest, instrument: InstrumentFingerprint
+    ) -> Optional[PageCountObservation]:
+        """``request``'s record as a served observation, if ``instrument``
+        measured its complete page count — a count that instrument would
+        reproduce bit for bit, so a run may serve it instead of measuring
+        — else None."""
+        with self._lock:
+            record = self._records.get(request.key())
+            if (
+                record is None
+                or record.instrument != instrument
+                or record.partial
+                or record.page_count is None
+            ):
+                return None
+            return PageCountObservation(
+                request=request,
+                mechanism=instrument.mechanism,
+                estimate=record.page_count,
+                exact=record.page_count_exact,
+                instrument=instrument,
+                remembered=True,
+            )
 
     # ------------------------------------------------------------------
     # Epochs (freshness tags consumed by the plan cache)
@@ -484,18 +547,7 @@ class FeedbackStore:
             payload = {
                 "version": 1,
                 "sequence": self._sequence,
-                "records": [
-                    {
-                        "key": record.key,
-                        "page_count": record.page_count,
-                        "page_count_exact": record.page_count_exact,
-                        "cardinality": record.cardinality,
-                        "mechanism": record.mechanism,
-                        "sequence": record.sequence,
-                        "partial": record.partial,
-                    }
-                    for record in self._records.values()
-                ],
+                "records": [_record_json(record) for record in self._records.values()],
             }
         return json.dumps(payload, indent=2, sort_keys=True)
 
@@ -542,7 +594,17 @@ class FeedbackStore:
                 mechanism=_mechanism_field(entry, label),
                 sequence=_sequence_field(entry, label),
                 partial=_flag_field(entry, "partial", label),
+                instrument=_instrument_field(entry, label),
             )
+            if (
+                record.instrument is not None
+                and record.instrument.mechanism.value != record.mechanism
+            ):
+                raise FeedbackError(
+                    f"{label}: instrument mechanism "
+                    f"{record.instrument.mechanism.value!r} does not match "
+                    f"{record.mechanism!r}"
+                )
             # A record from the store's future would outrank every later
             # harvest of its key (merge_observation: newer sequence wins).
             if record.sequence > store._sequence:

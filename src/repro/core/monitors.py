@@ -48,6 +48,7 @@ from repro.core.bitvector import BitVectorFilter
 from repro.core.dpsample import BernoulliPageSampler
 from repro.core.probabilistic import LinearCounter
 from repro.core.requests import (
+    InstrumentFingerprint,
     Mechanism,
     PageCountObservation,
     PageCountRequest,
@@ -98,6 +99,7 @@ class _ScanExpressionEntry:
     exact: bool
     page_satisfied: bool = False
     satisfied_pages: int = 0
+    instrument: Optional[InstrumentFingerprint] = None
 
     def observe(self, truth: tuple) -> None:
         """Update the per-page flag from one row's term-truth vector."""
@@ -126,6 +128,7 @@ class _BitVectorEntry:
     filter: BitVectorFilter
     page_satisfied: bool = False
     satisfied_pages: int = 0
+    instrument: Optional[InstrumentFingerprint] = None
 
     def observe_row(self, row: Sequence[Any], io: IOContext) -> None:
         if self.page_satisfied:
@@ -194,9 +197,13 @@ class ScanMonitorBundle:
         request: PageCountRequest,
         term_indexes: Sequence[int],
         exact: bool,
+        instrument: Optional[InstrumentFingerprint] = None,
     ) -> None:
         entry = _ScanExpressionEntry(
-            request=request, term_indexes=tuple(term_indexes), exact=exact
+            request=request,
+            term_indexes=tuple(term_indexes),
+            exact=exact,
+            instrument=instrument,
         )
         self._expression_entries.append(entry)
         if exact:
@@ -210,10 +217,14 @@ class ScanMonitorBundle:
         request: PageCountRequest,
         column_position: int,
         filter: BitVectorFilter,
+        instrument: Optional[InstrumentFingerprint] = None,
     ) -> None:
         self._bitvector_entries.append(
             _BitVectorEntry(
-                request=request, column_position=column_position, filter=filter
+                request=request,
+                column_position=column_position,
+                filter=filter,
+                instrument=instrument,
             )
         )
 
@@ -464,6 +475,7 @@ class ScanMonitorBundle:
                         estimate=float(entry.satisfied_pages),
                         exact=True,
                         details={"satisfied_pages": entry.satisfied_pages},
+                        instrument=entry.instrument,
                     )
                 )
             else:
@@ -480,6 +492,7 @@ class ScanMonitorBundle:
                                 self.sampler.pages_sampled if self.sampler else 0
                             ),
                         },
+                        instrument=entry.instrument,
                     )
                 )
         for bv_entry in self._bitvector_entries:
@@ -495,6 +508,7 @@ class ScanMonitorBundle:
                         "filter_bits": bv_entry.filter.num_bits,
                         "filter_fill_ratio": bv_entry.filter.fill_ratio,
                     },
+                    instrument=bv_entry.instrument,
                 )
             )
         return observations
@@ -509,6 +523,7 @@ class _FetchEntry:
     #: the fetched row to witness the request; guaranteed terms excluded.
     term_indexes: tuple[int, ...]
     counter: LinearCounter = field(default_factory=lambda: LinearCounter(64))
+    instrument: Optional[InstrumentFingerprint] = None
 
     def observe(self, page_id: PageId, truth: tuple, io: IOContext) -> None:
         for index in self.term_indexes:
@@ -537,12 +552,14 @@ class FetchMonitorBundle:
         term_indexes: Sequence[int],
         num_bits: int,
         seed: int = 0,
+        instrument: Optional[InstrumentFingerprint] = None,
     ) -> None:
         self._entries.append(
             _FetchEntry(
                 request=request,
                 term_indexes=tuple(term_indexes),
                 counter=LinearCounter(num_bits, seed=seed),
+                instrument=instrument,
             )
         )
 
@@ -625,6 +642,7 @@ class FetchMonitorBundle:
                         "observations": entry.counter.observations,
                         "saturated": entry.counter.saturated,
                     },
+                    instrument=entry.instrument,
                 )
             )
         return observations
@@ -643,9 +661,15 @@ class LeafPageMonitor:
     bitmap and each gets the count.
     """
 
-    def __init__(self, index: BTreeIndex, requests: Sequence[PageCountRequest]) -> None:
+    def __init__(
+        self,
+        index: BTreeIndex,
+        requests: Sequence[PageCountRequest],
+        instrument: Optional[InstrumentFingerprint] = None,
+    ) -> None:
         self.index = index
         self.requests = list(requests)
+        self.instrument = instrument
         self._leaves = bytearray(index.num_leaf_pages)
         self.probes = 0
 
@@ -689,6 +713,7 @@ class LeafPageMonitor:
                     "leaf_pages": self.index.num_leaf_pages,
                     "probes": self.probes,
                 },
+                instrument=self.instrument,
             )
             for request in self.requests
         ]

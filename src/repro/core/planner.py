@@ -36,6 +36,12 @@ index and answers none.
 Requests nothing can observe come back as explicit *unanswerable*
 observations — a diagnostic, never a fabricated number.
 
+A build handed the feedback store its plan was costed from attaches no
+monitor that would only reproduce a remembered count: each site names the
+instrument it would attach (:class:`~repro.core.requests.InstrumentFingerprint`),
+and a complete record that instrument measured is served as a
+pre-resolved observation instead (:meth:`_Instrumentation.serve`).
+
 The same walk also builds the executable operators, so instrumentation can
 never disagree with the plan that actually runs ("none of our mechanisms
 requires changes to the plan itself", §V-A).
@@ -44,7 +50,8 @@ requires changes to the plan itself", §V-A).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from functools import lru_cache
+from typing import TYPE_CHECKING, Any, Optional
 
 from repro.catalog.catalog import Database
 from repro.common.errors import MonitorError
@@ -59,7 +66,9 @@ from repro.core.monitors import FetchMonitorBundle, LeafPageMonitor, ScanMonitor
 from repro.core.requests import (
     AccessPathRequest,
     IndexLeafRequest,
+    InstrumentFingerprint,
     JoinMethodRequest,
+    Mechanism,
     PageCountObservation,
     PageCountRequest,
 )
@@ -88,6 +97,9 @@ from repro.optimizer.plans import (
     SeqScanPlan,
 )
 from repro.sql.predicates import AtomicPredicate, Conjunction, JoinEquality
+
+if TYPE_CHECKING:
+    from repro.core.feedback import FeedbackStore
 
 
 @dataclass
@@ -127,28 +139,44 @@ class BuildResult:
     unanswerable: list[PageCountObservation] = field(default_factory=list)
     #: How many page-count requests the build received (answerable or not).
     num_requests: int = 0
+    #: Answered from feedback records their own instrument measured; no
+    #: monitor is attached for these.
+    served: list[PageCountObservation] = field(default_factory=list)
 
     def summary(self) -> str:
         """One-line account of the monitor-planning outcome, used as the
         lifecycle's ``monitor-plan`` stage detail."""
         answerable = self.num_requests - len(self.unanswerable)
-        return (
+        summary = (
             f"{self.num_requests} request(s): {answerable} answerable, "
             f"{len(self.unanswerable)} unanswerable"
         )
+        if self.served:
+            summary += f", {len(self.served)} served from feedback"
+        return summary
 
 
 class _Instrumentation:
     """One plan-walk's worth of state."""
 
     def __init__(
-        self, database: Database, requests: list[PageCountRequest], config: MonitorConfig
+        self,
+        database: Database,
+        requests: list[PageCountRequest],
+        config: MonitorConfig,
+        feedback: Optional["FeedbackStore"] = None,
     ) -> None:
         self.database = database
         self.config = config
+        self.feedback = feedback
         self.pending: dict[int, PageCountRequest] = dict(enumerate(requests))
         self.claimed: set[int] = set()
         self.failures: dict[int, str] = {}
+        self.served: list[PageCountObservation] = []
+        #: id(scan operator) -> the sampler seed its access requests
+        #: chose, served or not, so a join's bit vector samples the same
+        #: pages a live run samples.
+        self.scan_seeds: dict[int, int] = {}
 
     # ------------------------------------------------------------------
     def access_requests_for(self, table: str) -> list[tuple[int, AccessPathRequest]]:
@@ -168,19 +196,17 @@ class _Instrumentation:
     ) -> list[tuple[int, Any]]:
         """Unclaimed requests of ``kind`` (join pages, or the inner index's
         leaves) for this inner and join predicate, under any filter."""
-        matches = []
-        for rid, request in self.pending.items():
-            if rid in self.claimed or not isinstance(request, kind):
-                continue
-            if request.inner_table != inner_table:
-                continue
-            if request.join_predicate.key() not in (
-                join_predicate.key(),
-                join_predicate.reversed().key(),
-            ):
-                continue
-            matches.append((rid, request))
-        return matches
+        return [
+            (rid, request)
+            for rid, request in self.pending.items()
+            if rid not in self.claimed
+            and isinstance(request, kind)
+            and request.inner_table == inner_table
+            and (
+                request.join_predicate == join_predicate
+                or request.join_predicate == join_predicate.reversed()
+            )
+        ]
 
     def join_requests_under(
         self,
@@ -195,9 +221,12 @@ class _Instrumentation:
         filter counts a different row set: it is failed with both filters
         named, never answered with this join's count.
         """
+        candidates = self.join_requests_for(inner_table, join_predicate, kind)
+        if not candidates:
+            return []
         measured = JoinMethodRequest(inner_table, join_predicate, outer_filter)
         matches = []
-        for rid, request in self.join_requests_for(inner_table, join_predicate, kind):
+        for rid, request in candidates:
             if request.outer_filter == measured.outer_filter:
                 matches.append((rid, request))
             else:
@@ -221,6 +250,48 @@ class _Instrumentation:
         """
         self.failures[request_id] = reason
 
+    def instrument(
+        self,
+        mechanism: Mechanism,
+        tables: tuple[str, ...],
+        sampled_with: Optional[int] = None,
+        bits: Optional[int] = None,
+        scope: str = "",
+    ) -> InstrumentFingerprint:
+        """The fingerprint of a monitor about to be attached: ``tables``
+        are the tables its key reads (both sides of a join),
+        ``sampled_with`` the seed of the DPSample sampler it counts on."""
+        sampled = sampled_with is not None
+        return InstrumentFingerprint(
+            mechanism,
+            self.config.dpsample_fraction if sampled else None,
+            # A sampled count is fixed by its sampler's seed, an unsampled
+            # bitmap (linear counting) by the hash seed.
+            sampled_with if sampled else (self.config.seed if bits else None),
+            bits,
+            scope,
+            tuple(sorted({(name, self.database.table(name).num_rows) for name in tables})),
+        )
+
+    def serve(
+        self, request_id: int, request: PageCountRequest, instrument: InstrumentFingerprint
+    ) -> bool:
+        """Claim a request with its remembered count when ``instrument``
+        measured that count: attaching it would reproduce the record bit
+        for bit.  Returns whether the request was served."""
+        if self.feedback is None:
+            return False
+        observation = self.feedback.remembered(request, instrument)
+        if observation is None:
+            return False
+        self.served.append(observation)
+        self.claim(request_id)
+        return True
+
+    def sampler(self, seed: int) -> BernoulliPageSampler:
+        """A DPSample page sampler at the configured fraction."""
+        return BernoulliPageSampler(self.config.dpsample_fraction, seed=seed)
+
     def sampler_seed(self, *context: object) -> int:
         """Per-scan sampler seed.
 
@@ -230,7 +301,7 @@ class _Instrumentation:
         workload and bias every estimate the same way — while re-running
         the same query stays exactly reproducible.
         """
-        return derive_seed(self.config.seed, "dpsample", *context)
+        return _sampler_seed(self.config.seed, context)
 
     def linear_bits(self, table_name: str) -> int:
         if self.config.linear_counter_bits is not None:
@@ -268,44 +339,64 @@ class _Instrumentation:
         return observations
 
 
+@lru_cache(maxsize=4096)
+def _sampler_seed(root_seed: int, context: tuple[object, ...]) -> int:
+    """``derive_seed`` hashes every name; a repeated statement's scans
+    ask for the same seeds on every run."""
+    return derive_seed(root_seed, "dpsample", *context)
+
+
 def build_executable(
     plan: PlanNode,
     database: Database,
     requests: list[PageCountRequest] | tuple = (),
     config: Optional[MonitorConfig] = None,
+    feedback: Optional["FeedbackStore"] = None,
 ) -> BuildResult:
-    """Build operators for ``plan``, attaching monitors for ``requests``."""
+    """Build operators for ``plan``, attaching monitors for ``requests``.
+
+    ``feedback`` is the store the plan was costed from, if it was: a
+    request whose complete record the attach site's own instrument
+    measured is served from it (``BuildResult.served``) instead.
+    """
     config = config if config is not None else MonitorConfig()
-    state = _Instrumentation(database, list(requests), config)
+    state = _Instrumentation(database, list(requests), config, feedback)
     root = _build(plan, state)
     return BuildResult(
         root=root,
         unanswerable=state.leftovers(),
         num_requests=len(requests),
+        served=state.served,
     )
 
 
 # ----------------------------------------------------------------------
 # Scan instrumentation helpers
 # ----------------------------------------------------------------------
+def _range_scope(terms: tuple[AtomicPredicate, ...]) -> str:
+    """The clustered range a scan seeks ("" for a full scan): with the
+    seed, it fixes the page sequence the scan's sampler draws over."""
+    return " AND ".join(term.key() for term in terms)
+
+
 def _plan_scan_monitoring(
     state: _Instrumentation,
     table_name: str,
     query_conjunction: Conjunction,
     guaranteed_terms: tuple[AtomicPredicate, ...],
-) -> tuple[Optional[ScanMonitorBundle], Conjunction]:
+) -> tuple[Optional[ScanMonitorBundle], Conjunction, Optional[int]]:
     """Decide scan-side monitoring for a (range-)scan of ``table_name``.
 
-    Returns the bundle (or None) and the monitor conjunction the scan must
-    evaluate (query terms first, appended monitoring-only terms after).
+    Returns the bundle (or None), the monitor conjunction the scan must
+    evaluate (query terms first, appended monitoring-only terms after),
+    and the seed of the sampler the scan's sampled requests draw with —
+    chosen whether or not they were served, so a join's bit vector on
+    this scan samples the pages a live run samples.
     """
     table = state.database.table(table_name)
     candidates = state.access_requests_for(table_name)
     guaranteed = set(guaranteed_terms)
-
-    monitor_terms = list(query_conjunction.terms)
-    existing = set(monitor_terms)
-    accepted: list[tuple[int, AccessPathRequest, tuple[int, ...], bool]] = []
+    accepted: list[tuple[int, AccessPathRequest, tuple[AtomicPredicate, ...], bool]] = []
 
     for rid, request in candidates:
         bad_columns = [
@@ -322,36 +413,66 @@ def _plan_scan_monitoring(
                 f"{[t.key() for t in guaranteed_terms]}",
             )
             continue
-        effective = [t for t in request.expression.terms if t not in guaranteed]
+        effective = tuple(t for t in request.expression.terms if t not in guaranteed)
+        exact = Conjunction(effective).is_prefix_of(query_conjunction)
+        accepted.append((rid, request, effective, exact))
+
+    if not accepted:
+        return None, query_conjunction, None
+
+    seed = (
+        state.sampler_seed(table_name, query_conjunction.key())
+        if any(not exact for _, _, _, exact in accepted)
+        else None
+    )
+    instruments = {True: state.instrument(Mechanism.EXACT_SCAN_COUNT, (table_name,))}
+    if seed is not None:
+        instruments[False] = state.instrument(
+            Mechanism.DPSAMPLE,
+            (table_name,),
+            sampled_with=seed,
+            scope=_range_scope(guaranteed_terms),
+        )
+    monitor_terms = list(query_conjunction.terms)
+    existing = set(monitor_terms)
+    live: list[tuple[int, AccessPathRequest, tuple[int, ...], bool]] = []
+    for rid, request, effective, exact in accepted:
+        if state.serve(rid, request, instruments[exact]):
+            continue
         for term in effective:
             if term not in existing:
                 monitor_terms.append(term)
                 existing.add(term)
-        term_indexes = tuple(monitor_terms.index(t) for t in effective)
-        exact = Conjunction(tuple(effective)).is_prefix_of(query_conjunction)
-        accepted.append((rid, request, term_indexes, exact))
+        live.append((rid, request, tuple(monitor_terms.index(t) for t in effective), exact))
 
-    if not accepted:
-        return None, query_conjunction
-
-    needs_sampler = any(not exact for _, _, _, exact in accepted)
-    sampler = (
-        BernoulliPageSampler(
-            state.config.dpsample_fraction,
-            seed=state.sampler_seed(table_name, query_conjunction.key()),
-        )
-        if needs_sampler
-        else None
-    )
+    if not live:
+        return None, query_conjunction, seed
     bundle = ScanMonitorBundle(
         table_name=table_name,
         query_term_count=len(query_conjunction),
-        sampler=sampler,
+        sampler=state.sampler(seed) if seed is not None else None,
     )
-    for rid, request, term_indexes, exact in accepted:
-        bundle.add_expression_request(request, term_indexes, exact)
+    for rid, request, term_indexes, exact in live:
+        bundle.add_expression_request(request, term_indexes, exact, instruments[exact])
         state.claim(rid)
-    return bundle, Conjunction(tuple(monitor_terms))
+    return bundle, Conjunction(tuple(monitor_terms)), seed
+
+
+def _join_seed(
+    state: _Instrumentation,
+    scan_operator: Operator,
+    table_name: str,
+    query_term_count: int,
+) -> int:
+    """The seed of the sampler a join's bit-vector requests on this scan
+    draw with: the one the scan's sampled access requests chose, else one
+    derived from the scan's identity."""
+    seed = state.scan_seeds.get(id(scan_operator))
+    if seed is None:
+        seed = state.sampler_seed(
+            table_name, query_term_count, scan_operator.stats.detail
+        )
+    return seed
 
 
 def _ensure_scan_bundle(
@@ -359,22 +480,20 @@ def _ensure_scan_bundle(
     scan_operator: Operator,
     table_name: str,
     query_term_count: int,
+    seed: int,
 ) -> ScanMonitorBundle:
     """Get (or create) the scan's bundle so a join can add a bit-vector
-    request; creates a sampler if the existing bundle lacks one."""
+    request; creates a sampler seeded ``seed`` if the bundle lacks one."""
     bundle: Optional[ScanMonitorBundle] = getattr(scan_operator, "bundle", None)
-    seed = state.sampler_seed(table_name, query_term_count, scan_operator.stats.detail)
     if bundle is None:
         bundle = ScanMonitorBundle(
             table_name=table_name,
             query_term_count=query_term_count,
-            sampler=BernoulliPageSampler(state.config.dpsample_fraction, seed=seed),
+            sampler=state.sampler(seed),
         )
         scan_operator.bundle = bundle
     elif bundle.sampler is None:
-        bundle.sampler = BernoulliPageSampler(
-            state.config.dpsample_fraction, seed=seed
-        )
+        bundle.sampler = state.sampler(seed)
     return bundle
 
 
@@ -429,16 +548,33 @@ def _plan_fetch_monitoring(
 
     if not accepted:
         return None, False
+    bits = state.linear_bits(table_name)
+    instrument = _linear_counting(state, bits, table_name)
+    live = [item for item in accepted if not state.serve(item[0], item[1], instrument)]
+    if not live:
+        return None, False
 
     bundle = FetchMonitorBundle(table_name)
     needs_full = False
-    bits = state.linear_bits(table_name)
-    for rid, request, term_indexes, is_prefix in accepted:
-        bundle.add_request(request, term_indexes, num_bits=bits, seed=state.config.seed)
+    for rid, request, term_indexes, is_prefix in live:
+        bundle.add_request(
+            request,
+            term_indexes,
+            num_bits=bits,
+            seed=state.config.seed,
+            instrument=instrument,
+        )
         state.claim(rid)
         if not is_prefix:
             needs_full = True
     return bundle, needs_full
+
+
+def _linear_counting(
+    state: _Instrumentation, bits: int, *tables: str
+) -> InstrumentFingerprint:
+    """A fetch stream's linear counter: its width (and hash seed)."""
+    return state.instrument(Mechanism.LINEAR_COUNTING, tables, bits=bits)
 
 
 # ----------------------------------------------------------------------
@@ -456,23 +592,26 @@ def _plan_leaf_monitoring(
     ``inner_table`` under ``outer_filter`` names; a request naming another
     index is failed with ``refusal`` (``{index}`` filled in).
     """
-    grouped: dict[str, list[tuple[int, IndexLeafRequest]]] = {}
-    for rid, request in state.join_requests_under(
+    grouped: dict[str, list[IndexLeafRequest]] = {}
+    requests = state.join_requests_under(
         inner_table, join_predicate, outer_filter, IndexLeafRequest
-    ):
-        if request.index_name in readable:
-            grouped.setdefault(request.index_name, []).append((rid, request))
-        else:
+    )
+    if not requests:
+        return []
+    instrument = state.instrument(
+        Mechanism.LEAF_BITMAP, (inner_table, join_predicate.other_table(inner_table))
+    )
+    for rid, request in requests:
+        if request.index_name not in readable:
             state.fail(rid, refusal.format(index=request.index_name))
-    table = state.database.table(inner_table)
-    monitors = []
-    for index_name, group in grouped.items():
-        for rid, _request in group:
+        elif not state.serve(rid, request, instrument):
+            grouped.setdefault(request.index_name, []).append(request)
             state.claim(rid)
-        monitors.append(
-            LeafPageMonitor(table.index(index_name), [request for _, request in group])
-        )
-    return monitors
+    table = state.database.table(inner_table)
+    return [
+        LeafPageMonitor(table.index(index_name), group, instrument)
+        for index_name, group in grouped.items()
+    ]
 
 
 def _fail_leaf_requests(
@@ -494,7 +633,7 @@ def _build(plan: PlanNode, state: _Instrumentation) -> Operator:
             child.parent_consumes_columns = True
         operator: Operator = CountAggregate(child, plan.column)
     elif isinstance(plan, SeqScanPlan):
-        bundle, monitor_conjunction = _plan_scan_monitoring(
+        bundle, monitor_conjunction, seed = _plan_scan_monitoring(
             state, plan.table, plan.predicate, guaranteed_terms=()
         )
         operator = SeqScan(
@@ -503,8 +642,10 @@ def _build(plan: PlanNode, state: _Instrumentation) -> Operator:
             bundle=bundle,
             monitor_conjunction=monitor_conjunction,
         )
+        if seed is not None:
+            state.scan_seeds[id(operator)] = seed
     elif isinstance(plan, ClusteredRangeScanPlan):
-        bundle, monitor_conjunction = _plan_scan_monitoring(
+        bundle, monitor_conjunction, seed = _plan_scan_monitoring(
             state, plan.table, plan.residual, guaranteed_terms=(plan.range_term,)
         )
         operator = ClusteredRangeScan(
@@ -517,6 +658,8 @@ def _build(plan: PlanNode, state: _Instrumentation) -> Operator:
             bundle=bundle,
             monitor_conjunction=monitor_conjunction,
         )
+        if seed is not None:
+            state.scan_seeds[id(operator)] = seed
     elif isinstance(plan, CoveringScanPlan):
         operator = _build_covering(plan, state)
     elif isinstance(plan, IndexSeekPlan):
@@ -598,9 +741,11 @@ def _build_covering(plan: CoveringScanPlan, state: _Instrumentation) -> Operator
     carried = set(index.definition.carried_columns())
     candidates = state.access_requests_for(plan.table)
 
+    bits = state.linear_bits(plan.table)
+    instrument = _linear_counting(state, bits, plan.table)
     monitor_terms = list(plan.predicate.terms)
     existing = set(monitor_terms)
-    accepted: list[tuple[int, AccessPathRequest, tuple[int, ...], bool]] = []
+    live: list[tuple[int, AccessPathRequest, tuple[int, ...], bool]] = []
     for rid, request in candidates:
         outside = [c for c in request.expression.columns() if c not in carried]
         if outside:
@@ -608,6 +753,8 @@ def _build_covering(plan: CoveringScanPlan, state: _Instrumentation) -> Operator
                 rid,
                 f"covering index {plan.index_name} does not carry columns {outside}",
             )
+            continue
+        if state.serve(rid, request, instrument):
             continue
         for term in request.expression.terms:
             if term not in existing:
@@ -617,16 +764,19 @@ def _build_covering(plan: CoveringScanPlan, state: _Instrumentation) -> Operator
             monitor_terms.index(t) for t in request.expression.terms
         )
         is_prefix = request.expression.is_prefix_of(plan.predicate)
-        accepted.append((rid, request, term_indexes, is_prefix))
+        live.append((rid, request, term_indexes, is_prefix))
 
     bundle = None
     needs_full = False
-    if accepted:
+    if live:
         bundle = FetchMonitorBundle(plan.table)
-        bits = state.linear_bits(plan.table)
-        for rid, request, term_indexes, is_prefix in accepted:
+        for rid, request, term_indexes, is_prefix in live:
             bundle.add_request(
-                request, term_indexes, num_bits=bits, seed=state.config.seed
+                request,
+                term_indexes,
+                num_bits=bits,
+                seed=state.config.seed,
+                instrument=instrument,
             )
             state.claim(rid)
             if not is_prefix:
@@ -649,12 +799,21 @@ def _build_inl(plan: INLJoinPlan, state: _Instrumentation) -> Operator:
     )
     bundle = None
     if matches:
-        bundle = FetchMonitorBundle(plan.inner_table)
         bits = state.linear_bits(plan.inner_table)
+        instrument = _linear_counting(state, bits, plan.inner_table, plan.outer_table)
+        matches = [
+            (rid, request)
+            for rid, request in matches
+            if not state.serve(rid, request, instrument)
+        ]
+    if matches:
+        bundle = FetchMonitorBundle(plan.inner_table)
         for rid, request in matches:
             # Every fetched inner row satisfies the join predicate by
             # construction: no residual terms needed (term_indexes empty).
-            bundle.add_request(request, (), num_bits=bits, seed=state.config.seed)
+            bundle.add_request(
+                request, (), num_bits=bits, seed=state.config.seed, instrument=instrument
+            )
             state.claim(rid)
     leaf_monitors = _plan_leaf_monitoring(
         state,
@@ -680,6 +839,14 @@ def _build_inl(plan: INLJoinPlan, state: _Instrumentation) -> Operator:
         bundle=bundle,
         leaf_monitor=leaf_monitors[0] if leaf_monitors else None,
     )
+
+
+def _join_scope(join: str, scan: PlanNode) -> str:
+    """A bit vector's scope: the join (and filter mode) that fills it and
+    the clustered range of the scan it samples, if any."""
+    if isinstance(scan, ClusteredRangeScanPlan):
+        return f"{join} | {_range_scope((scan.range_term,))}"
+    return join
 
 
 def _scan_query_conjunction(plan: PlanNode) -> Optional[Conjunction]:
@@ -742,17 +909,33 @@ def _build_hash(plan: HashJoinPlan, state: _Instrumentation) -> Operator:
         # build side wants every row as a tuple and receives row tuples.)
         probe_operator.parent_consumes_columns = True
     if matches and probe_conjunction is not None:
-        bitvector = BitVectorFilter(
-            state.bitvector_bits(plan.build_table, plan.probe_table),
-            seed=state.config.seed,
-        )
-        column_position = probe_table.schema.position(probe_column)
-        bundle = _ensure_scan_bundle(
+        seed = _join_seed(
             state, probe_operator, plan.probe_table, len(probe_conjunction)
         )
-        for rid, request in matches:
-            bundle.add_bitvector_request(request, column_position, bitvector)
-            state.claim(rid)
+        bits = state.bitvector_bits(plan.build_table, plan.probe_table)
+        instrument = state.instrument(
+            Mechanism.BITVECTOR_DPSAMPLE,
+            (plan.probe_table, plan.build_table),
+            sampled_with=seed,
+            bits=bits,
+            scope=_join_scope("hash join", plan.probe),
+        )
+        live = [
+            (rid, request)
+            for rid, request in matches
+            if not state.serve(rid, request, instrument)
+        ]
+        if live:
+            bitvector = BitVectorFilter(bits, seed=state.config.seed)
+            column_position = probe_table.schema.position(probe_column)
+            bundle = _ensure_scan_bundle(
+                state, probe_operator, plan.probe_table, len(probe_conjunction), seed
+            )
+            for rid, request in live:
+                bundle.add_bitvector_request(
+                    request, column_position, bitvector, instrument
+                )
+                state.claim(rid)
     return HashJoin(
         build=build_operator,
         probe=probe_operator,
@@ -803,23 +986,43 @@ def _build_merge(plan: MergeJoinPlan, state: _Instrumentation) -> Operator:
     bitvector: Optional[BitVectorFilter] = None
     mode: Optional[str] = None
     if matches:
+        # A sorted outer blocks: the full vector exists before the inner
+        # is read; otherwise the vector fills as the merge advances.
+        filter_mode = "blocking" if plan.sort_outer else "partial"
         bits = state.bitvector_bits(plan.outer_table, plan.inner_table)
-        if plan.sort_outer:
-            # Sort blocks: the full vector exists before the inner is read.
-            bitvector = BitVectorFilter(bits, seed=state.config.seed)
-            mode = "blocking"
-        else:
-            bitvector = PartialBitVectorFilter(bits, seed=state.config.seed)
-            mode = "partial"
-        inner_table = state.database.table(plan.inner_table)
-        inner_column = plan.join_predicate.column_for(plan.inner_table)
-        column_position = inner_table.schema.position(inner_column)
-        bundle = _ensure_scan_bundle(
+        seed = _join_seed(
             state, inner_operator, plan.inner_table, len(inner_conjunction)
         )
-        for rid, request in matches:
-            bundle.add_bitvector_request(request, column_position, bitvector)
-            state.claim(rid)
+        instrument = state.instrument(
+            Mechanism.BITVECTOR_DPSAMPLE,
+            (plan.inner_table, plan.outer_table),
+            sampled_with=seed,
+            bits=bits,
+            scope=_join_scope(f"merge join, {filter_mode}", plan.inner),
+        )
+        live = [
+            (rid, request)
+            for rid, request in matches
+            if not state.serve(rid, request, instrument)
+        ]
+        if live:
+            mode = filter_mode
+            bitvector = (
+                BitVectorFilter(bits, seed=state.config.seed)
+                if plan.sort_outer
+                else PartialBitVectorFilter(bits, seed=state.config.seed)
+            )
+            inner_table = state.database.table(plan.inner_table)
+            inner_column = plan.join_predicate.column_for(plan.inner_table)
+            column_position = inner_table.schema.position(inner_column)
+            bundle = _ensure_scan_bundle(
+                state, inner_operator, plan.inner_table, len(inner_conjunction), seed
+            )
+            for rid, request in live:
+                bundle.add_bitvector_request(
+                    request, column_position, bitvector, instrument
+                )
+                state.claim(rid)
 
     outer_column = plan.join_predicate.column_for(plan.outer_table)
     inner_column = plan.join_predicate.column_for(plan.inner_table)

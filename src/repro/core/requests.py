@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Optional
+from functools import cached_property
+from typing import TYPE_CHECKING, Any, NamedTuple, Optional
 
 from repro.sql.predicates import Conjunction, JoinEquality
 
@@ -33,6 +34,12 @@ class AccessPathRequest:
     expression: Conjunction
 
     def key(self) -> str:
+        return self._key
+
+    @cached_property
+    def _key(self) -> str:
+        # Requests are immutable and reused run after run; the key is
+        # looked up at every attach site and harvest.
         return f"DPC({self.table}, {self.expression.key()})"
 
 
@@ -88,6 +95,10 @@ class JoinMethodRequest:
         )
 
     def key(self) -> str:
+        return self._key
+
+    @cached_property
+    def _key(self) -> str:
         expression = _join_expression(self.join_predicate, self.outer_filter)
         return f"DPC({self.inner_table}, {expression})"
 
@@ -124,6 +135,10 @@ class IndexLeafRequest:
         return cls(inner_table, index_name, join.join_predicate, join.outer_filter)
 
     def key(self) -> str:
+        return self._key
+
+    @cached_property
+    def _key(self) -> str:
         expression = _join_expression(self.join_predicate, self.outer_filter)
         return f"LEAVES({self.inner_table}, {self.index_name}, {expression})"
 
@@ -142,6 +157,102 @@ class Mechanism(enum.Enum):
     NOT_AVAILABLE = "not-available"
 
 
+class InstrumentFingerprint(NamedTuple):
+    """Everything a monitor's count depends on besides the key itself.
+
+    Every sampler is seeded from its scan's identity and every hash from
+    the config seed, so one instrument on unchanged data reproduces its
+    count bit for bit.  The fingerprint names that instrument:
+
+    * ``mechanism`` — the :class:`Mechanism`;
+    * ``fraction`` / ``seed`` — the DPSample fraction and sampler seed of
+      a sampled count; an unsampled hashing counter keeps its hash seed
+      in ``seed``;
+    * ``bits`` — the linear-counting bitmap or bit-vector filter width;
+    * ``scope`` — what fixes the sampled page sequence beyond the seed:
+      the clustered range a scan seeks, and the join operator and filter
+      mode feeding a bit vector;
+    * ``table_rows`` — ``(table, row count)`` of every table the key
+      reads, sorted: a table that grew is a different instrument.
+
+    A named tuple: one is built and compared per attach site per run.
+    """
+
+    mechanism: Mechanism
+    fraction: Optional[float] = None
+    seed: Optional[int] = None
+    bits: Optional[int] = None
+    scope: str = ""
+    table_rows: tuple[tuple[str, int], ...] = ()
+
+    def to_json(self) -> dict[str, Any]:
+        return {
+            "mechanism": self.mechanism.value,
+            "fraction": self.fraction,
+            "seed": self.seed,
+            "bits": self.bits,
+            "scope": self.scope,
+            "table_rows": [list(pair) for pair in self.table_rows],
+        }
+
+    @staticmethod
+    def from_json(value: Any) -> "InstrumentFingerprint":
+        """Rebuild a :meth:`to_json` object; ValueError if malformed."""
+        if not isinstance(value, dict) or set(value) != _INSTRUMENT_FIELDS:
+            raise ValueError(
+                f"an instrument is an object with fields "
+                f"{sorted(_INSTRUMENT_FIELDS)}, got {value!r}"
+            )
+        fraction, rows = value["fraction"], value["table_rows"]
+        valid = (
+            value["mechanism"] in _MEASURING
+            and (
+                fraction is None
+                or (
+                    isinstance(fraction, (int, float))
+                    and not isinstance(fraction, bool)
+                    and 0.0 < fraction <= 1.0
+                )
+            )
+            and (value["seed"] is None or _is_int(value["seed"]))
+            and (value["bits"] is None or (_is_int(value["bits"]) and value["bits"] > 0))
+            and isinstance(value["scope"], str)
+            and isinstance(rows, list)
+            and all(
+                isinstance(pair, list)
+                and len(pair) == 2
+                and isinstance(pair[0], str)
+                and _is_int(pair[1])
+                and pair[1] >= 0
+                for pair in rows
+            )
+        )
+        if not valid:
+            raise ValueError(f"malformed instrument {value!r}")
+        return InstrumentFingerprint(
+            mechanism=Mechanism(value["mechanism"]),
+            fraction=None if fraction is None else float(fraction),
+            seed=value["seed"],
+            bits=value["bits"],
+            scope=value["scope"],
+            table_rows=tuple((table, count) for table, count in rows),
+        )
+
+
+_INSTRUMENT_FIELDS = frozenset(
+    {"mechanism", "fraction", "seed", "bits", "scope", "table_rows"}
+)
+#: The mechanisms that measure (an unanswerable observation has none).
+_MEASURING = frozenset(
+    mechanism.value for mechanism in Mechanism if mechanism is not Mechanism.NOT_AVAILABLE
+)
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+
 @dataclass
 class PageCountObservation:
     """One measured (or unanswerable) page count."""
@@ -153,6 +264,12 @@ class PageCountObservation:
     answered: bool = True
     reason: str = ""
     details: dict[str, Any] = field(default_factory=dict)
+    #: The instrument that measured the count (None: unknown provenance,
+    #: e.g. a shard merge's sum — a record without one is never served).
+    instrument: Optional[InstrumentFingerprint] = None
+    #: Served from a feedback record this very instrument produced,
+    #: instead of measured by a monitor attached to this run.
+    remembered: bool = False
 
     @property
     def key(self) -> str:
@@ -175,6 +292,8 @@ class PageCountObservation:
         if not self.answered:
             return f"PageCountObservation({self.key}: unanswerable — {self.reason})"
         qualifier = "exact" if self.exact else "estimated"
+        if self.remembered:
+            qualifier += ", remembered"
         return (
             f"PageCountObservation({self.key} = {self.estimate:.1f} "
             f"[{qualifier}, {self.mechanism.value}])"

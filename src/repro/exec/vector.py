@@ -102,7 +102,11 @@ def make_column(values: Sequence) -> Column:
     if _np is None or _force_python:
         return values if isinstance(values, list) else list(values)
     arr = _np.asarray(values)
-    if arr.ndim != 1 or arr.dtype.kind not in _PRIMITIVE_KINDS:
+    if (
+        arr.ndim != 1
+        or arr.dtype.kind not in _PRIMITIVE_KINDS
+        or _rounds_ints(arr, values)
+    ):
         return values if isinstance(values, list) else list(values)
     return arr
 
@@ -128,7 +132,24 @@ def make_scan_column(values: Column) -> Column:
     arr = _np.asarray(values)
     if arr.ndim != 1 or arr.dtype.kind not in "iuf":
         return values  # NULL-bearing or mixed: object dtype, stay a list
+    if _rounds_ints(arr, values):
+        return values
     return arr
+
+
+def _rounds_ints(arr: Any, values: Sequence) -> bool:
+    """Whether ``numpy.asarray`` turned an int beyond int64 into a float.
+
+    NumPy stores ints in ``[2**63, 2**64)`` (and any int beside a float)
+    as float64, which rounds the large ones; such a column must stay a
+    list.  Only a float array holding a magnitude of at least ``2**63``
+    is checked value by value.
+    """
+    if arr.dtype.kind != "f" or not (_np.abs(arr) >= 2.0**63).any():
+        return False
+    return any(
+        type(value) is int and not -(2**63) <= value < 2**63 for value in values
+    )
 
 
 class SlicedColumns:

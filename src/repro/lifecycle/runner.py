@@ -13,7 +13,9 @@ plan-cache      consult the shared :class:`~repro.lifecycle.PlanCache`
 optimize        cost-based optimization (skipped on a cache hit)
 lint            plan-invariant linting, rules P001–P006 (skipped on a
                 hit: the cached plan was linted before publication)
-monitor-plan    attach page-count monitors to the chosen plan
+monitor-plan    attach page-count monitors to the chosen plan (a plan
+                costed from the feedback store is served the counts
+                its own instruments already measured)
 execute         run the operator tree under the execution's IOContext
 harvest         optionally fold the run's observations back into the
                 feedback store (bumping its epoch)
@@ -47,6 +49,7 @@ from repro.optimizer.plans import PlanNode
 from repro.storage.accounting import IOContext
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (session -> runner)
+    from repro.core.feedback import FeedbackStore
     from repro.session import Session
 
 #: Canonical stage order (every trace lists all seven, in this order).
@@ -292,6 +295,7 @@ class QueryLifecycle:
             trace=trace,
             exec_mode=exec_mode,
             cancellation=cancellation,
+            feedback=self.session.feedback if use_feedback else None,
         )
 
     def run_plan(
@@ -306,6 +310,7 @@ class QueryLifecycle:
         exec_mode: str = DEFAULT_EXEC_MODE,
         cancellation: Optional[CancellationToken] = None,
         watchdog: Optional[ExecutionWatchdog] = None,
+        feedback: Optional["FeedbackStore"] = None,
     ) -> ExecutedQuery:
         """Execute a specific plan with monitors (stages 5–7 only).
 
@@ -320,12 +325,19 @@ class QueryLifecycle:
         can never bump the feedback store's epoch.  ``watchdog`` is the
         reopt regret watchdog: it is attached to the built operator tree
         (so it sees exactly the monitor bundles the run feeds) and then
-        observes every execution checkpoint.
+        observes every execution checkpoint.  ``feedback`` is the store
+        the plan was costed from, if it was: requests its records already
+        answer with the instrument this run would attach are served from
+        it rather than monitored (:func:`~repro.core.planner.build_executable`).
         """
         session = self.session
         trace = trace if trace is not None else LifecycleTrace()
         build = build_executable(
-            plan_node, session.database, list(requests), session.monitor_config
+            plan_node,
+            session.database,
+            list(requests),
+            session.monitor_config,
+            feedback=feedback,
         )
         # Formatted here, not on first read: a deferred detail would keep
         # the whole operator tree alive for as long as the trace is.
@@ -343,6 +355,7 @@ class QueryLifecycle:
             cancellation=cancellation,
             watchdog=watchdog,
         )
+        result.runstats.observations.extend(build.served)
         result.runstats.observations.extend(build.unanswerable)
         num_rows = len(result.rows)
         physical_reads = result.runstats.physical_reads

@@ -188,6 +188,7 @@ def run_with_reopt(
             exec_mode=exec_mode,
             cancellation=token,
             watchdog=watchdog,
+            feedback=session.feedback if use_feedback else None,
         )
         episode = ReoptEpisode(
             executed=executed,
@@ -278,6 +279,8 @@ def run_with_reopt(
             "ok",
             f"from the top under {new_plan.describe()}",
         )
+        # The replan was costed from the store; its partial lower bounds
+        # are never served.
         executed = lifecycle.run_plan(
             query,
             new_plan,
@@ -287,6 +290,7 @@ def run_with_reopt(
             remember=remember,
             trace=trace,
             exec_mode=exec_mode,
+            feedback=session.feedback,
         )
         episode.final_plan = new_plan
 

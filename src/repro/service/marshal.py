@@ -15,11 +15,14 @@ Three payload families:
   against a bit-identical copy;
 * **observations** — a harvested
   :class:`~repro.core.requests.PageCountObservation` flattens to
-  ``{key, table, mechanism, estimate, exact, answered, reason}`` and
-  reconstitutes into an observation the coordinator's
+  ``{key, table, mechanism, estimate, exact, answered, reason,
+  instrument}`` (the instrument fingerprint as a JSON string, or null)
+  and reconstitutes into an observation the coordinator's
   :meth:`~repro.core.feedback.FeedbackStore.record_observations` folds
   in bit-identically to an in-process harvest (same key, same estimate,
-  same exactness, same mechanism string, same table-epoch tagging);
+  same exactness, same mechanism string, same instrument, same
+  table-epoch tagging); an entry without an instrument files a record
+  no run is ever served from;
 * **query/reply envelopes** — built inline by the pool and the child
   loop (:mod:`repro.service.workers` / ``worker_main``); this module
   only owns the parts both sides must agree on byte for byte.
@@ -28,11 +31,13 @@ Three payload families:
 from __future__ import annotations
 
 import importlib
+import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence, cast
 
 from repro.common.errors import WorkerError
 from repro.core.requests import (
+    InstrumentFingerprint,
     Mechanism,
     PageCountObservation,
     PageCountRequest,
@@ -118,6 +123,11 @@ def marshal_observations(
                 "exact": obs.exact,
                 "answered": obs.answered,
                 "reason": obs.reason,
+                "instrument": (
+                    json.dumps(obs.instrument.to_json(), sort_keys=True)
+                    if obs.instrument is not None
+                    else None
+                ),
             }
         )
     return payload
@@ -138,6 +148,7 @@ def unmarshal_observations(
     observations = []
     for entry in payload:
         try:
+            instrument = entry.get("instrument")
             observations.append(
                 PageCountObservation(
                     request=cast(
@@ -152,9 +163,14 @@ def unmarshal_observations(
                     exact=bool(entry["exact"]),
                     answered=bool(entry["answered"]),
                     reason=str(entry.get("reason", "")),
+                    instrument=(
+                        InstrumentFingerprint.from_json(json.loads(instrument))
+                        if instrument is not None
+                        else None
+                    ),
                 )
             )
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise WorkerError(
                 f"malformed wire observation {dict(entry)!r}: {exc}"
             ) from exc

@@ -13,7 +13,7 @@ import datetime
 from contextlib import nullcontext
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.catalog import ColumnDef, Database, IndexDef, TableSchema
 from repro.common.types import RID, PageId
@@ -24,6 +24,7 @@ from repro.storage.accounting import IOContext
 BACKENDS = {"numpy": nullcontext, "python": vector.use_python_backend}
 if not vector.HAVE_NUMPY:
     del BACKENDS["numpy"]
+FAST = "numpy" if vector.HAVE_NUMPY else "python"
 
 SCHEMA = TableSchema(
     "m",
@@ -76,6 +77,19 @@ def assert_plain(rows):
     clustered=st.booleans(),
     build=st.sampled_from(sorted(BACKENDS)),
     read=st.sampled_from(sorted(BACKENDS)),
+)
+# Ints in [2**63, 2**64) beside int64 ones: NumPy would make the column float64.
+@example(
+    rows=[(0, 0, None, None, None), (0, 2**63, None, None, None)],
+    clustered=False,
+    build=FAST,
+    read=FAST,
+)
+@example(
+    rows=[(0, 0, None, None, None), (0, 2**63 + 1, None, None, None)],
+    clustered=True,
+    build=FAST,
+    read="python",
 )
 def test_every_read_path_returns_the_loaded_rows(rows, clustered, build, read):
     with BACKENDS[build]():
