@@ -9,8 +9,6 @@ spectrum: linear counting (observes every row, one hash each) vs. GEE and
 AE over a reservoir sample of the same stream.
 """
 
-import pytest
-
 from benchmarks.conftest import run_once
 from repro.core.ae_estimator import AEEstimator, GEEEstimator, reservoir_sample
 from repro.core.probabilistic import LinearCounter

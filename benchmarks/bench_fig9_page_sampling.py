@@ -15,7 +15,6 @@ predicts our error at repro scale), so the bench also prints the bound.
 from benchmarks.conftest import run_once
 from repro.core.dpsample import dpsample_error_bound
 from repro.harness import run_fig9
-from repro.harness.reporting import percent
 
 
 def test_fig9_page_sampling(benchmark):

@@ -47,7 +47,6 @@ from repro.common.errors import AnalysisError, CatalogError, ExpressionError
 from repro.optimizer.injection import InjectionSet
 from repro.optimizer.plans import (
     ClusteredRangeScanPlan,
-    CountPlan,
     CoveringScanPlan,
     HashJoinPlan,
     IndexIntersectionPlan,

@@ -7,11 +7,7 @@ from repro.core.ae_estimator import (
     frequency_profile,
     reservoir_sample,
 )
-from repro.core.bitvector import (
-    BitVectorFilter,
-    PartialBitVectorFilter,
-    recommended_bitvector_bits,
-)
+from repro.core.bitvector import BitVectorFilter, PartialBitVectorFilter
 from repro.core.clustering import (
     ClusteringMeasurement,
     clustering_ratio,
@@ -89,7 +85,6 @@ __all__ = [
     "measure_clustering",
     "recommend_hint",
     "recommended_bitmap_bits",
-    "recommended_bitvector_bits",
     "reservoir_sample",
     "satisfies",
 ]

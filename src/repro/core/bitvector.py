@@ -171,20 +171,3 @@ class PartialBitVectorFilter(BitVectorFilter):
     def insert_all(self, values: Iterable[Any]) -> None:
         for value in values:
             self.insert(value)
-
-
-def recommended_bitvector_bits(
-    expected_distinct_build_values: int, headroom: float = 1.25
-) -> int:
-    """Width at which collisions (hence overestimation) become negligible.
-
-    With one hash function, ``bits >= distinct values`` eliminates false
-    positives only in expectation; a small headroom keeps the expected
-    collision-induced overestimation to a few percent, matching the
-    "relatively small number of bits" observation in §IV.
-    """
-    if expected_distinct_build_values < 0:
-        raise MonitorError("expected_distinct_build_values must be non-negative")
-    if headroom < 1.0:
-        raise MonitorError(f"headroom must be >= 1.0, got {headroom}")
-    return max(64, int(expected_distinct_build_values * headroom))

@@ -37,7 +37,7 @@ the measured monitoring overhead decomposes exactly as in Figs. 7 and 9.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import compress
 from operator import and_
 from typing import Any, Optional, Sequence
@@ -54,7 +54,6 @@ from repro.core.requests import (
     PageCountRequest,
 )
 from repro.sql.evaluator import TermOutcome
-from repro.sql.predicates import AtomicPredicate, Conjunction
 from repro.storage.accounting import IOContext
 from repro.storage.btree import BTreeIndex
 
@@ -522,8 +521,8 @@ class _FetchEntry:
     #: positions (in the fetch residual's term order) that must be TRUE for
     #: the fetched row to witness the request; guaranteed terms excluded.
     term_indexes: tuple[int, ...]
-    counter: LinearCounter = field(default_factory=lambda: LinearCounter(64))
-    instrument: Optional[InstrumentFingerprint] = None
+    counter: LinearCounter
+    instrument: InstrumentFingerprint
 
     def observe(self, page_id: PageId, truth: tuple, io: IOContext) -> None:
         for index in self.term_indexes:
@@ -550,15 +549,15 @@ class FetchMonitorBundle:
         self,
         request: PageCountRequest,
         term_indexes: Sequence[int],
-        num_bits: int,
-        seed: int = 0,
-        instrument: Optional[InstrumentFingerprint] = None,
+        instrument: InstrumentFingerprint,
     ) -> None:
+        """Count ``request`` on a linear counter built from ``instrument``
+        (its bitmap width and hash seed)."""
         self._entries.append(
             _FetchEntry(
                 request=request,
                 term_indexes=tuple(term_indexes),
-                counter=LinearCounter(num_bits, seed=seed),
+                counter=LinearCounter(instrument.bits, seed=instrument.seed),
                 instrument=instrument,
             )
         )

@@ -36,11 +36,14 @@ index and answers none.
 Requests nothing can observe come back as explicit *unanswerable*
 observations — a diagnostic, never a fabricated number.
 
+Each attach site names its instrument once
+(:class:`~repro.core.requests.InstrumentFingerprint`, from
+:meth:`_Instrumentation.instrument`) and builds its monitor from that
+fingerprint: the counter width, sampler fraction and seed are read off it.
 A build handed the feedback store its plan was costed from attaches no
-monitor that would only reproduce a remembered count: each site names the
-instrument it would attach (:class:`~repro.core.requests.InstrumentFingerprint`),
-and a complete record that instrument measured is served as a
-pre-resolved observation instead (:meth:`_Instrumentation.serve`).
+monitor that would only reproduce a remembered count:
+:meth:`_Instrumentation.attach` serves a complete record the same
+instrument measured as a pre-resolved observation, and claims the rest.
 
 The same walk also builds the executable operators, so instrumentation can
 never disagree with the plan that actually runs ("none of our mechanisms
@@ -56,11 +59,7 @@ from typing import TYPE_CHECKING, Any, Optional
 from repro.catalog.catalog import Database
 from repro.common.errors import MonitorError
 from repro.common.rng import derive_seed
-from repro.core.bitvector import (
-    BitVectorFilter,
-    PartialBitVectorFilter,
-    recommended_bitvector_bits,
-)
+from repro.core.bitvector import BitVectorFilter, PartialBitVectorFilter
 from repro.core.dpsample import BernoulliPageSampler
 from repro.core.monitors import FetchMonitorBundle, LeafPageMonitor, ScanMonitorBundle
 from repro.core.requests import (
@@ -104,24 +103,13 @@ if TYPE_CHECKING:
 
 @dataclass
 class MonitorConfig:
-    """Knobs of the monitoring mechanisms (paper defaults in comments)."""
+    """Knobs of the monitoring mechanisms."""
 
     #: Bernoulli page-sampling fraction for DPSample (paper: 1% at 1.45M
     #: pages; we default higher because repro-scale tables are small and
     #: the absolute sampled-page counts would otherwise be tiny).
     dpsample_fraction: float = 0.2
-    #: Linear-counting bitmap size; ``None`` -> one bit per table page
-    #: (min 256).  The paper needs "much less than one bit per page"; the
-    #: ablation bench sweeps this.
-    linear_counter_bits: Optional[int] = None
-    #: Bit-vector filter width; ``None`` -> the build table's row count
-    #: (identity-mod placement over a dense key domain is then exact).
-    bitvector_bits: Optional[int] = None
-    #: Allow turning short-circuiting off on a whole fetch stream so
-    #: non-prefix expressions become answerable on index plans.  Off by
-    #: default: the paper does not do this (§II-B reports such requests as
-    #: not obtainable).
-    allow_fetch_full_evaluation: bool = False
+    #: Root of every sampler seed and of the counters' hash seed.
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -239,8 +227,13 @@ class _Instrumentation:
                 )
         return matches
 
-    def claim(self, request_id: int) -> None:
-        self.claimed.add(request_id)
+    def refuse(
+        self, table: str, join_predicate: JoinEquality, kind: type, reason: str
+    ) -> None:
+        """Fail every ``kind`` request whose inner is ``table``: the join
+        reads that side in a way that cannot measure it."""
+        for rid, _request in self.join_requests_for(table, join_predicate, kind):
+            self.fail(rid, reason)
 
     def fail(self, request_id: int, reason: str) -> None:
         """Record why an operator could not answer a request.
@@ -255,12 +248,30 @@ class _Instrumentation:
         mechanism: Mechanism,
         tables: tuple[str, ...],
         sampled_with: Optional[int] = None,
-        bits: Optional[int] = None,
         scope: str = "",
     ) -> InstrumentFingerprint:
-        """The fingerprint of a monitor about to be attached: ``tables``
-        are the tables its key reads (both sides of a join),
-        ``sampled_with`` the seed of the DPSample sampler it counts on."""
+        """The monitor about to be attached, named: ``tables`` are the
+        tables its key reads (the counted one first; both sides of a
+        join), ``sampled_with`` the seed of the DPSample sampler it counts
+        on.  The monitor is built from the result, so what is served and
+        what would be measured cannot disagree.
+
+        Widths are per mechanism.  A linear-counting bitmap has one bit
+        per page of the counted table (min 256); the paper needs "much
+        less than one bit per page".  A bit-vector filter covers the
+        larger of the two tables' row counts (min 1024): integer join
+        keys use identity-mod placement, so covering the join-key domain
+        (which either side may define — a small driver table can still
+        carry keys from the big table's id space) makes the vector
+        collision-free at ~1 bit per row — the "modest size (less than 1%
+        of the table size)" of §IV.
+        """
+        rows = {name: self.database.table(name).num_rows for name in tables}
+        bits: Optional[int] = None
+        if mechanism is Mechanism.LINEAR_COUNTING:
+            bits = max(256, self.database.table(tables[0]).num_pages)
+        elif mechanism is Mechanism.BITVECTOR_DPSAMPLE:
+            bits = max(1024, *rows.values())
         sampled = sampled_with is not None
         return InstrumentFingerprint(
             mechanism,
@@ -270,27 +281,32 @@ class _Instrumentation:
             sampled_with if sampled else (self.config.seed if bits else None),
             bits,
             scope,
-            tuple(sorted({(name, self.database.table(name).num_rows) for name in tables})),
+            tuple(sorted(rows.items())),
         )
 
-    def serve(
-        self, request_id: int, request: PageCountRequest, instrument: InstrumentFingerprint
-    ) -> bool:
-        """Claim a request with its remembered count when ``instrument``
-        measured that count: attaching it would reproduce the record bit
-        for bit.  Returns whether the request was served."""
-        if self.feedback is None:
-            return False
-        observation = self.feedback.remembered(request, instrument)
-        if observation is None:
-            return False
-        self.served.append(observation)
-        self.claim(request_id)
-        return True
+    def attach(
+        self, matches: list[tuple], instrument: InstrumentFingerprint
+    ) -> list[tuple]:
+        """Claim every ``(request id, request, ...)`` item of ``matches``.
 
-    def sampler(self, seed: int) -> BernoulliPageSampler:
-        """A DPSample page sampler at the configured fraction."""
-        return BernoulliPageSampler(self.config.dpsample_fraction, seed=seed)
+        An item whose complete record ``instrument`` measured is served
+        from it — attaching the instrument would reproduce the record bit
+        for bit; the rest are returned unchanged, for the caller to attach
+        ``instrument`` to.
+        """
+        live = []
+        for item in matches:
+            observation = (
+                None
+                if self.feedback is None
+                else self.feedback.remembered(item[1], instrument)
+            )
+            if observation is None:
+                live.append(item)
+            else:
+                self.served.append(observation)
+            self.claimed.add(item[0])
+        return live
 
     def sampler_seed(self, *context: object) -> int:
         """Per-scan sampler seed.
@@ -302,30 +318,6 @@ class _Instrumentation:
         the same query stays exactly reproducible.
         """
         return _sampler_seed(self.config.seed, context)
-
-    def linear_bits(self, table_name: str) -> int:
-        if self.config.linear_counter_bits is not None:
-            return self.config.linear_counter_bits
-        pages = self.database.table(table_name).num_pages
-        return max(256, pages)
-
-    def bitvector_bits(self, build_table: str, probe_table: str) -> int:
-        """Width of a join bit-vector filter.
-
-        Defaults to the larger of the two tables' row counts: integer
-        join keys use identity-mod placement, so covering the join-key
-        domain (which either side may define — a small driver table can
-        still carry keys from the big table's id space) makes the vector
-        collision-free at ~1 bit per row — the "modest size (less than 1%
-        of the table size)" of §IV.
-        """
-        if self.config.bitvector_bits is not None:
-            return self.config.bitvector_bits
-        rows = max(
-            self.database.table(build_table).num_rows,
-            self.database.table(probe_table).num_rows,
-        )
-        return max(1024, rows)
 
     def leftovers(self) -> list[PageCountObservation]:
         observations = []
@@ -377,6 +369,22 @@ def _range_scope(terms: tuple[AtomicPredicate, ...]) -> str:
     """The clustered range a scan seeks ("" for a full scan): with the
     seed, it fixes the page sequence the scan's sampler draws over."""
     return " AND ".join(term.key() for term in terms)
+
+
+def _sampler(instrument: InstrumentFingerprint) -> BernoulliPageSampler:
+    """The DPSample page sampler a sampled ``instrument`` counts on."""
+    return BernoulliPageSampler(instrument.fraction, seed=instrument.seed)
+
+
+def _extend_terms(
+    monitor_terms: list[AtomicPredicate], terms: tuple[AtomicPredicate, ...]
+) -> tuple[int, ...]:
+    """Append the ``terms`` the monitor conjunction lacks (after the query
+    terms, monitoring only); their positions in it."""
+    for term in terms:
+        if term not in monitor_terms:
+            monitor_terms.append(term)
+    return tuple(monitor_terms.index(term) for term in terms)
 
 
 def _plan_scan_monitoring(
@@ -433,88 +441,56 @@ def _plan_scan_monitoring(
             sampled_with=seed,
             scope=_range_scope(guaranteed_terms),
         )
-    monitor_terms = list(query_conjunction.terms)
-    existing = set(monitor_terms)
-    live: list[tuple[int, AccessPathRequest, tuple[int, ...], bool]] = []
-    for rid, request, effective, exact in accepted:
-        if state.serve(rid, request, instruments[exact]):
-            continue
-        for term in effective:
-            if term not in existing:
-                monitor_terms.append(term)
-                existing.add(term)
-        live.append((rid, request, tuple(monitor_terms.index(t) for t in effective), exact))
-
+    # One item at a time: the two instruments' requests keep their order.
+    live = [item for item in accepted if state.attach([item], instruments[item[3]])]
     if not live:
         return None, query_conjunction, seed
     bundle = ScanMonitorBundle(
         table_name=table_name,
         query_term_count=len(query_conjunction),
-        sampler=state.sampler(seed) if seed is not None else None,
+        sampler=_sampler(instruments[False]) if seed is not None else None,
     )
-    for rid, request, term_indexes, exact in live:
-        bundle.add_expression_request(request, term_indexes, exact, instruments[exact])
-        state.claim(rid)
+    monitor_terms = list(query_conjunction.terms)
+    for _rid, request, effective, exact in live:
+        bundle.add_expression_request(
+            request, _extend_terms(monitor_terms, effective), exact, instruments[exact]
+        )
     return bundle, Conjunction(tuple(monitor_terms)), seed
-
-
-def _join_seed(
-    state: _Instrumentation,
-    scan_operator: Operator,
-    table_name: str,
-    query_term_count: int,
-) -> int:
-    """The seed of the sampler a join's bit-vector requests on this scan
-    draw with: the one the scan's sampled access requests chose, else one
-    derived from the scan's identity."""
-    seed = state.scan_seeds.get(id(scan_operator))
-    if seed is None:
-        seed = state.sampler_seed(
-            table_name, query_term_count, scan_operator.stats.detail
-        )
-    return seed
-
-
-def _ensure_scan_bundle(
-    state: _Instrumentation,
-    scan_operator: Operator,
-    table_name: str,
-    query_term_count: int,
-    seed: int,
-) -> ScanMonitorBundle:
-    """Get (or create) the scan's bundle so a join can add a bit-vector
-    request; creates a sampler seeded ``seed`` if the bundle lacks one."""
-    bundle: Optional[ScanMonitorBundle] = getattr(scan_operator, "bundle", None)
-    if bundle is None:
-        bundle = ScanMonitorBundle(
-            table_name=table_name,
-            query_term_count=query_term_count,
-            sampler=state.sampler(seed),
-        )
-        scan_operator.bundle = bundle
-    elif bundle.sampler is None:
-        bundle.sampler = state.sampler(seed)
-    return bundle
 
 
 # ----------------------------------------------------------------------
 # Fetch instrumentation helpers
 # ----------------------------------------------------------------------
+def _fetch_bundle(
+    table_name: str,
+    instrument: InstrumentFingerprint,
+    entries: list[tuple[PageCountRequest, tuple[int, ...]]],
+) -> Optional[FetchMonitorBundle]:
+    """One linear counter built from ``instrument`` per ``(request, term
+    indexes)`` entry, over ``table_name``'s fetch stream; None if none."""
+    if not entries:
+        return None
+    bundle = FetchMonitorBundle(table_name)
+    for request, term_indexes in entries:
+        bundle.add_request(request, term_indexes, instrument)
+    return bundle
+
+
 def _plan_fetch_monitoring(
     state: _Instrumentation,
     table_name: str,
     guaranteed_terms: tuple[AtomicPredicate, ...],
     residual: Conjunction,
     plan_label: str,
-) -> tuple[Optional[FetchMonitorBundle], bool]:
+) -> Optional[FetchMonitorBundle]:
     """Decide fetch-side monitoring (index seek / intersection plans).
 
-    Returns the bundle (or None) and whether the fetch must evaluate its
-    residual without short-circuiting.
+    The fetch evaluates its residual short-circuited, so only a request
+    whose remaining terms are a prefix of it is witnessed on every row.
     """
     candidates = state.access_requests_for(table_name)
     guaranteed = set(guaranteed_terms)
-    accepted: list[tuple[int, AccessPathRequest, tuple[int, ...], bool]] = []
+    accepted: list[tuple[int, AccessPathRequest, tuple[int, ...]]] = []
 
     for rid, request in candidates:
         if not guaranteed <= set(request.expression.terms):
@@ -535,46 +511,24 @@ def _plan_fetch_monitoring(
                 f"the {plan_label}'s fetch does not evaluate terms {missing}",
             )
             continue
-        is_prefix = Conjunction(effective).is_prefix_of(residual)
-        if not is_prefix and not state.config.allow_fetch_full_evaluation:
+        if not Conjunction(effective).is_prefix_of(residual):
             state.fail(
                 rid,
-                "requested terms are not a prefix of the fetch residual; "
-                "enable allow_fetch_full_evaluation to monitor it anyway",
+                "requested terms are not a prefix of the fetch residual, "
+                "which is evaluated short-circuited; not obtainable from "
+                "this plan (§II-B)",
             )
             continue
         term_indexes = tuple(residual.terms.index(t) for t in effective)
-        accepted.append((rid, request, term_indexes, is_prefix))
+        accepted.append((rid, request, term_indexes))
 
     if not accepted:
-        return None, False
-    bits = state.linear_bits(table_name)
-    instrument = _linear_counting(state, bits, table_name)
-    live = [item for item in accepted if not state.serve(item[0], item[1], instrument)]
-    if not live:
-        return None, False
-
-    bundle = FetchMonitorBundle(table_name)
-    needs_full = False
-    for rid, request, term_indexes, is_prefix in live:
-        bundle.add_request(
-            request,
-            term_indexes,
-            num_bits=bits,
-            seed=state.config.seed,
-            instrument=instrument,
-        )
-        state.claim(rid)
-        if not is_prefix:
-            needs_full = True
-    return bundle, needs_full
-
-
-def _linear_counting(
-    state: _Instrumentation, bits: int, *tables: str
-) -> InstrumentFingerprint:
-    """A fetch stream's linear counter: its width (and hash seed)."""
-    return state.instrument(Mechanism.LINEAR_COUNTING, tables, bits=bits)
+        return None
+    instrument = state.instrument(Mechanism.LINEAR_COUNTING, (table_name,))
+    live = state.attach(accepted, instrument)
+    return _fetch_bundle(
+        table_name, instrument, [(request, indexes) for _rid, request, indexes in live]
+    )
 
 
 # ----------------------------------------------------------------------
@@ -592,33 +546,27 @@ def _plan_leaf_monitoring(
     ``inner_table`` under ``outer_filter`` names; a request naming another
     index is failed with ``refusal`` (``{index}`` filled in).
     """
-    grouped: dict[str, list[IndexLeafRequest]] = {}
-    requests = state.join_requests_under(
+    matches = []
+    for rid, request in state.join_requests_under(
         inner_table, join_predicate, outer_filter, IndexLeafRequest
-    )
-    if not requests:
+    ):
+        if request.index_name in readable:
+            matches.append((rid, request))
+        else:
+            state.fail(rid, refusal.format(index=request.index_name))
+    if not matches:
         return []
     instrument = state.instrument(
         Mechanism.LEAF_BITMAP, (inner_table, join_predicate.other_table(inner_table))
     )
-    for rid, request in requests:
-        if request.index_name not in readable:
-            state.fail(rid, refusal.format(index=request.index_name))
-        elif not state.serve(rid, request, instrument):
-            grouped.setdefault(request.index_name, []).append(request)
-            state.claim(rid)
+    grouped: dict[str, list[IndexLeafRequest]] = {}
+    for _rid, request in state.attach(matches, instrument):
+        grouped.setdefault(request.index_name, []).append(request)
     table = state.database.table(inner_table)
     return [
         LeafPageMonitor(table.index(index_name), group, instrument)
         for index_name, group in grouped.items()
     ]
-
-
-def _fail_leaf_requests(
-    state: _Instrumentation, table: str, join_predicate: JoinEquality, reason: str
-) -> None:
-    for rid, _request in state.join_requests_for(table, join_predicate, IndexLeafRequest):
-        state.fail(rid, reason)
 
 
 # ----------------------------------------------------------------------
@@ -663,7 +611,7 @@ def _build(plan: PlanNode, state: _Instrumentation) -> Operator:
     elif isinstance(plan, CoveringScanPlan):
         operator = _build_covering(plan, state)
     elif isinstance(plan, IndexSeekPlan):
-        bundle, needs_full = _plan_fetch_monitoring(
+        bundle = _plan_fetch_monitoring(
             state,
             plan.table,
             guaranteed_terms=(plan.seek_term,),
@@ -679,10 +627,9 @@ def _build(plan: PlanNode, state: _Instrumentation) -> Operator:
             low_inclusive=plan.low_inclusive,
             high_inclusive=plan.high_inclusive,
             bundle=bundle,
-            monitor_full_eval=needs_full,
         )
     elif isinstance(plan, InListSeekPlan):
-        bundle, needs_full = _plan_fetch_monitoring(
+        bundle = _plan_fetch_monitoring(
             state,
             plan.table,
             guaranteed_terms=(plan.in_term,),
@@ -695,11 +642,10 @@ def _build(plan: PlanNode, state: _Instrumentation) -> Operator:
             values=plan.in_term.values,
             residual=plan.residual,
             bundle=bundle,
-            monitor_full_eval=needs_full,
         )
     elif isinstance(plan, IndexIntersectionPlan):
         guaranteed = tuple(leg.seek_term for leg in plan.legs)
-        bundle, needs_full = _plan_fetch_monitoring(
+        bundle = _plan_fetch_monitoring(
             state,
             plan.table,
             guaranteed_terms=guaranteed,
@@ -720,7 +666,6 @@ def _build(plan: PlanNode, state: _Instrumentation) -> Operator:
             ],
             residual=plan.residual,
             bundle=bundle,
-            monitor_full_eval=needs_full,
         )
     elif isinstance(plan, INLJoinPlan):
         operator = _build_inl(plan, state)
@@ -739,55 +684,35 @@ def _build_covering(plan: CoveringScanPlan, state: _Instrumentation) -> Operator
     table = state.database.table(plan.table)
     index = table.index(plan.index_name)
     carried = set(index.definition.carried_columns())
-    candidates = state.access_requests_for(plan.table)
-
-    bits = state.linear_bits(plan.table)
-    instrument = _linear_counting(state, bits, plan.table)
-    monitor_terms = list(plan.predicate.terms)
-    existing = set(monitor_terms)
-    live: list[tuple[int, AccessPathRequest, tuple[int, ...], bool]] = []
-    for rid, request in candidates:
+    accepted = []
+    for rid, request in state.access_requests_for(plan.table):
         outside = [c for c in request.expression.columns() if c not in carried]
         if outside:
             state.fail(
                 rid,
                 f"covering index {plan.index_name} does not carry columns {outside}",
             )
-            continue
-        if state.serve(rid, request, instrument):
-            continue
-        for term in request.expression.terms:
-            if term not in existing:
-                monitor_terms.append(term)
-                existing.add(term)
-        term_indexes = tuple(
-            monitor_terms.index(t) for t in request.expression.terms
-        )
-        is_prefix = request.expression.is_prefix_of(plan.predicate)
-        live.append((rid, request, term_indexes, is_prefix))
+        else:
+            accepted.append((rid, request))
 
-    bundle = None
-    needs_full = False
-    if live:
-        bundle = FetchMonitorBundle(plan.table)
-        for rid, request, term_indexes, is_prefix in live:
-            bundle.add_request(
-                request,
-                term_indexes,
-                num_bits=bits,
-                seed=state.config.seed,
-                instrument=instrument,
-            )
-            state.claim(rid)
-            if not is_prefix:
-                needs_full = True
+    instrument = state.instrument(Mechanism.LINEAR_COUNTING, (plan.table,))
+    live = [request for _rid, request in state.attach(accepted, instrument)]
+    monitor_terms = list(plan.predicate.terms)
+    entries = [
+        (request, _extend_terms(monitor_terms, request.expression.terms))
+        for request in live
+    ]
     return CoveringIndexScan(
         table,
         plan.index_name,
         plan.predicate,
-        bundle=bundle,
+        bundle=_fetch_bundle(plan.table, instrument, entries),
         monitor_conjunction=Conjunction(tuple(monitor_terms)),
-        monitor_full_eval=needs_full,
+        # The scan reads every entry, so a non-prefix request is answered
+        # by evaluating the whole conjunction on each.
+        monitor_full_eval=any(
+            not request.expression.is_prefix_of(plan.predicate) for request in live
+        ),
     )
 
 
@@ -799,22 +724,16 @@ def _build_inl(plan: INLJoinPlan, state: _Instrumentation) -> Operator:
     )
     bundle = None
     if matches:
-        bits = state.linear_bits(plan.inner_table)
-        instrument = _linear_counting(state, bits, plan.inner_table, plan.outer_table)
-        matches = [
-            (rid, request)
-            for rid, request in matches
-            if not state.serve(rid, request, instrument)
-        ]
-    if matches:
-        bundle = FetchMonitorBundle(plan.inner_table)
-        for rid, request in matches:
-            # Every fetched inner row satisfies the join predicate by
-            # construction: no residual terms needed (term_indexes empty).
-            bundle.add_request(
-                request, (), num_bits=bits, seed=state.config.seed, instrument=instrument
-            )
-            state.claim(rid)
+        instrument = state.instrument(
+            Mechanism.LINEAR_COUNTING, (plan.inner_table, plan.outer_table)
+        )
+        # Every fetched inner row satisfies the join predicate by
+        # construction: no residual terms needed (term_indexes empty).
+        bundle = _fetch_bundle(
+            plan.inner_table,
+            instrument,
+            [(request, ()) for _rid, request in state.attach(matches, instrument)],
+        )
     leaf_monitors = _plan_leaf_monitoring(
         state,
         plan.inner_table,
@@ -841,14 +760,6 @@ def _build_inl(plan: INLJoinPlan, state: _Instrumentation) -> Operator:
     )
 
 
-def _join_scope(join: str, scan: PlanNode) -> str:
-    """A bit vector's scope: the join (and filter mode) that fills it and
-    the clustered range of the scan it samples, if any."""
-    if isinstance(scan, ClusteredRangeScanPlan):
-        return f"{join} | {_range_scope((scan.range_term,))}"
-    return join
-
-
 def _scan_query_conjunction(plan: PlanNode) -> Optional[Conjunction]:
     """The scan-side conjunction of a scan-shaped plan node, else None."""
     if isinstance(plan, SeqScanPlan):
@@ -858,24 +769,72 @@ def _scan_query_conjunction(plan: PlanNode) -> Optional[Conjunction]:
     return None
 
 
+def _attach_bitvector(
+    state: _Instrumentation,
+    matches: list[tuple[int, JoinMethodRequest]],
+    scan: PlanNode,
+    scan_operator: Operator,
+    join_predicate: JoinEquality,
+    filter_class: type[BitVectorFilter],
+    join: str,
+) -> Optional[BitVectorFilter]:
+    """Answer the join requests in ``matches`` on the sampled pages of
+    ``scan`` (a scan-shaped plan node, built as ``scan_operator``), through
+    one ``filter_class`` bit vector the ``join`` fills from its other side
+    (Fig. 5, §IV).  Returns the filter for the join to fill, or None when
+    every request was served."""
+    table_name = scan.table
+    query_term_count = len(_scan_query_conjunction(scan))
+    # The seed the scan's sampled access requests chose, served or not,
+    # else one derived from the scan's identity.
+    seed = state.scan_seeds.get(id(scan_operator))
+    if seed is None:
+        seed = state.sampler_seed(
+            table_name, query_term_count, scan_operator.stats.detail
+        )
+    scope = join
+    if isinstance(scan, ClusteredRangeScanPlan):
+        scope = f"{join} | {_range_scope((scan.range_term,))}"
+    instrument = state.instrument(
+        Mechanism.BITVECTOR_DPSAMPLE,
+        (table_name, join_predicate.other_table(table_name)),
+        sampled_with=seed,
+        scope=scope,
+    )
+    live = state.attach(matches, instrument)
+    if not live:
+        return None
+    # Hashed with the config seed, like every other monitor hash.
+    bitvector = filter_class(instrument.bits, seed=state.config.seed)
+    schema = state.database.table(table_name).schema
+    column_position = schema.position(join_predicate.column_for(table_name))
+    bundle: Optional[ScanMonitorBundle] = getattr(scan_operator, "bundle", None)
+    if bundle is None:
+        bundle = ScanMonitorBundle(table_name, query_term_count, _sampler(instrument))
+        scan_operator.bundle = bundle
+    elif bundle.sampler is None:
+        bundle.sampler = _sampler(instrument)
+    for _rid, request in live:
+        bundle.add_bitvector_request(request, column_position, bitvector, instrument)
+    return bitvector
+
+
 def _build_hash(plan: HashJoinPlan, state: _Instrumentation) -> Operator:
     matches = state.join_requests_under(
         plan.probe_table, plan.join_predicate, plan.build_filter
     )
-    build_side_requests = state.join_requests_for(
-        plan.build_table, plan.join_predicate
-    )
-    for rid, _request in build_side_requests:
-        state.fail(
-            rid,
-            f"the current Hash Join builds on {plan.build_table}; a bit "
-            "vector for that side cannot exist before its scan, so its "
-            "join DPC is not obtainable from this plan",
-        )
-    _fail_leaf_requests(
-        state,
+    state.refuse(
         plan.build_table,
         plan.join_predicate,
+        JoinMethodRequest,
+        f"the current Hash Join builds on {plan.build_table}; a bit "
+        "vector for that side cannot exist before its scan, so its "
+        "join DPC is not obtainable from this plan",
+    )
+    state.refuse(
+        plan.build_table,
+        plan.join_predicate,
+        IndexLeafRequest,
         f"the current Hash Join builds on {plan.build_table}; only its build "
         f"keys are located, in {plan.probe_table}'s index",
     )
@@ -890,16 +849,14 @@ def _build_hash(plan: HashJoinPlan, state: _Instrumentation) -> Operator:
         f"{plan.probe_table} has no index {{index}} on {probe_column} to "
         "locate the build keys in",
     )
-
-    probe_conjunction = _scan_query_conjunction(plan.probe)
-    bitvector: Optional[BitVectorFilter] = None
-    if matches and probe_conjunction is None:
+    if matches and _scan_query_conjunction(plan.probe) is None:
         for rid, _request in matches:
             state.fail(
                 rid,
                 "the probe side of the current Hash Join is not a scan; "
                 "bit-vector DPSample monitoring needs a probe-side scan",
             )
+        matches = []
     build_operator = _build(plan.build, state)
     probe_operator = _build(plan.probe, state)
     if isinstance(probe_operator, (SeqScan, ClusteredRangeScan)):
@@ -908,39 +865,22 @@ def _build_hash(plan: HashJoinPlan, state: _Instrumentation) -> Operator:
         # it probes is complete before the first one is pulled.  (The
         # build side wants every row as a tuple and receives row tuples.)
         probe_operator.parent_consumes_columns = True
-    if matches and probe_conjunction is not None:
-        seed = _join_seed(
-            state, probe_operator, plan.probe_table, len(probe_conjunction)
+    bitvector = None
+    if matches:
+        bitvector = _attach_bitvector(
+            state,
+            matches,
+            plan.probe,
+            probe_operator,
+            plan.join_predicate,
+            BitVectorFilter,
+            "hash join",
         )
-        bits = state.bitvector_bits(plan.build_table, plan.probe_table)
-        instrument = state.instrument(
-            Mechanism.BITVECTOR_DPSAMPLE,
-            (plan.probe_table, plan.build_table),
-            sampled_with=seed,
-            bits=bits,
-            scope=_join_scope("hash join", plan.probe),
-        )
-        live = [
-            (rid, request)
-            for rid, request in matches
-            if not state.serve(rid, request, instrument)
-        ]
-        if live:
-            bitvector = BitVectorFilter(bits, seed=state.config.seed)
-            column_position = probe_table.schema.position(probe_column)
-            bundle = _ensure_scan_bundle(
-                state, probe_operator, plan.probe_table, len(probe_conjunction), seed
-            )
-            for rid, request in live:
-                bundle.add_bitvector_request(
-                    request, column_position, bitvector, instrument
-                )
-                state.claim(rid)
     return HashJoin(
         build=build_operator,
         probe=probe_operator,
         build_join_column=plan.join_predicate.column_for(plan.build_table),
-        probe_join_column=plan.join_predicate.column_for(plan.probe_table),
+        probe_join_column=probe_column,
         build_label=plan.build_table,
         probe_label=plan.probe_table,
         bitvector=bitvector,
@@ -952,25 +892,22 @@ def _build_merge(plan: MergeJoinPlan, state: _Instrumentation) -> Operator:
     matches = state.join_requests_under(
         plan.inner_table, plan.join_predicate, plan.outer_filter
     )
-    outer_side_requests = state.join_requests_for(
-        plan.outer_table, plan.join_predicate
+    state.refuse(
+        plan.outer_table,
+        plan.join_predicate,
+        JoinMethodRequest,
+        f"the current Merge Join consumes {plan.outer_table} as its "
+        "outer; its join DPC is not obtainable from this plan",
     )
-    for rid, _request in outer_side_requests:
-        state.fail(
-            rid,
-            f"the current Merge Join consumes {plan.outer_table} as its "
-            "outer; its join DPC is not obtainable from this plan",
-        )
     for table in (plan.outer_table, plan.inner_table):
-        _fail_leaf_requests(
-            state,
+        state.refuse(
             table,
             plan.join_predicate,
+            IndexLeafRequest,
             "a Merge Join reads no index leaves and locates no join keys; "
             "leaf counts are measured under INL and Hash joins",
         )
-    inner_conjunction = _scan_query_conjunction(plan.inner)
-    if matches and (inner_conjunction is None or plan.sort_inner):
+    if matches and (_scan_query_conjunction(plan.inner) is None or plan.sort_inner):
         for rid, _request in matches:
             state.fail(
                 rid,
@@ -983,46 +920,20 @@ def _build_merge(plan: MergeJoinPlan, state: _Instrumentation) -> Operator:
     outer_operator = _build(plan.outer, state)
     inner_operator = _build(plan.inner, state)
 
-    bitvector: Optional[BitVectorFilter] = None
-    mode: Optional[str] = None
+    bitvector = None
+    # A sorted outer blocks: the full vector exists before the inner is
+    # read; otherwise the vector fills as the merge advances.
+    mode = "blocking" if plan.sort_outer else "partial"
     if matches:
-        # A sorted outer blocks: the full vector exists before the inner
-        # is read; otherwise the vector fills as the merge advances.
-        filter_mode = "blocking" if plan.sort_outer else "partial"
-        bits = state.bitvector_bits(plan.outer_table, plan.inner_table)
-        seed = _join_seed(
-            state, inner_operator, plan.inner_table, len(inner_conjunction)
+        bitvector = _attach_bitvector(
+            state,
+            matches,
+            plan.inner,
+            inner_operator,
+            plan.join_predicate,
+            BitVectorFilter if plan.sort_outer else PartialBitVectorFilter,
+            f"merge join, {mode}",
         )
-        instrument = state.instrument(
-            Mechanism.BITVECTOR_DPSAMPLE,
-            (plan.inner_table, plan.outer_table),
-            sampled_with=seed,
-            bits=bits,
-            scope=_join_scope(f"merge join, {filter_mode}", plan.inner),
-        )
-        live = [
-            (rid, request)
-            for rid, request in matches
-            if not state.serve(rid, request, instrument)
-        ]
-        if live:
-            mode = filter_mode
-            bitvector = (
-                BitVectorFilter(bits, seed=state.config.seed)
-                if plan.sort_outer
-                else PartialBitVectorFilter(bits, seed=state.config.seed)
-            )
-            inner_table = state.database.table(plan.inner_table)
-            inner_column = plan.join_predicate.column_for(plan.inner_table)
-            column_position = inner_table.schema.position(inner_column)
-            bundle = _ensure_scan_bundle(
-                state, inner_operator, plan.inner_table, len(inner_conjunction), seed
-            )
-            for rid, request in live:
-                bundle.add_bitvector_request(
-                    request, column_position, bitvector, instrument
-                )
-                state.claim(rid)
 
     outer_column = plan.join_predicate.column_for(plan.outer_table)
     inner_column = plan.join_predicate.column_for(plan.inner_table)
@@ -1038,5 +949,5 @@ def _build_merge(plan: MergeJoinPlan, state: _Instrumentation) -> Operator:
         outer_label=plan.outer_table,
         inner_label=plan.inner_table,
         bitvector=bitvector,
-        bitvector_mode=mode,
+        bitvector_mode=mode if bitvector is not None else None,
     )

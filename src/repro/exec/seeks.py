@@ -84,7 +84,6 @@ class _FetchResidualMixin:
     table: Table
     residual: Conjunction
     bundle: Optional[FetchMonitorBundle]
-    monitor_full_eval: bool
 
     def _filter_chunks(
         self, ctx: ExecutionContext, fetched: Iterable[tuple[Sequence[int], tuple]]
@@ -94,14 +93,7 @@ class _FetchResidualMixin:
         pages_seen: set[int] = set()
         for page_ids, columns in fetched:
             pages_seen.update(page_ids)
-            passed = evaluate_fetched(
-                self,
-                bound,
-                ctx.io,
-                page_ids,
-                columns,
-                full_evaluation=self.monitor_full_eval,
-            )
+            passed = evaluate_fetched(self, bound, ctx.io, page_ids, columns)
             out = vector.rows_where(columns, passed)
             self.stats.actual_rows += len(out)
             if out:
@@ -144,7 +136,6 @@ class IndexSeekFetch(_FetchResidualMixin, Operator):
         low_inclusive: bool = True,
         high_inclusive: bool = True,
         bundle: Optional[FetchMonitorBundle] = None,
-        monitor_full_eval: bool = False,
     ) -> None:
         super().__init__()
         self.table = table
@@ -155,7 +146,6 @@ class IndexSeekFetch(_FetchResidualMixin, Operator):
         self.high_inclusive = high_inclusive
         self.residual = residual
         self.bundle = bundle
-        self.monitor_full_eval = monitor_full_eval
         self.stats.detail = (
             f"{table.name}.{index_name} seek "
             f"{'[' if low_inclusive else '('}{low}, {high}"
@@ -178,9 +168,7 @@ class IndexSeekFetch(_FetchResidualMixin, Operator):
                 ctx.checkpoint()
             pages_seen.add(int(page_id))
             io.charge_rows(1)
-            outcome = bound.evaluate(
-                row, short_circuit=not self.monitor_full_eval
-            )
+            outcome = bound.evaluate(row)
             io.charge_predicates(outcome.evaluations)
             self.stats.predicate_evaluations += outcome.evaluations
             if self.bundle is not None:
@@ -226,7 +214,6 @@ class IndexInListSeekFetch(_FetchResidualMixin, Operator):
         values: tuple,
         residual: Conjunction,
         bundle: Optional[FetchMonitorBundle] = None,
-        monitor_full_eval: bool = False,
     ) -> None:
         super().__init__()
         self.table = table
@@ -234,7 +221,6 @@ class IndexInListSeekFetch(_FetchResidualMixin, Operator):
         self.values = probe_order(values)
         self.residual = residual
         self.bundle = bundle
-        self.monitor_full_eval = monitor_full_eval
         self.stats.detail = (
             f"{table.name}.{index_name} IN ({len(self.values)} values) "
             f"residual [{residual.key()}]"
@@ -257,9 +243,7 @@ class IndexInListSeekFetch(_FetchResidualMixin, Operator):
                     ctx.checkpoint()
                 pages_seen.add(int(page_id))
                 io.charge_rows(1)
-                outcome = bound.evaluate(
-                    row, short_circuit=not self.monitor_full_eval
-                )
+                outcome = bound.evaluate(row)
                 io.charge_predicates(outcome.evaluations)
                 self.stats.predicate_evaluations += outcome.evaluations
                 if self.bundle is not None:
@@ -313,7 +297,6 @@ class IndexIntersectionFetch(_FetchResidualMixin, Operator):
         seeks: list[SeekSpec],
         residual: Conjunction,
         bundle: Optional[FetchMonitorBundle] = None,
-        monitor_full_eval: bool = False,
     ) -> None:
         super().__init__()
         if len(seeks) < 2:
@@ -322,7 +305,6 @@ class IndexIntersectionFetch(_FetchResidualMixin, Operator):
         self.seeks = seeks
         self.residual = residual
         self.bundle = bundle
-        self.monitor_full_eval = monitor_full_eval
         self.stats.detail = (
             f"{table.name} intersect "
             + " & ".join(s.index_name for s in seeks)
@@ -362,7 +344,7 @@ class IndexIntersectionFetch(_FetchResidualMixin, Operator):
                 ctx.checkpoint()
             pages_seen.add(int(page_id))
             io.charge_rows(1)
-            outcome = bound.evaluate(row, short_circuit=not self.monitor_full_eval)
+            outcome = bound.evaluate(row)
             io.charge_predicates(outcome.evaluations)
             self.stats.predicate_evaluations += outcome.evaluations
             if self.bundle is not None:

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from repro.catalog.catalog import Database
 from repro.core.clustering import ClusteringMeasurement, measure_clustering
 from repro.core.dpc import exact_dpc
 from repro.core.planner import MonitorConfig, build_executable

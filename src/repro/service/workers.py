@@ -33,7 +33,7 @@ from __future__ import annotations
 import multiprocessing
 import queue
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing.connection import Connection
 from typing import Any, Optional
 

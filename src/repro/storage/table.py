@@ -19,7 +19,7 @@ from repro.storage.accounting import IOContext
 from repro.storage.btree import BTreeIndex
 from repro.storage.buffer import BufferPool
 from repro.storage.clustered import ClusteredFile
-from repro.storage.heap import DataFile, HeapFile
+from repro.storage.heap import DataFile
 
 
 class Table:

@@ -22,8 +22,8 @@ clustered on its id with non-clustered indexes on the queryable columns.
 from __future__ import annotations
 
 import datetime
-from dataclasses import dataclass, field
-from typing import Any, Callable
+from dataclasses import dataclass
+from typing import Any
 
 try:  # Synthetic data generation needs NumPy; the engine itself
     import numpy as np  # does not (see repro.exec.vector).

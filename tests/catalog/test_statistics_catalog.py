@@ -7,7 +7,6 @@ from repro.catalog.statistics import build_statistics
 from repro.common.errors import CatalogError, EstimationError, StorageError
 from repro.sql.predicates import Comparison, Conjunction, conjunction_of
 from repro.sql.types import SqlType
-from repro.storage.accounting import IOContext
 
 from tests.conftest import by_column, make_tiny_table
 

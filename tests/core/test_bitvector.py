@@ -4,11 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import MonitorError
-from repro.core.bitvector import (
-    BitVectorFilter,
-    PartialBitVectorFilter,
-    recommended_bitvector_bits,
-)
+from repro.core.bitvector import BitVectorFilter, PartialBitVectorFilter
 
 
 class TestExactness:
@@ -154,18 +150,6 @@ class TestPartial:
         assert not partial.may_contain(5)
         partial.insert(5)
         assert partial.may_contain(5)
-
-
-class TestRecommendedBits:
-    def test_headroom(self):
-        assert recommended_bitvector_bits(1000, headroom=1.25) == 1250
-
-    def test_floor_and_validation(self):
-        assert recommended_bitvector_bits(0) == 64
-        with pytest.raises(MonitorError):
-            recommended_bitvector_bits(-1)
-        with pytest.raises(MonitorError):
-            recommended_bitvector_bits(10, headroom=0.5)
 
 
 @settings(max_examples=40, deadline=None)

@@ -12,7 +12,7 @@ from repro.core.requests import (
 from repro.common.errors import FeedbackError
 from repro.harness.methodology import default_requests
 from repro.optimizer import JoinQuery, Optimizer, PlanHint, SingleTableQuery
-from repro.optimizer.plans import CountPlan, INLJoinPlan, SeqScanPlan
+from repro.optimizer.plans import INLJoinPlan
 from repro.session import Session
 from repro.sql import Comparison, JoinEquality, conjunction_of
 

@@ -7,7 +7,7 @@ from repro.common.types import PageId
 from repro.core.bitvector import BitVectorFilter
 from repro.core.dpsample import BernoulliPageSampler
 from repro.core.monitors import FetchMonitorBundle, ScanMonitorBundle
-from repro.core.requests import AccessPathRequest, Mechanism
+from repro.core.requests import AccessPathRequest, InstrumentFingerprint, Mechanism
 from repro.sql import Comparison, conjunction_of
 from repro.sql.evaluator import TermOutcome
 from repro.storage.accounting import IOContext
@@ -21,6 +21,11 @@ def outcome(*truth) -> TermOutcome:
 
 def request(expr="a < 1"):
     return AccessPathRequest("t", conjunction_of(Comparison("a", "<", 1)))
+
+
+def linear_counting(bits: int) -> InstrumentFingerprint:
+    """A fetch counter's fingerprint: it fixes the bitmap width and hash seed."""
+    return InstrumentFingerprint(Mechanism.LINEAR_COUNTING, seed=0, bits=bits)
 
 
 class TestScanBundleProtocol:
@@ -377,18 +382,20 @@ class TestFetchBundle:
         io = IOContext()
         bundle = FetchMonitorBundle("t")
         req = request()
-        bundle.add_request(req, (), num_bits=512)
+        bundle.add_request(req, (), linear_counting(512))
         for page in [0, 1, 0, 2, 1, 0]:
             bundle.observe_fetch(PageId(page), None, io)
         (observation,) = bundle.finish()
         assert observation.mechanism is Mechanism.LINEAR_COUNTING
         assert observation.estimate == pytest.approx(3.0, abs=1.0)
         assert observation.details["observations"] == 6
+        assert observation.details["bitmap_bits"] == 512
+        assert observation.instrument == linear_counting(512)
 
     def test_residual_terms_gate_observation(self):
         io = IOContext()
         bundle = FetchMonitorBundle("t")
-        bundle.add_request(request(), (0,), num_bits=512)
+        bundle.add_request(request(), (0,), linear_counting(512))
         bundle.observe_fetch(PageId(0), outcome(True), io)
         bundle.observe_fetch(PageId(1), outcome(False), io)
         bundle.observe_fetch(PageId(2), outcome(None), io)  # skipped term: no count
@@ -398,7 +405,7 @@ class TestFetchBundle:
     def test_hash_charged_per_counted_fetch(self):
         io = IOContext()
         bundle = FetchMonitorBundle("t")
-        bundle.add_request(request(), (), num_bits=512)
+        bundle.add_request(request(), (), linear_counting(512))
         for page in range(5):
             bundle.observe_fetch(PageId(page), None, io)
         assert io.cpu_ms == pytest.approx(5 * io.params.cpu_hash_ms)
@@ -406,5 +413,5 @@ class TestFetchBundle:
     def test_has_requests(self):
         bundle = FetchMonitorBundle("t")
         assert not bundle.has_requests
-        bundle.add_request(request(), (), num_bits=64)
+        bundle.add_request(request(), (), linear_counting(64))
         assert bundle.has_requests

@@ -1,6 +1,8 @@
 """Tests for the monitor planner: which operator answers which request,
 with which mechanism (the §II-B/§IV answerability rules)."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.dpc import exact_dpc, exact_join_dpc
@@ -9,7 +11,7 @@ from repro.core.requests import AccessPathRequest, JoinMethodRequest, Mechanism
 from repro.exec import execute
 from repro.optimizer import Optimizer, PlanHint, SingleTableQuery, JoinQuery
 from repro.common.errors import MonitorError
-from repro.sql import Comparison, Conjunction, JoinEquality, conjunction_of
+from repro.sql import Comparison, JoinEquality, conjunction_of
 
 
 def run_with_requests(
@@ -29,7 +31,12 @@ class TestConfig:
     def test_defaults(self):
         config = MonitorConfig()
         assert 0 < config.dpsample_fraction <= 1.0
-        assert not config.allow_fetch_full_evaluation
+        assert config.seed == 0
+        # The widths come from the tables, never from a knob.
+        assert [f.name for f in dataclasses.fields(MonitorConfig)] == [
+            "dpsample_fraction",
+            "seed",
+        ]
 
 
 class TestScanInstrumentation:

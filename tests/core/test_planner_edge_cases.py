@@ -1,13 +1,11 @@
 """Edge cases of the monitor planner and executor plumbing."""
 
-import pytest
-
 from repro.catalog import ColumnDef, Database, IndexDef, TableSchema
 from repro.core.planner import MonitorConfig, build_executable
 from repro.core.requests import AccessPathRequest, JoinMethodRequest
 from repro.exec import execute
 from repro.optimizer import Optimizer, PlanHint, SingleTableQuery, JoinQuery
-from repro.sql import Comparison, Conjunction, JoinEquality, conjunction_of
+from repro.sql import Comparison, JoinEquality, conjunction_of
 from repro.sql.types import SqlType
 
 

@@ -65,11 +65,27 @@ def signature(observation) -> tuple:
     )
 
 
+#: The ``details`` an observation of each mechanism reports, against the
+#: fingerprint field the monitor that made it was built from.
+BUILT_FROM = {
+    Mechanism.DPSAMPLE: (("fraction", "fraction"),),
+    Mechanism.LINEAR_COUNTING: (("bitmap_bits", "bits"),),
+    Mechanism.BITVECTOR_DPSAMPLE: (("fraction", "fraction"), ("filter_bits", "bits")),
+}
+
+
+def assert_built_from_instrument(observation) -> None:
+    """A live observation's monitor was built from its own fingerprint."""
+    for detail, field_name in BUILT_FROM.get(observation.mechanism, ()):
+        expected = getattr(observation.instrument, field_name)
+        assert observation.details[detail] == expected, (observation, detail)
+
+
 def serve_against_live(database, queries, mode, config=None) -> int:
     """Remember ``queries`` twice, run them once more feedback-planned,
     and hold every observation of that run — served or measured — to a
-    store-less engine running the same plan live.  Returns how many were
-    served."""
+    store-less engine running the same plan live, whose every monitor was
+    built from the fingerprint it stamps.  Returns how many were served."""
     engine = Engine(database, monitor_config=config)
     items = [
         WorkloadItem(
@@ -91,6 +107,8 @@ def serve_against_live(database, queries, mode, config=None) -> int:
             item.query, run.plan, item.requests, exec_mode=mode
         )
         assert not any(obs.remembered for obs in live.observations)
+        for observation in live.observations:
+            assert_built_from_instrument(observation)
         measured = {obs.key: signature(obs) for obs in live.observations}
         assert {obs.key: signature(obs) for obs in run.observations} == measured
         assert run.result.rows == live.result.rows

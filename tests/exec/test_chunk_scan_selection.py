@@ -653,15 +653,24 @@ def test_monitored_fig8_hash_join_row_equals_batch(join_db, backend, column, fra
 @pytest.mark.parametrize("bits", [64, 997])
 def test_narrow_filter_hash_join_row_equals_batch(join_db, backend, bits):
     # A filter far narrower than the key domain: aliased values flag pages
-    # that hold no joining row, in both drives alike.
+    # that hold no joining row, in both drives alike.  The planner sizes
+    # its filters to the key domain, so this one is attached by hand.
     query = fig8_join_query("c5", outer_rows=40)
     plan = Optimizer(join_db, hint=PlanHint("hash_join")).optimize(query)
-    config = MonitorConfig(dpsample_fraction=0.5, bitvector_bits=bits)
+    join_request, leaf_request = default_requests(join_db, query)
 
     def make_root():
-        return build_executable(
-            plan, join_db, default_requests(join_db, query), config
-        ).root
+        root = build_executable(plan, join_db, [leaf_request]).root
+        (join,) = operators_of(root, HashJoin)
+        join.bitvector = BitVectorFilter(bits)
+        probe = join.probe
+        probe.bundle = ScanMonitorBundle(
+            "t", len(probe.query_conjunction), BernoulliPageSampler(0.5, seed=5)
+        )
+        probe.bundle.add_bitvector_request(
+            join_request, probe.table.schema.position("c5"), join.bitvector
+        )
+        return root
 
     result, _units = assert_row_equals_batch(join_db, make_root)
     observation, leaves = [

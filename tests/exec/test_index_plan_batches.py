@@ -20,8 +20,13 @@ from repro.common.cancellation import CancellationToken
 from repro.common.errors import QueryCancelled
 from repro.core.dpc import exact_leaf_dpc
 from repro.core.monitors import FetchMonitorBundle, LeafPageMonitor
-from repro.core.planner import MonitorConfig, build_executable
-from repro.core.requests import AccessPathRequest, IndexLeafRequest
+from repro.core.planner import build_executable
+from repro.core.requests import (
+    AccessPathRequest,
+    IndexLeafRequest,
+    InstrumentFingerprint,
+    Mechanism,
+)
 from repro.exec import (
     CoveringIndexScan,
     INLJoin,
@@ -94,8 +99,9 @@ def fetch_bundle(table_name: str, residual: Conjunction) -> FetchMonitorBundle:
         bundle.add_request(
             AccessPathRequest(table_name, Conjunction(residual.terms[:width])),
             term_indexes=range(width),
-            num_bits=256,
-            seed=width,
+            instrument=InstrumentFingerprint(
+                Mechanism.LINEAR_COUNTING, seed=width, bits=256
+            ),
         )
     return bundle
 
@@ -104,44 +110,40 @@ def fetch_bundle(table_name: str, residual: Conjunction) -> FetchMonitorBundle:
 RESIDUAL = conjunction_of(Comparison("n", "<", 5), Comparison("k", ">=", 100))
 
 
-def seek(database, monitored, full_eval):
+def seek(database, monitored, _full_eval):
     table = database.table("f")
     return IndexSeekFetch(
         table, "ix_v", low=(40,), high=(700,), residual=RESIDUAL,
         low_inclusive=False,
         bundle=fetch_bundle("f", RESIDUAL) if monitored else None,
-        monitor_full_eval=full_eval,
     )
 
 
-def long_run_seek(database, monitored, full_eval):
+def long_run_seek(database, monitored, _full_eval):
     """One key's 500 entries: an equal-key run that spans leaves."""
     table = database.table("f")
     assert table.index("ix_g").entries_per_page < NUM_ROWS // 3
     return IndexSeekFetch(
         table, "ix_g", low=(1,), high=(1,), residual=RESIDUAL,
         bundle=fetch_bundle("f", RESIDUAL) if monitored else None,
-        monitor_full_eval=full_eval,
     )
 
 
-def in_list(database, monitored, full_eval):
+def in_list(database, monitored, _full_eval):
     return IndexInListSeekFetch(
         database.table("f"), "ix_v",
         values=(9, 1400, 10, 100, 20, 5000, *range(300, 1300, 20)),
         residual=RESIDUAL,
         bundle=fetch_bundle("f", RESIDUAL) if monitored else None,
-        monitor_full_eval=full_eval,
     )
 
 
-def intersection(database, monitored, full_eval):
+def intersection(database, monitored, _full_eval):
     return IndexIntersectionFetch(
         database.table("f"),
         [SeekSpec("ix_g", (2,), (2,)), SeekSpec("ix_v", None, (900,), True, False)],
         residual=RESIDUAL,
         bundle=fetch_bundle("f", RESIDUAL) if monitored else None,
-        monitor_full_eval=full_eval,
     )
 
 
@@ -157,7 +159,7 @@ def covering(database, monitored, full_eval):
 
 
 def inl(inner_table, inner_index):
-    def make(database, monitored, full_eval):
+    def make(database, monitored, _full_eval):
         inner = database.table(inner_table)
         leaf_monitor = None
         if monitored and inner_index is not None:
@@ -177,6 +179,10 @@ def inl(inner_table, inner_index):
 
 INL_JOIN = JoinEquality("o", "j", "f", "g")
 
+#: ``name -> make(database, monitored, full_eval)``.  Only the covering
+#: scan has a full-evaluation mode (it reads every entry); the fetch
+#: streams evaluate their residual short-circuited, so they and the INL
+#: inner take the flag and ignore it.
 OPERATORS = {
     "seek": seek,
     "long_run_seek": long_run_seek,
@@ -312,9 +318,9 @@ def test_in_list_probes_leaves_in_key_order(monkeypatch):
 
 #: Planner-built index plans whose one request is *not* a prefix of the
 #: fetch residual — the seek term plus the residual's last term (the shape
-#: of ``tests/integration/test_session.py``'s full-evaluation test) — so
-#: ``allow_fetch_full_evaluation`` has the fetch evaluate every term on
-#: every row.  ``(predicate, count column, requested term positions)``.
+#: of ``tests/integration/test_session.py``'s non-prefix request test).  The
+#: covering scan evaluates every term on every entry to answer it; a fetch
+#: refuses it.  ``(predicate, count column, requested term positions)``.
 FULL_EVALUATION_PLANS = {
     "index_seek": (
         conjunction_of(
@@ -355,24 +361,32 @@ FULL_EVALUATION_PLANS = {
 
 @pytest.mark.parametrize("hint", sorted(FULL_EVALUATION_PLANS))
 def test_full_evaluation_fetch_witness_row_equals_batch(synthetic_db, backend, hint):
-    """A fetch evaluated in full witnesses a request on the rows where its
-    own terms are TRUE, whatever the unrequested earlier terms say: the
-    AND of the raw term masks, not the short-circuited ``alive`` mask.
-    Row == batch on rows, observation fingerprints and charges, and the
-    counter saw more fetches than the rows passing the whole residual —
-    the ones ``alive`` would have dropped."""
+    """A covering scan evaluated in full witnesses a request on the entries
+    where its own terms are TRUE, whatever the unrequested earlier terms
+    say: the AND of the raw term masks, not the short-circuited ``alive``
+    mask.  Row == batch on rows, observation fingerprints and charges, and
+    the counter saw more entries than the rows passing the whole
+    predicate — the ones ``alive`` would have dropped.  A fetch evaluates
+    its residual short-circuited, so on an index plan the same request
+    comes back unanswerable (§II-B) and nothing is attached."""
     predicate, count_column, requested = FULL_EVALUATION_PLANS[hint]
     query = SingleTableQuery("t", predicate, count_column)
     request = AccessPathRequest(
         "t", Conjunction(tuple(predicate.terms[i] for i in requested))
     )
     plan = Optimizer(synthetic_db, hint=PlanHint(hint)).optimize(query)
-    config = MonitorConfig(allow_fetch_full_evaluation=True)
+    if hint != "covering_scan":
+        executable = build_executable(plan, synthetic_db, [request])
+        (refusal,) = executable.unanswerable
+        assert "not a prefix of the fetch residual" in refusal.reason
+        assert "§II-B" in refusal.reason
+        assert executable.root.child.bundle is None
+        return
     outcomes = {}
     for mode in ("row", "batch"):
-        executable = build_executable(plan, synthetic_db, [request], config)
-        fetch = executable.root.child
-        assert fetch.monitor_full_eval and not executable.unanswerable
+        executable = build_executable(plan, synthetic_db, [request])
+        scan = executable.root.child
+        assert scan.monitor_full_eval and not executable.unanswerable
         io = TallyIO()
         result = execute(executable.root, synthetic_db, io=io, mode=mode)
         outcomes[mode] = (

@@ -8,7 +8,6 @@ from repro.catalog import ColumnDef, Database, IndexDef, TableSchema
 from repro.common.errors import ExecutionError
 from repro.core.bitvector import BitVectorFilter, PartialBitVectorFilter
 from repro.exec import (
-    ClusteredRangeScan,
     HashJoin,
     INLJoin,
     MergeJoin,

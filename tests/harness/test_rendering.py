@@ -1,7 +1,5 @@
 """Rendering/serialisation coverage: every human-facing output path."""
 
-import pytest
-
 from repro.core.requests import (
     AccessPathRequest,
     Mechanism,

@@ -14,7 +14,7 @@ from repro.core.planner import MonitorConfig, build_executable
 from repro.core.requests import AccessPathRequest, JoinMethodRequest
 from repro.exec import execute
 from repro.optimizer import Optimizer, PlanHint, SingleTableQuery, JoinQuery
-from repro.sql import Comparison, Conjunction, JoinEquality, conjunction_of
+from repro.sql import Comparison, JoinEquality, conjunction_of
 from repro.sql.types import SqlType
 from repro.workloads.permutations import noisy_permutation
 

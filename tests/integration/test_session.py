@@ -81,10 +81,12 @@ class TestSession:
         assert len(session.feedback) == 2
 
 
-class TestFetchFullEvaluationOption:
-    def test_non_prefix_fetch_request_with_option(self, synthetic_db):
-        """allow_fetch_full_evaluation makes non-prefix residual subsets
-        answerable on index plans (at CPU cost)."""
+class TestFetchNonPrefixRequests:
+    def test_non_prefix_request_is_unanswerable(self, synthetic_db):
+        """A fetch evaluates its residual short-circuited, so a request for
+        the seek term plus a non-prefix residual subset is not obtainable
+        from an index plan (§II-B): it comes back unanswerable, with the
+        reason, and the fetch is not monitored."""
         seek = Comparison("c2", "<", 800)
         residual_a = Comparison("c4", "<", 15_000)
         residual_b = Comparison("c5", "<", 15_000)
@@ -100,18 +102,11 @@ class TestFetchFullEvaluationOption:
             synthetic_db, hint=PlanHint("index_seek", index_name="ix_c2")
         ).optimize(query)
 
-        strict = build_executable(plan, synthetic_db, [request], MonitorConfig())
-        result = execute(strict.root, synthetic_db)
-        assert strict.unanswerable and not strict.unanswerable[0].answered
-
-        relaxed_config = MonitorConfig(allow_fetch_full_evaluation=True)
-        relaxed = build_executable(
-            plan, synthetic_db, [request], relaxed_config
-        )
-        result = execute(relaxed.root, synthetic_db)
-        (observation,) = result.runstats.observations
-        assert observation.answered
-        from repro.core.dpc import exact_dpc
-
-        truth = exact_dpc(synthetic_db.table("t"), request.expression)
-        assert observation.estimate == pytest.approx(truth, rel=0.3, abs=2)
+        build = build_executable(plan, synthetic_db, [request], MonitorConfig())
+        (refusal,) = build.unanswerable
+        assert not refusal.answered
+        assert "not a prefix of the fetch residual" in refusal.reason
+        assert "§II-B" in refusal.reason
+        assert build.root.child.bundle is None
+        result = execute(build.root, synthetic_db)
+        assert not result.runstats.observations

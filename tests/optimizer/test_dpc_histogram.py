@@ -12,7 +12,7 @@ from repro.optimizer import (
     SingleTableQuery,
     build_dpc_histograms,
 )
-from repro.optimizer.plans import CountPlan, IndexSeekPlan
+from repro.optimizer.plans import IndexSeekPlan
 from repro.sql import Between, Comparison, Conjunction, conjunction_of
 
 from tests.conftest import make_tiny_table

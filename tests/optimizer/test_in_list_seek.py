@@ -13,7 +13,6 @@ from repro.optimizer import (
     PlanHint,
     SingleTableQuery,
 )
-from repro.optimizer.plans import CountPlan
 from repro.sql import Comparison, Conjunction, InList, conjunction_of, parse_query
 
 from tests.conftest import make_tiny_table

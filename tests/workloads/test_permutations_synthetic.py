@@ -13,7 +13,6 @@ from repro.workloads.permutations import (
 )
 from repro.workloads.synthetic import (
     DEFAULT_COLUMN_NOISE,
-    build_synthetic_database,
     generate_synthetic_rows,
     synthetic_schema,
 )

@@ -1,8 +1,6 @@
 """Tests for the real-world analogues, the TPC-H generator and the query
 workload generators."""
 
-import datetime
-
 import pytest
 
 from repro.catalog import Database
