@@ -62,8 +62,8 @@ This module enforces them statically:
           observations travel back only through the marshalling
           protocol, and the coordinator applies them
 ``R015``  mid-query re-optimization stays inside ``reopt/``: only that
-          package may request a typed reopt cancellation
-          (``cancel_for_reopt`` / constructing ``ReoptRequested``) or
+          package may raise a reopt trip (constructing
+          ``ReoptRequested``, which the watchdog does itself) or
           ingest partial observations
           (``partial_page_count_observation`` /
           ``record_partial_observations``) — partial counters are lower
@@ -102,7 +102,7 @@ CODE_RULES: dict[str, str] = {
     "R012": "no magic 1024 batch-size literal in exec//sql/ (DEFAULT_BATCH_ROWS)",
     "R014": "worker-child modules never touch the coordinator's "
     "PlanCache/FeedbackStore",
-    "R015": "reopt cancellation and partial-observation ingest only "
+    "R015": "reopt trips and partial-observation ingest only "
     "under reopt/",
 }
 
@@ -192,14 +192,13 @@ _WORKER_CHILD_FORBIDDEN_CALLS = frozenset(
     }
 )
 
-#: Calls reserved for the reopt episode runner (R015): requesting the
-#: typed mid-query cancellation and ingesting partial (lower-bound)
-#: observations.  ``ReoptRequested`` construction counts — raising it
-#: by hand would fake a watchdog trip past handlers that harvest
-#: partials on the way out.
+#: Calls reserved for the reopt package (R015): raising a mid-query
+#: trip and ingesting partial (lower-bound) observations.  The watchdog
+#: constructs ``ReoptRequested`` itself; raising it anywhere else would
+#: fake a watchdog trip past handlers that harvest partials on the way
+#: out.
 _REOPT_PRIVILEGED_CALLS = frozenset(
     {
-        "cancel_for_reopt",
         "ReoptRequested",
         "partial_page_count_observation",
         "record_partial_observations",
@@ -348,7 +347,7 @@ class _FileChecker(ast.NodeVisitor):
                 "R015",
                 node,
                 f"reopt-privileged call {'.'.join(chain)}() outside reopt/",
-                hint="mid-query cancellation and partial-observation ingest "
+                hint="mid-query trips and partial-observation ingest "
                 "go through repro.reopt.run_with_reopt — partial counters "
                 "are lower bounds and must stay on the epoch-free path",
             )

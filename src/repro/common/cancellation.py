@@ -22,9 +22,9 @@ repeatable program point instead of a wall-clock race.
 from __future__ import annotations
 
 import threading
-from typing import Optional, Type
+from typing import Optional
 
-from repro.common.errors import QueryCancelled, ReoptRequested
+from repro.common.errors import QueryCancelled
 
 
 class CancellationToken:
@@ -37,7 +37,6 @@ class CancellationToken:
     __slots__ = (
         "_event",
         "_reason",
-        "_exc_class",
         "checks",
         "cancel_after_checks",
     )
@@ -49,8 +48,6 @@ class CancellationToken:
             )
         self._event = threading.Event()
         self._reason = "cancelled"
-        #: Exception type the next checkpoint raises once cancelled.
-        self._exc_class: Type[QueryCancelled] = QueryCancelled
         #: Checkpoints passed so far (owning thread only; no lock needed).
         self.checks = 0
         self.cancel_after_checks = cancel_after_checks
@@ -59,21 +56,6 @@ class CancellationToken:
     def cancel(self, reason: str = "cancelled") -> None:
         """Mark the token cancelled; the next checkpoint raises."""
         if not self._event.is_set():
-            self._reason = reason
-            self._event.set()
-
-    def cancel_for_reopt(self, reason: str = "reopt") -> None:
-        """Typed cancellation for mid-query re-optimization.
-
-        The next checkpoint raises :class:`ReoptRequested` instead of the
-        base :class:`QueryCancelled`, telling the reopt episode runner —
-        and nobody else — that the partial actuals are worth harvesting.
-        Idempotent like :meth:`cancel`: a plain cancellation that already
-        landed (deadline, shutdown) keeps its base type and reason.
-        Callable only from ``repro.reopt`` (codelint rule R015).
-        """
-        if not self._event.is_set():
-            self._exc_class = ReoptRequested
             self._reason = reason
             self._event.set()
 
@@ -102,7 +84,7 @@ class CancellationToken:
                 f"cancel_after_checks={self.cancel_after_checks} reached"
             )
         if self._event.is_set():
-            raise self._exc_class(self._reason)
+            raise QueryCancelled(self._reason)
 
     def __repr__(self) -> str:
         state = f"cancelled: {self._reason}" if self.cancelled else "live"

@@ -71,8 +71,10 @@ class ReoptRequested(QueryCancelled):
     cancellation treats a re-optimization stop identically; only the
     reopt episode runner (``repro.reopt``) catches this type specifically
     to harvest *partial* actuals and switch plans.  Raised exclusively by
-    :meth:`~repro.common.cancellation.CancellationToken.checkpoint` after
-    a ``cancel_for_reopt`` — codelint rule R015 keeps it that way."""
+    :meth:`~repro.reopt.watchdog.RegretWatchdog.observe` on a trip, after
+    the caller's token was consulted at the same checkpoint — so a caller
+    cancel is never re-typed as a trip; codelint rule R015 keeps it
+    that way."""
 
     def __init__(self, reason: str = "reopt") -> None:
         super().__init__(reason)

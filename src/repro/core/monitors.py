@@ -254,10 +254,6 @@ class ScanMonitorBundle:
         else:
             self._current_page_sampled = False
 
-    @property
-    def page_is_sampled(self) -> bool:
-        return self._current_page_sampled
-
     def needs_full_evaluation(self) -> bool:
         """Whether the *current page*'s rows need short-circuiting off.
 

@@ -48,7 +48,6 @@ from repro.optimizer.injection import InjectionSet
 from repro.optimizer.optimizer import Query
 from repro.optimizer.pagecount_model import AnalyticalPageCountModel
 from repro.optimizer.plans import PlanNode
-from repro.reopt.policy import ReoptPolicy
 from repro.session import ExecutedQuery, Session
 
 
@@ -67,9 +66,9 @@ class WorkloadItem:
     #: Drive style for the execution: ``"row"`` or ``"batch"`` (results
     #: are mode-invariant; see :func:`repro.exec.executor.execute`).
     exec_mode: str = DEFAULT_EXEC_MODE
-    #: Run under the mid-query re-optimization watchdog (the engine's
-    #: :attr:`Engine.reopt_policy`, or the default policy).  Off by
-    #: default: the plain path is bit-identical to pre-reopt behaviour.
+    #: Run under the mid-query re-optimization watchdog
+    #: (``Session.run(reopt=True)``).  Off by default: the plain path is
+    #: bit-identical to pre-reopt behaviour.
     reopt: bool = False
 
 
@@ -130,7 +129,6 @@ class Engine:
         page_count_model: Optional[AnalyticalPageCountModel] = None,
         plan_cache: Optional[PlanCache] = None,
         use_plan_cache: bool = True,
-        reopt_policy: Optional[ReoptPolicy] = None,
     ) -> None:
         self.database = database
         self.feedback = FeedbackStore()
@@ -147,11 +145,6 @@ class Engine:
             if plan_cache is not None
             else (PlanCache() if use_plan_cache else None)
         )
-        #: Policy applied to workload items that opt into mid-query
-        #: re-optimization (``WorkloadItem.reopt=True``).  ``None`` means
-        #: such items run under the default :class:`ReoptPolicy`; items
-        #: with ``reopt=False`` never see a watchdog either way.
-        self.reopt_policy = reopt_policy
         #: Lifecycle state: ``shutdown()`` flips ``_closed`` and then (with
         #: ``drain=True``) waits on ``_state`` until ``_active`` executions
         #: reach zero.  ``_state`` guards both fields.
@@ -252,19 +245,6 @@ class Engine:
         """
         session = session if session is not None else self.session()
         self._begin_execution()
-        # Per-item routing: run_serial/run_concurrent reuse one session
-        # across items, so the policy is set for this item only and then
-        # restored — a reopt item must not leak its watchdog onto the
-        # next plain item (or vice versa).
-        saved_policy = session.reopt_policy
-        if item.reopt:
-            session.reopt_policy = (
-                self.reopt_policy
-                if self.reopt_policy is not None
-                else ReoptPolicy()
-            )
-        else:
-            session.reopt_policy = None
         try:
             return session.run(
                 item.query,
@@ -275,9 +255,9 @@ class Engine:
                 remember=item.remember,
                 exec_mode=item.exec_mode,
                 cancellation=cancellation,
+                reopt=item.reopt,
             )
         finally:
-            session.reopt_policy = saved_policy
             self._end_execution()
 
     def execute_plan(

@@ -28,11 +28,13 @@ class ExecutionWatchdog(Protocol):
 
     ``observe`` runs on the executing thread at every
     :meth:`ExecutionContext.checkpoint` — i.e. at the same scan-chunk/probe
-    boundaries cancellation is checked at — *before* the cancellation
-    token is consulted, so an observer that trips the token stops the
-    run at the very boundary it observed.  Implementations charge any
-    bookkeeping they do to the passed ``io`` context (their overhead
-    must be visible in simulated time, like every monitor's).
+    boundaries cancellation is checked at — *after* the cancellation
+    token is consulted, so a caller cancel always wins the boundary.  An
+    observer stops the run by raising from ``observe`` (the regret
+    watchdog raises :class:`~repro.common.errors.ReoptRequested`).
+    Implementations charge any bookkeeping they do to the passed ``io``
+    context (their overhead must be visible in simulated time, like
+    every monitor's).
     """
 
     def observe(self, io: IOContext) -> None: ...
@@ -53,8 +55,7 @@ class ExecutionContext:
     for the overwhelmingly common uncancellable run); operators call
     :meth:`checkpoint` at scan-chunk/probe boundaries.  ``watchdog`` is an
     optional checkpoint observer (mid-query re-optimization's regret
-    watchdog); it runs before the token check so a trip it requests is
-    raised at the same boundary.
+    watchdog); it runs after the token check, at the same boundary.
     """
 
     database: Database
@@ -66,19 +67,21 @@ class ExecutionContext:
 
     def checkpoint(self) -> None:
         """Raise :class:`~repro.common.errors.QueryCancelled` if this
-        execution's token has been cancelled; no-op without a token.
+        execution's token has been cancelled, then let the watchdog
+        observe; no-op with neither.
 
         Called once per scan chunk (one page under a watchdog or in the
         row drive) and once per probe row (index-nested-loop join), so a
         timed-out query stops charging its :attr:`io` within one chunk of
-        work.  A watchdog, when
-        attached, observes the same boundary first — tripping the token
-        here is how mid-query re-optimization stops a run.
+        work.  The token is consulted first, so a deadline landing on a
+        trip boundary surfaces as ``QueryCancelled``; a watchdog, when
+        attached, observes the boundary second and may raise its own
+        trip — how mid-query re-optimization stops a run.
         """
-        if self.watchdog is not None:
-            self.watchdog.observe(self.io)
         if self.cancellation is not None:
             self.cancellation.checkpoint()
+        if self.watchdog is not None:
+            self.watchdog.observe(self.io)
 
 
 class Operator(ABC):

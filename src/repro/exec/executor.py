@@ -131,8 +131,8 @@ def execute(
 
     ``watchdog`` attaches a checkpoint-boundary observer (the reopt
     regret watchdog): it sees every ``ctx.checkpoint()`` the operators
-    hit and can trip the cancellation token, which is why it requires
-    one — an observer with nothing to trip could never act.
+    hit, after ``cancellation``, and acts by raising its own trip, so it
+    needs no token.
     """
     if mode == "columnar":
         # Retired spelling, accepted here alone and run as batch: the
@@ -143,10 +143,6 @@ def execute(
     if mode not in EXEC_MODES:
         raise ValueError(
             f"unknown execution mode {mode!r}; expected {'|'.join(EXEC_MODES)}"
-        )
-    if watchdog is not None and cancellation is None:
-        raise ValueError(
-            "a watchdog needs a cancellation token to act through"
         )
     if io is None:
         io = database.new_io_context()

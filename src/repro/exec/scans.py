@@ -56,13 +56,13 @@ class _MonitoredScanMixin:
 
     #: Resume tracking (armed by the reopt watchdog, off by default): the
     #: batch drive scans one page per chunk and records the clustering-key
-    #: value of the last row of each *fully processed* page.  Cancellation
+    #: value of the last row of each *fully processed* page.  A trip
     #: raises at the checkpoint that precedes the next page, and the
     #: downstream consumer has synchronously drained every yielded batch,
     #: so after a mid-query stop ``resume_key`` is an exact replay
     #: boundary: every row with key <= resume_key was scanned, none beyond
-    #: it were.  The row drive does not track (its root-level cancellation
-    #: check can fire mid-page), which is why resume is a batch-only path.
+    #: it were.  The row drive does not track, which is why resume is a
+    #: batch-only path.
     resume_tracking = False
     resume_key_position: Optional[int] = None
     resume_key: Any = None

@@ -71,19 +71,49 @@ def evaluate_fetched(
 
 
 class _FetchResidualMixin:
-    """Shared batch drive for operators that fetch rows then filter them.
+    """Shared drives for operators that fetch rows then filter them.
 
-    The unit of work is a chunk of at most ``ctx.batch_rows`` locators,
-    not a row: the chunk's page reads are charged as one access stream in
-    the row drive's order, its columns gathered in one pass, the residual
-    evaluated by the column kernels and the fetch bundle fed the chunk's
-    page ids — with one cancellation checkpoint per chunk.  Row tuples
-    are built for the surviving rows only.
+    The row drive (:meth:`_fetch_rows`) fetches one RID at a time.  The
+    batch drive's unit of work is a chunk of at most ``ctx.batch_rows``
+    locators, not a row: the chunk's page reads are charged as one access
+    stream in the row drive's order, its columns gathered in one pass,
+    the residual evaluated by the column kernels and the fetch bundle fed
+    the chunk's page ids — with one cancellation checkpoint per chunk.
+    Row tuples are built for the surviving rows only.
     """
 
     table: Table
     residual: Conjunction
     bundle: Optional[FetchMonitorBundle]
+
+    def _fetch_rows(
+        self, ctx: ExecutionContext, rids: Iterable[Any]
+    ) -> Iterator[tuple]:
+        """The row drive: fetch each RID, evaluate the residual on the row
+        and feed the fetch bundle, yielding the rows that pass.
+
+        ``rids`` is consumed lazily, so a seek's leaf reads stay
+        interleaved with its fetches.  The first touch of each data page
+        is the cancellation boundary (one checkpoint per page).
+        """
+        bound = BoundConjunction(self.residual, self.table.schema.column_names)
+        io = ctx.io
+        pages_seen: set[int] = set()
+        for rid in rids:
+            page_id, row = self.table.fetch(io, rid)
+            if int(page_id) not in pages_seen:
+                ctx.checkpoint()
+            pages_seen.add(int(page_id))
+            io.charge_rows(1)
+            outcome = bound.evaluate(row)
+            io.charge_predicates(outcome.evaluations)
+            self.stats.predicate_evaluations += outcome.evaluations
+            if self.bundle is not None:
+                self.bundle.observe_fetch(page_id, outcome, io)
+            if outcome.passed:
+                self.stats.actual_rows += 1
+                yield row
+        self.stats.pages_touched = len(pages_seen)
 
     def _filter_chunks(
         self, ctx: ExecutionContext, fetched: Iterable[tuple[Sequence[int], tuple]]
@@ -157,26 +187,15 @@ class IndexSeekFetch(_FetchResidualMixin, Operator):
         return self.table.schema.column_names
 
     def rows(self, ctx: ExecutionContext) -> Iterator[tuple]:
-        bound = BoundConjunction(self.residual, self.table.schema.column_names)
-        io = ctx.io
-        pages_seen: set[int] = set()
-        for _key, rid, _payload in self.index.seek_range(
-            io, self.low, self.high, self.low_inclusive, self.high_inclusive
-        ):
-            page_id, row = self.table.fetch(io, rid)
-            if int(page_id) not in pages_seen:  # new data page fetched
-                ctx.checkpoint()
-            pages_seen.add(int(page_id))
-            io.charge_rows(1)
-            outcome = bound.evaluate(row)
-            io.charge_predicates(outcome.evaluations)
-            self.stats.predicate_evaluations += outcome.evaluations
-            if self.bundle is not None:
-                self.bundle.observe_fetch(page_id, outcome, io)
-            if outcome.passed:
-                self.stats.actual_rows += 1
-                yield row
-        self.stats.pages_touched = len(pages_seen)
+        yield from self._fetch_rows(
+            ctx,
+            (
+                rid
+                for _key, rid, _payload in self.index.seek_range(
+                    ctx.io, self.low, self.high, self.low_inclusive, self.high_inclusive
+                )
+            ),
+        )
 
     def batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
         located = self.index.locate(
@@ -231,27 +250,14 @@ class IndexInListSeekFetch(_FetchResidualMixin, Operator):
         return self.table.schema.column_names
 
     def rows(self, ctx: ExecutionContext) -> Iterator[tuple]:
-        bound = BoundConjunction(self.residual, self.table.schema.column_names)
-        io = ctx.io
-        pages_seen: set[int] = set()
-        for value in self.values:
-            for _key, rid, _payload in self.index.seek_equal(io, value):
-                page_id, row = self.table.fetch(io, rid)
-                if int(page_id) not in pages_seen:
-                    # First touch of a page is the cancellation boundary,
-                    # matching the one-checkpoint-per-page contract.
-                    ctx.checkpoint()
-                pages_seen.add(int(page_id))
-                io.charge_rows(1)
-                outcome = bound.evaluate(row)
-                io.charge_predicates(outcome.evaluations)
-                self.stats.predicate_evaluations += outcome.evaluations
-                if self.bundle is not None:
-                    self.bundle.observe_fetch(page_id, outcome, io)
-                if outcome.passed:
-                    self.stats.actual_rows += 1
-                    yield row
-        self.stats.pages_touched = len(pages_seen)
+        yield from self._fetch_rows(
+            ctx,
+            (
+                rid
+                for value in self.values
+                for _key, rid, _payload in self.index.seek_equal(ctx.io, value)
+            ),
+        )
 
     def batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
         located = [self.index.locate(value, value) for value in self.values]
@@ -333,26 +339,7 @@ class IndexIntersectionFetch(_FetchResidualMixin, Operator):
         return sorted(intersection, key=lambda r: (r.page_id, r.slot))
 
     def rows(self, ctx: ExecutionContext) -> Iterator[tuple]:
-        io = ctx.io
-        bound = BoundConjunction(self.residual, self.table.schema.column_names)
-        pages_seen: set[int] = set()
-        for rid in self._intersect(io):
-            page_id, row = self.table.fetch(io, rid)
-            if int(page_id) not in pages_seen:
-                # First touch of a page is the cancellation boundary,
-                # matching the one-checkpoint-per-page contract.
-                ctx.checkpoint()
-            pages_seen.add(int(page_id))
-            io.charge_rows(1)
-            outcome = bound.evaluate(row)
-            io.charge_predicates(outcome.evaluations)
-            self.stats.predicate_evaluations += outcome.evaluations
-            if self.bundle is not None:
-                self.bundle.observe_fetch(page_id, outcome, io)
-            if outcome.passed:
-                self.stats.actual_rows += 1
-                yield row
-        self.stats.pages_touched = len(pages_seen)
+        yield from self._fetch_rows(ctx, self._intersect(ctx.io))
 
     def batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
         io = ctx.io

@@ -501,12 +501,6 @@ def mask_and(left: Mask, right: Mask) -> Mask:
     return [a and b for a, b in zip(left, right)]
 
 
-def mask_all(mask: Mask) -> bool:
-    if _is_array(mask):
-        return bool(mask.all())
-    return all(mask)
-
-
 def mask_count(mask: Mask) -> int:
     if _is_array(mask):
         return int(_np.count_nonzero(mask))

@@ -36,7 +36,6 @@ from repro.harness.methodology import default_requests
 from repro.harness.reporting import format_table
 from repro.optimizer.pagecount_model import AnalyticalPageCountModel
 from repro.reopt.episode import run_with_reopt
-from repro.reopt.policy import ReoptPolicy
 from repro.session import Session
 from repro.workloads.queries import GeneratedQuery, single_table_workload
 
@@ -156,7 +155,6 @@ class ReoptABReport:
 def evaluate_reopt_query(
     database: Database,
     generated: GeneratedQuery,
-    policy: Optional[ReoptPolicy] = None,
     page_count_model: Optional[AnalyticalPageCountModel] = None,
     exec_mode: str = DEFAULT_EXEC_MODE,
 ) -> ReoptABOutcome:
@@ -170,7 +168,6 @@ def evaluate_reopt_query(
     the watchdog projects on (and the page boundaries that make the
     resume path legal).
     """
-    policy = policy if policy is not None else ReoptPolicy()
     requests = tuple(default_requests(database, generated.query))
 
     ride = Session(
@@ -191,7 +188,6 @@ def evaluate_reopt_query(
         switch,
         generated.query,
         requests=requests,
-        policy=policy,
         exec_mode=exec_mode,
     )
 
@@ -213,7 +209,6 @@ def run_reopt_ab(
     queries_per_column: int = 3,
     seed: int = 3,
     exec_mode: str = DEFAULT_EXEC_MODE,
-    policy: Optional[ReoptPolicy] = None,
     selectivity_range: tuple[float, float] = (0.01, 0.05),
 ) -> ReoptABReport:
     """The standalone Fig. 6-style A/B driver (``figures reopt``).
@@ -236,28 +231,18 @@ def run_reopt_ab(
         selectivity_range=selectivity_range,
         seed=seed,
     )
-    return evaluate_reopt_workload(
-        database, workload, policy=policy, exec_mode=exec_mode
-    )
+    return evaluate_reopt_workload(database, workload, exec_mode=exec_mode)
 
 
 def evaluate_reopt_workload(
     database: Database,
     workload: Sequence[GeneratedQuery],
-    policy: Optional[ReoptPolicy] = None,
-    page_count_model: Optional[AnalyticalPageCountModel] = None,
     exec_mode: str = DEFAULT_EXEC_MODE,
 ) -> ReoptABReport:
     """The full A/B over a workload (Fig. 6 columns, both regimes)."""
-    report = ReoptABReport()
-    for generated in workload:
-        report.outcomes.append(
-            evaluate_reopt_query(
-                database,
-                generated,
-                policy=policy,
-                page_count_model=page_count_model,
-                exec_mode=exec_mode,
-            )
-        )
-    return report
+    return ReoptABReport(
+        [
+            evaluate_reopt_query(database, generated, exec_mode=exec_mode)
+            for generated in workload
+        ]
+    )

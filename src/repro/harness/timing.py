@@ -15,11 +15,6 @@ import time
 from dataclasses import dataclass, field
 
 
-def wall_clock_seconds() -> float:
-    """Seconds since the epoch, from the host clock."""
-    return time.time()
-
-
 def utc_now_iso() -> str:
     """Current UTC time as an ISO-8601 string (``2026-08-08T12:00:00Z``).
 

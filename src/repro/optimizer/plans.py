@@ -153,11 +153,6 @@ class IndexSeekPlan(PlanNode):
             f"residual {self.residual.key()})"
         )
 
-    @property
-    def full_predicate(self) -> Conjunction:
-        """Seek term followed by residual terms — the rows the plan returns."""
-        return Conjunction((self.seek_term, *self.residual.terms))
-
 
 @dataclass
 class InListSeekPlan(PlanNode):

@@ -7,28 +7,26 @@ pays full price.  This package closes the loop mid-flight.  A
 execution's monitor bundles and, at checkpoint boundaries, compares the
 streaming actuals against the optimizer's estimates; when the divergence
 crosses an incremental threshold (with hysteresis and a min-progress
-guard so cheap queries never pay), it trips the execution's
-:class:`~repro.common.cancellation.CancellationToken` with a typed
-:class:`~repro.common.errors.ReoptRequested` reason.  The
+guard so cheap queries never pay — the module's constants), it raises
+:class:`~repro.common.errors.ReoptRequested` itself, after the caller's
+cancellation token has been consulted at the same checkpoint.  The
 :mod:`~repro.reopt.episode` runner then harvests the *partial* actuals
 into lower-bound injections, re-optimizes through the existing
-``build_optimizer`` path, and either restarts under the new plan or
-resumes where the consumed prefix is replayable — recording every step
-as stages in the session's lifecycle trace.
+``build_optimizer`` path, and resumes where the consumed prefix is
+replayable, otherwise restarts under the new plan — recording every
+step as stages in the session's lifecycle trace.  The caller's token
+governs the switched leg too.
 
-Only this package may construct partial-observation injections or
-request ``ReoptRequested`` cancellation (codelint rule R015).
+Only this package may construct partial-observation injections or raise
+``ReoptRequested`` (codelint rule R015).
 """
 
 from repro.reopt.episode import ReoptEpisode, run_with_reopt
 from repro.reopt.harvest import harvest_partials
-from repro.reopt.policy import MODES, ReoptPolicy
 from repro.reopt.watchdog import RegretWatchdog
 
 __all__ = [
-    "MODES",
     "ReoptEpisode",
-    "ReoptPolicy",
     "RegretWatchdog",
     "harvest_partials",
     "run_with_reopt",

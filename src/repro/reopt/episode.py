@@ -23,7 +23,9 @@ re-optimization state machine::
     reopt-trip → reopt-harvest → reopt-replan → reopt-resume|reopt-restart.
 
 The second leg always runs watchdog-free, so an episode performs at most
-one trip and terminates by construction.  Both legs share one IOContext:
+one trip and terminates by construction.  Both legs run under the
+caller's cancellation token, so a deadline covers the whole episode,
+switched leg included.  Both legs share one IOContext:
 the switched run inherits the buffer-pool warmth the cancelled prefix
 paid for (exactly what a real mid-query switch would see), and the final
 ``RunStats.elapsed_ms`` is the episode's total —
@@ -51,13 +53,16 @@ from repro.optimizer.hints import PlanHint
 from repro.optimizer.optimizer import Query, SingleTableQuery
 from repro.optimizer.plans import CountPlan, PlanNode, SeqScanPlan
 from repro.reopt.harvest import harvest_partials
-from repro.reopt.policy import ReoptPolicy
 from repro.reopt.watchdog import RegretWatchdog, WatchTarget
 from repro.sql.predicates import Comparison, Conjunction
 from repro.storage.accounting import IOContext
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (session -> reopt)
     from repro.session import Session
+
+#: Simulated cost of the mid-flight re-optimization itself, charged to
+#: the episode's IOContext so ``T_switch`` honestly includes ``T_replan``.
+REPLAN_COST_MS = 0.5
 
 
 @dataclass
@@ -104,7 +109,7 @@ def _resume_remainder(
     predicate AND ``key > resume_key`` — no row can be missed or counted
     twice.  ``COUNT(column)`` shapes are excluded (the scan counter
     counts matching rows, not non-null values of the column), as is the
-    row drive (its root-level cancellation check can fire mid-page).
+    row drive (it records no replay boundary).
     """
     if exec_mode == "row":
         return None
@@ -134,7 +139,6 @@ def run_with_reopt(
     session: "Session",
     query: Query,
     requests: Sequence[PageCountRequest] = (),
-    policy: Optional[ReoptPolicy] = None,
     use_feedback: bool = False,
     hint: Optional[PlanHint] = None,
     cold_cache: bool = True,
@@ -145,14 +149,15 @@ def run_with_reopt(
 ) -> ReoptEpisode:
     """Run ``query`` under the regret watchdog; switch plans on a trip.
 
-    ``cancellation`` may carry the caller's deadline token — the
-    watchdog trips *through* it (first cancel wins, so a deadline cancel
-    is never upgraded to a reopt trip).  A trip consumes the token: the
-    post-trip leg runs uncancellable, which bounds an episode at one
-    trip.  Any non-reopt :class:`~repro.common.errors.QueryCancelled`
-    propagates to the caller exactly as it would without the watchdog.
+    ``cancellation`` may carry the caller's deadline token.  It governs
+    every leg: each checkpoint consults it before the watchdog, so a
+    deadline landing on the trip boundary surfaces as a plain
+    :class:`~repro.common.errors.QueryCancelled`, and the switched leg
+    (resume or restart) stops at its next checkpoint once the token is
+    cancelled.  A caller cancel propagates exactly as it would without
+    the watchdog; it is never re-typed as a trip.  The switched leg runs
+    watchdog-free, which bounds an episode at one trip.
     """
-    policy = policy if policy is not None else ReoptPolicy()
     lifecycle = session.lifecycle()
     plan_node, trace = lifecycle.plan(query, use_feedback=use_feedback, hint=hint)
     session.last_trace = trace
@@ -164,14 +169,10 @@ def run_with_reopt(
     if use_feedback:
         session.feedback.snapshot_injections(baseline_injections)
 
-    token = cancellation if cancellation is not None else CancellationToken()
     watchdog = RegretWatchdog(
-        policy=policy,
-        token=token,
-        database=session.database,
+        session.database,
         injections=baseline_injections,
         page_count_model=session.page_count_model,
-        arm_resume=policy.mode in ("auto", "resume"),
     )
     if io is None:
         io = session.database.new_io_context()
@@ -186,7 +187,7 @@ def run_with_reopt(
             remember=remember,
             trace=trace,
             exec_mode=exec_mode,
-            cancellation=token,
+            cancellation=cancellation,
             watchdog=watchdog,
             feedback=session.feedback if use_feedback else None,
         )
@@ -213,7 +214,7 @@ def run_with_reopt(
 
     # Replan with the partial bounds injected, bypassing the plan cache:
     # lower-bound plans must never be published for other queries.
-    io.cpu_ms += policy.replan_cost_ms
+    io.cpu_ms += REPLAN_COST_MS
     replan_injections = session.feedback.to_injections(session.injections.copy())
     optimizer = build_optimizer(
         session.database,
@@ -259,6 +260,7 @@ def run_with_reopt(
             remember=False,
             trace=trace,
             exec_mode=exec_mode,
+            cancellation=cancellation,
         )
         total = prefix_rows + int(executed.result.scalar())
         executed = ExecutedQuery(
@@ -290,6 +292,7 @@ def run_with_reopt(
             remember=remember,
             trace=trace,
             exec_mode=exec_mode,
+            cancellation=cancellation,
             feedback=session.feedback,
         )
         episode.final_plan = new_plan

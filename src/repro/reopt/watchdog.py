@@ -9,11 +9,16 @@ baseline each monitored request was planned under.  :meth:`observe` then
 runs at every ``ctx.checkpoint()``: it linearly projects each streaming
 counter to end-of-scan (``satisfied * total_pages / pages_seen``) and
 compares the projection against the baseline with the shared q-error
-guard (:func:`~repro.core.selftuning.guarded_ratio`).  Enough
-consecutive divergent evaluations — past the policy's progress guards —
-trip the execution's cancellation token with the typed
-:class:`~repro.common.errors.ReoptRequested` reason, which the episode
-runner catches.
+guard (:func:`~repro.core.selftuning.guarded_ratio`).  The trip
+condition is deliberately conservative — PLANSIEVE-style incremental
+thresholds with hysteresis, fixed by this module's constants — so
+well-estimated queries never pay more than the checks themselves:
+:data:`HYSTERESIS_CHECKS` consecutive evaluations, each past both
+progress guards (:data:`MIN_PAGES`, :data:`MIN_PROGRESS_FRACTION`), must
+see some request's projection off by at least :data:`TRIP_RATIO`.  The
+watchdog then raises :class:`~repro.common.errors.ReoptRequested`
+itself, which the episode runner catches; the caller's cancellation
+token is never touched.
 
 Every evaluation charges one monitor check to the execution's own
 IOContext, so the watchdog's overhead is visible in simulated time like
@@ -27,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.catalog.catalog import Database
-from repro.common.cancellation import CancellationToken
+from repro.common.errors import ReoptRequested
 from repro.core.monitors import ScanMonitorBundle
 from repro.core.requests import AccessPathRequest
 from repro.core.selftuning import guarded_ratio
@@ -37,8 +42,19 @@ from repro.optimizer.cardinality import CardinalityEstimator
 from repro.optimizer.estimators import PageCountEstimator
 from repro.optimizer.injection import InjectionSet
 from repro.optimizer.pagecount_model import AnalyticalPageCountModel
-from repro.reopt.policy import ReoptPolicy
 from repro.storage.accounting import IOContext
+
+#: Minimum q-error between projected and estimated DPC for a checkpoint
+#: to count as a breach (2.0 = off by 2x either way).
+TRIP_RATIO = 2.0
+#: Consecutive breaching evaluations required before tripping (one flat
+#: page cannot trip a scan).
+HYSTERESIS_CHECKS = 3
+#: Fraction of the table a scan must have covered before its projection
+#: is trusted at all.
+MIN_PROGRESS_FRACTION = 0.05
+#: Absolute floor on pages seen (small tables never trip).
+MIN_PAGES = 8
 
 
 @dataclass
@@ -67,35 +83,25 @@ def _walk(operator: Operator) -> list[Operator]:
 
 
 class RegretWatchdog:
-    """Observes checkpoint boundaries; trips the token on sustained regret."""
+    """Observes checkpoint boundaries; raises a trip on sustained regret."""
 
     def __init__(
         self,
-        policy: ReoptPolicy,
-        token: CancellationToken,
         database: Database,
         injections: Optional[InjectionSet] = None,
         page_count_model: Optional[AnalyticalPageCountModel] = None,
-        arm_resume: bool = False,
     ) -> None:
         """``injections``/``page_count_model`` must be the ones the plan
         under watch was optimized from, so baselines reproduce the
         optimizer's own numbers (regret is measured against what the
         optimizer believed, not against some fresher estimate)."""
-        self.policy = policy
-        self.token = token
-        self.database = database
-        self.arm_resume = arm_resume
         self._cardinality = CardinalityEstimator(database, injections)
         self._pages = PageCountEstimator(
             database, model=page_count_model, injections=injections
         )
         self.targets: list[WatchTarget] = []
-        self.tripped = False
         self.trip_detail = ""
-        self._checks = 0
         self._consecutive_breaches = 0
-        self._trips = 0
 
     # ------------------------------------------------------------------
     def attach(self, root: Operator) -> int:
@@ -104,9 +110,9 @@ class RegretWatchdog:
         Called by the lifecycle's ``run_plan`` between monitor planning
         and execution, so the watchdog sees exactly the bundles the run
         will feed.  Scans over tables with a unique single-column
-        clustered key are additionally armed for resume tracking when
-        the policy allows it (the per-page key recording that makes the
-        consumed prefix replayable).
+        clustered key are additionally armed for resume tracking (the
+        per-page key recording that makes the consumed prefix
+        replayable).
         """
         for operator in _walk(root):
             if not isinstance(operator, _MonitoredScanMixin):
@@ -137,12 +143,11 @@ class RegretWatchdog:
                     request.table, request.expression, fetched
                 )
                 target.baselines[request.key()] = baseline
-            if self.arm_resume:
-                self._arm_resume_tracking(operator, target)
+            self._enable_resume_tracking(operator, target)
             self.targets.append(target)
         return len(self.targets)
 
-    def _arm_resume_tracking(
+    def _enable_resume_tracking(
         self, operator: _MonitoredScanMixin, target: WatchTarget
     ) -> None:
         """Turn on per-page clustering-key recording where replay is legal.
@@ -180,30 +185,23 @@ class RegretWatchdog:
 
     # ------------------------------------------------------------------
     def observe(self, io: IOContext) -> None:
-        """One checkpoint-boundary evaluation (ExecutionWatchdog seam)."""
-        self._checks += 1
-        policy = self.policy
-        if self._checks % policy.evaluate_every:
-            return
+        """One checkpoint-boundary evaluation (ExecutionWatchdog seam);
+        raises :class:`~repro.common.errors.ReoptRequested` on a trip."""
         io.charge_monitor_checks(1)
-        if self.tripped or self._trips >= policy.max_trips:
-            return
         breach = self._worst_divergence()
         if breach is None:
             self._consecutive_breaches = 0
             return
         self._consecutive_breaches += 1
-        if self._consecutive_breaches < policy.hysteresis_checks:
+        if self._consecutive_breaches < HYSTERESIS_CHECKS:
             return
         key, ratio, projected, baseline, progress = breach
-        self.tripped = True
-        self._trips += 1
         self.trip_detail = (
             f"{key}: projected {projected:.1f} vs estimated {baseline:.1f} "
-            f"pages (q-error {ratio:.2f} >= {policy.trip_ratio}) at "
+            f"pages (q-error {ratio:.2f} >= {TRIP_RATIO}) at "
             f"{progress:.0%} progress"
         )
-        self.token.cancel_for_reopt(self.trip_detail)
+        raise ReoptRequested(self.trip_detail)
 
     def _worst_divergence(
         self,
@@ -214,16 +212,15 @@ class RegretWatchdog:
         for the worst request whose ratio clears the trip threshold,
         considering only targets past both progress guards.
         """
-        policy = self.policy
         worst: Optional[tuple[str, float, float, float, float]] = None
         for target in self.targets:
             if not target.baselines:
                 continue
             pages_seen = target.pages_seen
-            if pages_seen < policy.min_pages or target.total_pages == 0:
+            if pages_seen < MIN_PAGES or target.total_pages == 0:
                 continue
             progress = pages_seen / target.total_pages
-            if progress < policy.min_progress_fraction:
+            if progress < MIN_PROGRESS_FRACTION:
                 continue
             scale = target.total_pages / pages_seen
             for monitor_progress in target.bundle.progress():
@@ -233,7 +230,7 @@ class RegretWatchdog:
                     continue
                 projected = monitor_progress.satisfied_pages * scale
                 ratio = guarded_ratio(projected, baseline)
-                if ratio < policy.trip_ratio:
+                if ratio < TRIP_RATIO:
                     continue
                 if worst is None or ratio > worst[1]:
                     worst = (key, ratio, projected, baseline, progress)

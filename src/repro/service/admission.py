@@ -36,10 +36,6 @@ class AdmissionSlot:
         self._controller = controller
         self._released = False
 
-    @property
-    def released(self) -> bool:
-        return self._released
-
     def release(self) -> None:
         """Give the slot back (idempotent — double release is a no-op,
         so error paths can release defensively without double-granting)."""

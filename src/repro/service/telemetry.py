@@ -70,7 +70,7 @@ class Counter:
 
 
 class Gauge:
-    """A current level; settable and adjustable."""
+    """A current level, set by its owner."""
 
     __slots__ = ("name", "value")
 
@@ -80,9 +80,6 @@ class Gauge:
 
     def set(self, value: int) -> None:
         self.value = value
-
-    def adjust(self, delta: int) -> None:
-        self.value += delta
 
 
 #: Samples a :class:`Histogram` keeps for its percentiles (the most

@@ -24,7 +24,7 @@ cached plan is never stale.  The last run's stage-by-stage record is in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.analysis.findings import Finding, errors, render_findings
 from repro.analysis.planlint import lint_plan
@@ -44,9 +44,6 @@ from repro.optimizer.optimizer import Optimizer, Query
 from repro.optimizer.pagecount_model import AnalyticalPageCountModel
 from repro.optimizer.plans import PlanNode
 from repro.storage.accounting import IOContext
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only (reopt imports session)
-    from repro.reopt.policy import ReoptPolicy
 
 __all__ = ["ExecutedQuery", "Session"]
 
@@ -70,13 +67,6 @@ class Session:
     #: Shared plan cache (an Engine wires its own in).  ``None`` means
     #: every optimize is fresh — the plan-cache stage reports "bypassed".
     plan_cache: Optional[PlanCache] = None
-    #: Mid-query re-optimization policy.  ``None`` (the default) keeps
-    #: every run on the exact pre-reopt code path — no watchdog, no
-    #: checkpoint observers, bit-identical results and charges.  With a
-    #: policy set, :meth:`run` calls that carry page-count requests are
-    #: routed through the reopt episode runner
-    #: (:func:`repro.reopt.run_with_reopt`).
-    reopt_policy: Optional["ReoptPolicy"] = None
     #: Stage-by-stage record of the most recent optimize()/run() call.
     last_trace: Optional[LifecycleTrace] = None
 
@@ -179,27 +169,28 @@ class Session:
         remember: bool = False,
         exec_mode: str = DEFAULT_EXEC_MODE,
         cancellation: Optional[CancellationToken] = None,
+        reopt: bool = False,
     ) -> ExecutedQuery:
         """The full lifecycle: plan (cached or fresh), execute, and — with
         ``remember=True`` — harvest feedback in the same call.
 
-        When a :attr:`reopt_policy` is set and the call carries
-        page-count requests, the run goes through the mid-query
-        re-optimization episode instead: the regret watchdog observes
-        the monitored scans and may cancel, replan, and switch plans
-        mid-flight (the episode's outcome lands in
-        ``runstats.lifecycle["reopt"]``).  Requestless runs have no
-        streaming counters to project from, so they stay on the plain
-        path even with a policy set.
+        With ``reopt=True`` a call that carries page-count requests goes
+        through the mid-query re-optimization episode
+        (:func:`repro.reopt.run_with_reopt`) instead: the regret watchdog
+        observes the monitored scans and may stop, replan, and switch
+        plans mid-flight, the episode's outcome landing in
+        ``runstats.lifecycle["reopt"]``, with ``cancellation`` governing
+        every leg.  Requestless runs have no streaming counters to
+        project from, so they stay on the plain path either way; the
+        default ``False`` is the exact pre-reopt path.
         """
-        if self.reopt_policy is not None and requests:
+        if reopt and requests:
             from repro.reopt.episode import run_with_reopt
 
-            episode = run_with_reopt(
+            return run_with_reopt(
                 self,
                 query,
                 requests=requests,
-                policy=self.reopt_policy,
                 use_feedback=use_feedback,
                 hint=hint,
                 cold_cache=cold_cache,
@@ -207,8 +198,7 @@ class Session:
                 exec_mode=exec_mode,
                 cancellation=cancellation,
                 remember=remember,
-            )
-            return episode.executed
+            ).executed
         executed = self.lifecycle().run(
             query,
             requests=requests,

@@ -34,7 +34,6 @@ from repro.engine import Engine, WorkloadItem
 from repro.exec.joins import HashJoin
 from repro.harness.methodology import default_requests
 from repro.optimizer import PlanHint
-from repro.reopt import ReoptPolicy
 from repro.service import marshal_observations, unmarshal_observations
 from repro.session import Session
 from repro.shard import ShardCoordinator
@@ -415,8 +414,7 @@ class TestHarvestAndReporting:
         requests = default_requests(small_db, query)
         for _ in range(2):
             session.remember(session.run(query, requests=requests, use_feedback=True))
-        session.reopt_policy = ReoptPolicy()
-        run = session.run(query, requests=requests, use_feedback=True)
+        run = session.run(query, requests=requests, use_feedback=True, reopt=True)
         assert run.result.runstats.lifecycle["reopt"]["tripped"] is False
         assert any(obs.remembered for obs in run.observations)
 

@@ -8,7 +8,7 @@ from repro.harness.reopt_ab import evaluate_reopt_query
 from repro.lifecycle.plancache import PlanCache
 from repro.optimizer import SingleTableQuery
 from repro.optimizer.hints import PlanHint
-from repro.reopt import ReoptPolicy, run_with_reopt
+from repro.reopt import run_with_reopt
 from repro.session import Session
 
 from tests.reopt.test_watchdog import generated_query, run_episode
@@ -70,7 +70,8 @@ class TestSwitchCorrectness:
 
 class TestRestartVsResume:
     """Resume is legal only for COUNT(*) over a hinted full scan of t
-    (clustered on the unique c1) under the page-at-a-time batch drive."""
+    (clustered on the unique c1) under the page-at-a-time batch drive;
+    every other tripped shape restarts."""
 
     def resume_shape(self, database):
         generated = generated_query(database, "c2")
@@ -84,7 +85,7 @@ class TestRestartVsResume:
         ).run(query, requests=requests, hint=hint, exec_mode="batch")
         return generated, query, requests, hint, truth.result.rows
 
-    def run_mode(self, database, mode, exec_mode="batch"):
+    def run_mode(self, database, exec_mode="batch"):
         generated, query, requests, hint, truth_rows = self.resume_shape(
             database
         )
@@ -95,52 +96,43 @@ class TestRestartVsResume:
             session,
             query,
             requests=requests,
-            policy=ReoptPolicy(mode=mode),
             hint=hint,
             exec_mode=exec_mode,
         )
         return session, episode, truth_rows
 
     def test_resume_replays_only_the_suffix(self, synthetic_db):
-        session, episode, truth_rows = self.run_mode(synthetic_db, "resume")
+        session, episode, truth_rows = self.run_mode(synthetic_db)
         assert episode.tripped and episode.resumed
         assert episode.executed.result.rows == truth_rows
         resume = session.last_trace.stage("reopt-resume")
         assert resume is not None and "prefix" in resume.detail
 
-    def test_restart_reruns_from_the_top(self, synthetic_db):
-        session, episode, truth_rows = self.run_mode(synthetic_db, "restart")
-        assert episode.tripped and not episode.resumed
-        assert episode.executed.result.rows == truth_rows
-        assert session.last_trace.stage("reopt-restart") is not None
-
     def test_auto_prefers_resume_when_legal(self, synthetic_db):
-        _, episode, truth_rows = self.run_mode(synthetic_db, "auto")
+        _, episode, truth_rows = self.run_mode(synthetic_db)
         assert episode.resumed
         assert episode.executed.result.rows == truth_rows
 
     def test_row_drive_never_resumes(self, synthetic_db):
-        # The row drive's cancellation check can fire mid-page, so the
-        # consumed prefix is not replayable; auto must fall back.
-        _, episode, truth_rows = self.run_mode(
-            synthetic_db, "auto", exec_mode="row"
-        )
+        # The row drive records no replay boundary, so the consumed
+        # prefix is not replayable; the episode must restart.
+        _, episode, truth_rows = self.run_mode(synthetic_db, exec_mode="row")
         assert episode.tripped and not episode.resumed
         assert episode.executed.result.rows == truth_rows
 
     def test_count_column_shape_never_resumes(self, synthetic_db):
         # count(padding) counts non-null values, not scanned rows — the
-        # scan counter is not the prefix answer, so resume is illegal.
+        # scan counter is not the prefix answer, so resume is illegal
+        # and the episode restarts from the top.
         generated = generated_query(synthetic_db, "c2")
-        _, episode = run_episode(
-            synthetic_db, generated, policy=ReoptPolicy(mode="resume")
-        )
+        session, episode = run_episode(synthetic_db, generated)
         assert episode.tripped and not episode.resumed
+        assert session.last_trace.stage("reopt-restart") is not None
 
     def test_hinted_same_plan_replan_is_a_false_trip(self, synthetic_db):
         # The hint also binds the replan, so the episode re-chooses the
         # same scan: accounted as a false trip, answer still exact.
-        _, episode, truth_rows = self.run_mode(synthetic_db, "restart")
+        _, episode, truth_rows = self.run_mode(synthetic_db)
         assert episode.false_trip and not episode.switched
         assert episode.executed.result.rows == truth_rows
 

@@ -7,7 +7,6 @@ import asyncio
 from repro.engine import Engine, WorkloadItem
 from repro.harness.loadgen import LoadSpec
 from repro.harness.methodology import default_requests
-from repro.reopt import ReoptPolicy
 from repro.service import QueryRequest, QueryService
 from repro.sql.parser import parse_query
 
@@ -49,15 +48,9 @@ class TestEngineRouting:
         assert episode["tripped"] and episode["switched"]
         assert executed.result.rows == plain.result.rows
 
-    def test_engine_policy_override_is_honoured(self, synthetic_db):
-        engine = Engine(synthetic_db, reopt_policy=ReoptPolicy(max_trips=0))
-        executed = engine.execute(item_for(synthetic_db, TRIP_SQL, True))
-        episode = executed.result.runstats.lifecycle["reopt"]
-        assert not episode["tripped"]
-
     def test_serial_items_do_not_leak_the_policy(self, synthetic_db):
-        # run_serial reuses one session; a reopt item must not leave the
-        # policy behind for the plain item that follows it.
+        # run_serial reuses one session; a reopt item must not leave its
+        # watchdog behind for the plain item that follows it.
         engine = Engine(synthetic_db)
         executed = engine.run_serial(
             [
