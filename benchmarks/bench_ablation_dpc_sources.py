@@ -6,7 +6,8 @@ runs it: for the Fig. 6 workload, how good are the plans chosen with
 
 1. the stock analytical (Yao) model,
 2. a per-column :class:`~repro.optimizer.DPCHistogram` built by an
-   offline full scan (§VI alternative, non-additivity handled), and
+   offline full scan (§VI alternative, non-additivity handled), its
+   estimates injected as access page counts, and
 3. page counts measured by execution feedback (the paper's approach)?
 
 The histogram closes most of the gap on *single-column range* predicates
@@ -21,7 +22,8 @@ from repro.engine import Engine
 from repro.exec import execute
 from repro.harness.methodology import evaluate_query
 from repro.harness.reporting import format_table, percent
-from repro.optimizer import Optimizer, build_dpc_histograms
+from repro.optimizer import DPCHistogram, Optimizer
+from repro.sql import Conjunction
 from repro.workloads import build_synthetic_database, single_table_workload
 
 
@@ -31,9 +33,8 @@ def test_ablation_dpc_sources(benchmark):
         engine = Engine(database)
         table = database.table("t")
         histograms = {
-            "t": build_dpc_histograms(
-                table, ["c2", "c3", "c4", "c5"], num_buckets=32
-            )
+            column: DPCHistogram.build(table, column, num_buckets=32)
+            for column in ("c2", "c3", "c4", "c5")
         }
         workload = single_table_workload(
             database,
@@ -50,10 +51,16 @@ def test_ablation_dpc_sources(benchmark):
             outcome = evaluate_query(engine, generated)
             model_time = outcome.time_original_ms
             feedback_time = outcome.time_improved_ms
-            # (2) histogram-equipped optimizer, no feedback.
-            histogram_plan = Optimizer(
-                database, injections=injections, dpc_histograms=histograms
-            ).optimize(generated.query)
+            # (2) the histogram's estimate per single-term expression,
+            # injected, no feedback.
+            for term in generated.query.predicate.terms:
+                expression = Conjunction((term,))
+                estimate = histograms[term.column].estimate(expression)
+                if estimate is not None:
+                    injections.inject_access_page_count("t", expression, estimate)
+            histogram_plan = Optimizer(database, injections=injections).optimize(
+                generated.query
+            )
             build = build_executable(histogram_plan, database)
             histogram_time = execute(build.root, database).elapsed_ms
             totals["model"] += model_time

@@ -70,7 +70,7 @@ PLAN_RULES: dict[str, str] = {
 }
 
 #: Valid ``dpc_source`` provenance tags (see PageCountEstimator).
-_DPC_SOURCES = frozenset({"model", "injected", "dpc-histogram"})
+_DPC_SOURCES = frozenset({"model", "injected"})
 
 _RELATIVE_TOLERANCE = 1e-9
 

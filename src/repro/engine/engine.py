@@ -46,7 +46,6 @@ from repro.lifecycle.plancache import PlanCache
 from repro.optimizer.hints import PlanHint
 from repro.optimizer.injection import InjectionSet
 from repro.optimizer.optimizer import Query
-from repro.optimizer.pagecount_model import AnalyticalPageCountModel
 from repro.optimizer.plans import PlanNode
 from repro.session import ExecutedQuery, Session
 
@@ -126,25 +125,16 @@ class Engine:
         self,
         database: Database,
         monitor_config: Optional[MonitorConfig] = None,
-        page_count_model: Optional[AnalyticalPageCountModel] = None,
-        plan_cache: Optional[PlanCache] = None,
-        use_plan_cache: bool = True,
     ) -> None:
         self.database = database
         self.feedback = FeedbackStore()
         self.monitor_config = (
             monitor_config if monitor_config is not None else MonitorConfig()
         )
-        self.page_count_model = page_count_model
         #: Shared by every session this engine hands out: repeated
         #: queries skip the optimize+lint stages while feedback epochs
-        #: and statistics versions keep entries provably fresh.  Pass
-        #: ``use_plan_cache=False`` (or an explicit cache) to override.
-        self.plan_cache: Optional[PlanCache] = (
-            plan_cache
-            if plan_cache is not None
-            else (PlanCache() if use_plan_cache else None)
-        )
+        #: and statistics versions keep entries provably fresh.
+        self.plan_cache = PlanCache()
         #: Lifecycle state: ``shutdown()`` flips ``_closed`` and then (with
         #: ``drain=True``) waits on ``_state`` until ``_active`` executions
         #: reach zero.  ``_state`` guards both fields.
@@ -224,7 +214,6 @@ class Engine:
                 injections.copy() if injections is not None else InjectionSet()
             ),
             monitor_config=self.monitor_config,
-            page_count_model=self.page_count_model,
             plan_cache=self.plan_cache,
         )
 
@@ -364,8 +353,7 @@ class Engine:
 
         Returns ``(plans_match, cache_event)``: the two plans must render
         bit-identically, otherwise the cache is serving a plan the
-        optimizer would no longer choose.  With no cache configured the
-        check degenerates to fresh-vs-fresh (always equal, determinism).
+        optimizer would no longer choose.
         """
         cached_session = self.session()
         cached_plan = cached_session.optimize(
@@ -447,12 +435,7 @@ class Engine:
         """Engine-level health report: plan-cache counters and the shared
         feedback store's epoch — the numbers the repeated-query benchmark
         and the CI plan-cache smoke read off."""
-        lines = [
+        return (
             f"feedback: {len(self.feedback)} record(s), "
-            f"epoch={self.feedback.epoch}"
-        ]
-        if self.plan_cache is None:
-            lines.append("plan-cache: disabled")
-        else:
-            lines.append(self.plan_cache.stats.render())
-        return "\n".join(lines)
+            f"epoch={self.feedback.epoch}\n{self.plan_cache.stats.render()}"
+        )

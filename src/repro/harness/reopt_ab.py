@@ -28,13 +28,12 @@ must cost within a rounding error of the A arm (the overhead gate in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.catalog.catalog import Database
 from repro.exec.executor import DEFAULT_EXEC_MODE
 from repro.harness.methodology import default_requests
 from repro.harness.reporting import format_table
-from repro.optimizer.pagecount_model import AnalyticalPageCountModel
 from repro.reopt.episode import run_with_reopt
 from repro.session import Session
 from repro.workloads.queries import GeneratedQuery, single_table_workload
@@ -155,7 +154,6 @@ class ReoptABReport:
 def evaluate_reopt_query(
     database: Database,
     generated: GeneratedQuery,
-    page_count_model: Optional[AnalyticalPageCountModel] = None,
     exec_mode: str = DEFAULT_EXEC_MODE,
 ) -> ReoptABOutcome:
     """Run one query's ride-vs-switch A/B.
@@ -170,20 +168,12 @@ def evaluate_reopt_query(
     """
     requests = tuple(default_requests(database, generated.query))
 
-    ride = Session(
-        database=database,
-        injections=generated.injections(),
-        page_count_model=page_count_model,
-    )
+    ride = Session(database=database, injections=generated.injections())
     plain = ride.run(
         generated.query, requests=requests, exec_mode=exec_mode
     )
 
-    switch = Session(
-        database=database,
-        injections=generated.injections(),
-        page_count_model=page_count_model,
-    )
+    switch = Session(database=database, injections=generated.injections())
     episode = run_with_reopt(
         switch,
         generated.query,

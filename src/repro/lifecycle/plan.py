@@ -20,7 +20,6 @@ from repro.lifecycle.plancache import FreshnessVector, PlanCacheKey
 from repro.optimizer.hints import PlanHint
 from repro.optimizer.injection import InjectionSet
 from repro.optimizer.optimizer import Optimizer, Query
-from repro.optimizer.pagecount_model import AnalyticalPageCountModel
 
 
 @dataclass(frozen=True)
@@ -44,31 +43,21 @@ def hint_fingerprint(hint: Optional[PlanHint]) -> str:
     return f"{hint.kind}|{hint.index_name or ''}|{hint.inner_table or ''}"
 
 
-def model_fingerprint(model: Optional[AnalyticalPageCountModel]) -> str:
-    """Identity of the page-count model variant an optimization used."""
-    if model is None:
-        return ""
-    return type(model).__name__
-
-
 def cache_key(
     canonical: CanonicalQuery,
     injections: InjectionSet,
     hint: Optional[PlanHint],
     use_feedback: bool,
-    page_count_model: Optional[AnalyticalPageCountModel] = None,
 ) -> PlanCacheKey:
     """Assemble the plan-cache key for one optimization problem.
 
     ``injections`` is the session's base set; the feedback store is
     versioned per table by the freshness vector and never keyed.
     """
-    model_tag = model_fingerprint(page_count_model)
-    hint_tag = hint_fingerprint(hint)
     return PlanCacheKey(
         query_key=canonical.key,
         injection_fingerprint=injections.fingerprint(),
-        hint_fingerprint=f"{hint_tag}#{model_tag}" if model_tag else hint_tag,
+        hint_fingerprint=hint_fingerprint(hint),
         mode="feedback" if use_feedback else "plain",
     )
 
@@ -100,9 +89,7 @@ def freshness_vector(
 def build_optimizer(
     database: Database,
     injections: Optional[InjectionSet] = None,
-    page_count_model: Optional[AnalyticalPageCountModel] = None,
     hint: Optional[PlanHint] = None,
-    dpc_histograms: Optional[dict] = None,
 ) -> Optimizer:
     """Construct a cost-based optimizer (the lifecycle's optimize stage).
 
@@ -111,10 +98,4 @@ def build_optimizer(
     constructing :class:`Optimizer` directly, keeping R007's promise that
     optimization entry points are enumerable.
     """
-    return Optimizer(
-        database,
-        injections=injections,
-        page_count_model=page_count_model,
-        hint=hint,
-        dpc_histograms=dpc_histograms,
-    )
+    return Optimizer(database, injections=injections, hint=hint)

@@ -212,13 +212,7 @@ class QueryLifecycle:
         freshness = freshness_vector(
             session.database, session.feedback, canonical.tables, use_feedback
         )
-        key = cache_key(
-            canonical,
-            session.injections,
-            hint,
-            use_feedback,
-            session.page_count_model,
-        )
+        key = cache_key(canonical, session.injections, hint, use_feedback)
         built: list[StageRecord] = []
 
         def builder() -> PlanNode:
@@ -250,22 +244,16 @@ class QueryLifecycle:
             else session.injections
         )
         optimizer = build_optimizer(
-            session.database,
-            injections=injections,
-            page_count_model=session.page_count_model,
-            hint=hint,
+            session.database, injections=injections, hint=hint
         )
         plan_node = optimizer.optimize(query)
         records.append(
             StageRecord("optimize", "ok", plan_node.describe())
         )
-        if session.lint_plans:
-            before = len(session.lint_findings)
-            session.lint(plan_node, optimizer.injections)
-            found = len(session.lint_findings) - before
-            records.append(StageRecord("lint", "ok", f"{found} finding(s)"))
-        else:
-            records.append(StageRecord("lint", "skipped", "lint_plans=False"))
+        before = len(session.lint_findings)
+        session.lint(plan_node, optimizer.injections)
+        found = len(session.lint_findings) - before
+        records.append(StageRecord("lint", "ok", f"{found} finding(s)"))
         return plan_node
 
     # ------------------------------------------------------------------

@@ -3,7 +3,7 @@
 from repro.optimizer.access_paths import AccessPathEnumerator, seek_bounds
 from repro.optimizer.cardinality import CardinalityEstimator
 from repro.optimizer.cost import CostModel, expected_evaluations
-from repro.optimizer.dpc_histogram import DPCHistogram, build_dpc_histograms
+from repro.optimizer.dpc_histogram import DPCHistogram
 from repro.optimizer.estimators import PageCountEstimator
 from repro.optimizer.hints import PlanHint
 from repro.optimizer.injection import (
@@ -15,7 +15,6 @@ from repro.optimizer.injection import (
 from repro.optimizer.join_enum import JoinEnumerator
 from repro.optimizer.optimizer import JoinQuery, Optimizer, Query, SingleTableQuery
 from repro.optimizer.pagecount_model import (
-    AnalyticalPageCountModel,
     cardenas_estimate,
     mackert_lohman_estimate,
     yao_estimate,
@@ -37,7 +36,6 @@ from repro.optimizer.plans import (
 
 __all__ = [
     "AccessPathEnumerator",
-    "AnalyticalPageCountModel",
     "CardinalityEstimator",
     "ClusteredRangeScanPlan",
     "CostModel",
@@ -62,7 +60,6 @@ __all__ = [
     "SeqScanPlan",
     "SingleTableQuery",
     "access_dpc_key",
-    "build_dpc_histograms",
     "cardenas_estimate",
     "cardinality_key",
     "expected_evaluations",

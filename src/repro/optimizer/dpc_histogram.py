@@ -27,7 +27,9 @@ Compared with feedback monitoring, the histogram (a) costs a full offline
 scan per column, (b) goes stale under updates, and (c) cannot express
 join-predicate DPCs at all (that needs statistics over join expressions,
 cf. [3] in the paper).  The ablation bench quantifies (the static half
-of) this trade-off.
+of) this trade-off.  The optimizer has no histogram input: an estimate
+reaches it as an access page count injected into its
+:class:`~repro.optimizer.injection.InjectionSet`, like any other.
 """
 
 from __future__ import annotations
@@ -223,13 +225,3 @@ class DPCHistogram:
             f"DPCHistogram({self.table_name}.{self.column}: "
             f"{len(self.boundaries)} boundaries, {self.total_pages} pages)"
         )
-
-
-def build_dpc_histograms(
-    table: Table, columns: Sequence[str], num_buckets: int = 32
-) -> dict[str, DPCHistogram]:
-    """Build DPC histograms for several columns of one table."""
-    return {
-        column: DPCHistogram.build(table, column, num_buckets)
-        for column in columns
-    }

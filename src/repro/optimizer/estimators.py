@@ -3,7 +3,8 @@
 :class:`PageCountEstimator` is the seam where execution feedback enters
 the cost model: given an expression, it first consults the
 :class:`~repro.optimizer.injection.InjectionSet` (feedback/DBA-supplied
-values) and only falls back to the analytical uniform-placement model.
+values) and only falls back to the analytical uniform-placement model
+(Yao's formula).
 Every answer carries its provenance (``"injected"`` vs ``"model"``), which
 plan nodes record and the diagnostics report surfaces.
 """
@@ -15,7 +16,7 @@ from typing import Optional
 
 from repro.catalog.catalog import Database
 from repro.optimizer.injection import InjectionSet
-from repro.optimizer.pagecount_model import AnalyticalPageCountModel
+from repro.optimizer.pagecount_model import yao_estimate
 from repro.sql.predicates import Conjunction, JoinEquality
 
 
@@ -25,24 +26,16 @@ class PageCountEstimator:
     def __init__(
         self,
         database: Database,
-        model: Optional[AnalyticalPageCountModel] = None,
         injections: Optional[InjectionSet] = None,
-        dpc_histograms: Optional[dict] = None,
     ) -> None:
-        """``dpc_histograms`` maps ``table -> {column -> DPCHistogram}``;
-        when present, single-term range expressions are answered from the
-        histogram (the §VI alternative) before falling back to the
-        analytical model.  Injections still take precedence over both."""
         self.database = database
-        self.model = model if model is not None else AnalyticalPageCountModel()
         self.injections = injections if injections is not None else InjectionSet()
-        self.dpc_histograms = dpc_histograms if dpc_histograms is not None else {}
 
     def _model_estimate(self, table_name: str, fetched_rows: float) -> float:
         stats = self.database.table(table_name).require_statistics()
         if stats.page_count == 0:
             return 0.0
-        return self.model.estimate(fetched_rows, stats.row_count, stats.page_count)
+        return yao_estimate(fetched_rows, stats.row_count, stats.page_count)
 
     def access_dpc(
         self, table_name: str, expression: Conjunction, fetched_rows: float
@@ -57,13 +50,6 @@ class PageCountEstimator:
         injected = self.injections.access_page_count(table_name, expression)
         if injected is not None:
             return injected, "injected"
-        histograms = self.dpc_histograms.get(table_name)
-        if histograms and len(expression.terms) == 1:
-            histogram = histograms.get(expression.terms[0].column)
-            if histogram is not None:
-                estimate = histogram.estimate(expression)
-                if estimate is not None:
-                    return estimate, "dpc-histogram"
         return self._model_estimate(table_name, fetched_rows), "model"
 
     def join_dpc(

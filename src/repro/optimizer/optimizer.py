@@ -27,7 +27,6 @@ from repro.optimizer.estimators import PageCountEstimator
 from repro.optimizer.hints import PlanHint
 from repro.optimizer.injection import InjectionSet
 from repro.optimizer.join_enum import JoinEnumerator
-from repro.optimizer.pagecount_model import AnalyticalPageCountModel
 from repro.optimizer.plans import CountPlan, PlanNode
 from repro.sql.predicates import Conjunction, JoinEquality
 
@@ -146,20 +145,13 @@ class Optimizer:
         self,
         database: Database,
         injections: Optional[InjectionSet] = None,
-        page_count_model: Optional[AnalyticalPageCountModel] = None,
         hint: Optional[PlanHint] = None,
-        dpc_histograms: Optional[dict] = None,
     ) -> None:
-        """``dpc_histograms`` (``table -> {column -> DPCHistogram}``)
-        switches access-path DPC estimation to the §VI histogram-based
-        alternative where applicable; injections still win."""
         self.database = database
         self.injections = injections if injections is not None else InjectionSet()
         self.cost_model = CostModel(database.disk_params)
         self.cardinality = CardinalityEstimator(database, self.injections)
-        self.page_counts = PageCountEstimator(
-            database, page_count_model, self.injections, dpc_histograms
-        )
+        self.page_counts = PageCountEstimator(database, self.injections)
         self.access_paths = AccessPathEnumerator(
             database, self.cardinality, self.page_counts, self.cost_model
         )

@@ -11,7 +11,9 @@ by orders of magnitude even when the cardinality ``n`` is exact.
 * :func:`yao_estimate` — Yao's exact expectation for sampling ``n`` rows
   without replacement from ``N`` rows on ``P`` pages (``k = N/P`` rows per
   page): ``P * (1 - C(N-k, n) / C(N, n))``, evaluated with log-gamma for
-  numerical stability.
+  numerical stability.  The optimizer's only analytical source: a page
+  count nobody injected is Yao's
+  (:class:`~repro.optimizer.estimators.PageCountEstimator`).
 * :func:`cardenas_estimate` — the with-replacement approximation
   ``P * (1 - (1 - 1/P)^n)``; cheaper, slightly overestimates Yao.
 * :func:`mackert_lohman_estimate` — the piecewise approximation from
@@ -104,28 +106,3 @@ def mackert_lohman_estimate(n_rows: float, total_rows: int, total_pages: int) ->
     else:
         pages = float(total_pages)
     return min(pages, float(total_pages))
-
-
-class AnalyticalPageCountModel:
-    """The optimizer's default DPC estimator (uniform-placement Yao).
-
-    ``variant`` selects among ``"yao"``, ``"cardenas"`` and
-    ``"mackert-lohman"`` — our ablation bench compares all three against
-    ground truth across the correlation spectrum.
-    """
-
-    VARIANTS = ("yao", "cardenas", "mackert-lohman")
-
-    def __init__(self, variant: str = "yao") -> None:
-        if variant not in self.VARIANTS:
-            raise EstimationError(
-                f"unknown page-count model {variant!r}; pick one of {self.VARIANTS}"
-            )
-        self.variant = variant
-
-    def estimate(self, n_rows: float, total_rows: int, total_pages: int) -> float:
-        if self.variant == "cardenas":
-            return cardenas_estimate(n_rows, total_pages)
-        if self.variant == "mackert-lohman":
-            return mackert_lohman_estimate(n_rows, total_rows, total_pages)
-        return yao_estimate(n_rows, total_rows, total_pages)

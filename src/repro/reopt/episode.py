@@ -169,11 +169,7 @@ def run_with_reopt(
     if use_feedback:
         session.feedback.snapshot_injections(baseline_injections)
 
-    watchdog = RegretWatchdog(
-        session.database,
-        injections=baseline_injections,
-        page_count_model=session.page_count_model,
-    )
+    watchdog = RegretWatchdog(session.database, injections=baseline_injections)
     if io is None:
         io = session.database.new_io_context()
 
@@ -217,10 +213,7 @@ def run_with_reopt(
     io.cpu_ms += REPLAN_COST_MS
     replan_injections = session.feedback.to_injections(session.injections.copy())
     optimizer = build_optimizer(
-        session.database,
-        injections=replan_injections,
-        page_count_model=session.page_count_model,
-        hint=hint,
+        session.database, injections=replan_injections, hint=hint
     )
     new_plan = optimizer.optimize(query)
     switched = new_plan.signature() != plan_node.signature()

@@ -41,7 +41,6 @@ from repro.exec.scans import SeqScan, _MonitoredScanMixin
 from repro.optimizer.cardinality import CardinalityEstimator
 from repro.optimizer.estimators import PageCountEstimator
 from repro.optimizer.injection import InjectionSet
-from repro.optimizer.pagecount_model import AnalyticalPageCountModel
 from repro.storage.accounting import IOContext
 
 #: Minimum q-error between projected and estimated DPC for a checkpoint
@@ -89,16 +88,13 @@ class RegretWatchdog:
         self,
         database: Database,
         injections: Optional[InjectionSet] = None,
-        page_count_model: Optional[AnalyticalPageCountModel] = None,
     ) -> None:
-        """``injections``/``page_count_model`` must be the ones the plan
-        under watch was optimized from, so baselines reproduce the
-        optimizer's own numbers (regret is measured against what the
-        optimizer believed, not against some fresher estimate)."""
+        """``injections`` must be the ones the plan under watch was
+        optimized from, so baselines reproduce the optimizer's own numbers
+        (regret is measured against what the optimizer believed, not
+        against some fresher estimate)."""
         self._cardinality = CardinalityEstimator(database, injections)
-        self._pages = PageCountEstimator(
-            database, model=page_count_model, injections=injections
-        )
+        self._pages = PageCountEstimator(database, injections)
         self.targets: list[WatchTarget] = []
         self.trip_detail = ""
         self._consecutive_breaches = 0

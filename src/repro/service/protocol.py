@@ -61,8 +61,8 @@ class QueryRequest:
     #: Harvest this run's observations into the shared store (epoch bump).
     remember: bool = False
     #: Attach the default page-count monitor requests for the query.
-    #: ``None`` (unspecified on the wire) defers to the service's
-    #: ``monitor_by_default``; an explicit value always wins.
+    #: ``None`` (unspecified on the wire) monitors; only an explicit
+    #: ``False`` opts out.
     monitor: Optional[bool] = None
     #: Optional plan restriction, as :class:`PlanHint` fields
     #: (``{"kind": "table_scan"}``, ...).

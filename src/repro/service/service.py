@@ -99,14 +99,12 @@ class QueryService:
         engine: Engine,
         max_in_flight: int = 8,
         max_queue_depth: int = 32,
-        monitor_by_default: bool = True,
         reopt_by_default: bool = False,
         worker_pool: Optional[WorkerPool] = None,
     ) -> None:
         self.engine = engine
         self.admission = AdmissionController(max_in_flight, max_queue_depth)
         self.telemetry = ServiceTelemetry()
-        self.monitor_by_default = monitor_by_default
         #: Run monitored in-process requests under the reopt watchdog
         #: even when they do not ask (``serve --reopt``); a request's own
         #: ``reopt=True`` always opts in regardless.
@@ -402,11 +400,7 @@ class QueryService:
         snapshot, not this service's authoritative store).
         """
         query = parse_query(request.sql)
-        monitor = (
-            self.monitor_by_default
-            if request.monitor is None
-            else request.monitor
-        )
+        monitor = request.monitor is not False
         if self.worker_pool is not None:
             outcome = self.worker_pool.execute(
                 request, token=token, monitor=monitor
@@ -454,11 +448,7 @@ class QueryService:
             "engine": {
                 "feedback_records": len(self.engine.feedback),
                 "feedback_epoch": self.engine.feedback.epoch,
-                "plan_cache": (
-                    self.engine.plan_cache.stats.snapshot()
-                    if self.engine.plan_cache is not None
-                    else None
-                ),
+                "plan_cache": self.engine.plan_cache.stats.snapshot(),
                 "report": self.engine.report(),
             },
             "workers": (

@@ -41,7 +41,6 @@ from repro.lifecycle.runner import ExecutedQuery, LifecycleTrace, QueryLifecycle
 from repro.optimizer.hints import PlanHint
 from repro.optimizer.injection import InjectionSet
 from repro.optimizer.optimizer import Optimizer, Query
-from repro.optimizer.pagecount_model import AnalyticalPageCountModel
 from repro.optimizer.plans import PlanNode
 from repro.storage.accounting import IOContext
 
@@ -56,12 +55,10 @@ class Session:
     feedback: FeedbackStore = field(default_factory=FeedbackStore)
     injections: InjectionSet = field(default_factory=InjectionSet)
     monitor_config: MonitorConfig = field(default_factory=MonitorConfig)
-    page_count_model: Optional[AnalyticalPageCountModel] = None
-    #: Lint every optimized plan (repro.analysis.planlint, rules P001-P006)
+    #: Every optimized plan is linted (repro.analysis.planlint, P001-P006)
     #: before it reaches the monitor planner.  Findings accumulate in
     #: :attr:`lint_findings`; with :attr:`strict_lint` an error-severity
     #: finding raises :class:`~repro.common.errors.PlanLintError` instead.
-    lint_plans: bool = True
     strict_lint: bool = False
     lint_findings: list[Finding] = field(default_factory=list)
     #: Shared plan cache (an Engine wires its own in).  ``None`` means
@@ -91,12 +88,7 @@ class Session:
         ).copy()
         if use_feedback:
             injections = self.feedback.to_injections(injections)
-        return build_optimizer(
-            self.database,
-            injections=injections,
-            page_count_model=self.page_count_model,
-            hint=hint,
-        )
+        return build_optimizer(self.database, injections=injections, hint=hint)
 
     def optimize(
         self,

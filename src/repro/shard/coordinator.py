@@ -55,10 +55,8 @@ from repro.core.requests import PageCountRequest
 from repro.engine.engine import Engine, WorkloadItem
 from repro.exec.executor import DEFAULT_EXEC_MODE, QueryResult
 from repro.exec.runstats import OperatorStats, RunStats
-from repro.lifecycle.plancache import PlanCache
 from repro.lifecycle.runner import ExecutedQuery
 from repro.optimizer.optimizer import Query
-from repro.optimizer.pagecount_model import AnalyticalPageCountModel
 from repro.optimizer.plans import CountPlan, PlanNode
 from repro.session import Session
 from repro.shard.partition import partition_database
@@ -121,35 +119,21 @@ class ShardCoordinator(Engine):
         partition_column: Optional[str] = None,
         partition_seed: int = 0,
         monitor_config: Optional[MonitorConfig] = None,
-        page_count_model: Optional[AnalyticalPageCountModel] = None,
-        plan_cache: Optional[PlanCache] = None,
-        use_plan_cache: bool = True,
     ) -> None:
         # The base engine is the planning side: global catalog, one plan
         # cache (a repeated query resolves once and every shard executes
         # the cached plan) and the one feedback store.
-        super().__init__(
-            database,
-            monitor_config=monitor_config,
-            page_count_model=page_count_model,
-            plan_cache=plan_cache,
-            use_plan_cache=use_plan_cache,
-        )
+        super().__init__(database, monitor_config=monitor_config)
         self.spec = PartitionSpec(
             num_shards=num_shards, strategy=strategy, column=partition_column
         )
         self.shard_databases = partition_database(
             database, self.spec, seed=partition_seed
         )
-        #: Shard engines never optimize (plans arrive pre-built), so they
-        #: carry no plan cache of their own.
+        #: Shard engines never optimize (plans arrive pre-built through
+        #: ``execute_plan``), so their own plan caches stay empty.
         self.engines = [
-            Engine(
-                shard_db,
-                monitor_config=self.monitor_config,
-                page_count_model=self.page_count_model,
-                use_plan_cache=False,
-            )
+            Engine(shard_db, monitor_config=self.monitor_config)
             for shard_db in self.shard_databases
         ]
 

@@ -59,12 +59,6 @@ class TestSharedCacheEquivalence:
         # check resolves each plan via the cache.
         assert all(c.cache_event == "hit" for c in report.comparisons)
 
-    def test_equivalence_report_without_cache_still_passes(self, synthetic_db):
-        engine = Engine(synthetic_db, use_plan_cache=False)
-        assert engine.plan_cache is None
-        report = engine.equivalence_report(workload(), num_threads=2)
-        assert report.equivalent
-
 
 class TestWorkloadContracts:
     def test_run_concurrent_returns_exactly_one_result_per_item(
@@ -113,7 +107,3 @@ class TestHitRateAndReport:
         assert "plan-cache:" in text
         assert "hits=" in text and "misses=" in text
         assert "feedback:" in text
-
-    def test_engine_report_with_cache_disabled(self, synthetic_db):
-        engine = Engine(synthetic_db, use_plan_cache=False)
-        assert "plan-cache: disabled" in engine.report()

@@ -10,7 +10,6 @@ from repro.optimizer import (
     InjectionSet,
     Optimizer,
     SingleTableQuery,
-    build_dpc_histograms,
 )
 from repro.optimizer.plans import IndexSeekPlan
 from repro.sql import Between, Comparison, Conjunction, conjunction_of
@@ -21,7 +20,10 @@ from tests.conftest import make_tiny_table
 @pytest.fixture(scope="module")
 def histograms(synthetic_db):
     table = synthetic_db.table("t")
-    return build_dpc_histograms(table, ["c2", "c4", "c5"], num_buckets=32)
+    return {
+        column: DPCHistogram.build(table, column, num_buckets=32)
+        for column in ("c2", "c4", "c5")
+    }
 
 
 class TestConstruction:
@@ -119,39 +121,20 @@ class TestEstimates:
         assert histogram.suffix_dpc(10**9) == 0.0
 
 
+def histogram_injections(histograms, predicate) -> InjectionSet:
+    """The histogram's estimate, fed to the optimizer as an injection."""
+    injections = InjectionSet()
+    estimate = histograms[predicate.terms[0].column].estimate(predicate)
+    injections.inject_access_page_count("t", predicate, estimate)
+    return injections
+
+
 class TestOptimizerIntegration:
     def test_histogram_source_recorded(self, synthetic_db, histograms):
         predicate = conjunction_of(Comparison("c2", "<", 700))
         query = SingleTableQuery("t", predicate, "padding")
-        optimizer = Optimizer(synthetic_db, dpc_histograms={"t": histograms})
-        seek = next(
-            p.child
-            for p in optimizer.candidates(query)
-            if isinstance(p.child, IndexSeekPlan)
-        )
-        assert seek.dpc_source == "dpc-histogram"
-        truth = exact_dpc(synthetic_db.table("t"), predicate)
-        assert seek.estimated_dpc == pytest.approx(truth, rel=0.25, abs=5)
-
-    def test_histogram_fixes_correlated_plan_choice(
-        self, synthetic_db, histograms
-    ):
-        """With the histogram the optimizer picks the Index Seek on c2
-        without any execution feedback — the static trade-off of §VI."""
-        predicate = conjunction_of(Comparison("c2", "<", 700))
-        query = SingleTableQuery("t", predicate, "padding")
-        plan = Optimizer(
-            synthetic_db, dpc_histograms={"t": histograms}
-        ).optimize(query)
-        assert isinstance(plan.child, IndexSeekPlan)
-
-    def test_injection_beats_histogram(self, synthetic_db, histograms):
-        predicate = conjunction_of(Comparison("c2", "<", 700))
-        query = SingleTableQuery("t", predicate, "padding")
-        injections = InjectionSet()
-        injections.inject_access_page_count("t", predicate, 123.0)
         optimizer = Optimizer(
-            synthetic_db, injections=injections, dpc_histograms={"t": histograms}
+            synthetic_db, injections=histogram_injections(histograms, predicate)
         )
         seek = next(
             p.child
@@ -159,7 +142,22 @@ class TestOptimizerIntegration:
             if isinstance(p.child, IndexSeekPlan)
         )
         assert seek.dpc_source == "injected"
-        assert seek.estimated_dpc == 123.0
+        assert seek.estimated_dpc == histograms["c2"].estimate(predicate)
+        truth = exact_dpc(synthetic_db.table("t"), predicate)
+        assert seek.estimated_dpc == pytest.approx(truth, rel=0.25, abs=5)
+
+    def test_histogram_fixes_correlated_plan_choice(
+        self, synthetic_db, histograms
+    ):
+        """With the histogram's estimate injected the optimizer picks the
+        Index Seek on c2 without any execution feedback — the static
+        trade-off of §VI."""
+        predicate = conjunction_of(Comparison("c2", "<", 700))
+        query = SingleTableQuery("t", predicate, "padding")
+        plan = Optimizer(
+            synthetic_db, injections=histogram_injections(histograms, predicate)
+        ).optimize(query)
+        assert isinstance(plan.child, IndexSeekPlan)
 
 
 @settings(max_examples=20, deadline=None)

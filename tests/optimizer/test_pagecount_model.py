@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import EstimationError
+from repro.optimizer.estimators import PageCountEstimator
 from repro.optimizer.pagecount_model import (
-    AnalyticalPageCountModel,
     cardenas_estimate,
     mackert_lohman_estimate,
     yao_estimate,
 )
+from repro.sql import Comparison, conjunction_of
 
 
 class TestCardenas:
@@ -88,19 +89,16 @@ class TestMackertLohman:
             assert mackert_lohman_estimate(n, 100_000, 100) <= 100.0
 
 
-class TestModelSelector:
-    def test_variants(self):
-        for variant in AnalyticalPageCountModel.VARIANTS:
-            model = AnalyticalPageCountModel(variant)
-            assert model.estimate(50, 10_000, 100) > 0
-
-    def test_unknown_variant_rejected(self):
-        with pytest.raises(EstimationError):
-            AnalyticalPageCountModel("magic")
-
-    def test_default_is_yao(self):
-        model = AnalyticalPageCountModel()
-        assert model.estimate(50, 10_000, 100) == yao_estimate(50, 10_000, 100)
+class TestEstimatorFallback:
+    def test_default_is_yao(self, synthetic_db):
+        """A page count nobody injected is Yao's, on the table's geometry."""
+        stats = synthetic_db.table("t").require_statistics()
+        predicate = conjunction_of(Comparison("c2", "<", 700))
+        pages, source = PageCountEstimator(synthetic_db).access_dpc(
+            "t", predicate, 50.0
+        )
+        assert source == "model"
+        assert pages == yao_estimate(50.0, stats.row_count, stats.page_count)
 
 
 @settings(max_examples=60, deadline=None)

@@ -84,25 +84,13 @@ class TestHappyPath:
         assert response.ok
         assert response.runstats["page_counts"] == []
 
-    def test_explicit_monitor_overrides_service_default(self, synthetic_db):
-        _, response = serve_one(
-            Engine(synthetic_db),
-            QueryRequest(sql=SCAN_SQL, request_id="q1", monitor=True),
-            monitor_by_default=False,
-        )
-        assert response.ok
-        assert response.runstats["page_counts"], (
-            "an explicit monitor=True must win over monitor_by_default=False"
-        )
-
     def test_unspecified_monitor_uses_service_default(self, synthetic_db):
         _, response = serve_one(
             Engine(synthetic_db),
             QueryRequest(sql=SCAN_SQL, request_id="q1"),  # monitor=None
-            monitor_by_default=False,
         )
         assert response.ok
-        assert response.runstats["page_counts"] == []
+        assert response.runstats["page_counts"], "monitor=None is monitored"
 
     def test_telemetry_counts_completion(self, synthetic_db):
         service, response = serve_one(

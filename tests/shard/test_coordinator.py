@@ -70,7 +70,8 @@ class TestExecution:
     def test_shard_engines_never_plan(self, coordinator):
         coordinator.execute(WorkloadItem(query=_query()))
         for engine in coordinator.engines:
-            assert engine.plan_cache is None
+            assert len(engine.plan_cache) == 0
+            assert engine.plan_cache.stats.lookups == 0
 
     def test_remember_bumps_the_global_epoch_exactly_once(self, coordinator):
         query = _query()
