@@ -16,10 +16,10 @@ The coordinator keeps the one authoritative feedback store either way,
 which is why the cold-run equivalence diff is asserted identically in
 both modes.
 
-Each width also asserts the engine's serial≡concurrent equivalence
-(``Engine.equivalence_report``) and the service-level response diff
-against a fresh serial replay, so a throughput number is never reported
-for a run that changed what the feedback loop observes.
+Each cold width also asserts the service-level response diff against a
+fresh serial replay (``diff_against_serial``, the serial≡concurrent
+proof), so a throughput number is never reported for a run that changed
+what the feedback loop observes.
 
 Non-gating; run directly::
 
@@ -144,17 +144,6 @@ async def _one_width(
 
 def run_bench(workers: int = 0) -> dict:
     database = build_synthetic_database(num_rows=NUM_ROWS, seed=SEED)
-
-    engine_report = Engine(database).equivalence_report(
-        workload_items(database, DEFAULT_WORKLOAD_SQL),
-        num_threads=MAX_IN_FLIGHT,
-    )
-    if not engine_report.equivalent:
-        raise RuntimeError(
-            f"Engine.equivalence_report found "
-            f"{len(engine_report.mismatches())} mismatch(es); refusing to "
-            "benchmark a service whose engine is not serial-equivalent"
-        )
 
     pool = _build_pool(workers)
     try:

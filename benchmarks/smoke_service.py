@@ -6,10 +6,9 @@ clients replaying the Fig. 6-style monitored range workload, and holds
 the service to its acceptance bar:
 
 * **zero equivalence diffs** — every response's rows, physical-read
-  count and page-count observations are bit-identical to a fresh serial
-  replay of the same SQL (the service-layer restatement of the engine's
-  serial≡concurrent proof), and ``Engine.equivalence_report`` stays
-  clean on the same workload;
+  count, simulated elapsed time and page-count observation fingerprints
+  are bit-identical to a fresh serial replay of the same SQL (the
+  repository's serial≡concurrent proof);
 * **zero leaked admission slots** — every admitted request reaches
   exactly one terminal counter and nothing stays in flight after drain;
 * **the oracle still serves** — one one-client pass names
@@ -208,19 +207,6 @@ def _timing_violations(
 def run_smoke() -> list[str]:
     """Run the service smoke; returns a list of violations."""
     database = build_synthetic_database(num_rows=20_000, seed=1234)
-
-    # Engine-level serial≡concurrent proof on the same workload
-    # (deterministic; once is enough).
-    engine_report = Engine(database).equivalence_report(
-        workload_items(database, DEFAULT_WORKLOAD_SQL),
-        num_threads=MAX_IN_FLIGHT,
-    )
-    mismatches = [
-        f"Engine.equivalence_report mismatch at item {comparison.index}"
-        for comparison in engine_report.mismatches()
-    ]
-    if mismatches:
-        return mismatches
 
     timing: list[str] = []
     for attempt in range(1, TIMING_ATTEMPTS + 1):

@@ -38,11 +38,11 @@ This module enforces them statically:
           included): batch mode exists to amortize accounting, so charge
           once per batch with ``charge_rows(len(rows))``
 ``R009``  no ``asyncio.get_event_loop()`` and no bare
-          ``threading.Thread`` outside the sanctioned concurrency sites
-          (``service/``, ``engine/engine.py``, ``harness/timing.py``) —
-          ad-hoc threads bypass the engine's drain/shutdown accounting
-          and admission control, and ``get_event_loop()`` is deprecated
-          outside a running loop (use ``asyncio.get_running_loop()``)
+          ``threading.Thread`` outside the sanctioned concurrency site
+          ``service/`` — ad-hoc threads bypass the engine's drain/shutdown
+          accounting and admission control, and ``get_event_loop()`` is
+          deprecated outside a running loop (use
+          ``asyncio.get_running_loop()``)
 ``R011``  no per-row Python loops over column values inside vector
           kernel bodies (``matches_vector`` / ``evaluate_columns``):
           the chunk scan's kernels must stay whole-vector operations through
@@ -118,9 +118,8 @@ ALLOWED_PATHS: dict[str, tuple[str, ...]] = {
     # diagnostics builds throwaway what-if optimizers over injected stores;
     # routing it through the lifecycle would cycle core -> lifecycle -> core.
     "R007": ("lifecycle/plan.py", "core/diagnostics.py"),
-    # the service layer and the engine's concurrency harness are where
-    # threads/event loops are supposed to live.
-    "R009": ("service/", "engine/engine.py", "harness/timing.py"),
+    # the service layer is where threads/event loops are supposed to live.
+    "R009": ("service/",),
     # the vector module IS the sanctioned pure-Python fallback: its
     # per-row loops are the list-backend implementation itself.
     "R011": ("exec/vector.py",),
@@ -270,8 +269,8 @@ class _FileChecker(ast.NodeVisitor):
                 f"worker-child module mutates a feedback store: "
                 f"{'.'.join(chain)}()",
                 hint="workers execute with remember=False; observations "
-                "travel back through marshal_observations and the "
-                "coordinator applies the batch (Engine.harvest_observations)",
+                "travel back in the reply's runstats and the coordinator "
+                "applies the batch (Engine.harvest_observations)",
             )
 
     # -- R001 / R002 / R005: forbidden calls ---------------------------
@@ -368,8 +367,8 @@ class _FileChecker(ast.NodeVisitor):
                 "R009",
                 node,
                 f"bare thread construction {'.'.join(chain)}()",
-                hint="route concurrency through Engine.run_concurrent or the "
-                "service's thread pool so drain/shutdown accounting holds",
+                hint="route concurrency through the query service's thread "
+                "pool so drain/shutdown accounting holds",
             )
         elif leaf == "charge_rows" and any(
             "batch" in name for name in self._function_stack
@@ -508,8 +507,8 @@ class _FileChecker(ast.NodeVisitor):
                 "R009",
                 node,
                 "importing threading.Thread",
-                hint="route concurrency through Engine.run_concurrent or the "
-                "service's thread pool so drain/shutdown accounting holds",
+                hint="route concurrency through the query service's thread "
+                "pool so drain/shutdown accounting holds",
             )
         elif module == "asyncio" and "get_event_loop" in names:
             self.report(

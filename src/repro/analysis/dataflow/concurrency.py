@@ -56,7 +56,6 @@ _BLOCKING_SEEDS: frozenset[tuple[str, str]] = frozenset(
         ("Engine", "execute"),
         ("Engine", "execute_plan"),
         ("Engine", "run_serial"),
-        ("Engine", "run_concurrent"),
         ("Engine", "shutdown"),
     }
 )

@@ -65,14 +65,6 @@ def table_of_key(key: str) -> Optional[str]:
     return match.group(1) if match else None
 
 
-def _request_table(request: PageCountRequest) -> str:
-    """The table whose pages a request counts (access path or join inner)."""
-    table = getattr(request, "table", None)
-    if table is not None:
-        return str(table)
-    return str(request.inner_table)  # type: ignore[union-attr]
-
-
 #: Why a sharded execution reports no leaf count.
 SHARD_LEAF_REASON = (
     "each shard rebuilds its own secondary indexes, so per-shard leaf pages "
@@ -448,7 +440,7 @@ class FeedbackStore:
                     observation.key, FeedbackRecord(key=observation.key)
                 )
                 record.merge_observation(observation, self._sequence)
-            self._bump(_request_table(obs.request) for obs in storable)
+            self._bump(obs.table for obs in storable)
         return len(storable)
 
     def record_partial_observations(

@@ -16,9 +16,10 @@ while running an Index Seek on ``Shipdate``, §II-B) come back with
 from __future__ import annotations
 
 import enum
+import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Any, NamedTuple, Optional
+from typing import TYPE_CHECKING, Any, Mapping, NamedTuple, Optional, cast
 
 from repro.sql.predicates import Conjunction, JoinEquality
 
@@ -275,6 +276,87 @@ class PageCountObservation:
     def key(self) -> str:
         return self.request.key()
 
+    @property
+    def table(self) -> str:
+        """The table whose pages the count is of (access path or join inner)."""
+        table = getattr(self.request, "table", None)
+        if table is not None:
+            return str(table)
+        return str(self.request.inner_table)  # type: ignore[union-attr]
+
+    def fingerprint(self) -> tuple:
+        """Everything an equivalence diff compares of one observation."""
+        return (
+            self.key,
+            self.mechanism.value,
+            self.answered,
+            self.reason,
+            self.estimate,
+            self.exact,
+            self.instrument,
+            self.remembered,
+        )
+
+    def to_wire(self) -> dict[str, Any]:
+        """The observation as plain scalars (the instrument as a JSON
+        string, or None): a ``RunStats.to_dict()`` page count, and so what
+        a worker process sends its coordinator.
+
+        ``details`` stay behind; :meth:`from_wire` rebuilds everything a
+        feedback store files.
+        """
+        return {
+            "key": self.key,
+            "table": self.table,
+            "mechanism": self.mechanism.value,
+            "estimate": self.estimate,
+            "exact": self.exact,
+            "answered": self.answered,
+            "reason": self.reason,
+            "instrument": (
+                json.dumps(self.instrument.to_json(), sort_keys=True)
+                if self.instrument is not None
+                else None
+            ),
+            "remembered": self.remembered,
+        }
+
+    @classmethod
+    def from_wire(cls, entry: Mapping[str, Any]) -> "PageCountObservation":
+        """Rebuild a :meth:`to_wire` entry; ValueError if malformed.
+
+        :meth:`~repro.core.feedback.FeedbackStore.record_observations`
+        files the result exactly as it files the live observation: same
+        key, estimate, exactness, mechanism, instrument and table epoch.
+        An entry without an instrument files a record no run is served
+        from.
+        """
+        try:
+            instrument = entry.get("instrument")
+            return cls(
+                request=cast(
+                    PageCountRequest,
+                    _WireRequest(
+                        table=str(entry["table"]), wire_key=str(entry["key"])
+                    ),
+                ),
+                mechanism=Mechanism(entry["mechanism"]),
+                estimate=entry["estimate"],
+                exact=bool(entry["exact"]),
+                answered=bool(entry["answered"]),
+                reason=str(entry.get("reason", "")),
+                instrument=(
+                    InstrumentFingerprint.from_json(json.loads(instrument))
+                    if instrument is not None
+                    else None
+                ),
+                remembered=bool(entry.get("remembered", False)),
+            )
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ValueError(
+                f"malformed wire observation {entry!r}: {exc}"
+            ) from exc
+
     @classmethod
     def unanswerable(
         cls, request: PageCountRequest, reason: str
@@ -298,3 +380,17 @@ class PageCountObservation:
             f"PageCountObservation({self.key} = {self.estimate:.1f} "
             f"[{qualifier}, {self.mechanism.value}])"
         )
+
+
+@dataclass(frozen=True)
+class _WireRequest:
+    """The request of an observation rebuilt by
+    :meth:`PageCountObservation.from_wire`: a feedback store needs only
+    its ``key()`` and its ``table`` (for epoch tagging); the expression
+    objects stay with the process that measured the count."""
+
+    table: str
+    wire_key: str
+
+    def key(self) -> str:
+        return self.wire_key

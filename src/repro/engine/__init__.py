@@ -1,10 +1,5 @@
 """Thread-safe multi-session front end over the simulated engine."""
 
-from repro.engine.engine import (
-    Engine,
-    EquivalenceReport,
-    QueryComparison,
-    WorkloadItem,
-)
+from repro.engine.engine import Engine, WorkloadItem
 
-__all__ = ["Engine", "EquivalenceReport", "QueryComparison", "WorkloadItem"]
+__all__ = ["Engine", "WorkloadItem"]

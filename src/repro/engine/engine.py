@@ -13,13 +13,13 @@ module packages it:
   :class:`~repro.session.Session` objects that all write that store
   (it serializes its own batches).
 
-* :meth:`Engine.run_concurrent` is the concurrent-workload harness: it
-  executes a workload on N threads, each query under an *isolated*
-  context (private cold buffer frames), so per-query ``RunStats`` are
-  bit-identical to serial cold-cache runs no matter how executions
-  interleave.  :meth:`Engine.equivalence_report` runs a workload both
-  ways and diffs the per-query rows, physical-read counts and page-count
-  observations — the proof obligation of the refactor.
+* :meth:`Engine.execute` runs one item under an *isolated* context
+  (private cold buffer frames), so its ``RunStats`` are bit-identical to
+  a serial cold-cache run no matter how executions interleave.  The
+  concurrency that serves traffic is the query service's executor (and
+  its worker processes); ``repro.harness.loadgen.diff_against_serial``
+  proves it serial-equivalent on rows, reads, simulated time and
+  observation fingerprints.
 
 Executions never write to tables (the stored data is immutable after
 load), so the only cross-session mutable state is the shared buffer
@@ -30,10 +30,9 @@ across each whole batch.
 
 from __future__ import annotations
 
-import queue
 import threading
-from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 from repro.catalog.catalog import Database
 from repro.common.cancellation import CancellationToken
@@ -69,53 +68,6 @@ class WorkloadItem:
     #: (``Session.run(reopt=True)``).  Off by default: the plain path is
     #: bit-identical to pre-reopt behaviour.
     reopt: bool = False
-
-
-@dataclass(frozen=True)
-class QueryComparison:
-    """Serial-vs-concurrent diff for one workload item."""
-
-    index: int
-    rows_match: bool
-    physical_reads_match: bool
-    observations_match: bool
-    serial_physical_reads: int
-    concurrent_physical_reads: int
-    #: Cached-vs-uncached plan identity at the same feedback epoch: the
-    #: plan the shared cache resolves for this item must render
-    #: bit-identically to a fresh, cache-bypassing optimization.
-    plans_match: bool = True
-    cache_event: str = ""
-
-    @property
-    def matches(self) -> bool:
-        return (
-            self.rows_match
-            and self.physical_reads_match
-            and self.observations_match
-            and self.plans_match
-        )
-
-
-@dataclass
-class EquivalenceReport:
-    """Outcome of running one workload serially and concurrently."""
-
-    comparisons: list[QueryComparison] = field(default_factory=list)
-
-    @property
-    def equivalent(self) -> bool:
-        return all(c.matches for c in self.comparisons)
-
-    def mismatches(self) -> list[QueryComparison]:
-        return [c for c in self.comparisons if not c.matches]
-
-
-def _observation_signature(executed: ExecutedQuery) -> list[tuple[Any, ...]]:
-    return [
-        (obs.key, obs.mechanism, obs.answered, obs.estimate, obs.exact)
-        for obs in executed.observations
-    ]
 
 
 class Engine:
@@ -291,127 +243,6 @@ class Engine:
         """Execute the workload one item at a time, in order."""
         session = self.session()
         return [self.execute(item, session=session) for item in items]
-
-    def run_concurrent(
-        self, items: Sequence[WorkloadItem], num_threads: int = 4
-    ) -> list[ExecutedQuery]:
-        """Execute the workload on ``num_threads`` threads.
-
-        Items are pulled from a shared queue; each worker thread gets its
-        own session and every item an isolated context, so results arrive
-        in the input order with accounting identical to serial execution.
-        Worker exceptions propagate to the caller after all threads stop.
-        """
-        if num_threads <= 0:
-            raise ValueError(f"num_threads must be positive, got {num_threads}")
-        pending: "queue.SimpleQueue[tuple[int, WorkloadItem]]" = queue.SimpleQueue()
-        for index, item in enumerate(items):
-            pending.put((index, item))
-        results: list[Optional[ExecutedQuery]] = [None] * len(items)
-        failures: list[BaseException] = []
-        # All workers launch together so executions genuinely interleave
-        # (the harness exists to prove interleaving is harmless).
-        gate = threading.Barrier(num_threads)
-
-        def worker() -> None:
-            session = self.session()
-            gate.wait()
-            while not failures:
-                try:
-                    index, item = pending.get_nowait()
-                except queue.Empty:
-                    return
-                try:
-                    results[index] = self.execute(item, session=session)
-                except BaseException as exc:  # surfaced to the caller below
-                    failures.append(exc)
-                    return
-
-        threads = [
-            threading.Thread(target=worker, name=f"engine-worker-{n}")
-            for n in range(num_threads)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        if failures:
-            raise failures[0]
-        missing = [index for index, result in enumerate(results) if result is None]
-        if missing:
-            raise EngineError(
-                f"run_concurrent lost {len(missing)} of {len(items)} "
-                f"result(s) (indices {missing}) without raising — "
-                "workload accounting would silently truncate"
-            )
-        return [result for result in results if result is not None]
-
-    # ------------------------------------------------------------------
-    def _plan_identity_check(self, item: WorkloadItem) -> tuple[bool, str]:
-        """Resolve ``item``'s plan through the shared cache *and* via a
-        fresh cache-bypassing optimization, at the current feedback epoch.
-
-        Returns ``(plans_match, cache_event)``: the two plans must render
-        bit-identically, otherwise the cache is serving a plan the
-        optimizer would no longer choose.
-        """
-        cached_session = self.session()
-        cached_plan = cached_session.optimize(
-            item.query, use_feedback=item.use_feedback, hint=item.hint
-        )
-        event = (
-            cached_session.last_trace.cache_event
-            if cached_session.last_trace is not None
-            else ""
-        )
-        fresh_session = self.session()
-        fresh_session.plan_cache = None
-        fresh_plan = fresh_session.optimize(
-            item.query, use_feedback=item.use_feedback, hint=item.hint
-        )
-        return cached_plan.render() == fresh_plan.render(), event
-
-    def equivalence_report(
-        self, items: Sequence[WorkloadItem], num_threads: int = 4
-    ) -> EquivalenceReport:
-        """Run ``items`` serially, then concurrently, and diff per query.
-
-        Compares rows, physical-read counts and page-count observations —
-        exact equality, no tolerances: identical plans driven over
-        identical cold private frames must charge identical counters.
-        Each comparison also re-resolves the item's plan cached vs.
-        uncached (:meth:`_plan_identity_check`), proving the shared plan
-        cache never substitutes a stale plan.
-        """
-        serial = self.run_serial(items)
-        concurrent = self.run_concurrent(items, num_threads=num_threads)
-        if len(serial) != len(concurrent):
-            raise EngineError(
-                f"equivalence_report got {len(serial)} serial but "
-                f"{len(concurrent)} concurrent result(s) for "
-                f"{len(items)} item(s); refusing to zip-truncate the diff"
-            )
-        report = EquivalenceReport()
-        for index, (ser, conc) in enumerate(zip(serial, concurrent)):
-            serial_reads = ser.result.runstats.physical_reads
-            concurrent_reads = conc.result.runstats.physical_reads
-            plans_match, cache_event = self._plan_identity_check(items[index])
-            report.comparisons.append(
-                QueryComparison(
-                    index=index,
-                    rows_match=ser.result.rows == conc.result.rows,
-                    physical_reads_match=serial_reads == concurrent_reads,
-                    observations_match=(
-                        _observation_signature(ser)
-                        == _observation_signature(conc)
-                    ),
-                    serial_physical_reads=serial_reads,
-                    concurrent_physical_reads=concurrent_reads,
-                    plans_match=plans_match,
-                    cache_event=cache_event,
-                )
-            )
-        return report
 
     # ------------------------------------------------------------------
     def harvest_observations(

@@ -139,17 +139,7 @@ class RunStats:
             "pool_hits": self.pool_hits,
             "warm_ratio": self.warm_ratio,
             "execution_mode": self.execution_mode,
-            "page_counts": [
-                {
-                    "expression": obs.key,
-                    "mechanism": obs.mechanism.value,
-                    "answered": obs.answered,
-                    "estimate": obs.estimate,
-                    "exact": obs.exact,
-                    "reason": obs.reason,
-                }
-                for obs in self.observations
-            ],
+            "page_counts": [obs.to_wire() for obs in self.observations],
             **({"lifecycle": self.lifecycle} if self.lifecycle else {}),
         }
 

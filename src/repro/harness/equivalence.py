@@ -10,9 +10,10 @@ same physical plan under every mode of
 paper's machinery depends on:
 
 * result rows (values *and* order) and output columns,
-* every :class:`~repro.core.requests.PageCountObservation` — key,
-  mechanism, estimate, exactness, answered/reason and the mechanism
-  details (sampled-page counts, linear-counter bit patterns, ...),
+* every :class:`~repro.core.requests.PageCountObservation` — its
+  ``fingerprint()`` (key, mechanism, answered/reason, estimate,
+  exactness, instrument, remembered) and the mechanism details
+  (sampled-page counts, linear-counter bit patterns, ...),
 * read counts (logical / random / sequential / pool hits),
 * per-operator plan statistics (actual rows, pages touched, predicate
   evaluation counts — the Fig. 7/9 overhead currency),
@@ -50,14 +51,11 @@ from repro.workloads.queries import GeneratedQuery
 
 
 def observation_fingerprint(observation: PageCountObservation) -> tuple:
-    """Everything downstream consumers can see of one observation."""
+    """:meth:`~repro.core.requests.PageCountObservation.fingerprint` plus
+    the mechanism ``details`` (sampled-page counts, counter bit patterns),
+    which two drives of one plan must also agree on."""
     return (
-        observation.key,
-        observation.mechanism.value,
-        observation.estimate,
-        observation.exact,
-        observation.answered,
-        observation.reason,
+        *observation.fingerprint(),
         tuple(sorted((k, repr(v)) for k, v in observation.details.items())),
     )
 

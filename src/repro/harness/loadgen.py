@@ -12,10 +12,14 @@ for ``passes`` rounds, so the first round exercises the cold path
 What comes back is a :class:`LoadReport`: per-request latency digests
 (p50/p95/p99 via :func:`repro.harness.reporting.latency_summary`),
 throughput, cold-vs-warm pass digests, the service telemetry snapshot,
-and the raw responses in request order so callers can diff the service's
-feedback observations against a serial replay
-(:func:`diff_against_serial`) — the service-layer restatement of the
-engine's serial≡concurrent equivalence obligation.
+and the raw responses in request order so callers can diff them against
+a serial replay (:func:`diff_against_serial`).  That diff is the
+repository's serial ≡ concurrent proof, made where the concurrency runs:
+the service's executor threads (and, with a worker pool, its worker
+processes) against one engine replaying the same SQL one query at a
+time, compared on rows, physical reads, simulated ``elapsed_ms`` and
+every observation's
+:meth:`~repro.core.requests.PageCountObservation.fingerprint`.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
 from repro.catalog.catalog import Database
+from repro.core.requests import PageCountObservation
 from repro.engine import Engine, WorkloadItem
 from repro.exec.executor import DEFAULT_EXEC_MODE, EXEC_MODES
 from repro.harness.methodology import default_requests
@@ -292,8 +297,8 @@ async def run_closed_loop_tcp(
 
 
 # ----------------------------------------------------------------------
-# Serial-reference equivalence: the service side of the engine's
-# serial≡concurrent proof obligation.
+# Serial-reference equivalence: serial ≡ concurrent, proven through the
+# service.
 # ----------------------------------------------------------------------
 def workload_items(
     database: Database,
@@ -321,20 +326,6 @@ def workload_items(
     return items
 
 
-def observation_signature(runstats: dict[str, Any]) -> list[tuple]:
-    """The feedback content of a wire-form ``RunStats`` dict."""
-    return [
-        (
-            obs["expression"],
-            obs["mechanism"],
-            obs["answered"],
-            obs["estimate"],
-            obs["exact"],
-        )
-        for obs in runstats.get("page_counts", [])
-    ]
-
-
 def diff_against_serial(
     database: Database, report: LoadReport, rows_only: bool = False
 ) -> list[str]:
@@ -342,8 +333,11 @@ def diff_against_serial(
 
     A brand-new engine replays the workload one query at a time; each
     successful service response (every pass, every client) must carry the
-    same rows, physical-read count and page-count observations as the
-    serial reference for its SQL.  Returns human-readable mismatch
+    same rows, physical-read count, simulated ``elapsed_ms`` and
+    page-count observations (every field of
+    :meth:`~repro.core.requests.PageCountObservation.fingerprint`, so a
+    count served from feedback where the replay measured it is a diff) as
+    the serial reference for its SQL.  Returns human-readable mismatch
     descriptions — empty means the service changed nothing about what the
     paper's feedback loop observes.
 
@@ -359,8 +353,10 @@ def diff_against_serial(
     response whose lifecycle shows a reopt trip is diffed on rows only —
     the switched run's read counts and truncated monitor counters
     legitimately differ, but the answer must not.  Untripped reopt
-    responses still face the full bit-level diff: an armed watchdog that
-    never fires must change nothing observable.
+    responses still face the full bit-level diff, except ``elapsed_ms``:
+    an armed watchdog that never fires changes nothing observable but
+    the simulated cost of its own checks (the quiet overhead
+    ``smoke_reopt.py`` bounds).
     """
     spec = report.spec
     reference_engine = Engine(database)
@@ -394,23 +390,32 @@ def diff_against_serial(
         )
         if reopt_episode.get("tripped"):
             continue
-        service_reads = (
-            response.runstats["random_reads"]
-            + response.runstats["sequential_reads"]
-        )
-        if service_reads != ref.result.runstats.physical_reads:
+        runstats, ref_stats = response.runstats, ref.result.runstats
+        service_reads = runstats["random_reads"] + runstats["sequential_reads"]
+        if service_reads != ref_stats.physical_reads:
             diffs.append(
                 f"{response.request_id}: physical reads {service_reads} != "
-                f"serial {ref.result.runstats.physical_reads}"
+                f"serial {ref_stats.physical_reads}"
             )
-        ref_signature = [
-            (obs.key, obs.mechanism.value, obs.answered, obs.estimate,
-             obs.exact)
-            for obs in ref.observations
-        ]
-        if observation_signature(response.runstats) != ref_signature:
+        # Exact on purpose: one plan over cold private frames makes the
+        # same charges in the same order, so the simulated time is
+        # bit-identical; a tolerance would hide a skipped or doubled charge.
+        if (
+            not spec.reopt
+            and runstats["elapsed_ms"] != ref_stats.elapsed_ms  # lint: disable=R003
+        ):
             diffs.append(
-                f"{response.request_id}: page-count observations diverged "
-                "from the serial replay"
+                f"{response.request_id}: elapsed_ms {runstats['elapsed_ms']!r} "
+                f"!= serial {ref_stats.elapsed_ms!r}"
+            )
+        served = [
+            PageCountObservation.from_wire(entry).fingerprint()
+            for entry in runstats["page_counts"]
+        ]
+        measured = [obs.fingerprint() for obs in ref.observations]
+        if served != measured:
+            diffs.append(
+                f"{response.request_id}: page-count observations {served} "
+                f"!= serial {measured}"
             )
     return diffs

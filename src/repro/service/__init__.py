@@ -7,11 +7,7 @@ control, deadlines, telemetry, graceful shutdown) and
 
 from repro.service.admission import AdmissionController, AdmissionSlot
 from repro.service.client import InProcessClient, TCPClient
-from repro.service.marshal import (
-    WorkerSpec,
-    marshal_observations,
-    unmarshal_observations,
-)
+from repro.service.marshal import WorkerSpec
 from repro.service.protocol import (
     BAD_REQUEST,
     DEADLINE_EXCEEDED,
@@ -63,6 +59,4 @@ __all__ = [
     "WorkerSpec",
     "decode_message",
     "encode_message",
-    "marshal_observations",
-    "unmarshal_observations",
 ]

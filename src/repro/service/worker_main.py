@@ -9,9 +9,9 @@ division of authority is strict:
 * the **coordinator** owns the one authoritative ``FeedbackStore`` and
   ``PlanCache``; this module never touches them (codelint R014 makes
   that structural) — every query here runs with ``remember=False`` and
-  harvested observations travel back flattened by
-  :func:`~repro.service.marshal.marshal_observations` for the
-  coordinator to apply as one atomic batch;
+  the observations travel back in the reply's ``runstats`` (the
+  ``page_counts`` of ``RunStats.to_dict()``) for the coordinator to
+  apply as one atomic batch;
 * a ``use_feedback`` query reads a **replica**: the coordinator attaches
   a serialized store snapshot when the worker's copy is stale, and the
   child swaps its engine's store wholesale — replicas are rebuilt, never
@@ -46,7 +46,7 @@ from repro.core.feedback import FeedbackStore
 from repro.engine import Engine, WorkloadItem
 from repro.harness.methodology import default_requests
 from repro.harness.timing import Stopwatch
-from repro.service.marshal import WorkerSpec, marshal_observations
+from repro.service.marshal import WorkerSpec
 from repro.service.protocol import (
     BAD_REQUEST,
     INTERNAL_ERROR,
@@ -201,11 +201,6 @@ def _serve_query(
             "rows": [list(row) for row in executed.result.rows],
             "columns": list(executed.result.columns),
             "runstats": executed.result.runstats.to_dict(),
-            "observations": (
-                marshal_observations(executed.observations)
-                if request.remember
-                else []
-            ),
         }
         if debug and debug.get("exit_before_reply"):
             os._exit(CRASH_EXIT_STATUS)

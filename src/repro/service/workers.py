@@ -6,8 +6,9 @@ holding its own engine) and routes admitted queries onto them, keeping
 the service's single-process contract intact:
 
 * **One authoritative feedback store.**  Workers execute with
-  ``remember=False`` and return their harvested observations flattened;
-  the pool applies each batch atomically through
+  ``remember=False`` and return their observations in the reply's
+  ``runstats``; for a ``remember`` request the pool applies the batch
+  atomically through
   :meth:`Engine.harvest_observations` (epoch bumped exactly once per
   batch, zero-answerable batches are no-ops —
   :meth:`FeedbackStore.record_observations`' contract, the same one a
@@ -44,9 +45,10 @@ from repro.common.errors import (
     WorkerError,
     WorkerQueryError,
 )
+from repro.core.requests import PageCountObservation
 from repro.engine import Engine
 from repro.harness.timing import Stopwatch
-from repro.service.marshal import WorkerSpec, unmarshal_observations
+from repro.service.marshal import WorkerSpec
 from repro.service.protocol import QueryRequest
 from repro.service.telemetry import ServiceTelemetry
 from repro.service.worker_main import worker_entry
@@ -425,11 +427,18 @@ class WorkerPool:
                 f"(status {status!r})"
             )
         handle.queries_served += 1
+        runstats = dict(reply.get("runstats", {}))
         harvested = 0
         if request.remember:
-            observations = unmarshal_observations(
-                reply.get("observations", [])
-            )
+            try:
+                observations = [
+                    PageCountObservation.from_wire(entry)
+                    for entry in runstats.get("page_counts", [])
+                ]
+            except ValueError as exc:
+                raise WorkerError(
+                    f"worker {handle.worker_id} sent {exc}"
+                ) from exc
             # Atomic batch into the one authoritative store: the epoch
             # advances exactly once, zero-answerable batches not at all.
             harvested = self.engine.harvest_observations(observations)
@@ -439,6 +448,6 @@ class WorkerPool:
         return WorkerOutcome(
             rows=list(reply.get("rows", [])),
             columns=list(reply.get("columns", [])),
-            runstats=dict(reply.get("runstats", {})),
+            runstats=runstats,
             harvested=harvested,
         )

@@ -305,9 +305,10 @@ class TestR009:
             violating, "src/repro/service/service.py"
         )
 
-    def test_allowed_inside_engine_module(self):
+    def test_fires_inside_engine_module(self):
+        """The engine builds no thread: concurrency is the service's."""
         violating = "import threading\nt = threading.Thread(target=w)\n"
-        assert "R009" not in rules_fired(
+        assert "R009" in rules_fired(
             violating, "src/repro/engine/engine.py"
         )
 
@@ -470,7 +471,7 @@ class TestR014:
 
     def test_silent_on_marshalling_itself(self):
         clean = (
-            "def marshal_observations(observations):\n"
+            "def to_wire(observations):\n"
             "    return [{'key': obs.key} for obs in observations]\n"
         )
         assert "R014" not in rules_fired(clean, self.MARSHAL_PATH)

@@ -29,12 +29,12 @@ from repro.core.requests import (
     InstrumentFingerprint,
     JoinMethodRequest,
     Mechanism,
+    PageCountObservation,
 )
 from repro.engine import Engine, WorkloadItem
 from repro.exec.joins import HashJoin
 from repro.harness.methodology import default_requests
 from repro.optimizer import PlanHint
-from repro.service import marshal_observations, unmarshal_observations
 from repro.session import Session
 from repro.shard import ShardCoordinator
 from repro.sql import Comparison, conjunction_of, parse_query
@@ -54,14 +54,10 @@ def small_db() -> Database:
     return build_synthetic_database(num_rows=4000, seed=31, with_copy=True)
 
 
-def signature(observation) -> tuple:
-    return (
-        observation.mechanism,
-        observation.answered,
-        observation.estimate,
-        observation.exact,
-        observation.instrument,
-    )
+def as_live(observation) -> tuple:
+    """The fingerprint a served observation shares with the measured one
+    it stands in for: every field but ``remembered``."""
+    return replace(observation, remembered=False).fingerprint()
 
 
 #: The ``details`` an observation of each mechanism reports, against the
@@ -108,8 +104,8 @@ def serve_against_live(database, queries, mode, config=None) -> int:
         assert not any(obs.remembered for obs in live.observations)
         for observation in live.observations:
             assert_built_from_instrument(observation)
-        measured = {obs.key: signature(obs) for obs in live.observations}
-        assert {obs.key: signature(obs) for obs in run.observations} == measured
+        measured = {obs.key: obs.fingerprint() for obs in live.observations}
+        assert {obs.key: as_live(obs) for obs in run.observations} == measured
         assert run.result.rows == live.result.rows
         served += sum(obs.remembered for obs in run.observations)
     return served
@@ -226,9 +222,9 @@ class TestServedEqualsLive:
         live = Engine(small_db).execute_plan(
             query, run.plan, [access, join], exec_mode=mode
         )
-        measured = {obs.key: signature(obs) for obs in live.observations}
-        assert {obs.key: signature(obs) for obs in run.observations} == measured
-        assert measured[join.key()][0] is Mechanism.BITVECTOR_DPSAMPLE
+        measured = {obs.key: obs.fingerprint() for obs in live.observations}
+        assert {obs.key: as_live(obs) for obs in run.observations} == measured
+        assert measured[join.key()][1] == Mechanism.BITVECTOR_DPSAMPLE.value
 
     def test_growing_table_is_measured_again(self):
         database = Database("events_db", buffer_pool_pages=100_000)
@@ -316,17 +312,18 @@ class TestNeverServed:
             session.remember(session.run(query, requests=requests, use_feedback=True))
         steady = session.optimize(query, use_feedback=True)
         harvested = Engine(small_db).execute_plan(query, steady, requests).observations
-        wire = marshal_observations(harvested)
+        wire = [obs.to_wire() for obs in harvested]
         # With its instrument the wire form files the same record as an
         # in-process harvest, and a run is served from it ...
         carried = FeedbackStore()
-        carried.record_observations(unmarshal_observations(wire))
+        carried.record_observations(map(PageCountObservation.from_wire, wire))
         assert any(o.remembered for o in self.plain_run(small_db, carried).observations)
         # ... without it (a sender that does not know the instrument) the
         # record is never served.
         bare = FeedbackStore()
         bare.record_observations(
-            unmarshal_observations([{**entry, "instrument": None} for entry in wire])
+            PageCountObservation.from_wire({**entry, "instrument": None})
+            for entry in wire
         )
         assert not any(o.remembered for o in self.plain_run(small_db, bare).observations)
 

@@ -1,16 +1,23 @@
-"""Engine-level plan-cache guarantees: shared-cache equivalence, the
-cached-vs-uncached plan identity check, exact-length workload contracts,
-and the hit-rate the repeated-query story promises."""
+"""Engine-level plan-cache guarantees: shared-cache equivalence under
+concurrent service traffic, cached-vs-uncached plan identity, one
+response per request, and the hit-rate the repeated-query story
+promises."""
 
 from __future__ import annotations
 
-import pytest
+import asyncio
 
-from repro.common.errors import EngineError
 from repro.core.requests import AccessPathRequest
 from repro.engine import Engine, WorkloadItem
+from repro.harness.loadgen import LoadSpec, diff_against_serial, run_closed_loop
 from repro.optimizer import SingleTableQuery
+from repro.service import QueryService
 from repro.sql import Comparison, conjunction_of
+
+CUTS = [("c2", 300), ("c3", 250), ("c4", 5_000)]
+SQLS = tuple(
+    f"SELECT count(padding) FROM t WHERE {column} < {cut}" for column, cut in CUTS
+)
 
 
 def query_on(column: str, cut: int) -> SingleTableQuery:
@@ -21,7 +28,7 @@ def query_on(column: str, cut: int) -> SingleTableQuery:
 
 def workload() -> list[WorkloadItem]:
     items = []
-    for column, cut in [("c2", 300), ("c3", 250), ("c4", 5_000)]:
+    for column, cut in CUTS:
         query = query_on(column, cut)
         items.append(
             WorkloadItem(
@@ -32,56 +39,54 @@ def workload() -> list[WorkloadItem]:
     return items
 
 
+def closed_loop(engine: Engine, spec: LoadSpec):
+    """``spec`` through a 4-wide service over ``engine``."""
+
+    async def run():
+        service = QueryService(engine, max_in_flight=4)
+        try:
+            return await run_closed_loop(service, spec)
+        finally:
+            await service.shutdown()
+
+    return asyncio.run(run())
+
+
 class TestSharedCacheEquivalence:
     def test_concurrent_with_shared_cache_matches_serial(self, synthetic_db):
-        """Repeating each item makes the concurrent run exercise cache
-        hits (and stampedes) across worker sessions — results must still
-        match serial execution query-for-query."""
-        items = workload() * 3
+        """Three passes make the concurrent clients hit (and stampede) the
+        one shared cache — responses must still match a serial replay
+        query-for-query."""
         engine = Engine(synthetic_db)
-        serial = engine.run_serial(items)
-        concurrent = engine.run_concurrent(items, num_threads=4)
-        assert len(serial) == len(concurrent) == len(items)
-        for ser, conc in zip(serial, concurrent):
-            assert ser.result.rows == conc.result.rows
-            assert (
-                ser.result.runstats.physical_reads
-                == conc.result.runstats.physical_reads
-            )
+        report = closed_loop(engine, LoadSpec(sqls=SQLS, concurrency=4, passes=3))
+        assert report.ok_count == 3 * len(SQLS)
+        assert diff_against_serial(synthetic_db, report) == []
         assert engine.plan_cache.stats.hits > 0
 
-    def test_equivalence_report_checks_plan_identity(self, synthetic_db):
+    def test_cached_plan_renders_like_a_fresh_optimization(self, synthetic_db):
+        """The plan the shared cache serves renders bit-identically to a
+        cache-bypassing optimization at the same feedback epoch."""
         engine = Engine(synthetic_db)
-        report = engine.equivalence_report(workload(), num_threads=2)
-        assert report.equivalent
-        assert all(c.plans_match for c in report.comparisons)
-        # The serial+concurrent warmup cached every item, so the identity
-        # check resolves each plan via the cache.
-        assert all(c.cache_event == "hit" for c in report.comparisons)
+        engine.run_serial(workload())
+        for item in workload():
+            cached = engine.session()
+            plan = cached.optimize(item.query)
+            assert cached.last_trace.cache_event == "hit"
+            fresh = engine.session()
+            fresh.plan_cache = None
+            assert plan.render() == fresh.optimize(item.query).render()
 
 
 class TestWorkloadContracts:
-    def test_run_concurrent_returns_exactly_one_result_per_item(
+    def test_closed_loop_returns_exactly_one_response_per_request(
         self, synthetic_db
     ):
-        engine = Engine(synthetic_db)
-        items = workload()
-        results = engine.run_concurrent(items, num_threads=3)
-        assert len(results) == len(items)
-        assert all(result is not None for result in results)
-
-    def test_equivalence_report_raises_on_length_mismatch(
-        self, synthetic_db, monkeypatch
-    ):
-        """A lost result must fail loudly, not silently shrink the diff."""
-        engine = Engine(synthetic_db)
-
-        def truncating(items, num_threads=4):
-            return Engine.run_concurrent(engine, items, num_threads)[:-1]
-
-        monkeypatch.setattr(engine, "run_concurrent", truncating)
-        with pytest.raises(EngineError, match="zip-truncate"):
-            engine.equivalence_report(workload(), num_threads=2)
+        spec = LoadSpec(sqls=SQLS, concurrency=3, passes=2)
+        report = closed_loop(Engine(synthetic_db), spec)
+        assert [r.request_id for r in report.responses] == [
+            r.request_id for r in spec.requests()
+        ]
+        assert report.ok_count == len(spec.requests())
 
 
 class TestHitRateAndReport:

@@ -82,7 +82,7 @@ class TestRunStatsRendering:
     def test_to_dict_includes_page_counts(self):
         payload = self.make_runstats().to_dict()
         (entry,) = payload["page_counts"]
-        assert entry["expression"] == "DPC(t, a < 1)"
+        assert entry["key"] == "DPC(t, a < 1)"
         assert entry["mechanism"] == "dpsample"
 
     def test_observation_for_missing_key(self):

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import asyncio
+import copy
+import json
 
 import pytest
 
@@ -61,6 +63,22 @@ class TestClosedLoop:
         assert report.qps > 0
         assert diff_against_serial(synthetic_db, report) == []
 
+    def test_armed_quiet_reopt_run_is_serial_equivalent(self, synthetic_db):
+        """The watchdog's checks cost simulated time, so an armed run is
+        diffed on everything else; none of these queries trips."""
+        spec = LoadSpec(concurrency=4, passes=1, reopt=True)
+
+        async def scenario():
+            service = QueryService(Engine(synthetic_db), max_in_flight=2)
+            try:
+                return await run_closed_loop(service, spec)
+            finally:
+                await service.shutdown()
+
+        report = asyncio.run(scenario())
+        assert report.ok_count == report.total_requests
+        assert diff_against_serial(synthetic_db, report) == []
+
     def test_report_renders_latency_sections(self, synthetic_db):
         spec = LoadSpec(concurrency=2, passes=2)
 
@@ -79,3 +97,50 @@ class TestClosedLoop:
         warm = report.warm_latency()
         cold = report.cold_latency()
         assert warm["count"] + cold["count"] == report.total_requests
+
+
+def _swap_instrument(runstats):
+    """A count taken by a different instrument (here: another seed)."""
+    entry = next(e for e in runstats["page_counts"] if e.get("instrument"))
+    instrument = json.loads(entry["instrument"])
+    instrument["seed"] = (instrument["seed"] or 0) + 1
+    entry["instrument"] = json.dumps(instrument, sort_keys=True)
+
+
+def _serve_remembered(runstats):
+    """The same count, served from feedback where the replay measured it."""
+    runstats["page_counts"][0]["remembered"] = True
+
+
+def _shift_elapsed(runstats):
+    runstats["elapsed_ms"] += 0.5
+
+
+class TestDiffAgainstSerial:
+    """One response differs from the serial replay in one field the
+    feedback loop can see; the diff must name it."""
+
+    @pytest.fixture(scope="class")
+    def clean(self, synthetic_db):
+        spec = LoadSpec(sqls=DEFAULT_WORKLOAD_SQL[:1], concurrency=2, passes=2)
+
+        async def scenario():
+            service = QueryService(Engine(synthetic_db), max_in_flight=2)
+            try:
+                return await run_closed_loop(service, spec)
+            finally:
+                await service.shutdown()
+
+        report = asyncio.run(scenario())
+        assert diff_against_serial(synthetic_db, report) == []
+        return report
+
+    @pytest.mark.parametrize(
+        "mutate", [_swap_instrument, _serve_remembered, _shift_elapsed]
+    )
+    def test_one_field_mutation_is_a_diff(self, synthetic_db, clean, mutate):
+        report = copy.deepcopy(clean)
+        mutate(report.responses[1].runstats)
+        diffs = diff_against_serial(synthetic_db, report)
+        assert len(diffs) == 1
+        assert diffs[0].startswith(report.responses[1].request_id)

@@ -1,7 +1,8 @@
-"""Observation marshalling: the worker↔coordinator feedback boundary.
+"""Observation wire form: the worker↔coordinator feedback boundary.
 
-The contract: a harvested observation batch that is serialized on the
-worker side, shipped as JSON-able scalars and applied coordinator-side
+The contract: a harvested observation batch that is written with
+``PageCountObservation.to_wire`` on the worker side, shipped as JSON-able
+scalars and rebuilt with ``from_wire`` coordinator-side
 leaves the authoritative store **bit-identical** to an in-process
 harvest of the same run — same keys, same estimates, same exactness,
 same mechanism strings, same table-epoch tagging, with the epoch
@@ -11,6 +12,7 @@ advancing exactly once per batch and zero-answerable batches a no-op.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -23,11 +25,7 @@ from repro.core.requests import (
 )
 from repro.engine import Engine
 from repro.harness.loadgen import workload_items
-from repro.service import (
-    WorkerSpec,
-    marshal_observations,
-    unmarshal_observations,
-)
+from repro.service import WorkerSpec
 from repro.sql.predicates import JoinEquality
 from repro.workloads import build_synthetic_database
 
@@ -50,6 +48,14 @@ def harvested(database, sql):
     return engine.execute(item).observations
 
 
+def to_wire(observations):
+    return [obs.to_wire() for obs in observations]
+
+
+def from_wire(entries):
+    return [PageCountObservation.from_wire(entry) for entry in entries]
+
+
 class TestRoundTrip:
     def test_store_bit_identical_to_in_process_harvest(self, database):
         observations = harvested(database, SCAN_SQL)
@@ -60,17 +66,29 @@ class TestRoundTrip:
 
         # The wire trip: flatten, force through real JSON (what the
         # pickle over the pipe must be equivalent to), reconstitute.
-        wire = json.loads(json.dumps(marshal_observations(observations)))
+        wire = json.loads(json.dumps(to_wire(observations)))
         round_tripped = FeedbackStore()
-        round_tripped.record_observations(unmarshal_observations(wire))
+        round_tripped.record_observations(from_wire(wire))
 
         assert round_tripped.to_json() == in_process.to_json()
+
+    def test_fingerprint_survives_the_wire(self, database):
+        """Every field an equivalence diff compares comes back, the
+        instrument and a served count's ``remembered`` flag included."""
+        observations = harvested(database, JOIN_SQL)
+        served = [replace(obs, remembered=True) for obs in observations]
+        assert any(obs.instrument is not None for obs in observations)
+        for obs in observations + served:
+            back = PageCountObservation.from_wire(
+                json.loads(json.dumps(obs.to_wire()))
+            )
+            assert back.fingerprint() == obs.fingerprint()
 
     def test_table_epoch_tagging_survives_the_wire(self, database):
         observations = harvested(database, SCAN_SQL)
         store = FeedbackStore()
-        wire = marshal_observations(observations)
-        store.record_observations(unmarshal_observations(wire))
+        wire = to_wire(observations)
+        store.record_observations(from_wire(wire))
         assert store.table_epoch("t") == store.epoch
         assert store.epoch == 1
 
@@ -78,7 +96,7 @@ class TestRoundTrip:
         observations = harvested(database, SCAN_SQL)
         store = FeedbackStore()
         stored = store.record_observations(
-            unmarshal_observations(marshal_observations(observations))
+            from_wire(to_wire(observations))
         )
         assert stored == len(
             [o for o in observations if o.answered and o.estimate is not None]
@@ -93,9 +111,9 @@ class TestRoundTrip:
             ),
             reason="plan never fetched inner pages",
         )
-        wire = marshal_observations([unanswerable])
+        wire = to_wire([unanswerable])
         # The unanswerable observation itself survives the trip...
-        [back] = unmarshal_observations(wire)
+        [back] = from_wire(wire)
         assert back.answered is False
         assert back.reason == "plan never fetched inner pages"
         assert back.key == unanswerable.key
@@ -109,13 +127,13 @@ class TestRoundTrip:
         observations = harvested(database, JOIN_SQL)
         join_entries = [
             entry
-            for entry in marshal_observations(observations)
+            for entry in to_wire(observations)
             if "=" in entry["key"]
         ]
         assert join_entries, "join workload produced no join observations"
         for entry in join_entries:
             assert entry["table"] in ("t", "t1")
-            [back] = unmarshal_observations([entry])
+            [back] = from_wire([entry])
             assert back.key == entry["key"]
             assert back.mechanism is Mechanism(entry["mechanism"])
         # The key string carries the outer filter across the wire as it is:
@@ -126,7 +144,7 @@ class TestRoundTrip:
         ]
         store = FeedbackStore()
         store.record_observations(
-            unmarshal_observations(marshal_observations(observations))
+            from_wire(to_wire(observations))
         )
         local = FeedbackStore()
         local.record_observations(observations)
@@ -135,7 +153,7 @@ class TestRoundTrip:
 
 class TestWireHygiene:
     def test_payload_is_plain_scalars(self, database):
-        for entry in marshal_observations(harvested(database, SCAN_SQL)):
+        for entry in to_wire(harvested(database, SCAN_SQL)):
             for key, value in entry.items():
                 assert isinstance(key, str)
                 assert value is None or isinstance(
@@ -143,10 +161,10 @@ class TestWireHygiene:
                 ), f"{key} leaked a live object: {type(value).__name__}"
 
     def test_malformed_entry_raises_typed_error(self):
-        with pytest.raises(WorkerError):
-            unmarshal_observations([{"table": "t"}])  # no key
-        with pytest.raises(WorkerError):
-            unmarshal_observations(
+        with pytest.raises(ValueError, match="malformed wire observation"):
+            from_wire([{"table": "t"}])  # no key
+        with pytest.raises(ValueError, match="malformed wire observation"):
+            from_wire(
                 [
                     {
                         "key": "DPC(t, x < 1)",

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import asyncio
 import threading
+from types import SimpleNamespace
 
 import pytest
 
@@ -182,6 +183,19 @@ class TestCentralizedFeedback:
         assert responses[0].ok
         assert pool.engine.feedback.epoch == 0
         assert len(pool.engine.feedback) == 0
+
+    def test_malformed_harvest_entry_is_a_worker_error(self, pool):
+        """A ``remember`` reply's page counts come from another process:
+        an entry ``from_wire`` rejects fails the request as a typed
+        ``WorkerError`` and files nothing."""
+        handle = SimpleNamespace(worker_id=0, queries_served=0)
+        reply = {"status": "ok", "runstats": {"page_counts": [{"table": "t"}]}}
+        epoch = pool.engine.feedback.epoch
+        with pytest.raises(WorkerError, match="malformed wire observation"):
+            pool._interpret_reply(
+                handle, QueryRequest(sql=SCAN_SQL, remember=True), reply
+            )
+        assert pool.engine.feedback.epoch == epoch
 
 
     def test_corrupt_replica_answers_a_typed_feedback_error(self, worker_db):
