@@ -21,7 +21,9 @@ fresh serial replay (``diff_against_serial``, the serial≡concurrent
 proof), so a throughput number is never reported for a run that changed
 what the feedback loop observes.
 
-Non-gating; run directly::
+CI runs the in-process sweep as a gate: it raises on any leaked
+admission slot or serial diff; the QPS and latency numbers are printed,
+not gated.  Run directly::
 
     PYTHONPATH=src python benchmarks/bench_service_throughput.py [--workers N]
 """

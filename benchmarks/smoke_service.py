@@ -61,7 +61,7 @@ from repro.workloads import build_synthetic_database
 #: Closed-loop clients (each holds exactly one request in flight).
 CONCURRENCY = 64
 
-#: Admission: executions running concurrently on the thread pool.
+#: Admission: requests running on, or waiting for, the engine thread.
 MAX_IN_FLIGHT = 8
 
 #: Admission: waiters the service will park before rejecting.  64 clients

@@ -118,7 +118,7 @@ async def _run_load(database, pool: WorkerPool, concurrency: int, warm: bool):
     admission = service.admission.snapshot()
     workers = pool.snapshot()
     # The pool is shared across runs; detach it so only the service-side
-    # state (thread pool, engine) drains here.
+    # state (engine and waiter threads, engine) drains here.
     service.worker_pool = None
     await service.shutdown()
     return report, admission, workers

@@ -367,8 +367,8 @@ class _FileChecker(ast.NodeVisitor):
                 "R009",
                 node,
                 f"bare thread construction {'.'.join(chain)}()",
-                hint="route concurrency through the query service's thread "
-                "pool so drain/shutdown accounting holds",
+                hint="route concurrency through the query service's engine "
+                "thread or worker tier so drain/shutdown accounting holds",
             )
         elif leaf == "charge_rows" and any(
             "batch" in name for name in self._function_stack
@@ -507,8 +507,8 @@ class _FileChecker(ast.NodeVisitor):
                 "R009",
                 node,
                 "importing threading.Thread",
-                hint="route concurrency through the query service's thread "
-                "pool so drain/shutdown accounting holds",
+                hint="route concurrency through the query service's engine "
+                "thread or worker tier so drain/shutdown accounting holds",
             )
         elif module == "asyncio" and "get_event_loop" in names:
             self.report(

@@ -1,10 +1,12 @@
 """Tier-3 concurrency sanitizer: C001 (lock-order cycles), C002 (lock
 held across ``await``), C003 (blocking call inside a service coroutine).
 
-The engine's concurrency contract (docs/architecture.md) is small —
-per-structure locks with no nesting across structures except the two
-documented chains — but nothing enforced it until now.  These rules
-mechanise it:
+The engine's concurrency contract (docs/architecture.md) is small: the
+engine's own state (feedback store, plan cache, buffer pool) is touched
+only by its one execution thread and has no lock, and the locks that
+remain — ``WorkerPool._lock``, ``ServiceTelemetry._lock``, the worker
+process's cancel lock and ``Engine._state`` — each guard one structure
+and never nest across structures.  These rules mechanise it:
 
 * **C001** builds the *lock-acquisition-order graph*: an edge L1 → L2
   whenever some function acquires L2 (directly or via a resolved call
@@ -13,8 +15,8 @@ mechanise it:
   ``RLock`` is legal and skipped; re-entrant acquisition of a plain
   ``Lock``/``Condition`` is an immediate self-deadlock.
 * **C002** flags a *threading* lock held across an ``await``: the
-  coroutine parks with the lock held, and any worker thread touching
-  that lock stalls the executor pool for the duration of the await.
+  coroutine parks with the lock held, and any thread touching that
+  lock stalls for the duration of the await.
 * **C003** flags calls inside ``service/`` coroutines that resolve —
   transitively, through sync call edges — to a blocking operation
   (``Session.run``/``Engine.execute``-class work, ``time.sleep``, file

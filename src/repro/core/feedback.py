@@ -22,9 +22,9 @@ from the store — most importantly the
 the tables a plan touches, so a remembered page count can never silently
 serve a plan built from superseded feedback.
 
-The store is internally thread-safe: all record/epoch state is
-guarded by one reentrant lock, held across each whole ingest batch, so
-the sessions of an :class:`~repro.engine.Engine` write it directly.
+The store has no lock: an :class:`~repro.engine.Engine` runs one
+execution at a time, and the query service touches its engine's store
+only on its one engine thread (worker replies' harvests included).
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from __future__ import annotations
 import json
 import math
 import re
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Optional, Sequence, Union
@@ -346,19 +345,15 @@ class FeedbackStore:
         #: from the epoch: a cancelled run's lower bounds must not make
         #: cached plans look stale.
         self._partial_sequence = 0
-        self._lock = threading.RLock()
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._records)
+        return len(self._records)
 
     def __contains__(self, key: str) -> bool:
-        with self._lock:
-            return key in self._records
+        return key in self._records
 
     def record(self, key: str) -> Optional[FeedbackRecord]:
-        with self._lock:
-            return self._records.get(key)
+        return self._records.get(key)
 
     def remembered(
         self, request: PageCountRequest, instrument: InstrumentFingerprint
@@ -367,23 +362,22 @@ class FeedbackStore:
         measured its complete page count — a count that instrument would
         reproduce bit for bit, so a run may serve it instead of measuring
         — else None."""
-        with self._lock:
-            record = self._records.get(request.key())
-            if (
-                record is None
-                or record.instrument != instrument
-                or record.partial
-                or record.page_count is None
-            ):
-                return None
-            return PageCountObservation(
-                request=request,
-                mechanism=instrument.mechanism,
-                estimate=record.page_count,
-                exact=record.page_count_exact,
-                instrument=instrument,
-                remembered=True,
-            )
+        record = self._records.get(request.key())
+        if (
+            record is None
+            or record.instrument != instrument
+            or record.partial
+            or record.page_count is None
+        ):
+            return None
+        return PageCountObservation(
+            request=request,
+            mechanism=instrument.mechanism,
+            estimate=record.page_count,
+            exact=record.page_count_exact,
+            instrument=instrument,
+            remembered=True,
+        )
 
     # ------------------------------------------------------------------
     # Epochs (freshness tags consumed by the plan cache)
@@ -391,24 +385,21 @@ class FeedbackStore:
     @property
     def epoch(self) -> int:
         """Global store version; changes iff the store's contents change."""
-        with self._lock:
-            return self._epoch
+        return self._epoch
 
     def table_epoch(self, table: str) -> int:
         """Epoch of the last write that touched ``table`` (0 = never)."""
-        with self._lock:
-            return self._table_epochs.get(table, 0)
+        return self._table_epochs.get(table, 0)
 
     def table_epochs(self, tables: Iterable[str]) -> tuple[tuple[str, int], ...]:
         """Sorted ``(table, epoch)`` freshness vector for a table set."""
-        with self._lock:
-            return tuple(
-                (table, self._table_epochs.get(table, 0))
-                for table in sorted(set(tables))
-            )
+        return tuple(
+            (table, self._table_epochs.get(table, 0))
+            for table in sorted(set(tables))
+        )
 
     def _bump(self, tables: Iterable[str]) -> None:
-        """Advance the global epoch and re-tag ``tables`` (lock held)."""
+        """Advance the global epoch and re-tag ``tables``."""
         self._epoch += 1
         for table in tables:
             if table is not None:
@@ -433,14 +424,13 @@ class FeedbackStore:
         ]
         if not storable:
             return 0
-        with self._lock:
-            self._sequence += 1
-            for observation in storable:
-                record = self._records.setdefault(
-                    observation.key, FeedbackRecord(key=observation.key)
-                )
-                record.merge_observation(observation, self._sequence)
-            self._bump(obs.table for obs in storable)
+        self._sequence += 1
+        for observation in storable:
+            record = self._records.setdefault(
+                observation.key, FeedbackRecord(key=observation.key)
+            )
+            record.merge_observation(observation, self._sequence)
+        self._bump(obs.table for obs in storable)
         return len(storable)
 
     def record_partial_observations(
@@ -465,20 +455,18 @@ class FeedbackStore:
         ]
         if not storable:
             return 0
-        with self._lock:
-            self._partial_sequence += 1
-            for observation in storable:
-                record = self._records.setdefault(
-                    observation.key, FeedbackRecord(key=observation.key)
-                )
-                record.merge_partial_observation(observation)
+        self._partial_sequence += 1
+        for observation in storable:
+            record = self._records.setdefault(
+                observation.key, FeedbackRecord(key=observation.key)
+            )
+            record.merge_partial_observation(observation)
         return len(storable)
 
     @property
     def partial_writes(self) -> int:
         """How many partial (reopt-harvest) write batches have landed."""
-        with self._lock:
-            return self._partial_sequence
+        return self._partial_sequence
 
     def record_run(self, runstats: RunStats) -> int:
         """Harvest one executed query's feedback."""
@@ -488,12 +476,11 @@ class FeedbackStore:
         """Store an observed actual cardinality for an expression key."""
         if rows < 0:
             raise FeedbackError(f"cardinality must be >= 0, got {rows}")
-        with self._lock:
-            self._sequence += 1
-            record = self._records.setdefault(key, FeedbackRecord(key=key))
-            record.cardinality = rows
-            record.sequence = self._sequence
-            self._bump([table_of_key(key)] if table_of_key(key) else [])
+        self._sequence += 1
+        record = self._records.setdefault(key, FeedbackRecord(key=key))
+        record.cardinality = rows
+        record.sequence = self._sequence
+        self._bump([table_of_key(key)] if table_of_key(key) else [])
 
     # ------------------------------------------------------------------
     # Export
@@ -508,10 +495,9 @@ class FeedbackStore:
         returning it); on key conflicts the feedback record wins.
         """
         lowered = base if base is not None else InjectionSet()
-        with self._lock:
-            for record in self._records.values():
-                if record.page_count is not None:
-                    lowered.inject_page_count_by_key(record.key, record.page_count)
+        for record in self._records.values():
+            if record.page_count is not None:
+                lowered.inject_page_count_by_key(record.key, record.page_count)
         return lowered
 
     def snapshot_injections(
@@ -527,20 +513,18 @@ class FeedbackStore:
         return self.to_injections(base)
 
     def keys(self) -> list[str]:
-        with self._lock:
-            return sorted(self._records)
+        return sorted(self._records)
 
     # ------------------------------------------------------------------
     # Persistence (the DBA-tool use case: feedback outlives the session)
     # ------------------------------------------------------------------
     def to_json(self) -> str:
         """Serialise the store to a JSON string."""
-        with self._lock:
-            payload = {
-                "version": 1,
-                "sequence": self._sequence,
-                "records": [_record_json(record) for record in self._records.values()],
-            }
+        payload = {
+            "version": 1,
+            "sequence": self._sequence,
+            "records": [_record_json(record) for record in self._records.values()],
+        }
         return json.dumps(payload, indent=2, sort_keys=True)
 
     @classmethod
@@ -617,17 +601,6 @@ class FeedbackStore:
                 )
         return store
 
-    def snapshot_json(self) -> tuple[int, str]:
-        """Atomically read ``(epoch, to_json())`` under one lock hold.
-
-        The worker tier ships feedback replicas to child processes keyed
-        by the epoch they describe; reading the epoch and the payload in
-        two separate calls would race with concurrent harvests and tag a
-        newer payload with an older epoch (or vice versa).
-        """
-        with self._lock:
-            return self._epoch, self.to_json()
-
     def save(self, path: Union[str, Path]) -> None:
         """Write the store to ``path`` (a str or Path)."""
         Path(path).write_text(self.to_json(), encoding="utf-8")
@@ -638,8 +611,7 @@ class FeedbackStore:
         return cls.from_json(Path(path).read_text(encoding="utf-8"))
 
     def __repr__(self) -> str:
-        with self._lock:
-            return (
-                f"FeedbackStore({len(self._records)} expressions, "
-                f"epoch {self._epoch})"
-            )
+        return (
+            f"FeedbackStore({len(self._records)} expressions, "
+            f"epoch {self._epoch})"
+        )

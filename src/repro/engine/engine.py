@@ -1,31 +1,32 @@
-"""A thread-safe front end: one :class:`Engine`, many concurrent sessions.
+"""One :class:`Engine` per database: sessions, executions, one feedback store.
 
 The paper's feedback loop (monitor -> remember -> re-optimize) is a
-multi-query, multi-session workflow: execution feedback is collected
-continuously across a live workload, not one cold-cache run at a time.
-The per-execution accounting refactor makes that possible — every run
+multi-query workflow: execution feedback is collected continuously
+across a live workload, not one cold-cache run at a time.  The
+per-execution accounting refactor makes that possible — every run
 charges its own :class:`~repro.storage.accounting.IOContext` — and this
 module packages it:
 
 * :class:`Engine` owns the shared, immutable-after-load
-  :class:`~repro.catalog.Database` and one shared
-  :class:`~repro.core.FeedbackStore`, and hands out
-  :class:`~repro.session.Session` objects that all write that store
-  (it serializes its own batches).
+  :class:`~repro.catalog.Database`, one
+  :class:`~repro.core.FeedbackStore` and one
+  :class:`~repro.lifecycle.PlanCache`, and hands out
+  :class:`~repro.session.Session` objects that all read and write them.
 
 * :meth:`Engine.execute` runs one item under an *isolated* context
   (private cold buffer frames), so its ``RunStats`` are bit-identical to
-  a serial cold-cache run no matter how executions interleave.  The
-  concurrency that serves traffic is the query service's executor (and
-  its worker processes); ``repro.harness.loadgen.diff_against_serial``
-  proves it serial-equivalent on rows, reads, simulated time and
+  a serial cold-cache run.  The query service queues its clients'
+  requests onto one engine thread (and its worker processes);
+  ``repro.harness.loadgen.diff_against_serial`` proves a closed loop of
+  clients serial-equivalent on rows, reads, simulated time and
   observation fingerprints.
 
-Executions never write to tables (the stored data is immutable after
-load), so the only cross-session mutable state is the shared buffer
-pool's frame set — guarded by its own lock and bypassed entirely by
-isolated contexts — and the feedback store, which holds its own lock
-across each whole batch.
+An engine runs **one execution at a time**, so its feedback store, plan
+cache and buffer pool hold no locks: they are read and written only on
+the thread running that execution (the service's engine thread, or the
+caller's).  A second :meth:`~Engine.execute` / :meth:`~Engine.execute_plan`
+entered meanwhile raises :class:`~repro.common.errors.EngineError`.
+Only :meth:`~Engine.shutdown` may come from another thread.
 """
 
 from __future__ import annotations
@@ -57,8 +58,8 @@ class WorkloadItem:
     requests: tuple[PageCountRequest, ...] = ()
     use_feedback: bool = False
     hint: Optional[PlanHint] = None
-    #: Harvest the run's observations into the engine's shared feedback
-    #: store (serialized).  Off by default: remembering changes what later
+    #: Harvest the run's observations into the engine's feedback store.
+    #: Off by default: remembering changes what later
     #: optimizations see, which a pure measurement workload rarely wants.
     remember: bool = False
     #: Drive style for the execution: ``"row"`` or ``"batch"`` (results
@@ -71,7 +72,7 @@ class WorkloadItem:
 
 
 class Engine:
-    """Owns one database and hands out concurrent sessions."""
+    """Owns one database and runs one execution at a time."""
 
     def __init__(
         self,
@@ -88,8 +89,9 @@ class Engine:
         #: and statistics versions keep entries provably fresh.
         self.plan_cache = PlanCache()
         #: Lifecycle state: ``shutdown()`` flips ``_closed`` and then (with
-        #: ``drain=True``) waits on ``_state`` until ``_active`` executions
-        #: reach zero.  ``_state`` guards both fields.
+        #: ``drain=True``) waits on ``_state`` until ``_active`` (0 or 1)
+        #: reaches zero.  ``_state`` guards both, for a shutdown from
+        #: another thread.
         self._state = threading.Condition()
         self._closed = False
         self._active = 0
@@ -135,6 +137,12 @@ class Engine:
                     "engine is shut down; execute() rejected "
                     f"({self._active} execution(s) still draining)"
                 )
+            if self._active:
+                raise EngineError(
+                    "engine already has an execution in flight; an Engine "
+                    "runs one execution at a time (the query service "
+                    "queues requests onto its one engine thread)"
+                )
             self._active += 1
 
     def _end_execution(self) -> None:
@@ -146,10 +154,11 @@ class Engine:
 
     # ------------------------------------------------------------------
     def session(self, injections: Optional[InjectionSet] = None) -> Session:
-        """A new session sharing this engine's database and feedback store.
+        """A new session sharing this engine's database, feedback store
+        and plan cache.
 
-        Sessions are cheap; give each thread its own (a ``Session`` itself
-        is not thread-safe — only the engine-level sharing is).  Raises
+        Sessions are cheap; like the state they share, they are used on
+        the thread running the engine's executions.  Raises
         :class:`~repro.common.errors.EngineError` once the engine is shut
         down — an engine that stopped serving must not hand out new
         connections.
@@ -178,10 +187,9 @@ class Engine:
         """Run one workload item under an isolated accounting context.
 
         The isolated context starts with cold private buffer frames, so
-        the result is independent of any other execution in flight — the
-        engine's unit of concurrency-safe work.  The execution is
-        registered with the engine's lifecycle: :meth:`shutdown` with
-        ``drain=True`` waits for it, and new calls after shutdown raise
+        the result is independent of every execution before it.
+        :meth:`shutdown` with ``drain=True`` waits for it; a call after
+        shutdown or during another execution raises
         :class:`~repro.common.errors.EngineError`.
         """
         session = session if session is not None else self.session()
@@ -220,9 +228,8 @@ class Engine:
         re-optimizing (their local statistics would re-derive a different
         plan and break shard↔shard comparability).  Like
         :meth:`execute`, the run is registered with the engine lifecycle
-        (shutdown drains it, post-shutdown calls raise
-        :class:`~repro.common.errors.EngineError`) and charges an
-        isolated accounting context.  Feedback is **not** harvested here.
+        and charges an isolated accounting context.  Feedback is **not**
+        harvested here.
         """
         session = session if session is not None else self.session()
         self._begin_execution()
@@ -248,14 +255,14 @@ class Engine:
     def harvest_observations(
         self, observations: Sequence[PageCountObservation]
     ) -> int:
-        """Apply one harvested observation batch to the shared store.
+        """Apply one harvested observation batch to the engine's store.
 
         The coordinator-side entry point for feedback that was collected
         *elsewhere* — by a worker process, travelling back over the
         marshalling protocol, or by a shard fan-out, merged per key: the
-        whole batch lands atomically (the store holds its lock across
-        :meth:`FeedbackStore.record_observations`), advancing the epoch
-        exactly once.  A batch with zero answerable
+        whole batch lands in one :meth:`FeedbackStore.record_observations`
+        call on the engine's thread, advancing the epoch exactly once.  A
+        batch with zero answerable
         observations is a complete no-op (no epoch bump), so derived
         caches stay valid.  Returns how many observations were stored.
         """

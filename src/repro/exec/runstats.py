@@ -89,7 +89,7 @@ class RunStats:
     def lifecycle(self) -> Optional[dict[str, Any]]:
         """Lifecycle observability, set by the staged query lifecycle: the
         per-stage trace (``stages``), the plan-cache outcome for this run
-        (``cache_event``: hit/miss/coalesced/bypassed) and, when a shared
+        (``cache_event``: hit/miss/bypassed) and, when a shared
         cache is configured, its cumulative counters (``plan_cache``).
 
         Plain data, so the exec layer needs no lifecycle import.  The
@@ -158,7 +158,6 @@ class RunStats:
                 f"hits={counters['hits']} misses={counters['misses']} "
                 f"invalidations={counters['invalidations']} "
                 f"builds={counters['builds']} "
-                f"coalesced={counters['coalesced']} "
                 f"hit-rate={counters['hit_rate']:.1%}"
             )
         return lines

@@ -15,8 +15,8 @@ throughput, cold-vs-warm pass digests, the service telemetry snapshot,
 and the raw responses in request order so callers can diff them against
 a serial replay (:func:`diff_against_serial`).  That diff is the
 repository's serial ≡ concurrent proof, made where the concurrency runs:
-the service's executor threads (and, with a worker pool, its worker
-processes) against one engine replaying the same SQL one query at a
+the service's admission queue and engine thread (and, with a worker
+pool, its worker processes) against one engine replaying the same SQL one query at a
 time, compared on rows, physical reads, simulated ``elapsed_ms`` and
 every observation's
 :meth:`~repro.core.requests.PageCountObservation.fingerprint`.

@@ -9,7 +9,7 @@ module makes explicit.  Every query moves through seven named stages:
 canonicalize    compute the query's stable cache identity and the set of
                 tables it touches
 plan-cache      consult the shared :class:`~repro.lifecycle.PlanCache`
-                (``hit`` / ``miss`` / ``coalesced`` / ``bypassed``)
+                (``hit`` / ``miss`` / ``bypassed``)
 optimize        cost-based optimization (skipped on a cache hit)
 lint            plan-invariant linting, rules P001–P006 (skipped on a
                 hit: the cached plan was linted before publication)
@@ -79,7 +79,7 @@ class StageRecord:
         self, stage: str, status: str, detail: Union[str, Callable[[], str]] = ""
     ) -> None:
         self.stage = stage
-        #: "ok" | "hit" | "miss" | "coalesced" | "bypassed" | "skipped"
+        #: "ok" | "hit" | "miss" | "bypassed" | "skipped"
         self.status = status
         self._detail = detail
 
@@ -106,7 +106,7 @@ class LifecycleTrace:
     """The observable record of one query's trip through the stages."""
 
     records: list[StageRecord] = field(default_factory=list)
-    #: Plan-cache outcome: "hit", "miss", "coalesced", or "bypassed".
+    #: Plan-cache outcome: "hit", "miss", or "bypassed".
     cache_event: str = "bypassed"
 
     def record(

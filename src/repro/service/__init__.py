@@ -23,7 +23,7 @@ from repro.service.protocol import (
     encode_message,
 )
 from repro.service.server import QueryServer
-from repro.service.service import ExecutionOutcome, QueryService
+from repro.service.service import QueryService
 from repro.service.telemetry import (
     STANDARD_COUNTERS,
     STANDARD_GAUGES,
@@ -38,7 +38,6 @@ __all__ = [
     "BAD_REQUEST",
     "DEADLINE_EXCEEDED",
     "ERROR_CODES",
-    "ExecutionOutcome",
     "INTERNAL_ERROR",
     "InProcessClient",
     "QUERY_ERROR",

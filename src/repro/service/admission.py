@@ -2,9 +2,10 @@
 
 A service fronting a shared engine must bound *both* dimensions of load:
 
-* ``max_in_flight`` — executions running concurrently on the thread pool
-  (past the point of diminishing returns more concurrency only inflates
-  every query's latency);
+* ``max_in_flight`` — requests admitted at once, running on or waiting
+  for the engine thread (or out on worker processes); past the point of
+  diminishing returns more concurrency only inflates every query's
+  latency;
 * ``max_queue_depth`` — admitted-but-waiting requests.  An unbounded
   queue converts overload into unbounded latency and memory; this one
   rejects instead, with an explicit ``SERVICE_OVERLOADED`` error the

@@ -2,15 +2,15 @@
 
 This is the subsystem that turns per-query machinery into a multi-client,
 continuously-learning system: every admitted request runs through the
-engine's staged lifecycle on a worker thread (isolated IOContext, shared
-plan cache, shared feedback store), so one client's harvested page-count
-feedback re-optimizes the next client's plan.
+engine's staged lifecycle on the service's engine thread (isolated
+IOContext, shared plan cache, shared feedback store), so one client's
+harvested page-count feedback re-optimizes the next client's plan.
 
 Request path::
 
     admit (bounded semaphore + bounded queue)  ->  stage pipeline
-    (canonicalize ... execute on thread pool)  ->  harvest (optional)
-    ->  respond (rows + RunStats + lifecycle trace)
+    (canonicalize ... execute on the engine thread)  ->  harvest
+    (optional)  ->  respond (rows + RunStats + lifecycle trace)
 
 Properties the tests and the CI smoke gate hold the service to:
 
@@ -34,18 +34,21 @@ Properties the tests and the CI smoke gate hold the service to:
   one of completed/timed-out/cancelled/failed and returns its slot —
   :meth:`ServiceTelemetry.leaked_slots` audits this after every run.
 
-Engine work happens on a ``ThreadPoolExecutor`` sized to the admission
-limit and bridged with ``loop.run_in_executor``; the event loop itself
-never blocks on a query.
+Engine work happens on **one engine thread** (a one-worker
+``ThreadPoolExecutor``): parse, plan, execute and harvest of every
+admitted request, in admission order, so the engine's feedback store,
+plan cache and buffer pool need no locks (under the interpreter lock a
+second execution thread bought no throughput).  With a
+:class:`~repro.service.workers.WorkerPool` attached, only the pipe round
+trip to a worker process leaves it, on ``max_in_flight`` waiter
+threads.  The event loop itself never blocks on a query.
 """
 
 from __future__ import annotations
 
 import asyncio
-from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Optional
-
-from dataclasses import dataclass
+from concurrent.futures import Future, ThreadPoolExecutor
+from typing import Any, Callable, Optional, TypeVar
 
 from repro.common.cancellation import CancellationToken
 from repro.common.errors import (
@@ -76,19 +79,7 @@ from repro.service.telemetry import ServiceTelemetry
 from repro.service.workers import WorkerPool
 from repro.sql import parse_query
 
-
-@dataclass
-class ExecutionOutcome:
-    """One executed request, uniform across the two execution paths.
-
-    The in-process path converts its :class:`ExecutedQuery`; the worker
-    path's :class:`~repro.service.workers.WorkerOutcome` already carries
-    wire-shaped rows and a ``RunStats`` dict.
-    """
-
-    rows: list[list[Any]]
-    columns: list[str]
-    runstats: dict[str, Any]
+_T = TypeVar("_T")
 
 
 class QueryService:
@@ -113,17 +104,24 @@ class QueryService:
         #: admitted queries run on worker processes while this service's
         #: engine keeps the one authoritative feedback store/plan cache.
         self.worker_pool = worker_pool
+        #: The one thread that reads and writes the engine's state.
+        self._engine_thread = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="repro-engine"
+        )
+        #: Pipe round trips to worker processes, one per admitted request.
+        self._waiters: Optional[ThreadPoolExecutor] = None
         if worker_pool is not None:
             worker_pool.attach_telemetry(self.telemetry)
-        self._pool = ThreadPoolExecutor(
-            max_workers=max_in_flight, thread_name_prefix="repro-service"
-        )
+            self._waiters = ThreadPoolExecutor(
+                max_workers=max_in_flight, thread_name_prefix="repro-waiter"
+            )
         self._accepting = True
         self._aborting = False
         self._pending = 0
         self._drained: Optional[asyncio.Event] = None
-        #: Tokens of in-flight executions, for fast-abort shutdown.
-        self._live_tokens: set[CancellationToken] = set()
+        #: Every admitted request's token -> its current engine-thread
+        #: call, which a deadline or fast abort withdraws if not started.
+        self._live: dict[CancellationToken, Optional[Future[Any]]] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -260,32 +258,22 @@ class QueryService:
                     )
                 timer = loop.call_later(
                     remaining_ms / 1000,
-                    token.cancel,
+                    self._cancel,
+                    token,
                     f"deadline of {request.deadline_ms:.1f}ms exceeded",
                 )
-            self._live_tokens.add(token)
+            self._live[token] = None
             try:
-                outcome = await loop.run_in_executor(
-                    self._pool, self._execute_blocking, request, token
-                )
+                response = await self._execute(request, token)
             finally:
-                self._live_tokens.discard(token)
+                del self._live[token]
             self.telemetry.count("completed")
-            self._count_reopt(outcome.runstats)
+            self._count_reopt(response.runstats or {})
             self.telemetry.observe(
                 "execution_ms", watch.elapsed_seconds * 1000 - queue_wait_ms
             )
-            self.telemetry.observe("rows_returned", len(outcome.rows))
-            return self._finish(
-                QueryResponse(
-                    request_id=request.request_id,
-                    rows=outcome.rows,
-                    columns=outcome.columns,
-                    runstats=outcome.runstats,
-                ),
-                queue_wait_ms,
-                watch,
-            )
+            self.telemetry.observe("rows_returned", len(response.rows))
+            return self._finish(response, queue_wait_ms, watch)
         except QueryCancelled as exc:
             if exc.reason.startswith("deadline"):
                 self.telemetry.count("timed_out")
@@ -385,34 +373,82 @@ class QueryService:
         response.service_ms = watch.elapsed_seconds * 1000
         return response
 
+    def _cancel(self, token: CancellationToken, reason: str) -> None:
+        """Cancel ``token``, withdrawing its engine-thread call if that
+        call has not started: it then never runs."""
+        token.cancel(reason)
+        waiting = self._live.get(token)
+        if waiting is not None:
+            waiting.cancel()
+
+    async def _on_engine_thread(
+        self, token: CancellationToken, fn: Callable[..., _T], *args: Any
+    ) -> _T:
+        """``fn(*args)`` on the engine thread, after every call queued
+        before it; raises :class:`QueryCancelled` if withdrawn."""
+        call = self._engine_thread.submit(fn, *args)
+        self._live[token] = call
+        try:
+            return await asyncio.wrap_future(call)
+        except asyncio.CancelledError:
+            if call.cancelled() and token.cancelled:
+                raise QueryCancelled(token.reason) from None
+            raise
+        finally:
+            self._live[token] = None
+
+    async def _execute(
+        self, request: QueryRequest, token: CancellationToken
+    ) -> QueryResponse:
+        """Parse, plan, execute and (maybe) harvest one admitted request.
+
+        With a worker pool only the pipe round trip leaves the engine
+        thread: parsing first fails malformed SQL as ``BAD_REQUEST``
+        without spending a worker, and the replica snapshot and the
+        harvest touch the one authoritative store.  Worker executions
+        ignore ``reopt`` (a worker's replan would read its stale replica).
+        """
+        pool = self.worker_pool
+        if pool is None:
+            return await self._on_engine_thread(
+                token, self._execute_blocking, request, token
+            )
+        replica = await self._on_engine_thread(
+            token, self._prepare, pool, request
+        )
+        outcome = await asyncio.get_running_loop().run_in_executor(
+            self._waiters,
+            pool.exchange,
+            request,
+            token,
+            request.monitor is not False,
+            replica,
+        )
+        if request.remember:
+            await self._on_engine_thread(token, pool.harvest, request, outcome)
+        return QueryResponse(
+            request_id=request.request_id,
+            rows=outcome.rows,
+            columns=outcome.columns,
+            runstats=outcome.runstats,
+        )
+
+    @staticmethod
+    def _prepare(
+        pool: WorkerPool, request: QueryRequest
+    ) -> Optional[tuple[int, str]]:
+        """Parse ``request``; snapshot its feedback replica if it asks."""
+        parse_query(request.sql)
+        return pool.replica() if request.use_feedback else None
+
     def _execute_blocking(
         self, request: QueryRequest, token: CancellationToken
-    ) -> ExecutionOutcome:
-        """The thread-pool half: parse, plan, execute, (maybe) harvest.
-
-        With a worker pool attached the execution (and its monitoring)
-        happens in a worker process; the SQL still parses *here* first so
-        malformed requests fail fast as ``BAD_REQUEST`` without spending
-        a worker, and the pool applies any returned observations to this
-        service's authoritative feedback store before the reply returns.
-        The ``reopt`` flag is in-process only: worker executions run the
-        plain path (a worker's replan would read its own stale feedback
-        snapshot, not this service's authoritative store).
-        """
+    ) -> QueryResponse:
+        """The in-process engine-thread call."""
         query = parse_query(request.sql)
-        monitor = request.monitor is not False
-        if self.worker_pool is not None:
-            outcome = self.worker_pool.execute(
-                request, token=token, monitor=monitor
-            )
-            return ExecutionOutcome(
-                rows=outcome.rows,
-                columns=outcome.columns,
-                runstats=outcome.runstats,
-            )
         requests = (
             tuple(default_requests(self.engine.database, query))
-            if monitor
+            if request.monitor is not False
             else ()
         )
         item = WorkloadItem(
@@ -431,7 +467,8 @@ class QueryService:
         executed = self.engine.execute(
             item, session=session, cancellation=token
         )
-        return ExecutionOutcome(
+        return QueryResponse(
+            request_id=request.request_id,
             rows=[list(row) for row in executed.result.rows],
             columns=list(executed.result.columns),
             runstats=executed.result.runstats.to_dict(),
@@ -439,23 +476,33 @@ class QueryService:
 
     # ------------------------------------------------------------------
     async def stats(self) -> dict[str, Any]:
-        """The ``stats`` endpoint payload: telemetry + admission + engine."""
+        """The ``stats`` endpoint payload: telemetry + admission + engine
+        (read on the engine thread while it runs)."""
+        try:
+            call = self._engine_thread.submit(self._engine_stats)
+        except RuntimeError:
+            engine = self._engine_stats()
+        else:
+            engine = await asyncio.wrap_future(call)
         return {
             "kind": "stats",
             "accepting": self._accepting,
             "telemetry": self.telemetry.snapshot(),
             "admission": self.admission.snapshot(),
-            "engine": {
-                "feedback_records": len(self.engine.feedback),
-                "feedback_epoch": self.engine.feedback.epoch,
-                "plan_cache": self.engine.plan_cache.stats.snapshot(),
-                "report": self.engine.report(),
-            },
+            "engine": engine,
             "workers": (
                 self.worker_pool.snapshot()
                 if self.worker_pool is not None
                 else None
             ),
+        }
+
+    def _engine_stats(self) -> dict[str, Any]:
+        return {
+            "feedback_records": len(self.engine.feedback),
+            "feedback_epoch": self.engine.feedback.epoch,
+            "plan_cache": self.engine.plan_cache.stats.snapshot(),
+            "report": self.engine.report(),
         }
 
     async def shutdown(self, drain: bool = True) -> None:
@@ -465,9 +512,10 @@ class QueryService:
         ``drain=False`` aborts the admission queue (each waiter answers
         ``SERVICE_SHUTTING_DOWN`` without executing) and cancels every
         live execution's token (each stops at its next page/batch
-        boundary and answers ``SERVICE_SHUTTING_DOWN``).  Either way, by
-        return the service is idle, the thread pool is closed, and the
-        engine refuses new sessions.  Idempotent.
+        boundary and answers ``SERVICE_SHUTTING_DOWN``; one still
+        waiting for the engine thread never runs).  Either way, by return
+        the service is idle, its threads are stopped, and the engine
+        refuses new sessions.  Idempotent.
         """
         self._accepting = False
         if not drain:
@@ -475,14 +523,16 @@ class QueryService:
             self.admission.abort_waiters(
                 "service is shutting down; queued request aborted"
             )
-            for token in list(self._live_tokens):
-                token.cancel("shutdown: service stopping")
+            for token in list(self._live):
+                self._cancel(token, "shutdown: service stopping")
         await self._drain_event().wait()
-        # Post-drain teardown: every request has answered and the pool's
-        # workers are idle (or stopping at their next checkpoint), so
-        # these two blocking joins return promptly and nothing else runs
-        # on the loop that they could starve.
-        self._pool.shutdown(wait=True)  # lint: disable=C003
+        # Post-drain teardown: every request has answered and the threads
+        # are idle (or stopping at their next checkpoint), so these
+        # blocking joins return promptly and nothing else runs on the
+        # loop that they could starve.
+        self._engine_thread.shutdown(wait=True)  # lint: disable=C003
+        if self._waiters is not None:
+            self._waiters.shutdown(wait=True)  # lint: disable=C003
         if self.worker_pool is not None:
             self.worker_pool.shutdown()
         if not self.engine.closed:

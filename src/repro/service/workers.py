@@ -5,15 +5,16 @@ seeded database from a :class:`~repro.service.marshal.WorkerSpec` and
 holding its own engine) and routes admitted queries onto them, keeping
 the service's single-process contract intact:
 
-* **One authoritative feedback store.**  Workers execute with
-  ``remember=False`` and return their observations in the reply's
-  ``runstats``; for a ``remember`` request the pool applies the batch
-  atomically through
+* **One authoritative feedback store, one thread touching it.**
+  Workers execute with ``remember=False`` and return their observations
+  in the reply's ``runstats``; for a ``remember`` request
+  :meth:`WorkerPool.harvest` applies the batch through
   :meth:`Engine.harvest_observations` (epoch bumped exactly once per
   batch, zero-answerable batches are no-ops —
   :meth:`FeedbackStore.record_observations`' contract, the same one a
   shard fan-out's harvest lands through).  ``use_feedback`` queries read a
-  serialized replica shipped per worker, memoized per epoch.
+  serialized replica (:meth:`WorkerPool.replica`), memoized per epoch and
+  shipped to a worker whose copy is older.
 * **Deadlines abandon or recycle, never leak.**  While a query is on a
   worker the pool polls the request's token; a cancel is forwarded over
   the worker's cancel pipe and the worker stops at its next checkpoint.
@@ -26,7 +27,10 @@ the service's single-process contract intact:
   on its next acquisition, counted by the ``worker_restarts`` telemetry
   counter and the per-worker ``respawns`` gauge.
 
-The pool is thread-safe: callers are the service's executor threads.
+:meth:`WorkerPool.replica` and :meth:`WorkerPool.harvest` touch the
+engine's store, so the service runs them on its engine thread; the pipe
+round trip, :meth:`WorkerPool.exchange`, runs on its waiter threads, and
+the pool's lock guards handles and gauges against them.
 """
 
 from __future__ import annotations
@@ -71,9 +75,8 @@ class WorkerOutcome:
     rows: list[list[Any]]
     columns: list[str]
     runstats: dict[str, Any]
-    #: Observations stored into the authoritative feedback store by the
-    #: coordinator-side harvest of this reply (0 unless ``remember``).
-    harvested: int = 0
+    #: The worker that ran the query.
+    worker_id: int = 0
 
 
 @dataclass
@@ -141,7 +144,7 @@ class WorkerPool:
         self._lock = threading.Lock()
         self._closed = False
         #: Replica payload memoized per epoch (one serialization per
-        #: harvest, not per query).
+        #: harvest, not per query); engine thread only.
         self._feedback_cache: Optional[tuple[int, str]] = None
         #: One-shot debug envelope armed by :meth:`inject_debug`.
         self._injected_debug: Optional[dict[str, Any]] = None
@@ -261,12 +264,12 @@ class WorkerPool:
         self.telemetry.gauge_set("workers_idle", self.num_workers - busy)
 
     def inject_debug(self, debug: dict[str, Any]) -> None:
-        """Arm a debug envelope for the next :meth:`execute` (tests only).
+        """Arm a debug envelope for the next :meth:`exchange` (tests only).
 
         The crash tests need to make a worker die while a request is in
         flight *through the service*, and the wire ``QueryRequest``
         (rightly) has no debug field — so the injection rides the pool.
-        One-shot: consumed by the next execute, whichever thread runs it.
+        One-shot: consumed by the next exchange, whichever thread runs it.
         """
         with self._lock:
             self._injected_debug = dict(debug)
@@ -279,15 +282,37 @@ class WorkerPool:
         monitor: bool = False,
         debug: Optional[dict[str, Any]] = None,
     ) -> WorkerOutcome:
-        """Run one admitted request on an idle worker (blocking).
+        """Run one request on an idle worker: replica, exchange, harvest.
 
-        Called from the service's executor threads; blocks while all
-        workers are busy (admission already bounds how many callers can
-        be here).  Raises :class:`QueryCancelled`,
+        Blocks while all workers are busy.  Raises :class:`QueryCancelled`,
         :class:`WorkerQueryError` or :class:`WorkerCrashed` exactly like
         the in-process execution path raises its failures, so the
         service's exception-to-error-code mapping stays in one place.
         """
+        replica = self.replica() if request.use_feedback else None
+        outcome = self.exchange(request, token, monitor, replica, debug)
+        self.harvest(request, outcome)
+        return outcome
+
+    def replica(self) -> tuple[int, str]:
+        """``(epoch, payload)`` of the engine's feedback store, memoized
+        per epoch.  Reads the store: call it on the engine's thread."""
+        epoch = self.engine.feedback.epoch
+        if self._feedback_cache is None or self._feedback_cache[0] != epoch:
+            self._feedback_cache = (epoch, self.engine.feedback.to_json())
+        return self._feedback_cache
+
+    def exchange(
+        self,
+        request: QueryRequest,
+        token: Optional[CancellationToken] = None,
+        monitor: bool = False,
+        replica: Optional[tuple[int, str]] = None,
+        debug: Optional[dict[str, Any]] = None,
+    ) -> WorkerOutcome:
+        """The pipe round trip, unharvested: acquire a worker, ship it
+        ``replica`` if its copy is another epoch's, send, await the reply.
+        Touches no engine state, so it may run on any thread."""
         if token is not None and token.cancelled:
             # Mirror the in-process path, where the first executor
             # checkpoint raises before any page is read: an already-
@@ -301,11 +326,32 @@ class WorkerPool:
         handle.busy = True
         self._update_gauges()
         try:
-            return self._run_on(handle, request, token, monitor, debug)
+            return self._run_on(handle, request, token, monitor, replica, debug)
         finally:
             handle.busy = False
             self._idle.put(handle)
             self._update_gauges()
+
+    def harvest(self, request: QueryRequest, outcome: WorkerOutcome) -> None:
+        """Apply a ``remember`` reply's observations to the engine's
+        store (a no-op otherwise).  Writes the store: call it on the
+        engine's thread.  A page-count entry ``from_wire`` rejects raises
+        :class:`WorkerError` and files nothing."""
+        if not request.remember:
+            return
+        try:
+            observations = [
+                PageCountObservation.from_wire(entry)
+                for entry in outcome.runstats.get("page_counts", [])
+            ]
+        except ValueError as exc:
+            raise WorkerError(
+                f"worker {outcome.worker_id} sent {exc}"
+            ) from exc
+        # One batch into the one authoritative store: the epoch advances
+        # exactly once, zero-answerable batches not at all.
+        if self.engine.harvest_observations(observations):
+            self._feedback_cache = None
 
     def _acquire(self, token: Optional[CancellationToken]) -> _WorkerHandle:
         """Next idle worker, respawned first if its process died idle."""
@@ -322,19 +368,13 @@ class WorkerPool:
                 self._respawn(handle)
             return handle
 
-    def _feedback_payload(self) -> tuple[int, str]:
-        with self._lock:
-            epoch = self.engine.feedback.epoch
-            if self._feedback_cache is None or self._feedback_cache[0] != epoch:
-                self._feedback_cache = self.engine.feedback.snapshot_json()
-            return self._feedback_cache
-
     def _run_on(
         self,
         handle: _WorkerHandle,
         request: QueryRequest,
         token: Optional[CancellationToken],
         monitor: bool,
+        replica: Optional[tuple[int, str]],
         debug: Optional[dict[str, Any]],
     ) -> WorkerOutcome:
         seq = handle.next_seq()
@@ -344,11 +384,8 @@ class WorkerPool:
             "request": request.to_dict(),
             "monitor": monitor,
         }
-        if request.use_feedback:
-            epoch, payload = self._feedback_payload()
-            if handle.synced_epoch != epoch:
-                envelope["feedback"] = payload
-                handle.synced_epoch = epoch
+        if replica is not None and handle.synced_epoch != replica[0]:
+            handle.synced_epoch, envelope["feedback"] = replica
         if debug:
             envelope["debug"] = debug
         try:
@@ -360,7 +397,7 @@ class WorkerPool:
                 f"pipe closed before accepting a query: {exc}"
             ) from exc
         reply = self._await_reply(handle, seq, token)
-        return self._interpret_reply(handle, request, reply)
+        return self._interpret_reply(handle, reply)
 
     def _await_reply(
         self,
@@ -408,10 +445,7 @@ class WorkerPool:
                     raise QueryCancelled(token.reason)
 
     def _interpret_reply(
-        self,
-        handle: _WorkerHandle,
-        request: QueryRequest,
-        reply: dict[str, Any],
+        self, handle: _WorkerHandle, reply: dict[str, Any]
     ) -> WorkerOutcome:
         status = reply.get("status")
         if status == "cancelled":
@@ -427,27 +461,9 @@ class WorkerPool:
                 f"(status {status!r})"
             )
         handle.queries_served += 1
-        runstats = dict(reply.get("runstats", {}))
-        harvested = 0
-        if request.remember:
-            try:
-                observations = [
-                    PageCountObservation.from_wire(entry)
-                    for entry in runstats.get("page_counts", [])
-                ]
-            except ValueError as exc:
-                raise WorkerError(
-                    f"worker {handle.worker_id} sent {exc}"
-                ) from exc
-            # Atomic batch into the one authoritative store: the epoch
-            # advances exactly once, zero-answerable batches not at all.
-            harvested = self.engine.harvest_observations(observations)
-            if harvested:
-                with self._lock:
-                    self._feedback_cache = None
         return WorkerOutcome(
             rows=list(reply.get("rows", [])),
             columns=list(reply.get("columns", [])),
-            runstats=runstats,
-            harvested=harvested,
+            runstats=dict(reply.get("runstats", {})),
+            worker_id=handle.worker_id,
         )

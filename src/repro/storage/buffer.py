@@ -12,19 +12,18 @@ repeated fetches of the same hot page, exactly the effect that makes
 *distinct* page count (not fetch count) the right cost parameter.
 
 The pool splits *state* from *accounting*: which pages are resident is
-genuinely shared (and guarded by a lock, so concurrent executions can
-share warmth safely), but every counter and time charge lands on the
-context the caller passed in, never on a global.  An ``isolated``
-context bypasses the shared frames entirely and uses its own private
-frame set with the same capacity — a dedicated cold cache, which is what
-lets concurrent cold-cache runs reproduce serial numbers exactly.
+shared by every non-isolated context, but every counter and time charge
+lands on the context the caller passed in, never on a global.  An
+``isolated`` context bypasses the shared frames entirely and uses its
+own private frame set with the same capacity — a dedicated cold cache,
+which is what lets every engine execution reproduce a serial cold-cache
+run exactly.  The pool has no lock: an engine runs one execution at a
+time, and every engine execution reads through an isolated context.
 """
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Collection, Sequence
 
@@ -80,7 +79,6 @@ class BufferPool:
         self.capacity_pages = capacity_pages
         self._frames: OrderedDict[tuple[FileId, PageId], None] = OrderedDict()
         self.stats = BufferPoolStats()
-        self._lock = threading.Lock()
 
     def __contains__(self, key: tuple[FileId, PageId]) -> bool:
         return key in self._frames
@@ -100,23 +98,22 @@ class BufferPool:
 
         On a miss the page is faulted in: ``io`` is charged one physical
         read (sequential or random) and an LRU victim is evicted if the
-        frame set is full.  Shared-frame bookkeeping happens under the
-        pool lock; an ``isolated`` context uses its private frame set
-        (same capacity, initially cold) and touches no shared state.
+        frame set is full.  An ``isolated`` context uses its private frame
+        set (same capacity, initially cold) and touches no shared state.
+        Not thread-safe (see the module docstring).
         """
         key = (file_id, page_id)
         if io.isolated:
             return self._touch(io.private_frames(), key, io, sequential)
-        with self._lock:
-            hit = self._touch(self._frames, key, io, sequential)
-            self.stats.logical_reads += 1
-            if not hit:
-                self.stats.physical_reads += 1
-                if sequential:
-                    self.stats.physical_sequential += 1
-                else:
-                    self.stats.physical_random += 1
-            return hit
+        hit = self._touch(self._frames, key, io, sequential)
+        self.stats.logical_reads += 1
+        if not hit:
+            self.stats.physical_reads += 1
+            if sequential:
+                self.stats.physical_sequential += 1
+            else:
+                self.stats.physical_random += 1
+        return hit
 
     def _touch(
         self,
@@ -156,10 +153,10 @@ class BufferPool:
         random.  The stream's *order* is part of the contract — once the
         pool evicts, which page is the LRU victim depends on it — so a
         caller batching an operator's reads hands them over in the order
-        the row-at-a-time operator makes them.  The lock is taken once,
-        and an immediate repeat of a key (the next row of the same data
-        page) is a hit that needs no frame bookkeeping: the page is
-        resident and already the most recently used.
+        the row-at-a-time operator makes them.  An immediate repeat of a
+        key (the next row of the same data page) is a hit that needs no
+        frame bookkeeping: the page is resident and already the most
+        recently used.
         """
         sequential = frozenset(sequential)
         shared = not io.isolated
@@ -170,40 +167,38 @@ class BufferPool:
         hits = evictions = 0
         random_before, sequential_before = io.random_reads, io.sequential_reads
         previous = None
-        with self._lock if shared else nullcontext():
-            for position, key in enumerate(keys):
-                if key == previous:
-                    hits += 1
-                    continue
-                previous = key
-                if key in frames:
-                    move_to_end(key)
-                    hits += 1
-                    continue
-                if position in sequential:
-                    charge_sequential()
-                else:
-                    charge_random()
-                if len(frames) >= capacity:
-                    frames.popitem(last=False)
-                    evictions += 1
-                frames[key] = None
-            io.record_pool_hit(hits)
-            io.record_eviction(evictions)
-            if shared:
-                random = io.random_reads - random_before
-                in_sequence = io.sequential_reads - sequential_before
-                stats = self.stats
-                stats.logical_reads += len(keys)
-                stats.physical_reads += random + in_sequence
-                stats.physical_random += random
-                stats.physical_sequential += in_sequence
-                stats.evictions += evictions
+        for position, key in enumerate(keys):
+            if key == previous:
+                hits += 1
+                continue
+            previous = key
+            if key in frames:
+                move_to_end(key)
+                hits += 1
+                continue
+            if position in sequential:
+                charge_sequential()
+            else:
+                charge_random()
+            if len(frames) >= capacity:
+                frames.popitem(last=False)
+                evictions += 1
+            frames[key] = None
+        io.record_pool_hit(hits)
+        io.record_eviction(evictions)
+        if shared:
+            random = io.random_reads - random_before
+            in_sequence = io.sequential_reads - sequential_before
+            stats = self.stats
+            stats.logical_reads += len(keys)
+            stats.physical_reads += random + in_sequence
+            stats.physical_random += random
+            stats.physical_sequential += in_sequence
+            stats.evictions += evictions
 
     def reset(self) -> None:
         """Cold-cache reset: drop all shared frames (keeps cumulative stats)."""
-        with self._lock:
-            self._frames.clear()
+        self._frames.clear()
 
     def reset_stats(self) -> None:
         self.stats = BufferPoolStats()

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import threading
+import asyncio
 
 from repro.core.feedback import (
     FeedbackStore,
@@ -14,7 +14,9 @@ from repro.core.requests import (
     Mechanism,
     PageCountObservation,
 )
+from repro.engine import Engine
 from repro.optimizer import InjectionSet
+from repro.service import QueryRequest, QueryService
 from repro.sql import Comparison, conjunction_of
 
 
@@ -62,39 +64,50 @@ class TestEpochs:
         store.record_observations([observation("t", "a", 13.0)])
         assert store.epoch == 2
 
-    def test_concurrent_harvests_race_the_epoch_atomically(self):
-        """N racing harvests: epoch == number of non-empty batches, and the
-        lowered view reflects every stored observation exactly once."""
-        store = FeedbackStore()
-        batches = 8
-        errors: list[BaseException] = []
-
-        def harvest(index: int) -> None:
-            try:
-                store.record_observations(
-                    [observation("t", f"c{index}", float(index + 1))]
-                )
-            except BaseException as exc:  # surfaced after the join
-                errors.append(exc)
-
-        threads = [
-            threading.Thread(target=harvest, args=(i,)) for i in range(batches)
+    def test_concurrent_harvests_race_the_epoch_atomically(self, synthetic_db):
+        """8 ``remember`` requests through a 4-wide service, half of them
+        unmonitored: epoch == number of non-empty batches, and the store
+        holds every stored observation exactly as its run measured it."""
+        engine = Engine(synthetic_db)
+        requests = [
+            QueryRequest(
+                sql=f"SELECT count(padding) FROM t WHERE c2 < {300 + 400 * i}",
+                request_id=f"h{i}",
+                remember=True,
+                monitor=i % 2 == 0,
+            )
+            for i in range(8)
         ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=10.0)
-        assert not any(thread.is_alive() for thread in threads)
-        assert errors == []
+
+        async def closed_loop():
+            service = QueryService(engine, max_in_flight=4)
+            try:
+                return await asyncio.gather(
+                    *(service.handle(request) for request in requests)
+                )
+            finally:
+                await service.shutdown()
+
+        responses = asyncio.run(closed_loop())
+        assert all(response.ok for response in responses)
+        stored = [
+            PageCountObservation.from_wire(entry)
+            for response in responses
+            for entry in response.runstats["page_counts"]
+        ]
+        batches = sum(1 for r in responses if r.runstats["page_counts"])
+        assert batches == 4 and all(obs.answered for obs in stored)
+        store = engine.feedback
         assert store.epoch == batches
         assert store.table_epoch("t") == batches
+        assert len(store) == len(stored)
+        measured = {obs.key: obs.estimate for obs in stored}
         injections = store.to_injections()
-        for index in range(batches):
-            request = observation("t", f"c{index}", 0.0).request
-            assert store.record(request.key()).page_count == float(index + 1)
-            assert injections.access_page_count(
-                "t", request.expression
-            ) == float(index + 1)
+        for i in range(0, 8, 2):
+            predicate = conjunction_of(Comparison("c2", "<", 300 + 400 * i))
+            key = AccessPathRequest("t", predicate).key()
+            assert store.record(key).page_count == measured[key]
+            assert injections.access_page_count("t", predicate) == measured[key]
 
     def test_cardinality_write_bumps_epoch(self):
         store = FeedbackStore()

@@ -1,7 +1,7 @@
-"""Concurrent-workload equivalence: the tentpole's proof obligation.
+"""Concurrent-workload equivalence through the query service.
 
-N queries interleaved on the query service's executor threads against
-one :class:`Engine` must produce per-query rows, physical-read counts,
+N concurrent clients of the query service, queued onto its one engine
+thread, must produce per-query rows, physical-read counts,
 simulated time and page-count observations *identical* to running the
 same queries serially with a cold cache
 (:func:`~repro.harness.loadgen.diff_against_serial`).  Before the
@@ -12,8 +12,6 @@ deltas of a global clock, so any interleaving corrupted them.
 from __future__ import annotations
 
 import asyncio
-import sys
-import threading
 
 from repro.core.requests import AccessPathRequest
 from repro.engine import Engine, WorkloadItem
@@ -80,7 +78,7 @@ def serve(engine: Engine, scenario):
 
 class TestConcurrentEquivalence:
     def test_concurrent_matches_serial_exactly(self, synthetic_db):
-        """8 clients on 4 executor threads: rows, physical reads, elapsed
+        """8 clients, 4 admitted at a time: rows, physical reads, elapsed
         time and observation fingerprints match a serial replay
         query-for-query."""
         spec = LoadSpec(sqls=SQLS, concurrency=8, passes=1)
@@ -138,8 +136,8 @@ class TestConcurrentEquivalence:
 class TestSharedFeedback:
     def test_concurrent_remembering_is_serialized(self, synthetic_db):
         """Eight ``remember`` requests in flight at once write one
-        FeedbackStore without losing records (the store serializes each
-        batch)."""
+        FeedbackStore without losing records (each batch lands on the
+        engine thread)."""
         engine = Engine(synthetic_db)
 
         async def remember_all(service):
@@ -169,7 +167,7 @@ class TestSharedFeedback:
         assert len(engine.feedback) == 1
 
     def test_sessions_share_lock_instance(self, synthetic_db):
-        # The store is the shared instance, and the one lock is its own.
+        # Every session writes the engine's one store instance.
         engine = Engine(synthetic_db)
         first, second = engine.session(), engine.session()
         assert first.feedback is engine.feedback
@@ -178,40 +176,19 @@ class TestSharedFeedback:
     def test_eight_threads_remembering_bump_once_per_nonempty_batch(
         self, synthetic_db
     ):
-        """No lock above the store: ``Session.remember`` from 8 threads
-        advances the epoch exactly once per batch that stored something
-        (a lost or doubled ``_bump`` would miss the count)."""
+        """Eight sessions remembering in turn share one store: the epoch
+        advances exactly once per batch that stored something, and an
+        unmonitored run's empty batch never bumps it."""
         engine = Engine(synthetic_db)
         monitored = [engine.execute(item) for item in workload()[:3]]
         unmonitored = engine.execute(WorkloadItem(query=query_on("c5", 400)))
         assert all(run.observations for run in monitored)
         assert not unmonitored.observations
-        rounds, num_threads = 25, 8
-        gate = threading.Barrier(num_threads)
-        failures: list[Exception] = []
-
-        def remember_all() -> None:
-            session = engine.session()
-            try:
-                gate.wait(timeout=10.0)
-                for _ in range(rounds):
-                    for run in (*monitored, unmonitored):
-                        session.remember(run)
-            except Exception as exc:  # surfaced by the assert below
-                failures.append(exc)
-
-        threads = [
-            threading.Thread(target=remember_all) for _ in range(num_threads)
-        ]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=30.0)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not failures and not any(t.is_alive() for t in threads)
-        assert engine.feedback.epoch == num_threads * rounds * len(monitored)
+        rounds, num_sessions = 25, 8
+        sessions = [engine.session() for _ in range(num_sessions)]
+        for _ in range(rounds):
+            for session in sessions:
+                for run in (*monitored, unmonitored):
+                    session.remember(run)
+        assert engine.feedback.epoch == num_sessions * rounds * len(monitored)
         assert len(engine.feedback) == len(monitored)

@@ -42,6 +42,31 @@ class TestRejectAfterShutdown:
         assert engine.shutdown() is True
 
 
+class TestOneExecutionAtATime:
+    def test_second_execute_while_one_runs_raises(self, synthetic_db):
+        """An engine runs one execution at a time: a second ``execute`` or
+        ``execute_plan`` while a background thread is inside ``execute``
+        fails with a typed error instead of racing the engine's state."""
+        engine = Engine(synthetic_db)
+        item = scan_item()
+        plan = engine.session().optimize(item.query)
+        with concurrent.futures.ThreadPoolExecutor(max_workers=1) as pool:
+            running = pool.submit(engine.execute, item)
+            deadline = time.monotonic() + 5.0
+            while engine.active_executions == 0:
+                assert time.monotonic() < deadline, "execution never started"
+                time.sleep(0.0005)
+            with pytest.raises(EngineError, match="in flight"):
+                engine.execute(item)
+            with pytest.raises(EngineError, match="in flight"):
+                engine.execute_plan(item.query, plan, exec_mode="row")
+            executed = running.result(timeout=5.0)
+        assert executed.result.rows == [(900,)]
+        assert engine.active_executions == 0
+        # The refused call left the books balanced: the next one runs.
+        assert engine.execute(item).result.rows == [(900,)]
+
+
 class TestDrain:
     def test_drain_waits_for_in_flight_execution(self, synthetic_db):
         engine = Engine(synthetic_db)

@@ -226,6 +226,48 @@ class TestDeadlines:
         assert service.telemetry.counter("rejected") == 1
         assert service.telemetry.leaked_slots() is None
 
+    def test_deadline_spent_waiting_for_the_engine_thread_never_runs(
+        self, synthetic_db
+    ):
+        """Admitted behind a running query, a request whose deadline fires
+        while it waits for the one engine thread is withdrawn: it answers
+        before the running query finishes and never plans or executes."""
+        engine = Engine(synthetic_db)
+
+        async def scenario():
+            service = QueryService(engine, max_in_flight=2, max_queue_depth=2)
+            running = asyncio.ensure_future(
+                service.handle(slow_request("running"))
+            )
+
+            async def started():
+                while engine.active_executions == 0:
+                    await asyncio.sleep(0.0005)
+
+            await asyncio.wait_for(started(), timeout=5.0)
+            doomed = await service.handle(
+                QueryRequest(
+                    sql=SCAN_SQL,
+                    request_id="doomed",
+                    remember=True,
+                    deadline_ms=TINY_DEADLINE_MS,
+                )
+            )
+            answered_first = not running.done()
+            return service, await running, doomed, answered_first
+
+        service, first, doomed, answered_first = asyncio.run(scenario())
+        assert first.ok, first.error
+        assert doomed.error_code == DEADLINE_EXCEEDED
+        assert "deadline" in doomed.error
+        assert answered_first, "the withdrawn request waited for the engine"
+        assert service.telemetry.counter("admitted") == 2
+        assert service.telemetry.counter("timed_out") == 1
+        assert service.telemetry.leaked_slots() is None
+        # Only the running query ever planned; nothing was harvested.
+        assert engine.plan_cache.stats.lookups == 1
+        assert engine.feedback.epoch == 0
+
     def test_generous_deadline_does_not_fire(self, synthetic_db):
         _, response = serve_one(
             Engine(synthetic_db),

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import asyncio
 import threading
-from types import SimpleNamespace
 
 import pytest
 
@@ -30,6 +29,7 @@ from repro.service import (
     QUERY_ERROR,
     QueryRequest,
     QueryService,
+    WorkerOutcome,
     WorkerPool,
     WorkerSpec,
 )
@@ -188,13 +188,12 @@ class TestCentralizedFeedback:
         """A ``remember`` reply's page counts come from another process:
         an entry ``from_wire`` rejects fails the request as a typed
         ``WorkerError`` and files nothing."""
-        handle = SimpleNamespace(worker_id=0, queries_served=0)
-        reply = {"status": "ok", "runstats": {"page_counts": [{"table": "t"}]}}
+        outcome = WorkerOutcome(
+            rows=[], columns=[], runstats={"page_counts": [{"table": "t"}]}
+        )
         epoch = pool.engine.feedback.epoch
         with pytest.raises(WorkerError, match="malformed wire observation"):
-            pool._interpret_reply(
-                handle, QueryRequest(sql=SCAN_SQL, remember=True), reply
-            )
+            pool.harvest(QueryRequest(sql=SCAN_SQL, remember=True), outcome)
         assert pool.engine.feedback.epoch == epoch
 
 
