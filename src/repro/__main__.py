@@ -11,11 +11,6 @@ Commands:
   estimate-vs-actual report, recommend a plan hint, and optionally
   persist the gathered feedback;
 * ``inventory [--scale S]`` — print Table I's database inventory;
-* ``analyze [--strict] [--json] [--rules ...] [--plans] [--dataflow]
-  [--changed-only] [paths]`` — run the three-tier static analysis
-  (codebase rules R001–R010; with ``--dataflow`` also the interprocedural
-  concurrency/flow rules C001–C003 and F001–F003; with ``--plans`` also
-  the plan-linter rules P001–P006 over a synthetic workload's plans);
 * ``serve [--host H] [--port P] ...`` — run the NDJSON-over-TCP query
   service over a synthetic database (Ctrl-C drains and stops);
 * ``loadgen [--clients N] [--warm] [--connect HOST:PORT] ...`` — the
@@ -201,49 +196,6 @@ def _cmd_inventory(args) -> int:
 
     print(run_table1(scale=args.scale, seed=args.seed).render())
     return 0
-
-
-def _add_analyze(subparsers) -> None:
-    parser = subparsers.add_parser(
-        "analyze",
-        help="run the three-tier static analysis (see docs/static_analysis.md)",
-    )
-    parser.add_argument("paths", nargs="*", default=["src/repro"])
-    parser.add_argument("--json", action="store_true")
-    parser.add_argument(
-        "--strict", action="store_true", help="exit non-zero on any finding"
-    )
-    parser.add_argument("--rules", default=None)
-    parser.add_argument(
-        "--plans",
-        action="store_true",
-        help="also lint a synthetic workload's candidate plans",
-    )
-    parser.add_argument(
-        "--dataflow",
-        action="store_true",
-        help="also run the Tier-3 interprocedural dataflow rules",
-    )
-    parser.add_argument(
-        "--changed-only",
-        action="store_true",
-        help="restrict source checks to files changed versus --changed-base",
-    )
-    parser.add_argument("--changed-base", default="HEAD", metavar="REF")
-
-
-def _cmd_analyze(args) -> int:
-    from repro.analysis.cli import main as analysis_main
-
-    argv = list(args.paths)
-    for flag in ("json", "strict", "plans", "dataflow", "changed_only"):
-        if getattr(args, flag):
-            argv.append("--" + flag.replace("_", "-"))
-    if args.rules:
-        argv.extend(["--rules", args.rules])
-    if args.changed_base != "HEAD":
-        argv.extend(["--changed-base", args.changed_base])
-    return analysis_main(argv)
 
 
 def _add_serve(subparsers) -> None:
@@ -514,7 +466,6 @@ def main(argv: list[str] | None = None) -> int:
     inventory = subparsers.add_parser("inventory", help="print Table I")
     inventory.add_argument("--scale", type=float, default=0.25)
     inventory.add_argument("--seed", type=int, default=3)
-    _add_analyze(subparsers)
     _add_serve(subparsers)
     _add_loadgen(subparsers)
 
@@ -532,7 +483,6 @@ def main(argv: list[str] | None = None) -> int:
         "explain": _cmd_explain,
         "diagnose": _cmd_diagnose,
         "inventory": _cmd_inventory,
-        "analyze": _cmd_analyze,
         "serve": _cmd_serve,
         "loadgen": _cmd_loadgen,
     }

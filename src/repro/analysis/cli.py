@@ -1,24 +1,18 @@
 """Command line for the static-analysis subsystem.
 
 ``python -m repro.analysis [--json] [--strict] [--rules ...] [paths]``
-runs the Tier-2 codebase linter over the given files/directories (default
-``src/repro``).  ``--plans`` additionally exercises the Tier-1 plan linter
-by optimizing a small synthetic workload and linting every candidate plan
-the optimizer produces — a smoke check that the optimizer's output obeys
-the plan invariants end to end.  ``--dataflow`` additionally runs the
-Tier-3 interprocedural rules (call graph + CFG reachability): concurrency
-sanitizers C001-C003 and cancellation/resource flow rules F001-F003.
-
-``--changed-only`` narrows the source-level tiers (2 and 3) to files that
-differ from ``--changed-base`` (default ``HEAD``) according to git — the
-fast pre-commit mode.  When git is unavailable the flag degrades to a
-full-repo run rather than silently checking nothing.
+checks the given files/directories (default ``src/repro``) in one pass:
+the Tier-2 codebase rules (R-rules) line by line, and the Tier-3
+interprocedural rules (C003, F001-F003) over the whole file set as one
+program.  ``--rules`` narrows the run to a subset of those ids.  Plan
+rules (P-rules) are not source rules: ``Session`` applies them to every
+plan it optimizes.
 
 Suppression hygiene: any run that includes rule R010 (the default) audits
 ``# lint: disable=...`` comments and reports, at warning severity, those
 that name an unknown rule id or that suppressed nothing during this run.
-Suppressions for rules the run did *not* check (a ``--rules`` subset, or
-Tier-3 ids without ``--dataflow``) are dormant, not unused, and stay
+Suppressions for rules the run did *not* check (outside a ``--rules``
+subset, or waived for the file's path) are dormant, not unused, and stay
 silent.
 
 Exit status: ``0`` when clean; ``1`` when any error-severity finding (or,
@@ -29,9 +23,7 @@ from __future__ import annotations
 
 import argparse
 import os
-import subprocess
 import sys
-from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
 from repro.analysis.codelint import (
@@ -50,61 +42,32 @@ from repro.analysis.findings import (
     render_findings,
     summarize,
 )
-from repro.analysis.planlint import PLAN_RULES, lint_plan
 from repro.common.errors import AnalysisError
 
-_RuleSplit = tuple[Optional[list[str]], Optional[list[str]], Optional[list[str]]]
+#: Every id a ``--rules`` list or a suppression comment may name.
+_KNOWN_RULES = frozenset(CODE_RULES) | frozenset(DATAFLOW_RULES)
 
 
-def _split_rules(spec: Optional[str]) -> _RuleSplit:
-    """``"R001,P002,C003"`` -> (code, plan, dataflow); ``None`` -> all."""
+def _split_rules(
+    spec: Optional[str],
+) -> tuple[Optional[list[str]], Optional[list[str]]]:
+    """``"R001,C003"`` -> (code rules, dataflow rules); ``None`` -> all."""
     if spec is None:
-        return None, None, None
+        return None, None
     requested = [part.strip() for part in spec.split(",") if part.strip()]
-    known = set(CODE_RULES) | set(PLAN_RULES) | set(DATAFLOW_RULES)
-    unknown = [r for r in requested if r not in known]
+    unknown = [r for r in requested if r not in _KNOWN_RULES]
     if unknown:
-        raise AnalysisError(f"unknown rule(s) {unknown}; known: {sorted(known)}")
+        raise AnalysisError(
+            f"unknown rule(s) {unknown}; known: {sorted(_KNOWN_RULES)}"
+        )
     return (
         [r for r in requested if r in CODE_RULES],
-        [r for r in requested if r in PLAN_RULES],
         [r for r in requested if r in DATAFLOW_RULES],
     )
 
 
-def _changed_files(base: str) -> Optional[set[Path]]:
-    """Absolute paths of files differing from ``base``, or None without git.
-
-    ``git diff --name-only <base>`` compares the *working tree* against the
-    base commit, so staged and unstaged edits are both included — the set a
-    pre-commit hook actually wants.
-    """
-    try:
-        root = subprocess.run(
-            ["git", "rev-parse", "--show-toplevel"],
-            capture_output=True,
-            text=True,
-            check=True,
-            timeout=30,
-        ).stdout.strip()
-        diff = subprocess.run(
-            ["git", "diff", "--name-only", base, "--"],
-            capture_output=True,
-            text=True,
-            check=True,
-            timeout=30,
-        )
-    except (OSError, subprocess.SubprocessError):
-        return None
-    return {
-        (Path(root) / line.strip()).resolve()
-        for line in diff.stdout.splitlines()
-        if line.strip()
-    }
-
-
 def _audit_suppressions(
-    sources: Mapping[str, str],
+    suppression_maps: Mapping[str, dict[int, set[str]]],
     checked: Mapping[str, set[str]],
     used: set[tuple[str, int, str]],
 ) -> list[Finding]:
@@ -114,10 +77,10 @@ def _audit_suppressions(
     for that file; ids outside the run's scope are dormant and silent.
     R010 findings themselves honour a same-line ``disable=R010``.
     """
-    known = set(CODE_RULES) | set(PLAN_RULES) | set(DATAFLOW_RULES) | {"R000"}
+    known = _KNOWN_RULES | {"R000"}
     findings: list[Finding] = []
-    for label, source in sources.items():
-        for line, rules in _suppressed_rules(source).items():
+    for label, per_file in suppression_maps.items():
+        for line, rules in per_file.items():
             if "R010" in rules:
                 continue
             for rule in sorted(rules):
@@ -149,48 +112,25 @@ def _audit_suppressions(
     return findings
 
 
-def _analyze_sources(
+def _analyze(
     paths: Sequence[str],
     code_rules: Optional[list[str]],
     flow_rules: Optional[list[str]],
-    run_dataflow: bool,
-    changed_only: bool,
-    changed_base: str,
 ) -> list[Finding]:
-    """Run the source-level tiers (2 and 3) with shared suppression logic."""
-    files = iter_python_files(paths)
-    narrowed = False
-    if changed_only:
-        changed = _changed_files(changed_base)
-        if changed is None:
-            print(
-                "note: --changed-only needs git; checking all files instead",
-                file=sys.stderr,
-            )
-        else:
-            files = [f for f in files if f.resolve() in changed]
-            narrowed = True
-    sources = {str(f): f.read_text(encoding="utf-8") for f in files}
-
-    run_codelint = code_rules is None or bool(code_rules)
+    """Run tiers 2 and 3 over ``paths`` with one suppression pass."""
+    sources = {
+        str(f): f.read_text(encoding="utf-8") for f in iter_python_files(paths)
+    }
+    flow_checked = set(DATAFLOW_RULES if flow_rules is None else flow_rules)
     raw: list[Finding] = []
-    checked: dict[str, set[str]] = {label: set() for label in sources}
-    if run_codelint:
-        for label, source in sources.items():
-            applicable = applicable_code_rules(label, code_rules)
-            checked[label].update(applicable)
-            if applicable:
-                raw.extend(lint_source_raw(source, label, code_rules))
-    if run_dataflow:
+    checked: dict[str, set[str]] = {}
+    for label, source in sources.items():
+        applicable = applicable_code_rules(label, code_rules)
+        checked[label] = set(applicable) | flow_checked
+        if applicable:
+            raw.extend(lint_source_raw(source, label, code_rules))
+    if flow_checked:
         raw.extend(analyze_sources(sources, flow_rules, apply_suppressions=False))
-        if not narrowed:
-            # A narrowed file set is a partial program: cross-file call
-            # edges are missing, so a dataflow suppression that matched
-            # nothing may simply lack its evidence.  Only whole runs may
-            # call a C/F suppression unused.
-            flow_checked = set(DATAFLOW_RULES if flow_rules is None else flow_rules)
-            for label in checked:
-                checked[label].update(flow_checked)
 
     findings: list[Finding] = []
     used: set[tuple[str, int, str]] = set()
@@ -204,47 +144,23 @@ def _analyze_sources(
         else:
             findings.append(finding)
     if any("R010" in rules for rules in checked.values()):
-        findings.extend(_audit_suppressions(sources, checked, used))
+        findings.extend(_audit_suppressions(suppression_maps, checked, used))
     findings.sort(key=lambda f: (f.file, f.line, f.rule))
-    return findings
-
-
-def _lint_sample_plans(plan_rules: Optional[list[str]]) -> list[Finding]:
-    """Optimize a tiny synthetic workload and lint every candidate plan."""
-    from repro.lifecycle.plan import build_optimizer
-    from repro.workloads import build_synthetic_database
-    from repro.workloads.queries import single_table_workload
-
-    database = build_synthetic_database(num_rows=2_000, seed=7)
-    optimizer = build_optimizer(database)
-    findings: list[Finding] = []
-    for generated in single_table_workload(
-        database, "t", ["c2", "c3"], queries_per_column=2, seed=7
-    ):
-        for candidate in optimizer.candidates(generated.query):
-            findings.extend(
-                lint_plan(
-                    candidate,
-                    database,
-                    injections=optimizer.injections,
-                    rules=plan_rules,
-                )
-            )
     return findings
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
-        description="Three-tier static analysis: codebase invariants "
-        "(R-rules), plan-tree invariants (P-rules, --plans), and "
-        "interprocedural dataflow rules (C/F-rules, --dataflow).",
+        description="Static analysis of the source tree in one pass: "
+        "codebase invariants (R-rules) and interprocedural dataflow "
+        "rules (C003, F001-F003).",
     )
     parser.add_argument(
         "paths",
         nargs="*",
         default=["src/repro"],
-        help="files or directories to lint (default: src/repro)",
+        help="files or directories to check (default: src/repro)",
     )
     parser.add_argument(
         "--json", action="store_true", help="emit findings as JSON"
@@ -257,59 +173,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--rules",
         default=None,
-        help="comma-separated subset of rule ids, e.g. R001,P005,C001; "
-        "naming a C/F rule runs the dataflow tier for it even without "
-        "--dataflow",
-    )
-    parser.add_argument(
-        "--plans",
-        action="store_true",
-        help="also lint every candidate plan of a small synthetic workload",
-    )
-    parser.add_argument(
-        "--dataflow",
-        action="store_true",
-        help="also run the Tier-3 interprocedural dataflow rules "
-        "(C001-C003, F001-F003)",
-    )
-    parser.add_argument(
-        "--changed-only",
-        action="store_true",
-        help="restrict source checks to files that differ from "
-        "--changed-base per git (falls back to all files without git)",
-    )
-    parser.add_argument(
-        "--changed-base",
-        default="HEAD",
-        metavar="REF",
-        help="git ref --changed-only diffs against (default: HEAD)",
+        help="comma-separated subset of rule ids, e.g. R001,C003",
     )
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        code_rules, plan_rules, flow_rules = _split_rules(args.rules)
-        # With an explicit --rules list, the list is authoritative: C/F ids
-        # opt in to the dataflow tier, their absence opts out even under
-        # --dataflow.
-        run_dataflow = args.dataflow if args.rules is None else bool(flow_rules)
-        findings: list[Finding] = []
-        if code_rules is None or code_rules or run_dataflow:
-            findings.extend(
-                _analyze_sources(
-                    args.paths,
-                    code_rules,
-                    flow_rules,
-                    run_dataflow,
-                    args.changed_only,
-                    args.changed_base,
-                )
-            )
-        if args.plans and (plan_rules is None or plan_rules):
-            findings.extend(_lint_sample_plans(plan_rules))
+        findings = _analyze(args.paths, *_split_rules(args.rules))
     except AnalysisError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

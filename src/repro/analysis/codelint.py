@@ -17,7 +17,6 @@ This module enforces them statically:
           logical/physical accounting and monitored DPC ground truth
 ``R003``  no ``==`` / ``!=`` between float-typed cost/estimate
           expressions — compare with tolerances instead
-``R004``  no mutable default arguments
 ``R005``  no wall-clock reads (``time.time`` / ``datetime.now`` /
           ``perf_counter`` …) outside ``harness/timing.py`` — simulated
           time comes from :class:`~repro.storage.accounting.IOContext`
@@ -91,7 +90,6 @@ CODE_RULES: dict[str, str] = {
     "R001": "RNG construction only through common/rng.py (determinism)",
     "R002": "physical-read charges only inside storage/buffer.py",
     "R003": "no ==/!= between float cost/estimate expressions",
-    "R004": "no mutable default arguments",
     "R005": "no wall-clock reads outside harness/timing.py",
     "R006": "no global clock: accounting flows through per-execution IOContext",
     "R007": "Optimizer construction only through the lifecycle (build_optimizer)",
@@ -585,42 +583,12 @@ class _FileChecker(ast.NodeVisitor):
                 )
         self.generic_visit(node)
 
-    # -- R004: mutable defaults ----------------------------------------
-    def _check_defaults(self, node: ast.AST, args: ast.arguments) -> None:
-        for default in [*args.defaults, *args.kw_defaults]:
-            if default is None:
-                continue
-            mutable = isinstance(default, (ast.List, ast.Dict, ast.Set))
-            if not mutable and isinstance(default, ast.Call):
-                chain = _dotted(default.func)
-                mutable = chain is not None and chain[-1] in (
-                    "list",
-                    "dict",
-                    "set",
-                    "bytearray",
-                    "OrderedDict",
-                    "defaultdict",
-                )
-            if mutable:
-                self.report(
-                    "R004",
-                    default,
-                    "mutable default argument",
-                    hint="default to None (or use dataclasses.field) and "
-                    "construct inside the function",
-                )
-
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._check_defaults(node, node.args)
         self._function_stack.append(node.name)
         self.generic_visit(node)
         self._function_stack.pop()
 
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self._check_defaults(node, node.args)
-        self._function_stack.append(node.name)
-        self.generic_visit(node)
-        self._function_stack.pop()
+    visit_AsyncFunctionDef = visit_FunctionDef
 
 
 def _suppressed_rules(source: str) -> dict[int, set[str]]:
@@ -660,8 +628,8 @@ def applicable_code_rules(
 
     The CLI's unused-suppression audit needs to know which rules were
     *actually checked* for a file: a suppression for a rule that did not
-    run (a waived path, a ``--rules`` subset, a Tier-3 rule without
-    ``--dataflow``) is not "unused", just dormant.
+    run (a waived path, or outside a ``--rules`` subset) is not "unused",
+    just dormant.
     """
     selected = list(CODE_RULES) if rules is None else list(rules)
     unknown = [r for r in selected if r not in CODE_RULES]

@@ -1,16 +1,15 @@
-"""Tier 3 — interprocedural dataflow analysis (C- and F-rules).
+"""Tier 3 — interprocedural dataflow analysis (C003 and F-rules).
 
 Where Tier 2 (:mod:`repro.analysis.codelint`) checks one line at a time,
 this tier builds a call graph and per-function CFGs over ``ast`` and
-answers *path* questions: can these two locks be taken in opposite
-orders, does every path through a drive loop hit a checkpoint, can an
-admission slot leak on an exceptional path.  See
+answers *path* questions: can a service coroutine reach blocking work
+without an executor hop, does every path through a drive loop hit a
+checkpoint, can an admission slot leak on an exceptional path.  See
 :mod:`repro.analysis.dataflow.concurrency` and
 :mod:`repro.analysis.dataflow.flowrules` for the rule semantics and
 :mod:`repro.analysis.dataflow.callgraph` for the resolution strategy.
 
-Run it with ``python -m repro.analysis --dataflow`` (or
-``python -m repro analyze --dataflow``).
+``python -m repro.analysis`` runs it together with Tier 2.
 """
 
 from __future__ import annotations
@@ -20,11 +19,7 @@ from typing import Iterable, Mapping, Optional, Union
 
 from repro.analysis.codelint import _suppressed_rules, iter_python_files
 from repro.analysis.dataflow.callgraph import Program, build_program
-from repro.analysis.dataflow.concurrency import (
-    check_blocking_in_service,
-    check_lock_across_await,
-    check_lock_order,
-)
+from repro.analysis.dataflow.concurrency import check_blocking_in_service
 from repro.analysis.dataflow.flowrules import (
     check_drive_loop_coverage,
     check_no_bump_after_cancellation,
@@ -35,8 +30,6 @@ from repro.common.errors import AnalysisError
 
 #: Rule id -> one-line description (the CLI and docs render this catalog).
 DATAFLOW_RULES: dict[str, str] = {
-    "C001": "no cycles in the lock-acquisition-order graph (deadlock)",
-    "C002": "no threading lock held across an await",
     "C003": "no blocking call inside a service coroutine without executor hop",
     "F001": "every charging drive loop in exec/ reaches checkpoint() on all paths",
     "F002": "every admission slot / IOContext settles on all paths",
@@ -44,8 +37,6 @@ DATAFLOW_RULES: dict[str, str] = {
 }
 
 _CHECKS = {
-    "C001": check_lock_order,
-    "C002": check_lock_across_await,
     "C003": check_blocking_in_service,
     "F001": check_drive_loop_coverage,
     "F002": check_resource_release,
@@ -60,10 +51,10 @@ def analyze_sources(
 ) -> list[Finding]:
     """Run the Tier-3 rules over a set of sources (label -> text).
 
-    The whole mapping is analyzed as one program: call edges and lock
-    identities resolve across files.  Inline ``lint: disable`` comments
-    suppress findings unless ``apply_suppressions`` is False
-    (the unused-suppression audit needs the raw set).
+    The whole mapping is analyzed as one program: call edges resolve
+    across files.  Inline ``lint: disable`` comments suppress findings
+    unless ``apply_suppressions`` is False (the unused-suppression audit
+    needs the raw set).
     """
     selected = list(DATAFLOW_RULES) if rules is None else list(rules)
     unknown = [rule for rule in selected if rule not in DATAFLOW_RULES]

@@ -32,7 +32,7 @@ from typing import Iterator, Mapping, Optional, Sequence, Union
 
 FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 
-_LOCK_CTORS = {"Lock": "lock", "RLock": "rlock", "Condition": "condition"}
+_LOCK_CTORS = frozenset({"Lock", "RLock", "Condition"})
 
 
 def dotted_chain(node: ast.expr) -> Optional[tuple[str, ...]]:
@@ -121,8 +121,8 @@ class ClassInfo:
     bases: tuple[str, ...] = ()
     methods: dict[str, str] = field(default_factory=dict)
     attr_types: dict[str, str] = field(default_factory=dict)
-    #: lock-like attributes assigned in method bodies: name -> kind
-    lock_attrs: dict[str, str] = field(default_factory=dict)
+    #: attributes assigned a Lock/RLock/Condition in method bodies
+    lock_attrs: set[str] = field(default_factory=set)
 
 
 @dataclass
@@ -319,7 +319,7 @@ def _harvest_self_assignments(program: Program) -> None:
                 chain = dotted_chain(value.func)
                 leaf = chain[-1] if chain else None
                 if leaf in _LOCK_CTORS:
-                    cls.lock_attrs.setdefault(attr, _LOCK_CTORS[leaf])
+                    cls.lock_attrs.add(attr)
                 elif leaf is not None and leaf in program.classes:
                     cls.attr_types.setdefault(attr, leaf)
             elif isinstance(value, ast.Name):

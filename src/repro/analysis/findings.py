@@ -1,11 +1,13 @@
 """Shared diagnostic core of the static-analysis subsystem.
 
-Both analysis tiers — the plan-tree linter (:mod:`repro.analysis.planlint`)
-and the codebase invariant checker (:mod:`repro.analysis.codelint`) — emit
-:class:`Finding` records through this module, so one reporting path (text
-and JSON) serves both.  A finding names the rule that fired (``P001`` …
-``P006`` for plan rules, ``R001`` … ``R005`` for code rules), a severity,
-a location (file:line for code, a plan-tree path for plans), and a fix
+All three analysis tiers — the plan-tree linter
+(:mod:`repro.analysis.planlint`), the codebase invariant checker
+(:mod:`repro.analysis.codelint`) and the dataflow analyzer
+(:mod:`repro.analysis.dataflow`) — emit :class:`Finding` records through
+this module, so one reporting path (text and JSON) serves them all.  A
+finding names the rule that fired (``P…`` for plan rules, ``R…`` for
+code rules, ``C003`` / ``F…`` for dataflow rules), a severity, a
+location (file:line for code, a plan-tree path for plans), and a fix
 hint.  The rule catalog with rationale lives in ``docs/static_analysis.md``.
 """
 
@@ -20,9 +22,9 @@ from typing import Any, Iterable, Sequence
 class Severity(Enum):
     """How bad a finding is.
 
-    ``ERROR`` findings indicate a broken invariant (strict mode raises /
-    exits non-zero on them); ``WARNING`` findings are suspicious but not
-    provably wrong.
+    ``ERROR`` findings indicate a broken invariant (the CLI exits non-zero
+    on them); ``WARNING`` findings are suspicious but not provably wrong
+    (only ``--strict`` fails on them).
     """
 
     ERROR = "error"
@@ -82,12 +84,8 @@ def findings_to_json(findings: Sequence[Finding]) -> str:
 
 def summarize(findings: Sequence[Finding]) -> str:
     """The one-line summary printed by the CLI's default text mode."""
-    files = {f.file for f in findings if f.file}
-    plans = {f.location for f in findings if not f.file}
-    scopes = len(files) + len(plans)
-    noun = "file" if len(plans) == 0 else "location"
-    error_count = len(errors(findings))
+    files = {f.file for f in findings}
     return (
-        f"{len(findings)} finding(s) ({error_count} error(s)) "
-        f"across {scopes} {noun}(s)"
+        f"{len(findings)} finding(s) ({len(errors(findings))} error(s)) "
+        f"across {len(files)} file(s)"
     )

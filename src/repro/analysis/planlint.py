@@ -32,7 +32,7 @@ structural and estimate invariants the rest of the system silently assumes
 
 Findings surface through :mod:`repro.analysis.findings`;
 :class:`repro.session.Session` runs this linter on every optimized plan and
-raises :class:`~repro.common.errors.PlanLintError` in strict mode.
+records the findings in ``Session.lint_findings``.
 """
 
 from __future__ import annotations

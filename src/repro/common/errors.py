@@ -148,7 +148,3 @@ class WorkerQueryError(WorkerError):
 
 class AnalysisError(ReproError):
     """The static-analysis subsystem received invalid input."""
-
-
-class PlanLintError(AnalysisError):
-    """A plan-linter rule fired in strict mode (see repro.analysis)."""

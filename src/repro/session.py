@@ -26,11 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from repro.analysis.findings import Finding, errors, render_findings
+from repro.analysis.findings import Finding
 from repro.analysis.planlint import lint_plan
 from repro.catalog.catalog import Database
 from repro.common.cancellation import CancellationToken
-from repro.common.errors import PlanLintError
 from repro.core.feedback import FeedbackStore
 from repro.core.planner import MonitorConfig
 from repro.core.requests import PageCountRequest
@@ -57,9 +56,7 @@ class Session:
     monitor_config: MonitorConfig = field(default_factory=MonitorConfig)
     #: Every optimized plan is linted (repro.analysis.planlint, P001-P006)
     #: before it reaches the monitor planner.  Findings accumulate in
-    #: :attr:`lint_findings`; with :attr:`strict_lint` an error-severity
-    #: finding raises :class:`~repro.common.errors.PlanLintError` instead.
-    strict_lint: bool = False
+    #: :attr:`lint_findings`.
     lint_findings: list[Finding] = field(default_factory=list)
     #: Shared plan cache (an Engine wires its own in).  ``None`` means
     #: every optimize is fresh — the plan-cache stage reports "bypassed".
@@ -105,16 +102,10 @@ class Session:
         return plan
 
     def lint(self, plan: PlanNode, injections: InjectionSet) -> None:
-        """Lint a plan (lifecycle lint stage); raises in strict mode."""
-        findings = lint_plan(plan, self.database, injections=injections)
-        if not findings:
-            return
-        self.lint_findings.extend(findings)
-        if self.strict_lint and errors(findings):
-            raise PlanLintError(
-                "optimized plan violates plan invariants:\n"
-                + render_findings(findings)
-            )
+        """Lint a plan (lifecycle lint stage) into :attr:`lint_findings`."""
+        self.lint_findings.extend(
+            lint_plan(plan, self.database, injections=injections)
+        )
 
     # ------------------------------------------------------------------
     def run_plan(

@@ -88,22 +88,6 @@ class TestR003:
 
 
 # ----------------------------------------------------------------------
-# R004 — mutable default arguments
-# ----------------------------------------------------------------------
-class TestR004:
-    def test_fires_on_list_default(self):
-        assert "R004" in rules_fired("def f(items=[]):\n    return items\n")
-
-    def test_fires_on_dict_call_default(self):
-        assert "R004" in rules_fired("def f(*, options=dict()):\n    return options\n")
-
-    def test_silent_on_none_default(self):
-        assert "R004" not in rules_fired(
-            "def f(items=None):\n    return items or []\n"
-        )
-
-
-# ----------------------------------------------------------------------
 # R005 — wall-clock discipline
 # ----------------------------------------------------------------------
 class TestR005:
@@ -527,7 +511,6 @@ class TestMachinery:
             "R001",
             "R002",
             "R003",
-            "R004",
             "R005",
             "R006",
             "R007",

@@ -26,138 +26,6 @@ def findings_for(sources: dict[str, str], rules: list[str]):
 
 
 # ----------------------------------------------------------------------
-# C001 — lock-order-graph cycles
-# ----------------------------------------------------------------------
-class TestC001:
-    def test_fires_on_interprocedural_ordering_cycle(self):
-        # One thread runs transfer (a then b), another runs audit -> _scan
-        # (b then, through the call, a): a classic ABBA deadlock where one
-        # edge only exists through a call.
-        source = """
-import threading
-
-class Ledger:
-    def __init__(self):
-        self.a_lock = threading.Lock()
-        self.b_lock = threading.Lock()
-
-    def transfer(self):
-        with self.a_lock:
-            with self.b_lock:
-                pass
-
-    def _scan(self):
-        with self.a_lock:
-            pass
-
-    def audit(self):
-        with self.b_lock:
-            self._scan()
-"""
-        findings = findings_for({"pkg/ledger.py": source}, ["C001"])
-        assert {f.rule for f in findings} == {"C001"}
-        (finding,) = findings
-        assert "a_lock" in finding.message and "b_lock" in finding.message
-
-    def test_silent_on_consistent_order(self):
-        source = """
-import threading
-
-class Ledger:
-    def __init__(self):
-        self.a_lock = threading.Lock()
-        self.b_lock = threading.Lock()
-
-    def transfer(self):
-        with self.a_lock:
-            with self.b_lock:
-                pass
-
-    def audit(self):
-        with self.a_lock:
-            with self.b_lock:
-                pass
-"""
-        assert fired({"pkg/ledger.py": source}, ["C001"]) == set()
-
-    def test_fires_on_plain_lock_reacquired_in_callee(self):
-        source = """
-import threading
-
-class Cache:
-    def __init__(self):
-        self.lock = threading.Lock()
-
-    def get(self):
-        with self.lock:
-            return self._load()
-
-    def _load(self):
-        with self.lock:
-            return 1
-"""
-        findings = findings_for({"pkg/cache.py": source}, ["C001"])
-        assert {f.rule for f in findings} == {"C001"}
-        assert "re-acquire" in findings[0].message or "itself" in findings[0].message
-
-    def test_silent_on_rlock_reentrancy(self):
-        source = """
-import threading
-
-class Cache:
-    def __init__(self):
-        self.lock = threading.RLock()
-
-    def get(self):
-        with self.lock:
-            return self._load()
-
-    def _load(self):
-        with self.lock:
-            return 1
-"""
-        assert fired({"pkg/cache.py": source}, ["C001"]) == set()
-
-
-# ----------------------------------------------------------------------
-# C002 — threading lock held across an await
-# ----------------------------------------------------------------------
-class TestC002:
-    def test_fires_on_await_under_sync_lock(self):
-        source = """
-import asyncio
-import threading
-
-class Gate:
-    def __init__(self):
-        self.lock = threading.Lock()
-
-    async def poke(self):
-        with self.lock:
-            await asyncio.sleep(0)
-"""
-        findings = findings_for({"pkg/gate.py": source}, ["C002"])
-        assert {f.rule for f in findings} == {"C002"}
-
-    def test_silent_when_await_is_outside_the_lock(self):
-        source = """
-import asyncio
-import threading
-
-class Gate:
-    def __init__(self):
-        self.lock = threading.Lock()
-
-    async def poke(self):
-        with self.lock:
-            counter = 1
-        await asyncio.sleep(0)
-        return counter
-"""
-        assert fired({"pkg/gate.py": source}, ["C002"]) == set()
-
-
-# ----------------------------------------------------------------------
 # C003 — blocking calls reachable inside service coroutines
 # ----------------------------------------------------------------------
 class TestC003:
@@ -438,15 +306,8 @@ class Service:
 # Machinery
 # ----------------------------------------------------------------------
 class TestMachinery:
-    def test_rule_catalog_is_exactly_the_six_rules(self):
-        assert set(DATAFLOW_RULES) == {
-            "C001",
-            "C002",
-            "C003",
-            "F001",
-            "F002",
-            "F003",
-        }
+    def test_rule_catalog_is_exactly_the_four_rules(self):
+        assert set(DATAFLOW_RULES) == {"C003", "F001", "F002", "F003"}
         assert all(DATAFLOW_RULES[rule] for rule in DATAFLOW_RULES)
 
     def test_inline_suppression_is_honoured(self):

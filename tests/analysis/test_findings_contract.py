@@ -4,7 +4,7 @@
 queried with jq), so its shape is locked by a golden file: keys, rule
 ids, severities, locations, and message wording all participate in the
 contract.  The exit-code contract (0 clean / 1 findings / 2 usage) is
-locked alongside it for the ``--dataflow`` mode.
+locked alongside it.
 """
 
 from __future__ import annotations
@@ -48,7 +48,8 @@ def fixture_file(tmp_path):
 
 class TestJsonGolden:
     def test_json_output_matches_the_golden_file(self, fixture_file, capsys):
-        assert analysis_cli(["--json", "--dataflow", str(fixture_file)]) == 1
+        # No flag: one run checks tiers 2 and 3 together.
+        assert analysis_cli(["--json", str(fixture_file)]) == 1
         payload = json.loads(capsys.readouterr().out)
         for entry in payload:
             assert entry["file"] == str(fixture_file)
@@ -56,7 +57,7 @@ class TestJsonGolden:
         assert payload == json.loads(GOLDEN.read_text())
 
     def test_every_finding_carries_the_contract_keys(self, fixture_file, capsys):
-        analysis_cli(["--json", "--dataflow", str(fixture_file)])
+        analysis_cli(["--json", str(fixture_file)])
         payload = json.loads(capsys.readouterr().out)
         assert payload, "fixture must produce findings"
         for entry in payload:
@@ -78,17 +79,17 @@ class TestExitCodes:
         clean = tmp_path / "service" / "ok.py"
         clean.parent.mkdir()
         clean.write_text("async def handle():\n    return 1\n")
-        assert analysis_cli(["--strict", "--dataflow", str(clean)]) == 0
+        assert analysis_cli(["--strict", str(clean)]) == 0
         assert "0 finding(s)" in capsys.readouterr().out
 
     def test_one_on_findings(self, fixture_file, capsys):
-        assert analysis_cli(["--dataflow", str(fixture_file)]) == 1
+        assert analysis_cli([str(fixture_file)]) == 1
         out = capsys.readouterr().out
         assert "C003" in out and "F002" in out
 
     def test_two_on_usage_errors(self, fixture_file, capsys):
-        assert analysis_cli(["--dataflow", "--rules", "C999", str(fixture_file)]) == 2
-        assert analysis_cli(["--dataflow", str(fixture_file / "missing.py")]) == 2
+        assert analysis_cli(["--rules", "C999", str(fixture_file)]) == 2
+        assert analysis_cli([str(fixture_file / "missing.py")]) == 2
 
 
 class TestSuppressionAudit:
@@ -111,47 +112,23 @@ class TestSuppressionAudit:
         target.write_text("import random\nrandom.seed(1)  # lint: disable=R001\n")
         assert analysis_cli(["--strict", str(target)]) == 0
 
-    def test_dormant_dataflow_suppression_not_flagged_without_dataflow(
+    def test_dormant_dataflow_suppression_not_flagged_under_a_rules_subset(
         self, tmp_path, capsys
     ):
-        # A C003 suppression is only auditable when the dataflow tier runs;
-        # a plain tier-2 pass must treat it as dormant, not unused.
+        # A C003 suppression is only auditable when C003 runs: a --rules
+        # subset without it must treat the comment as dormant, not unused,
+        # while the full run sees it suppress a real finding.
         target = tmp_path / "service" / "mod.py"
         target.parent.mkdir()
         target.write_text(
             "import time\n\n\nasync def handle():\n"
             "    time.sleep(0.1)  # lint: disable=C003\n"
         )
+        assert analysis_cli(["--strict", "--rules", "R001,R010", str(target)]) == 0
         assert analysis_cli(["--strict", str(target)]) == 0
-        assert analysis_cli(["--strict", "--dataflow", str(target)]) == 0
-
-
-class TestChangedOnly:
-    def test_falls_back_to_full_run_without_git(
-        self, fixture_file, capsys, monkeypatch
-    ):
-        import repro.analysis.cli as cli_module
-
-        def no_git(*args, **kwargs):
-            raise FileNotFoundError("git")
-
-        monkeypatch.setattr(cli_module.subprocess, "run", no_git)
-        assert analysis_cli(["--dataflow", "--changed-only", str(fixture_file)]) == 1
-        captured = capsys.readouterr()
-        assert "--changed-only needs git" in captured.err
-        assert "C003" in captured.out
-
-    def test_narrows_to_the_changed_set(self, tmp_path, capsys, monkeypatch):
-        import repro.analysis.cli as cli_module
-
-        changed = tmp_path / "changed.py"
-        changed.write_text("import random\nrandom.seed(1)\n")
-        untouched = tmp_path / "untouched.py"
-        untouched.write_text("import random\nrandom.seed(2)\n")
-        monkeypatch.setattr(
-            cli_module, "_changed_files", lambda base: {changed.resolve()}
+        target.write_text(
+            "async def handle():\n    return 1  # lint: disable=C003\n"
         )
-        assert analysis_cli(["--changed-only", str(tmp_path)]) == 1
-        out = capsys.readouterr().out
-        assert "changed.py" in out
-        assert "untouched.py" not in out
+        assert analysis_cli(["--strict", "--rules", "R001,R010", str(target)]) == 0
+        assert analysis_cli(["--strict", str(target)]) == 1
+        assert "suppression for C003 matched no finding" in capsys.readouterr().out

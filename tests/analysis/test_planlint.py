@@ -10,7 +10,7 @@ import pytest
 
 from repro.analysis.findings import Severity
 from repro.analysis.planlint import PLAN_RULES, lint_plan
-from repro.common.errors import AnalysisError, PlanLintError
+from repro.common.errors import AnalysisError
 from repro.core.requests import IndexLeafRequest
 from repro.optimizer.injection import InjectionSet
 from repro.optimizer.optimizer import Optimizer, SingleTableQuery
@@ -395,13 +395,3 @@ class TestSessionIntegration:
         plan = session.optimize(query)
         assert plan is broken
         assert "P002" in rules_fired(session.lint_findings)
-
-    def test_strict_mode_raises_on_broken_plan(self, tiny_db, monkeypatch):
-        broken = make_seek(index_name="ix_ghost")
-        monkeypatch.setattr(Optimizer, "optimize", lambda self, query: broken)
-        session = Session(tiny_db, strict_lint=True)
-        query = SingleTableQuery(
-            table="tiny", predicate=conjunction_of(Comparison("v", "<", 50))
-        )
-        with pytest.raises(PlanLintError, match="P002"):
-            session.optimize(query)

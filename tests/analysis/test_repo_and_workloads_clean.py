@@ -1,18 +1,22 @@
 """The permanent regression gates: the repo itself is lint-clean under
 the tier-2 rules and the tier-3 dataflow rules, the CLI agrees (strict
-exit 0, JSON well-formed), and every plan the optimizer produces for the
-seed workloads passes P001–P006."""
+exit 0, JSON well-formed), every plan the optimizer produces for the
+seed workloads passes P001–P006, and the engine never loads the source
+linters."""
 
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from repro.analysis.cli import main as analysis_cli
 from repro.analysis.codelint import lint_paths
-from repro.analysis.dataflow import analyze_paths
+from repro.analysis.dataflow import DATAFLOW_RULES, analyze_paths
 from repro.analysis.planlint import lint_plan
 from repro.optimizer.optimizer import Optimizer
 from repro.workloads.queries import join_workload, single_table_workload
@@ -41,9 +45,10 @@ class TestRepoIsClean:
         assert findings == [], "\n".join(f.render() for f in findings)
 
     def test_cli_strict_dataflow_exits_zero_on_src(self, capsys):
-        # Also proves every inline C/F suppression in the tree still
-        # earns its keep: an unused one surfaces as R010 and fails here.
-        assert analysis_cli(["--strict", "--dataflow", str(SRC_REPRO)]) == 0
+        # The tier-3 rules alone, audited: every inline C/F suppression in
+        # the tree still earns its keep (an unused one surfaces as R010).
+        rules = ",".join(["R010", *DATAFLOW_RULES])
+        assert analysis_cli(["--strict", "--rules", rules, str(SRC_REPRO)]) == 0
         assert "0 finding(s)" in capsys.readouterr().out
 
 
@@ -117,3 +122,24 @@ class TestWorkloadPlansLintClean:
             seed=5,
         )
         _assert_workload_plans_clean(database, workload, lint_candidates=True)
+
+
+def test_engine_import_loads_no_source_linter():
+    # Session imports the plan linter; the R/C/F linters are tooling and
+    # must not ride along into every engine and worker process.
+    code = (
+        "import sys, repro.session\n"
+        "loaded = sorted(m for m in sys.modules if m == 'repro.analysis.codelint'"
+        " or m.startswith('repro.analysis.dataflow'))\n"
+        "assert 'repro.analysis.planlint' in sys.modules\n"
+        "print(loaded)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+        check=True,
+        timeout=60,
+    )
+    assert result.stdout.strip() == "[]"
