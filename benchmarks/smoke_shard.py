@@ -3,11 +3,12 @@
 Two gates over a 4-shard range-partitioned deployment:
 
 * **serial ≡ sharded equivalence** — the reduced Fig. 6 workload runs
-  through :func:`repro.harness.equivalence.compare_sharded_workload`
-  (at ``dpsample_fraction=1.0``, so every DPC observation is exact and
-  the proof is bit-level): result rows, merged observation
-  fingerprints, merged feedback records and the re-optimized plan P'
-  must all be identical to the single-engine run.  Zero diffs gates.
+  through :func:`repro.harness.equivalence.compare_workload`, one engine
+  against the coordinator, both on the batch drive (at
+  ``dpsample_fraction=1.0``, so every DPC observation is exact and the
+  proof is bit-level): result rows, merged observation fingerprints,
+  merged feedback records and the re-optimized plan P' must all be
+  identical to the single-engine run.  Zero diffs gates.
 * **aggregate scan throughput** — the Fig. 6 scan-bound queries
   (high-selectivity predicates the optimizer answers with a SeqScan)
   must complete at least :data:`SCAN_SPEEDUP_BOUND` times faster in
@@ -33,8 +34,9 @@ from __future__ import annotations
 
 import sys
 
+from repro.core.planner import MonitorConfig
 from repro.engine import Engine
-from repro.harness.equivalence import compare_sharded_workload
+from repro.harness.equivalence import compare_workload
 from repro.harness.timing import Stopwatch
 from repro.lifecycle.plan import build_optimizer
 from repro.optimizer import SingleTableQuery
@@ -82,7 +84,18 @@ def equivalence_violations() -> list[str]:
         selectivity_range=(0.01, 0.10),
         seed=SEED,
     )
-    report = compare_sharded_workload(database, workload, num_shards=SHARDS)
+    exact = MonitorConfig(dpsample_fraction=1.0)
+    coordinator = ShardCoordinator(
+        database, num_shards=SHARDS, monitor_config=exact
+    )
+    try:
+        report = compare_workload(
+            (Engine(database, monitor_config=exact), "batch"),
+            (coordinator, "batch"),
+            workload,
+        )
+    finally:
+        coordinator.shutdown()
     print(report.render())
     return [
         f"{entry.label}: {mismatch}"

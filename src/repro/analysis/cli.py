@@ -16,7 +16,8 @@ subset, or waived for the file's path) are dormant, not unused, and stay
 silent.
 
 Exit status: ``0`` when clean; ``1`` when any error-severity finding (or,
-with ``--strict``, any finding at all) was produced; ``2`` on bad usage.
+with ``--strict``, any finding at all) was produced; ``2`` on bad usage
+(an unknown rule id, a missing path, or paths holding no ``.py`` file).
 """
 
 from __future__ import annotations
@@ -116,11 +117,14 @@ def _analyze(
     paths: Sequence[str],
     code_rules: Optional[list[str]],
     flow_rules: Optional[list[str]],
-) -> list[Finding]:
-    """Run tiers 2 and 3 over ``paths`` with one suppression pass."""
+) -> tuple[list[Finding], int]:
+    """Run tiers 2 and 3 over ``paths`` with one suppression pass; the
+    findings and the number of files checked."""
     sources = {
         str(f): f.read_text(encoding="utf-8") for f in iter_python_files(paths)
     }
+    if not sources:
+        raise AnalysisError(f"no .py file under {', '.join(paths)}")
     flow_checked = set(DATAFLOW_RULES if flow_rules is None else flow_rules)
     raw: list[Finding] = []
     checked: dict[str, set[str]] = {}
@@ -146,7 +150,7 @@ def _analyze(
     if any("R010" in rules for rules in checked.values()):
         findings.extend(_audit_suppressions(suppression_maps, checked, used))
     findings.sort(key=lambda f: (f.file, f.line, f.rule))
-    return findings
+    return findings, len(sources)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -181,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        findings = _analyze(args.paths, *_split_rules(args.rules))
+        findings, files_checked = _analyze(args.paths, *_split_rules(args.rules))
     except AnalysisError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -191,7 +195,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         else:
             if findings:
                 print(render_findings(findings))
-            print(summarize(findings))
+            print(summarize(findings, files_checked))
         sys.stdout.flush()
     except BrokenPipeError:
         # The consumer (`... | head`, `... | jq -e`) closed the pipe early;

@@ -82,10 +82,9 @@ def findings_to_json(findings: Sequence[Finding]) -> str:
     return json.dumps([f.to_dict() for f in findings], indent=2, sort_keys=True)
 
 
-def summarize(findings: Sequence[Finding]) -> str:
+def summarize(findings: Sequence[Finding], files_checked: int) -> str:
     """The one-line summary printed by the CLI's default text mode."""
-    files = {f.file for f in findings}
     return (
         f"{len(findings)} finding(s) ({len(errors(findings))} error(s)) "
-        f"across {len(files)} file(s)"
+        f"across {files_checked} file(s) checked"
     )

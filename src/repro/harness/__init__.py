@@ -4,8 +4,6 @@ from repro.harness.equivalence import (
     EquivalenceReport,
     QueryEquivalence,
     compare_query,
-    compare_sharded_query,
-    compare_sharded_workload,
     compare_workload,
 )
 from repro.harness.figures import (
@@ -43,8 +41,6 @@ __all__ = [
     "EvaluationOutcome",
     "QueryEquivalence",
     "compare_query",
-    "compare_sharded_query",
-    "compare_sharded_workload",
     "compare_workload",
     "JoinFigureResult",
     "PageSamplingResult",

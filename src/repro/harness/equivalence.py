@@ -1,45 +1,42 @@
-"""Row ≡ batch equivalence harness.
+"""One equivalence check: two runs of one plan must agree on everything.
 
-The batch execution path (chunk-at-a-time :class:`~repro.exec.batch.RowBatch`
-exchange + compiled predicate kernels, with every table and clustered
-range scan reading column chunks, :mod:`repro.exec.vector`) is a pure
-performance optimization: it must be observationally identical to the
-Volcano row iterator.  This module proves it per query, by running the
-same physical plan under every mode of
-:data:`~repro.exec.executor.EXEC_MODES` and diffing everything the
-paper's machinery depends on:
+Row ≡ batch (the chunk-at-a-time drive is a pure optimization of the
+Volcano row iterator) and serial ≡ sharded (a
+:class:`~repro.shard.coordinator.ShardCoordinator` fan-out is one engine
+over the global file) are one check with another candidate.  A run shows
+one :class:`Observables`: rows (values *and* order) and columns, every
+``PageCountObservation.fingerprint()`` with its mechanism details, and
+physical counters — reads, the per-operator stats tree (actual rows,
+pages touched, predicate evaluations: the Fig. 7/9 overhead currency)
+and, for an operator tree run by :func:`drive`, every integer charge of
+a :class:`TallyIO`, evictions, sampler draws and filter counters.
+:func:`diff_results` reports every difference.  Simulated ``cpu_ms`` is
+excluded: batched charging adds the same totals in fewer float additions.
 
-* result rows (values *and* order) and output columns,
-* every :class:`~repro.core.requests.PageCountObservation` — its
-  ``fingerprint()`` (key, mechanism, answered/reason, estimate,
-  exactness, instrument, remembered) and the mechanism details
-  (sampled-page counts, linear-counter bit patterns, ...),
-* read counts (logical / random / sequential / pool hits),
-* per-operator plan statistics (actual rows, pages touched, predicate
-  evaluation counts — the Fig. 7/9 overhead currency),
-
-then absorbs the monitored run's observations, re-optimizes, and checks
-the improved plan's unmonitored run the same way — i.e. the *entire*
-§V-B methodology pipeline is mode-invariant; table-scan plans exercise
-the chunk scan monitored (P) and unmonitored (P'), Fig. 8 hash joins
-its bit-vector feed (a probe-side scan of the requested table), and
-hinted index plans the chunk-at-a-time seek → fetch → linear-count drive.  Row
-mode is the reference: every other mode is diffed against it.  Simulated ``cpu_ms`` is
-deliberately excluded: batched charging accumulates the same totals in
-fewer float additions, so the float may differ in the last ulp while
-every integer counter is identical.
+:func:`compare_query` is the §V-B walk over two sides, each an
+``(engine, exec_mode)`` pair.  A candidate that is a ``ShardCoordinator``
+may differ from one engine only where a fan-out must: physical counters
+(N shard B-trees have their own heights), mechanism details and
+instruments (they describe shard files), inexact estimates within
+:data:`SHARD_INEXACT_RTOL`, and leaf counts, which do not sum
+(:func:`~repro.core.feedback.unsummable`).  :func:`pairwise` samples a
+test grid so that every pair of axis values appears in some row.
 """
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from itertools import product
+from typing import Any, Callable, Mapping, Optional, Sequence
 
 from repro.catalog.catalog import Database
-from repro.core.feedback import FeedbackStore, unsummable
-from repro.core.planner import MonitorConfig
+from repro.core.feedback import FeedbackRecord, FeedbackStore, unsummable
 from repro.core.requests import PageCountObservation, PageCountRequest
 from repro.engine import Engine
+from repro.exec.base import ExecutionContext, Operator
+from repro.exec.batch import DEFAULT_BATCH_ROWS
 from repro.exec.executor import DEFAULT_EXEC_MODE, EXEC_MODES, QueryResult
 from repro.exec.runstats import OperatorStats
 from repro.harness.methodology import default_requests
@@ -47,105 +44,260 @@ from repro.lifecycle.plan import build_optimizer
 from repro.optimizer.hints import PlanHint
 from repro.optimizer.injection import InjectionSet
 from repro.optimizer.plans import PlanNode
+from repro.shard.coordinator import ShardCoordinator
+from repro.storage.accounting import IOContext
 from repro.workloads.queries import GeneratedQuery
 
+#: Relative tolerance for merged *inexact* estimates (DPSAMPLE at a
+#: fraction < 1, LINEAR_COUNTING): every k-th page of N shard files is not
+#: every k-th page of one file, and ``-m·ln(V/m)`` is not additive.  Exact
+#: mechanisms match to the bit (``dpsample_fraction=1.0`` is bit-exact).
+SHARD_INEXACT_RTOL = 0.10
 
-def observation_fingerprint(observation: PageCountObservation) -> tuple:
-    """:meth:`~repro.core.requests.PageCountObservation.fingerprint` plus
-    the mechanism ``details`` (sampled-page counts, counter bit patterns),
-    which two drives of one plan must also agree on."""
+
+class TallyIO(IOContext):
+    """An IOContext that also totals the integer units of every charge."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.units: Counter = Counter()
+
+
+def _tallying(name: str) -> Callable[..., None]:
+    charge = getattr(IOContext, name)
+
+    def tally(self: TallyIO, units: int = 1) -> None:
+        self.units[name] += units
+        charge(self, units)
+
+    return tally
+
+
+for _name in [name for name in vars(IOContext) if name.startswith("charge_")]:
+    setattr(TallyIO, _name, _tallying(_name))
+
+
+class _Approx:
+    """An inexact count: equal to any within :data:`SHARD_INEXACT_RTOL`."""
+
+    def __init__(self, value: Optional[float]) -> None:
+        self.value = value
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, _Approx):
+            return NotImplemented
+        if self.value is None or other.value is None:
+            return self.value == other.value
+        rtol = SHARD_INEXACT_RTOL
+        return math.isclose(self.value, other.value, rel_tol=rtol, abs_tol=rtol)
+
+    def __repr__(self) -> str:
+        return f"~{self.value!r}"
+
+
+def _observation_view(observation: PageCountObservation, fan_out: bool) -> tuple:
+    if not fan_out:
+        details = sorted((k, repr(v)) for k, v in observation.details.items())
+        return (*observation.fingerprint(), tuple(details))
+    estimate = observation.estimate
     return (
-        *observation.fingerprint(),
-        tuple(sorted((k, repr(v)) for k, v in observation.details.items())),
+        observation.key,
+        observation.mechanism.value,
+        observation.answered,
+        observation.reason,
+        estimate if observation.exact else _Approx(estimate),
+        observation.exact,
+        observation.remembered,
     )
 
 
-def _diff_plan_stats(
-    row_stats: OperatorStats,
-    batch_stats: OperatorStats,
-    path: str,
-    out: list[str],
-    mode: str,
-) -> None:
-    """Recursively compare the per-operator counters of the two runs."""
-    label = f"{path}/{row_stats.operator}"
-    if row_stats.operator != batch_stats.operator:
-        out.append(
-            f"{label}: operator mismatch ({batch_stats.operator} in {mode} mode)"
-        )
-        return
-    for attribute in ("actual_rows", "pages_touched", "predicate_evaluations"):
-        row_value = getattr(row_stats, attribute)
-        batch_value = getattr(batch_stats, attribute)
-        if row_value != batch_value:
-            out.append(
-                f"{label}: {attribute} row={row_value} {mode}={batch_value}"
-            )
-    if len(row_stats.children) != len(batch_stats.children):
-        out.append(
-            f"{label}: child count row={len(row_stats.children)} "
-            f"{mode}={len(batch_stats.children)}"
-        )
-        return
-    for index, (row_child, batch_child) in enumerate(
-        zip(row_stats.children, batch_stats.children)
-    ):
-        _diff_plan_stats(row_child, batch_child, f"{label}[{index}]", out, mode)
+def _record_view(record: FeedbackRecord, fan_out: bool) -> tuple:
+    # A merged record's instrument is unknown, so a fan-out's is not compared.
+    count = record.page_count
+    return (
+        count if record.page_count_exact or not fan_out else _Approx(count),
+        record.page_count_exact,
+        record.cardinality,
+        record.mechanism,
+        record.partial,
+        None if fan_out else record.instrument,
+    )
+
+
+def _stats_rows(stats: OperatorStats, path: str = "") -> list[tuple]:
+    """The stats tree in pre-order: one row per operator."""
+    label = f"{path}/{stats.operator}"
+    counters = (stats.actual_rows, stats.pages_touched, stats.predicate_evaluations)
+    rows = [(label, *counters)]
+    for index, child in enumerate(stats.children):
+        rows.extend(_stats_rows(child, f"{label}[{index}]"))
+    return rows
+
+
+@dataclass
+class Observables:
+    """Everything one run of a plan shows, labelled with its side."""
+
+    label: str
+    columns: tuple[str, ...]
+    rows: list[tuple]
+    observations: list[PageCountObservation]
+    #: What a deployment's physical layout decides (reads, the stats tree,
+    #: charge units, evictions, sampler draws, filter counters).
+    physical: dict[str, Any] = field(default_factory=dict)
+    #: A shard fan-out's merged run (see the module docstring).
+    fan_out: bool = False
+
+    @classmethod
+    def of(
+        cls, result: QueryResult, label: str, fan_out: bool = False
+    ) -> "Observables":
+        """The observables of one :func:`~repro.exec.executor.execute` run."""
+        stats = result.runstats
+        reads = (stats.logical_reads, stats.random_reads, stats.sequential_reads)
+        physical = {"reads": (*reads, stats.pool_hits), "stats": _stats_rows(stats.root)}
+        columns, observations = tuple(result.columns), list(stats.observations)
+        return cls(label, columns, result.rows, observations, physical, fan_out)
+
+
+def _monitor_counters(root: Operator) -> tuple[list[tuple], list[tuple]]:
+    """``(pages_seen, pages_sampled)`` of every DPSample sampler and
+    ``(probes, inserts, bits_set)`` of every bit-vector filter (a join's,
+    or one a scan bundle probes) under ``root``, in pre-order."""
+    draws: list[tuple] = []
+    filters: dict[int, Any] = {}
+    stack = [root]
+    while stack:
+        operator = stack.pop()
+        bundle = getattr(operator, "bundle", None)
+        sampler = getattr(bundle, "sampler", None)
+        if sampler is not None:
+            draws.append((sampler.pages_seen, sampler.pages_sampled))
+        probed = [f for _, f in getattr(bundle, "bitvector_probes", list)()]
+        for bits in [getattr(operator, "bitvector", None), *probed]:
+            if bits is not None:
+                filters.setdefault(id(bits), bits)
+        stack.extend(reversed(list(operator.children())))
+    return draws, [(f.probes, f.inserts, f.bits_set) for f in filters.values()]
+
+
+def drive(
+    database: Database,
+    make_root: Callable[[], Operator],
+    exec_mode: str = DEFAULT_EXEC_MODE,
+    batch_rows: int = DEFAULT_BATCH_ROWS,
+) -> Observables:
+    """Run a fresh ``make_root()`` in one drive, ``batch_rows`` to a chunk,
+    on a cold cache, charging a :class:`TallyIO`; every observable."""
+    database.cold_cache()
+    io = TallyIO()
+    root = make_root()
+    ctx = ExecutionContext(database=database, io=io, batch_rows=batch_rows)
+    if exec_mode == "row":
+        rows = list(root.rows(ctx))
+    else:
+        rows = [row for batch in root.batches(ctx) for row in batch.rows]
+    root.finalize(ctx)
+    draws, filters = _monitor_counters(root)
+    physical = {
+        "reads": (io.random_reads, io.sequential_reads, io.pool_hits),
+        "evictions": io.evictions,
+        "units": io.units,
+        "stats": _stats_rows(root.collect_stats()),
+        "sampler draws": draws,
+        "filter counters": filters,
+    }
+    return Observables(
+        exec_mode, tuple(root.output_columns), rows, list(ctx.observations), physical
+    )
+
+
+def drive_both(
+    database: Database,
+    make_root: Callable[[], Operator],
+    batch_rows: int = DEFAULT_BATCH_ROWS,
+) -> tuple[Observables, Observables]:
+    """:func:`drive` a fresh root in the row and then the batch drive."""
+    row, batch = (drive(database, make_root, mode, batch_rows) for mode in EXEC_MODES)
+    return row, batch
+
+
+def _labels(reference: Observables, candidate: Observables) -> str:
+    """``"row={!r} batch={!r}"``: how a difference names the two runs."""
+    return f"{reference.label}={{!r}} {candidate.label}={{!r}}"
+
+
+def _diff_values(name: str, reference: Any, candidate: Any, labels: str) -> list[str]:
+    """``name``'s differences; equal-length lists and dicts per entry."""
+    if reference == candidate:
+        return []
+    if isinstance(reference, dict) and isinstance(candidate, dict):
+        return [
+            f"{name} {key}: {labels.format(reference.get(key), candidate.get(key))}"
+            for key in sorted(reference.keys() | candidate.keys())
+            if reference.get(key) != candidate.get(key)
+        ]
+    if isinstance(reference, list) and isinstance(candidate, list):
+        if len(reference) == len(candidate):
+            return [
+                f"{name}[{index}]: {labels.format(ours, theirs)}"
+                for index, (ours, theirs) in enumerate(zip(reference, candidate))
+                if ours != theirs
+            ]
+    return [f"{name}: {labels.format(reference, candidate)}"]
 
 
 def diff_results(
-    row_result: QueryResult,
-    batch_result: QueryResult,
-    mode: str,
-    context: str = "",
+    reference: Observables, candidate: Observables, context: str = ""
 ) -> list[str]:
-    """Every observable difference between a row-mode run and a run in
-    ``mode``."""
-    prefix = f"{context}: " if context else ""
-    mismatches: list[str] = []
-    if row_result.columns != batch_result.columns:
+    """Every observable difference between two runs of one plan; a
+    fan-out candidate is held only to what a fan-out reports."""
+    labels, fan_out = _labels(reference, candidate), candidate.fan_out
+    mismatches = _diff_values("columns", reference.columns, candidate.columns, labels)
+    if reference.rows != candidate.rows:
+        counts = labels.format(len(reference.rows), len(candidate.rows))
+        reordered = len(reference.rows) == len(candidate.rows)
         mismatches.append(
-            f"{prefix}columns row={row_result.columns} {mode}={batch_result.columns}"
+            f"result rows differ ({counts}"
+            + (", same length but different content/order)" if reordered else ")")
         )
-    if row_result.rows != batch_result.rows:
-        mismatches.append(
-            f"{prefix}result rows differ "
-            f"(row={len(row_result.rows)} rows, {mode}={len(batch_result.rows)} rows"
-            + (
-                ""
-                if len(row_result.rows) != len(batch_result.rows)
-                else ", same length but different content/order"
-            )
-            + ")"
+    mismatches += _diff_values(
+        "observations",
+        [_observation_view(o, fan_out) for o in reference.observations],
+        [_observation_view(o, fan_out) for o in candidate.observations],
+        labels,
+    )
+    if not fan_out:
+        mismatches += _diff_values(
+            "physical", reference.physical, candidate.physical, labels
         )
-    row_stats, batch_stats = row_result.runstats, batch_result.runstats
-    for attribute in (
-        "logical_reads",
-        "random_reads",
-        "sequential_reads",
-        "pool_hits",
-    ):
-        row_value = getattr(row_stats, attribute)
-        batch_value = getattr(batch_stats, attribute)
-        if row_value != batch_value:
-            mismatches.append(
-                f"{prefix}{attribute} row={row_value} {mode}={batch_value}"
-            )
-    row_obs = [observation_fingerprint(o) for o in row_stats.observations]
-    batch_obs = [observation_fingerprint(o) for o in batch_stats.observations]
-    if row_obs != batch_obs:
-        mismatches.append(
-            f"{prefix}observations differ: row={row_obs} {mode}={batch_obs}"
-        )
-    plan_mismatches: list[str] = []
-    _diff_plan_stats(row_stats.root, batch_stats.root, "", plan_mismatches, mode)
-    mismatches.extend(prefix + m for m in plan_mismatches)
-    return mismatches
+    return [f"{context}: {m}" if context else m for m in mismatches]
+
+
+def _diff_harvests(reference: Observables, candidate: Observables) -> list[str]:
+    """The records each run's observations leave in a fresh
+    :class:`FeedbackStore`, and whether the harvest moved its epoch."""
+
+    def stored(run: Observables) -> dict[str, Any]:
+        store = FeedbackStore()
+        store.record_observations(run.observations)
+        view: dict[str, Any] = {"epoch": store.epoch}
+        for key in store.keys():
+            record = store.record(key)
+            view[key] = record and _record_view(record, candidate.fan_out)
+        return view
+
+    ours, theirs = stored(reference), stored(candidate)
+    labels = _labels(reference, candidate)
+    return [
+        f"feedback harvest: {mismatch}"
+        for mismatch in _diff_values("store", ours, theirs, labels)
+    ]
 
 
 @dataclass
 class QueryEquivalence:
-    """One query's row-vs-batch comparison."""
+    """One query's comparison of two sides."""
 
     label: str
     mismatches: list[str] = field(default_factory=list)
@@ -157,10 +309,10 @@ class QueryEquivalence:
 
 @dataclass
 class EquivalenceReport:
-    """Workload-level equivalence verdict (mode- or deployment-level)."""
+    """Workload-level equivalence verdict."""
 
     queries: list[QueryEquivalence] = field(default_factory=list)
-    title: str = "row≡batch equivalence"
+    title: str = "equivalence"
 
     @property
     def ok(self) -> bool:
@@ -183,392 +335,154 @@ class EquivalenceReport:
         return "\n".join(lines)
 
 
+#: One side of a comparison: an engine and the drive it runs plans in.
+Side = tuple[Engine, str]
+
+
+def _side_label(side: Side) -> str:
+    engine, exec_mode = side
+    if isinstance(engine, ShardCoordinator):
+        return f"{exec_mode} on {engine.num_shards} {engine.spec.strategy} shards"
+    return exec_mode
+
+
 def compare_query(
-    engine: Engine,
+    reference: Side,
+    candidate: Side,
     generated: GeneratedQuery,
-    requests: Optional[Sequence[PageCountRequest]] = None,
     base_injections: Optional[InjectionSet] = None,
     hint: Optional[PlanHint] = None,
 ) -> QueryEquivalence:
-    """Run one generated query through §V-B in every mode and diff.
+    """Walk one query through §V-B on both sides, each run one cold,
+    isolated :meth:`~repro.engine.Engine.execute_plan`: the accurate-
+    cardinality plan P monitored (its
+    :func:`~repro.harness.methodology.default_requests`), both runs'
+    harvests compared store to store, P′ re-planned on each side from
+    its own observations (the renders must match), P′ unmonitored.
 
-    Covers the monitored run of the accurate-cardinality plan P *and* the
-    unmonitored run of the feedback-improved plan P' (built from the
-    row-mode observations; the diff has already proven the other modes
-    produced the same ones).  Every run is one
-    :meth:`~repro.engine.Engine.execute_plan` — cold, isolated, monitor
-    state rebuilt (bundles are stateful).  ``hint`` pins both plans to
-    one physical shape, which is how the index plans (seek, IN-list,
-    intersection, covering scan, INL) are proven on workloads whose
-    cheapest plan is a scan.
+    ``hint`` pins both plans to one physical shape, which is how index
+    plans are proven on workloads whose cheapest plan is a scan.
     """
-    database = engine.database
+    database = reference[0].database
     injections = generated.injections(base_injections)
     query = generated.query
-    request_list = (
-        list(requests)
-        if requests is not None
-        else default_requests(database, query)
-    )
     entry = QueryEquivalence(label=generated.label)
 
-    def diff_modes(plan: PlanNode, plan_requests, context: str) -> QueryResult:
-        """Run ``plan`` in every mode, diff against row; the row result."""
-        results = {
-            mode: engine.execute_plan(
-                query, plan, requests=plan_requests, exec_mode=mode
-            ).result
-            for mode in EXEC_MODES
-        }
-        for mode in EXEC_MODES[1:]:
-            entry.mismatches.extend(
-                diff_results(results["row"], results[mode], mode, context)
+    def run(
+        plan: PlanNode, requests: Sequence[PageCountRequest], context: str
+    ) -> list[Observables]:
+        ours, theirs = runs = [
+            Observables.of(
+                engine.execute_plan(
+                    query, plan, requests=requests, exec_mode=mode
+                ).result,
+                _side_label((engine, mode)),
+                fan_out=isinstance(engine, ShardCoordinator),
             )
-        return results["row"]
+            for engine, mode in (reference, candidate)
+        ]
+        if theirs.fan_out:
+            # A leaf count does not survive the fan-out: the reference is
+            # the run as a deployment can report it.
+            ours.observations = [unsummable(o) or o for o in ours.observations]
+        entry.mismatches.extend(diff_results(ours, theirs, context))
+        return runs
 
-    plan = build_optimizer(
-        database, injections=injections, hint=hint
-    ).optimize(query)
-    monitored = diff_modes(plan, request_list, "monitored P")
+    def improve(side: Observables) -> PlanNode:
+        corrected = injections.copy()
+        corrected.absorb_observations(side.observations)
+        optimizer = build_optimizer(database, injections=corrected, hint=hint)
+        return optimizer.optimize(query)
 
-    corrected = injections.copy()
-    corrected.absorb_observations(monitored.runstats.observations)
-    improved_plan = build_optimizer(
-        database, injections=corrected, hint=hint
-    ).optimize(query)
-    diff_modes(improved_plan, (), "unmonitored P'")
+    plan = build_optimizer(database, injections=injections, hint=hint).optimize(query)
+    monitored = run(plan, default_requests(database, query), "monitored P")
+    entry.mismatches.extend(_diff_harvests(*monitored))
+    ours, theirs = (improve(side) for side in monitored)
+    if ours.render() != theirs.render():
+        entry.mismatches.append(
+            f"improved plan P' diverged: {monitored[0].label} feedback chose "
+            f"{ours.render()!r}, {monitored[1].label} feedback chose "
+            f"{theirs.render()!r}"
+        )
+    else:
+        run(ours, (), "unmonitored P'")
     return entry
 
 
 def compare_workload(
-    engine: Engine,
+    reference: Side,
+    candidate: Side,
     workload: Sequence[GeneratedQuery],
     base_injections: Optional[InjectionSet] = None,
     hint: Optional[PlanHint] = None,
 ) -> EquivalenceReport:
-    """Prove row≡batch for every query of a workload."""
+    """:func:`compare_query` for every query of a workload."""
     return EquivalenceReport(
         queries=[
-            compare_query(
-                engine,
-                generated,
-                base_injections=base_injections,
-                hint=hint,
-            )
+            compare_query(reference, candidate, generated, base_injections, hint)
             for generated in workload
-        ]
+        ],
+        title=f"{_side_label(reference)}≡{_side_label(candidate)} equivalence",
     )
 
 
-# ----------------------------------------------------------------------
-# Serial ≡ sharded
-# ----------------------------------------------------------------------
-#: Relative tolerance for merged *inexact* estimates (DPSAMPLE at a
-#: fraction < 1, LINEAR_COUNTING).  Sampling every k-th page of N shard
-#: files is not the same page set as every k-th page of one global file,
-#: and ``-m·ln(V/m)`` is not additive, so inexact mechanisms are only
-#: required to agree statistically.  Exact mechanisms must match to the
-#: bit — run the sharded harness at ``dpsample_fraction=1.0`` for a
-#: fully bit-exact proof.
-SHARD_INEXACT_RTOL = 0.10
+def pairwise(
+    axes: Mapping[str, Sequence[Any]], crossed: int = 2
+) -> list[dict[str, Any]]:
+    """A deterministic sample of the cross product of ``axes`` in which
+    every pair of values of two different axes appears in some row, and
+    the first ``crossed`` axes appear in every combination.
 
-
-def _diff_sharded_observations(
-    serial: Sequence[PageCountObservation],
-    merged: Sequence[PageCountObservation],
-    context: str,
-    out: list[str],
-) -> None:
-    """Diff serial observations against the coordinator's merged ones.
-
-    The mechanism ``details`` are deliberately excluded from the merged
-    fingerprint: a merged observation's details describe the *fan-out*
-    (per-shard estimates, shard counts), not a single file's sampled
-    pages.  Everything the optimizer consumes — key, mechanism,
-    answered/reason, exactness, and the estimate itself — must agree.
+    In-parameter-order growth: the cross of the first ``crossed`` axes,
+    then one axis at a time, each row taking the value that covers the
+    most still-uncovered pairs (on a tie, the value fewest rows took so
+    far, then the first), and new rows for the pairs no row could take.
+    Rows are dicts in axis order.
     """
-    serial_keys = [obs.key for obs in serial]
-    merged_keys = [obs.key for obs in merged]
-    if serial_keys != merged_keys:
-        out.append(
-            f"{context}: observation keys serial={serial_keys} "
-            f"sharded={merged_keys}"
-        )
-        return
-    for serial_obs, merged_obs in zip(serial, merged):
-        label = f"{context}: {serial_obs.key}"
-        if serial_obs.answered != merged_obs.answered:
-            out.append(
-                f"{label}: answered serial={serial_obs.answered} "
-                f"sharded={merged_obs.answered}"
-            )
-            continue
-        if not serial_obs.answered:
-            if serial_obs.reason != merged_obs.reason:
-                out.append(
-                    f"{label}: unanswerable reason serial="
-                    f"{serial_obs.reason!r} sharded={merged_obs.reason!r}"
-                )
-            continue
-        if serial_obs.mechanism != merged_obs.mechanism:
-            out.append(
-                f"{label}: mechanism serial={serial_obs.mechanism.value} "
-                f"sharded={merged_obs.mechanism.value}"
-            )
-        if serial_obs.exact and not merged_obs.exact:
-            out.append(
-                f"{label}: serial observation exact but merged is not "
-                f"(partial shard coverage?)"
-            )
-        if serial_obs.exact and merged_obs.exact:
-            if serial_obs.estimate != merged_obs.estimate:
-                out.append(
-                    f"{label}: exact estimate serial={serial_obs.estimate} "
-                    f"sharded={merged_obs.estimate}"
-                )
-        elif not _within_rtol(
-            serial_obs.estimate, merged_obs.estimate, SHARD_INEXACT_RTOL
-        ):
-            out.append(
-                f"{label}: inexact estimate serial={serial_obs.estimate} "
-                f"sharded={merged_obs.estimate} beyond "
-                f"rtol={SHARD_INEXACT_RTOL}"
-            )
-
-
-def _within_rtol(
-    serial: Optional[float], sharded: Optional[float], rtol: float
-) -> bool:
-    if serial is None or sharded is None:
-        return serial == sharded
-    scale = max(abs(serial), abs(sharded), 1.0)
-    return abs(serial - sharded) <= rtol * scale
-
-
-def _diff_merged_feedback(
-    serial_observations: Sequence[PageCountObservation],
-    merged_observations: Sequence[PageCountObservation],
-    context: str,
-    out: list[str],
-) -> None:
-    """Prove harvesting the merged observations equals the serial harvest.
-
-    Fresh :class:`FeedbackStore` on both sides, fed exactly as an engine
-    and a coordinator feed theirs.  The records must agree per key
-    (exact page counts to the bit, inexact within
-    :data:`SHARD_INEXACT_RTOL`, exactness never lost), and both sides
-    must agree on whether the harvest moved the epoch at all.
-    """
-    serial_store = FeedbackStore()
-    serial_store.record_observations(serial_observations)
-    sharded_store = FeedbackStore()
-    sharded_store.record_observations(merged_observations)
-    keys = serial_store.keys()
-    if keys != sharded_store.keys():
-        out.append(
-            f"{context}: feedback keys serial={keys} "
-            f"sharded={sharded_store.keys()}"
-        )
-        return
-    if serial_store.epoch != sharded_store.epoch:
-        out.append(
-            f"{context}: harvest no-op disagreement — serial epoch="
-            f"{serial_store.epoch} sharded epoch={sharded_store.epoch}"
-        )
-    for key in keys:
-        serial_record = serial_store.record(key)
-        merged_record = sharded_store.record(key)
-        if serial_record is None or merged_record is None:
-            out.append(f"{context}: {key}: record missing on one side")
-            continue
-        if serial_record.page_count_exact and not merged_record.page_count_exact:
-            out.append(
-                f"{context}: {key}: serial feedback exact but merged "
-                "record is not"
-            )
-        elif serial_record.page_count_exact:
-            if serial_record.page_count != merged_record.page_count:
-                out.append(
-                    f"{context}: {key}: exact merged page count "
-                    f"serial={serial_record.page_count} "
-                    f"sharded={merged_record.page_count}"
-                )
-        elif not _within_rtol(
-            serial_record.page_count,
-            merged_record.page_count,
-            SHARD_INEXACT_RTOL,
-        ):
-            out.append(
-                f"{context}: {key}: merged page count "
-                f"serial={serial_record.page_count} "
-                f"sharded={merged_record.page_count} beyond "
-                f"rtol={SHARD_INEXACT_RTOL}"
-            )
-
-
-def _diff_rows(
-    serial: QueryResult, sharded: QueryResult, context: str, out: list[str]
-) -> None:
-    if serial.rows != sharded.rows:
-        out.append(
-            f"{context}: result rows differ "
-            f"(serial={len(serial.rows)} rows, sharded={len(sharded.rows)} rows"
-            + (
-                ""
-                if len(serial.rows) != len(sharded.rows)
-                else ", same length but different content/order"
-            )
-            + ")"
-        )
-
-
-def compare_sharded_query(
-    serial: Engine,
-    coordinator: Engine,
-    generated: GeneratedQuery,
-    requests: Optional[Sequence[PageCountRequest]] = None,
-    base_injections: Optional[InjectionSet] = None,
-    exec_mode: str = DEFAULT_EXEC_MODE,
-) -> QueryEquivalence:
-    """Run one query serially and scatter-gathered, and diff everything.
-
-    Mirrors :func:`compare_query`'s §V-B walk with the deployment as the
-    varying axis instead of the execution mode — both sides run through
-    their engine's :meth:`~repro.engine.Engine.execute_plan`:
-
-    1. the accurate-cardinality plan P runs monitored on ``serial`` (one
-       engine over the global database, the reference) and on
-       ``coordinator``; result rows and columns must be bit-identical,
-       and the merged observations must match the serial ones (exact
-       mechanisms to the bit, inexact within :data:`SHARD_INEXACT_RTOL`);
-    2. the merged observations, harvested into a fresh
-       :class:`FeedbackStore`, must leave the records a second fresh
-       store holds after the serial harvest — the no-double-charging
-       proof;
-    3. both sides absorb their own observations, re-optimize, and the
-       improved plans P' must render identically; P' then runs
-       unmonitored both ways and the rows must again be bit-identical.
-
-    Raw physical read counts are *not* compared: N shard B-trees have
-    their own heights and fill patterns, so per-shard I/O legitimately
-    differs from one global file's.  What the paper's loop consumes —
-    rows, observations, merged feedback, and the resulting plan choice —
-    is what must be invariant.
-    """
-    database = serial.database
-    injections = generated.injections(base_injections)
-    query = generated.query
-    request_list = (
-        list(requests)
-        if requests is not None
-        else default_requests(database, query)
-    )
-    entry = QueryEquivalence(label=generated.label)
-
-    plan = build_optimizer(database, injections=injections).optimize(query)
-
-    serial_result = serial.execute_plan(
-        query, plan, requests=request_list, exec_mode=exec_mode
-    ).result
-    merged_result = coordinator.execute_plan(
-        query, plan, requests=request_list, exec_mode=exec_mode
-    ).result
-    # A leaf count does not survive the fan-out (``unsummable``): the
-    # reference is the serial run as a deployment can report it.
-    serial_observations = [
-        unsummable(observation) or observation
-        for observation in serial_result.runstats.observations
+    names = list(axes)
+    sizes = [len(axes[name]) for name in names]
+    crossed = max(crossed, 2)
+    rows: list[list[Optional[int]]] = [
+        list(combination) for combination in product(*map(range, sizes[:crossed]))
     ]
-    merged_observations = merged_result.runstats.observations
-    if serial_result.columns != merged_result.columns:
-        entry.mismatches.append(
-            f"monitored P: columns serial={serial_result.columns} "
-            f"sharded={merged_result.columns}"
-        )
-    _diff_rows(serial_result, merged_result, "monitored P", entry.mismatches)
-    _diff_sharded_observations(
-        serial_observations, merged_observations, "monitored P", entry.mismatches
-    )
-    _diff_merged_feedback(
-        serial_observations, merged_observations, "feedback merge", entry.mismatches
-    )
+    for position in range(crossed, len(names)):
 
-    serial_corrected = injections.copy()
-    serial_corrected.absorb_observations(serial_observations)
-    serial_improved = build_optimizer(
-        database, injections=serial_corrected
-    ).optimize(query)
-    sharded_corrected = injections.copy()
-    sharded_corrected.absorb_observations(merged_observations)
-    sharded_improved = build_optimizer(
-        database, injections=sharded_corrected
-    ).optimize(query)
-    if serial_improved.render() != sharded_improved.render():
-        entry.mismatches.append(
-            "improved plan P' diverged: serial feedback chose "
-            f"{serial_improved.render()!r}, merged shard feedback chose "
-            f"{sharded_improved.render()!r}"
-        )
-    else:
-        _diff_rows(
-            serial.execute_plan(
-                query, serial_improved, exec_mode=exec_mode
-            ).result,
-            coordinator.execute_plan(
-                query, serial_improved, exec_mode=exec_mode
-            ).result,
-            "unmonitored P'",
-            entry.mismatches,
-        )
-    return entry
+        def pairs(row: list[Optional[int]], mine: int) -> set[tuple[int, int, int]]:
+            return {
+                (other, value, mine)
+                for other, value in enumerate(row[:position])
+                if value is not None
+            }
 
-
-def compare_sharded_workload(
-    database: Database,
-    workload: Sequence[GeneratedQuery],
-    num_shards: int = 4,
-    strategy: str = "range",
-    monitor_config: Optional[MonitorConfig] = None,
-    base_injections: Optional[InjectionSet] = None,
-    exec_mode: str = DEFAULT_EXEC_MODE,
-) -> EquivalenceReport:
-    """Prove serial≡sharded for every query of a workload.
-
-    Builds one :class:`~repro.shard.coordinator.ShardCoordinator` over a
-    fresh partitioning of ``database`` and reuses it across the workload
-    (the shard files, like the global one, persist between queries).
-    Defaults to ``dpsample_fraction=1.0`` so every DPSAMPLE observation
-    is exact and the whole proof is bit-level; pass an explicit
-    ``monitor_config`` to exercise tolerance-checked sampling instead.
-    """
-    from repro.shard.coordinator import ShardCoordinator
-
-    monitor_config = (
-        monitor_config
-        if monitor_config is not None
-        else MonitorConfig(dpsample_fraction=1.0)
-    )
-    serial = Engine(database, monitor_config=monitor_config)
-    coordinator = ShardCoordinator(
-        database,
-        num_shards=num_shards,
-        strategy=strategy,
-        monitor_config=monitor_config,
-    )
-    try:
-        queries = [
-            compare_sharded_query(
-                serial,
-                coordinator,
-                generated,
-                base_injections=base_injections,
-                exec_mode=exec_mode,
+        uncovered = {
+            (other, value, mine)
+            for other in range(position)
+            for value in range(sizes[other])
+            for mine in range(sizes[position])
+        }
+        uses = [0] * sizes[position]
+        for row in rows:
+            best = max(
+                range(sizes[position]),
+                key=lambda mine: (
+                    len(pairs(row, mine) & uncovered), -uses[mine], -mine
+                ),
             )
-            for generated in workload
-        ]
-    finally:
-        coordinator.shutdown()
-    return EquivalenceReport(
-        queries=queries,
-        title=f"serial≡sharded equivalence ({num_shards} shards, {strategy})",
-    )
+            row.append(best)
+            uses[best] += 1
+            uncovered -= pairs(row, best)
+        added: list[list[Optional[int]]] = []
+        for other, value, mine in sorted(uncovered):
+            for row in added:
+                if row[position] == mine and row[other] is None:
+                    row[other] = value
+                    break
+            else:
+                row = [None] * position + [mine]
+                row[other] = value
+                added.append(row)
+        rows.extend(added)
+    return [
+        {name: axes[name][index or 0] for name, index in zip(names, row)}
+        for row in rows
+    ]

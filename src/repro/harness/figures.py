@@ -186,12 +186,13 @@ def run_fig6_fig7(
     :class:`~repro.shard.coordinator.ShardCoordinator` fan-out, and step
     4 re-optimizes on the shard-merged observations.
     The plan transitions (the Fig. 6 shape) are identical to the serial
-    run — :func:`repro.harness.equivalence.compare_sharded_workload`
-    proves it — but the *speedups* change character: scans parallelize
-    ~N× while index seeks on clustering-correlated columns (c2, c3) hit
-    range-partitioning skew — their matches concentrate on one shard, so
-    the seek's makespan stays serial and the measured SpeedUp can go
-    negative even though the plan choice is still the serial optimum.
+    run — :func:`repro.harness.equivalence.compare_workload` against a
+    coordinator proves it — but the *speedups* change character: scans
+    parallelize ~N× while index seeks on clustering-correlated columns
+    (c2, c3) hit range-partitioning skew — their matches concentrate on
+    one shard, so the seek's makespan stays serial and the measured
+    SpeedUp can go negative even though the plan choice is still the
+    serial optimum.
     """
     database = build_synthetic_database(num_rows=num_rows, seed=seed)
     workload = single_table_workload(

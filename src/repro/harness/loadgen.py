@@ -346,8 +346,9 @@ def diff_against_serial(
     N shard B-trees have their own heights, so per-shard physical reads
     legitimately differ from one global file's, and sampled (inexact)
     observations merge statistically rather than bit-identically.  The
-    bit-level sharded observation/feedback proof lives in
-    :func:`repro.harness.equivalence.compare_sharded_workload`.
+    bit-level sharded observation/feedback proof is
+    :func:`repro.harness.equivalence.compare_workload` with a coordinator
+    as the candidate side.
 
     The serial reference always replays with reopt *disabled*.  A
     response whose lifecycle shows a reopt trip is diffed on rows only —

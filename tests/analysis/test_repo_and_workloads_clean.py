@@ -34,7 +34,8 @@ class TestRepoIsClean:
     def test_cli_strict_exits_zero_on_src(self, capsys):
         assert analysis_cli(["--strict", str(SRC_REPRO)]) == 0
         out = capsys.readouterr().out
-        assert "0 finding(s)" in out
+        checked = len(list(SRC_REPRO.rglob("*.py")))
+        assert checked > 100 and f"across {checked} file(s) checked" in out
 
     def test_cli_json_mode_emits_valid_json(self, capsys):
         assert analysis_cli(["--json", str(SRC_REPRO)]) == 0
@@ -71,6 +72,11 @@ class TestCliOnViolations:
 
     def test_unknown_rule_is_a_usage_error(self, violating_file):
         assert analysis_cli([str(violating_file), "--rules", "R9"]) == 2
+
+    def test_paths_without_python_files_are_a_usage_error(self, tmp_path, capsys):
+        (tmp_path / "notes.txt").write_text("random.seed(1)\n")
+        assert analysis_cli(["--strict", str(tmp_path)]) == 2
+        assert "no .py file" in capsys.readouterr().err
 
     def test_json_findings_carry_rule_and_location(self, violating_file, capsys):
         assert analysis_cli(["--json", str(violating_file)]) == 1

@@ -3,9 +3,9 @@
 The batch execution path is a performance optimization only: these tests
 drive the full §V-B pipeline (monitored P, feedback, unmonitored P' —
 every table and clustered range scan takes the chunk scan)
-through :func:`repro.harness.compare_workload` and require that every
-observable — result rows, observations, read counters, and the
-per-operator stats tree — is identical across the modes.
+through :func:`repro.harness.compare_workload`, an engine's row drive
+against its batch drive, and require that every observable — rows,
+observations, reads, the stats tree, the harvest — is identical.
 """
 
 from __future__ import annotations
@@ -30,6 +30,11 @@ from repro.workloads.queries import GeneratedQuery, multi_predicate_query
 
 #: Fig. 8's sampling fraction (``run_fig8``'s default monitor config).
 FIG8_MONITORS = MonitorConfig(dpsample_fraction=0.3)
+
+
+def drives(engine):
+    """The two sides of row ≡ batch: one engine's row and batch drives."""
+    return (engine, "row"), (engine, "batch")
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +67,7 @@ def test_single_table_workload_row_batch_equivalent(equivalence_db, chunk_scans)
         selectivity_range=(0.01, 0.10),
         seed=0,
     )
-    report = compare_workload(Engine(equivalence_db), workload)
+    report = compare_workload(*drives(Engine(equivalence_db)), workload)
     assert report.ok, report.render()
     # The proof covers the column-chunk path both ways: the monitored P
     # runs are table scans under the count, and so are several of the
@@ -81,8 +86,7 @@ def test_join_workload_row_batch_equivalent(equivalence_db, chunk_scans):
         seed=3,
     )
     report = compare_workload(
-        Engine(equivalence_db, monitor_config=FIG8_MONITORS),
-        workload,
+        *drives(Engine(equivalence_db, monitor_config=FIG8_MONITORS)), workload
     )
     assert report.ok, report.render()
     # These joins build on the filtered side, so the DPC request (keyed to
@@ -108,8 +112,7 @@ def test_fig8_join_workload_row_batch_equivalent(equivalence_db, chunk_scans, ba
         seed=3,
     )
     report = compare_workload(
-        Engine(equivalence_db, monitor_config=FIG8_MONITORS),
-        workload,
+        *drives(Engine(equivalence_db, monitor_config=FIG8_MONITORS)), workload
     )
     assert report.ok, report.render()
     monitored = [
@@ -175,7 +178,7 @@ def test_index_plan_workloads_row_batch_equivalent(equivalence_db, backend, monk
     for kind, workload in _index_plan_workloads(equivalence_db).items():
         del chunked[:]
         report = compare_workload(
-            Engine(equivalence_db, monitor_config=FIG8_MONITORS),
+            *drives(Engine(equivalence_db, monitor_config=FIG8_MONITORS)),
             workload, hint=PlanHint(kind),
         )
         assert report.ok, f"{kind}: {report.render()}"
@@ -197,7 +200,7 @@ def test_single_table_workload_equivalent_python_backend(equivalence_db):
         seed=11,
     )
     with vector.use_python_backend():
-        report = compare_workload(Engine(equivalence_db), workload)
+        report = compare_workload(*drives(Engine(equivalence_db)), workload)
     assert report.ok, report.render()
 
 
@@ -209,7 +212,7 @@ def test_equivalence_report_renders_per_query(equivalence_db):
         queries_per_column=1,
         seed=7,
     )
-    report = compare_workload(Engine(equivalence_db), workload)
+    report = compare_workload(*drives(Engine(equivalence_db)), workload)
     rendered = report.render()
     assert "row≡batch equivalence: 1 queries, 0 mismatched" in rendered
     assert "OK" in rendered

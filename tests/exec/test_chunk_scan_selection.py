@@ -21,7 +21,8 @@ backends.
 
 from __future__ import annotations
 
-from collections import Counter
+from functools import partial
+from itertools import combinations, product
 
 import pytest
 
@@ -48,47 +49,11 @@ from repro.exec import (
     execute,
     vector,
 )
-from repro.exec.base import ExecutionContext
 from repro.harness import default_requests
-from repro.harness.equivalence import diff_results, observation_fingerprint
+from repro.harness.equivalence import diff_results, drive, drive_both, pairwise
 from repro.optimizer import JoinQuery, Optimizer, PlanHint, SingleTableQuery
 from repro.sql import Comparison, Conjunction, JoinEquality, conjunction_of
 from repro.sql.types import SqlType
-from repro.storage.accounting import IOContext
-
-_CHARGES = (
-    "charge_random_read",
-    "charge_sequential_read",
-    "charge_rows",
-    "charge_predicates",
-    "charge_hashes",
-    "charge_bitvector_probes",
-    "charge_index_entries",
-    "charge_index_descent",
-    "charge_monitor_checks",
-)
-
-
-class TallyIO(IOContext):
-    """An IOContext that also totals the integer units of every charge."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.units: Counter = Counter()
-
-
-def _tallying(name):
-    charge = getattr(IOContext, name)
-
-    def tally(self, units: int = 1) -> None:
-        self.units[name] += units
-        charge(self, units)
-
-    return tally
-
-
-for _name in _CHARGES:
-    setattr(TallyIO, _name, _tallying(_name))
 
 
 def scan_query(column="c5", bound=4_000, count_column="padding"):
@@ -197,41 +162,49 @@ def scans_of(root):
     return operators_of(root, SeqScan)
 
 
-def filter_counters(root):
-    """``(probes, inserts, bits_set)`` of every join filter under ``root``."""
-    return [
-        (join.bitvector.probes, join.bitvector.inserts, join.bitvector.bits_set)
-        for join in operators_of(root, (HashJoin, MergeJoin))
-        if join.bitvector is not None
-    ]
+BACKENDS, FRACTIONS = ("numpy", "python"), (0.1, 0.5, 1.0)
+
+#: ``test -> axes``: a test's ids cross every axis but the last, which
+#: :func:`sampled` draws per id.
+SAMPLED_GRIDS = {
+    "monitored_count_scan": dict(
+        backend=BACKENDS,
+        kind=("exact", "dpsample", "mixed"),
+        fraction=FRACTIONS,
+        column=("c2", "c5"),
+    ),
+    "hash_join": dict(backend=BACKENDS, monitored=(False, True), probe=("table", "range")),
+    "monitored_fig8_hash_join": dict(
+        backend=BACKENDS,
+        column=("c2", "c3", "c5"),
+        fraction=FRACTIONS,
+        probe_predicate=(None, Comparison("c4", "<", 9_000)),
+    ),
+}
 
 
-def sampler_draws(root):
-    """``(pages_seen, pages_sampled)`` of every scan sampler under ``root``
-    (table and clustered range scans)."""
-    return [
-        (scan.bundle.sampler.pages_seen, scan.bundle.sampler.pages_sampled)
-        for scan in operators_of(root, (SeqScan, ClusteredRangeScan))
-        if scan.bundle is not None and scan.bundle.sampler is not None
-    ]
+def grid(name):
+    """A sampled grid's :func:`pairwise` rows: the full cross of every
+    axis but the last, each with one value of the last."""
+    axes = SAMPLED_GRIDS[name]
+    return pairwise(axes, crossed=len(axes) - 1)
 
 
-def assert_row_equals_batch(database, make_root):
-    """Row == batch on every observable, including per-kind charge totals."""
-    results, tallies, draws, filters = {}, {}, {}, {}
-    for mode in ("row", "batch"):
-        io = TallyIO()
-        root = make_root()
-        results[mode] = execute(root, database, io=io, mode=mode)
-        tallies[mode] = io.units
-        draws[mode] = sampler_draws(root)
-        filters[mode] = filter_counters(root)
-    assert not diff_results(results["row"], results["batch"], "batch")
-    assert tallies["row"] == tallies["batch"]
-    assert tallies["row"]["charge_rows"] > 0
-    assert draws["row"] == draws["batch"]
-    assert filters["row"] == filters["batch"]
-    return results["batch"], tallies["batch"]
+def sampled(name, **case):
+    """The last axis's value the grid gives ``case``, one of a test's ids:
+    each id runs one value, and every value meets every other axis's."""
+    (row,) = [row for row in grid(name) if all(row[k] == v for k, v in case.items())]
+    return list(row.values())[-1]
+
+
+@pytest.mark.parametrize(
+    "name", [pytest.param(name, id=f"{name}-{len(grid(name))}-rows") for name in SAMPLED_GRIDS]
+)
+def test_sampled_grid_meets_every_pair(name):
+    axes, rows = SAMPLED_GRIDS[name], grid(name)
+    assert rows == grid(name)
+    for a, b in combinations(axes, 2):
+        assert {(row[a], row[b]) for row in rows} == set(product(axes[a], axes[b]))
 
 
 # ----------------------------------------------------------------------
@@ -297,21 +270,16 @@ def test_bitvector_bundle_takes_the_chunk_scan(synthetic_db, backend):
 
 
 def test_bitvector_count_scan_row_equals_batch(synthetic_db, backend):
-    counters = {}
-    for mode in ("row", "batch"):
+    def make_root():
         root, scan = monitored_count_scan(synthetic_db)
-        bits = with_bitvector_entry(scan)
-        io = TallyIO()
-        result = execute(root, synthetic_db, io=io, mode=mode)
-        counters[mode] = (
-            result.rows,
-            [observation_fingerprint(obs) for obs in result.runstats.observations],
-            io.units,
-            bits.probes,
-            sampler_draws(root),
-        )
-    assert counters["row"] == counters["batch"]
-    assert counters["batch"][2]["charge_bitvector_probes"] > 0
+        with_bitvector_entry(scan)
+        return root
+
+    row, batch = drive_both(synthetic_db, make_root)
+    assert not diff_results(row, batch)
+    assert batch.physical["units"]["charge_bitvector_probes"] > 0
+    (probes, _inserts, _bits), = batch.physical["filter counters"]
+    assert probes > 0
 
 
 def test_resume_tracking_scans_one_page_chunks(synthetic_db, backend):
@@ -379,10 +347,8 @@ def test_clustered_range_scan_takes_the_chunk_scan(synthetic_db, backend):
     assert seen and all(seen)
     assert sum(widths) == scan.stats.pages_touched
     assert len(widths) < scan.stats.pages_touched / 4
-    assert_row_equals_batch(
-        synthetic_db,
-        lambda: build(synthetic_db, clustered_range_query(), "clustered_range", True),
-    )
+    make = partial(build, synthetic_db, clustered_range_query(), "clustered_range", True)
+    assert not diff_results(*drive_both(synthetic_db, make))
 
 
 @pytest.mark.parametrize("monitored", [False, True])
@@ -466,8 +432,8 @@ def test_partial_filter_merge_join_receives_row_lists(join_db, backend):
     assert join.inner.stats.pages_touched and not any(seen)
     assert join.bitvector.probes > 0
     assert all(obs.answered for obs in result.runstats.observations)
-    assert_row_equals_batch(
-        join_db, lambda: build(join_db, query, "merge_join", monitored=True)
+    assert not diff_results(
+        *drive_both(join_db, lambda: build(join_db, query, "merge_join", monitored=True))
     )
 
 
@@ -567,28 +533,20 @@ def test_count_scan_row_equals_batch(
     synthetic_db, backend, monitored, column, count_column
 ):
     query = scan_query(column, count_column=count_column)
-    assert_row_equals_batch(
-        synthetic_db,
-        lambda: build(synthetic_db, query, "table_scan", monitored),
+    row, batch = drive_both(
+        synthetic_db, lambda: build(synthetic_db, query, "table_scan", monitored)
     )
+    assert not diff_results(row, batch)
+    assert row.physical["units"]["charge_rows"] > 0
 
 
-@pytest.mark.parametrize("fraction", [0.1, 0.5, 1.0])
+@pytest.mark.parametrize("fraction", FRACTIONS)
 @pytest.mark.parametrize("kind", ["exact", "dpsample", "mixed"])
 def test_monitored_count_scan_row_equals_batch(synthetic_db, backend, kind, fraction):
-    for column in ("c2", "c5"):
-        query = scan_query(column)
-        assert_row_equals_batch(
-            synthetic_db,
-            lambda: build(
-                synthetic_db,
-                query,
-                "table_scan",
-                True,
-                scan_requests(kind, query),
-                fraction,
-            ),
-        )
+    column = sampled("monitored_count_scan", backend=backend, kind=kind, fraction=fraction)
+    query, requests = scan_query(column), scan_requests(kind, scan_query(column))
+    make = partial(build, synthetic_db, query, "table_scan", True, requests, fraction)
+    assert not diff_results(*drive_both(synthetic_db, make))
 
 
 def test_empty_and_all_pass_count_scans_row_equal_batch(synthetic_db, backend):
@@ -597,57 +555,57 @@ def test_empty_and_all_pass_count_scans_row_equal_batch(synthetic_db, backend):
             "t", conjunction_of(Comparison("c5", "<", bound)), "padding"
         )
         for monitored in (False, True):
-            assert_row_equals_batch(
-                synthetic_db,
-                lambda: build(synthetic_db, query, "table_scan", monitored),
-            )
+            make = partial(build, synthetic_db, query, "table_scan", monitored)
+            assert not diff_results(*drive_both(synthetic_db, make))
 
 
 @pytest.mark.parametrize("monitored", [False, True])
 def test_hash_join_row_equals_batch(join_db, backend, monitored):
-    # Probed by a table scan, then by a clustered range scan: both hand
-    # the join column chunks.
+    # Probed by a table scan or by a clustered range scan: both hand the
+    # join column chunks.
     range_probe = fig8_join_query(probe_predicate=Comparison("c1", "<", 12_000))
-    for query in (join_query(), range_probe):
-        assert_row_equals_batch(
-            join_db, lambda: build(join_db, query, "hash_join", monitored)
-        )
+    probed_by = sampled("hash_join", backend=backend, monitored=monitored)
+    query = {"table": join_query(), "range": range_probe}[probed_by]
+    assert not diff_results(
+        *drive_both(join_db, lambda: build(join_db, query, "hash_join", monitored))
+    )
     probe = build(join_db, range_probe, "hash_join", monitored).child.probe
     assert isinstance(probe, ClusteredRangeScan) and probe.parent_consumes_columns
 
 
-@pytest.mark.parametrize("fraction", [0.1, 0.5, 1.0])
+@pytest.mark.parametrize("fraction", FRACTIONS)
 @pytest.mark.parametrize("column", ["c2", "c3", "c5"])
 def test_monitored_fig8_hash_join_row_equals_batch(join_db, backend, column, fraction):
     # The bit-vector request of Fig. 5 on the probe scan's chunk path, at
-    # three sampling fractions, with and without a probe-side residual
+    # three sampling fractions, with or without a probe-side residual
     # (the scan then hands the join filtered column vectors).
-    for probe_predicate in (None, Comparison("c4", "<", 9_000)):
-        query = fig8_join_query(column, probe_predicate=probe_predicate)
-        result, units = assert_row_equals_batch(
-            join_db,
-            lambda: build(join_db, query, "hash_join", True, fraction=fraction),
-        )
-        observation, leaves = [
-            obs for obs in result.runstats.observations if obs.answered
-        ]
-        assert observation.mechanism is Mechanism.BITVECTOR_DPSAMPLE
-        assert 0 < observation.details["filter_fill_ratio"] < 1
-        # The build phase located its keys in the probe table's index: the
-        # leaves an INL join driven by the same rows would read, exactly.
-        assert leaves.mechanism is Mechanism.LEAF_BITMAP and leaves.exact
-        assert leaves.estimate == exact_leaf_dpc(
-            join_db.table("t").index(f"ix_{column}"),
-            fig8_outer_keys(join_db, column),
-        )
-        for kind in (
-            "charge_hashes",
-            "charge_bitvector_probes",
-            "charge_rows",
-            "charge_monitor_checks",
-        ):
-            assert units[kind] > 0, kind
-        assert (units["charge_predicates"] > 0) == (probe_predicate is not None)
+    probe_predicate = sampled(
+        "monitored_fig8_hash_join", backend=backend, column=column, fraction=fraction
+    )
+    query = fig8_join_query(column, probe_predicate=probe_predicate)
+    row, batch = drive_both(
+        join_db, lambda: build(join_db, query, "hash_join", True, fraction=fraction)
+    )
+    assert not diff_results(row, batch)
+    observation, leaves = [obs for obs in batch.observations if obs.answered]
+    assert observation.mechanism is Mechanism.BITVECTOR_DPSAMPLE
+    assert 0 < observation.details["filter_fill_ratio"] < 1
+    # The build phase located its keys in the probe table's index: the
+    # leaves an INL join driven by the same rows would read, exactly.
+    assert leaves.mechanism is Mechanism.LEAF_BITMAP and leaves.exact
+    assert leaves.estimate == exact_leaf_dpc(
+        join_db.table("t").index(f"ix_{column}"),
+        fig8_outer_keys(join_db, column),
+    )
+    units = batch.physical["units"]
+    for kind in (
+        "charge_hashes",
+        "charge_bitvector_probes",
+        "charge_rows",
+        "charge_monitor_checks",
+    ):
+        assert units[kind] > 0, kind
+    assert (units["charge_predicates"] > 0) == (probe_predicate is not None)
 
 
 @pytest.mark.parametrize("bits", [64, 997])
@@ -672,10 +630,9 @@ def test_narrow_filter_hash_join_row_equals_batch(join_db, backend, bits):
         )
         return root
 
-    result, _units = assert_row_equals_batch(join_db, make_root)
-    observation, leaves = [
-        obs for obs in result.runstats.observations if obs.answered
-    ]
+    row, batch = drive_both(join_db, make_root)
+    assert not diff_results(row, batch)
+    observation, leaves = [obs for obs in batch.observations if obs.answered]
     assert observation.details["filter_bits"] == bits
     # The leaf bitmap is exact whatever the filter's width.
     assert leaves.estimate == exact_leaf_dpc(
@@ -692,42 +649,15 @@ def test_group_by_row_equals_batch(synthetic_db, backend):
         scan.parent_consumes_columns = True
         return GroupByCountAggregate(scan, "c3")
 
-    assert_row_equals_batch(synthetic_db, make_root)
+    assert not diff_results(*drive_both(synthetic_db, make_root))
 
 
 # ----------------------------------------------------------------------
 # The same, over random small tables and chunk widths
 # ----------------------------------------------------------------------
-def drive(database, root, mode, batch_rows):
-    """Run ``root`` under an explicit chunk width; every observable."""
-    io = TallyIO()
-    database.cold_cache()
-    ctx = ExecutionContext(database=database, io=io, batch_rows=batch_rows)
-    if mode == "row":
-        rows = list(root.rows(ctx))
-    else:
-        rows = [row for batch in root.batches(ctx) for row in batch.rows]
-    root.finalize(ctx)
-    stats = root.collect_stats()
-    return (
-        rows,
-        [observation_fingerprint(obs) for obs in ctx.observations],
-        io.units,
-        _stats_tree(stats, "pages_touched"),
-        _stats_tree(stats, "predicate_evaluations"),
-        _stats_tree(stats, "actual_rows"),
-        sampler_draws(root),
-        filter_counters(root),
-    )
-
-
-def _stats_tree(stats, attribute):
-    """One per-operator counter over the stats tree, in pre-order."""
-    return [getattr(stats, attribute)] + [
-        value
-        for child in stats.children
-        for value in _stats_tree(child, attribute)
-    ]
+def pages_touched(observables):
+    """``pages_touched`` per operator, in pre-order."""
+    return [pages for _operator, _rows, pages, _evals in observables.physical["stats"]]
 
 
 _KEY_BOUND = st.one_of(st.none(), st.integers(-1, 10))
@@ -822,7 +752,7 @@ def test_random_tables_row_equals_batch(
     )
     batch_rows = 1 if one_page_chunks else len(values)
 
-    def run(mode):
+    def make_root():
         if key_range is None:
             requests = scan_requests(kind, query)
             root = build(database, query, "table_scan", True, requests, fraction)
@@ -833,16 +763,16 @@ def test_random_tables_row_equals_batch(
             with_bitvector_entry(scan, column="b", values=(0, 3, 7))
             if scan.bundle.sampler is None:  # an exact-only plan has none
                 scan.bundle.sampler = BernoulliPageSampler(fraction, seed=3)
-        return drive(database, root, mode, batch_rows)
+        return root
 
     if python_backend:
         with vector.use_python_backend():
-            row, batch = run("row"), run("batch")
+            row, batch = drive_both(database, make_root, batch_rows)
     else:
-        row, batch = run("row"), run("batch")
-    assert row == batch
+        row, batch = drive_both(database, make_root, batch_rows)
+    assert not diff_results(row, batch)
     if key_range is None:
-        assert batch[3] == [0, table.num_pages]  # [CountAggregate, SeqScan]
+        assert pages_touched(batch) == [0, table.num_pages]  # [Count, SeqScan]
     else:
         capacity = table.data_file.page_capacity
         stored = table.data_file.rows_between(0, table.num_rows)
@@ -851,7 +781,7 @@ def test_random_tables_row_equals_batch(
             for position, row in enumerate(stored)
             if _in_key_range(row[0], *key_range)
         }
-        assert batch[3] == [len(in_range)]
+        assert pages_touched(batch) == [len(in_range)]
 
 
 def range_scan(table, key_range, bounds, kind, fraction):
@@ -982,7 +912,7 @@ def test_random_hash_joins_row_equals_batch(
             bitvector=bitvector,
         )
         chunks = spy_batches(probe)
-        outcome = drive(database, root, mode, batch_rows)
+        outcome = drive(database, lambda: root, mode, batch_rows)
         # Chunks that select nothing are not emitted; none is a row list.
         assert all(chunks) and (mode == "batch" or not chunks)
         return outcome
@@ -992,13 +922,12 @@ def test_random_hash_joins_row_equals_batch(
             row, batch = run("row"), run("batch")
     else:
         row, batch = run("row"), run("batch")
-    assert row == batch
-    rows, _observations, units, pages_touched, *_rest = batch
+    assert not diff_results(row, batch)
     keyed = {"k": 0, "s": 1}[key]
     build_keys = [r[keyed] for r in build_rows if r[keyed] is not None]
     passing = [r for r in probe_rows if residual is None or r[2] < residual]
-    assert len(rows) == sum(build_keys.count(r[keyed]) for r in passing)
-    assert pages_touched == [0, tables["b"].num_pages, tables["p"].num_pages]
-    assert units["charge_hashes"] == 2 * len(build_keys) + sum(
+    assert len(batch.rows) == sum(build_keys.count(r[keyed]) for r in passing)
+    assert pages_touched(batch) == [0, tables["b"].num_pages, tables["p"].num_pages]
+    assert batch.physical["units"]["charge_hashes"] == 2 * len(build_keys) + sum(
         1 for r in passing if r[keyed] is not None
     )

@@ -13,6 +13,8 @@ evicted, and that a cancelled run stops within one chunk.
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
 from repro.catalog import ColumnDef, Database, IndexDef, TableSchema
@@ -35,18 +37,20 @@ from repro.exec import (
     IndexSeekFetch,
     SeekSpec,
     SeqScan,
-    execute,
+    vector,
 )
 from repro.exec.base import ExecutionContext
-from repro.harness.equivalence import observation_fingerprint
+from repro.harness.equivalence import TallyIO, diff_results, drive, drive_both
 from repro.optimizer import Optimizer, PlanHint, SingleTableQuery
 from repro.sql import Comparison, Conjunction, InList, JoinEquality, conjunction_of
 from repro.sql.types import SqlType
 from repro.storage.buffer import BufferPool
 
-from tests.exec.test_chunk_scan_selection import TallyIO
-
 NUM_ROWS = 1_500
+
+#: The INL outer's join keys: NULL, non-matching (7, 99) and duplicate
+#: (1, 2) keys; 0, 1 and 2 each probe a run of 500 entries.
+OUTER_KEYS = [1, None, 7, 2, 1, 99, 0, None, 2]
 
 
 def make_database(pool_pages: int) -> Database:
@@ -77,7 +81,7 @@ def make_database(pool_pages: int) -> Database:
         ],
     )
     database.load_table(TableSchema("c", columns), rows, clustered_on=["g"])
-    outer = [(i, j) for i, j in enumerate([1, None, 7, 2, 1, 99, 0, None, 2] * 9)]
+    outer = list(enumerate(OUTER_KEYS))
     database.load_table(
         TableSchema(
             "o", [ColumnDef("i", SqlType.INT), ColumnDef("j", SqlType.INT)]
@@ -87,9 +91,16 @@ def make_database(pool_pages: int) -> Database:
     return database
 
 
+@functools.cache
+def database_for(pool_pages: int, backend: str) -> Database:
+    """One database per (pool size, vector backend), built under the
+    backend it is read under."""
+    return make_database(pool_pages)
+
+
 @pytest.fixture(scope="module", params=[4, 10_000], ids=["pool4", "pool10k"])
-def database(request):
-    return make_database(request.param)
+def pool(request):
+    return request.param
 
 
 def fetch_bundle(table_name: str, residual: Conjunction) -> FetchMonitorBundle:
@@ -194,70 +205,64 @@ OPERATORS = {
 }
 
 
-def stats_tree(stats):
-    return (
-        stats.operator, stats.actual_rows, stats.pages_touched,
-        stats.predicate_evaluations, [stats_tree(child) for child in stats.children],
-    )
-
-
-def run(database, root, mode, batch_rows, cancellation=None):
-    database.cold_cache()
-    io = TallyIO()
-    ctx = ExecutionContext(
-        database=database, io=io, batch_rows=batch_rows, cancellation=cancellation
-    )
-    if mode == "row":
-        rows = list(root.rows(ctx))
-    else:
-        rows = [row for batch in root.batches(ctx) for row in batch.rows]
-    root.finalize(ctx)
+@functools.cache
+def row_and_batch(pool_pages, backend, name, monitored, full_eval, batch_rows):
+    """A grid case in both drives: the mismatches, what the grid asserts
+    of the row run, and both runs' leaf counts."""
+    database = database_for(pool_pages, backend)
+    make = functools.partial(OPERATORS[name], database, monitored, full_eval)
+    row, batch = drive_both(database, make, batch_rows)
     return {
-        "rows": rows,
-        "observations": [observation_fingerprint(o) for o in ctx.observations],
-        "units": io.units,
-        "reads": (io.random_reads, io.sequential_reads, io.pool_hits, io.evictions),
-        "stats": stats_tree(root.collect_stats()),
+        "mismatches": diff_results(row, batch),
+        "rows": len(row.rows),
+        "charged rows": row.physical["units"]["charge_rows"],
+        "observations": len(row.observations),
+        "evictions": row.physical["evictions"],
+        "leaves": [
+            [o for o in run.observations if o.mechanism is Mechanism.LEAF_BITMAP]
+            for run in (row, batch)
+        ],
     }
 
 
 @pytest.mark.parametrize("batch_rows", [1, 7, 1024])
 @pytest.mark.parametrize("monitored, full_eval", [(False, False), (True, False), (True, True)])
 @pytest.mark.parametrize("name", sorted(OPERATORS))
-def test_row_equals_batch(database, backend, name, monitored, full_eval, batch_rows):
-    make = OPERATORS[name]
-    row = run(database, make(database, monitored, full_eval), "row", batch_rows)
-    batch = run(database, make(database, monitored, full_eval), "batch", batch_rows)
-    assert batch == row
-    assert row["rows"] and row["units"]["charge_rows"] > len(row["rows"])
-    assert bool(row["observations"]) == monitored
-    if database.buffer_pool.capacity_pages == 4:
-        assert row["reads"][3] > 0  # the stream's order decided evictions
+def test_row_equals_batch(pool, backend, name, monitored, full_eval, batch_rows):
+    # Only the covering scan reads ``full_eval``: every other operator's
+    # (monitored, full evaluation) case is its monitored one, drives shared.
+    full_eval = full_eval and name == "covering"
+    outcome = row_and_batch(pool, backend, name, monitored, full_eval, batch_rows)
+    assert not outcome["mismatches"]
+    assert outcome["rows"] and outcome["charged rows"] > outcome["rows"]
+    assert bool(outcome["observations"]) == monitored
+    if pool == 4:
+        assert outcome["evictions"] > 0  # the stream's order decided them
 
 
 @pytest.mark.parametrize("batch_rows", [1, 7, 1024])
-def test_inl_leaf_count_is_the_oracle_count(database, backend, batch_rows):
+def test_inl_leaf_count_is_the_oracle_count(pool, backend, batch_rows):
     """Probes of 0, 1 and 2 are runs of 500 entries, each over several
-    leaves and together the whole index; NULL and 7/99 probes read none."""
-    index = database.table("f").index("ix_g")
-    outer = database.table("o")
-    keys = [row[1] for page in outer.all_page_ids() for row in outer.rows_on_page(page)]
-    expected = exact_leaf_dpc(index, keys)
+    leaves and together the whole index; NULL and 7/99 probes read none.
+    Read off the grid's monitored INL case, in both drives."""
+    index = database_for(pool, backend).table("f").index("ix_g")
+    expected = exact_leaf_dpc(index, OUTER_KEYS)
     assert expected == index.num_leaf_pages == 5
-    for mode in ("row", "batch"):
-        out = run(database, OPERATORS["inl_index"](database, True, False), mode, batch_rows)
-        (leaves,) = [o for o in out["observations"] if o[1] == "leaf-bitmap"]
-        assert leaves[4] == expected and leaves[5] is True
-        probes = sum(key is not None for key in keys)
-        assert dict(leaves[-1])["probes"] == repr(probes)
+    outcome = row_and_batch(pool, backend, "inl_index", True, False, batch_rows)
+    for leaves in outcome["leaves"]:
+        (leaf_count,) = leaves
+        assert leaf_count.estimate == expected and leaf_count.exact
+        assert leaf_count.details["probes"] == sum(key is not None for key in OUTER_KEYS)
 
 
 @pytest.mark.parametrize("name", sorted(OPERATORS))
 def test_cancellation_lands_within_one_chunk(name):
     """With ``batch_rows`` = 7, a token firing at the N-th checkpoint stops
     the run before an (N+1)-th chunk's rows are charged."""
-    database = make_database(10_000)
-    complete = run(database, OPERATORS[name](database, True, False), "batch", 7)
+    database = database_for(10_000, vector.backend_name())
+    complete = drive(
+        database, lambda: OPERATORS[name](database, True, False), "batch", 7
+    ).physical["units"]
     for checks in (1, 3, 6):
         token = CancellationToken(cancel_after_checks=checks)
         root = OPERATORS[name](database, True, False)
@@ -269,18 +274,18 @@ def test_cancellation_lands_within_one_chunk(name):
                 pass
         assert token.checks == checks
         assert io.units["charge_rows"] <= checks * 7 + _outer_rows(name)
-        assert io.units["charge_rows"] < complete["units"]["charge_rows"]
+        assert io.units["charge_rows"] < complete["charge_rows"]
 
 
 def _outer_rows(name: str) -> int:
     """Rows the INL's outer scan may charge on top of the inner chunks."""
-    return 81 if name.startswith("inl") else 0
+    return len(OUTER_KEYS) if name.startswith("inl") else 0
 
 
 def test_in_list_probes_leaves_in_key_order(monkeypatch):
     """Values are probed ascending — by value, not by ``repr`` — so the leaf
     pages an IN-list seek touches never go backwards, in either drive."""
-    database = make_database(10_000)
+    database = database_for(10_000, vector.backend_name())
     index = database.table("f").index("ix_v")
     values = (5, 1_000, 400, 30, 1_499, 9, 10)
     assert sorted(values, key=repr) != sorted(values)
@@ -298,17 +303,20 @@ def test_in_list_probes_leaves_in_key_order(monkeypatch):
 
     monkeypatch.setattr(BufferPool, "access", spy_access)
     monkeypatch.setattr(BufferPool, "access_sequence", spy_sequence)
-    results = {}
-    for mode in ("row", "batch"):
-        del touched[:]
+    def make_root():
         operator = IndexInListSeekFetch(
             database.table("f"), "ix_v", values=values, residual=RESIDUAL,
             bundle=fetch_bundle("f", RESIDUAL),
         )
         assert operator.values == tuple(sorted(values))
-        results[mode] = run(database, operator, mode, 1024)
+        return operator
+
+    results = []
+    for mode in ("row", "batch"):
+        del touched[:]
+        results.append(drive(database, make_root, mode, 1024))
         assert len(set(touched)) > 1 and touched == sorted(touched)
-    assert results["row"] == results["batch"]
+    assert not diff_results(*results)
     # Values that do not compare fall back to a deterministic repr order.
     mixed = IndexInListSeekFetch(
         database.table("f"), "ix_v", values=(3, "a", None), residual=Conjunction()
@@ -382,18 +390,11 @@ def test_full_evaluation_fetch_witness_row_equals_batch(synthetic_db, backend, h
         assert "§II-B" in refusal.reason
         assert executable.root.child.bundle is None
         return
-    outcomes = {}
-    for mode in ("row", "batch"):
-        executable = build_executable(plan, synthetic_db, [request])
-        scan = executable.root.child
-        assert scan.monitor_full_eval and not executable.unanswerable
-        io = TallyIO()
-        result = execute(executable.root, synthetic_db, io=io, mode=mode)
-        outcomes[mode] = (
-            result.rows,
-            [observation_fingerprint(o) for o in result.runstats.observations],
-            io.units,
-        )
-    assert outcomes["batch"] == outcomes["row"]
-    ((count,),), (observation,), _units = outcomes["batch"]
-    assert int(dict(observation[-1])["observations"]) > count
+    executable = build_executable(plan, synthetic_db, [request])
+    assert executable.root.child.monitor_full_eval and not executable.unanswerable
+    row, batch = drive_both(
+        synthetic_db, lambda: build_executable(plan, synthetic_db, [request]).root
+    )
+    assert not diff_results(row, batch)
+    ((count,),), (observation,) = batch.rows, batch.observations
+    assert observation.details["observations"] > count

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.planner import MonitorConfig
 from repro.core.requests import JoinMethodRequest
 from repro.engine.engine import Engine, WorkloadItem
-from repro.harness import compare_sharded_workload, default_requests
+from repro.harness import compare_workload, default_requests
 from repro.shard import ShardCoordinator
 from repro.workloads import (
     build_synthetic_database,
@@ -27,6 +28,21 @@ from repro.workloads import (
 @pytest.fixture(scope="module")
 def equivalence_db():
     return build_synthetic_database(num_rows=8_000, seed=5)
+
+
+#: Every DPSample observation exact, so the whole proof is bit-level.
+EXACT = MonitorConfig(dpsample_fraction=1.0)
+
+
+def compare_sharded(database, workload, num_shards, exec_mode="batch"):
+    """One engine against a range-partitioned coordinator, both in
+    ``exec_mode``."""
+    coordinator = ShardCoordinator(database, num_shards, monitor_config=EXACT)
+    serial = Engine(database, monitor_config=EXACT)
+    try:
+        return compare_workload((serial, exec_mode), (coordinator, exec_mode), workload)
+    finally:
+        coordinator.shutdown()
 
 
 @pytest.fixture(scope="module")
@@ -42,19 +58,18 @@ def workload(equivalence_db):
 
 
 def test_range_sharded_equivalent(equivalence_db, workload):
-    report = compare_sharded_workload(equivalence_db, workload, num_shards=4)
+    report = compare_sharded(equivalence_db, workload, num_shards=4, exec_mode="row")
     assert report.ok, report.render()
+    assert report.title == "row≡row on 4 range shards equivalence"
 
 
 def test_two_shards_equivalent(equivalence_db, workload):
-    report = compare_sharded_workload(equivalence_db, workload, num_shards=2)
+    report = compare_sharded(equivalence_db, workload, num_shards=2)
     assert report.ok, report.render()
 
 
 def test_batch_mode_sharded_equivalent(equivalence_db, workload):
-    report = compare_sharded_workload(
-        equivalence_db, workload, num_shards=4, exec_mode="batch"
-    )
+    report = compare_sharded(equivalence_db, workload, num_shards=4)
     assert report.ok, report.render()
 
 
@@ -95,9 +110,7 @@ def test_filtered_join_equivalent_and_filed_under_its_filter(exec_mode):
         database, "t1", "t", ["c1"], queries_per_column=2,
         selectivity_range=(0.02, 0.10), seed=5,
     )
-    report = compare_sharded_workload(
-        database, workload, num_shards=2, exec_mode=exec_mode
-    )
+    report = compare_sharded(database, workload, num_shards=2, exec_mode=exec_mode)
     assert report.ok, report.render()
 
     serial = Engine(database)
