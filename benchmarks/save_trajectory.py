@@ -437,7 +437,7 @@ def _served_feedback() -> dict:
                     query,
                     plan,
                     monitors,
-                    io=engine.database.new_io_context(isolated=True),
+                    io=engine.database.new_io_context(),
                     feedback=store,
                 )
                 samples[arm].append(watch.elapsed_seconds)

@@ -305,7 +305,7 @@ class _FileChecker(ast.NodeVisitor):
                 "R002",
                 node,
                 f"direct physical-read charge {'.'.join(chain)}()",
-                hint="route page reads through BufferPool.access so the "
+                hint="route page reads through BufferPool.access_sequence so the "
                 "logical/physical counters stay exact",
             )
         elif root == "time" and leaf in _TIME_CALL_NAMES and len(chain) == 2:

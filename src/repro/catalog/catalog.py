@@ -1,13 +1,13 @@
 """The database catalog: tables, indexes, files and shared runtime objects.
 
-A :class:`Database` owns the disk-parameter set, the buffer pool, file-id
-allocation and the table registry.  It is the single entry point for
-creating and loading tables — examples and the benchmark harness construct
-one ``Database`` per experiment.  Timing and I/O *counters* are not here:
-each execution carries its own
+A :class:`Database` owns the disk-parameter set, the buffer-pool
+capacity, file-id allocation and the table registry.  It is the single
+entry point for creating and loading tables — examples and the benchmark
+harness construct one ``Database`` per experiment.  Timing, I/O counters
+and buffer frames are not here: each execution carries its own
 :class:`~repro.storage.accounting.IOContext` (see
-:meth:`Database.new_io_context`), so per-query accounting never flows
-through shared mutable state.
+:meth:`Database.new_io_context`), so no measurement flows through shared
+mutable state and a fresh context is always a cold cache.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from repro.storage.table import Table
 
 
 class Database:
-    """A named collection of tables sharing one buffer pool."""
+    """A named collection of tables sharing one buffer-pool capacity."""
 
     def __init__(
         self,
@@ -45,14 +45,10 @@ class Database:
         self.shard_index: Optional[int] = None
         self._next_file_id = 0
 
-    def new_io_context(self, isolated: bool = False) -> IOContext:
-        """A fresh accounting context for one execution.
-
-        ``isolated=True`` gives the context its own cold private buffer
-        frames (same capacity as the shared pool), so concurrent
-        executions cannot perturb each other's physical-read counts.
-        """
-        return IOContext(params=self.disk_params, isolated=isolated)
+    def new_io_context(self) -> IOContext:
+        """A fresh accounting context for one execution: zeroed counters
+        and cold buffer frames (the pool's capacity), whatever ran before."""
+        return IOContext(params=self.disk_params)
 
     def _allocate_file_id(self) -> FileId:
         file_id = FileId(self._next_file_id)
@@ -149,22 +145,6 @@ class Database:
             (name, self.table(name).statistics_version)
             for name in sorted(set(tables))
         )
-
-    # ------------------------------------------------------------------
-    # Experiment controls
-    # ------------------------------------------------------------------
-    def cold_cache(self) -> None:
-        """Empty the buffer pool (the paper's cold-cache methodology)."""
-        self.buffer_pool.reset()
-
-    def reset_measurements(self) -> None:
-        """Cold cache + zeroed shared-pool counters, for a fresh run.
-
-        Per-execution counters need no reset: every execution starts from
-        a fresh :class:`~repro.storage.accounting.IOContext`.
-        """
-        self.buffer_pool.reset()
-        self.buffer_pool.reset_stats()
 
     def inventory(self) -> list[dict[str, Any]]:
         """Per-table geometry summary (Table I's columns)."""

@@ -23,7 +23,7 @@ keys (§IV, Merge Join).
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 from repro.common.errors import MonitorError
 from repro.common.hashing import hash_value
@@ -38,7 +38,7 @@ class BitVectorFilter:
     than the last factor of collision rate.
     """
 
-    __slots__ = ("num_bits", "seed", "_bits", "_bits_set", "inserts", "probes")
+    __slots__ = ("num_bits", "seed", "_bits", "inserts", "probes")
 
     def __init__(self, num_bits: int, seed: int = 0) -> None:
         if num_bits <= 0:
@@ -46,7 +46,6 @@ class BitVectorFilter:
         self.num_bits = num_bits
         self.seed = seed
         self._bits = bytearray((num_bits + 7) // 8)
-        self._bits_set = 0
         self.inserts = 0
         self.probes = 0
 
@@ -70,10 +69,11 @@ class BitVectorFilter:
         bit masks)`` by the same identity-mod rule.
 
         Element-wise operator arithmetic, so this module imports no
-        NumPy; the chunk scan's prober places a key column through it.
-        The per-value paths stay on :meth:`_position` (a nested call per
-        value costs more than this second line), and
-        ``tests/core/test_bitvector.py`` pins the two together.
+        NumPy; the chunk scan's prober places a key column through it,
+        and :meth:`insert_all` an integer build batch.  The per-value
+        paths stay on :meth:`_position` (a nested call per value costs
+        more than this second line), and ``tests/core/test_bitvector.py``
+        pins the two together.
         """
         bucket = values % self.num_bits
         return bucket >> 3, 1 << (bucket & 7)
@@ -81,25 +81,29 @@ class BitVectorFilter:
     def insert(self, value: Any) -> None:
         """Set the bit for a build-side join value (build phase)."""
         byte_index, bit_mask = self._position(value)
-        if not self._bits[byte_index] & bit_mask:
-            self._bits[byte_index] |= bit_mask
-            self._bits_set += 1
+        self._bits[byte_index] |= bit_mask
         self.inserts += 1
 
-    def insert_all(self, values: Iterable[Any]) -> None:
-        """:meth:`insert` each value, as one tight loop (a build batch)."""
-        bits = self._bits
-        position = self._position
-        newly_set = 0
-        inserted = 0
-        for value in values:
-            byte_index, bit_mask = position(value)
-            if not bits[byte_index] & bit_mask:
+    def insert_all(self, values: Sequence[Any]) -> None:
+        """:meth:`insert` each value, as one build batch.
+
+        A batch of plain integers is placed array-wide by
+        :meth:`int_positions` — the rule the probe side places a key
+        column by — through :mod:`repro.exec.vector`, which keeps NumPy
+        optional; any other batch goes one value at a time.
+        """
+        from repro.exec import vector  # deferred: repro.exec imports this module
+
+        keys = vector.int_column(values)
+        if keys is not None:
+            vector.set_bits(self._bits, *self.int_positions(keys))
+        else:
+            bits = self._bits
+            position = self._position
+            for value in values:
+                byte_index, bit_mask = position(value)
                 bits[byte_index] |= bit_mask
-                newly_set += 1
-            inserted += 1
-        self._bits_set += newly_set
-        self.inserts += inserted
+        self.inserts += len(values)
 
     def may_contain(self, value: Any) -> bool:
         """Probe for a probe-side join value (probe phase).
@@ -134,15 +138,17 @@ class BitVectorFilter:
 
     @property
     def bits_set(self) -> int:
-        return self._bits_set
+        """How many bits are set, counted off the array itself (read when
+        a run is reported, never per insert)."""
+        return int.from_bytes(self._bits, "little").bit_count()
 
     @property
     def fill_ratio(self) -> float:
-        return self._bits_set / self.num_bits
+        return self.bits_set / self.num_bits
 
     def __repr__(self) -> str:
         return (
-            f"BitVectorFilter({self._bits_set}/{self.num_bits} bits, "
+            f"BitVectorFilter({self.bits_set}/{self.num_bits} bits, "
             f"{self.inserts} inserts, {self.probes} probes)"
         )
 
@@ -168,6 +174,6 @@ class PartialBitVectorFilter(BitVectorFilter):
         if self.high_key is None or value > self.high_key:
             self.high_key = value
 
-    def insert_all(self, values: Iterable[Any]) -> None:
+    def insert_all(self, values: Sequence[Any]) -> None:
         for value in values:
             self.insert(value)

@@ -13,16 +13,16 @@ module packages it:
   :class:`~repro.lifecycle.PlanCache`, and hands out
   :class:`~repro.session.Session` objects that all read and write them.
 
-* :meth:`Engine.execute` runs one item under an *isolated* context
-  (private cold buffer frames), so its ``RunStats`` are bit-identical to
-  a serial cold-cache run.  The query service queues its clients'
+* :meth:`Engine.execute` runs one item under a fresh context (its own
+  cold buffer frames), so its ``RunStats`` are bit-identical to a serial
+  cold-cache run.  The query service queues its clients'
   requests onto one engine thread (and its worker processes);
   ``repro.harness.loadgen.diff_against_serial`` proves a closed loop of
   clients serial-equivalent on rows, reads, simulated time and
   observation fingerprints.
 
-An engine runs **one execution at a time**, so its feedback store, plan
-cache and buffer pool hold no locks: they are read and written only on
+An engine runs **one execution at a time**, so its feedback store and
+plan cache hold no locks: they are read and written only on
 the thread running that execution (the service's engine thread, or the
 caller's).  A second :meth:`~Engine.execute` / :meth:`~Engine.execute_plan`
 entered meanwhile raises :class:`~repro.common.errors.EngineError`.
@@ -184,10 +184,10 @@ class Engine:
         session: Optional[Session] = None,
         cancellation: Optional[CancellationToken] = None,
     ) -> ExecutedQuery:
-        """Run one workload item under an isolated accounting context.
+        """Run one workload item under a fresh accounting context.
 
-        The isolated context starts with cold private buffer frames, so
-        the result is independent of every execution before it.
+        The context starts with cold buffer frames of its own, so the
+        result is independent of every execution before it.
         :meth:`shutdown` with ``drain=True`` waits for it; a call after
         shutdown or during another execution raises
         :class:`~repro.common.errors.EngineError`.
@@ -200,7 +200,7 @@ class Engine:
                 requests=item.requests,
                 use_feedback=item.use_feedback,
                 hint=item.hint,
-                io=self.database.new_io_context(isolated=True),
+                io=self.database.new_io_context(),
                 remember=item.remember,
                 exec_mode=item.exec_mode,
                 cancellation=cancellation,
@@ -220,7 +220,7 @@ class Engine:
     ) -> ExecutedQuery:
         """Run an already-optimized plan under lifecycle accounting.
 
-        "Run this plan, cold and isolated, with these requests" — the
+        "Run this plan, cold, with these requests" — the
         one door the §V-B harness (P, then P'), the regret oracle and the
         scatter-gather fan-out all use; a
         :class:`~repro.shard.coordinator.ShardCoordinator` overrides it
@@ -228,7 +228,7 @@ class Engine:
         re-optimizing (their local statistics would re-derive a different
         plan and break shard↔shard comparability).  Like
         :meth:`execute`, the run is registered with the engine lifecycle
-        and charges an isolated accounting context.  Feedback is **not**
+        and charges a fresh accounting context.  Feedback is **not**
         harvested here.
         """
         session = session if session is not None else self.session()
@@ -238,7 +238,7 @@ class Engine:
                 query,
                 plan,
                 requests=list(requests),
-                io=self.database.new_io_context(isolated=True),
+                io=self.database.new_io_context(),
                 exec_mode=exec_mode,
                 cancellation=cancellation,
             )

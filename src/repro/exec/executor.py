@@ -95,7 +95,6 @@ def _drive_checked(
 def execute(
     root: Operator,
     database: Database,
-    cold_cache: bool = True,
     io: Optional[IOContext] = None,
     mode: str = DEFAULT_EXEC_MODE,
     cancellation: Optional[CancellationToken] = None,
@@ -103,13 +102,11 @@ def execute(
 ) -> QueryResult:
     """Run ``root`` to completion against ``database``.
 
-    ``io`` is the execution's accounting context; by default a fresh
-    shared-pool context is created, so every call starts from zeroed
-    counters.  With a shared-pool context, ``cold_cache=True`` empties the
-    shared buffer pool first (the paper's measurement methodology) and the
-    run leaves the pool warm for a subsequent ``cold_cache=False`` call.
-    An *isolated* context brings its own cold private frames, so the
-    shared pool is left untouched — that is the concurrent-execution path.
+    ``io`` is the execution's accounting context and buffer frames; by
+    default a fresh one, so every call starts from zeroed counters on a
+    cold cache (the paper's measurement methodology).  A context carried
+    over from an earlier run continues it warm: its counters keep
+    accumulating and its resident pages are hits.
 
     ``mode`` selects the drive style: ``"batch"``
     (:data:`DEFAULT_EXEC_MODE`) pulls chunk-at-a-time
@@ -146,8 +143,6 @@ def execute(
         )
     if io is None:
         io = database.new_io_context()
-    if cold_cache and not io.isolated:
-        database.cold_cache()
     ctx = ExecutionContext(
         database=database,
         io=io,

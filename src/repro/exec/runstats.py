@@ -113,9 +113,9 @@ class RunStats:
 
     @property
     def warm_ratio(self) -> float:
-        """Fraction of this run's logical reads served from the buffer
-        pool; 0.0 when the run made no logical reads (see
-        :attr:`~repro.storage.buffer.BufferPoolStats.hit_ratio`)."""
+        """Fraction of this run's logical reads served from its buffer
+        frames; 0.0 when the run made no logical reads (see
+        :attr:`~repro.storage.accounting.IOContext.warm_ratio`)."""
         if self.logical_reads == 0:
             return 0.0
         return self.pool_hits / self.logical_reads

@@ -38,7 +38,7 @@ import operator
 from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
 from functools import reduce
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence, Union
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional, Sequence, Union
 
 if TYPE_CHECKING:
     from repro.core.bitvector import BitVectorFilter
@@ -583,6 +583,27 @@ def probe_pages(
         probes[page] = first + 1 if hit else len(rows)
         lookups[page] = probes[page] - rows[: probes[page]].count(None)
     return flags, probes, lookups
+
+
+def int_column(values: Sequence) -> Optional[Column]:
+    """``values`` as one integer array, or ``None`` when the backend is
+    pure Python or any value is not a plain ``int`` that fits one.
+
+    A ``bool`` is an integer to NumPy but not to the bit vector, which
+    hashes it, so a batch holding one is refused.
+    """
+    column = make_column(values)
+    if not _is_array(column) or column.dtype.kind not in "iu":
+        return None
+    return None if bool in map(type, values) else column
+
+
+def set_bits(bits: bytearray, byte_indexes: Any, bit_masks: Any) -> None:
+    """OR ``bit_masks[i]`` into ``bits[byte_indexes[i]]`` for every ``i``
+    (the arrays :meth:`BitVectorFilter.int_positions` returns), in place."""
+    _np.bitwise_or.at(
+        _np.frombuffer(bits, dtype=_np.uint8), byte_indexes, bit_masks.astype(_np.uint8)
+    )
 
 
 def segment_expand(flags: Sequence[bool], starts: Sequence[int], num_rows: int) -> Mask:

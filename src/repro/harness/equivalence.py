@@ -188,8 +188,7 @@ def drive(
     batch_rows: int = DEFAULT_BATCH_ROWS,
 ) -> Observables:
     """Run a fresh ``make_root()`` in one drive, ``batch_rows`` to a chunk,
-    on a cold cache, charging a :class:`TallyIO`; every observable."""
-    database.cold_cache()
+    charging a fresh :class:`TallyIO` (a cold cache); every observable."""
     io = TallyIO()
     root = make_root()
     ctx = ExecutionContext(database=database, io=io, batch_rows=batch_rows)
@@ -353,8 +352,8 @@ def compare_query(
     base_injections: Optional[InjectionSet] = None,
     hint: Optional[PlanHint] = None,
 ) -> QueryEquivalence:
-    """Walk one query through §V-B on both sides, each run one cold,
-    isolated :meth:`~repro.engine.Engine.execute_plan`: the accurate-
+    """Walk one query through §V-B on both sides, each run one cold
+    :meth:`~repro.engine.Engine.execute_plan`: the accurate-
     cardinality plan P monitored (its
     :func:`~repro.harness.methodology.default_requests`), both runs'
     harvests compared store to store, P′ re-planned on each side from

@@ -349,7 +349,7 @@ def run_fig9(
         ).optimize(generated.query)
 
         plain = build_executable(plan, database)
-        base_time = execute(plain.root, database, cold_cache=True).elapsed_ms
+        base_time = execute(plain.root, database).elapsed_ms
 
         from repro.harness.methodology import default_requests
 
@@ -366,7 +366,7 @@ def run_fig9(
                 requests,
                 MonitorConfig(dpsample_fraction=fraction, seed=seed + count),
             )
-            run = execute(monitored.root, database, cold_cache=True)
+            run = execute(monitored.root, database)
             overhead = (run.elapsed_ms - base_time) / base_time
             max_error = 0.0
             for observation in run.runstats.observations:

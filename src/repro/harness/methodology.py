@@ -143,7 +143,7 @@ def evaluate_query(
     """Run the full §V-B methodology for one generated query.
 
     ``engine`` is the deployment under evaluation: every execution goes
-    through its :meth:`~repro.engine.Engine.execute_plan` (cold, isolated,
+    through its :meth:`~repro.engine.Engine.execute_plan` (cold,
     monitored per the engine's own ``monitor_config``), so a serial
     :class:`~repro.engine.Engine` and a
     :class:`~repro.shard.coordinator.ShardCoordinator` walk the same six

@@ -48,7 +48,7 @@ def plan_regret(
     """Execute ``query``'s feedback-planned choice and each alternative.
 
     Every plan is costed from the engine's current feedback and run under
-    the same monitors on a cold isolated context; nothing is remembered,
+    the same monitors on a fresh, cold context; nothing is remembered,
     so the store - and with it the choice - is the same after the call.
     """
     session = engine.session()

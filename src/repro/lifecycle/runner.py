@@ -265,7 +265,6 @@ class QueryLifecycle:
         requests: Sequence[PageCountRequest] = (),
         use_feedback: bool = False,
         hint: Optional[PlanHint] = None,
-        cold_cache: bool = True,
         io: Optional[IOContext] = None,
         remember: bool = False,
         exec_mode: str = DEFAULT_EXEC_MODE,
@@ -277,7 +276,6 @@ class QueryLifecycle:
             query,
             plan_node,
             requests=requests,
-            cold_cache=cold_cache,
             io=io,
             remember=remember,
             trace=trace,
@@ -291,7 +289,6 @@ class QueryLifecycle:
         query: Query,
         plan_node: PlanNode,
         requests: Sequence[PageCountRequest] = (),
-        cold_cache: bool = True,
         io: Optional[IOContext] = None,
         remember: bool = False,
         trace: Optional[LifecycleTrace] = None,
@@ -302,9 +299,9 @@ class QueryLifecycle:
     ) -> ExecutedQuery:
         """Execute a specific plan with monitors (stages 5–7 only).
 
-        ``io`` is the execution's accounting context (default: a fresh
-        shared-pool context); pass an *isolated* context to run
-        interference-free next to concurrent executions.  ``exec_mode``
+        ``io`` is the execution's accounting context and buffer frames
+        (default: a fresh one, a cold cache); pass a context a previous
+        run charged to continue it warm.  ``exec_mode``
         selects row-at-a-time or chunk-at-a-time drive (see
         :func:`repro.exec.executor.execute`).  ``cancellation`` threads a
         cooperative-cancellation token into the execute stage; a
@@ -337,7 +334,6 @@ class QueryLifecycle:
         result = execute(
             build.root,
             session.database,
-            cold_cache=cold_cache,
             io=io,
             mode=exec_mode,
             cancellation=cancellation,

@@ -26,7 +26,7 @@ The second leg always runs watchdog-free, so an episode performs at most
 one trip and terminates by construction.  Both legs run under the
 caller's cancellation token, so a deadline covers the whole episode,
 switched leg included.  Both legs share one IOContext:
-the switched run inherits the buffer-pool warmth the cancelled prefix
+the switched run inherits the warm buffer frames the cancelled prefix
 paid for (exactly what a real mid-query switch would see), and the final
 ``RunStats.elapsed_ms`` is the episode's total —
 ``T_partial + T_replan + T_new`` — which is what the A/B harness
@@ -141,7 +141,6 @@ def run_with_reopt(
     requests: Sequence[PageCountRequest] = (),
     use_feedback: bool = False,
     hint: Optional[PlanHint] = None,
-    cold_cache: bool = True,
     io: Optional[IOContext] = None,
     exec_mode: str = DEFAULT_EXEC_MODE,
     cancellation: Optional[CancellationToken] = None,
@@ -178,7 +177,6 @@ def run_with_reopt(
             query,
             plan_node,
             requests=requests,
-            cold_cache=cold_cache,
             io=io,
             remember=remember,
             trace=trace,
@@ -248,7 +246,6 @@ def run_with_reopt(
             remainder_query,
             remainder_plan,
             requests=(),
-            cold_cache=False,
             io=io,
             remember=False,
             trace=trace,
@@ -280,7 +277,6 @@ def run_with_reopt(
             query,
             new_plan,
             requests=requests,
-            cold_cache=False,
             io=io,
             remember=remember,
             trace=trace,

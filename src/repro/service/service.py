@@ -2,7 +2,7 @@
 
 This is the subsystem that turns per-query machinery into a multi-client,
 continuously-learning system: every admitted request runs through the
-engine's staged lifecycle on the service's engine thread (isolated
+engine's staged lifecycle on the service's engine thread (a fresh
 IOContext, shared plan cache, shared feedback store), so one client's
 harvested page-count feedback re-optimizes the next client's plan.
 
@@ -36,8 +36,8 @@ Properties the tests and the CI smoke gate hold the service to:
 
 Engine work happens on **one engine thread** (a one-worker
 ``ThreadPoolExecutor``): parse, plan, execute and harvest of every
-admitted request, in admission order, so the engine's feedback store,
-plan cache and buffer pool need no locks (under the interpreter lock a
+admitted request, in admission order, so the engine's feedback store
+and plan cache need no locks (under the interpreter lock a
 second execution thread bought no throughput).  With a
 :class:`~repro.service.workers.WorkerPool` attached, only the pipe round
 trip to a worker process leaves it, on ``max_in_flight`` waiter

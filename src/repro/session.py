@@ -113,16 +113,15 @@ class Session:
         query: Query,
         plan: PlanNode,
         requests: Sequence[PageCountRequest] = (),
-        cold_cache: bool = True,
         io: Optional[IOContext] = None,
         exec_mode: str = DEFAULT_EXEC_MODE,
         cancellation: Optional[CancellationToken] = None,
     ) -> ExecutedQuery:
         """Execute a specific plan, with monitors for ``requests``.
 
-        ``io`` is the execution's accounting context (default: a fresh
-        shared-pool context); pass an *isolated* context to run
-        interference-free next to concurrent executions.  ``exec_mode``
+        ``io`` is the execution's accounting context and buffer frames
+        (default: a fresh one, a cold cache); pass a context a previous
+        run charged to continue it warm.  ``exec_mode``
         picks the chunk-at-a-time batch drive (default) or the row-at-a-time
         reference oracle.  ``cancellation`` opts into cooperative
         cancellation (the executor raises
@@ -133,7 +132,6 @@ class Session:
             query,
             plan,
             requests=requests,
-            cold_cache=cold_cache,
             io=io,
             exec_mode=exec_mode,
             cancellation=cancellation,
@@ -147,7 +145,6 @@ class Session:
         requests: Sequence[PageCountRequest] = (),
         use_feedback: bool = False,
         hint: Optional[PlanHint] = None,
-        cold_cache: bool = True,
         io: Optional[IOContext] = None,
         remember: bool = False,
         exec_mode: str = DEFAULT_EXEC_MODE,
@@ -176,7 +173,6 @@ class Session:
                 requests=requests,
                 use_feedback=use_feedback,
                 hint=hint,
-                cold_cache=cold_cache,
                 io=io,
                 exec_mode=exec_mode,
                 cancellation=cancellation,
@@ -187,7 +183,6 @@ class Session:
             requests=requests,
             use_feedback=use_feedback,
             hint=hint,
-            cold_cache=cold_cache,
             io=io,
             remember=remember,
             exec_mode=exec_mode,

@@ -14,7 +14,7 @@ as:
    cached plan resolution no matter how many shards execute it;
 2. **fan out** — the same plan node goes to every shard engine in shard
    order, which rebinds it *by table/index name* (shard catalogs clone
-   the global schema) and executes it under its own isolated accounting
+   the global schema) and executes it under its own fresh accounting
    context via :meth:`~repro.engine.Engine.execute_plan` — no per-shard
    re-optimization, ever.  The fan-out is a plain loop on the caller's
    thread with the caller's cancellation token: the executions are

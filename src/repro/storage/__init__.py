@@ -2,7 +2,7 @@
 
 from repro.storage.accounting import IOContext
 from repro.storage.btree import BTreeIndex
-from repro.storage.buffer import BufferPool, BufferPoolStats
+from repro.storage.buffer import BufferPool
 from repro.storage.clustered import ClusteredFile
 from repro.storage.disk import DiskParameters
 from repro.storage.heap import DataFile, HeapFile
@@ -17,7 +17,6 @@ from repro.storage.table import Table
 __all__ = [
     "BTreeIndex",
     "BufferPool",
-    "BufferPoolStats",
     "ClusteredFile",
     "DataFile",
     "DiskParameters",

@@ -21,22 +21,23 @@ as before; the time model itself is unchanged (see ``disk.py`` for its
 calibration).  What changed is ownership: parameters are shared and
 immutable, counters are per-execution and private.
 
-Buffer-pool interaction
------------------------
-The shared :class:`~repro.storage.buffer.BufferPool` keeps the *state*
-(which pages are resident) but no longer keeps a clock; ``access()``
-takes the caller's context and charges it.  A context created with
-``isolated=True`` additionally carries its own private frame set, so the
-execution sees a dedicated cold cache regardless of what other threads
-are doing — this is what makes N interleaved queries produce physical
-read counts identical to N serial cold-cache runs.
+Buffer frames
+-------------
+A context also owns the execution's LRU buffer frames.  The database's
+:class:`~repro.storage.buffer.BufferPool` keeps only the capacity and the
+walk; ``access_sequence()`` takes the caller's context, looks pages up in
+*its* frames and charges it.  A fresh context is therefore a cold cache
+whatever ran before on the database, which is what makes N interleaved
+queries produce physical read counts identical to N serial cold-cache
+runs; a context carried into a second run (a reopt resume, a warm-cache
+ablation) finds the first run's pages still resident.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from repro.storage.disk import DiskParameters
 
@@ -50,16 +51,13 @@ class IOContext:
 
     One context belongs to exactly one execution (one ``execute()`` call,
     one benchmark probe, one DPSample overhead measurement); create a
-    fresh one per run rather than reusing, so counters start at zero.
+    fresh one per run, so counters start at zero and the frames cold.
+    Reuse one only to continue an execution on a warm cache.
     Contexts are not thread-safe and never need to be — that is the whole
     point: nothing outside the owning execution ever touches one.
     """
 
     params: DiskParameters = field(default_factory=DiskParameters)
-    #: With ``isolated=True`` the context carries a private buffer-frame
-    #: set (starting cold) instead of sharing the pool's frames — required
-    #: for concurrent executions whose accounting must be interference-free.
-    isolated: bool = False
 
     io_ms: float = 0.0
     cpu_ms: float = 0.0
@@ -68,8 +66,11 @@ class IOContext:
     pool_hits: int = 0
     evictions: int = 0
 
-    _frames: Optional["OrderedDict[tuple[FileId, PageId], None]"] = field(
-        default=None, repr=False, compare=False
+    #: The execution's resident pages, least recently used first; the
+    #: pool's :meth:`~repro.storage.buffer.BufferPool.access_sequence`
+    #: keeps them within its capacity.
+    frames: "OrderedDict[tuple[FileId, PageId], None]" = field(
+        default_factory=OrderedDict, init=False, repr=False, compare=False
     )
 
     # -- derived views --------------------------------------------------
@@ -89,25 +90,12 @@ class IOContext:
 
     @property
     def warm_ratio(self) -> float:
-        """Fraction of this execution's logical reads served from the
-        buffer pool.  Defined as 0.0 when no logical reads happened (a
+        """Fraction of this execution's logical reads served from its
+        buffer frames.  Defined as 0.0 when no logical reads happened (a
         context that never touched a page was trivially all-cold)."""
         if self.logical_reads == 0:
             return 0.0
         return self.pool_hits / self.logical_reads
-
-    # -- buffer-pool hooks (called by repro.storage.buffer) -------------
-    def private_frames(self) -> "OrderedDict[tuple[FileId, PageId], None]":
-        """The isolated context's own frame set, created lazily."""
-        if self._frames is None:
-            self._frames = OrderedDict()
-        return self._frames
-
-    def record_pool_hit(self, hits: int = 1) -> None:
-        self.pool_hits += hits
-
-    def record_eviction(self, evictions: int = 1) -> None:
-        self.evictions += evictions
 
     # -- I/O charges ----------------------------------------------------
     def charge_random_read(self, pages: int = 1) -> None:
@@ -141,8 +129,8 @@ class IOContext:
         self.cpu_ms += self.params.cpu_monitor_check_ms * checks
 
     def __repr__(self) -> str:
-        mode = "isolated" if self.isolated else "shared"
         return (
-            f"IOContext({mode}, {self.elapsed_ms:.3f} ms, "
-            f"{self.physical_reads} physical / {self.logical_reads} logical)"
+            f"IOContext({self.elapsed_ms:.3f} ms, "
+            f"{self.physical_reads} physical / {self.logical_reads} logical, "
+            f"{len(self.frames)} frames)"
         )

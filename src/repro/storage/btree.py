@@ -250,8 +250,8 @@ class BTreeIndex:
         entered: Optional[int] = None
         while start < stop:
             leaf = start // epp
-            self.buffer_pool.access(
-                self.file_id, PageId(leaf), io, sequential=entered is not None
+            self.buffer_pool.access_sequence(
+                ((self.file_id, PageId(leaf)),), io, () if entered is None else (0,)
             )
             entered = leaf
             segment_stop = min(stop, (leaf + 1) * epp)
@@ -338,14 +338,14 @@ class BTreeIndex:
         epp = self.entries_per_page
         file_id = self.file_id
         keys: list[tuple[FileId, PageId]] = []
-        sequential: list[int] = []  # positions in ``keys``
+        sequential: set[int] = set()  # positions in ``keys``
         offset = 0
         for start, stop, entered in runs:
             while start < stop:
                 leaf = start // epp
                 if leaf != entered:
                     if entered is not None:
-                        sequential.append(len(keys))
+                        sequential.add(len(keys))
                     keys.append((file_id, leaf))
                     entered = leaf
                 segment_stop = (leaf + 1) * epp

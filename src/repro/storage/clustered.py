@@ -208,8 +208,8 @@ class ClusteredFile(DataFile):
         start, stop = self.range_rows(low, high, low_inclusive, high_inclusive)
         yield from self.scan_column_chunks(io, rows_per_chunk, start, stop)
         if stop < self.num_rows and (start == stop or not stop % self.page_capacity):
-            self.buffer_pool.access(
-                self.file_id, stop // self.page_capacity, io, sequential=True
+            self.buffer_pool.access_sequence(
+                ((self.file_id, stop // self.page_capacity),), io, (0,)
             )
 
     def fetch_by_key(self, io: IOContext, key: tuple) -> Iterator[tuple[PageId, tuple]]:
@@ -227,8 +227,8 @@ class ClusteredFile(DataFile):
             if self._page_low_keys[page_id] > key:
                 return
             # The page's key range straddles ``key``: it must be read.
-            self.buffer_pool.access(
-                self.file_id, page_id, io, sequential=not first_read
+            self.buffer_pool.access_sequence(
+                ((self.file_id, page_id),), io, () if first_read else (0,)
             )
             first_read = False
             # Keys are sorted within the page: bisect to the run.

@@ -177,7 +177,7 @@ class DataFile:
         read if the page is not buffered.
         """
         page = self.page(rid.page_id)
-        self.buffer_pool.access(self.file_id, rid.page_id, io, sequential=False)
+        self.buffer_pool.access_sequence(((self.file_id, rid.page_id),), io)
         return rid.page_id, page.get(rid.slot)
 
     def columns_at(self, pages: Sequence[int], slots: Sequence[int]) -> tuple:
@@ -216,7 +216,7 @@ class DataFile:
         when it started."""
         num_rows = self._num_rows
         for page_id in range(start_page, -(-num_rows // self.page_capacity)):
-            self.buffer_pool.access(self.file_id, page_id, io, sequential=True)
+            self.buffer_pool.access_sequence(((self.file_id, page_id),), io, (0,))
             yield page_id, self._window(page_id, num_rows)
 
     def scan_column_chunks(
@@ -234,10 +234,11 @@ class DataFile:
         pages — the granularity at which NumPy dispatch overhead
         amortizes; ``rows_per_chunk=1`` makes every page its own chunk.
         The view is a zero-copy slice of the store.  Every page holding a
-        row of the range is read once, in order, as a sequential read
-        charged before its chunk is yielded; the first and last page may
-        be cut at the bounds.  ``stop`` defaults to the file end, and the
-        scan covers the rows the file held when it started.
+        row of the range is read once, in order, as a sequential read: a
+        chunk's pages are charged as one pool walk before the chunk is
+        yielded.  The first and last page may be cut at the bounds.
+        ``stop`` defaults to the file end, and the scan covers the rows
+        the file held when it started.
         ``page_starts`` lists each page's first row within the chunk
         (``page_starts[0] == 0``): a caller whose accounting is per page
         rather than additive across pages (scan monitors count *pages*
@@ -248,16 +249,18 @@ class DataFile:
         sliced = self._vector.SlicedColumns
         capacity = self.page_capacity
         stop = self._num_rows if stop is None else min(stop, self._num_rows)
-        access = self.buffer_pool.access
+        access_sequence = self.buffer_pool.access_sequence
+        file_id = self.file_id
         while start < stop:
             first_page_id = page_id = start // capacity
             chunk_stop = start
             page_starts = []
             while chunk_stop < stop and chunk_stop - start < rows_per_chunk:
-                access(self.file_id, page_id, io, sequential=True)
                 page_starts.append(chunk_stop - start)
                 page_id += 1
                 chunk_stop = min(page_id * capacity, stop)
+            pages = range(first_page_id, page_id)
+            access_sequence(list(zip(repeat(file_id), pages)), io, range(len(pages)))
             yield (
                 first_page_id,
                 page_id - first_page_id,

@@ -55,7 +55,7 @@ class TestR002:
         assert "R002" in rules_fired("self.clock.charge_sequential_read(4)\n")
 
     def test_silent_on_buffer_pool_access(self):
-        assert "R002" not in rules_fired("pool.access(file_id, page_id)\n")
+        assert "R002" not in rules_fired("pool.access_sequence(keys, io)\n")
 
     def test_allowed_inside_buffer_module(self):
         violating = "self.clock.charge_random_read()\n"

@@ -112,18 +112,23 @@ class TestDatabase:
         )
 
     def test_cold_cache_empties_pool(self):
+        """The cold cache is a fresh context: its frames start empty, and
+        a page another context holds resident is a physical read."""
         database, table, _rows = make_tiny_table(num_rows=300)
-        table.fetch(database.new_io_context(), next(table.rids()))
-        assert database.buffer_pool.resident_pages > 0
-        database.cold_cache()
-        assert database.buffer_pool.resident_pages == 0
+        rid = next(table.rids())
+        warm = database.new_io_context()
+        table.fetch(warm, rid)
+        assert len(warm.frames) == 1
+        cold = database.new_io_context()
+        assert len(cold.frames) == 0
+        table.fetch(cold, rid)
+        assert (cold.physical_reads, cold.pool_hits) == (1, 0)
 
     def test_new_io_context_uses_catalog_params(self):
         database, table, _rows = make_tiny_table(num_rows=300)
         io = database.new_io_context()
         assert io.params is database.disk_params
-        assert not io.isolated
-        assert database.new_io_context(isolated=True).isolated
+        assert io.elapsed_ms == 0.0 and not io.frames
 
     def test_contexts_start_cold_and_independent(self):
         database, table, _rows = make_tiny_table(num_rows=300)
@@ -134,12 +139,23 @@ class TestDatabase:
         assert second.elapsed_ms == 0  # fresh context, no global carry-over
 
     def test_reset_measurements_clears_pool_state(self):
+        """A fresh context is cold whatever ran before on the database:
+        after a scan and a fetch left another context warm, a fresh
+        context's fetch costs exactly what it costs on a new database."""
         database, table, _rows = make_tiny_table(num_rows=300)
-        table.fetch(database.new_io_context(), list(table.rids())[5])
-        assert database.buffer_pool.stats.logical_reads > 0
-        database.reset_measurements()
-        assert database.buffer_pool.stats.logical_reads == 0
-        assert database.buffer_pool.resident_pages == 0
+        rid = list(table.rids())[5]
+        warm = database.new_io_context()
+        list(table.scan_rows(warm))
+        table.fetch(warm, rid)
+        assert warm.pool_hits > 0
+        after = database.new_io_context()
+        table.fetch(after, rid)
+        untouched, new_table, _ = make_tiny_table(num_rows=300)
+        control = untouched.new_io_context()
+        new_table.fetch(control, rid)
+        assert (after.physical_reads, after.pool_hits) == (1, 0)
+        assert after.io_ms == control.io_ms
+        assert list(after.frames) == list(control.frames)
 
     def test_file_ids_unique(self):
         database = Database("d")

@@ -2,8 +2,9 @@
 
 The databases are read-only in every test, so session scope is safe and
 keeps the suite fast; tests that need to mutate state build their own.
-``Database.reset_measurements`` is called per-test via the autouse
-fixture so clock/buffer state never leaks between tests.
+No clock or buffer state can leak between tests: every execution charges
+its own :class:`~repro.storage.accounting.IOContext`, whose buffer frames
+start cold.
 """
 
 from __future__ import annotations
@@ -26,15 +27,6 @@ def synthetic_db() -> Database:
 def join_db() -> Database:
     """Synthetic database with the independently-permuted copy t1."""
     return build_synthetic_database(num_rows=20_000, seed=99, with_copy=True)
-
-
-@pytest.fixture(autouse=True)
-def _reset_measurements(request):
-    """Cold cache + zeroed clocks on the shared databases before each test."""
-    yield
-    for name in ("synthetic_db", "join_db"):
-        if name in request.fixturenames:
-            request.getfixturevalue(name).reset_measurements()
 
 
 @pytest.fixture(params=["numpy", "python"] if vector.HAVE_NUMPY else ["python"])

@@ -118,13 +118,11 @@ class TestConcurrentEquivalence:
         )
 
     def test_matches_plain_cold_cache_session(self, synthetic_db):
-        """An Engine execution (isolated context) reproduces a standalone
-        cold-cache Session run (shared pool) read-for-read."""
+        """An Engine execution reproduces a standalone Session run (each on
+        a fresh, cold context) read-for-read."""
         engine = Engine(synthetic_db)
         for item in workload()[:3]:
-            standalone = Session(synthetic_db).run(
-                item.query, requests=item.requests, cold_cache=True
-            )
+            standalone = Session(synthetic_db).run(item.query, requests=item.requests)
             engine_run = engine.execute(item)
             assert (
                 standalone.result.runstats.physical_reads

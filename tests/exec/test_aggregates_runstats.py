@@ -119,9 +119,13 @@ class TestRunStats:
         assert first == second
 
     def test_warm_cache_cheaper(self, tiny):
+        """A context carried into a second run is a warm cache: the second
+        scan adds logical reads but no physical read and no I/O time."""
         database, table, _rows = tiny
-        execute(SeqScan(table, Conjunction()), database)
-        warm = execute(
-            SeqScan(table, Conjunction()), database, cold_cache=False
-        )
-        assert warm.runstats.io_ms == 0.0
+        io = database.new_io_context()
+        cold = execute(SeqScan(table, Conjunction()), database, io=io).runstats
+        warm = execute(SeqScan(table, Conjunction()), database, io=io).runstats
+        assert cold.io_ms > 0.0
+        assert warm.io_ms == cold.io_ms
+        assert warm.physical_reads == cold.physical_reads
+        assert warm.logical_reads == 2 * cold.logical_reads

@@ -266,7 +266,6 @@ def test_cancellation_lands_within_one_chunk(name):
     for checks in (1, 3, 6):
         token = CancellationToken(cancel_after_checks=checks)
         root = OPERATORS[name](database, True, False)
-        database.cold_cache()
         io = TallyIO()
         ctx = ExecutionContext(database=database, io=io, batch_rows=7, cancellation=token)
         with pytest.raises(QueryCancelled):
@@ -290,18 +289,12 @@ def test_in_list_probes_leaves_in_key_order(monkeypatch):
     values = (5, 1_000, 400, 30, 1_499, 9, 10)
     assert sorted(values, key=repr) != sorted(values)
     touched: list[int] = []
-    access, access_sequence = BufferPool.access, BufferPool.access_sequence
-
-    def spy_access(self, file_id, page_id, io, sequential=False):
-        if file_id == index.file_id:
-            touched.append(int(page_id))
-        return access(self, file_id, page_id, io, sequential)
+    access_sequence = BufferPool.access_sequence
 
     def spy_sequence(self, keys, io, sequential=()):
         touched.extend(int(page) for file_id, page in keys if file_id == index.file_id)
         return access_sequence(self, keys, io, sequential)
 
-    monkeypatch.setattr(BufferPool, "access", spy_access)
     monkeypatch.setattr(BufferPool, "access_sequence", spy_sequence)
     def make_root():
         operator = IndexInListSeekFetch(

@@ -164,7 +164,6 @@ class TestNonPoisoning:
         primed, trace = session.lifecycle().plan(generated.query)
         assert trace.cache_event == "hit"
 
-        synthetic_db.reset_measurements()
         episode = run_with_reopt(
             session, generated.query, requests=requests, exec_mode="batch"
         )

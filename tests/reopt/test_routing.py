@@ -42,7 +42,6 @@ class TestEngineRouting:
     def test_reopt_item_records_an_episode(self, synthetic_db):
         engine = Engine(synthetic_db)
         plain = engine.execute(item_for(synthetic_db, TRIP_SQL, False))
-        synthetic_db.reset_measurements()
         executed = engine.execute(item_for(synthetic_db, TRIP_SQL, True))
         episode = executed.result.runstats.lifecycle["reopt"]
         assert episode["tripped"] and episode["switched"]

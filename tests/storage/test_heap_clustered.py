@@ -215,7 +215,7 @@ class TestClusteredFile:
             low_inclusive,
             high_inclusive,
         )
-        io_rows, io_chunks = IOContext(isolated=True), IOContext(isolated=True)
+        io_rows, io_chunks = IOContext(), IOContext()
         grouped = _grouped_by_page(
             (page_id, row) for page_id, _slot, row in cf.seek_range(io_rows, *bounds)
         )
@@ -264,7 +264,7 @@ class TestClusteredFile:
             "to_the_end": (((190,), None, True, True), None, None),
         }
         for name, (bounds, pages, reads) in cases.items():
-            io_rows, io_chunks = IOContext(isolated=True), IOContext(isolated=True)
+            io_rows, io_chunks = IOContext(), IOContext()
             oracle = list(cf.seek_range(io_rows, *bounds))
             chunks = list(cf.seek_range_chunks(io_chunks, 1, *bounds))
             chunk_pages = [first for first, *_ in chunks]
@@ -293,7 +293,7 @@ class TestClusteredFile:
         pages (first random, continuation sequential), same descent."""
         rows = [(k, i) for i, k in enumerate(keys)]
         cf = make_clustered(rows, row_width=1000)
-        io = IOContext(isolated=True)
+        io = IOContext()
         got = list(cf.fetch_by_key(io, (probe,)))
         stored = [
             (page_id, row) for page_id, _slot, row in cf.scan_rows(IOContext())

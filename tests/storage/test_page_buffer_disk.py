@@ -70,55 +70,49 @@ class TestPage:
             rows_per_page(0)
 
 
+def read(pool, io, page, file_id=0, sequential=False) -> bool:
+    """One logical read through the pool's walk; whether it hit a frame."""
+    hits = io.pool_hits
+    sequential_at = (0,) if sequential else ()
+    pool.access_sequence([(FileId(file_id), PageId(page))], io, sequential_at)
+    return io.pool_hits > hits
+
+
 class TestBufferPool:
     def make(self, capacity=4):
         return BufferPool(capacity_pages=capacity), IOContext()
 
     def test_miss_then_hit(self):
         pool, io = self.make()
-        assert pool.access(FileId(0), PageId(1), io) is False
-        assert pool.access(FileId(0), PageId(1), io) is True
-        assert pool.stats.logical_reads == 2
-        assert pool.stats.physical_reads == 1
+        assert read(pool, io, 1) is False
+        assert read(pool, io, 1) is True
         assert io.logical_reads == 2
         assert io.physical_reads == 1
         assert io.pool_hits == 1
 
     def test_random_vs_sequential_charges(self):
         pool, io = self.make()
-        pool.access(FileId(0), PageId(1), io, sequential=False)
-        pool.access(FileId(0), PageId(2), io, sequential=True)
+        read(pool, io, 1, sequential=False)
+        read(pool, io, 2, sequential=True)
         params = io.params
         assert io.io_ms == pytest.approx(
             params.random_read_ms + params.sequential_read_ms
         )
-        assert pool.stats.physical_random == 1
-        assert pool.stats.physical_sequential == 1
+        assert (io.random_reads, io.sequential_reads) == (1, 1)
 
     def test_lru_eviction_order(self):
         pool, io = self.make(capacity=2)
-        pool.access(FileId(0), PageId(1), io)
-        pool.access(FileId(0), PageId(2), io)
-        pool.access(FileId(0), PageId(1), io)  # touch 1: now 2 is LRU
-        pool.access(FileId(0), PageId(3), io)  # evicts 2
-        assert (FileId(0), PageId(1)) in pool
-        assert (FileId(0), PageId(2)) not in pool
-        assert pool.stats.evictions == 1
+        read(pool, io, 1)
+        read(pool, io, 2)
+        read(pool, io, 1)  # touch 1: now 2 is LRU
+        read(pool, io, 3)  # evicts 2
+        assert list(io.frames) == [(FileId(0), PageId(1)), (FileId(0), PageId(3))]
         assert io.evictions == 1
 
     def test_files_are_distinct(self):
         pool, io = self.make()
-        pool.access(FileId(0), PageId(1), io)
-        assert pool.access(FileId(1), PageId(1), io) is False  # different file
-
-    def test_reset_keeps_stats(self):
-        pool, io = self.make()
-        pool.access(FileId(0), PageId(1), io)
-        pool.reset()
-        assert pool.resident_pages == 0
-        assert pool.stats.physical_reads == 1
-        pool.reset_stats()
-        assert pool.stats.physical_reads == 0
+        read(pool, io, 1)
+        assert read(pool, io, 1, file_id=1) is False  # different file
 
     def test_capacity_validation(self):
         with pytest.raises(BufferPoolError):
@@ -126,115 +120,108 @@ class TestBufferPool:
 
     def test_hit_ratio(self):
         pool, io = self.make()
-        assert pool.stats.hit_ratio == 0.0  # zero logical reads -> all-cold
-        pool.access(FileId(0), PageId(1), io)
-        pool.access(FileId(0), PageId(1), io)
-        assert pool.stats.hit_ratio == 0.5
+        assert io.warm_ratio == 0.0  # zero logical reads -> all-cold
+        read(pool, io, 1)
+        read(pool, io, 1)
+        assert io.warm_ratio == 0.5
 
     def test_charges_split_across_contexts(self):
-        """Two executions sharing the pool each pay only their own reads."""
+        """Two executions on one pool each pay only their own reads, each
+        in its own frames: the second context's read is a miss too."""
         pool, first = self.make()
         second = IOContext()
-        pool.access(FileId(0), PageId(1), first)  # miss, charged to first
-        pool.access(FileId(0), PageId(1), second)  # hit, charged to second
+        read(pool, first, 1)  # miss, charged to first
+        read(pool, second, 1)  # miss, charged to second
         assert first.physical_reads == 1 and first.pool_hits == 0
-        assert second.physical_reads == 0 and second.pool_hits == 1
-        assert pool.stats.logical_reads == 2
+        assert second.physical_reads == 1 and second.pool_hits == 0
+        assert list(first.frames) == list(second.frames) == [(FileId(0), PageId(1))]
 
     def test_isolated_context_ignores_shared_warmth(self):
-        pool, shared = self.make()
-        pool.access(FileId(0), PageId(1), shared)  # warms the shared frames
-        isolated = IOContext(isolated=True)
-        assert pool.access(FileId(0), PageId(1), isolated) is False  # cold
-        assert pool.access(FileId(0), PageId(1), isolated) is True
-        assert isolated.physical_reads == 1 and isolated.pool_hits == 1
-        # ...and leaves no trace in the shared pool or its stats.
-        assert pool.stats.logical_reads == 1
-        assert pool.resident_pages == 1
+        """Every context is isolated: another context's warmth, on the
+        same pool, is no hit for a fresh one."""
+        pool, warm = self.make()
+        read(pool, warm, 1)
+        fresh = IOContext()
+        assert read(pool, fresh, 1) is False  # cold
+        assert read(pool, fresh, 1) is True
+        assert fresh.physical_reads == 1 and fresh.pool_hits == 1
+        # ...and the warm context is left as it was.
+        assert warm.logical_reads == 1 and len(warm.frames) == 1
 
     def test_isolated_frames_respect_capacity(self):
-        pool, _ = self.make(capacity=2)
-        io = IOContext(isolated=True)
+        pool, io = self.make(capacity=2)
         for page in (1, 2, 3):
-            pool.access(FileId(0), PageId(page), io)
+            read(pool, io, page)
         assert io.evictions == 1
-        assert len(io.private_frames()) == 2
+        assert len(io.frames) == 2
 
     @given(st.lists(st.integers(0, 20), min_size=1, max_size=200))
     def test_resident_never_exceeds_capacity(self, accesses):
         pool, io = self.make(capacity=5)
         for page in accesses:
-            pool.access(FileId(0), PageId(page), io)
-        assert pool.resident_pages <= 5
+            read(pool, io, page)
+        assert len(io.frames) <= 5
 
     @given(st.lists(st.integers(0, 20), min_size=1, max_size=200))
     def test_isolated_matches_fresh_shared_pool(self, accesses):
-        """An isolated context is indistinguishable from a private cold pool."""
-        shared_pool, _ = self.make(capacity=5)
-        isolated = IOContext(isolated=True)
-        private_pool, private = self.make(capacity=5)
+        """A fresh context on a pool other contexts have read through is
+        indistinguishable from one on a pool nothing has used."""
+        used_pool, other = self.make(capacity=5)
         for page in accesses:
-            shared_pool.access(FileId(0), PageId(page), isolated)
-            private_pool.access(FileId(0), PageId(page), private)
-        assert isolated.physical_reads == private.physical_reads
-        assert isolated.pool_hits == private.pool_hits
-        assert isolated.evictions == private.evictions
+            read(used_pool, other, page)
+        fresh = IOContext()
+        unused_pool, control = self.make(capacity=5)
+        for page in accesses:
+            read(used_pool, fresh, page)
+            read(unused_pool, control, page)
+        assert fresh.physical_reads == control.physical_reads
+        assert fresh.pool_hits == control.pool_hits
+        assert fresh.evictions == control.evictions
+        assert list(fresh.frames) == list(control.frames)
 
 
 class TestAccessSequence:
-    """``access_sequence`` is ``access`` per key: same hits, same physical
-    reads, same victims — checked on a 4-frame pool, where the order of the
-    stream decides every eviction."""
+    """The walk is one walk however a stream is cut: one call per key, or
+    a few calls over runs of keys, give the same hits, physical reads and
+    victims — checked on a 4-frame pool, where the order of the stream
+    decides every eviction."""
 
-    @staticmethod
-    def lru_order(pool, io, universe):
-        """Resident keys, least recently used first (by evicting them)."""
-        if io.isolated:
-            return list(io.private_frames())
-        resident = [key for key in universe if key in pool]
-        order, probe = [], IOContext()
-        for fresh in range(len(resident)):
-            pool.access(FileId(99), PageId(fresh), probe)
-            order += [key for key in resident if key not in pool and key not in order]
-        return order
+    streams = st.lists(
+        st.tuples(st.integers(0, 1), st.integers(0, 7), st.booleans()),
+        max_size=120,
+    )
 
     @given(
-        stream=st.lists(
-            st.tuples(st.integers(0, 1), st.integers(0, 7), st.booleans()),
-            max_size=120,
-        ),
-        cuts=st.lists(st.integers(0, 120), max_size=4),
-        isolated=st.booleans(),
+        stream=streams, cuts=st.lists(st.integers(0, 120), max_size=4), second=streams
     )
-    def test_matches_access_per_key(self, stream, cuts, isolated):
-        universe = [(FileId(f), PageId(p)) for f in range(2) for p in range(8)]
-        one_by_one, batched = BufferPool(4), BufferPool(4)
-        io_one, io_batched = IOContext(isolated=isolated), IOContext(isolated=isolated)
-        for file_id, page_id, sequential in stream:
-            one_by_one.access(FileId(file_id), PageId(page_id), io_one, sequential)
+    def test_matches_access_per_key(self, stream, cuts, second):
+        """``stream`` one key at a time against ``stream`` cut at ``cuts``;
+        then each context is carried into a second run of ``second``, which
+        starts warm on the first run's frames."""
+        pool = BufferPool(4)
+        io_one, io_batched = IOContext(), IOContext()
+        for file_id, page_id, sequential in stream + second:
+            read(pool, io_one, page_id, file_id, sequential)
         bounds = sorted({0, len(stream), *(cut for cut in cuts if cut < len(stream))})
-        for start, stop in zip(bounds, bounds[1:]):
-            piece = stream[start:stop]
-            batched.access_sequence(
+        pieces = [stream[start:stop] for start, stop in zip(bounds, bounds[1:])]
+        for piece in [*pieces, second]:
+            pool.access_sequence(
                 [(FileId(f), PageId(p)) for f, p, _ in piece],
                 io_batched,
-                [at for at, (_, _, sequential) in enumerate(piece) if sequential],
+                {at for at, (_, _, sequential) in enumerate(piece) if sequential},
             )
         for counter in ("random_reads", "sequential_reads", "pool_hits", "evictions"):
             assert getattr(io_batched, counter) == getattr(io_one, counter), counter
         assert io_batched.io_ms == io_one.io_ms  # same additions, same order
-        assert batched.stats == one_by_one.stats
-        assert (batched.stats.logical_reads == 0) == (isolated or not stream)
-        assert self.lru_order(batched, io_batched, universe) == self.lru_order(
-            one_by_one, io_one, universe
-        )
+        assert io_batched.logical_reads == len(stream) + len(second)
+        assert list(io_batched.frames) == list(io_one.frames)  # final LRU order
 
     def test_immediate_repeats_are_hits(self):
         pool, io = BufferPool(4), IOContext()
         key = (FileId(0), PageId(3))
         pool.access_sequence([key, key, key, (FileId(0), PageId(4)), key], io)
         assert (io.random_reads, io.pool_hits) == (2, 3)
-        assert pool.stats.logical_reads == 5
+        assert io.logical_reads == 5
 
 
 class TestIOContext:
@@ -264,7 +251,7 @@ class TestIOContext:
         io = IOContext()
         io.charge_random_read(2)
         io.charge_sequential_read(3)
-        io.record_pool_hit()
+        io.pool_hits += 1
         assert io.physical_reads == 5
         assert io.logical_reads == 6
         assert io.warm_ratio == pytest.approx(1 / 6)
