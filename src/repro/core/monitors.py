@@ -96,26 +96,8 @@ class _ScanExpressionEntry:
     #: exact mode: decidable on every page from normal short-circuited
     #: evaluation (request terms are a prefix of the query's term order).
     exact: bool
-    page_satisfied: bool = False
     satisfied_pages: int = 0
     instrument: Optional[InstrumentFingerprint] = None
-
-    def observe(self, truth: tuple) -> None:
-        """Update the per-page flag from one row's term-truth vector."""
-        if self.page_satisfied:
-            return
-        for index in self.term_indexes:
-            if truth[index] is not True:
-                return
-        self.page_satisfied = True
-
-    def fold_page(self, counted: bool) -> None:
-        """End-of-page: fold the flag into the counter if the page counts
-        toward this entry (always for exact mode, sampled pages otherwise).
-        """
-        if counted and self.page_satisfied:
-            self.satisfied_pages += 1
-        self.page_satisfied = False
 
 
 @dataclass
@@ -125,22 +107,8 @@ class _BitVectorEntry:
     request: PageCountRequest
     column_position: int
     filter: BitVectorFilter
-    page_satisfied: bool = False
     satisfied_pages: int = 0
     instrument: Optional[InstrumentFingerprint] = None
-
-    def observe_row(self, row: Sequence[Any], io: IOContext) -> None:
-        if self.page_satisfied:
-            return
-        io.charge_bitvector_probes(1)
-        value = row[self.column_position]
-        if value is not None and self.filter.may_contain(value):
-            self.page_satisfied = True
-
-    def fold_page(self, counted: bool) -> None:
-        if counted and self.page_satisfied:
-            self.satisfied_pages += 1
-        self.page_satisfied = False
 
 
 class ScanMonitorBundle:
@@ -149,21 +117,18 @@ class ScanMonitorBundle:
     Every counter here is page-granular: a request counts *pages* holding
     at least one witness row, and the Bernoulli sampler flips one coin
     per page, in page order.  How the scan produces a page's verdict is
-    its own business, so there are two feeds, one per drive:
-
-    * **per row** (the row oracle) — :meth:`start_page`, then
-      :meth:`observe_row` per row (passing the term outcome the scan
-      computed and the raw row), then :meth:`end_page`;
-      :meth:`needs_full_evaluation` tells the scan whether the current
-      page requires short-circuiting to be off (Fig. 4 step 4).
-    * **per chunk of pages** (the batch drive) — :meth:`sample_pages` for
-      the chunk's coin flips, then :meth:`observe_pages` with one verdict
-      per page per entry: a flag for an expression entry, and for a
-      bit-vector entry the flag plus how many rows the prober got
-      through — probing stops at a page's first hit, so that is the first
-      hit's offset plus one, or the page's row count.  The scan reduces
-      its chunk-wide witness and filter-hit masks to those verdicts
-      itself; no row or row mask crosses this seam.
+    its own business, so there is one feed, a chunk of pages at a time
+    (one page in the row oracle, a chunk in the batch drive):
+    :meth:`sample_pages` for the chunk's coin flips, then
+    :meth:`observe_pages` with one verdict per page per entry — a flag
+    for an expression entry, and for a bit-vector entry the flag plus
+    how many rows the prober got through (probing stops at a page's
+    first hit, so that is the first hit's offset plus one, or the page's
+    row count) and how many of those carried a value.
+    :attr:`evaluates_sampled_pages_in_full` tells the scan whether rows
+    of sampled pages need short-circuiting off (Fig. 4 step 4).  The scan
+    reduces its rows to those verdicts itself; no row, truth vector or
+    row mask crosses this seam.
 
     :meth:`finish` yields the observations.
     """
@@ -178,11 +143,7 @@ class ScanMonitorBundle:
         self.query_term_count = query_term_count
         self.sampler = sampler
         self._expression_entries: list[_ScanExpressionEntry] = []
-        self._sampled_expression_entries: list[_ScanExpressionEntry] = []
-        self._exact_expression_entries: list[_ScanExpressionEntry] = []
         self._bitvector_entries: list[_BitVectorEntry] = []
-        self._current_page_sampled = False
-        self._in_page = False
         self._any_nonprefix = False
         #: pages :meth:`sample_pages` decided and :meth:`observe_pages`
         #: has yet to be told about.
@@ -205,11 +166,8 @@ class ScanMonitorBundle:
             instrument=instrument,
         )
         self._expression_entries.append(entry)
-        if exact:
-            self._exact_expression_entries.append(entry)
-        else:
+        if not exact:
             self._any_nonprefix = True
-            self._sampled_expression_entries.append(entry)
 
     def add_bitvector_request(
         self,
@@ -239,69 +197,6 @@ class ScanMonitorBundle:
     # ------------------------------------------------------------------
     # Scan-side protocol
     # ------------------------------------------------------------------
-    def start_page(self, page_id: PageId) -> None:
-        if self._in_page:
-            raise MonitorError("start_page called twice without end_page")
-        if self._pages_pending:
-            raise MonitorError("start_page called with a chunk still open")
-        self._in_page = True
-        if self.needs_sampler:
-            if self.sampler is None:
-                raise MonitorError(
-                    f"scan of {self.table_name} has sampled requests but no sampler"
-                )
-            self._current_page_sampled = self.sampler.sample_page(page_id)
-        else:
-            self._current_page_sampled = False
-
-    def needs_full_evaluation(self) -> bool:
-        """Whether the *current page*'s rows need short-circuiting off.
-
-        True exactly when the page is in the sample and some request needs
-        terms the normal evaluation might skip.
-        """
-        return self._current_page_sampled and self._any_nonprefix
-
-    def observe_row(
-        self, outcome: TermOutcome, row: Sequence[Any], io: IOContext
-    ) -> None:
-        """Feed one row's evaluation result to all entries.
-
-        ``outcome.truth`` is indexed by the monitor conjunction's term
-        order.  Exact entries consume every row; sampled entries only rows
-        of sampled pages (where full truth is available); bit-vector
-        entries probe on sampled pages only.  Monitoring CPU is charged to
-        ``io``, the executing query's own context.
-        """
-        if not self._in_page:
-            raise MonitorError("observe_row called outside a page")
-        # The per-row bookkeeping of §III-B ("a single comparison for each
-        # row"), charged so scan-monitoring overhead is visible (Fig. 7).
-        io.charge_monitor_checks(1)
-        truth = outcome.truth
-        for entry in self._exact_expression_entries:
-            entry.observe(truth)
-        if self._current_page_sampled:
-            for entry in self._sampled_expression_entries:
-                entry.observe(truth)
-            for bv_entry in self._bitvector_entries:
-                bv_entry.observe_row(row, io)
-
-    def end_page(self) -> None:
-        if not self._in_page:
-            raise MonitorError("end_page called outside a page")
-        self._in_page = False
-        for entry in self._exact_expression_entries:
-            entry.fold_page(counted=True)
-        for entry in self._sampled_expression_entries:
-            entry.fold_page(counted=self._current_page_sampled)
-        for bv_entry in self._bitvector_entries:
-            bv_entry.fold_page(counted=self._current_page_sampled)
-        self._current_page_sampled = False
-
-    # ------------------------------------------------------------------
-    # Scan-side protocol, a chunk of pages at a time
-    # ------------------------------------------------------------------
     @property
     def evaluates_sampled_pages_in_full(self) -> bool:
         """Whether rows of sampled pages need short-circuiting off."""
@@ -330,11 +225,11 @@ class ScanMonitorBundle:
         """The Bernoulli decisions for ``page_count`` consecutive pages.
 
         One :meth:`~repro.core.dpsample.BernoulliPageSampler.sample_page`
-        draw per page, in page order — the same RNG sequence the per-row
-        feed's :meth:`start_page` consumes.
+        draw per page, in page order, whatever the chunk width: the row
+        oracle asks for one page at a time, the batch drive for a chunk.
         """
-        if self._in_page or self._pages_pending:
-            raise MonitorError("sample_pages called with a page or chunk still open")
+        if self._pages_pending:
+            raise MonitorError("sample_pages called with a chunk still open")
         self._pages_pending = page_count
         if not self.needs_sampler:
             return [False] * page_count
@@ -362,9 +257,9 @@ class ScanMonitorBundle:
         page *p* (entries as in :meth:`page_flag_witnesses`);
         ``sampled_pages`` is what :meth:`sample_pages` returned.  Exact
         entries count every flagged page, sampled entries the flagged
-        pages of the sample.  The per-row monitor check of §III-B is
-        charged for the chunk's ``num_rows`` rows, as the per-row feed
-        charges it.
+        pages of the sample.  The per-row monitor check of §III-B ("a
+        single comparison for each row") is charged for ``num_rows``
+        rows: the chunk's, less any its scan already charged.
 
         ``probes_per_entry[k]`` is bit-vector entry *k*'s ``(flags,
         probes, lookups)`` (entries as in :meth:`bitvector_probes`): per
@@ -373,8 +268,9 @@ class ScanMonitorBundle:
         (a NULL is probed and charged but never reaches the filter).
         Only sampled pages are probed, so only theirs are folded: flagged
         ones are counted, their probes charged, their lookups added to
-        the filter's own ``probes`` counter — the totals the per-row
-        feed reaches one ``may_contain`` at a time.
+        the filter's own ``probes`` counter — the totals a prober reaches
+        one :meth:`~repro.core.bitvector.BitVectorFilter.may_contain` at
+        a time.
         """
         page_count = len(sampled_pages)
         if not self._pages_pending or page_count != self._pages_pending:
@@ -397,7 +293,8 @@ class ScanMonitorBundle:
                     f"the {page_count} pages per bit-vector entry"
                 )
         self._pages_pending = 0
-        io.charge_monitor_checks(num_rows)
+        if num_rows:
+            io.charge_monitor_checks(num_rows)
         for entry, flags in zip(entries, flags_per_entry):
             if len(flags) != page_count:
                 raise MonitorError(

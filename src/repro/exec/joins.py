@@ -305,33 +305,44 @@ class HashJoin(Operator):
         probe_pos = _position_of(self.probe.output_columns, self.probe_join_column)
 
         # Build phase (blocking): also fills the monitoring bit vector —
-        # this is the SE→RE callback moment of Fig. 5.
+        # this is the SE→RE callback moment of Fig. 5.  Its hashes are
+        # charged once, when the build side is drained (or stops).
         hash_table: dict[Any, list[tuple]] = {}
-        for build_row in self.build.rows(ctx):
-            value = build_row[build_pos]
-            if value is None:
-                continue
-            io.charge_hashes(1)
-            hash_table.setdefault(value, []).append(build_row)
-            if self.bitvector is not None:
-                io.charge_hashes(1)
-                self.bitvector.insert(value)
-            for leaf_monitor in self.leaf_monitors:
-                leaf_monitor.observe_keys([value], io)
+        keys: list[Any] = []
+        try:
+            for build_row in self.build.rows(ctx):
+                value = build_row[build_pos]
+                if value is None:
+                    continue
+                keys.append(value)
+                hash_table.setdefault(value, []).append(build_row)
+                if self.bitvector is not None:
+                    self.bitvector.insert(value)
+        finally:
+            if keys:
+                io.charge_hashes(len(keys) * (2 if self.bitvector is not None else 1))
+        for leaf_monitor in self.leaf_monitors:
+            leaf_monitor.observe_keys(keys, io)
 
         # Probe phase: streams; the probe child's scan bundle (if any)
-        # consults the now-complete bit vector on sampled pages.
+        # consults the now-complete bit vector on sampled pages.  Hashes
+        # add up and are charged before each yield and at the end.
+        hashes = 0
         for probe_row in self.probe.rows(ctx):
             value = probe_row[probe_pos]
             if value is None:
                 continue
-            io.charge_hashes(1)
+            hashes += 1
             matches = hash_table.get(value)
             if not matches:
                 continue
+            io.charge_hashes(hashes)
+            hashes = 0
             for build_row in matches:
                 self.stats.actual_rows += 1
                 yield build_row + probe_row
+        if hashes:
+            io.charge_hashes(hashes)
 
     def batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
         io = ctx.io

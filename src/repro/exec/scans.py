@@ -19,6 +19,8 @@ measurements of Figs. 7 and 9 arise.
 
 from __future__ import annotations
 
+from itertools import groupby
+from operator import itemgetter
 from typing import Any, Iterator, Optional
 
 from repro.common.types import PageId
@@ -75,59 +77,123 @@ class _MonitoredScanMixin:
     def _scan_pages(
         self, ctx: ExecutionContext, page_iter: Iterator[tuple[Any, Any]]
     ) -> Iterator[tuple]:
-        """Drive the page/row loop over ``(page_id, rows_iterable)`` pairs.
+        """The row oracle: the page/row loop over ``(page_id, rows)`` pairs.
 
-        The unmonitored/monitored and full-evaluation cases are split into
-        separate row loops (and ``self.stats`` is hoisted into locals) so
-        the hot loop carries no per-row branch on monitor state.
+        Each row is evaluated term by term through the scalar
+        :meth:`~repro.sql.predicates.AtomicPredicate.matches`,
+        short-circuited, except on a DPSample-selected page when some
+        request is non-prefix: there every term is evaluated (Fig. 4,
+        step 4).  Row, predicate-evaluation and monitor-check counts add
+        up in locals and are charged before each ``yield`` and at page
+        end, so a consumer that stops mid-page is charged exactly the rows
+        it pulled.  The monitors get the batch drive's per-page feed, one
+        page at a time: a coin from :meth:`ScanMonitorBundle.sample_pages`,
+        then :meth:`ScanMonitorBundle.observe_pages` with one flag per
+        expression entry and one ``(flag, probes, lookups)`` triple per
+        bit-vector entry.  A bit-vector entry probes each row of a sampled
+        page as it is read, until the page's first hit; its probes are
+        charged when the page is folded.
         """
-        bound = self._bind()
+        tests = self._bind().term_tests()
+        num_terms = len(tests)
         num_query_terms = len(self.query_conjunction)
+        # A row failing query term *i* evaluated ``i + 1`` terms.
+        query_tests = tuple(
+            (position, matches, index + 1)
+            for index, (position, matches) in enumerate(tests[:num_query_terms])
+        )
         io = ctx.io
-        bundle = self.bundle
         stats = self.stats
-        if bundle is None:
-            for _page_id, rows in page_iter:
-                ctx.checkpoint()
-                stats.pages_touched += 1
-                for row in rows:
-                    io.charge_rows(1)
-                    outcome = bound.evaluate_prefix(
-                        row, num_query_terms, short_circuit=True
-                    )
-                    io.charge_predicates(outcome.evaluations)
-                    stats.predicate_evaluations += outcome.evaluations
-                    if outcome.passed:
-                        stats.actual_rows += 1
-                        yield row
-            return
+        bundle = self.bundle
+        full_evaluation = False
+        if bundle is not None:
+            witnesses = bundle.page_flag_witnesses()
+            # An exact entry's page is flagged when some row passed every
+            # query term up to the entry's last one — short-circuited
+            # truth, as the batch drive reads it off its ``alive`` masks.
+            needs = [max(terms, default=-1) + 1 for terms, _exact in witnesses]
+            sampled_terms = [
+                (entry, terms)
+                for entry, (terms, exact) in enumerate(witnesses)
+                if not exact
+            ]
+            probers = bundle.bitvector_probes()
+            full_evaluation = bundle.evaluates_sampled_pages_in_full
+
+        def charge(rows: int, evaluations: int, checks: bool) -> None:
+            if rows:
+                io.charge_rows(rows)
+                if checks:
+                    io.charge_monitor_checks(rows)
+            if evaluations:
+                io.charge_predicates(evaluations)
+                stats.predicate_evaluations += evaluations
+
+        monitored = bundle is not None
         for page_id, rows in page_iter:
             ctx.checkpoint()
             stats.pages_touched += 1
-            bundle.start_page(page_id)
-            if bundle.needs_full_evaluation():
-                for row in rows:
-                    io.charge_rows(1)
-                    outcome = bound.evaluate(row, short_circuit=False)
-                    io.charge_predicates(outcome.evaluations)
-                    stats.predicate_evaluations += outcome.evaluations
-                    bundle.observe_row(outcome, row, io)
-                    if all(outcome.truth[:num_query_terms]):
-                        stats.actual_rows += 1
-                        yield row
+            sampled = probing = False
+            if monitored:
+                (sampled,) = bundle.sample_pages(page_id, 1)
+                verdicts = [[False, 0, 0] for _ in probers]
+                probing = sampled and bool(probers)
+                witnessed = [False] * len(witnesses)
+            # One more than the most leading query terms a row of the page
+            # passed; 0 before its first row.
+            deepest = 0
+            read = charged = evaluations = 0
+            if sampled and full_evaluation:
+                for read, row in enumerate(rows, 1):
+                    if probing:
+                        probing = _probe_row(row, probers, verdicts)
+                    truth = [matches(row[position]) for position, matches in tests]
+                    evaluations += num_terms
+                    for entry, terms in sampled_terms:
+                        if not witnessed[entry] and all(
+                            [truth[index] for index in terms]
+                        ):
+                            witnessed[entry] = True
+                    prefix = truth[:num_query_terms]
+                    if False in prefix:
+                        deepest = max(deepest, prefix.index(False) + 1)
+                        continue
+                    deepest = num_query_terms + 1
+                    charge(read - charged, evaluations, monitored)
+                    charged, evaluations = read, 0
+                    stats.actual_rows += 1
+                    yield row
             else:
-                for row in rows:
-                    io.charge_rows(1)
-                    outcome = bound.evaluate_prefix(
-                        row, num_query_terms, short_circuit=True
-                    )
-                    io.charge_predicates(outcome.evaluations)
-                    stats.predicate_evaluations += outcome.evaluations
-                    bundle.observe_row(outcome, row, io)
-                    if outcome.passed:
+                for read, row in enumerate(rows, 1):
+                    if probing:
+                        probing = _probe_row(row, probers, verdicts)
+                    for position, matches, evaluated in query_tests:
+                        if not matches(row[position]):
+                            evaluations += evaluated
+                            if evaluated > deepest:
+                                deepest = evaluated
+                            break
+                    else:
+                        evaluations += num_query_terms
+                        deepest = num_query_terms + 1
+                        charge(read - charged, evaluations, monitored)
+                        charged, evaluations = read, 0
                         stats.actual_rows += 1
                         yield row
-            bundle.end_page()
+            charge(read - charged, evaluations, False)
+            if monitored:
+                bundle.observe_pages(
+                    [
+                        [seen or (exact and deepest > need)]
+                        for (_terms, exact), need, seen in zip(
+                            witnesses, needs, witnessed
+                        )
+                    ],
+                    [sampled],
+                    read - charged,
+                    io,
+                    [([hit], [probes], [lookups]) for hit, probes, lookups in verdicts],
+                )
 
     def batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
         yield from self._scan_chunks(ctx)
@@ -272,6 +338,28 @@ class SeqScan(_MonitoredScanMixin, Operator):
         return self.table.data_file.scan_column_chunks(io, rows_per_chunk)
 
 
+def _probe_row(
+    row: tuple, probers: list[tuple[int, Any]], verdicts: list[list]
+) -> bool:
+    """Probe one row of a sampled page into each bit-vector entry that has
+    not hit on the page yet, updating its ``[hit, probes, lookups]``
+    verdict (a NULL is probed but never reaches the filter, whose own
+    counter is left to the fold); whether some entry still probes."""
+    probing = False
+    for (position, bitvector), verdict in zip(probers, verdicts):
+        if verdict[0]:
+            continue
+        verdict[1] += 1
+        value = row[position]
+        if value is not None:
+            verdict[2] += 1
+            if not bitvector.first_hit((value,)):
+                verdict[0] = True
+                continue
+        probing = True
+    return probing
+
+
 def _page_flags(
     outcome: VectorOutcome,
     term_indexes: tuple[int, ...],
@@ -336,22 +424,14 @@ class ClusteredRangeScan(_MonitoredScanMixin, Operator):
         return self.table.schema.column_names
 
     def rows(self, ctx: ExecutionContext) -> Iterator[tuple]:
-        def pages():
-            clustered = self.table.clustered_file()
-            current_page = None
-            current_rows: list[tuple] = []
-            for page_id, _slot, row in clustered.seek_range(
-                ctx.io, self.low, self.high, self.low_inclusive, self.high_inclusive
-            ):
-                if page_id != current_page:
-                    if current_page is not None:
-                        yield current_page, current_rows
-                    current_page, current_rows = page_id, []
-                current_rows.append(row)
-            if current_page is not None:
-                yield current_page, current_rows
-
-        yield from self._scan_pages(ctx, pages())
+        located = self.table.clustered_file().seek_range(
+            ctx.io, self.low, self.high, self.low_inclusive, self.high_inclusive
+        )
+        pages = (
+            (page_id, [row for _page_id, _slot, row in entries])
+            for page_id, entries in groupby(located, key=itemgetter(0))
+        )
+        yield from self._scan_pages(ctx, pages)
 
     def _read_chunks(
         self, io: IOContext, rows_per_chunk: int

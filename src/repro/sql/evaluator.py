@@ -15,7 +15,9 @@ to a row layout once (name -> position).  It has two seams, one per drive:
 
 * per row (the row oracle): :meth:`BoundConjunction.evaluate` /
   :meth:`~BoundConjunction.evaluate_prefix` give a :class:`TermOutcome`
-  carrying the row's per-term truth vector;
+  carrying the row's per-term truth vector; a scan, which needs no
+  outcome object per row, runs the terms itself from
+  :meth:`~BoundConjunction.term_tests`;
 * per chunk of column vectors (every batch operator that filters rows):
   :meth:`BoundConjunction.evaluate_columns` runs each term's
   :meth:`~repro.sql.predicates.AtomicPredicate.matches_vector` over a
@@ -37,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from typing import Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from repro.common.errors import ExpressionError
 from repro.sql.predicates import Conjunction
@@ -151,6 +153,12 @@ class BoundConjunction:
 
     def __len__(self) -> int:
         return len(self._positions)
+
+    def term_tests(self) -> tuple[tuple[int, Callable[[Any], bool]], ...]:
+        """``(position, matches)`` per term, in evaluation order: term *i*
+        holds on a row when ``matches(row[position])`` — what a scan's own
+        row-at-a-time loop calls, without a :class:`TermOutcome` per row."""
+        return tuple(zip(self._positions, self._matchers))
 
     def _check_prefix(self, num_terms: int) -> None:
         if not 0 <= num_terms <= len(self._positions):

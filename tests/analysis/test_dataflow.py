@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.dataflow import DATAFLOW_RULES, analyze_sources
+from repro.analysis.dataflow import DATAFLOW_RULES, analyze_paths, analyze_sources
 
 # ----------------------------------------------------------------------
 # Helpers
@@ -345,3 +345,19 @@ class Service:
         assert [f.rule for f in findings] == ["C003", "C003"]
         assert findings[0].line < findings[1].line
         assert all(f.file == "pkg/service/svc.py" for f in findings)
+
+    def test_analyze_paths_walks_directories(self, tmp_path):
+        # The file-system front of analyze_sources, with suppressions
+        # applied: one finding fires, the suppressed twin stays silent.
+        service = tmp_path / "pkg" / "service"
+        service.mkdir(parents=True)
+        (service / "svc.py").write_text(
+            "import time\n\n"
+            "class Service:\n"
+            "    async def handle(self):\n"
+            "        time.sleep(0.1)\n\n"
+            "    async def quiet(self):\n"
+            "        time.sleep(0.1)  # lint: disable=C003\n"
+        )
+        findings = analyze_paths([tmp_path], rules=["C003"])
+        assert [(f.rule, f.line) for f in findings] == [("C003", 5)]

@@ -2,15 +2,21 @@
 
 import pytest
 
+from repro.catalog import ColumnDef, Database, TableSchema
 from repro.common.errors import MonitorError
 from repro.common.types import PageId
 from repro.core.bitvector import BitVectorFilter
 from repro.core.dpsample import BernoulliPageSampler
 from repro.core.monitors import FetchMonitorBundle, ScanMonitorBundle
 from repro.core.requests import AccessPathRequest, InstrumentFingerprint, Mechanism
-from repro.sql import Comparison, conjunction_of
+from repro.exec import SeqScan, execute
+from repro.harness.equivalence import TallyIO
+from repro.sql import Comparison, Conjunction, conjunction_of
 from repro.sql.evaluator import TermOutcome
+from repro.sql.types import SqlType
 from repro.storage.accounting import IOContext
+
+from tests.conftest import make_tiny_table
 
 
 def outcome(*truth) -> TermOutcome:
@@ -28,32 +34,78 @@ def linear_counting(bits: int) -> InstrumentFingerprint:
     return InstrumentFingerprint(Mechanism.LINEAR_COUNTING, seed=0, bits=bits)
 
 
+def fold_page(bundle, page, flags, num_rows, io, probes=()):
+    """One page through the per-page feed, the way the row oracle folds it:
+    its coin, then one verdict per entry."""
+    sampled = bundle.sample_pages(PageId(page), 1)
+    bundle.observe_pages([[flag] for flag in flags], sampled, num_rows, io, probes)
+    return sampled[0]
+
+
+def join_table(join_values, rows_per_page_width=100):
+    """A heap table ``(k, j, pad)`` whose join column ``j`` holds
+    ``join_values`` in load order (64 rows per page)."""
+    database = Database("bv", buffer_pool_pages=1_000)
+    schema = TableSchema(
+        "bv",
+        [
+            ColumnDef("k", SqlType.INT),
+            ColumnDef("j", SqlType.INT),
+            ColumnDef("pad", SqlType.STR, width_bytes=rows_per_page_width),
+        ],
+    )
+    rows = [(k, value, "x") for k, value in enumerate(join_values)]
+    return database, database.load_table(schema, rows)
+
+
+def run_probe_scan(join_values, build_values):
+    """The row oracle's scan of :func:`join_table` with one bit-vector
+    request at DPSample fraction 1.0: ``(observation, filter, io)``."""
+    database, table = join_table(join_values)
+    bitvector = BitVectorFilter(100)
+    for value in build_values:
+        bitvector.insert(value)
+    bundle = ScanMonitorBundle("bv", 0, sampler=BernoulliPageSampler(1.0))
+    bundle.add_bitvector_request(request(), 1, bitvector)
+    io = TallyIO()
+    result = execute(
+        SeqScan(table, Conjunction(), bundle=bundle), database, io=io, mode="row"
+    )
+    (observation,) = result.runstats.observations
+    return observation, bitvector, io
+
+
 class TestScanBundleProtocol:
     def make(self, sampler=None):
         return ScanMonitorBundle("t", query_term_count=1, sampler=sampler)
 
     def test_double_start_page_rejected(self):
+        # A second sample_pages before observe_pages folded the first.
         bundle = self.make()
         bundle.add_expression_request(request(), (0,), exact=True)
-        bundle.start_page(PageId(0))
+        bundle.sample_pages(PageId(0), 1)
         with pytest.raises(MonitorError):
-            bundle.start_page(PageId(1))
+            bundle.sample_pages(PageId(1), 1)
 
     def test_observe_outside_page_rejected(self):
         bundle = self.make()
+        bundle.add_expression_request(request(), (0,), exact=True)
         with pytest.raises(MonitorError):
-            bundle.observe_row(outcome(True), (1,), IOContext())
+            bundle.observe_pages([[True]], [False], 1, IOContext())
 
     def test_end_outside_page_rejected(self):
+        # A page is folded once: a second observe_pages has no page open.
         bundle = self.make()
+        bundle.add_expression_request(request(), (0,), exact=True)
+        fold_page(bundle, 0, [True], 1, IOContext())
         with pytest.raises(MonitorError):
-            bundle.end_page()
+            bundle.observe_pages([[True]], [False], 1, IOContext())
 
     def test_sampler_required_for_nonprefix(self):
         bundle = self.make(sampler=None)
         bundle.add_expression_request(request(), (0,), exact=False)
         with pytest.raises(MonitorError):
-            bundle.start_page(PageId(0))
+            bundle.sample_pages(PageId(0), 1)
 
 
 class TestExactCounting:
@@ -61,16 +113,9 @@ class TestExactCounting:
         io = IOContext()
         bundle = ScanMonitorBundle("t", 1)
         bundle.add_expression_request(request(), (0,), exact=True)
-        # Page 0: one satisfying row among several.
-        bundle.start_page(PageId(0))
-        bundle.observe_row(outcome(False), (9,), io)
-        bundle.observe_row(outcome(True), (0,), io)
-        bundle.observe_row(outcome(False), (9,), io)
-        bundle.end_page()
-        # Page 1: no satisfying rows.
-        bundle.start_page(PageId(1))
-        bundle.observe_row(outcome(False), (9,), io)
-        bundle.end_page()
+        # Page 0: one satisfying row among three; page 1: none of one.
+        fold_page(bundle, 0, [True], 3, io)
+        fold_page(bundle, 1, [False], 1, io)
         (observation,) = bundle.finish()
         assert observation.mechanism is Mechanism.EXACT_SCAN_COUNT
         assert observation.exact
@@ -83,9 +128,7 @@ class TestExactCounting:
         second = AccessPathRequest("t", conjunction_of(Comparison("b", "<", 1)))
         bundle.add_expression_request(first, (0,), exact=True)
         bundle.add_expression_request(second, (1,), exact=True)
-        bundle.start_page(PageId(0))
-        bundle.observe_row(outcome(True, False), (), io)
-        bundle.end_page()
+        fold_page(bundle, 0, [True, False], 1, io)
         observations = {o.key: o.estimate for o in bundle.finish()}
         assert observations[first.key()] == 1.0
         assert observations[second.key()] == 0.0
@@ -94,10 +137,7 @@ class TestExactCounting:
         io = IOContext()
         bundle = ScanMonitorBundle("t", 1)
         bundle.add_expression_request(request(), (0,), exact=True)
-        bundle.start_page(PageId(0))
-        for _ in range(10):
-            bundle.observe_row(outcome(True), (), io)
-        bundle.end_page()
+        fold_page(bundle, 0, [True], 10, io)
         assert io.cpu_ms == pytest.approx(10 * io.params.cpu_monitor_check_ms)
 
 
@@ -108,28 +148,32 @@ class TestSampledCounting:
         bundle.add_expression_request(request(), (0,), exact=False)
         io = IOContext()
         for page in range(4):
-            bundle.start_page(PageId(page))
-            bundle.observe_row(outcome(page % 2 == 0), (), io)
-            bundle.end_page()
+            fold_page(bundle, page, [page % 2 == 0], 1, io)
         (observation,) = bundle.finish()
         assert observation.mechanism is Mechanism.DPSAMPLE
         assert observation.estimate == 2.0
         assert observation.exact  # fraction 1.0
 
     def test_needs_full_evaluation_only_on_sampled_pages(self):
+        # The row oracle evaluates ``v < 0`` (false on every row, so the
+        # short-circuit stops there) and, on sampled pages only, the
+        # monitoring term ``k >= 0`` as well.
+        database, table, rows = make_tiny_table(num_rows=64 * 100, seed=5)
+        query = conjunction_of(Comparison("v", "<", 0))
+        monitor = conjunction_of(Comparison("v", "<", 0), Comparison("k", ">=", 0))
         sampler = BernoulliPageSampler(0.5, seed=3)
-        bundle = ScanMonitorBundle("t", 0, sampler=sampler)
-        bundle.add_expression_request(request(), (0,), exact=False)
-        flags = []
-        for page in range(100):
-            bundle.start_page(PageId(page))
-            flags.append(bundle.needs_full_evaluation())
-            bundle.end_page()
-        assert 20 < sum(flags) < 80  # only sampled pages
+        bundle = ScanMonitorBundle("tiny", 1, sampler=sampler)
+        bundle.add_expression_request(request(), (1,), exact=False)
+        assert bundle.evaluates_sampled_pages_in_full
+        scan = SeqScan(table, query, bundle=bundle, monitor_conjunction=monitor)
+        execute(scan, database, mode="row")
+        assert table.num_pages == 100 and sampler.pages_seen == 100
+        assert 20 < sampler.pages_sampled < 80  # only sampled pages
+        assert scan.stats.predicate_evaluations == len(rows) + 64 * sampler.pages_sampled
 
 
 class TestPageFlagFeed:
-    """The chunk feed: coins per page in page order, flags per page in."""
+    """Coins per page in page order, flags per page in, whatever the chunk."""
 
     def mixed_bundle(self, fraction=0.5, seed=3):
         bundle = ScanMonitorBundle(
@@ -144,11 +188,7 @@ class TestPageFlagFeed:
         io_pages, io_chunks = IOContext(), IOContext()
         by_page = self.mixed_bundle()
         for page, flag in enumerate(flags):
-            by_page.start_page(PageId(page))
-            full = by_page.needs_full_evaluation()
-            by_page.observe_row(outcome(flag, flag if full else None), (), io_pages)
-            by_page.observe_row(outcome(False, False if full else None), (), io_pages)
-            by_page.end_page()
+            fold_page(by_page, page, [flag, flag], 2, io_pages)
         by_chunk = self.mixed_bundle()
         for first in range(0, 40, 16):  # chunks of 16, 16 and 8 pages
             chunk = flags[first : first + 16]
@@ -196,19 +236,18 @@ class TestPageFlagFeed:
             bundle.observe_pages([[True, True]], sampled, 1, IOContext())
 
     def test_feeds_do_not_interleave(self):
+        # An open chunk refuses a one-page sample, an open page a chunk.
         bundle = self.mixed_bundle()
         bundle.sample_pages(PageId(0), 2)
         with pytest.raises(MonitorError):
-            bundle.start_page(PageId(2))
-        with pytest.raises(MonitorError):
-            bundle.sample_pages(PageId(2), 2)
+            bundle.sample_pages(PageId(2), 1)
         other = self.mixed_bundle()
-        other.start_page(PageId(0))
+        other.sample_pages(PageId(0), 1)
         with pytest.raises(MonitorError):
-            other.sample_pages(PageId(1), 1)
+            other.sample_pages(PageId(1), 2)
 
     def test_bitvector_entries_need_verdicts(self):
-        # Bit-vector entries ride the chunk feed like every other entry,
+        # Bit-vector entries ride the page feed like every other entry,
         # but a chunk that leaves their verdicts out is a protocol error.
         bundle = self.mixed_bundle()
         bitvector = BitVectorFilter(64)
@@ -220,7 +259,7 @@ class TestPageFlagFeed:
 
 
 class TestBitVectorPageVerdicts:
-    """Bit-vector entries on the chunk feed: ``(flags, probes, lookups)``."""
+    """Bit-vector entries on the page feed: ``(flags, probes, lookups)``."""
 
     ROWS_PER_PAGE = 4
 
@@ -255,14 +294,22 @@ class TestBitVectorPageVerdicts:
         return hit, probes, probes - values[:probes].count(None)
 
     def test_same_counts_charges_and_filter_probes_as_the_page_feed(self):
+        # The reference probes one row at a time, as Fig. 5 describes:
+        # every row of a sampled page until the first hit, one charge
+        # each, and a filter lookup for each non-NULL value.
         pages = self.pages()
-        io_pages, io_chunks = IOContext(), IOContext()
-        by_page, page_filter = self.bundle()
+        io_rows, io_chunks = IOContext(), IOContext()
+        sampler = BernoulliPageSampler(0.5, seed=3)
+        _bundle, row_filter = self.bundle()
+        satisfied = 0
         for page, values in enumerate(pages):
-            by_page.start_page(PageId(page))
+            if not sampler.sample_page(PageId(page)):
+                continue
             for value in values:
-                by_page.observe_row(outcome(), (value,), io_pages)
-            by_page.end_page()
+                io_rows.charge_bitvector_probes(1)
+                if value is not None and row_filter.may_contain(value):
+                    satisfied += 1
+                    break
         by_chunk, chunk_filter = self.bundle()
         for first in range(0, 40, 16):
             chunk = pages[first : first + 16]
@@ -271,22 +318,19 @@ class TestBitVectorPageVerdicts:
             by_chunk.observe_pages(
                 [],
                 sampled,
-                self.ROWS_PER_PAGE * len(chunk),
+                0,
                 io_chunks,
                 [tuple(map(list, zip(*verdicts)))],
             )
         assert 0 < by_chunk.sampler.pages_sampled < 40
-        assert by_chunk.sampler.pages_sampled == by_page.sampler.pages_sampled
-        assert [
-            (o.key, o.mechanism, o.estimate, o.exact, o.details)
-            for o in by_chunk.finish()
-        ] == [
-            (o.key, o.mechanism, o.estimate, o.exact, o.details)
-            for o in by_page.finish()
-        ]
-        assert chunk_filter.probes == page_filter.probes > 0
-        assert io_chunks.cpu_ms == pytest.approx(io_pages.cpu_ms)
-        assert by_chunk.progress() == by_page.progress()
+        assert by_chunk.sampler.pages_sampled == sampler.pages_sampled
+        (observation,) = by_chunk.finish()
+        assert observation.details["satisfied_sampled_pages"] == satisfied > 0
+        assert observation.estimate == satisfied / 0.5
+        assert chunk_filter.probes == row_filter.probes > 0
+        assert io_chunks.cpu_ms == pytest.approx(io_rows.cpu_ms)
+        (progress,) = by_chunk.progress()
+        assert progress.satisfied_pages == satisfied / 0.5
 
     def test_unsampled_pages_are_neither_counted_nor_charged(self):
         bundle, bitvector = self.bundle(fraction=0.5)
@@ -331,50 +375,25 @@ class TestBitVectorPageVerdicts:
 
 
 class TestBitVectorEntries:
+    """The row oracle's prober, through a real scan at fraction 1.0."""
+
     def test_semijoin_page_counting(self):
-        io = IOContext()
-        sampler = BernoulliPageSampler(1.0)
-        bundle = ScanMonitorBundle("t", 0, sampler=sampler)
-        bitvector = BitVectorFilter(100)
-        bitvector.insert(5)
-        req = request()
-        bundle.add_bitvector_request(req, column_position=0, filter=bitvector)
-        # Page 0 contains a row with join value 5 -> counted.
-        bundle.start_page(PageId(0))
-        bundle.observe_row(outcome(), (5,), io)
-        bundle.end_page()
-        # Page 1 contains no matching join value.
-        bundle.start_page(PageId(1))
-        bundle.observe_row(outcome(), (6,), io)
-        bundle.end_page()
-        (observation,) = bundle.finish()
+        # Page 0 holds a row with join value 5 -> counted; page 1 does not.
+        observation, _bitvector, _io = run_probe_scan([6] * 63 + [5] + [6] * 64, [5])
         assert observation.mechanism is Mechanism.BITVECTOR_DPSAMPLE
         assert observation.estimate == 1.0
 
     def test_null_join_values_skipped(self):
-        sampler = BernoulliPageSampler(1.0)
-        bundle = ScanMonitorBundle("t", 0, sampler=sampler)
-        bitvector = BitVectorFilter(100)
-        bitvector.insert(0)
-        bundle.add_bitvector_request(request(), 0, bitvector)
-        bundle.start_page(PageId(0))
-        bundle.observe_row(outcome(), (None,), IOContext())
-        bundle.end_page()
-        (observation,) = bundle.finish()
+        observation, bitvector, io = run_probe_scan([None] * 10, [0])
         assert observation.estimate == 0.0
+        # Every NULL is probed and charged, none reaches the filter.
+        assert io.units["charge_bitvector_probes"] == 10
+        assert bitvector.probes == 0
 
     def test_probe_stops_after_page_satisfied(self):
-        io = IOContext()
-        sampler = BernoulliPageSampler(1.0)
-        bundle = ScanMonitorBundle("t", 0, sampler=sampler)
-        bitvector = BitVectorFilter(100)
-        bitvector.insert(1)
-        bundle.add_bitvector_request(request(), 0, bitvector)
-        bundle.start_page(PageId(0))
-        for _ in range(10):
-            bundle.observe_row(outcome(), (1,), io)
-        bundle.end_page()
+        _observation, bitvector, io = run_probe_scan([1] * 10, [1])
         assert bitvector.probes == 1  # first row satisfied the page
+        assert io.units["charge_bitvector_probes"] == 1
 
 
 class TestFetchBundle:
