@@ -45,7 +45,7 @@ This module enforces them statically:
 ``R011``  no per-row Python loops over column values inside vector
           kernel bodies (``matches_vector`` / ``evaluate_columns``):
           the chunk scan's kernels must stay whole-vector operations through
-          :mod:`repro.exec.vector` (whose pure-Python fallback is the
+          :mod:`repro.exec.vector` (whose list-column path is the
           one sanctioned per-row site, waived by path); index loops via
           ``range(...)`` — e.g. over conjunction *terms* — are fine
 ``R012``  no magic batch-size literal ``1024`` under ``exec/`` or
@@ -118,8 +118,8 @@ ALLOWED_PATHS: dict[str, tuple[str, ...]] = {
     "R007": ("lifecycle/plan.py", "core/diagnostics.py"),
     # the service layer is where threads/event loops are supposed to live.
     "R009": ("service/",),
-    # the vector module IS the sanctioned pure-Python fallback: its
-    # per-row loops are the list-backend implementation itself.
+    # the vector module IS the sanctioned per-row site: its loops are the
+    # list-column path (strings, NULLs, ints beyond int64, mixed values).
     "R011": ("exec/vector.py",),
     # the one definition site of DEFAULT_BATCH_ROWS.
     "R012": ("exec/batch.py",),
@@ -432,7 +432,7 @@ class _FileChecker(ast.NodeVisitor):
                 "per-row Python loop inside vector kernel "
                 f"{'/'.join(self._function_stack)}",
                 hint="express the kernel as whole-vector operations via "
-                "repro.exec.vector (its pure-Python backend is the one "
+                "repro.exec.vector (its list-column path is the one "
                 "sanctioned per-row site)",
             )
 

@@ -3,19 +3,19 @@
 Every stochastic component (Bernoulli page sampling, workload generation,
 permutation families) takes an explicit seed so that experiments are exactly
 reproducible.  This module centralises seed derivation: a single experiment
-seed fans out into independent streams for each named component.
+seed fans out into independent streams for each named component, as a
+:class:`random.Random` (:func:`make_random`) or, for the data generators,
+a NumPy ``Generator`` (:func:`make_numpy_rng`).
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from typing import TYPE_CHECKING
+
+import numpy as np
 
 from repro.common.hashing import mix64
-
-if TYPE_CHECKING:  # NumPy is optional at runtime (see repro.exec.vector).
-    import numpy as np
 
 
 def _stable_hash(text: str) -> int:
@@ -47,13 +47,6 @@ def make_random(root_seed: int, *names: object) -> random.Random:
     return random.Random(derive_seed(root_seed, *names))
 
 
-def make_numpy_rng(root_seed: int, *names: object) -> "np.random.Generator":
-    """Return a numpy Generator seeded from the derived seed path.
-
-    Imports NumPy lazily so the pure-Python install (no NumPy) can still
-    import :mod:`repro.common`; only callers that actually need NumPy
-    sampling (synthetic data generation) pay the import.
-    """
-    import numpy as np
-
+def make_numpy_rng(root_seed: int, *names: object) -> np.random.Generator:
+    """Return a numpy Generator seeded from the derived seed path."""
     return np.random.default_rng(derive_seed(root_seed, *names))

@@ -1,13 +1,10 @@
-"""Column-vector backend: NumPy-accelerated with a pure-Python fallback.
+"""Column vectors: NumPy arrays where the data allows, lists elsewhere.
 
 This is the single seam between the chunk scan (the batch drive's one
-column-vector path, monitored or not) and NumPy.  Everything above it
-(predicates, the compiled vector kernel, the chunk scan, the two
-column-consuming aggregates) manipulates *columns* and *masks* as opaque
-values through the functions here, so the simulator remains runnable on
-a bare Python install: when NumPy is absent (or the Python backend is
-forced for testing), columns are plain lists and masks are lists of
-bools.
+column-vector path, monitored or not) and NumPy, which is a dependency.
+Everything above it (predicates, the compiled vector kernel, the chunk
+scan, the two column-consuming aggregates) manipulates *columns* and
+*masks* as opaque values through the functions here.
 
 Representation contract:
 
@@ -28,38 +25,28 @@ are always *Python* scalars — NumPy scalar types must never leak into
 row tuples, IO counters or observation details, where ``repr`` is part
 of the equivalence fingerprint.
 
-The per-row loops in this module are the sanctioned pure-Python
-fallback (codelint R011 exempts this file).
+The per-row loops in this module are the sanctioned list-column path
+(codelint R011 exempts this file).
 """
 
 from __future__ import annotations
 
 import operator
 from bisect import bisect_left, bisect_right
-from contextlib import contextmanager
 from functools import reduce
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional, Sequence, Union
 
 if TYPE_CHECKING:
     from repro.core.bitvector import BitVectorFilter
 
-try:  # NumPy is an optional accelerator, never a requirement.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the import-blocked leg
-    _np = None  # type: ignore[assignment]
-
-#: True when NumPy imported successfully (the backend may still be forced
-#: to pure Python via :func:`use_python_backend`).
-HAVE_NUMPY = _np is not None
+import numpy as _np
 
 #: Dtype kinds a column array may have.  Anything else (object, datetime,
 #: void...) falls back to a list column.
 _PRIMITIVE_KINDS = "biufUS"
 
-_force_python = False
-
-Column = Union["_np.ndarray", list]  # type: ignore[name-defined]
-Mask = Union["_np.ndarray", list]  # type: ignore[name-defined]
+Column = Union[_np.ndarray, list]
+Mask = Union[_np.ndarray, list]
 
 _OPS: dict[str, Callable[[Any, Any], Any]] = {
     "<": operator.lt,
@@ -71,36 +58,17 @@ _OPS: dict[str, Callable[[Any, Any], Any]] = {
 }
 
 
-def backend_name() -> str:
-    """Name of the backend new columns will use: ``numpy`` or ``python``."""
-    return "python" if (_np is None or _force_python) else "numpy"
-
-
-@contextmanager
-def use_python_backend() -> Iterator[None]:
-    """Force list-backed columns inside the context (for fallback tests)."""
-    global _force_python
-    saved = _force_python
-    _force_python = True
-    try:
-        yield
-    finally:
-        _force_python = saved
-
-
 def _is_array(value: Any) -> bool:
-    return _np is not None and isinstance(value, _np.ndarray)
+    return isinstance(value, _np.ndarray)
 
 
 def make_column(values: Sequence) -> Column:
     """Build a column from scalar values (one table column of one page).
 
-    NumPy backend: returns a typed ndarray when the values are homogeneous
-    primitives; NULL-bearing or object-valued columns stay Python lists so
-    comparison semantics are untouched.  Python backend: always a list.
+    Returns a typed ndarray when the values are homogeneous primitives;
+    NULL-bearing or object-valued columns stay Python lists so comparison
+    semantics are untouched.
     """
-    if _np is None or _force_python:
-        return values if isinstance(values, list) else list(values)
     arr = _np.asarray(values)
     if (
         arr.ndim != 1
@@ -113,7 +81,7 @@ def make_column(values: Sequence) -> Column:
 
 def make_scan_column(values: Column) -> Column:
     """Build a *stored* column (a table's, an index leaf's) from one
-    column's values, or bring one built under the other backend over.
+    column's values (a stored column is returned as it is).
 
     Unlike :func:`make_column`, only numeric NULL-free columns become
     ndarrays: converting a long string column (``numpy.asarray`` on tens
@@ -122,8 +90,6 @@ def make_scan_column(values: Column) -> Column:
     kernels.  The caller passes an owned list; it is returned as-is on
     the fallback paths.
     """
-    if _np is None or _force_python:
-        return column_values(values)
     if _is_array(values):
         return values
     first = next((value for value in values if value is not None), None)
@@ -159,7 +125,7 @@ class SlicedColumns:
     (``len`` is the column count, ``[i]``/iteration yield per-column
     vectors), but materializes each column slice on access — ndarray
     slices are views, so handing a 73-row page or a 1024-row chunk out
-    of a file-wide vector allocates nothing on the NumPy backend.
+    of a file-wide array allocates nothing.
     """
 
     __slots__ = ("_source", "_start", "_stop")
@@ -406,14 +372,17 @@ def between_mask(column: Column, low: Any, high: Any) -> Mask:
 
 
 def isin_mask(column: Column, value_set: frozenset) -> Mask:
-    """``column IN value_set`` as a mask; NULL never matches."""
+    """``column IN value_set`` as a mask; NULL never matches.
+
+    A typed array is tested in one ``numpy.isin`` only when every value
+    of the set is a plain value of its type (:func:`bisect_column`'s
+    rule): ``isin`` casts a mixed set to one dtype, so ``[37, 'a']``
+    would become strings and never match an int.
+    """
     if _is_array(column):
-        try:
-            result = _np.isin(column, list(value_set))
-        except (TypeError, ValueError):
-            result = None
-        if _is_array(result):
-            return result
+        plain = _PLAIN_TYPE.get(column.dtype.kind)
+        if all(type(value) is plain for value in value_set):
+            return _np.isin(column, list(value_set))
         column = column.tolist()
     return [value is not None and value in value_set for value in column]
 
@@ -434,10 +403,10 @@ class KeyLookup:
 
     ``table`` is the join's hash table (any container whose ``in`` is
     the row loop's ``hash_table.get``; NULL is never a key).  A list
-    column is tested value by value against it.  An int64 column on the
-    NumPy backend is tested in one pass when the keys are all plain
-    ints spanning at most ``_LOOKUP_TABLE_SPAN``: through a byte table
-    over the span (~6 us per 1 024 rows; ``numpy.isin`` measured ~190 us).
+    column is tested value by value against it.  An int64 column is
+    tested in one pass when the keys are all plain ints spanning at most
+    ``_LOOKUP_TABLE_SPAN``: through a byte table over the span (~6 us per
+    1 024 rows; ``numpy.isin`` measured ~190 us).
     """
 
     __slots__ = ("_table", "_flags", "_base")
@@ -446,7 +415,7 @@ class KeyLookup:
         self._table = table
         self._flags = None
         self._base = 0
-        if _np is None or _force_python or not table:
+        if not table:
             return
         if set(map(type, table)) != {int}:
             return
@@ -486,9 +455,7 @@ class KeyLookup:
 # --- mask algebra --------------------------------------------------------
 
 def ones_mask(num_rows: int) -> Mask:
-    if _np is not None and not _force_python:
-        return _np.ones(num_rows, dtype=bool)
-    return [True] * num_rows
+    return _np.ones(num_rows, dtype=bool)
 
 
 def mask_and(left: Mask, right: Mask) -> Mask:
@@ -586,8 +553,8 @@ def probe_pages(
 
 
 def int_column(values: Sequence) -> Optional[Column]:
-    """``values`` as one integer array, or ``None`` when the backend is
-    pure Python or any value is not a plain ``int`` that fits one.
+    """``values`` as one integer array, or ``None`` when any value is not
+    a plain ``int`` that fits one.
 
     A ``bool`` is an integer to NumPy but not to the bit vector, which
     hashes it, so a batch holding one is refused.
@@ -609,10 +576,5 @@ def set_bits(bits: bytearray, byte_indexes: Any, bit_masks: Any) -> None:
 def segment_expand(flags: Sequence[bool], starts: Sequence[int], num_rows: int) -> Mask:
     """The row mask in which every row carries its page's flag."""
     stops = [*starts[1:], num_rows]
-    if _np is not None and not _force_python:
-        lengths = [stop - start for start, stop in zip(starts, stops)]
-        return _np.repeat(_np.asarray(flags, dtype=bool), lengths)
-    mask: list[bool] = []
-    for flag, start, stop in zip(flags, starts, stops):
-        mask.extend([flag] * (stop - start))
-    return mask
+    lengths = [stop - start for start, stop in zip(starts, stops)]
+    return _np.repeat(_np.asarray(flags, dtype=bool), lengths)

@@ -105,17 +105,20 @@ class Comparison(AtomicPredicate):
     column: str
     op: str
     value: Any
+    #: ``_OPS[op]``, bound once: the row drive calls :meth:`matches` per row.
+    _fn: Callable[[Any, Any], bool] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.op not in _OPS:
             raise ExpressionError(
                 f"unknown comparison operator {self.op!r}; expected one of {sorted(_OPS)}"
             )
+        object.__setattr__(self, "_fn", _OPS[self.op])
 
     def matches(self, value: Any) -> bool:
         if value is None:
             return False
-        return _OPS[self.op](value, self.value)
+        return self._fn(value, self.value)
 
     def matches_vector(self, column):
         return _vec().compare_mask(column, self.op, self.value)

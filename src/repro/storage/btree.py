@@ -45,9 +45,8 @@ class BTreeIndex:
 
     The leaf level is stored by column: one vector per key column, sorted
     lexicographically, then the locators' ``page`` and ``slot`` vectors,
-    then one vector per included column — typed arrays on the NumPy
-    backend, lists on the pure-Python one (and for string, date or
-    NULL-bearing columns on either).  An entry's leaf *page* is its
+    then one vector per included column — NumPy arrays, or lists for
+    string, date or NULL-bearing columns.  An entry's leaf *page* is its
     position divided by :attr:`entries_per_page`.  RIDs are two integer
     vectors, not one object per entry, because everything a plan does
     with locators is vector-shaped: a key range is a slice, the data
@@ -85,7 +84,6 @@ class BTreeIndex:
         self.entries_per_page = max(1, USABLE_PAGE_BYTES // entry_width)
         #: Leaf columns: keys..., pages, slots, payloads... (``None``: unbuilt).
         self._columns: Optional[list] = None
-        self._backend = ""
         self._size = 0
         # Imported lazily: storage must stay importable without touching
         # the exec package (which imports storage back).
@@ -138,7 +136,7 @@ class BTreeIndex:
                     for column in keys
                 )
                 raise IndexError_(f"unique index {self.name}: duplicate key {key!r}")
-        self._columns, self._backend = columns, vector.backend_name()
+        self._columns = columns
         self._size = len(pages)
 
     def insert(self, rid: RID, row: Sequence[Any]) -> None:
@@ -170,14 +168,9 @@ class BTreeIndex:
     # Locating ranges (no I/O)
     # ------------------------------------------------------------------
     def _leaf_columns(self) -> list:
-        """The leaf columns, in the active vector backend's representation."""
+        """The leaf columns (keys..., pages, slots, payloads...)."""
         if self._columns is None:
             raise IndexError_(f"index {self.name} has not been built")
-        vector = self._vector
-        backend = vector.backend_name()
-        if self._backend != backend:
-            self._columns = [vector.make_scan_column(c) for c in self._columns]
-            self._backend = backend
         return self._columns
 
     def _bisect(self, columns: Sequence, values: Sequence[Any], right: bool) -> int:

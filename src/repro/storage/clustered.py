@@ -68,7 +68,7 @@ class ClusteredFile(DataFile):
             )
         self.bulk_append(batches)
         vector = self._vector
-        columns = self._store()
+        columns = self._columns
         # Stable, so ties keep input order.
         order = vector.sort_order([columns[pos] for pos in self.key_positions])
         # In place, a column at a time (nothing reads a file mid-load): only
@@ -86,7 +86,7 @@ class ClusteredFile(DataFile):
 
     def _keys_at(self, positions: Sequence[int]) -> list[tuple]:
         """The clustering-key tuples of the rows at ``positions``."""
-        columns = self._store()
+        columns = self._columns
         return self._vector.rows_at(
             [columns[pos] for pos in self.key_positions], list(positions)
         )
@@ -96,7 +96,7 @@ class ClusteredFile(DataFile):
         what locates a key run inside the page without building its rows."""
         start = page_id * self.page_capacity
         stop = min(start + self.page_capacity, self.num_rows)
-        columns = self._store()
+        columns = self._columns
         slice_values = self._vector.slice_values
         keys = [slice_values(columns[pos], start, stop) for pos in self.key_positions]
         return start, list(zip(*keys))

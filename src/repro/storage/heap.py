@@ -2,10 +2,9 @@
 
 :class:`DataFile` is the shared base for the two physical table layouts
 (heap and clustered).  The table *is* its columns: one vector per column
-for the whole file — typed arrays on the NumPy backend for numeric
-NULL-free columns, lists on the pure-Python backend and for string, date
-or NULL-bearing columns (``vector.make_scan_column``'s rule, the one the
-index leaves follow), converted once when the backend switches.  Rows
+for the whole file — NumPy arrays for numeric NULL-free columns, lists
+for string, date or NULL-bearing columns (``vector.make_scan_column``'s
+rule, the one the index leaves follow).  Rows
 pack densely, so page ``p`` is rows ``[p * page_capacity, (p + 1) *
 page_capacity)`` of every column and a :class:`~repro.storage.page.Page`
 is a window, not a container; row tuples exist only where a caller asks
@@ -55,22 +54,12 @@ class DataFile:
         #: installs new vectors, then raises the row count, so a reader
         #: that takes the count first always finds at least that many rows.
         self._columns: list = []
-        self._backend = ""
         self._num_rows = 0
         # Imported lazily: storage must stay importable without touching
         # the exec package (which imports storage back).
         from repro.exec import vector
 
         self._vector = vector
-
-    def _store(self) -> list:
-        """The columns, in the active vector backend's representation."""
-        backend = self._vector.backend_name()
-        if self._backend != backend:
-            make_scan_column = self._vector.make_scan_column
-            self._columns = [make_scan_column(column) for column in self._columns]
-            self._backend = backend
-        return self._columns
 
     # ------------------------------------------------------------------
     # Load path (no I/O charges: loading happens "offline")
@@ -86,7 +75,7 @@ class DataFile:
         reading ``batches`` raises.
         """
         vector = self._vector
-        parts: list[list] = [[column] for column in self._store()]
+        parts: list[list] = [[column] for column in self._columns]
         added = 0
         for batch in batches:
             parts = parts or [[] for _ in batch]
@@ -135,25 +124,25 @@ class DataFile:
     def columns(self) -> list:
         """The stored column vectors, in schema order — read-only, no I/O
         (what index builds and partitioning read)."""
-        return self._store()
+        return self._columns
 
     def column_values(self) -> Iterator[list]:
         """Each column in turn as a list of plain Python values (what
         statistics read; one column is held at a time)."""
-        return map(self._vector.column_values, self._store())
+        return map(self._vector.column_values, self._columns)
 
     def rows_between(self, start: int, stop: int) -> list[tuple]:
         """Rows ``[start, stop)`` as tuples of plain Python values, *without*
         I/O accounting: where a page's rows come into being."""
         slice_values = self._vector.slice_values
         return list(
-            zip(*[slice_values(column, start, stop) for column in self._store()])
+            zip(*[slice_values(column, start, stop) for column in self._columns])
         )
 
     def row(self, position: int) -> tuple:
         """The row at file position ``position``: :meth:`rows_between` for
         one row (what a RID fetch reads)."""
-        return self._vector.row_at(self._store(), position)
+        return self._vector.row_at(self._columns, position)
 
     def page(self, page_id: PageId) -> Page:
         """Direct page access *without* I/O accounting (internal/tests)."""
@@ -197,7 +186,7 @@ class DataFile:
                 f"file {int(self.file_id)}: row locator out of range "
                 f"(file has {self.num_pages} pages)"
             )
-        return self._vector.gather(self._store(), positions)
+        return self._vector.gather(self._columns, positions)
 
     def fetch_many(
         self, io: IOContext, pages: Sequence[int], slots: Sequence[int]
@@ -264,7 +253,7 @@ class DataFile:
             yield (
                 first_page_id,
                 page_id - first_page_id,
-                sliced(self._store(), start, chunk_stop),
+                sliced(self._columns, start, chunk_stop),
                 chunk_stop - start,
                 page_starts,
             )

@@ -25,10 +25,7 @@ the real-world dataset analogues to diversify clustering ratios.
 
 from __future__ import annotations
 
-try:  # Synthetic data generation needs NumPy; the engine itself
-    import numpy as np  # does not (see repro.exec.vector).
-except ImportError:  # pragma: no cover - no-NumPy installs
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from repro.common.errors import WorkloadError
 from repro.common.rng import make_numpy_rng

@@ -25,10 +25,7 @@ import datetime
 from dataclasses import dataclass
 from typing import Any
 
-try:  # Synthetic data generation needs NumPy; the engine itself
-    import numpy as np  # does not (see repro.exec.vector).
-except ImportError:  # pragma: no cover - no-NumPy installs
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from repro.catalog.catalog import Database
 from repro.catalog.schema import ColumnDef, IndexDef, TableSchema

@@ -369,7 +369,7 @@ class TestR011:
         )
 
     def test_waived_in_vector_backend(self):
-        """exec/vector.py IS the sanctioned pure-Python fallback."""
+        """exec/vector.py IS the sanctioned per-row site (its list columns)."""
         assert "R011" not in rules_fired(
             "def matches_vector(column):\n"
             "    return [v > 0 for v in column]\n",

@@ -1,7 +1,5 @@
 """Tests for bit-vector filters (paper Fig. 5 / §IV)."""
 
-from contextlib import nullcontext
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -104,27 +102,24 @@ class TestBatchForms:
             max_size=3,
         ),
         bits=st.integers(1, 200),
-        python=st.booleans(),
     )
-    def test_integer_batches_equal_insert_per_value(self, batches, bits, python):
-        """An integer build batch is placed array-wide (NumPy backend) or
-        one value at a time (Python backend): either way, batch after
+    def test_integer_batches_equal_insert_per_value(self, batches, bits):
+        """An integer build batch is placed array-wide when it fits int64
+        or one value at a time when it does not: either way, batch after
         batch onto bits already set, the bytes, ``inserts`` and
         ``bits_set`` are those of one ``insert`` per value."""
         one_by_one, batched = BitVectorFilter(bits), BitVectorFilter(bits)
-        with vector.use_python_backend() if python else nullcontext():
-            for batch in batches:
-                if vector.backend_name() == "numpy" and batch:
-                    if -(2**63) <= min(batch) and max(batch) < 2**63:
-                        assert vector.int_column(batch) is not None  # array-wide
-                for value in batch:
-                    one_by_one.insert(value)
-                batched.insert_all(batch)
-                assert bytes(batched.bits) == bytes(one_by_one.bits)
-                assert (batched.inserts, batched.bits_set) == (
-                    one_by_one.inserts,
-                    one_by_one.bits_set,
-                )
+        for batch in batches:
+            if batch and -(2**63) <= min(batch) and max(batch) < 2**63:
+                assert vector.int_column(batch) is not None  # array-wide
+            for value in batch:
+                one_by_one.insert(value)
+            batched.insert_all(batch)
+            assert bytes(batched.bits) == bytes(one_by_one.bits)
+            assert (batched.inserts, batched.bits_set) == (
+                one_by_one.inserts,
+                one_by_one.bits_set,
+            )
 
     def test_a_batch_holding_a_bool_is_placed_per_value(self):
         """``True`` is hashed, not placed at bit 1, even beside integers."""

@@ -30,7 +30,7 @@ from repro.core.requests import (
     PageCountObservation,
 )
 from repro.engine import Engine, WorkloadItem
-from repro.exec import execute, vector
+from repro.exec import execute
 from repro.harness import default_requests
 from repro.optimizer import JoinQuery, Optimizer, PlanHint
 from repro.optimizer.plans import HashJoinPlan, INLJoinPlan, MergeJoinPlan
@@ -105,11 +105,8 @@ def test_both_joins_measure_the_oracle_count_on_the_strata(join_db):
     inner_keys=st.lists(st.integers(-3, 40), min_size=1, max_size=120),
     probe_keys=st.lists(st.one_of(st.none(), st.integers(-3, 40)), max_size=40),
     outer_cut=st.integers(0, 40),
-    python_backend=st.booleans(),
 )
-def test_random_tables_inl_equals_hash_equals_oracle(
-    inner_keys, probe_keys, outer_cut, python_backend
-):
+def test_random_tables_inl_equals_hash_equals_oracle(inner_keys, probe_keys, outer_cut):
     # A wide included column leaves a handful of entries per leaf, so
     # equal-key runs cross leaves and scattered probes skip some.
     database = Database("leaves", buffer_pool_pages=1_000)
@@ -160,11 +157,7 @@ def test_random_tables_inl_equals_hash_equals_oracle(
                     if obs.key.startswith("LEAVES(")
                 )
 
-    if python_backend:
-        with vector.use_python_backend():
-            measured = list(observations())
-    else:
-        measured = list(observations())
+    measured = list(observations())
     assert len(measured) == 4
     assert {(obs.estimate, obs.exact) for obs in measured} == {(expected, True)}
 

@@ -1,25 +1,21 @@
-"""RowBatch representation edge cases and vector backend fallbacks.
+"""RowBatch representation edge cases and the vector kernels.
 
 Covers the column-backed batch contract directly: empty batches, the
 final partial page of a chunk scan, all-rows-filtered batches,
-row↔column round-trips, and the pure-Python backend (both forced via
-``use_python_backend`` and with the NumPy import genuinely blocked in a
-subprocess).  "Columnar scan" below means the batch drive's unmonitored
-chunk scan (``SeqScan.parent_consumes_columns``), not an execution mode.
+row↔column round-trips, and the list columns that NULLs, strings and
+mixed values keep.  "Columnar scan" below means the batch drive's
+unmonitored chunk scan (``SeqScan.parent_consumes_columns``), not an
+execution mode.
 """
 
 from __future__ import annotations
-
-import subprocess
-import sys
-from pathlib import Path
 
 from repro.exec import vector
 from repro.exec.batch import DEFAULT_BATCH_ROWS, RowBatch
 from repro.exec.executor import execute
 from repro.exec.scans import SeqScan
 from repro.sql.evaluator import BoundConjunction
-from repro.sql.predicates import Comparison, conjunction_of
+from repro.sql.predicates import Comparison, InList, conjunction_of
 
 from tests.conftest import make_tiny_table
 
@@ -111,11 +107,18 @@ def test_null_collapses_to_false_in_kernels(backend):
     assert vector.mask_values(mask) == [True, False, True]
     mask = vector.isin_mask(column, {1, 3, None})
     assert vector.mask_values(mask) == [True, False, True]
+    # A stored string column stays a list: the list kernels, Python's order.
+    column = vector.make_scan_column(["b", None, "c", "d"])
+    assert isinstance(column, list)
+    mask = vector.between_mask(column, "b", "c")
+    assert vector.mask_values(mask) == [True, False, True, False]
+    mask = vector.isin_mask(column, frozenset({"d", "b"}))
+    assert vector.mask_values(mask) == [True, False, False, True]
 
 
 def test_mask_and_mixes_representations(backend):
     np_ish = vector.make_column([1, 2, 3, 4])
-    mask_a = vector.compare_mask(np_ish, ">", 1)  # backend mask
+    mask_a = vector.compare_mask(np_ish, ">", 1)  # an array mask
     mask_b = [True, True, False, True]  # plain list mask
     combined = vector.mask_and(mask_a, mask_b)
     assert vector.mask_values(combined) == [False, True, False, True]
@@ -289,15 +292,18 @@ def test_evaluate_columns_full_rows_match_the_row_loop(backend):
 def test_evaluate_columns_matches_the_row_evaluator(backend):
     rows = [(i, (i * 37) % 50) for i in range(200)]
     columns = vector.columns_from_rows(rows, 2)
-    bound = BoundConjunction(
+    for conjunction in (
         conjunction_of(Comparison("k", "<", 120), Comparison("v", ">=", 10)),
-        ("k", "v"),
-    )
-    per_row = [bound.evaluate(row) for row in rows]
-    outcome = bound.evaluate_columns(columns, len(rows))
-    assert vector.mask_values(outcome.passed) == [o.passed for o in per_row]
-    assert outcome.evaluations == sum(o.evaluations for o in per_row)
-    assert outcome.num_rows == len(rows)
+        # An IN list mixing types against an int column: NumPy would cast
+        # the set to strings and match nothing.
+        conjunction_of(InList("v", (37, "a"))),
+    ):
+        bound = BoundConjunction(conjunction, ("k", "v"))
+        per_row = [bound.evaluate(row) for row in rows]
+        outcome = bound.evaluate_columns(columns, len(rows))
+        assert vector.mask_values(outcome.passed) == [o.passed for o in per_row]
+        assert outcome.evaluations == sum(o.evaluations for o in per_row)
+        assert outcome.num_rows == len(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -337,60 +343,3 @@ def test_columnar_scan_matches_row_scan(backend):
         actual.runstats.root.predicate_evaluations
         == expected.runstats.root.predicate_evaluations
     )
-
-
-# ---------------------------------------------------------------------------
-# NumPy genuinely absent (not merely forced off)
-# ---------------------------------------------------------------------------
-
-_NO_NUMPY_SCRIPT = """
-import sys
-
-class _BlockNumpy:
-    def find_module(self, name, path=None):
-        if name == "numpy" or name.startswith("numpy."):
-            raise ImportError("numpy blocked for fallback test")
-
-sys.meta_path.insert(0, _BlockNumpy())
-
-from repro.exec import vector
-
-assert not vector.HAVE_NUMPY
-assert vector.backend_name() == "python"
-
-from tests.conftest import make_tiny_table
-from repro.exec.executor import execute
-from repro.exec.scans import SeqScan
-from repro.sql.predicates import Comparison, conjunction_of
-
-database, table, rows = make_tiny_table(num_rows=500)
-conj = conjunction_of(Comparison("v", "<", 100), Comparison("k", ">=", 37))
-def scan(columns):
-    operator = SeqScan(table, conj)
-    operator.parent_consumes_columns = columns
-    return operator
-
-reference = execute(scan(False), database, mode="row")
-for columns in (False, True):
-    result = execute(scan(columns), database, mode="batch")
-    assert result.rows == reference.rows, columns
-    assert (
-        result.runstats.logical_reads == reference.runstats.logical_reads
-    ), columns
-print("NO_NUMPY_OK")
-"""
-
-
-def test_columnar_without_numpy_installed():
-    """Run the chunk scan in a subprocess where numpy cannot import."""
-    repo_root = Path(__file__).resolve().parents[2]
-    result = subprocess.run(
-        [sys.executable, "-c", _NO_NUMPY_SCRIPT],
-        capture_output=True,
-        text=True,
-        cwd=repo_root,
-        env={"PYTHONPATH": f"{repo_root / 'src'}:{repo_root}", "PATH": "/usr/bin:/bin"},
-        timeout=120,
-    )
-    assert result.returncode == 0, result.stderr
-    assert "NO_NUMPY_OK" in result.stdout

@@ -29,6 +29,12 @@ SCAN_SQL = "SELECT count(padding) FROM t WHERE c2 < 900"
 JOIN_SQL = (
     "SELECT count(t.padding) FROM t, t1 WHERE t1.c1 < 1000 AND t1.c2 = t.c2"
 )
+#: What a request that must still be running asks for: a full table scan
+#: whose two terms hold on every row, 20-37 ms on the row oracle on a
+#: 2-vCPU Xeon.  ``SCAN_SQL`` takes 7-13 ms there, within two GIL switch
+#: intervals (5 ms) of the time a 1 ms deadline needs to fire: its timer
+#: runs on the event loop, which waits for the engine thread's GIL.
+SLOW_SQL = "SELECT count(padding) FROM t WHERE c5 >= 0 AND c3 >= 0"
 
 #: Far below the queries' execution cost on the row oracle (tens of ms;
 #: the batch drive finishes in about a millisecond, so tests that need a
@@ -40,7 +46,7 @@ TINY_DEADLINE_MS = 1.0
 
 def slow_request(request_id: str) -> QueryRequest:
     """A scan on the row oracle: still running when the test looks."""
-    return QueryRequest(sql=SCAN_SQL, request_id=request_id, exec_mode="row")
+    return QueryRequest(sql=SLOW_SQL, request_id=request_id, exec_mode="row")
 
 
 def serve_one(engine: Engine, request: QueryRequest, **service_kwargs):
@@ -161,7 +167,7 @@ class TestDeadlines:
         self, join_db, sql_kind
     ):
         """Timeout mid-scan / mid-probe: slot freed, no epoch bump."""
-        sql = SCAN_SQL if sql_kind == "scan" else JOIN_SQL
+        sql = SLOW_SQL if sql_kind == "scan" else JOIN_SQL
         engine = Engine(join_db)
 
         async def scenario():

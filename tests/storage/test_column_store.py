@@ -3,14 +3,12 @@
 Rows of INT / FLOAT / STR / DATE columns, NULLs included, go in through
 ``load_table`` and must come back — through pages, scans, gathers, RID
 fetches and clustered seeks — as the same tuples of *plain Python* values
-(``type(v) is int``, never ``numpy.int64``), on both vector backends and
-when the store was built under one backend and is read under the other.
+(``type(v) is int``, never ``numpy.int64``).
 """
 
 from __future__ import annotations
 
 import datetime
-from contextlib import nullcontext
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -20,11 +18,6 @@ from repro.common.types import RID, PageId
 from repro.exec import vector
 from repro.sql.types import SqlType
 from repro.storage.accounting import IOContext
-
-BACKENDS = {"numpy": nullcontext, "python": vector.use_python_backend}
-if not vector.HAVE_NUMPY:
-    del BACKENDS["numpy"]
-FAST = "numpy" if vector.HAVE_NUMPY else "python"
 
 SCHEMA = TableSchema(
     "m",
@@ -75,97 +68,83 @@ def assert_plain(rows):
 @given(
     rows=rows_strategy,
     clustered=st.booleans(),
-    build=st.sampled_from(sorted(BACKENDS)),
-    read=st.sampled_from(sorted(BACKENDS)),
 )
 # Ints in [2**63, 2**64) beside int64 ones: NumPy would make the column float64.
-@example(
-    rows=[(0, 0, None, None, None), (0, 2**63, None, None, None)],
-    clustered=False,
-    build=FAST,
-    read=FAST,
-)
-@example(
-    rows=[(0, 0, None, None, None), (0, 2**63 + 1, None, None, None)],
-    clustered=True,
-    build=FAST,
-    read="python",
-)
-def test_every_read_path_returns_the_loaded_rows(rows, clustered, build, read):
-    with BACKENDS[build]():
-        table = load(rows, clustered)
+@example(rows=[(0, 0, None, None, None), (0, 2**63, None, None, None)], clustered=False)
+@example(rows=[(0, 0, None, None, None), (0, 2**63 + 1, None, None, None)], clustered=True)
+def test_every_read_path_returns_the_loaded_rows(rows, clustered):
+    table = load(rows, clustered)
     stored = sorted(rows, key=lambda row: row[0]) if clustered else rows  # stable
-    with BACKENDS[read]():
-        data_file = table.data_file
-        capacity = data_file.page_capacity
-        assert table.num_rows == len(rows)
-        assert table.num_pages == -(-len(rows) // capacity)
+    data_file = table.data_file
+    capacity = data_file.page_capacity
+    assert table.num_rows == len(rows)
+    assert table.num_pages == -(-len(rows) // capacity)
 
-        paged = [table.rows_on_page(page_id) for page_id in table.all_page_ids()]
-        assert [row for page in paged for row in page] == stored
-        assert all(len(page) == capacity for page in paged[:-1])
-        assert_plain(stored and paged[0])
+    paged = [table.rows_on_page(page_id) for page_id in table.all_page_ids()]
+    assert [row for page in paged for row in page] == stored
+    assert all(len(page) == capacity for page in paged[:-1])
+    assert_plain(stored and paged[0])
 
-        scanned = list(table.scan_rows(IOContext()))
-        assert [row for _page, _slot, row in scanned] == stored
-        assert [(page, slot) for page, slot, _row in scanned] == [
-            divmod(position, capacity) for position in range(len(rows))
-        ]
-        assert_plain(row for _page, _slot, row in scanned)
+    scanned = list(table.scan_rows(IOContext()))
+    assert [row for _page, _slot, row in scanned] == stored
+    assert [(page, slot) for page, slot, _row in scanned] == [
+        divmod(position, capacity) for position in range(len(rows))
+    ]
+    assert_plain(row for _page, _slot, row in scanned)
 
-        pages, slots = data_file.locators()
-        backwards = list(zip(pages, slots))[::-1]
-        gathered = (
-            vector.rows_from_columns(
-                data_file.columns_at(*zip(*backwards)), len(backwards)
-            )
-            if backwards
-            else []
+    pages, slots = data_file.locators()
+    backwards = list(zip(pages, slots))[::-1]
+    gathered = (
+        vector.rows_from_columns(
+            data_file.columns_at(*zip(*backwards)), len(backwards)
         )
-        assert gathered == stored[::-1]
-        assert_plain(gathered)
+        if backwards
+        else []
+    )
+    assert gathered == stored[::-1]
+    assert_plain(gathered)
 
-        fetched = [data_file.fetch(IOContext(), RID(*at)) for at in zip(pages, slots)]
-        assert [row for _page, row in fetched] == stored
-        assert_plain(row for _page, row in fetched)
+    fetched = [data_file.fetch(IOContext(), RID(*at)) for at in zip(pages, slots)]
+    assert [row for _page, row in fetched] == stored
+    assert_plain(row for _page, row in fetched)
 
+    chunked = [
+        row
+        for _first, _count, columns, num_rows, _starts in (
+            data_file.scan_column_chunks(IOContext(), 8)
+        )
+        for row in vector.rows_from_columns(list(columns), num_rows)
+    ]
+    assert chunked == stored
+
+    # Through the secondary index: key order, ties in physical order.
+    entries = list(table.index("ix_k").entries())
+    assert [key for key, _rid, _payload in entries] == sorted(
+        (row[0],) for row in rows
+    )
+    assert [
+        data_file.fetch(IOContext(), rid)[1][3] for _key, rid, _payload in entries
+    ] == [payload[0] for _key, _rid, payload in entries]
+
+    if clustered:
+        clustered_file = table.clustered_file()
+        low, high = (3,), (9,)
+        expected = [row for row in stored if 3 <= row[0] <= 9]
+        sought = list(clustered_file.seek_range(IOContext(), low, high))
+        assert [row for _page, _slot, row in sought] == expected
         chunked = [
             row
             for _first, _count, columns, num_rows, _starts in (
-                data_file.scan_column_chunks(IOContext(), 8)
+                clustered_file.seek_range_chunks(IOContext(), 8, low, high)
             )
             for row in vector.rows_from_columns(list(columns), num_rows)
         ]
-        assert chunked == stored
-
-        # Through the secondary index: key order, ties in physical order.
-        entries = list(table.index("ix_k").entries())
-        assert [key for key, _rid, _payload in entries] == sorted(
-            (row[0],) for row in rows
-        )
-        assert [
-            data_file.fetch(IOContext(), rid)[1][3] for _key, rid, _payload in entries
-        ] == [payload[0] for _key, _rid, payload in entries]
-
-        if clustered:
-            clustered_file = table.clustered_file()
-            low, high = (3,), (9,)
-            expected = [row for row in stored if 3 <= row[0] <= 9]
-            sought = list(clustered_file.seek_range(IOContext(), low, high))
-            assert [row for _page, _slot, row in sought] == expected
-            chunked = [
-                row
-                for _first, _count, columns, num_rows, _starts in (
-                    clustered_file.seek_range_chunks(IOContext(), 8, low, high)
-                )
-                for row in vector.rows_from_columns(list(columns), num_rows)
-            ]
-            assert chunked == expected
-            keyed = list(clustered_file.fetch_by_key(IOContext(), (5,)))
-            assert [row for _page, row in keyed] == [r for r in stored if r[0] == 5]
-            assert_plain(expected)
-            assert_plain(chunked)
-            assert_plain(row for _page, row in keyed)
+        assert chunked == expected
+        keyed = list(clustered_file.fetch_by_key(IOContext(), (5,)))
+        assert [row for _page, row in keyed] == [r for r in stored if r[0] == 5]
+        assert_plain(expected)
+        assert_plain(chunked)
+        assert_plain(row for _page, row in keyed)
 
 
 def _heap_database(rows, appended=()):
@@ -210,14 +189,8 @@ def _layout(table):
     # A NULL ``k`` (no index is keyed on it) makes that typed column a list,
     # in whichever batch it arrives.
     null_at=st.one_of(st.none(), st.integers(0, 80)),
-    backend=st.sampled_from(sorted(BACKENDS)),
 )
-def test_appends_after_bulk_load_equal_one_bulk_load(sizes, null_at, backend):
-    with BACKENDS[backend]():
-        _check_appends_equal_one_bulk_load(sizes, null_at)
-
-
-def _check_appends_equal_one_bulk_load(sizes, null_at):
+def test_appends_after_bulk_load_equal_one_bulk_load(sizes, null_at):
     rows = [
         (None if position == null_at else position, (position * 7) % 11, "x")
         for position in range(sum(sizes))
