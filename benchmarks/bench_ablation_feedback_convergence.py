@@ -8,15 +8,16 @@ workload's running cost.  The learning curve should drop as the store
 covers the templates: early executions pay the misestimated plan, later
 ones get the corrected plan for free (no re-monitoring needed).
 
-A self-tuning DPC histogram trained from the same stream then answers
-*unseen* ranges on the learned columns — the generalisation step the
-paper sketches for "histograms on page counts".
+One clustering scalar fitted to the same stream's records then answers
+*unseen* ranges on the learned column — the generalisation step the
+paper sketches for "histograms on page counts", with one number per
+column instead of per-bucket state.
 """
 
 from benchmarks.conftest import run_once
+from repro.core.clustering import fit_scatter, predict_dpc
 from repro.core.dpc import exact_dpc
 from repro.core.requests import AccessPathRequest
-from repro.core.selftuning import SelfTuningDPCHistogram
 from repro.harness.reporting import format_table
 from repro.optimizer import SingleTableQuery
 from repro.session import Session
@@ -49,23 +50,22 @@ def test_ablation_feedback_convergence(benchmark):
                 round_time += executed.elapsed_ms
             rounds.append(round_time)
 
-        # Generalisation: train a self-tuning histogram from the store and
-        # probe unseen ranges.
-        histogram = SelfTuningDPCHistogram(
-            "t", "c2", 0, 60_000, database.table("t").num_pages, num_buckets=12
-        )
+        # Generalisation: fit the scalar to the store's records and probe
+        # unseen ranges.  c2 permutes 0..N-1, so ``c2 < cut`` holds ``cut``
+        # rows.
+        table = database.table("t")
+        rows_per_page = table.num_rows / table.num_pages
+        samples = []
         for key in session.feedback.keys():
-            record = session.feedback.record(key)
             # keys look like "DPC(t, c2 < 400)"
             cut = int(key.rsplit("<", 1)[1].rstrip(") "))
-            histogram.learn(
-                conjunction_of(Comparison("c2", "<", cut)), record.page_count
-            )
+            samples.append((cut, session.feedback.record(key).page_count))
+        scatter = fit_scatter(samples, rows_per_page, table.num_pages)
         unseen = []
         for cut in (700, 2_000, 4_200):
             predicate = conjunction_of(Comparison("c2", "<", cut))
-            predicted = histogram.estimate(predicate)
-            truth = exact_dpc(database.table("t"), predicate)
+            predicted = predict_dpc(scatter, cut, rows_per_page, table.num_pages)
+            truth = exact_dpc(table, predicate)
             unseen.append([f"c2 < {cut}", f"{predicted:.0f}", truth])
         return rounds, unseen
 
@@ -78,13 +78,13 @@ def test_ablation_feedback_convergence(benchmark):
             [[i + 1, f"{t:.1f}"] for i, t in enumerate(rounds)],
         )
     )
-    print("\nself-tuning DPC histogram on unseen ranges:")
+    print("\nclustering scalar on unseen ranges:")
     print(format_table(["unseen predicate", "predicted", "true DPC"], unseen))
 
     # Round 1 pays the misestimated plans at least once; rounds 2+ run the
     # corrected plans throughout and converge.
     assert rounds[1] < rounds[0] * 0.8
     assert abs(rounds[2] - rounds[1]) < 0.05 * rounds[1]
-    # Generalisation is in the right ballpark (interpolated feedback).
+    # Generalisation is in the right ballpark (fitted feedback).
     for _label, predicted, truth in unseen:
         assert float(predicted) <= 3 * truth + 10

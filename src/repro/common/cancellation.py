@@ -14,6 +14,13 @@ the service, a test driver) while the execution runs on a worker thread,
 so the cancelled flag is a :class:`threading.Event`.  A token belongs to
 exactly one execution; create a fresh one per run.
 
+A token may also carry its own ``deadline``: a stopwatch (anything with
+an ``elapsed_seconds`` reading, such as the service's per-request
+:class:`~repro.harness.timing.Stopwatch`) and a budget in seconds.  The
+owning thread then cancels the token at the first checkpoint past the
+budget, so a deadline is precise to one checkpoint however long another
+thread takes to get the GIL and fire a timer.
+
 For deterministic tests, ``cancel_after_checks=N`` self-cancels the token
 on its N-th checkpoint — "the deadline expired mid-scan" becomes an exact,
 repeatable program point instead of a wall-clock race.
@@ -22,7 +29,14 @@ repeatable program point instead of a wall-clock race.
 from __future__ import annotations
 
 import threading
-from typing import Optional
+from typing import Optional, Protocol
+
+
+class ElapsedClock(Protocol):
+    """A running stopwatch: seconds since it started."""
+
+    @property
+    def elapsed_seconds(self) -> float: ...
 
 from repro.common.errors import QueryCancelled
 
@@ -39,9 +53,14 @@ class CancellationToken:
         "_reason",
         "checks",
         "cancel_after_checks",
+        "_deadline",
     )
 
-    def __init__(self, cancel_after_checks: Optional[int] = None) -> None:
+    def __init__(
+        self,
+        cancel_after_checks: Optional[int] = None,
+        deadline: Optional[tuple[ElapsedClock, float]] = None,
+    ) -> None:
         if cancel_after_checks is not None and cancel_after_checks <= 0:
             raise ValueError(
                 f"cancel_after_checks must be positive, got {cancel_after_checks}"
@@ -51,6 +70,8 @@ class CancellationToken:
         #: Checkpoints passed so far (owning thread only; no lock needed).
         self.checks = 0
         self.cancel_after_checks = cancel_after_checks
+        #: ``(clock, budget in seconds)``: cancel once the clock reads more.
+        self._deadline = deadline
 
     # -- cancellation side (any thread) --------------------------------
     def cancel(self, reason: str = "cancelled") -> None:
@@ -72,8 +93,8 @@ class CancellationToken:
         """Raise :class:`QueryCancelled` if the token has been cancelled.
 
         Called by the executor at page/batch boundaries; cheap enough for
-        the checked drive loop (an Event.is_set read) but never on the
-        token-less fast path.
+        the checked drive loop (an Event.is_set read, plus one clock read
+        under a deadline) but never on the token-less fast path.
         """
         self.checks += 1
         if (
@@ -83,6 +104,9 @@ class CancellationToken:
             self.cancel(
                 f"cancel_after_checks={self.cancel_after_checks} reached"
             )
+        deadline = self._deadline
+        if deadline is not None and deadline[0].elapsed_seconds >= deadline[1]:
+            self.cancel(f"deadline of {deadline[1] * 1000:.1f}ms exceeded")
         if self._event.is_set():
             raise QueryCancelled(self._reason)
 

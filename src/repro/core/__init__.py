@@ -11,7 +11,9 @@ from repro.core.bitvector import BitVectorFilter, PartialBitVectorFilter
 from repro.core.clustering import (
     ClusteringMeasurement,
     clustering_ratio,
+    fit_scatter,
     measure_clustering,
+    predict_dpc,
 )
 from repro.core.diagnostics import (
     DiagnosticLine,
@@ -25,6 +27,7 @@ from repro.core.dpc import (
     exact_dpc,
     exact_join_dpc,
     exact_leaf_dpc,
+    guarded_ratio,
     satisfies,
 )
 from repro.core.dpsample import (
@@ -44,7 +47,6 @@ from repro.core.requests import (
     PageCountObservation,
     PageCountRequest,
 )
-from repro.core.selftuning import SelfTuningDPCHistogram
 
 __all__ = [
     "AEEstimator",
@@ -69,7 +71,6 @@ __all__ = [
     "PageCountRequest",
     "PartialBitVectorFilter",
     "ScanMonitorBundle",
-    "SelfTuningDPCHistogram",
     "build_executable",
     "clustering_ratio",
     "diagnose",
@@ -80,9 +81,12 @@ __all__ = [
     "exact_dpc",
     "exact_join_dpc",
     "exact_leaf_dpc",
+    "fit_scatter",
     "frequency_profile",
+    "guarded_ratio",
     "hint_for_plan",
     "measure_clustering",
+    "predict_dpc",
     "recommend_hint",
     "recommended_bitmap_bits",
     "reservoir_sample",

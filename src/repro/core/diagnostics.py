@@ -17,8 +17,8 @@ from typing import Optional, Sequence
 
 from repro.analysis.findings import Finding, render_findings
 from repro.catalog.catalog import Database
+from repro.core.dpc import guarded_ratio
 from repro.core.requests import PageCountObservation
-from repro.core.selftuning import guarded_ratio
 from repro.optimizer.hints import PlanHint
 from repro.optimizer.injection import InjectionSet
 from repro.optimizer.optimizer import Optimizer, Query
@@ -52,7 +52,7 @@ class DiagnosticLine:
 
     @property
     def error_factor(self) -> Optional[float]:
-        """The q-error (:func:`~repro.core.selftuning.guarded_ratio`: both
+        """The q-error (:func:`~repro.core.dpc.guarded_ratio`: both
         sides floored at one page, so a 0-page estimate of 30 actual pages
         reads 30); None when either side is missing."""
         if (

@@ -119,3 +119,23 @@ def dpc_bounds(row_count: int, rows_per_page: float, total_pages: int) -> tuple[
     lower = row_count / rows_per_page
     upper = min(row_count, total_pages)
     return lower, upper
+
+
+def guarded_ratio(actual: float, estimate: float) -> float:
+    """Symmetric q-error-style divergence, safe for zero/empty estimates.
+
+    Both operands are floored at one row/page before dividing — an
+    optimizer that estimated 0 rows (empty histogram bucket, injected
+    zero) must yield a *finite* divergence, not a ZeroDivisionError — and
+    the larger of the two directed ratios is returned, so over- and
+    under-estimation read on the same >= 1.0 scale.  This is the q-error
+    convention diagnostics score estimates with; the reopt watchdog's
+    trip test (``repro.reopt.watchdog``) imports it from here so
+    mid-query divergence and post-run scoring can never disagree about
+    the zero-estimate edge.
+    """
+    floored_actual = max(float(actual), 1.0)
+    floored_estimate = max(float(estimate), 1.0)
+    return max(
+        floored_actual / floored_estimate, floored_estimate / floored_actual
+    )

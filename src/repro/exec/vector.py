@@ -31,6 +31,7 @@ The per-row loops in this module are the sanctioned list-column path
 
 from __future__ import annotations
 
+import math
 import operator
 from bisect import bisect_left, bisect_right
 from functools import reduce
@@ -344,29 +345,48 @@ def insert_value(column: Column, position: int, value: Any) -> Column:
 
 # --- predicate kernels ---------------------------------------------------
 
+def _array_compare(column: Any, op: str, bound: Any) -> Optional[Any]:
+    """``column <op> bound`` on an array, as the row loop compares each
+    value; None when NumPy cannot compare them.
+
+    NumPy compares an integer array with a float by casting the ints to
+    float64, so past 2**53 a value reads as its rounded neighbour; Python
+    compares exactly.  A finite float bound is therefore rewritten into
+    the integer threshold that splits the ints the same way (``< b`` is
+    ``< ceil(b)``, ``<= b`` is ``<= floor(b)``, ``= b`` needs an integral
+    ``b``); an infinite or NaN bound splits no ints, so every row reads
+    what one int does.
+    """
+    fn = _OPS[op]
+    if isinstance(bound, float) and column.dtype.kind in "iu":
+        if not math.isfinite(bound) or (op in ("=", "!=") and not bound.is_integer()):
+            return _np.full(len(column), fn(0, bound))
+        bound = math.ceil(bound) if op in ("<", ">=") else math.floor(bound)
+    try:
+        result = fn(column, bound)
+    except TypeError:
+        return None
+    return result if _is_array(result) else None
+
+
 def compare_mask(column: Column, op: str, bound: Any) -> Mask:
     """``column <op> bound`` as a mask; NULL never matches."""
-    fn = _OPS[op]
     if _is_array(column):
-        try:
-            result = fn(column, bound)
-        except TypeError:
-            result = None
-        if _is_array(result):
+        result = _array_compare(column, op, bound)
+        if result is not None:
             return result
         column = column.tolist()
+    fn = _OPS[op]
     return [value is not None and fn(value, bound) for value in column]
 
 
 def between_mask(column: Column, low: Any, high: Any) -> Mask:
     """``low <= column <= high`` as a mask; NULL never matches."""
     if _is_array(column):
-        try:
-            result = (column >= low) & (column <= high)
-        except TypeError:
-            result = None
-        if _is_array(result):
-            return result
+        above = _array_compare(column, ">=", low)
+        below = None if above is None else _array_compare(column, "<=", high)
+        if below is not None:
+            return above & below
         column = column.tolist()
     return [value is not None and low <= value <= high for value in column]
 

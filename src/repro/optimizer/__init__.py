@@ -3,7 +3,6 @@
 from repro.optimizer.access_paths import AccessPathEnumerator, seek_bounds
 from repro.optimizer.cardinality import CardinalityEstimator
 from repro.optimizer.cost import CostModel, expected_evaluations
-from repro.optimizer.dpc_histogram import DPCHistogram
 from repro.optimizer.estimators import PageCountEstimator
 from repro.optimizer.hints import PlanHint
 from repro.optimizer.injection import (
@@ -41,7 +40,6 @@ __all__ = [
     "CostModel",
     "CountPlan",
     "CoveringScanPlan",
-    "DPCHistogram",
     "HashJoinPlan",
     "INLJoinPlan",
     "IndexIntersectionLeg",

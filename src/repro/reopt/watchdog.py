@@ -9,7 +9,7 @@ baseline each monitored request was planned under.  :meth:`observe` then
 runs at every ``ctx.checkpoint()``: it linearly projects each streaming
 counter to end-of-scan (``satisfied * total_pages / pages_seen``) and
 compares the projection against the baseline with the shared q-error
-guard (:func:`~repro.core.selftuning.guarded_ratio`).  The trip
+guard (:func:`~repro.core.dpc.guarded_ratio`).  The trip
 condition is deliberately conservative — PLANSIEVE-style incremental
 thresholds with hysteresis, fixed by this module's constants — so
 well-estimated queries never pay more than the checks themselves:
@@ -34,8 +34,8 @@ from typing import Optional
 from repro.catalog.catalog import Database
 from repro.common.errors import ReoptRequested
 from repro.core.monitors import ScanMonitorBundle
+from repro.core.dpc import guarded_ratio
 from repro.core.requests import AccessPathRequest
-from repro.core.selftuning import guarded_ratio
 from repro.exec.base import Operator
 from repro.exec.scans import SeqScan, _MonitoredScanMixin
 from repro.optimizer.cardinality import CardinalityEstimator

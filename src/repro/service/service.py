@@ -19,9 +19,11 @@ Properties the tests and the CI smoke gate hold the service to:
   ``SERVICE_OVERLOADED`` instead of parked.
 * **Deadlines cancel work, not just responses.**  ``deadline_ms`` bounds
   the admission wait (an expired request leaves the queue and answers
-  promptly) and arms an event-loop timer that cancels the run's
-  :class:`~repro.common.cancellation.CancellationToken`; the executor
-  stops at the next page/batch boundary, so a timed-out query stops
+  promptly) and is carried by the run's
+  :class:`~repro.common.cancellation.CancellationToken`, which the
+  executor checks at every page/batch boundary (an event-loop timer also
+  withdraws a call still waiting for the engine thread); the executor
+  stops at the first boundary past the deadline, so a timed-out query stops
   charging its IOContext, releases its admission slot, and (because the
   harvest stage is never reached) cannot bump the feedback epoch with a
   partial run.
@@ -240,7 +242,14 @@ class QueryService:
                 "queue_depth", self.admission.queue_depth
             )
 
-            token = CancellationToken()
+            # The token checks the deadline at every checkpoint; the timer
+            # below withdraws a call still waiting for the engine thread
+            # (and reaches a worker's run, which has no checkpoints here).
+            token = CancellationToken(
+                deadline=None
+                if request.deadline_ms is None
+                else (watch, request.deadline_ms / 1000)
+            )
             loop = asyncio.get_running_loop()
             if request.deadline_ms is not None:
                 remaining_ms = request.deadline_ms - queue_wait_ms

@@ -56,3 +56,29 @@ class TestCancelAfterChecks:
         assert "live" in repr(token)
         token.cancel("bored")
         assert "bored" in repr(token)
+
+
+class _SpentClock:
+    """A stopwatch that has already run for ``elapsed_seconds``."""
+
+    def __init__(self, elapsed_seconds: float) -> None:
+        self.elapsed_seconds = elapsed_seconds
+
+
+class TestDeadline:
+    def test_spent_budget_raises_at_first_checkpoint(self):
+        token = CancellationToken(deadline=(_SpentClock(0.002), 0.001))
+        assert not token.cancelled  # only a checkpoint reads the clock
+        with pytest.raises(QueryCancelled, match="deadline of 1.0ms exceeded"):
+            token.checkpoint()
+        assert token.checks == 1
+
+    def test_live_budget_passes_checkpoints(self):
+        clock = _SpentClock(0.0)
+        token = CancellationToken(deadline=(clock, 1.0))
+        token.checkpoint()
+        token.checkpoint()
+        assert not token.cancelled
+        clock.elapsed_seconds = 1.0
+        with pytest.raises(QueryCancelled, match="deadline of 1000.0ms"):
+            token.checkpoint()

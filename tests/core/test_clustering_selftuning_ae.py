@@ -1,11 +1,10 @@
-"""Tests for clustering ratio, the self-tuning DPC histogram and the
-sampling-based distinct estimators."""
+"""Tests for clustering ratio and the sampling-based distinct estimators."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.catalog import ColumnDef, Database, TableSchema
-from repro.common.errors import FeedbackError, MonitorError
+from repro.common.errors import MonitorError
 from repro.core.ae_estimator import (
     AEEstimator,
     GEEEstimator,
@@ -15,7 +14,6 @@ from repro.core.ae_estimator import (
 )
 from repro.core.clustering import clustering_ratio, measure_clustering
 from repro.core.dpc import exact_dpc
-from repro.core.selftuning import SelfTuningDPCHistogram
 from repro.sql import Comparison, conjunction_of
 from repro.sql.types import SqlType
 
@@ -69,71 +67,6 @@ class TestClusteringRatio:
         assert m.actual_pages == exact_dpc(
             table, conjunction_of(Comparison("val", "<", 50))
         )
-
-
-class TestSelfTuningHistogram:
-    def make(self, **kwargs):
-        defaults = dict(
-            table="t", column="c", domain_low=0, domain_high=1000,
-            total_pages=100, num_buckets=10,
-        )
-        defaults.update(kwargs)
-        return SelfTuningDPCHistogram(**defaults)
-
-    def test_no_feedback_returns_none(self):
-        histogram = self.make()
-        assert histogram.estimate(conjunction_of(Comparison("c", "<", 500))) is None
-
-    def test_learns_linear_density(self):
-        histogram = self.make()
-        # Feedback: DPC grows at 0.1 pages/unit.
-        histogram.learn(conjunction_of(Comparison("c", "<", 500)), 50.0)
-        estimate = histogram.estimate(conjunction_of(Comparison("c", "<", 250)))
-        assert estimate == pytest.approx(25.0, rel=0.1)
-
-    def test_capped_at_total_pages(self):
-        histogram = self.make(total_pages=30)
-        histogram.learn(conjunction_of(Comparison("c", "<", 1000)), 30.0)
-        # Extrapolating cannot exceed the table's page count.
-        assert histogram.estimate(conjunction_of(Comparison("c", "<", 1000))) <= 30.0
-
-    def test_non_matching_expressions_ignored(self):
-        histogram = self.make()
-        assert not histogram.learn(conjunction_of(Comparison("other", "<", 5)), 10)
-        two_terms = conjunction_of(Comparison("c", "<", 5), Comparison("c", ">", 1))
-        assert not histogram.learn(two_terms, 10)
-
-    def test_coverage_grows(self):
-        histogram = self.make()
-        assert histogram.coverage == 0.0
-        histogram.learn(conjunction_of(Comparison("c", "<", 300)), 30.0)
-        assert 0.0 < histogram.coverage < 1.0
-        histogram.learn(conjunction_of(Comparison("c", ">=", 300)), 70.0)
-        assert histogram.coverage == 1.0
-
-    def test_recency_weighted_refinement(self):
-        histogram = self.make(learning_rate=1.0)
-        predicate = conjunction_of(Comparison("c", "<", 1000))
-        histogram.learn(predicate, 10.0)
-        histogram.learn(predicate, 90.0)
-        assert histogram.estimate(predicate) == pytest.approx(90.0)
-
-    def test_validation(self):
-        with pytest.raises(FeedbackError):
-            self.make(domain_low=10, domain_high=5)
-        with pytest.raises(FeedbackError):
-            self.make(num_buckets=0)
-        with pytest.raises(FeedbackError):
-            self.make(learning_rate=0.0)
-
-    def test_between_and_equality_supported(self):
-        from repro.sql.predicates import Between
-
-        histogram = self.make()
-        assert histogram.learn(
-            conjunction_of(Between("c", 100, 200)), 10.0
-        )
-        assert histogram.estimate(conjunction_of(Comparison("c", "=", 150))) is not None
 
 
 class TestReservoirSample:

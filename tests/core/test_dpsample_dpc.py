@@ -7,7 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import MonitorError
 from repro.common.types import PageId
-from repro.core.dpc import dpc_bounds, exact_dpc, exact_join_dpc, satisfies
+from repro.core.dpc import (
+    dpc_bounds,
+    exact_dpc,
+    exact_join_dpc,
+    guarded_ratio,
+    satisfies,
+)
 from repro.core.dpsample import (
     BernoulliPageSampler,
     dpsample,
@@ -71,6 +77,28 @@ class TestOracle:
             dpc_bounds(10, 0, 5)
         with pytest.raises(ValueError):
             dpc_bounds(-1, 10, 5)
+
+
+class TestGuardedRatio:
+    def test_zero_and_empty_estimates_floor_at_one(self):
+        assert guarded_ratio(30, 0) == 30.0
+        assert guarded_ratio(0, 30) == 30.0
+        assert guarded_ratio(0, 0) == 1.0
+        assert guarded_ratio(0.25, 0.5) == 1.0
+        assert guarded_ratio(30, 0.5) == 30.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        actual=st.floats(0.0, 1e6, allow_nan=False),
+        estimate=st.floats(0.0, 1e6, allow_nan=False),
+    )
+    def test_symmetric_and_at_least_one(self, actual, estimate):
+        ratio = guarded_ratio(actual, estimate)
+        assert ratio >= 1.0
+        assert ratio == guarded_ratio(estimate, actual)
+
+    def test_over_and_under_estimates_read_the_same(self):
+        assert guarded_ratio(10, 40) == guarded_ratio(40, 10) == 4.0
 
 
 class TestJoinOracle:

@@ -15,7 +15,7 @@ from repro.exec.batch import DEFAULT_BATCH_ROWS, RowBatch
 from repro.exec.executor import execute
 from repro.exec.scans import SeqScan
 from repro.sql.evaluator import BoundConjunction
-from repro.sql.predicates import Comparison, InList, conjunction_of
+from repro.sql.predicates import Between, Comparison, InList, conjunction_of
 
 from tests.conftest import make_tiny_table
 
@@ -290,14 +290,26 @@ def test_evaluate_columns_full_rows_match_the_row_loop(backend):
 
 
 def test_evaluate_columns_matches_the_row_evaluator(backend):
-    rows = [(i, (i * 37) % 50) for i in range(200)]
-    columns = vector.columns_from_rows(rows, 2)
-    for conjunction in (
-        conjunction_of(Comparison("k", "<", 120), Comparison("v", ">=", 10)),
+    narrow = [(i, (i * 37) % 50) for i in range(200)]
+    # Ints float64 cannot hold against float bounds: NumPy would compare
+    # each as its rounded neighbour, Python compares exactly.
+    big = 2**53
+    wide_rows = [(big + 1, 5), (big, -7), (big - 1, 2**63 - 1), (5, -(2**63))]
+    for rows, conjunction in (
+        (narrow, conjunction_of(Comparison("k", "<", 120), Comparison("v", ">=", 10))),
         # An IN list mixing types against an int column: NumPy would cast
         # the set to strings and match nothing.
-        conjunction_of(InList("v", (37, "a"))),
+        (narrow, conjunction_of(InList("v", (37, "a")))),
+        (wide_rows, conjunction_of(Comparison("k", "<=", float(big)))),
+        (wide_rows, conjunction_of(Comparison("k", ">", float(big)))),
+        (wide_rows, conjunction_of(Comparison("k", "<", big - 0.5))),
+        (wide_rows, conjunction_of(Comparison("k", "=", float(big)))),
+        (wide_rows, conjunction_of(Comparison("k", "!=", 4.5))),
+        (wide_rows, conjunction_of(Comparison("v", "<", float("inf")))),
+        (wide_rows, conjunction_of(Comparison("v", ">=", float("nan")))),
+        (wide_rows, conjunction_of(Between("k", 4.5, float(big)))),
     ):
+        columns = vector.columns_from_rows(rows, 2)
         bound = BoundConjunction(conjunction, ("k", "v"))
         per_row = [bound.evaluate(row) for row in rows]
         outcome = bound.evaluate_columns(columns, len(rows))
